@@ -231,13 +231,16 @@ class PlusMinusMetric:
         self.diag = diag
         self._U1 = _clean_factors(plus_factors, self.dim)
         self._U2 = _clean_factors(minus_factors, self.dim)
+        self._W2 = np.zeros((self.dim, 0))
         if self._U2.shape[1]:
             inner = LowRankMetric(diag, plus_factors, +1) if self._U1.shape[1] else \
                 LowRankMetric(diag)
             P1_inv = inner.invert()
-            M = self._U2.T @ np.column_stack(
+            self._W2 = np.column_stack(
                 [P1_inv.apply(self._U2[:, j]) for j in range(self._U2.shape[1])]
             )
+            self._W2.setflags(write=False)
+            M = self._U2.T @ self._W2
             ew = np.linalg.eigvalsh(np.eye(self._U2.shape[1]) - 0.5 * (M + M.T))
             if ew[0] <= 0:
                 raise NotPositiveDefiniteError(
@@ -252,6 +255,16 @@ class PlusMinusMetric:
     @property
     def minus_factors(self):
         return [self._U2[:, i] for i in range(self._U2.shape[1])]
+
+    @property
+    def factor_matrices(self):
+        """The (dim, r1) plus and (dim, r2) minus factor matrices."""
+        return self._U1, self._U2
+
+    @property
+    def p1_inv_minus(self):
+        """``(P + Q1)^{-1} U2``, kept from the positive-definiteness test."""
+        return self._W2
 
     @property
     def ranks(self):

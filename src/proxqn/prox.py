@@ -346,17 +346,6 @@ def project_simplex_weighted(y, w, radius):
     return np.maximum(y - theta * inv_w, 0.0)
 
 
-def _simplex_multiplier(y, w, radius):
-    """The multiplier theta of :func:`project_simplex_weighted`."""
-    v = w * y
-    order = np.argsort(-v, kind="stable")
-    cum_y = np.cumsum(y[order])
-    cum_w = np.cumsum((1.0 / w)[order])
-    theta_k = (cum_y - radius) / cum_w
-    valid = theta_k < v[order]
-    return theta_k[int(np.nonzero(valid)[0][-1])]
-
-
 def project_l1_ball_weighted(y, w, radius):
     """Projection onto ``{||z||_1 <= radius}`` in the metric ``diag(w)``."""
     y = np.asarray(y, dtype=float)

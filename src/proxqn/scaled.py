@@ -9,10 +9,17 @@ where ``alpha*`` is the unique zero of the strongly monotone map
 
     L(alpha) = U^T (x - prox^P_{kh}(x - sign * P^{-1} U alpha)) + alpha.
 
-This module provides the root problem, three interchangeable root finders
-(exact piecewise-affine, bisection, semi-smooth Newton), closed-form and
-block special cases, the coupled diag + rank-1 - rank-1 solve, and the
+This module provides the root problem, three interchangeable rank-1 root
+finders (exact piecewise-affine, bisection, semi-smooth Newton), closed-form
+and block special cases, the coupled diag + rank-1 - rank-1 solve, and the
 conjugate route through the metric Moreau identity.
+
+The coupled solve in ``V = P + Q1 - Q2`` (0BFGS) has one production route:
+a damped semi-smooth Newton on the stacked two-multiplier system, one
+diagonal prox and one Clarke-Jacobian product per step, warm-started from
+the previous forward-backward iteration.  The recursive route (an outer
+scalar solve over inner rank-1 solves) is kept as its fallback, taken only
+when the Newton loop misses its tolerance, and as its oracle.
 """
 
 from __future__ import annotations
@@ -613,15 +620,27 @@ def _newton_scalar_bracketed(func, lo, hi, f_lo, f_hi, tol, max_iter=80,
 
 
 def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0,
-                      method="recursive", tol=1e-12, warm=None,
+                      method="joint", tol=1e-12, warm=None,
                       inner_finder="auto"):
     """Prox in ``V = P + Q1 - Q2`` via the coupled two-multiplier system.
 
-    ``method="recursive"`` peels the minus part off first (Theorem-style
-    outer rank-1 problem in the metric ``P1 - Q2`` with ``P1 = P + Q1``)
-    and solves an inner plus-rank problem per outer evaluation.
-    ``method="joint"`` runs semi-smooth Newton on the stacked system; both
-    paths agree and are cross-checked in the test-suite.
+    A metric with one empty side reduces to the rank-1 :func:`scaled_prox`
+    with ``inner_finder``.  Otherwise the production route
+    (``method="joint"``) is a damped semi-smooth Newton on the stacked
+    system in the multipliers ``(a, b)`` of ``Q1`` and ``Q2``, started from
+    ``warm`` (see :func:`_rank2_joint`); each step costs one diagonal prox
+    and one Clarke-Jacobian product, and its point is returned only at
+    residual <= ``tol``.
+
+    The recursive path peels the minus part off first: an outer rank-1
+    problem in ``P1 - Q2`` with ``P1 = P + Q1``, solved by a bracketed
+    scalar Newton/secant with one inner rank-1 solve in ``P1`` per outer
+    evaluation.  It is the fallback when the Newton loop fails, and the
+    oracle: ``method="recursive"`` or any ``inner_finder`` other than
+    "auto" selects it, so that e.g. ``inner_finder="bisection"`` is a
+    computation independent of the Newton route.  The report's ``method``
+    ("rank2-joint" or "rank2-recursive") names the path that produced the
+    point.
     """
     x = np.asarray(x, dtype=float)
     if warm is not None and np.atleast_1d(warm).size == 0:
@@ -630,30 +649,100 @@ def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0,
     if single is not None:
         return scaled_prox(single, prox, x, kappa=kappa, finder=inner_finder,
                            tol=tol)
-    if method == "joint":
-        return _rank2_joint(metric, prox, x, kappa, tol, warm)
-    if method != "recursive":
+    if method not in ("joint", "recursive"):
         raise ValueError(f"unknown rank-2 method {method!r}")
+    if method == "joint" and inner_finder == "auto":
+        result = _rank2_joint(metric, prox, x, kappa, tol, warm)
+        if result is not None:
+            return result
+        logger.info("joint rank-2 Newton failed; using the recursive path")
+    return _rank2_recursive(metric, prox, x, kappa, tol, warm, inner_finder)
 
-    U2 = np.column_stack(metric.minus_factors)
+
+def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
+    """Damped semi-smooth Newton on the stacked system
+
+        F1(a, b) = U1^T (x + W2 b - p) + a
+        F2(a, b) = U2^T (x - p) + b,
+        p = prox^P_{kh}(x + W2 b - W1 a),  W1 = P^{-1} U1,  W2 = P1^{-1} U2,
+
+    which is Theorem 3.4 recursed through ``V = (P + Q1) - Q2``.  Each step
+    takes one Clarke-Jacobian product with ``[W1 W2]`` (forward differences
+    on F when the operator exposes none) and halves its length until
+    ``||F||`` falls by the factor ``1 - 1e-4 t``.  Returns None when the
+    residual does not reach ``tol``: no sufficient decrease after 30
+    halvings, or 60 steps.
+    """
+    P = metric.diag
+    U1, U2 = metric.factor_matrices
+    r1 = U1.shape[1]
+    r = r1 + U2.shape[1]
+    U = np.hstack([U1, U2])
+    W = np.hstack([U1 / P[:, None], metric.p1_inv_minus])
+    # z = x + W @ (sgn * ab): the a-directions enter with a minus sign
+    sgn = np.concatenate([-np.ones(r1), np.ones(r - r1)])
+    K = np.eye(r)
+    K[:r1, r1:] = U1.T @ W[:, r1:]
+
+    def system(ab):
+        z = x + W @ (sgn * ab)
+        p = prox.prox_diag(z, P, kappa)
+        return U.T @ (x - p) + K @ ab, p, z
+
+    ab = np.array(warm, dtype=float) if warm is not None and \
+        np.atleast_1d(warm).size == r else np.zeros(r)
+    val, p, z = system(ab)
+    res = float(np.linalg.norm(val))
+    history = [res]
+    steps = 0
+    while res > tol:
+        if steps == 60:
+            return None
+        JW = prox.prox_diag_jvp(z, P, kappa, W)
+        G = _fd_system_jacobian(system, ab, val) if JW is None \
+            else K - (U.T @ JW) * sgn
+        try:
+            step = np.linalg.solve(G, val)
+        except np.linalg.LinAlgError:
+            step = np.linalg.solve(G + 1e-8 * np.eye(r), val)
+        t = 1.0
+        for _ in range(31):
+            new = ab - t * step
+            new_val, new_p, new_z = system(new)
+            new_res = float(np.linalg.norm(new_val))
+            if new_res <= (1.0 - 1e-4 * t) * res:
+                break
+            t *= 0.5
+        else:
+            return None
+        ab, val, p, z, res = new, new_val, new_p, new_z, new_res
+        history.append(res)
+        steps += 1
+    return p, RootSolverReport(ab, res, steps, "rank2-joint",
+                               residual_history=history)
+
+
+def _rank2_recursive(metric: PlusMinusMetric, prox, x, kappa, tol, warm,
+                     inner_finder):
+    """Outer bracketed scalar solve in ``b`` over inner rank-1 solves in
+    ``P1 = P + Q1``: the fallback and oracle of :func:`scaled_prox_rank2`."""
+    U2 = metric.factor_matrices[1]
     if U2.shape[1] != 1:
         raise ValueError("the recursive path needs exactly one minus factor")
     u2 = U2[:, 0]
+    w2 = metric.p1_inv_minus[:, 0]
     inner_metric = LowRankMetric(metric.diag, metric.plus_factors, +1)
-    p1_inv = inner_metric.invert()
-    w2 = p1_inv.apply(u2)
     g2_sq = float(np.dot(u2, w2))
     if g2_sq >= 1.0:
         raise RootFinderError("outer metric P1 - Q2 not positive definite")
     c_outer = 1.0 - g2_sq
     inner_tol = min(tol, 1e-13)
-    state = {"inner_iters": 0, "warm": None}
+    state = {"warm": None}
 
     def inner_prox(z):
         p, rep = scaled_prox(inner_metric, prox, z, kappa=kappa,
                              finder=inner_finder, tol=inner_tol,
                              warm_alpha=state["warm"])
-        state["inner_iters"] += rep.iterations
         state["warm"] = rep.alpha_star
         return p
 
@@ -676,73 +765,6 @@ def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0,
                             else np.zeros(0), [b_star]])
     return p, RootSolverReport(alpha, abs(val), outer_iters, "rank2-recursive",
                                converged=abs(val) <= tol * 10)
-
-
-def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
-    """Semi-smooth Newton on the stacked system
-
-        F1(a, b) = U1^T (x + P1^{-1} U2 b - p) + a
-        F2(a, b) = U2^T (x - p) + b,
-        p = prox^P_{kh}(x + P1^{-1} U2 b - P^{-1} U1 a),
-
-    which is Theorem 3.4 recursed through ``V = (P + Q1) - Q2``.
-    """
-    P = metric.diag
-    U1 = np.column_stack(metric.plus_factors)
-    U2 = np.column_stack(metric.minus_factors)
-    r1, r2 = U1.shape[1], U2.shape[1]
-    inner_metric = LowRankMetric(P, metric.plus_factors, +1)
-    p1_inv = inner_metric.invert()
-    W1 = U1 / P[:, None]
-    W2 = np.column_stack([p1_inv.apply(U2[:, j]) for j in range(r2)])
-
-    def arg(ab):
-        a, b = ab[:r1], ab[r1:]
-        return x + W2 @ b - W1 @ a
-
-    def system(ab):
-        z = arg(ab)
-        p = prox.prox_diag(z, P, kappa)
-        F1 = U1.T @ (x + W2 @ ab[r1:] - p) + ab[:r1]
-        F2 = U2.T @ (x - p) + ab[r1:]
-        return np.concatenate([F1, F2]), p
-
-    ab = np.asarray(warm, dtype=float).copy() if warm is not None and \
-        np.atleast_1d(warm).size == r1 + r2 else np.zeros(r1 + r2)
-    val, p = system(ab)
-    res = float(np.linalg.norm(val))
-    history = [res]
-    for it in range(60):
-        if res <= tol:
-            return p, RootSolverReport(ab, res, it, "rank2-joint",
-                                       residual_history=history)
-        z = arg(ab)
-        J1 = prox.prox_diag_jvp(z, P, kappa, W1)
-        J2 = prox.prox_diag_jvp(z, P, kappa, W2)
-        if J1 is None or J2 is None:
-            G = _fd_system_jacobian(system, ab, val)
-        else:
-            G = np.block([
-                [np.eye(r1) + U1.T @ J1, U1.T @ (W2 - J2)],
-                [U2.T @ J1, np.eye(r2) - U2.T @ J2],
-            ])
-        try:
-            step = np.linalg.solve(G, val)
-        except np.linalg.LinAlgError:
-            step = np.linalg.solve(G + 1e-8 * np.eye(r1 + r2), val)
-        new = ab - step
-        new_val, new_p = system(new)
-        new_res = float(np.linalg.norm(new_val))
-        if not np.isfinite(new_res) or new_res > 10 * res + tol:
-            break  # diverging: hand over to the recursive path
-        ab, val, p, res = new, new_val, new_p, new_res
-        history.append(res)
-    if res <= tol:
-        return p, RootSolverReport(ab, res, len(history), "rank2-joint",
-                                   residual_history=history)
-    logger.info("joint rank-2 Newton stalled at %.3g; using recursive path", res)
-    return scaled_prox_rank2(metric, prox, x, kappa=kappa, method="recursive",
-                             tol=tol)
 
 
 def _fd_system_jacobian(system, ab, base):

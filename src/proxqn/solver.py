@@ -3,6 +3,7 @@ baselines (ISTA, FISTA with Barzilai-Borwein steps, SPG/SpaRSA)."""
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -88,7 +89,6 @@ class SolverOptions:
     budget_seconds: float | None = None
     f_star: float | None = None        # reference objective for the trace
     finder: str = "auto"
-    rank2_method: str = "recursive"
     restart_every: int = 1000          # FISTA momentum restart period
     memory: int = 10                   # nonmonotone line-search window
     record_metrics: bool = False
@@ -107,7 +107,7 @@ class SolverResult:
 
 
 def fb_step(x, grad_x, H, B, h, kappa=1.0, finder="auto", warm_alpha=None,
-            rank2_method="recursive", tol=1e-12):
+            tol=1e-12):
     """One forward-backward step ``prox^B_{kappa h}(x - kappa H grad)``.
 
     ``H`` is the factored inverse-Hessian metric and ``B`` its factored
@@ -116,7 +116,7 @@ def fb_step(x, grad_x, H, B, h, kappa=1.0, finder="auto", warm_alpha=None,
     forward = x - kappa * H.apply(grad_x)
     if isinstance(B, PlusMinusMetric):
         return scaled_prox_rank2(B, h, forward, kappa=kappa,
-                                 method=rank2_method, warm=warm_alpha, tol=tol)
+                                 warm=warm_alpha, tol=tol)
     return scaled_prox(B, h, forward, kappa=kappa, finder=finder, tol=tol,
                        warm_alpha=warm_alpha)
 
@@ -173,7 +173,11 @@ class _Run:
         return time.perf_counter() - self.t0
 
     def record(self, k, f_val, step_norm):
+        """Append a trace row.  Returns False when the solve must end with
+        status "nonfinite": a NaN or infinite objective, except +inf at the
+        start (an infeasible ``x0``, which the first prox step repairs)."""
         self.trace.append(k, f_val, step_norm, self.elapsed())
+        return math.isfinite(f_val) or (k == 0 and f_val == math.inf)
 
     def out_of_budget(self):
         return (self.opts.budget_seconds is not None
@@ -230,12 +234,13 @@ def _run_quasi_newton(problem, opts, variant):
             metrics.append((H, pair))
 
         xbar, report = fb_step(x, g, H, B, problem.h, kappa=kappa,
-                               finder=opts.finder, warm_alpha=warm,
-                               rank2_method=opts.rank2_method)
+                               finder=opts.finder, warm_alpha=warm)
         warm = report.alpha_star
         p = xbar - x
         step_norm = float(np.max(np.abs(p), initial=0.0))
-        run.record(k, f_val, step_norm)
+        if not run.record(k, f_val, step_norm):
+            status = "nonfinite"
+            break
         if step_norm < opts.tol:
             status, converged = "converged", True
             break
@@ -303,7 +308,9 @@ def run_ista(problem, opts=None):
     for k in range(opts.max_iters):
         x_new = _euclid_prox(problem.h, x - kappa * problem.grad(x), kappa)
         step_norm = float(np.max(np.abs(x_new - x), initial=0.0))
-        run.record(k, f_val, step_norm)
+        if not run.record(k, f_val, step_norm):
+            status = "nonfinite"
+            break
         if step_norm < opts.tol:
             status, converged = "converged", True
             break
@@ -341,7 +348,9 @@ def run_fista_bb(problem, opts=None):
                 break
             kappa *= 0.5
         step_norm = float(np.max(np.abs(x_new - x), initial=0.0))
-        run.record(k, f_val, step_norm)
+        if not run.record(k, f_val, step_norm):
+            status = "nonfinite"
+            break
         if step_norm < opts.tol and k > 0:
             x = x_new
             status, converged = "converged", True
@@ -390,7 +399,9 @@ def run_spg_sparsa(problem, opts=None):
                 break
             kap *= 0.5
         step_norm = float(np.max(np.abs(x_new - x), initial=0.0))
-        run.record(k, f_val, step_norm)
+        if not run.record(k, f_val, step_norm):
+            status = "nonfinite"
+            break
         if step_norm < opts.tol:
             x = x_new
             status, converged = "converged", True

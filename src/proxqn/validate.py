@@ -728,8 +728,7 @@ def suite_ssnewton_local(seed=0, count=50):
             b2 = float(np.linalg.norm(u2)) * reach
 
             def newton_from(frac):
-                _, rep = scaled_prox_rank2(metric, op, x, method="joint",
-                                           tol=1e-10,
+                _, rep = scaled_prox_rank2(metric, op, x, tol=1e-10,
                                            warm=[frac * b1, frac * b2])
                 return rep
 

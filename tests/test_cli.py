@@ -3,7 +3,11 @@ import os
 import numpy as np
 import pytest
 
+from proxqn import cli
+from proxqn.bench import ReferenceSolution
 from proxqn.cli import main
+from proxqn.prox import L1Norm
+from proxqn.solver import SOLVERS, ProblemSpec
 
 ORTHANT_EXAMPLE = """\
 # scaled prox: positive orthant worked example
@@ -39,6 +43,20 @@ def test_solve_roundtrip_and_determinism(tmp_path, env_cache, capsys):
     rc = main(args + ["--out", str(tmp_path / "b.csv")])
     assert rc == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_solve_nonfinite_objective_exits_3(tmp_path, monkeypatch, capsys):
+    problem = ProblemSpec(dim=4, f=lambda x: float("nan"), grad=lambda x: x,
+                          h=L1Norm(0.1), lipschitz=1.0)
+    monkeypatch.setattr(cli, "generate", lambda recipe: problem)
+    monkeypatch.setattr(cli, "reference_solution",
+                        lambda problem, cache_dir=None: ReferenceSolution(
+                            np.zeros(4), 0.0, False, True))
+    for solver_id in sorted(SOLVERS):
+        rc = main(["solve", "--solver", solver_id,
+                   "--out", str(tmp_path / f"{solver_id}.csv")])
+        assert rc == 3
+        assert "status=nonfinite" in capsys.readouterr().out
 
 
 def test_solve_unknown_solver(env_cache, capsys):

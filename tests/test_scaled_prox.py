@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from proxqn.metric import LowRankMetric, PlusMinusMetric
 from proxqn.prox import (
     AffineConstraint,
+    Box,
     GroupL2,
+    Hinge,
     L1Ball,
     L1Norm,
     NonNeg,
@@ -275,9 +279,10 @@ def test_rank2_single_sided_reductions(rng):
     op = L1Norm(0.8)
     for pm, sign in ((PlusMinusMetric(d, [u], []), +1),
                      (PlusMinusMetric(d, [], [u]), -1)):
-        p2, _ = scaled_prox_rank2(pm, op, x)
-        p1, _ = scaled_prox(LowRankMetric(d, [u], sign), op, x)
+        p2, rep2 = scaled_prox_rank2(pm, op, x)
+        p1, rep1 = scaled_prox(LowRankMetric(d, [u], sign), op, x)
         np.testing.assert_allclose(p2, p1, atol=1e-12)
+        assert rep2.method == rep1.method == "exact"
 
 
 def test_rank2_bfgs_metric_against_brute_force(rng):
@@ -297,6 +302,121 @@ def test_rank2_bfgs_metric_against_brute_force(rng):
                                 1.0)
     np.testing.assert_allclose(p_rec, z, atol=1e-8)
     np.testing.assert_allclose(p_joint, p_rec, atol=1e-9)
+
+
+def _bfgs_metric(rng, n, spread=2.0):
+    """The B of ``zbfgs_metric`` on a pair with ``<s, y> > 0``."""
+    s = rng.standard_normal(n)
+    y = np.exp(rng.uniform(-np.log(spread), np.log(spread), n)) * s
+    _, B, skipped = zbfgs_metric(QNPair(s, y))
+    return B, skipped
+
+
+def test_rank2_routing(rng):
+    B, _ = _bfgs_metric(rng, 30)
+    op = L1Norm(0.5)
+    x = rng.standard_normal(30)
+    assert scaled_prox_rank2(B, op, x)[1].method == "rank2-joint"
+    assert scaled_prox_rank2(B, op, x, method="recursive")[1].method \
+        == "rank2-recursive"
+    # a non-default inner finder is the independent oracle route
+    _, rep = scaled_prox_rank2(B, op, x, tol=1e-12, inner_finder="bisection")
+    assert rep.method == "rank2-recursive"
+    with pytest.raises(ValueError, match="unknown rank-2 method"):
+        scaled_prox_rank2(B, op, x, method="bogus")
+
+
+class _NaNJacobianL1(L1Norm):
+    """l1 norm whose Clarke-Jacobian products are NaN."""
+
+    def prox_diag_jvp(self, z, d, kappa, M):
+        return np.full(np.shape(M), np.nan)
+
+
+class _ScaledJacobianL1(L1Norm):
+    """l1 norm whose Clarke-Jacobian products are 1e6 times too large."""
+
+    def prox_diag_jvp(self, z, d, kappa, M):
+        return 1e6 * super().prox_diag_jvp(z, d, kappa, M)
+
+
+@pytest.mark.parametrize("op_class", [_NaNJacobianL1, _ScaledJacobianL1])
+def test_rank2_fallback_when_newton_fails(rng, op_class):
+    B, skipped = _bfgs_metric(rng, 30)
+    assert not skipped
+    x = 2.0 * rng.standard_normal(30)
+    p, rep = scaled_prox_rank2(B, op_class(0.5), x)
+    assert rep.method == "rank2-recursive"
+    z = brute_force_scaled_prox(dense_metric(B),
+                                euclidean_prox_for("l1", {"lam": 0.5}), x,
+                                1.0)
+    np.testing.assert_allclose(p, z, atol=1e-9)
+
+
+def _on_breakpoints(kind, rng, n, d, kappa, offset):
+    """An operator and a point whose coordinates (block norms for the group
+    norm) lie, for about half of them, at the diagonal prox's breakpoints
+    moved by the relative ``offset``."""
+    hit = rng.random(n) < 0.5
+    z = 2.0 * rng.standard_normal(n)
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    lam = float(rng.uniform(0.2, 2.0))
+    if kind == "group":
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, n // 4),
+                                  replace=False))
+        blocks = np.split(np.arange(n), cuts)
+        for blk in blocks:
+            if hit[blk[0]]:
+                z[blk] *= kappa * lam / d[blk[0]] * (1.0 + offset) \
+                    / np.linalg.norm(z[blk])
+        return GroupL2(lam, blocks), z
+    if kind == "l1":
+        op, bp = L1Norm(lam), sign * kappa * lam / d
+    elif kind == "nonneg":
+        op, bp = NonNeg(), np.zeros(n)
+    elif kind == "hinge":
+        op, bp = Hinge(lam), np.where(sign > 0, kappa * lam / d, 0.0)
+    elif kind == "box_lo":
+        lo = rng.standard_normal(n)
+        op, bp = Box(lo, np.inf), lo
+    else:
+        hi = rng.standard_normal(n)
+        op, bp = Box(-np.inf, hi), hi
+    z[hit] = bp[hit] * (1.0 + offset) + offset * (bp[hit] == 0.0)
+    return op, z
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 40),
+       kind=st.sampled_from(["l1", "nonneg", "hinge", "box_lo", "box_hi",
+                             "group"]),
+       offset=st.sampled_from([0.0, 1e-12, -1e-12, 1e-8, -1e-8, 1e-3]),
+       spread=st.floats(1.0, 10.0), kappa=st.floats(0.1, 3.0))
+def test_rank2_joint_matches_recursive_near_breakpoints(seed, n, kind, offset,
+                                                       spread, kappa):
+    # the point x is built backwards from the solution's diagonal-prox
+    # argument z, so that z sits on (or next to) the breakpoints where
+    # the semi-smooth Newton's Jacobian jumps and p = prox^P(z) is known
+    rng = np.random.default_rng(seed)
+    B, skipped = _bfgs_metric(rng, n, spread)
+    assume(not skipped)
+    P = B.diag
+    op, z = _on_breakpoints(kind, rng, n, P, kappa, offset)
+    U1, U2 = B.factor_matrices
+    W1, W2 = U1 / P[:, None], B.p1_inv_minus
+    p = op.prox_diag(z, P, kappa)
+    a = -(U1.T @ (z - p)) / (1.0 + U1.T @ W1)[0]
+    b = -(U2.T @ (z - p + W1 @ a)) / (1.0 - U2.T @ W2)[0]
+    x = z - W2 @ b + W1 @ a
+
+    p_joint, rep = scaled_prox_rank2(B, op, x, kappa=kappa)
+    assert rep.method == "rank2-joint"
+    assert rep.converged and rep.residual <= 1e-12
+    p_rec, rep_rec = scaled_prox_rank2(B, op, x, kappa=kappa,
+                                       method="recursive")
+    assert rep_rec.method == "rank2-recursive"
+    np.testing.assert_allclose(p_joint, p_rec, atol=1e-9)
+    np.testing.assert_allclose(p_joint, p, atol=1e-9)
 
 
 def test_conjugate_identity_metric_reduces_to_plain_moreau(rng):

@@ -5,6 +5,7 @@ from proxqn.metric import LowRankMetric
 from proxqn.prox import L1Norm, NonNeg, Zero
 from proxqn.quasi_newton import QNPair, SR1Config, sr1_metric
 from proxqn.solver import (
+    SOLVERS,
     ProblemSpec,
     SolverOptions,
     fb_step,
@@ -170,3 +171,24 @@ def test_gradient_check_detects_mismatch(rng):
     bad = ProblemSpec(dim=6, f=prob.f, grad=lambda x: prob.grad(x) + 0.1,
                       h=prob.h, lipschitz=2.0)
     assert not bad.check_gradient(rng)
+
+
+@pytest.mark.parametrize("solver_id", sorted(SOLVERS))
+def test_nonfinite_objective_ends_the_solve(solver_id):
+    prob = ProblemSpec(dim=4, f=lambda x: float("nan"), grad=lambda x: x,
+                       h=L1Norm(0.1), lipschitz=1.0)
+    res = solve(prob, solver_id, SolverOptions(max_iters=50))
+    assert res.status == "nonfinite"
+    assert not res.converged
+    assert res.iterations == 0 and len(res.trace) == 1
+
+
+@pytest.mark.parametrize("solver_id", sorted(SOLVERS))
+def test_infeasible_start_is_not_nonfinite(solver_id):
+    # F(x0) = +inf at an x0 outside dom h; the first prox step repairs it
+    prob = quadratic_problem(np.diag([1.0, 2.0, 3.0]),
+                             np.array([1.0, -1.0, 2.0]), NonNeg())
+    res = solve(prob, solver_id, SolverOptions(max_iters=2000,
+                                               x0=-np.ones(3)))
+    assert res.status == "converged"
+    np.testing.assert_allclose(res.x, [1.0, 0.0, 2.0 / 3.0], atol=1e-8)
