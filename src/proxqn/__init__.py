@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .metric import (  # noqa: F401
     LowRankMetric,
-    MetricInverse,
     NotPositiveDefiniteError,
     PlusMinusMetric,
 )

@@ -1,5 +1,5 @@
 """Benchmark harness: problem generation, cached reference solutions,
-solver races, and trace persistence.
+serial solver races, and trace persistence.
 
 Families follow the paper-style experiments at configurable scale:
 dense Gaussian LASSO, LASSO with a 3-D forward-difference operator,
@@ -16,10 +16,11 @@ ground truth plus 1% noise; diff3d: standard normal; group: uniform).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
+import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -249,6 +250,36 @@ def _polish_nonneg(problem, x):
     return candidate
 
 
+def _write_atomic(path, payload):
+    """Write ``payload`` bytes to ``path`` through a temporary file in the
+    same directory and ``os.replace``, so that a reader never sees a
+    half-written file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _read_cached(problem, xpath, jpath):
+    """The cached reference, or None when it is missing, unreadable, or
+    written by another package version."""
+    try:
+        with open(jpath) as fh:
+            meta = json.load(fh)
+        if meta["version"] != __version__:
+            return None
+        x = np.load(xpath)
+        if x.shape != (problem.dim,):
+            return None
+        return ReferenceSolution(x, meta["f_star"], meta["approximate"], True)
+    except (OSError, ValueError, EOFError, KeyError, TypeError):
+        return None
+
+
 def reference_solution(problem, tol=1e-12, max_iters=400_000, cache_dir=None,
                        use_cache=True) -> ReferenceSolution:
     """High-accuracy reference optimum, cached on disk by recipe digest.
@@ -256,7 +287,9 @@ def reference_solution(problem, tol=1e-12, max_iters=400_000, cache_dir=None,
     Runs restarted FISTA to the step-norm tolerance (flagged approximate
     if the iteration cap is reached first), then attempts an exact
     support polish for l1/non-negative problems, kept only when it
-    strictly decreases the objective.
+    strictly decreases the objective.  A cache entry that cannot be read
+    or that another package version wrote is recomputed; the ``.npy`` and
+    then the ``.json`` file are replaced atomically.
     """
     cache_dir = cache_dir or default_cache_dir()
     key = None
@@ -264,11 +297,9 @@ def reference_solution(problem, tol=1e-12, max_iters=400_000, cache_dir=None,
         key = f"{problem.recipe.digest()}_t{tol:g}"
         xpath = os.path.join(cache_dir, key + ".npy")
         jpath = os.path.join(cache_dir, key + ".json")
-        if os.path.exists(xpath) and os.path.exists(jpath):
-            with open(jpath) as fh:
-                meta = json.load(fh)
-            return ReferenceSolution(np.load(xpath), meta["f_star"],
-                                     meta["approximate"], True)
+        cached = _read_cached(problem, xpath, jpath)
+        if cached is not None:
+            return cached
 
     opts = SolverOptions(max_iters=max_iters, tol=tol, restart_every=500)
     result = run_fista_bb(problem, opts)
@@ -287,11 +318,13 @@ def reference_solution(problem, tol=1e-12, max_iters=400_000, cache_dir=None,
 
     if key is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        np.save(os.path.join(cache_dir, key + ".npy"), ref.x_star)
-        with open(os.path.join(cache_dir, key + ".json"), "w") as fh:
-            json.dump({"f_star": ref.f_star, "approximate": ref.approximate,
-                       "recipe": asdict(problem.recipe), "tol": tol,
-                       "version": __version__}, fh, indent=1)
+        buf = io.BytesIO()
+        np.save(buf, ref.x_star)
+        _write_atomic(xpath, buf.getvalue())
+        meta = {"f_star": ref.f_star, "approximate": ref.approximate,
+                "recipe": asdict(problem.recipe), "tol": tol,
+                "version": __version__}
+        _write_atomic(jpath, json.dumps(meta, indent=1).encode())
     return ref
 
 
@@ -308,8 +341,9 @@ class RaceEntry:
 
 
 def race(problems, solver_ids, max_iters=100_000, budget_seconds=None,
-         tol=1e-10, jobs=1, cache_dir=None, solver_opts=None):
-    """Run every (solver, problem) pair under identical budgets.
+         tol=1e-10, cache_dir=None):
+    """Run every (solver, problem) pair under identical budgets, one after
+    another, so that each pair's recorded times are its own.
 
     Warm starts are never shared between solvers; each pair owns its
     state.  Individual solver failures are recorded and the race
@@ -320,26 +354,20 @@ def race(problems, solver_ids, max_iters=100_000, budget_seconds=None,
             raise KeyError(f"unknown solver {solver_id!r}")
     refs = {id(p): reference_solution(p, cache_dir=cache_dir)
             for p in problems}
-
-    def one(pair):
-        solver_id, problem = pair
-        opts = SolverOptions(max_iters=max_iters,
-                             budget_seconds=budget_seconds, tol=tol,
-                             f_star=refs[id(problem)].f_star,
-                             **(solver_opts or {}))
-        entry = RaceEntry(solver_id, problem.name, None)
-        try:
-            result = SOLVERS[solver_id](problem, opts)
-            entry.trace, entry.result = result.trace, result
-        except Exception as exc:  # noqa: BLE001 - recorded, race continues
-            entry.error = f"{type(exc).__name__}: {exc}"
-        return entry
-
-    pairs = [(s, p) for p in problems for s in solver_ids]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, pairs))
-    return [one(pair) for pair in pairs]
+    entries = []
+    for problem in problems:
+        for solver_id in solver_ids:
+            opts = SolverOptions(max_iters=max_iters,
+                                 budget_seconds=budget_seconds, tol=tol,
+                                 f_star=refs[id(problem)].f_star)
+            entry = RaceEntry(solver_id, problem.name, None)
+            try:
+                result = SOLVERS[solver_id](problem, opts)
+                entry.trace, entry.result = result.trace, result
+            except Exception as exc:  # noqa: BLE001 - recorded, race continues
+                entry.error = f"{type(exc).__name__}: {exc}"
+            entries.append(entry)
+    return entries
 
 
 # -- persistence -----------------------------------------------------------------

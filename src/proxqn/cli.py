@@ -2,7 +2,9 @@
 invariant suites, and evaluate scaled proxes from plain-text files.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 configuration or
-parse error, 3 solver failure.
+parse error, 3 solver failure: a solve (in ``race``, any solve) that
+raised or ended with a status other than "converged" or "max_iters".
+Races run their (solver, problem) pairs one after another.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ def _recipe_from_args(args):
     return ProblemRecipe(**kwargs)
 
 
+def _solve_ok(result):
+    """A solve counts as a success when it converged or used up its
+    iteration cap; "nonfinite", "budget" and "stagnated" are failures."""
+    return result.status in ("converged", "max_iters")
+
+
 def cmd_solve(args):
     if args.solver not in SOLVERS:
         print(f"error: unknown solver {args.solver!r}; known: "
@@ -84,7 +92,7 @@ def cmd_solve(args):
           f"final_error={err:.6e} iterations={result.iterations} "
           f"seconds={result.trace.seconds[-1]:.3f} status={result.status} "
           f"trace={out}")
-    return 0 if result.status in ("converged", "max_iters") else SOLVER_ERROR
+    return 0 if _solve_ok(result) else SOLVER_ERROR
 
 
 def cmd_race(args):
@@ -114,7 +122,7 @@ def cmd_race(args):
     problems = [generate(r) for r in recipes]
     entries = race(problems, solver_ids, max_iters=args.max_iters,
                    budget_seconds=args.budget_s, tol=args.tol,
-                   jobs=args.jobs, cache_dir=args.cache_dir)
+                   cache_dir=args.cache_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_paths = []
     failed = False
@@ -129,9 +137,11 @@ def cmd_race(args):
         write_trace_csv(entry.trace, path)
         csv_paths.append(path)
         err = entry.trace.objective_errors()[-1]
+        failed = failed or not _solve_ok(entry.result)
         print(f"{entry.solver_id} on {entry.problem_id}: "
               f"error={err:.3e} iters={entry.result.iterations} "
-              f"seconds={entry.trace.seconds[-1]:.2f}")
+              f"seconds={entry.trace.seconds[-1]:.2f} "
+              f"status={entry.result.status}")
     write_manifest(os.path.join(args.out_dir, "manifest.json"), entries,
                    problems, {"solvers": solver_ids, "tol": args.tol,
                               "max_iters": args.max_iters,
@@ -302,7 +312,6 @@ def build_parser():
     pr.add_argument("--tol", type=float, default=1e-9)
     pr.add_argument("--max-iters", type=int, default=400_000)
     pr.add_argument("--budget-s", type=float, default=120.0)
-    pr.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     pr.add_argument("--out-dir", default="races")
     pr.add_argument("--cache-dir")
     pr.add_argument("--paper-scale", action="store_true",

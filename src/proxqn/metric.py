@@ -15,12 +15,7 @@ __all__ = [
     "MetricError",
     "NotPositiveDefiniteError",
     "LowRankMetric",
-    "MetricInverse",
     "PlusMinusMetric",
-    "apply",
-    "invert",
-    "metric_norm_sq",
-    "metric_inner",
 ]
 
 # Factors shorter than this are dropped (rank reduced), mirroring the
@@ -142,10 +137,6 @@ class LowRankMetric:
         """The (dim, r) factor matrix U."""
         return self._U
 
-    def gram_lowrank(self):
-        """The r-by-r Gram matrix ``U^T P^{-1} U``."""
-        return self._gram
-
     def gram_norm_sq(self):
         """``||P^{-1/2} U||^2``, the largest eigenvalue of the Gram matrix."""
         return self._gram_norm_sq
@@ -169,10 +160,6 @@ class LowRankMetric:
             val += self.sign * float(np.dot(w, w))
         return val
 
-    def inner(self, x, y):
-        """Inner product ``<x, V y>``."""
-        return float(np.dot(_as_vector(x, self.dim), self.apply(y)))
-
     def invert(self):
         """Factored inverse via the Sherman-Morrison-Woodbury identity.
 
@@ -181,37 +168,22 @@ class LowRankMetric:
         low-rank part flips.  For r = 1 this reduces to
         ``v = P^{-1} u / sqrt(1 +- u^T P^{-1} u)``.
         """
-        diag_inv = 1.0 / self.diag
+        p_inv = 1.0 / self.diag
         if self.rank == 0:
-            return MetricInverse(diag_inv, (), +1)
+            return LowRankMetric(p_inv)
         C = np.eye(self.rank) + self.sign * self._gram
         # C is SPD: for sign +, C >= I; for sign -, PD by the metric invariant.
         ew, EV = np.linalg.eigh(0.5 * (C + C.T))
         if ew[0] <= 0:
             raise NotPositiveDefiniteError("capacitance matrix not positive definite")
         C_inv_half = EV @ np.diag(ew ** -0.5) @ EV.T
-        W = (self._U * diag_inv[:, None]) @ C_inv_half
-        return MetricInverse(diag_inv, [W[:, i] for i in range(W.shape[1])], -self.sign)
+        W = (self._U * p_inv[:, None]) @ C_inv_half
+        return LowRankMetric(p_inv, [W[:, i] for i in range(W.shape[1])],
+                             -self.sign)
 
     def __repr__(self):
         s = "+" if self.sign > 0 else "-"
         return f"{type(self).__name__}(dim={self.dim}, rank={self.rank}, sign={s})"
-
-
-class MetricInverse(LowRankMetric):
-    """Factored inverse of a :class:`LowRankMetric` (low-rank sign flipped)."""
-
-    @property
-    def diag_inv(self):
-        return self.diag
-
-    @property
-    def factors_inv(self):
-        return self.factors
-
-    @property
-    def sign_inv(self):
-        return self.sign
 
 
 class PlusMinusMetric:
@@ -294,25 +266,3 @@ class PlusMinusMetric:
         return (f"PlusMinusMetric(dim={self.dim}, "
                 f"ranks=+{self._U1.shape[1]}/-{self._U2.shape[1]})")
 
-
-# Module-level operation surface ------------------------------------------
-
-
-def apply(metric, x):
-    """``V x`` for a factored metric."""
-    return metric.apply(x)
-
-
-def invert(metric):
-    """Factored inverse of ``metric``; the low-rank sign flips."""
-    return metric.invert()
-
-
-def metric_norm_sq(metric, x):
-    """``<x, V x>``."""
-    return metric.norm_sq(x)
-
-
-def metric_inner(metric, x, y):
-    """``<x, V y>``."""
-    return metric.inner(x, y)

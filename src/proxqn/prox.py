@@ -30,17 +30,6 @@ __all__ = [
     "MaxFunction",
     "GroupL2",
     "AffineConstraint",
-    "prox_l1",
-    "prox_nonneg",
-    "prox_box",
-    "prox_hinge",
-    "prox_linf_ball",
-    "prox_l1_ball",
-    "prox_simplex",
-    "prox_linf_norm",
-    "prox_max",
-    "prox_group_l2",
-    "prox_affine_constraint",
     "project_simplex_weighted",
     "project_l1_ball_weighted",
 ]
@@ -85,10 +74,6 @@ class PiecewiseAffineDescriptor:
     @property
     def n(self):
         return self.breakpoints.shape[0]
-
-    @property
-    def segments(self):
-        return self.slopes.shape[1]
 
     def segment_index(self, z, ties="left"):
         """Segment index per coordinate; ``ties='right'`` picks the
@@ -606,50 +591,3 @@ class AffineConstraint(ProxOperator):
         M = np.atleast_2d(np.asarray(M, dtype=float).T).T
         return M - AinvD.T @ cho_solve(factor, self.A @ M)
 
-
-# -- functional surface -------------------------------------------------------
-
-
-def prox_l1(x, lam, d, kappa=1.0):
-    """Weighted soft threshold: prox of ``kappa * lam * ||.||_1`` in diag(d)."""
-    return L1Norm(lam).prox_diag(x, d, kappa)
-
-
-def prox_nonneg(x, d):
-    return NonNeg().prox_diag(x, d)
-
-
-def prox_box(x, lo, hi, d):
-    return Box(lo, hi).prox_diag(x, d)
-
-
-def prox_hinge(x, lam, d, kappa=1.0):
-    return Hinge(lam).prox_diag(x, d, kappa)
-
-
-def prox_linf_ball(x, radius, d):
-    return LinfBall(radius).prox_diag(x, d)
-
-
-def prox_l1_ball(x, radius, d):
-    return L1Ball(radius).prox_diag(x, d)
-
-
-def prox_simplex(x, radius, d):
-    return Simplex(radius).prox_diag(x, d)
-
-
-def prox_linf_norm(x, lam, d, kappa=1.0):
-    return LinfNorm(lam).prox_diag(x, d, kappa)
-
-
-def prox_max(x, lam, d, kappa=1.0):
-    return MaxFunction(lam).prox_diag(x, d, kappa)
-
-
-def prox_group_l2(x, lam, blocks, d, kappa=1.0):
-    return GroupL2(lam, blocks).prox_diag(x, d, kappa)
-
-
-def prox_affine_constraint(x, A, b, d):
-    return AffineConstraint(A, b).prox_diag(x, d)

@@ -124,18 +124,21 @@ class RootProblem:
         z = self.shifted_point(alpha)
         JW = self.prox.prox_diag_jvp(z, self.diag, self.kappa, self._shift_dirs)
         if JW is None:
-            return self._fd_jacobian(alpha)
+            alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+            return _fd_jacobian(self.map_L, alpha, self.map_L(alpha))
         return np.eye(self.rank) + self.sign * (self.U.T @ JW)
 
-    def _fd_jacobian(self, alpha):
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        base = self.map_L(alpha)
-        G = np.empty((self.rank, self.rank))
-        for j in range(self.rank):
-            step = np.zeros(self.rank)
-            step[j] = _FD_STEP
-            G[:, j] = (self.map_L(alpha + step) - base) / _FD_STEP
-        return G
+
+def _fd_jacobian(func, x, base):
+    """Forward-difference Jacobian of ``func`` at ``x``, where
+    ``base = func(x)``."""
+    n = x.size
+    G = np.empty((n, n))
+    for j in range(n):
+        step = np.zeros(n)
+        step[j] = _FD_STEP
+        G[:, j] = (func(x + step) - base) / _FD_STEP
+    return G
 
 
 def root_bound(problem: RootProblem):
@@ -324,13 +327,11 @@ def root_exact_piecewise_affine(problem: RootProblem, descriptor=None):
 
 
 def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
-                           max_iter=50, eta=0.0):
+                           max_iter=50):
     """Semi-smooth Newton on the dual map with exact r-by-r solves.
 
-    ``eta`` is the inexactness knob of the underlying scheme; the default 0
-    keeps the linear solves exact (r <= 2 here).  For r = 1 the iteration
-    is safeguarded by the bisection bracket, for r >= 2 a damped
-    fixed-point sweep takes over after budget exhaustion.
+    For r = 1 the iteration is safeguarded by the bisection bracket, for
+    r >= 2 a damped fixed-point sweep takes over after budget exhaustion.
     """
     r = problem.rank
     if r < 1:
@@ -699,7 +700,7 @@ def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
         if steps == 60:
             return None
         JW = prox.prox_diag_jvp(z, P, kappa, W)
-        G = _fd_system_jacobian(system, ab, val) if JW is None \
+        G = _fd_jacobian(lambda v: system(v)[0], ab, val) if JW is None \
             else K - (U.T @ JW) * sgn
         try:
             step = np.linalg.solve(G, val)
@@ -765,16 +766,6 @@ def _rank2_recursive(metric: PlusMinusMetric, prox, x, kappa, tol, warm,
                             else np.zeros(0), [b_star]])
     return p, RootSolverReport(alpha, abs(val), outer_iters, "rank2-recursive",
                                converged=abs(val) <= tol * 10)
-
-
-def _fd_system_jacobian(system, ab, base):
-    n = ab.size
-    G = np.empty((n, n))
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = _FD_STEP
-        G[:, j] = (system(ab + step)[0] - base) / _FD_STEP
-    return G
 
 
 def scaled_prox_conjugate(metric: LowRankMetric, prox, x, rho=1.0,

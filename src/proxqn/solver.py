@@ -81,16 +81,10 @@ class SolverOptions:
     line_search: str = "backtracking"  # or "none"
     gamma: float | None = None         # None: 0.8 for SR1, 1.0 for 0BFGS
     kappa: float | None = None         # None: 1 with the metric absorbing BB
-    tau_min: float = 1e-8
-    tau_max: float = 1e8
-    sigma: float = 1e-4
-    max_halvings: int = 30
     x0: np.ndarray | None = None
     budget_seconds: float | None = None
     f_star: float | None = None        # reference objective for the trace
-    finder: str = "auto"
     restart_every: int = 1000          # FISTA momentum restart period
-    memory: int = 10                   # nonmonotone line-search window
     record_metrics: bool = False
 
 
@@ -106,8 +100,15 @@ class SolverResult:
     metrics: list = field(default_factory=list)
 
 
-def fb_step(x, grad_x, H, B, h, kappa=1.0, finder="auto", warm_alpha=None,
-            tol=1e-12):
+# sufficient-decrease constant of the Armijo and nonmonotone tests
+SIGMA = 1e-4
+# step halvings before the backtracking line search gives up
+MAX_HALVINGS = 30
+# objective values the SPG nonmonotone test looks back over
+SPG_MEMORY = 10
+
+
+def fb_step(x, grad_x, H, B, h, kappa=1.0, warm_alpha=None, tol=1e-12):
     """One forward-backward step ``prox^B_{kappa h}(x - kappa H grad)``.
 
     ``H`` is the factored inverse-Hessian metric and ``B`` its factored
@@ -117,26 +118,25 @@ def fb_step(x, grad_x, H, B, h, kappa=1.0, finder="auto", warm_alpha=None,
     if isinstance(B, PlusMinusMetric):
         return scaled_prox_rank2(B, h, forward, kappa=kappa,
                                  warm=warm_alpha, tol=tol)
-    return scaled_prox(B, h, forward, kappa=kappa, finder=finder, tol=tol,
+    return scaled_prox(B, h, forward, kappa=kappa, tol=tol,
                        warm_alpha=warm_alpha)
 
 
-def line_search(problem, x, p, f_x, kappa, mode="backtracking", sigma=1e-4,
-                max_halvings=30):
+def line_search(problem, x, p, f_x, kappa, mode="backtracking"):
     """Step length along the prox displacement ``p``.
 
     Mode "none" returns t = 1.  Mode "backtracking" returns the largest
     ``t`` in {1, 1/2, 1/4, ...} with
-    ``F(x + t p) <= F(x) - sigma t ||p||^2 / kappa``; if no scale is
+    ``F(x + t p) <= F(x) - SIGMA t ||p||^2 / kappa``; if no scale is
     admissible the smallest is returned with a stagnation flag.
     """
     if mode == "none":
         return 1.0, problem.objective(x + p), False
     if mode != "backtracking":
         raise ValueError(f"unknown line-search mode {mode!r}")
-    decrease = sigma * float(np.dot(p, p)) / kappa
+    decrease = SIGMA * float(np.dot(p, p)) / kappa
     t = 1.0
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         f_new = problem.objective(x + t * p)
         if f_new <= f_x - t * decrease:
             return t, f_new, False
@@ -154,40 +154,70 @@ def fixed_point_residual(problem, x, kappa=None):
     return float(np.max(np.abs(x - p), initial=0.0))
 
 
-# -- shared loop machinery -----------------------------------------------------
+# -- the shared loop -----------------------------------------------------------
 
 
 class _Run:
-    """Bookkeeping shared by all solver loops."""
+    """The loop every solver runs: trace, stopping tests, budget, result.
+
+    A solver supplies only its step rule, as two callables:
+
+    - ``propose(k, x)`` returns the candidate point of iteration ``k``;
+    - ``advance(k, x, f_val, x_new, dx)`` moves past it and returns the
+      next ``(x, f_val, stalled)``.
+
+    Each iteration is recorded with the sup-norm of ``dx = x_new - x``
+    before any stopping test.  The solve ends "nonfinite" on a NaN or
+    infinite objective (except +inf at the start: an infeasible ``x0``,
+    which the first prox step repairs), "converged" once the step norm
+    drops below ``tol``, "budget" past ``budget_seconds``, "stagnated"
+    when ``advance`` reports ``stalled``, and "max_iters" otherwise.
+    """
 
     def __init__(self, problem, opts, solver_id):
-        self.problem = problem
         self.opts = opts
+        self.solver_id = solver_id
         self.t0 = time.perf_counter()
         self.trace = ConvergenceTrace(solver_id=solver_id,
                                       problem_id=problem.name,
                                       f_star=opts.f_star)
-        self.solver_id = solver_id
+        self.metrics = []   # (H, pair) per iteration with record_metrics
 
     def elapsed(self):
         return time.perf_counter() - self.t0
 
-    def record(self, k, f_val, step_norm):
-        """Append a trace row.  Returns False when the solve must end with
-        status "nonfinite": a NaN or infinite objective, except +inf at the
-        start (an infeasible ``x0``, which the first prox step repairs)."""
-        self.trace.append(k, f_val, step_norm, self.elapsed())
-        return math.isfinite(f_val) or (k == 0 and f_val == math.inf)
-
-    def out_of_budget(self):
-        return (self.opts.budget_seconds is not None
-                and self.elapsed() > self.opts.budget_seconds)
-
-    def result(self, x, f_val, k, converged, status, metrics=()):
+    def drive(self, x, f_val, propose, advance, first=0, settle=False):
+        """Iterate from ``x``.  The step test counts from iteration
+        ``first`` on; with ``settle`` a converged solve ends at the
+        candidate instead of at ``x``."""
+        opts = self.opts
+        status, converged = "max_iters", False
+        k = 0
+        for k in range(opts.max_iters):
+            x_new = propose(k, x)
+            dx = x_new - x
+            step_norm = float(np.max(np.abs(dx), initial=0.0))
+            self.trace.append(k, f_val, step_norm, self.elapsed())
+            if not (math.isfinite(f_val) or (k == 0 and f_val == math.inf)):
+                status = "nonfinite"
+                break
+            if step_norm < opts.tol and k >= first:
+                if settle:
+                    x = x_new
+                status, converged = "converged", True
+                break
+            if opts.budget_seconds is not None and \
+                    self.elapsed() > opts.budget_seconds:
+                status = "budget"
+                break
+            x, f_val, stalled = advance(k, x, f_val, x_new, dx)
+            if stalled:
+                status = "stagnated"
+                break
         return SolverResult(x=x, objective=f_val, iterations=k,
                             converged=converged, status=status,
                             trace=self.trace, solver=self.solver_id,
-                            metrics=list(metrics))
+                            metrics=self.metrics)
 
 
 def _initial_point(problem, opts):
@@ -203,10 +233,10 @@ def _run_quasi_newton(problem, opts, variant):
     run = _Run(problem, opts, "zero-sr1" if variant == "sr1" else "zero-bfgs")
     gamma = opts.gamma if opts.gamma is not None else \
         (0.8 if variant == "sr1" else 1.0)
-    cfg = SR1Config(gamma=gamma, tau_min=opts.tau_min, tau_max=opts.tau_max) \
-        if variant == "sr1" else None
+    cfg = SR1Config(gamma=gamma) if variant == "sr1" else None
     tau0 = 1.0 / problem.lipschitz if problem.lipschitz else 1.0
     kappa = opts.kappa if opts.kappa is not None else 1.0
+    backtrack = opts.line_search != "none"
 
     x = _initial_point(problem, opts)
     g = problem.grad(x)
@@ -214,45 +244,32 @@ def _run_quasi_newton(problem, opts, variant):
     pair = None
     warm = None
     last_tau = tau0
-    metrics = []
-    status, converged = "max_iters", False
-    k = 0
-    for k in range(opts.max_iters):
+
+    def propose(k, x):
+        nonlocal warm, last_tau
         if variant == "sr1":
             H = sr1_metric(pair, cfg, dim=problem.dim, tau0=tau0)
             B = H.invert()
+        elif pair is None:
+            H = PlusMinusMetric(np.full(problem.dim, gamma * tau0))
+            B = PlusMinusMetric(np.full(problem.dim, 1.0 / (gamma * tau0)))
         else:
-            if pair is None:
-                H = PlusMinusMetric(np.full(problem.dim, gamma * tau0))
-                B = PlusMinusMetric(np.full(problem.dim, 1.0 / (gamma * tau0)))
-            else:
-                H, B, skipped = zbfgs_metric(pair, gamma=gamma,
-                                             tau_fallback=last_tau)
-                if not skipped:
-                    last_tau = pair.curvature / float(np.dot(pair.y, pair.y))
+            H, B, skipped = zbfgs_metric(pair, gamma=gamma,
+                                         tau_fallback=last_tau)
+            if not skipped:
+                last_tau = pair.curvature / float(np.dot(pair.y, pair.y))
         if opts.record_metrics:
-            metrics.append((H, pair))
-
+            run.metrics.append((H, pair))
         xbar, report = fb_step(x, g, H, B, problem.h, kappa=kappa,
-                               finder=opts.finder, warm_alpha=warm)
+                               warm_alpha=warm)
         warm = report.alpha_star
-        p = xbar - x
-        step_norm = float(np.max(np.abs(p), initial=0.0))
-        if not run.record(k, f_val, step_norm):
-            status = "nonfinite"
-            break
-        if step_norm < opts.tol:
-            status, converged = "converged", True
-            break
-        if run.out_of_budget():
-            status = "budget"
-            break
+        return xbar
 
-        t, f_new, stagnated = line_search(
-            problem, x, p, f_val, kappa, mode=opts.line_search,
-            sigma=opts.sigma, max_halvings=opts.max_halvings)
-        if opts.line_search != "none" and \
-                f_new > f_val + 1e-8 * (1.0 + abs(f_val)):
+    def advance(k, x, f_val, xbar, p):
+        nonlocal g, pair
+        t, f_new, stagnated = line_search(problem, x, p, f_val, kappa,
+                                          mode=opts.line_search)
+        if backtrack and f_new > f_val + 1e-8 * (1.0 + abs(f_val)):
             raise SolverError(
                 f"{run.solver_id}: objective increased at iteration {k} "
                 f"({f_val:.6g} -> {f_new:.6g}) despite line search")
@@ -265,11 +282,11 @@ def _run_quasi_newton(problem, opts, variant):
             pair = None
         else:
             pair = QNPair(s, g_new - g)
-        x, g, f_val = x_new, g_new, f_new
-        if opts.line_search != "none" and stagnated and t * step_norm < 1e-16:
-            status = "stagnated"
-            break
-    return run.result(x, f_val, k, converged, status, metrics)
+        g = g_new
+        return x_new, f_new, \
+            stagnated and t * float(np.max(np.abs(p), initial=0.0)) < 1e-16
+
+    return run.drive(x, f_val, propose, advance)
 
 
 def run_zero_sr1(problem, opts=None):
@@ -302,24 +319,14 @@ def run_ista(problem, opts=None):
     run = _Run(problem, opts, "ista")
     kappa = opts.kappa if opts.kappa is not None else 1.0 / L
     x = _initial_point(problem, opts)
-    f_val = problem.objective(x)
-    status, converged = "max_iters", False
-    k = 0
-    for k in range(opts.max_iters):
-        x_new = _euclid_prox(problem.h, x - kappa * problem.grad(x), kappa)
-        step_norm = float(np.max(np.abs(x_new - x), initial=0.0))
-        if not run.record(k, f_val, step_norm):
-            status = "nonfinite"
-            break
-        if step_norm < opts.tol:
-            status, converged = "converged", True
-            break
-        if run.out_of_budget():
-            status = "budget"
-            break
-        x = x_new
-        f_val = problem.objective(x)
-    return run.result(x, f_val, k, converged, status)
+
+    def propose(k, x):
+        return _euclid_prox(problem.h, x - kappa * problem.grad(x), kappa)
+
+    def advance(k, x, f_val, x_new, dx):
+        return x_new, problem.objective(x_new), False
+
+    return run.drive(x, problem.objective(x), propose, advance)
 
 
 def run_fista_bb(problem, opts=None):
@@ -334,9 +341,9 @@ def run_fista_bb(problem, opts=None):
     kappa = 1.0 / L
     f_val = problem.objective(x)
     g_y = problem.grad(y)
-    status, converged = "max_iters", False
-    k = 0
-    for k in range(opts.max_iters):
+
+    def propose(k, x):
+        nonlocal kappa
         f_y = float(problem.f(y))
         # backtrack kappa until the quadratic upper bound holds at y
         for _ in range(60):
@@ -347,20 +354,12 @@ def run_fista_bb(problem, opts=None):
             if float(problem.f(x_new)) <= quad + 1e-12 * (1.0 + abs(quad)):
                 break
             kappa *= 0.5
-        step_norm = float(np.max(np.abs(x_new - x), initial=0.0))
-        if not run.record(k, f_val, step_norm):
-            status = "nonfinite"
-            break
-        if step_norm < opts.tol and k > 0:
-            x = x_new
-            status, converged = "converged", True
-            break
-        if run.out_of_budget():
-            status = "budget"
-            break
+        return x_new
 
+    def advance(k, x, f_val, x_new, dx):
+        nonlocal y, g_y, t_mom, kappa
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom ** 2))
-        y_new = x_new + ((t_mom - 1.0) / t_next) * (x_new - x)
+        y_new = x_new + ((t_mom - 1.0) / t_next) * dx
         if (k + 1) % opts.restart_every == 0:
             t_next, y_new = 1.0, x_new.copy()
         g_y_new = problem.grad(y_new)
@@ -368,55 +367,50 @@ def run_fista_bb(problem, opts=None):
         sy = float(np.dot(sk, yk))
         if sy > 0:
             kappa = min(max(sy / float(np.dot(yk, yk)), 1e-3 / L), 1e6 / L)
-        x, y, g_y, t_mom = x_new, y_new, g_y_new, t_next
-        f_val = problem.objective(x)
-    return run.result(x, f_val, k, converged, status)
+        y, g_y, t_mom = y_new, g_y_new, t_next
+        return x_new, problem.objective(x_new), False
+
+    return run.drive(x, f_val, propose, advance, first=1, settle=True)
 
 
 def run_spg_sparsa(problem, opts=None):
     """Spectral proximal gradient with a nonmonotone acceptance test over
-    the last ``opts.memory`` objective values."""
+    the last ``SPG_MEMORY`` objective values."""
     opts = opts or SolverOptions()
     L = _require_lipschitz(problem, "spg")
     run = _Run(problem, opts, "spg")
     x = _initial_point(problem, opts)
     g = problem.grad(x)
     f_val = problem.objective(x)
-    history = deque([f_val], maxlen=opts.memory)
+    history = deque([f_val], maxlen=SPG_MEMORY)
     kappa = 1.0 / L
-    status, converged = "max_iters", False
-    k = 0
-    for k in range(opts.max_iters):
+    f_new = f_val
+
+    def propose(k, x):
+        nonlocal f_new
         kap = kappa
-        x_new = x
-        f_new = f_val
         for _ in range(60):
             x_new = _euclid_prox(problem.h, x - kap * g, kap)
             dx = x_new - x
             f_new = problem.objective(x_new)
-            if f_new <= max(history) - opts.sigma * float(np.dot(dx, dx)) / \
+            if f_new <= max(history) - SIGMA * float(np.dot(dx, dx)) / \
                     (2.0 * kap):
                 break
             kap *= 0.5
-        step_norm = float(np.max(np.abs(x_new - x), initial=0.0))
-        if not run.record(k, f_val, step_norm):
-            status = "nonfinite"
-            break
-        if step_norm < opts.tol:
-            x = x_new
-            status, converged = "converged", True
-            break
-        if run.out_of_budget():
-            status = "budget"
-            break
+        return x_new
+
+    def advance(k, x, f_val, x_new, dx):
+        nonlocal g, kappa
         g_new = problem.grad(x_new)
-        sk, yk = x_new - x, g_new - g
-        sy = float(np.dot(sk, yk))
+        yk = g_new - g
+        sy = float(np.dot(dx, yk))
         kappa = min(max(sy / float(np.dot(yk, yk)), 1e-3 / L), 1e6 / L) \
             if sy > 0 else 1.0 / L
-        x, g, f_val = x_new, g_new, f_new
-        history.append(f_val)
-    return run.result(x, f_val, k, converged, status)
+        g = g_new
+        history.append(f_new)
+        return x_new, f_new, False
+
+    return run.drive(x, f_val, propose, advance, settle=True)
 
 
 SOLVERS = {

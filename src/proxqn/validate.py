@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import bisect as _scalar_bisect
 
-from .bench import desk_recipes, generate, race, reference_solution
+from .bench import _group_blocks, desk_recipes, generate, race
 from .metric import LowRankMetric, PlusMinusMetric
 from .prox import (
     AffineConstraint,
@@ -225,17 +225,6 @@ def sample_metric(rng, n, sign=None, g_sq_minus_max=0.5):
     return LowRankMetric(d, [u], sign)
 
 
-def _sample_blocks(rng, n, cap=6):
-    sizes = []
-    left = n
-    while left > 0:
-        size = min(int(rng.integers(1, cap + 1)), left)
-        sizes.append(size)
-        left -= size
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    return [np.arange(s, s + size) for s, size in zip(starts, sizes)]
-
-
 def sample_instance(rng, kind, max_n=50):
     """One random (metric, operator, x, kappa) tuple plus oracle data."""
     n = int(rng.integers(2, max_n + 1))
@@ -261,7 +250,7 @@ def sample_instance(rng, kind, max_n=50):
         params["radius"] = float(rng.uniform(0.5, 2.0))
         op = L1Ball(params["radius"])
     elif kind == "group_l1l2":
-        blocks = _sample_blocks(rng, n)
+        blocks = _group_blocks(rng, n, 6)
         params["lam"] = float(rng.uniform(0.3, 1.5))
         params["blocks"] = blocks
         op = GroupL2(params["lam"], blocks)
@@ -328,7 +317,7 @@ def suite_metric(seed=0, count=50):
         if np.linalg.eigvalsh(V)[0] <= 0:
             return SuiteResult("metric", False, "dense assembly not PD")
         inv = metric.invert()
-        if metric.rank and inv.sign_inv != -metric.sign:
+        if metric.rank and inv.sign != -metric.sign:
             return SuiteResult("metric", False, "sign did not flip")
         for _ in range(3):
             p = rng.standard_normal(n)
@@ -696,7 +685,7 @@ def suite_ssnewton_local(seed=0, count=50):
         i = drawn
         drawn += 1
         n = int(rng.integers(10, 60))
-        blocks = _sample_blocks(rng, n)
+        blocks = _group_blocks(rng, n, 6)
         op = GroupL2(float(rng.uniform(0.5, 2.0)), blocks)
         vals = rng.uniform(0.5, 2.0, len(blocks))
         d = np.empty(n)
@@ -763,15 +752,14 @@ def suite_ssnewton_local(seed=0, count=50):
 
 
 @_timed
-def suite_experiments(seed=0, jobs=1, cache_dir=None):
+def suite_experiments(seed=0, cache_dir=None):
     """Desk-scale reproduction: all solvers reach the cached reference
     within 1e-6 objective error and the 0SR1 iteration count to 1e-4
     never exceeds the ISTA count."""
     problems = [generate(r) for r in desk_recipes(seed)]
     solver_ids = ["zero-sr1", "zero-bfgs", "ista", "fista-bb", "spg"]
     entries = race(problems, solver_ids, max_iters=400_000,
-                   budget_seconds=120.0, tol=1e-9, jobs=jobs,
-                   cache_dir=cache_dir)
+                   budget_seconds=120.0, tol=1e-9, cache_dir=cache_dir)
     by_key = {}
     failures = []
     for e in entries:

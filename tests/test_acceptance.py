@@ -87,7 +87,7 @@ def test_criterion_8_ssnewton_local_behavior():
 
 
 def test_criterion_9_desk_scale_experiments(cache_dir):
-    _report(9, suite_experiments(seed=SEED, jobs=4, cache_dir=cache_dir),
+    _report(9, suite_experiments(seed=SEED, cache_dir=cache_dir),
             budget=300)
 
 

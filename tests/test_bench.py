@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from proxqn import __version__
 from proxqn.bench import (
     ProblemRecipe,
     desk_recipes,
@@ -108,6 +109,45 @@ def test_reference_cache_roundtrip(cache_dir):
     assert second.cache_hit
     assert second.f_star == first.f_star
     assert np.array_equal(second.x_star, first.x_star)
+
+
+def _cache_files(cache_dir, recipe):
+    key = f"{recipe.digest()}_t{1e-12:g}"
+    return (os.path.join(cache_dir, key + ".npy"),
+            os.path.join(cache_dir, key + ".json"))
+
+
+def test_reference_cache_truncated_npy_is_recomputed(tmp_path):
+    recipe = ProblemRecipe("lasso_gaussian", m=20, n=30, lam=0.2, seed=4)
+    prob = generate(recipe)
+    first = reference_solution(prob, cache_dir=str(tmp_path))
+    xpath, _ = _cache_files(str(tmp_path), recipe)
+    with open(xpath, "rb") as fh:
+        blob = fh.read()
+    with open(xpath, "wb") as fh:
+        fh.write(blob[:len(blob) // 2])
+    again = reference_solution(prob, cache_dir=str(tmp_path))
+    assert not again.cache_hit
+    assert again.f_star == first.f_star
+    assert reference_solution(prob, cache_dir=str(tmp_path)).cache_hit
+    assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
+def test_reference_cache_version_mismatch_is_recomputed(tmp_path):
+    recipe = ProblemRecipe("lasso_gaussian", m=20, n=30, lam=0.2, seed=4)
+    prob = generate(recipe)
+    first = reference_solution(prob, cache_dir=str(tmp_path))
+    _, jpath = _cache_files(str(tmp_path), recipe)
+    with open(jpath) as fh:
+        meta = json.load(fh)
+    meta["version"], meta["f_star"] = "0.0.0-stale", 123.0
+    with open(jpath, "w") as fh:
+        json.dump(meta, fh)
+    again = reference_solution(prob, cache_dir=str(tmp_path))
+    assert not again.cache_hit
+    assert again.f_star == first.f_star
+    with open(jpath) as fh:
+        assert json.load(fh)["version"] == __version__
 
 
 def test_race_single_pair(cache_dir):

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from proxqn import cli
+from proxqn import bench, cli
 from proxqn.bench import ReferenceSolution
 from proxqn.cli import main
 from proxqn.prox import L1Norm
@@ -122,11 +122,24 @@ def test_validate_filtered_prox_oracle(capsys):
 def test_race_subcommand(tmp_path, env_cache, capsys):
     rc = main(["race", "--families", "lasso_diff3d", "--solvers",
                "zero-sr1,ista", "--out-dir", str(tmp_path / "rc"),
-               "--gnuplot", "--jobs", "1", "--max-iters", "50000"])
+               "--gnuplot", "--max-iters", "50000"])
     assert rc == 0
     files = sorted(os.listdir(tmp_path / "rc"))
     assert "manifest.json" in files and "plot.gp" in files
     assert sum(f.endswith(".csv") for f in files) == 2
+
+
+def test_race_nonfinite_objective_exits_3(tmp_path, monkeypatch, capsys):
+    problem = ProblemSpec(dim=4, f=lambda x: float("nan"), grad=lambda x: x,
+                          h=L1Norm(0.1), lipschitz=1.0)
+    monkeypatch.setattr(cli, "generate", lambda recipe: problem)
+    monkeypatch.setattr(bench, "reference_solution",
+                        lambda problem, cache_dir=None: ReferenceSolution(
+                            np.zeros(4), 0.0, False, True))
+    rc = main(["race", "--families", "lasso_diff3d", "--solvers",
+               "zero-sr1,ista", "--out-dir", str(tmp_path / "rc")])
+    assert rc == 3
+    assert capsys.readouterr().out.count("status=nonfinite") == 2
 
 
 def test_race_unknown_family(env_cache, capsys):

@@ -6,21 +6,18 @@ from proxqn.metric import (
     MetricError,
     NotPositiveDefiniteError,
     PlusMinusMetric,
-    apply,
-    invert,
-    metric_norm_sq,
 )
 from proxqn.validate import dense_metric
 
 
 def test_apply_identity_plus_e1():
     m = LowRankMetric(np.ones(2), [np.array([1.0, 0.0])], +1)
-    np.testing.assert_allclose(apply(m, [1.0, 1.0]), [2.0, 1.0])
+    np.testing.assert_allclose(m.apply([1.0, 1.0]), [2.0, 1.0])
 
 
 def test_apply_diagonal_rank0():
     m = LowRankMetric([2.0, 3.0])
-    np.testing.assert_allclose(apply(m, [1.0, 1.0]), [2.0, 3.0])
+    np.testing.assert_allclose(m.apply([1.0, 1.0]), [2.0, 3.0])
 
 
 def test_apply_matches_dense(rng):
@@ -41,17 +38,18 @@ def test_apply_dimension_mismatch():
 
 def test_invert_rank1():
     m = LowRankMetric(np.ones(2), [np.array([1.0, 0.0])], +1)
-    inv = invert(m)
-    assert inv.sign_inv == -1
-    np.testing.assert_allclose(inv.diag_inv, [1.0, 1.0])
-    np.testing.assert_allclose(np.abs(inv.factors_inv[0]),
+    inv = m.invert()
+    assert isinstance(inv, LowRankMetric)
+    assert inv.sign == -1
+    np.testing.assert_allclose(inv.diag, [1.0, 1.0])
+    np.testing.assert_allclose(np.abs(inv.factors[0]),
                                [1.0 / np.sqrt(2.0), 0.0], atol=1e-15)
     np.testing.assert_allclose(dense_metric(m) @ dense_metric(inv), np.eye(2),
                                atol=1e-12)
 
 
 def test_invert_diagonal():
-    inv = invert(LowRankMetric([2.0, 4.0]))
+    inv = LowRankMetric([2.0, 4.0]).invert()
     np.testing.assert_allclose(inv.diag, [0.5, 0.25])
     assert inv.rank == 0
 
@@ -63,9 +61,9 @@ def test_minus_sign_boundary_rejected():
 
 
 def test_norm_sq_examples(rng):
-    assert metric_norm_sq(LowRankMetric(np.ones(2)), [3.0, 4.0]) == 25.0
+    assert LowRankMetric(np.ones(2)).norm_sq([3.0, 4.0]) == 25.0
     m = LowRankMetric(np.ones(2), [np.array([1.0, 0.0])], +1)
-    assert metric_norm_sq(m, [1.0, 0.0]) == pytest.approx(2.0)
+    assert m.norm_sq([1.0, 0.0]) == pytest.approx(2.0)
     d = rng.uniform(0.5, 2.0, 6)
     u = rng.standard_normal(6) * 0.3
     m = LowRankMetric(d, [u], -1)

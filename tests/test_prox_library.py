@@ -15,16 +15,6 @@ from proxqn.prox import (
     MaxFunction,
     NonNeg,
     Simplex,
-    prox_affine_constraint,
-    prox_box,
-    prox_group_l2,
-    prox_hinge,
-    prox_l1,
-    prox_l1_ball,
-    prox_linf_norm,
-    prox_max,
-    prox_nonneg,
-    prox_simplex,
 )
 from proxqn.validate import exhaustive_simplex_qp
 
@@ -70,12 +60,13 @@ def scalar_prox_oracle(h_scalar, x, d, kappa):
 
 
 def test_l1_weighted_example():
-    np.testing.assert_allclose(prox_l1([2.0, 2.0], 1.0, [2.0, 1.0]),
+    np.testing.assert_allclose(L1Norm(1.0).prox_diag([2.0, 2.0], [2.0, 1.0]),
                                [1.5, 1.0])
 
 
 def test_l1_at_origin():
-    np.testing.assert_allclose(prox_l1(np.zeros(4), 0.7, np.ones(4)), 0.0)
+    np.testing.assert_allclose(
+        L1Norm(0.7).prox_diag(np.zeros(4), np.ones(4)), 0.0)
 
 
 def test_l1_matches_scalar_oracle(rng):
@@ -84,26 +75,26 @@ def test_l1_matches_scalar_oracle(rng):
         x = rng.standard_normal(6) * 2.0
         d = rng.uniform(0.5, 2.0, 6)
         kappa = float(rng.choice([0.5, 1.0, 2.0]))
-        got = prox_l1(x, lam, d, kappa)
+        got = L1Norm(lam).prox_diag(x, d, kappa)
         want = [scalar_prox_oracle(lambda z: lam * abs(z), x[i], d[i], kappa)
                 for i in range(6)]
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_nonneg_and_box():
-    np.testing.assert_allclose(prox_nonneg([-1.0, 2.0], np.ones(2)),
+    np.testing.assert_allclose(NonNeg().prox_diag([-1.0, 2.0], np.ones(2)),
                                [0.0, 2.0])
-    np.testing.assert_allclose(prox_box([-3.0, 0.5], -1.0, 1.0, np.ones(2)),
-                               [-1.0, 0.5])
+    np.testing.assert_allclose(
+        Box(-1.0, 1.0).prox_diag([-3.0, 0.5], np.ones(2)), [-1.0, 0.5])
     with pytest.raises(ValueError):
         Box(1.0, -1.0)
 
 
 def test_hinge_examples():
     d = np.ones(1)
-    assert prox_hinge([2.0], 1.0, d)[0] == pytest.approx(1.0)
-    assert prox_hinge([0.5], 1.0, d)[0] == pytest.approx(0.0)
-    assert prox_hinge([-1.0], 1.0, d)[0] == pytest.approx(-1.0)
+    assert Hinge(1.0).prox_diag([2.0], d)[0] == pytest.approx(1.0)
+    assert Hinge(1.0).prox_diag([0.5], d)[0] == pytest.approx(0.0)
+    assert Hinge(1.0).prox_diag([-1.0], d)[0] == pytest.approx(-1.0)
 
 
 def test_hinge_matches_scalar_oracle(rng):
@@ -111,7 +102,7 @@ def test_hinge_matches_scalar_oracle(rng):
     for _ in range(4):
         x = rng.standard_normal(5) * 2.0
         d = rng.uniform(0.5, 2.0, 5)
-        got = prox_hinge(x, lam, d, 0.7)
+        got = Hinge(lam).prox_diag(x, d, 0.7)
         want = [scalar_prox_oracle(lambda z: lam * max(0.0, z), x[i], d[i],
                                    0.7) for i in range(5)]
         np.testing.assert_allclose(got, want, atol=1e-9)
@@ -119,8 +110,10 @@ def test_hinge_matches_scalar_oracle(rng):
 
 def test_simplex_fixed_point_and_l1_ball():
     d = np.ones(2)
-    np.testing.assert_allclose(prox_simplex([0.5, 0.5], 1.0, d), [0.5, 0.5])
-    np.testing.assert_allclose(prox_l1_ball([2.0, 0.0], 1.0, d), [1.0, 0.0])
+    np.testing.assert_allclose(Simplex(1.0).prox_diag([0.5, 0.5], d),
+                               [0.5, 0.5])
+    np.testing.assert_allclose(L1Ball(1.0).prox_diag([2.0, 0.0], d),
+                               [1.0, 0.0])
 
 
 def test_simplex_matches_active_set_qp(rng):
@@ -129,7 +122,7 @@ def test_simplex_matches_active_set_qp(rng):
         y = rng.standard_normal(n) * 2.0
         d = rng.uniform(0.5, 2.0, n)
         radius = float(rng.uniform(0.5, 2.0))
-        got = prox_simplex(y, radius, d)
+        got = Simplex(radius).prox_diag(y, d)
         want = exhaustive_simplex_qp(y, d, radius)
         np.testing.assert_allclose(got, want, atol=1e-10)
         assert got.min() >= 0 and np.sum(got) == pytest.approx(radius)
@@ -141,7 +134,7 @@ def test_l1_ball_matches_active_set_qp(rng):
         y = rng.standard_normal(n) * 2.0
         d = rng.uniform(0.5, 2.0, n)
         radius = float(rng.uniform(0.3, 1.5))
-        got = prox_l1_ball(y, radius, d)
+        got = L1Ball(radius).prox_diag(y, d)
         if np.sum(np.abs(y)) <= radius:
             np.testing.assert_allclose(got, y)
         else:
@@ -151,13 +144,13 @@ def test_l1_ball_matches_active_set_qp(rng):
 
 def test_linf_prox_collapses_small_arguments():
     # ||x||_1 <= lam forces the prox of lam*||.||_inf to the origin
-    got = prox_linf_norm([0.5, -0.5], 1.0, np.ones(2))
+    got = LinfNorm(1.0).prox_diag([0.5, -0.5], np.ones(2))
     np.testing.assert_allclose(got, [0.0, 0.0], atol=1e-15)
 
 
 def test_max_prox_zero_scaling(rng):
     x = rng.standard_normal(5)
-    np.testing.assert_allclose(prox_max(x, 0.0, np.ones(5)), x)
+    np.testing.assert_allclose(MaxFunction(0.0).prox_diag(x, np.ones(5)), x)
 
 
 @pytest.mark.parametrize("op", [L1Norm(0.8), NonNeg(), Hinge(1.1),
@@ -175,10 +168,10 @@ def test_euclidean_moreau_identity(rng, op):
 def test_group_l2_block_examples():
     blocks = [np.array([0, 1])]
     x = np.array([2.0, 0.0])
-    np.testing.assert_allclose(prox_group_l2(x, 1.0, blocks, np.ones(2)),
+    np.testing.assert_allclose(GroupL2(1.0, blocks).prox_diag(x, np.ones(2)),
                                [1.0, 0.0])
     np.testing.assert_allclose(
-        prox_group_l2([0.3, 0.4], 1.0, blocks, np.ones(2)), [0.0, 0.0])
+        GroupL2(1.0, blocks).prox_diag([0.3, 0.4], np.ones(2)), [0.0, 0.0])
 
 
 def test_group_l2_matches_per_block_reduction(rng):
@@ -192,7 +185,7 @@ def test_group_l2_matches_per_block_reduction(rng):
     for bi, blk in enumerate(blocks):
         d[blk] = vals[bi]
     x = rng.standard_normal(n)
-    got = prox_group_l2(x, lam, blocks, d, kappa=1.5)
+    got = GroupL2(lam, blocks).prox_diag(x, d, kappa=1.5)
     for bi, blk in enumerate(blocks):
         nb = np.linalg.norm(x[blk])
         scale = max(0.0, 1.0 - 1.5 * lam / (vals[bi] * nb)) if nb else 0.0
@@ -209,10 +202,11 @@ def test_affine_projection_examples(rng):
     A = np.array([[1.0, 0.0]])
     b = np.zeros(1)
     np.testing.assert_allclose(
-        prox_affine_constraint([3.0, 4.0], A, b, np.ones(2)), [0.0, 4.0])
+        AffineConstraint(A, b).prox_diag([3.0, 4.0], np.ones(2)), [0.0, 4.0])
     # projection fixes feasible points
     x = np.array([0.0, -2.5])
-    np.testing.assert_allclose(prox_affine_constraint(x, A, b, np.ones(2)), x)
+    np.testing.assert_allclose(
+        AffineConstraint(A, b).prox_diag(x, np.ones(2)), x)
     with pytest.raises(ValueError):
         AffineConstraint(np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
 
@@ -223,7 +217,7 @@ def test_affine_projection_kkt(rng):
     b = A @ z0
     d = rng.uniform(0.5, 2.0, 5)
     x = rng.standard_normal(5) * 2.0
-    out = prox_affine_constraint(x, A, b, d)
+    out = AffineConstraint(A, b).prox_diag(x, d)
     assert np.max(np.abs(A @ out - b)) <= 1e-10
     for w in null_space(A).T:
         assert abs(np.dot(d * (out - x), w)) <= 1e-10
@@ -275,7 +269,8 @@ def test_projection_tie_breaking_is_permutation_invariant(rng):
     # equal entries must produce identical outputs in any input order
     x = np.array([1.0, 1.0, 0.2, 1.0])
     d = np.ones(4)
-    base = prox_simplex(x, 1.0, d)
+    base = Simplex(1.0).prox_diag(x, d)
     for perm in ([3, 1, 0, 2], [2, 0, 3, 1]):
         perm = np.array(perm)
-        np.testing.assert_array_equal(prox_simplex(x[perm], 1.0, d), base[perm])
+        np.testing.assert_array_equal(Simplex(1.0).prox_diag(x[perm], d),
+                                      base[perm])

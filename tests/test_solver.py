@@ -158,11 +158,24 @@ def test_unknown_solver_id():
         solve(None, "nope")
 
 
-def test_budget_stops_early(rng):
+@pytest.mark.parametrize("solver_id", sorted(SOLVERS))
+def test_budget_stops_early(rng, solver_id):
     prob = _quadratic_l1_problem(rng, 10, mu=0.1, L=10.0, lam=0.2)
-    res = run_ista(prob, SolverOptions(max_iters=10 ** 7, tol=0.0,
-                                       budget_seconds=0.05))
+    res = solve(prob, solver_id, SolverOptions(max_iters=10 ** 7, tol=0.0,
+                                               budget_seconds=0.05))
     assert res.status == "budget"
+    assert not res.converged
+    assert len(res.trace) == res.iterations + 1
+
+
+@pytest.mark.parametrize("solver_id", sorted(SOLVERS))
+def test_max_iters_ends_the_solve(rng, solver_id):
+    prob = _quadratic_l1_problem(rng, 10, mu=0.1, L=10.0, lam=0.2)
+    res = solve(prob, solver_id, SolverOptions(max_iters=5, tol=0.0))
+    assert res.status == "max_iters"
+    assert not res.converged
+    # iterations is the index of the last recorded iteration
+    assert res.iterations == 4 and len(res.trace) == 5
 
 
 def test_gradient_check_detects_mismatch(rng):
