@@ -47,6 +47,13 @@ from .validate import SUITES, run_suites
 CONFIG_ERROR, SOLVER_ERROR = 2, 3
 
 
+def _positive_int(text):
+    """``--max-iters``: the summary lines need one recorded iteration."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _recipe_from_args(args):
     kwargs = dict(family=args.family, lam=args.lam, seed=args.seed)
     if args.family == "lasso_diff3d":
@@ -293,7 +300,7 @@ def build_parser():
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--solver", default="zero-sr1")
     ps.add_argument("--tol", type=float, default=1e-8)
-    ps.add_argument("--max-iters", type=int, default=200_000)
+    ps.add_argument("--max-iters", type=_positive_int, default=200_000)
     ps.add_argument("--budget-s", type=float)
     ps.add_argument("--line-search", default="backtracking",
                     choices=["backtracking", "none"])
@@ -310,7 +317,7 @@ def build_parser():
     pr.add_argument("--families", help="comma-separated subset")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--tol", type=float, default=1e-9)
-    pr.add_argument("--max-iters", type=int, default=400_000)
+    pr.add_argument("--max-iters", type=_positive_int, default=400_000)
     pr.add_argument("--budget-s", type=float, default=120.0)
     pr.add_argument("--out-dir", default="races")
     pr.add_argument("--cache-dir")

@@ -109,7 +109,7 @@ class LowRankMetric:
         # both O(N r^2) + O(r^3) on this small matrix.
         G = U.T @ (U / self.diag[:, None])
         G = 0.5 * (G + G.T)
-        ew = np.linalg.eigvalsh(G)
+        ew = G[0] if r == 1 else np.linalg.eigvalsh(G)
         if ew[0] <= FACTOR_DROP_TOL * max(ew[-1], 1.0):
             raise MetricError("factor vectors are (nearly) linearly dependent")
         self._gram = G
@@ -173,7 +173,10 @@ class LowRankMetric:
             return LowRankMetric(p_inv)
         C = np.eye(self.rank) + self.sign * self._gram
         # C is SPD: for sign +, C >= I; for sign -, PD by the metric invariant.
-        ew, EV = np.linalg.eigh(0.5 * (C + C.T))
+        # A 1-by-1 C is its own eigen-decomposition; the array power below
+        # matches eigh's factor bit for bit, a Python float power does not.
+        ew, EV = (C[0], np.ones((1, 1))) if self.rank == 1 else \
+            np.linalg.eigh(0.5 * (C + C.T))
         if ew[0] <= 0:
             raise NotPositiveDefiniteError("capacitance matrix not positive definite")
         C_inv_half = EV @ np.diag(ew ** -0.5) @ EV.T
@@ -213,7 +216,8 @@ class PlusMinusMetric:
             )
             self._W2.setflags(write=False)
             M = self._U2.T @ self._W2
-            ew = np.linalg.eigvalsh(np.eye(self._U2.shape[1]) - 0.5 * (M + M.T))
+            C = np.eye(self._U2.shape[1]) - 0.5 * (M + M.T)
+            ew = C[0] if C.shape[0] == 1 else np.linalg.eigvalsh(C)
             if ew[0] <= 0:
                 raise NotPositiveDefiniteError(
                     "diag + Q1 - Q2 is not positive definite "

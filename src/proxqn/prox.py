@@ -103,8 +103,9 @@ class PiecewiseAffineDescriptor:
         if np.any(np.diff(self.breakpoints, axis=1) < 0):
             raise ValueError("breakpoints not sorted")
         t = self.breakpoints
-        left = self.slopes[:, :-1] * t + self.intercepts[:, :-1]
-        right = self.slopes[:, 1:] * t + self.intercepts[:, 1:]
+        with np.errstate(invalid="ignore"):   # 0 * inf at infinite bounds
+            left = self.slopes[:, :-1] * t + self.intercepts[:, :-1]
+            right = self.slopes[:, 1:] * t + self.intercepts[:, 1:]
         finite = np.isfinite(t)
         scale = np.maximum(1.0, np.abs(t, where=finite, out=np.ones_like(t)))
         gap = np.abs(left - right)
@@ -134,10 +135,16 @@ class ProxOperator:
     def prox_diag_jvp(self, z, d, kappa, M):
         """Product of a Clarke Jacobian of ``prox_diag(., d, kappa)`` at
         ``z`` with the columns of ``M``, or None if unavailable."""
-        desc = self.pa_descriptor(d, kappa)
-        if desc is None:
+        slopes = self.slope_rule(z, d, kappa)
+        if slopes is None:
             return None
-        return desc.slopes_at(z)[:, None] * np.atleast_2d(M.T).T
+        return slopes[:, None] * np.atleast_2d(M.T).T
+
+    def slope_rule(self, z, d, kappa):
+        """The descriptor's Clarke slopes at ``z``, or None; separable
+        operators override it with a direct rule giving the same slopes."""
+        desc = self.pa_descriptor(d, kappa)
+        return None if desc is None else desc.slopes_at(z)
 
     def conjugate(self):
         """Operator of the convex conjugate, where implemented."""
@@ -157,6 +164,9 @@ class Zero(ProxOperator):
 
     def prox_diag(self, x, d, kappa=1.0):
         return np.array(x, dtype=float, copy=True)
+
+    def slope_rule(self, z, d, kappa):
+        return np.ones(len(z))
 
     def pa_descriptor(self, d, kappa=1.0):
         n = _check_weights(d).shape[0]
@@ -185,6 +195,10 @@ class L1Norm(ProxOperator):
             raise ValueError("kappa must be positive")
         t = kappa * self.lam / d
         return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+    def slope_rule(self, z, d, kappa):
+        t = kappa * self.lam / d
+        return ~((z >= -t) & (z < t))
 
     def pa_descriptor(self, d, kappa=1.0):
         d = _check_weights(d)
@@ -227,6 +241,9 @@ class Box(ProxOperator):
     def prox_diag(self, x, d, kappa=1.0):
         return np.clip(np.asarray(x, dtype=float), self.lo, self.hi)
 
+    def slope_rule(self, z, d, kappa):
+        return (z >= self.lo) & (z < self.hi)
+
     def pa_descriptor(self, d, kappa=1.0):
         d = _check_weights(d)
         n = d.shape[0]
@@ -246,12 +263,6 @@ class NonNeg(Box):
 
     def __init__(self):
         super().__init__(0.0, np.inf)
-
-    def pa_descriptor(self, d, kappa=1.0):
-        n = _check_weights(d).shape[0]
-        return PiecewiseAffineDescriptor(
-            np.zeros((n, 1)), np.tile([0.0, 1.0], (n, 1)), np.zeros((n, 2))
-        )
 
     def conjugate(self):
         return Box(-np.inf, 0.0)
@@ -288,6 +299,10 @@ class Hinge(ProxOperator):
         d = _check_weights(d, x.shape[0])
         c = kappa * self.lam / d
         return np.where(x > c, x - c, np.minimum(x, 0.0))
+
+    def slope_rule(self, z, d, kappa):
+        c = kappa * self.lam / d
+        return ~((z >= 0.0) & (z < c))
 
     def pa_descriptor(self, d, kappa=1.0):
         d = _check_weights(d)

@@ -12,7 +12,10 @@ where ``alpha*`` is the unique zero of the strongly monotone map
 This module provides the root problem, three interchangeable rank-1 root
 finders (exact piecewise-affine, bisection, semi-smooth Newton), closed-form
 and block special cases, the coupled diag + rank-1 - rank-1 solve, and the
-conjugate route through the metric Moreau identity.
+conjugate route through the metric Moreau identity.  The production rank-1
+route is the warm-started semi-smooth Newton, which terminates finitely on
+piecewise-affine maps; the exact O(N log N) breakpoint sweep is its
+fallback and oracle.
 
 The coupled solve in ``V = P + Q1 - Q2`` (0BFGS) has one production route:
 a damped semi-smooth Newton on the stacked two-multiplier system, one
@@ -99,7 +102,6 @@ class RootProblem:
         g_sq = metric.gram_norm_sq()
         self.lipschitz_bound = 1.0 + g_sq
         self.monotonicity_modulus = 1.0 if self.sign > 0 else 1.0 - g_sq
-        self.evaluations = 0
 
     @property
     def rank(self):
@@ -114,19 +116,7 @@ class RootProblem:
     def map_L(self, alpha):
         """The dual map whose unique zero determines the scaled prox."""
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-        self.evaluations += 1
         return self.U.T @ (self.x - self.prox_at(alpha)) + alpha
-
-    def jacobian(self, alpha):
-        """Clarke-element Jacobian ``I + sign * U^T J_prox P^{-1} U``;
-        falls back to forward differences on the map when the operator
-        exposes no prox Jacobian."""
-        z = self.shifted_point(alpha)
-        JW = self.prox.prox_diag_jvp(z, self.diag, self.kappa, self._shift_dirs)
-        if JW is None:
-            alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
-            return _fd_jacobian(self.map_L, alpha, self.map_L(alpha))
-        return np.eye(self.rank) + self.sign * (self.U.T @ JW)
 
 
 def _fd_jacobian(func, x, base):
@@ -330,22 +320,19 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
                            max_iter=50):
     """Semi-smooth Newton on the dual map with exact r-by-r solves.
 
-    For r = 1 the iteration is safeguarded by the bisection bracket, for
-    r >= 2 a damped fixed-point sweep takes over after budget exhaustion.
+    For r = 1 see :func:`_ssnewton_rank1`; for r >= 2 a damped fixed-point
+    sweep takes over after budget exhaustion.
     """
     r = problem.rank
     if r < 1:
         raise ValueError("root problem is trivial (rank 0)")
+    if r == 1:
+        return _ssnewton_rank1(problem, tol, alpha0, max_iter)
     alpha = np.zeros(r) if alpha0 is None else \
         np.atleast_1d(np.asarray(alpha0, dtype=float)).copy()
     c = problem.monotonicity_modulus
+    W = problem._shift_dirs
     history = []
-
-    bracket = None
-    if r == 1:
-        beta = root_bound(problem)
-        span = max(beta, abs(float(alpha[0]))) or 1.0
-        bracket = [-span, span]
 
     val = problem.map_L(alpha)
     res = float(np.linalg.norm(val))
@@ -354,12 +341,12 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
         if res <= tol:
             return RootSolverReport(alpha, res, it, "ssnewton",
                                     residual_history=history)
-        if bracket is not None:
-            if val[0] > 0:
-                bracket[1] = min(bracket[1], float(alpha[0]))
-            else:
-                bracket[0] = max(bracket[0], float(alpha[0]))
-        G = problem.jacobian(alpha)
+        # Clarke-element Jacobian I + sign U^T J_prox P^{-1} U, or forward
+        # differences on the map when the operator exposes no prox Jacobian
+        JW = problem.prox.prox_diag_jvp(problem.shifted_point(alpha),
+                                        problem.diag, problem.kappa, W)
+        G = _fd_jacobian(problem.map_L, alpha, val) if JW is None else \
+            np.eye(r) + problem.sign * (problem.U.T @ JW)
         try:
             step = np.linalg.solve(G, val)
         except np.linalg.LinAlgError:
@@ -367,10 +354,7 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
             step = np.linalg.solve(G + c * np.eye(r), val)
         if not np.all(np.isfinite(step)):
             step = val / problem.lipschitz_bound
-        new = alpha - step
-        if bracket is not None and not (bracket[0] <= new[0] <= bracket[1]):
-            new = np.array([0.5 * (bracket[0] + bracket[1])])
-        alpha = new
+        alpha = alpha - step
         val = problem.map_L(alpha)
         res = float(np.linalg.norm(val))
         history.append(res)
@@ -378,14 +362,7 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
         return RootSolverReport(alpha, res, max_iter, "ssnewton",
                                 residual_history=history)
 
-    # budget exhausted: globally convergent fallbacks
-    if r == 1:
-        eps = tol / problem.lipschitz_bound
-        fb = root_bisection(problem, eps=max(eps, 1e-15))
-        fb.method = "ssnewton"
-        fb.iterations += max_iter
-        fb.residual_history = history + [fb.residual]
-        return fb
+    # budget exhausted: a globally convergent fallback
     step_size = c / problem.lipschitz_bound ** 2
     for it in range(10000):
         if res <= tol:
@@ -401,6 +378,54 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
                             residual_history=history)
 
 
+def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
+    """Scalar semi-smooth Newton, one prox and one Jacobian product per
+    step, safeguarded by the bracket of map signs.  Stops at ``|L| <= tol``
+    or at a point with its base point's Jacobian and ``|L|`` at rounding
+    level: the root of that affine piece, as exact as the sweep's (equal
+    slopes alone do not prove one piece: both outer l1 pieces have slope
+    1).  On budget exhaustion the sweep, or bisection, takes over."""
+    prox, x, d, kappa, s = (problem.prox, problem.x, problem.diag,
+                            problem.kappa, problem.sign)
+    u, W = problem.U[:, 0], problem._shift_dirs
+    alpha = 0.0 if alpha0 is None else float(np.atleast_1d(alpha0)[0])
+    lo, hi, jw_prev, history = -np.inf, np.inf, None, []
+    for it in range(max_iter + 1):
+        z = x - (s * alpha) * W[:, 0]
+        p = prox.prox_diag(z, d, kappa)
+        val = float(u @ (x - p)) + alpha
+        history.append(abs(val))
+        if abs(val) <= tol:
+            break
+        jw = prox.prox_diag_jvp(z, d, kappa, W)
+        # |u|.(|x| + |p|) + |alpha| bounds the terms summed into L
+        if jw_prev is not None and np.array_equal(jw, jw_prev) and \
+                abs(val) <= 4.0 * x.size * np.finfo(float).eps * (
+                    float(np.abs(u) @ (np.abs(x) + np.abs(p))) + abs(alpha)):
+            break
+        if it == max_iter:
+            logger.info("rank-1 Newton missed %g; falling back", tol)
+            desc = prox.pa_descriptor(d, kappa)
+            fb = root_bisection(problem, eps=max(
+                tol / problem.lipschitz_bound, 1e-15)) if desc is None \
+                else root_exact_piecewise_affine(problem, descriptor=desc)
+            fb.method, fb.iterations = "ssnewton", fb.iterations + max_iter
+            fb.residual_history = history + [fb.residual]
+            return fb
+        lo, hi = (lo, alpha) if val > 0 else (alpha, hi)
+        slope = 1.0 + s * float(u @ jw[:, 0]) if jw is not None else \
+            float(problem.map_L([alpha + _FD_STEP])[0] - val) / _FD_STEP
+        new = alpha - val / slope if slope > 0 else np.nan
+        if not lo < new < hi:
+            if np.isinf(lo) or np.isinf(hi):
+                beta = root_bound(problem)
+                lo, hi = max(min(-beta, hi), lo), min(max(beta, lo), hi)
+            new = 0.5 * (lo + hi)
+        alpha, jw_prev = new, jw
+    return RootSolverReport(np.array([alpha]), abs(val), it, "ssnewton",
+                            residual_history=history, point=p)
+
+
 # -- dispatcher ----------------------------------------------------------------
 
 
@@ -412,9 +437,9 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
     ----------
     finder : {"auto", "exact", "bisection", "ssnewton", "closed_form", "group"}
         Root-finding strategy.  "auto" picks the closed form for affine
-        constraints, the exact piecewise-affine solver when a descriptor
-        exists, the breakpoint+Newton path for group norms, and
-        semi-smooth Newton otherwise.
+        constraints, the breakpoint+Newton path for group norms, and
+        semi-smooth Newton otherwise; "exact" is the sweep it is checked
+        against.
     tol : float
         Alpha tolerance for bisection, residual tolerance otherwise.
     warm_alpha : array, optional
@@ -433,22 +458,16 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
             np.atleast_1d(warm_alpha).size != problem.rank:
         warm_alpha = None
 
-    descriptor = None
     if finder == "auto":
-        if isinstance(prox, AffineConstraint) and problem.rank == 1:
+        if problem.rank == 1 and isinstance(prox, AffineConstraint):
             finder = "closed_form"
+        elif problem.rank == 1 and isinstance(prox, GroupL2):
+            finder = "group"
         else:
-            descriptor = prox.pa_descriptor(metric.diag, kappa) \
-                if problem.rank == 1 else None
-            if descriptor is not None:
-                finder = "exact"
-            elif problem.rank == 1 and isinstance(prox, GroupL2):
-                finder = "group"
-            else:
-                finder = "ssnewton"
+            finder = "ssnewton"
 
     if finder == "exact":
-        report = root_exact_piecewise_affine(problem, descriptor=descriptor)
+        report = root_exact_piecewise_affine(problem)
     elif finder == "bisection":
         report = root_bisection(problem, eps=tol)
     elif finder == "ssnewton":
@@ -587,9 +606,8 @@ def scaled_prox_group_l1l2(metric: LowRankMetric, prox: GroupL2, x, kappa=1.0,
         converged=abs(val) <= tol * 10)
 
 
-def _newton_scalar_bracketed(func, lo, hi, f_lo, f_hi, tol, max_iter=80,
-                             fprime=None):
-    """Safeguarded scalar Newton/secant on a strictly increasing map."""
+def _newton_scalar_bracketed(func, lo, hi, f_lo, f_hi, tol, max_iter=80):
+    """Safeguarded scalar secant on a strictly increasing map."""
     if f_lo > 0 or f_hi < 0:
         raise BracketError("no sign change on the outer bracket")
     alpha = 0.5 * (lo + hi)
@@ -602,13 +620,9 @@ def _newton_scalar_bracketed(func, lo, hi, f_lo, f_hi, tol, max_iter=80,
             hi = alpha
         else:
             lo = alpha
-        slope = None
-        if fprime is not None:
-            slope = fprime(alpha)
-        if slope is None or slope <= 0:
-            denom = val - f_prev
-            slope = denom / (alpha - a_prev) if alpha != a_prev and denom != 0 \
-                else None
+        denom = val - f_prev
+        slope = denom / (alpha - a_prev) if alpha != a_prev and denom != 0 \
+            else None
         a_prev, f_prev = alpha, val
         new = alpha - val / slope if slope and slope > 0 else None
         if new is None or not (lo < new < hi):

@@ -59,6 +59,18 @@ def test_solve_nonfinite_objective_exits_3(tmp_path, monkeypatch, capsys):
         assert "status=nonfinite" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--m", "20", "--n", "30"],
+    ["race", "--families", "lasso_diff3d", "--solvers", "ista"],
+])
+def test_zero_max_iters_exits_2(env_cache, capsys, command):
+    # argparse rejects the value before any solve runs or file is written
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--max-iters", "0"])
+    assert exc.value.code == 2
+    assert "--max-iters: must be at least 1" in capsys.readouterr().err
+
+
 def test_solve_unknown_solver(env_cache, capsys):
     assert main(["solve", "--solver", "bogus"]) == 2
     assert "unknown solver" in capsys.readouterr().err
@@ -71,7 +83,11 @@ def test_prox_worked_example(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     np.testing.assert_allclose([float(v) for v in lines[:2]], [0.5, 0.0])
     assert "alpha_star=0.5 " in lines[2]
-    assert "method=exact" in lines[2]
+    assert "method=ssnewton" in lines[2]
+
+    assert main(["prox", "--input", str(path), "--finder", "exact"]) == 0
+    summary = capsys.readouterr().out.strip().splitlines()[2]
+    assert "alpha_star=0.5 " in summary and "method=exact" in summary
 
     assert main(["prox", "--input", str(path), "--finder", "bisection"]) == 0
     summary = capsys.readouterr().out.strip().splitlines()[2]

@@ -15,6 +15,7 @@ from proxqn.prox import (
     MaxFunction,
     NonNeg,
     Simplex,
+    Zero,
 )
 from proxqn.validate import exhaustive_simplex_qp
 
@@ -240,6 +241,39 @@ def test_descriptors_reproduce_prox_pointwise(rng):
             z = rng.standard_normal(n) * 3.0
             np.testing.assert_allclose(desc.evaluate(z),
                                        op.prox_diag(z, d, 1.7), atol=1e-12)
+
+
+def test_slope_rules_match_descriptor_slopes_bitwise(rng):
+    # the direct Clarke slope rules give the descriptor's right-tie slopes,
+    # so the Jacobian products are the same numbers, not merely close
+    n = 60
+    d = rng.uniform(0.5, 2.0, n)
+    kappa = 1.3
+    t = kappa * 0.7 / d
+    c = kappa * 0.9 / d
+    lo = rng.standard_normal(n)
+    hi = lo + rng.uniform(0.0, 2.0, n)
+    cases = [
+        (L1Norm(0.7), [t, -t]),
+        (Hinge(0.9), [c, np.zeros(n)]),
+        (NonNeg(), [np.zeros(n)]),
+        (Box(lo, hi), [lo, hi]),
+        (Box(lo, np.inf), [lo]),
+        (Box(-np.inf, hi), [hi]),
+        (LinfBall(0.8), [np.full(n, 0.8), np.full(n, -0.8)]),
+        (Zero(), [np.zeros(n)]),
+    ]
+    M = rng.standard_normal((n, 2))
+    for op, kinks in cases:
+        desc = op.pa_descriptor(d, kappa)
+        points = [3.0 * rng.standard_normal(n) for _ in range(5)]
+        for kink in kinks:
+            # exactly at the breakpoints, and one ulp to either side
+            points += [kink, np.nextafter(kink, -np.inf),
+                       np.nextafter(kink, np.inf)]
+        for z in points:
+            expected = desc.slopes_at(z)[:, None] * M
+            assert np.array_equal(op.prox_diag_jvp(z, d, kappa, M), expected)
 
 
 def test_nonexpansive_in_diag_metric(rng):

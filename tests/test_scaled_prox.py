@@ -282,7 +282,7 @@ def test_rank2_single_sided_reductions(rng):
         p2, rep2 = scaled_prox_rank2(pm, op, x)
         p1, rep1 = scaled_prox(LowRankMetric(d, [u], sign), op, x)
         np.testing.assert_allclose(p2, p1, atol=1e-12)
-        assert rep2.method == rep1.method == "exact"
+        assert rep2.method == rep1.method == "ssnewton"
 
 
 def test_rank2_bfgs_metric_against_brute_force(rng):
@@ -417,6 +417,61 @@ def test_rank2_joint_matches_recursive_near_breakpoints(seed, n, kind, offset,
     assert rep_rec.method == "rank2-recursive"
     np.testing.assert_allclose(p_joint, p_rec, atol=1e-9)
     np.testing.assert_allclose(p_joint, p, atol=1e-9)
+
+
+@pytest.mark.parametrize("op", [L1Norm(0.6), NonNeg(), Box(-0.5, np.inf),
+                                Box(-np.inf, 0.5), Box(-0.5, 0.7),
+                                Hinge(0.8), Zero()])
+def test_rank1_routing(rng, op):
+    metric = sample_metric(rng, 12)
+    x = rng.standard_normal(12)
+    p, rep = scaled_prox(metric, op, x)
+    assert rep.method == "ssnewton"
+    q, rep_exact = scaled_prox(metric, op, x, finder="exact")
+    assert rep_exact.method == "exact"
+    np.testing.assert_allclose(p, q, atol=1e-12)
+
+
+def test_rank1_newton_does_not_stop_on_equal_slopes_alone():
+    # both outer pieces of the l1 prox have slope 1: from alpha = 100 the
+    # Newton point alpha = 0.5 lands on the other outer piece, where the
+    # map is 2, not 0; the root is -0.5 with the prox 2.5
+    metric = LowRankMetric(np.ones(1), [np.array([1.0])], +1)
+    p, rep = scaled_prox(metric, L1Norm(1.0), np.array([3.0]),
+                         warm_alpha=[100.0])
+    assert rep.residual_history[1] == 2.0
+    assert rep.alpha_star[0] == -0.5 and p[0] == 2.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+       kind=st.sampled_from(["l1", "nonneg", "hinge", "box_lo", "box_hi"]),
+       offset=st.sampled_from([0.0, 1e-12, -1e-12]),
+       sign=st.sampled_from([+1, -1]), gram=st.floats(0.01, 0.999),
+       warm=st.sampled_from([None, 0.0, -3.0, 1.0 + 1e-9, 1e3]),
+       kappa=st.floats(0.1, 3.0))
+def test_rank1_newton_matches_exact_sweep(seed, n, kind, offset, sign, gram,
+                                          warm, kappa):
+    # x is built backwards from the solution's diagonal-prox argument z,
+    # which sits on (or within 1e-12 of) the breakpoints; the warm start
+    # is 0 or a multiple of alpha*
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.5, 2.0, n)
+    u = rng.standard_normal(n)
+    u *= np.sqrt(gram / np.dot(u, u / d))
+    metric = LowRankMetric(d, [u], sign)
+    op, z = _on_breakpoints(kind, rng, n, d, kappa, offset)
+    p = op.prox_diag(z, d, kappa)
+    w = u / d
+    alpha = -np.dot(u, z - p) / (1.0 + sign * np.dot(u, w))
+    x = z + sign * alpha * w
+
+    warm_alpha = None if warm is None else [warm * alpha]
+    q, rep = scaled_prox(metric, op, x, kappa=kappa, warm_alpha=warm_alpha)
+    assert rep.method == "ssnewton" and rep.converged
+    _, rep_exact = scaled_prox(metric, op, x, kappa=kappa, finder="exact")
+    np.testing.assert_allclose(q, rep_exact.point, atol=1e-9)
+    np.testing.assert_allclose(q, p, atol=1e-9)
 
 
 def test_conjugate_identity_metric_reduces_to_plain_moreau(rng):
