@@ -339,8 +339,10 @@ def build_parser():
                         formatter_class=argparse.RawDescriptionHelpFormatter)
     pp.add_argument("--input", required=True)
     pp.add_argument("--finder", default="auto",
-                    choices=["auto", "exact", "bisection", "ssnewton",
-                             "closed_form", "group"])
+                    choices=["auto", "exact", "bisection"],
+                    help="rank-1 root finder: the warm-started semi-smooth "
+                    "Newton (auto), or the breakpoint sweep or bisection "
+                    "it is checked against")
     pp.add_argument("--tol", type=float, default=1e-12)
     pp.set_defaults(func=cmd_prox)
     return parser

@@ -10,11 +10,13 @@ where ``alpha*`` is the unique zero of the strongly monotone map
     L(alpha) = U^T (x - prox^P_{kh}(x - sign * P^{-1} U alpha)) + alpha.
 
 This module provides the root problem, three interchangeable rank-1 root
-finders (exact piecewise-affine, bisection, semi-smooth Newton), closed-form
-and block special cases, the coupled diag + rank-1 - rank-1 solve, and the
-conjugate route through the metric Moreau identity.  The production rank-1
-route is the warm-started semi-smooth Newton, which terminates finitely on
-piecewise-affine maps; the exact O(N log N) breakpoint sweep is its
+finders (exact piecewise-affine, bisection, semi-smooth Newton), the
+coupled diag + rank-1 - rank-1 solve, and the conjugate route through the
+metric Moreau identity.  The production rank-1 route, for every operator,
+is the warm-started semi-smooth Newton, which terminates finitely on
+piecewise-affine maps and in a few steps on the piecewise-smooth maps of
+group norms and affine constraints; the exact O(N log N) breakpoint sweep
+(or bisection, for operators without a piecewise-affine descriptor) is its
 fallback and oracle.
 
 The coupled solve in ``V = P + Q1 - Q2`` (0BFGS) has one production route:
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import LowRankMetric, PlusMinusMetric
-from .prox import AffineConstraint, GroupL2
 
 __all__ = [
     "RootFinderError",
@@ -46,14 +47,15 @@ __all__ = [
     "root_semismooth_newton",
     "scaled_prox",
     "scaled_prox_rank2",
-    "scaled_prox_affine_closed_form",
-    "scaled_prox_group_l1l2",
     "scaled_prox_conjugate",
 ]
 
 logger = logging.getLogger(__name__)
 
 _FD_STEP = 1e-7
+# first rank-1 Newton step checked for a stalled bracket; Newton ends
+# within a few steps on the piecewise-affine maps of separable operators
+_CYCLE_CHECK = 8
 
 
 class RootFinderError(RuntimeError):
@@ -384,12 +386,16 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
     or at a point with its base point's Jacobian and ``|L|`` at rounding
     level: the root of that affine piece, as exact as the sweep's (equal
     slopes alone do not prove one piece: both outer l1 pieces have slope
-    1).  On budget exhaustion the sweep, or bisection, takes over."""
+    1).  On the smooth pieces of a group norm the steps can close in on a
+    2-cycle around the root, so from step ``_CYCLE_CHECK`` on two steps
+    that halve neither the bracket nor ``|L|`` are followed by a
+    bisection.  On budget exhaustion the sweep, or bisection, takes
+    over."""
     prox, x, d, kappa, s = (problem.prox, problem.x, problem.diag,
                             problem.kappa, problem.sign)
     u, W = problem.U[:, 0], problem._shift_dirs
     alpha = 0.0 if alpha0 is None else float(np.atleast_1d(alpha0)[0])
-    lo, hi, jw_prev, history = -np.inf, np.inf, None, []
+    lo, hi, jw_prev, history, widths = -np.inf, np.inf, None, [], []
     for it in range(max_iter + 1):
         z = x - (s * alpha) * W[:, 0]
         p = prox.prox_diag(z, d, kappa)
@@ -413,10 +419,13 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
             fb.residual_history = history + [fb.residual]
             return fb
         lo, hi = (lo, alpha) if val > 0 else (alpha, hi)
+        widths.append(hi - lo)
         slope = 1.0 + s * float(u @ jw[:, 0]) if jw is not None else \
             float(problem.map_L([alpha + _FD_STEP])[0] - val) / _FD_STEP
         new = alpha - val / slope if slope > 0 else np.nan
-        if not lo < new < hi:
+        cycling = it >= _CYCLE_CHECK and widths[-1] > 0.5 * widths[-3] \
+            and history[-1] > 0.5 * history[-3]
+        if cycling or not lo < new < hi:
             if np.isinf(lo) or np.isinf(hi):
                 beta = root_bound(problem)
                 lo, hi = max(min(-beta, hi), lo), min(max(beta, lo), hi)
@@ -435,15 +444,15 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
 
     Parameters
     ----------
-    finder : {"auto", "exact", "bisection", "ssnewton", "closed_form", "group"}
-        Root-finding strategy.  "auto" picks the closed form for affine
-        constraints, the breakpoint+Newton path for group norms, and
-        semi-smooth Newton otherwise; "exact" is the sweep it is checked
-        against.
+    finder : {"auto", "exact", "bisection"}
+        Root-finding strategy.  "auto" is the warm-started semi-smooth
+        Newton for every operator; "exact" (the breakpoint sweep, for
+        operators with a piecewise-affine descriptor) and "bisection" are
+        the oracles it is checked against.
     tol : float
         Alpha tolerance for bisection, residual tolerance otherwise.
     warm_alpha : array, optional
-        Starting point for the iterative finders (continuation across
+        Starting point of the Newton finder (continuation across
         forward-backward iterations).
 
     Returns
@@ -459,151 +468,16 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
         warm_alpha = None
 
     if finder == "auto":
-        if problem.rank == 1 and isinstance(prox, AffineConstraint):
-            finder = "closed_form"
-        elif problem.rank == 1 and isinstance(prox, GroupL2):
-            finder = "group"
-        else:
-            finder = "ssnewton"
-
-    if finder == "exact":
+        report = root_semismooth_newton(problem, tol=tol, alpha0=warm_alpha)
+    elif finder == "exact":
         report = root_exact_piecewise_affine(problem)
     elif finder == "bisection":
         report = root_bisection(problem, eps=tol)
-    elif finder == "ssnewton":
-        report = root_semismooth_newton(problem, tol=tol, alpha0=warm_alpha)
-    elif finder == "closed_form":
-        return scaled_prox_affine_closed_form(metric, prox.A, prox.b, x,
-                                              prox=prox, kappa=kappa)
-    elif finder == "group":
-        return scaled_prox_group_l1l2(metric, prox, x, kappa=kappa, tol=tol)
     else:
         raise ValueError(f"unknown finder {finder!r}")
     p = report.point if report.point is not None \
         else problem.prox_at(report.alpha_star)
     return p, report
-
-
-def scaled_prox_affine_closed_form(metric: LowRankMetric, A, b, x, prox=None,
-                                   kappa=1.0):
-    """Closed-form rank-1 scaled prox for ``h = indicator(A z = b)``.
-
-    With ``Y = A D^{-1/2}`` and ``Pi`` the projector on ``ker(Y)``,
-
-        alpha* = <u, D^{-1/2}(c - (I - Pi) D^{1/2} x)>
-                 / (1 + sign <u, D^{-1/2} Pi D^{-1/2} u>),
-
-    followed by one diagonal-metric projection; no iteration.
-    """
-    if metric.rank != 1:
-        raise ValueError("closed form applies to rank-1 metrics")
-    if prox is None:
-        prox = AffineConstraint(A, b)
-    from scipy.linalg import cho_factor, cho_solve
-
-    d = metric.diag
-    u = metric.factor_matrix[:, 0]
-    s = metric.sign
-    x = np.asarray(x, dtype=float)
-    d_half = np.sqrt(d)
-    Y = np.asarray(A, dtype=float) / d_half[None, :]
-    factor = cho_factor(Y @ Y.T)
-
-    def pinv_apply(w):
-        return Y.T @ cho_solve(factor, w)
-
-    c_vec = pinv_apply(np.asarray(b, dtype=float))
-    t = d_half * x
-    not_pi_t = pinv_apply(Y @ t)          # (I - Pi) D^{1/2} x
-    w = u / d_half
-    pi_w = w - pinv_apply(Y @ w)
-    denom = 1.0 + s * float(np.dot(w, pi_w))
-    if denom <= 0.0:
-        raise RootFinderError("non-positive closed-form denominator; "
-                              "metric invariants violated")
-    alpha = float(np.dot(u, (c_vec - not_pi_t) / d_half)) / denom
-    p = prox.prox_diag(x - s * alpha * u / d, d, kappa)
-    problem = RootProblem(metric, prox, x, kappa)
-    residual = abs(float(problem.map_L([alpha])[0]))
-    return p, RootSolverReport(np.array([alpha]), residual, 0, "closed_form")
-
-
-def scaled_prox_group_l1l2(metric: LowRankMetric, prox: GroupL2, x, kappa=1.0,
-                           tol=1e-12, max_iter=100):
-    """Rank-1 scaled prox of the group l1-l2 norm.
-
-    The map is piecewise smooth with at most two breakpoints per block,
-    the real roots of ``||d_b x_b - sign * alpha u_b||^2 = (kappa lam)^2``.
-    Breakpoints are sorted, the sign-change interval located by bisection
-    over them, then scalar Newton runs on the smooth piece (falling back
-    to bisection inside the interval if it ever leaves it).
-    """
-    if metric.rank != 1:
-        raise ValueError("the group path applies to rank-1 metrics")
-    problem = RootProblem(metric, prox, x, kappa)
-    u = problem.U[:, 0]
-    d = problem.diag
-    s = problem.sign
-    x = problem.x
-    _, db = prox._block_d(d)
-
-    lam_k = kappa * prox.lam
-    bps = []
-    for bi, blk in enumerate(prox.blocks):
-        ub, xb = u[blk], x[blk]
-        a2 = float(np.dot(ub, ub))
-        if a2 == 0.0:
-            continue
-        b1 = db[bi] * float(np.dot(xb, ub))
-        c0 = db[bi] ** 2 * float(np.dot(xb, xb)) - lam_k ** 2
-        disc = b1 * b1 - a2 * c0
-        if disc < 0:
-            continue
-        root = np.sqrt(disc)
-        bps.extend(((s * b1 - root) / a2, (s * b1 + root) / a2))
-    bps = np.unique(np.asarray(bps, dtype=float))
-
-    beta = root_bound(problem)
-    lo, hi = -beta, beta
-    evals = 0
-    if bps.size:
-        lo_i, hi_i = -1, bps.size
-        while hi_i - lo_i > 1:
-            mid = (lo_i + hi_i) // 2
-            evals += 1
-            if float(problem.map_L([bps[mid]])[0]) <= 0.0:
-                lo_i = mid
-            else:
-                hi_i = mid
-        if lo_i >= 0:
-            lo = bps[lo_i]
-        if hi_i < bps.size:
-            hi = bps[hi_i]
-    lo, hi = min(lo, hi), max(hi, lo)
-
-    shift = problem._shift_dirs[:, 0]
-    alpha = 0.5 * (lo + hi)
-    val = float(problem.map_L([alpha])[0])
-    it = 0
-    while abs(val) > tol and it < max_iter:
-        if val > 0:
-            hi = alpha
-        else:
-            lo = alpha
-        z = problem.shifted_point([alpha])
-        jv = prox.prox_diag_jvp(z, d, kappa, shift[:, None])[:, 0]
-        slope = 1.0 + s * float(np.dot(u, jv))
-        new = alpha - val / slope if slope > 0 else None
-        if new is None or not (lo <= new <= hi):
-            new = 0.5 * (lo + hi)     # Newton left the bracket: bisect
-        if new == alpha:
-            break
-        alpha = new
-        val = float(problem.map_L([alpha])[0])
-        it += 1
-    return problem.prox_at([alpha]), RootSolverReport(
-        np.array([alpha]), abs(val), evals + it, "group",
-        converged=abs(val) <= tol * 10)
 
 
 def _newton_scalar_bracketed(func, lo, hi, f_lo, f_hi, tol, max_iter=80):
@@ -651,9 +525,10 @@ def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0,
     problem in ``P1 - Q2`` with ``P1 = P + Q1``, solved by a bracketed
     scalar Newton/secant with one inner rank-1 solve in ``P1`` per outer
     evaluation.  It is the fallback when the Newton loop fails, and the
-    oracle: ``method="recursive"`` or any ``inner_finder`` other than
-    "auto" selects it, so that e.g. ``inner_finder="bisection"`` is a
-    computation independent of the Newton route.  The report's ``method``
+    oracle: ``method="recursive"`` or ``inner_finder`` "exact" or
+    "bisection" (the values :func:`scaled_prox` accepts besides "auto")
+    selects it, so that e.g. ``inner_finder="bisection"`` is a computation
+    independent of the Newton route.  The report's ``method``
     ("rank2-joint" or "rank2-recursive") names the path that produced the
     point.
     """

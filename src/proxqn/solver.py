@@ -90,6 +90,10 @@ class SolverOptions:
 
 @dataclass
 class SolverResult:
+    """Outcome of a solve.  ``iterations`` is the index of the last
+    recorded iteration, not a count: the trace holds ``iterations + 1``
+    rows, so a solve that stops at its first check reports 0."""
+
     x: np.ndarray
     objective: float
     iterations: int
@@ -277,14 +281,15 @@ def _run_quasi_newton(problem, opts, variant):
         g_new = problem.grad(x_new)
         s = x_new - x
         # a step at rounding level carries no curvature information and
-        # 1/<s,y> would amplify cancellation noise into the metric
-        if np.max(np.abs(s)) <= 1e-13 * (1.0 + np.max(np.abs(x_new))):
-            pair = None
-        else:
-            pair = QNPair(s, g_new - g)
+        # 1/<s,y> would amplify cancellation noise into the metric; two in
+        # a row without a decrease of F put the solve on the objective's
+        # rounding floor, where the next step would repeat this one
+        rounding = np.max(np.abs(s)) <= 1e-13 * (1.0 + np.max(np.abs(x_new)))
+        floor = rounding and pair is None and f_new >= f_val
+        pair = None if rounding else QNPair(s, g_new - g)
         g = g_new
-        return x_new, f_new, \
-            stagnated and t * float(np.max(np.abs(p), initial=0.0)) < 1e-16
+        return x_new, f_new, floor or (
+            stagnated and t * float(np.max(np.abs(p), initial=0.0)) < 1e-16)
 
     return run.drive(x, f_val, propose, advance)
 

@@ -120,7 +120,7 @@ def test_prox_group_input(tmp_path, capsys):
                     "# vector: u\n0.3\n-0.2\n0.1\n0.4\n")
     assert main(["prox", "--input", str(path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert "method=group" in lines[-1]
+    assert "method=ssnewton" in lines[-1]
 
 
 def test_validate_single_suite(capsys):

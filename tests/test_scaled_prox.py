@@ -23,9 +23,7 @@ from proxqn.scaled import (
     root_exact_piecewise_affine,
     root_semismooth_newton,
     scaled_prox,
-    scaled_prox_affine_closed_form,
     scaled_prox_conjugate,
-    scaled_prox_group_l1l2,
     scaled_prox_rank2,
 )
 from proxqn.validate import (
@@ -166,29 +164,14 @@ def test_ssnewton_one_step_on_affine_map(rng):
     assert report.residual <= 1e-12
 
 
-def test_ssnewton_agrees_with_group_path(rng):
-    blocks = [np.arange(0, 3), np.arange(3, 7), np.arange(7, 10)]
-    op = GroupL2(0.8, blocks)
-    d = np.empty(10)
-    for bi, blk in enumerate(blocks):
-        d[blk] = (0.7, 1.4, 1.0)[bi]
-    u = rng.standard_normal(10)
-    u *= np.sqrt(0.5 / np.dot(u, u / d))
-    metric = LowRankMetric(d, [u], +1)
-    x = rng.standard_normal(10) * 2.0
-    problem = RootProblem(metric, op, x)
-    newton = root_semismooth_newton(problem, tol=1e-12)
-    _, special = scaled_prox_group_l1l2(metric, op, x)
-    assert abs(newton.alpha_star[0] - special.alpha_star[0]) <= 1e-10
-
-
 def test_group_breakpoints_single_block():
     # (1 - a)^2 = 0.25 gives candidate breakpoints {0.5, 1.5}
     blocks = [np.arange(2)]
     op = GroupL2(0.5, blocks)
     metric = LowRankMetric(np.ones(2), [np.array([1.0, 0.0])], +1)
     x = np.array([1.0, 0.0])
-    p, report = scaled_prox_group_l1l2(metric, op, x)
+    p, report = scaled_prox(metric, op, x)
+    assert report.method == "ssnewton"
     z = brute_force_scaled_prox(
         dense_metric(metric),
         euclidean_prox_for("group_l1l2", {"lam": 0.5, "blocks": blocks}),
@@ -219,32 +202,70 @@ def test_group_two_oracle_agreement(rng):
         d[blk] = vals[bi]
     u = rng.standard_normal(n)
     u *= np.sqrt(0.4 / np.dot(u, u / d))
-    metric = LowRankMetric(d, [u], -1)
     x = rng.standard_normal(n) * 2.0
-    p_special, rep_special = scaled_prox_group_l1l2(metric, op, x, kappa=1.2)
-    problem = RootProblem(metric, op, x, kappa=1.2)
-    rep_newton = root_semismooth_newton(problem, tol=1e-13)
-    assert abs(rep_special.alpha_star[0] - rep_newton.alpha_star[0]) <= 1e-9
+    for sign in (-1, +1):
+        metric = LowRankMetric(d, [u], sign)
+        p, rep = scaled_prox(metric, op, x, kappa=1.2, tol=1e-13)
+        assert rep.method == "ssnewton" and rep.residual <= 1e-13
+        rep_bis = root_bisection(RootProblem(metric, op, x, kappa=1.2),
+                                 eps=1e-13)
+        assert abs(rep.alpha_star[0] - rep_bis.alpha_star[0]) <= 1e-9
+        z = brute_force_scaled_prox(
+            dense_metric(metric),
+            euclidean_prox_for("group_l1l2", {"lam": 0.7, "blocks": blocks}),
+            x, 1.2)
+        np.testing.assert_allclose(p, z, atol=1e-7)
+
+
+def test_group_warm_start_returns_at_first_evaluation(rng):
+    blocks = [np.arange(0, 3), np.arange(3, 7), np.arange(7, 10)]
+    op = GroupL2(0.8, blocks)
+    d = np.repeat([0.7, 1.4, 1.0], [3, 4, 3])
+    u = rng.standard_normal(10)
+    u *= np.sqrt(0.5 / np.dot(u, u / d))
+    metric = LowRankMetric(d, [u], +1)
+    x = rng.standard_normal(10) * 2.0
+    p, cold = scaled_prox(metric, op, x)
+    assert cold.iterations > 0 and cold.residual <= 1e-12
+    q, warm = scaled_prox(metric, op, x, warm_alpha=cold.alpha_star)
+    assert warm.method == "ssnewton"
+    assert warm.iterations == 0 and len(warm.residual_history) == 1
+    assert np.array_equal(q, p)
+
+
+def test_group_newton_breaks_a_two_cycle():
+    # the map of this group norm in a minus metric is S-shaped: Newton
+    # steps from either side overshoot to the other and |L| alternates
+    # about 1.09 and 1.33; the cycle check bisects once and Newton then
+    # converges, long before the 50-step budget and its fallback
+    d = np.repeat([0.838, 1.319], 3)
+    u = np.array([-0.314, -0.113, 0.995, -0.279, 0.586, -2.171])
+    u *= np.sqrt(0.9 / np.dot(u, u / d))
+    x = np.array([2.155, 4.639, -4.399, 1.165, -1.125, 2.313])
+    blocks = [np.arange(3), np.arange(3, 6)]
+    metric = LowRankMetric(d, [u], -1)
+    p, rep = scaled_prox(metric, GroupL2(1.042, blocks), x)
+    assert rep.method == "ssnewton" and rep.residual <= 1e-12
+    assert rep.iterations <= 15
     z = brute_force_scaled_prox(
         dense_metric(metric),
-        euclidean_prox_for("group_l1l2", {"lam": 0.7, "blocks": blocks}),
-        x, 1.2)
-    np.testing.assert_allclose(p_special, z, atol=1e-7)
+        euclidean_prox_for("group_l1l2", {"lam": 1.042, "blocks": blocks}),
+        x, 1.0)
+    np.testing.assert_allclose(p, z, atol=1e-9)
 
 
 def test_affine_closed_form_cross_method(rng):
+    # V = diag(1, 2) and z_1 = 0: the prox keeps z_2 = x_2, alpha* = 0
     A = np.array([[1.0, 0.0]])
     b = np.zeros(1)
     metric = LowRankMetric(np.ones(2), [np.array([0.0, 1.0])], +1)
     op = AffineConstraint(A, b)
     x = np.array([3.0, 4.0])
-    p_cf, rep_cf = scaled_prox_affine_closed_form(metric, A, b, x, prox=op)
-    problem = RootProblem(metric, op, x)
-    rep_n = root_semismooth_newton(problem, tol=1e-13)
-    assert abs(rep_cf.alpha_star[0] - rep_n.alpha_star[0]) <= 1e-10
-    np.testing.assert_allclose(p_cf, problem.prox_at(rep_n.alpha_star),
-                               atol=1e-10)
-    assert rep_cf.iterations == 0
+    p, rep = scaled_prox(metric, op, x)
+    assert rep.method == "ssnewton" and rep.iterations == 0
+    np.testing.assert_allclose(p, [0.0, 4.0], atol=1e-12)
+    rep_bis = root_bisection(RootProblem(metric, op, x), eps=1e-13)
+    assert abs(rep.alpha_star[0] - rep_bis.alpha_star[0]) <= 1e-10
 
 
 def test_affine_closed_form_feasible_point(rng):
@@ -252,7 +273,7 @@ def test_affine_closed_form_feasible_point(rng):
     x = rng.standard_normal(5)
     b = A @ x
     metric = sample_metric(rng, 5)
-    p, report = scaled_prox_affine_closed_form(metric, A, b, x)
+    p, report = scaled_prox(metric, AffineConstraint(A, b), x)
     assert report.alpha_star[0] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(p, x, atol=1e-10)
 
@@ -264,7 +285,7 @@ def test_affine_closed_form_kkt(rng):
     b = A @ rng.standard_normal(6)
     metric = sample_metric(rng, 6)
     x = rng.standard_normal(6) * 2.0
-    p, _ = scaled_prox_affine_closed_form(metric, A, b, x)
+    p, _ = scaled_prox(metric, AffineConstraint(A, b), x)
     assert np.max(np.abs(A @ p - b)) <= 1e-10
     V = dense_metric(metric)
     for w in null_space(A).T:
@@ -421,15 +442,37 @@ def test_rank2_joint_matches_recursive_near_breakpoints(seed, n, kind, offset,
 
 @pytest.mark.parametrize("op", [L1Norm(0.6), NonNeg(), Box(-0.5, np.inf),
                                 Box(-np.inf, 0.5), Box(-0.5, 0.7),
-                                Hinge(0.8), Zero()])
+                                Hinge(0.8), Zero(),
+                                GroupL2(0.6, np.split(np.arange(12), [3, 7])),
+                                AffineConstraint(np.eye(2, 12), np.ones(2))])
 def test_rank1_routing(rng, op):
     metric = sample_metric(rng, 12)
+    if isinstance(op, GroupL2):
+        # the group prox needs weights constant within each block
+        d = np.repeat(rng.uniform(0.5, 2.0, 3), [3, 4, 5])
+        u = rng.standard_normal(12)
+        metric = LowRankMetric(d, [u * np.sqrt(0.6 / np.dot(u, u / d))], -1)
     x = rng.standard_normal(12)
     p, rep = scaled_prox(metric, op, x)
     assert rep.method == "ssnewton"
-    q, rep_exact = scaled_prox(metric, op, x, finder="exact")
-    assert rep_exact.method == "exact"
-    np.testing.assert_allclose(p, q, atol=1e-12)
+    # the sweep needs a piecewise-affine descriptor; bisection does not
+    oracle = "exact" if op.pa_descriptor(metric.diag) is not None \
+        else "bisection"
+    q, rep_oracle = scaled_prox(metric, op, x, finder=oracle, tol=1e-13)
+    assert rep_oracle.method == oracle
+    np.testing.assert_allclose(p, q, atol=1e-12 if oracle == "exact"
+                               else 1e-10)
+
+
+@pytest.mark.parametrize("finder", ["ssnewton", "group", "closed_form"])
+def test_unknown_finder_rejected(rng, finder):
+    metric = sample_metric(rng, 6)
+    x = rng.standard_normal(6)
+    with pytest.raises(ValueError, match="unknown finder"):
+        scaled_prox(metric, L1Norm(0.5), x, finder=finder)
+    B, _ = _bfgs_metric(rng, 6)
+    with pytest.raises(ValueError, match="unknown finder"):
+        scaled_prox_rank2(B, L1Norm(0.5), x, inner_finder=finder)
 
 
 def test_rank1_newton_does_not_stop_on_equal_slopes_alone():
@@ -529,5 +572,5 @@ def test_monotonicity_and_lipschitz_constants(rng):
 def test_warm_start_size_mismatch_ignored(rng):
     metric = sample_metric(rng, 5)
     p, _ = scaled_prox(metric, L1Norm(0.5), rng.standard_normal(5),
-                       finder="ssnewton", warm_alpha=np.zeros(0))
+                       warm_alpha=np.zeros(0))
     assert p.shape == (5,)

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from proxqn.bench import ProblemRecipe, generate
 from proxqn.metric import LowRankMetric
 from proxqn.prox import L1Norm, NonNeg, Zero
 from proxqn.quasi_newton import QNPair, SR1Config, sr1_metric
@@ -160,12 +163,33 @@ def test_unknown_solver_id():
 
 @pytest.mark.parametrize("solver_id", sorted(SOLVERS))
 def test_budget_stops_early(rng, solver_id):
+    # each objective value costs at least 1 ms, so the 0.05 s budget ends
+    # the solve within 50 iterations, before 0SR1 and 0BFGS reach the
+    # objective's rounding floor (about iteration 85 on this problem)
     prob = _quadratic_l1_problem(rng, 10, mu=0.1, L=10.0, lam=0.2)
+    f = prob.f
+
+    def slow_f(x):
+        time.sleep(1e-3)
+        return f(x)
+
+    prob.f = slow_f
     res = solve(prob, solver_id, SolverOptions(max_iters=10 ** 7, tol=0.0,
                                                budget_seconds=0.05))
     assert res.status == "budget"
     assert not res.converged
     assert len(res.trace) == res.iterations + 1
+
+
+@pytest.mark.parametrize("solver_id", ["zero-sr1", "zero-bfgs"])
+def test_rounding_floor_ends_the_solve(solver_id):
+    # on this grid LASSO the objective reaches its rounding floor while the
+    # prox step stays above tol; the solve must end there, not repeat an
+    # accepted step that leaves x unchanged until the iteration cap
+    prob = generate(ProblemRecipe("lasso_diff3d", side=15, lam=1.0, seed=1))
+    res = solve(prob, solver_id, SolverOptions(max_iters=300))
+    assert res.status in ("converged", "stagnated")
+    assert abs(res.objective - 4272.439286139566) <= 1e-9
 
 
 @pytest.mark.parametrize("solver_id", sorted(SOLVERS))
