@@ -5,6 +5,15 @@ positive and ``U`` a thin factor matrix of rank ``r``.  All operations
 (matrix-vector products, quadratic forms, Sherman-Morrison inversion)
 work on the factored form in ``O(N * r)`` without ever assembling the
 dense matrix.
+
+The public constructors check everything.  The quasi-Newton constructions
+and ``invert`` build metrics with a uniform diagonal ``c I`` through the
+internal ``_trusted`` constructors, which take ``(dim, r)`` factor arrays
+the caller owns and skip the copies, the reshaping and the N-vector scan
+of the diagonal.  They keep the scalar test ``c > 0`` (which rejects NaN),
+the factor drop rule, the Gram rank test and the positive-definiteness
+tests (the Gram test of a minus metric, the outer-Gram test of a
+:class:`PlusMinusMetric`), and give the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -40,17 +49,18 @@ def _as_vector(x, dim=None, name="x"):
     return x
 
 
+def _drop_factors(U):
+    """The columns of ``U`` with norm at least ``FACTOR_DROP_TOL``."""
+    keep = [j for j in range(U.shape[1])
+            if np.linalg.norm(U[:, j]) >= FACTOR_DROP_TOL]
+    return U if len(keep) == U.shape[1] else np.ascontiguousarray(U[:, keep])
+
+
 def _clean_factors(factors, dim):
     """Drop near-zero factors and return a read-only (dim, r) matrix."""
-    cols = []
-    for i, u in enumerate(factors):
-        u = _as_vector(u, dim, name=f"factor {i}")
-        if np.linalg.norm(u) >= FACTOR_DROP_TOL:
-            cols.append(u)
-    if not cols:
-        U = np.zeros((dim, 0))
-    else:
-        U = np.column_stack(cols)
+    cols = [_as_vector(u, dim, name=f"factor {i}")
+            for i, u in enumerate(factors)]
+    U = _drop_factors(np.column_stack(cols)) if cols else np.zeros((dim, 0))
     U.setflags(write=False)
     return U
 
@@ -78,6 +88,9 @@ class LowRankMetric:
         dependent factors.
     """
 
+    # the value c of a uniform diagonal c I built by _trusted, else None
+    _c = None
+
     def __init__(self, diag, factors=(), sign=+1):
         diag = _as_vector(diag, name="diag").copy()
         if diag.size == 0:
@@ -95,6 +108,22 @@ class LowRankMetric:
             raise MetricError(f"rank {U.shape[1]} exceeds dimension {self.dim}")
         self._U = U
         self._validate_factors()
+
+    @classmethod
+    def _trusted(cls, c, U, sign=+1):
+        """``c I + sign U U^T`` from a ``(dim, r)`` factor array the caller
+        owns; see the module docstring for the checks it keeps."""
+        if not c > 0:
+            raise NotPositiveDefiniteError(
+                f"diagonal value must be strictly positive, got {c!r}")
+        m = cls.__new__(cls)
+        m.dim = U.shape[0]
+        m.diag = np.full(m.dim, c)
+        m.diag.setflags(write=False)
+        m.sign, m._c = sign, c
+        m._U = _drop_factors(U)
+        m._validate_factors()
+        return m
 
     # -- construction-time checks -------------------------------------
 
@@ -170,7 +199,14 @@ class LowRankMetric:
         """
         p_inv = 1.0 / self.diag
         if self.rank == 0:
-            return LowRankMetric(p_inv)
+            W, sign = self._U, +1
+        else:
+            W, sign = self._inverse_factor(p_inv), -self.sign
+        if self._c is None:
+            return LowRankMetric(p_inv, W.T, sign)
+        return LowRankMetric._trusted(1.0 / self._c, W, sign)
+
+    def _inverse_factor(self, p_inv):
         C = np.eye(self.rank) + self.sign * self._gram
         # C is SPD: for sign +, C >= I; for sign -, PD by the metric invariant.
         # A 1-by-1 C is its own eigen-decomposition; the array power below
@@ -180,9 +216,7 @@ class LowRankMetric:
         if ew[0] <= 0:
             raise NotPositiveDefiniteError("capacitance matrix not positive definite")
         C_inv_half = EV @ np.diag(ew ** -0.5) @ EV.T
-        W = (self._U * p_inv[:, None]) @ C_inv_half
-        return LowRankMetric(p_inv, [W[:, i] for i in range(W.shape[1])],
-                             -self.sign)
+        return (self._U * p_inv[:, None]) @ C_inv_half
 
     def __repr__(self):
         s = "+" if self.sign > 0 else "-"
@@ -208,21 +242,37 @@ class PlusMinusMetric:
         self._U2 = _clean_factors(minus_factors, self.dim)
         self._W2 = np.zeros((self.dim, 0))
         if self._U2.shape[1]:
-            inner = LowRankMetric(diag, plus_factors, +1) if self._U1.shape[1] else \
-                LowRankMetric(diag)
-            P1_inv = inner.invert()
-            self._W2 = np.column_stack(
-                [P1_inv.apply(self._U2[:, j]) for j in range(self._U2.shape[1])]
+            self._check_outer(LowRankMetric(diag, self._U1.T, +1))
+
+    @classmethod
+    def _trusted(cls, c, U1, U2):
+        """``c I + U1 U1^T - U2 U2^T`` from ``(dim, r)`` factor arrays the
+        caller owns; see the module docstring for the checks it keeps."""
+        inner = LowRankMetric._trusted(c, U1, +1)   # P1 = P + Q1
+        m = cls.__new__(cls)
+        m.dim, m.diag, m._U1 = inner.dim, inner.diag, inner.factor_matrix
+        m._U2 = _drop_factors(U2)
+        m._W2 = np.zeros((m.dim, 0))
+        if m._U2.shape[1]:
+            m._check_outer(inner)
+        return m
+
+    def _check_outer(self, inner):
+        """Keep ``W2 = P1^{-1} U2`` from the inverse of ``inner = P + Q1``
+        and run the outer Gram test on ``P1 - Q2``."""
+        P1_inv = inner.invert()
+        self._W2 = np.column_stack(
+            [P1_inv.apply(self._U2[:, j]) for j in range(self._U2.shape[1])]
+        )
+        self._W2.setflags(write=False)
+        M = self._U2.T @ self._W2
+        C = np.eye(self._U2.shape[1]) - 0.5 * (M + M.T)
+        ew = C[0] if C.shape[0] == 1 else np.linalg.eigvalsh(C)
+        if ew[0] <= 0:
+            raise NotPositiveDefiniteError(
+                "diag + Q1 - Q2 is not positive definite "
+                f"(outer Gram eigenvalue {ew[0]:.3g} <= 0)"
             )
-            self._W2.setflags(write=False)
-            M = self._U2.T @ self._W2
-            C = np.eye(self._U2.shape[1]) - 0.5 * (M + M.T)
-            ew = C[0] if C.shape[0] == 1 else np.linalg.eigvalsh(C)
-            if ew[0] <= 0:
-                raise NotPositiveDefiniteError(
-                    "diag + Q1 - Q2 is not positive definite "
-                    f"(outer Gram eigenvalue {ew[0]:.3g} <= 0)"
-                )
 
     @property
     def plus_factors(self):

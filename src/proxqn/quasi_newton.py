@@ -9,7 +9,7 @@ degenerate pairs skip the correction and keep the diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,10 +35,12 @@ class CurvatureError(ValueError):
 @dataclass(frozen=True)
 class QNPair:
     """Displacement ``s = x_k - x_{k-1}`` and gradient change
-    ``y = grad f(x_k) - grad f(x_{k-1})``."""
+    ``y = grad f(x_k) - grad f(x_{k-1})``, with the curvature ``<s, y>``
+    computed once."""
 
     s: np.ndarray
     y: np.ndarray
+    curvature: float = field(init=False)
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
@@ -47,10 +49,7 @@ class QNPair:
             raise ValueError("s and y must be 1-d vectors of equal length")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "y", y)
-
-    @property
-    def curvature(self):
-        return float(np.dot(self.s, self.y))
+        object.__setattr__(self, "curvature", float(np.dot(s, y)))
 
 
 @dataclass(frozen=True)
@@ -105,20 +104,18 @@ def sr1_metric(pair, cfg: SR1Config = SR1Config(), dim=None, tau0=1.0):
     if pair is None:
         if dim is None:
             raise ValueError("dim is required when no pair is given")
-        return LowRankMetric(np.full(dim, float(tau0)))
+        return LowRankMetric._trusted(float(tau0), np.zeros((dim, 0)))
     n = pair.s.shape[0]
     yy = float(np.dot(pair.y, pair.y))
     if yy == 0.0:
-        return LowRankMetric(np.full(n, float(tau0)))
-    tau_bb2 = pair.curvature / yy
-    tau_bb2 = float(np.clip(tau_bb2, cfg.tau_min, cfg.tau_max))
-    h0 = cfg.gamma * tau_bb2
+        return LowRankMetric._trusted(float(tau0), np.zeros((n, 0)))
+    h0 = cfg.gamma * min(max(pair.curvature / yy, cfg.tau_min), cfg.tau_max)
     w = pair.s - h0 * pair.y
     wy = float(np.dot(w, pair.y))
     if wy <= cfg.skip_tol * np.linalg.norm(pair.y) * np.linalg.norm(w):
-        return LowRankMetric(np.full(n, h0))
+        return LowRankMetric._trusted(h0, np.zeros((n, 0)))
     u = w / np.sqrt(wy)
-    return LowRankMetric(np.full(n, h0), [u], +1)
+    return LowRankMetric._trusted(h0, u.reshape(n, 1), +1)
 
 
 def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
@@ -143,11 +140,12 @@ def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
     if gamma <= 0:
         raise ValueError("gamma must be positive")
 
+    n = pair.s.shape[0]
+
     def _diagonal(tau):
-        n = pair.s.shape[0]
-        h = gamma * tau
-        return (PlusMinusMetric(np.full(n, h)),
-                PlusMinusMetric(np.full(n, 1.0 / h)), True)
+        h, empty = gamma * tau, np.zeros((n, 0))
+        return (PlusMinusMetric._trusted(h, empty, empty),
+                PlusMinusMetric._trusted(1.0 / h, empty, empty), True)
 
     sy = pair.curvature
     if sy <= 0.0:
@@ -158,15 +156,16 @@ def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
     rho = 1.0 / sy
     u_g = pair.s - (gamma * tau / (1.0 + gamma)) * pair.y
     try:
-        H = PlusMinusMetric(
-            np.full(pair.s.shape[0], gamma * tau),
-            [np.sqrt(rho * (1.0 + gamma)) * u_g],
-            [np.sqrt(rho * gamma ** 2 * tau ** 2 / (1.0 + gamma)) * pair.y],
+        H = PlusMinusMetric._trusted(
+            gamma * tau,
+            (np.sqrt(rho * (1.0 + gamma)) * u_g).reshape(n, 1),
+            (np.sqrt(rho * gamma ** 2 * tau ** 2 / (1.0 + gamma))
+             * pair.y).reshape(n, 1),
         )
-        B = PlusMinusMetric(
-            np.full(pair.s.shape[0], 1.0 / (gamma * tau)),
-            [pair.y / (np.sqrt(yy) * np.sqrt(tau))],
-            [pair.s / (np.sqrt(ss) * np.sqrt(gamma * tau))],
+        B = PlusMinusMetric._trusted(
+            1.0 / (gamma * tau),
+            (pair.y / (np.sqrt(yy) * np.sqrt(tau))).reshape(n, 1),
+            (pair.s / (np.sqrt(ss) * np.sqrt(gamma * tau))).reshape(n, 1),
         )
     except NotPositiveDefiniteError:
         # numerically degenerate pair (s nearly parallel to y at an

@@ -85,7 +85,8 @@ class RootProblem:
 
     Carries the strong-monotonicity modulus ``c`` (1 for a plus metric,
     ``1 - ||P^{-1/2} U||^2`` for a minus metric) and the Lipschitz bound
-    ``1 + ||P^{-1/2} U||^2`` of the map.
+    ``1 + ||P^{-1/2} U||^2`` of the map.  The weights ``diag(P)`` are checked
+    once, here; the root finders then call the unchecked ``_prox_diag``.
     """
 
     def __init__(self, metric: LowRankMetric, prox, x, kappa=1.0):
@@ -99,7 +100,7 @@ class RootProblem:
         self.kappa = float(kappa)
         self.sign = metric.sign
         self.U = metric.factor_matrix
-        self.diag = metric.diag
+        self.diag = prox.check_weights(metric.diag, metric.dim)
         self._shift_dirs = self.U / self.diag[:, None]  # P^{-1} U
         g_sq = metric.gram_norm_sq()
         self.lipschitz_bound = 1.0 + g_sq
@@ -113,7 +114,8 @@ class RootProblem:
         return self.x - self.sign * (self._shift_dirs @ np.atleast_1d(alpha))
 
     def prox_at(self, alpha):
-        return self.prox.prox_diag(self.shifted_point(alpha), self.diag, self.kappa)
+        return self.prox._prox_diag(self.shifted_point(alpha), self.diag,
+                                    self.kappa)
 
     def map_L(self, alpha):
         """The dual map whose unique zero determines the scaled prox."""
@@ -147,8 +149,8 @@ def root_bound(problem: RootProblem):
     u = problem.U[:, 0]
     u_norm = float(np.linalg.norm(u))
     q0 = float(np.linalg.norm(
-        problem.prox.prox_diag(np.zeros(problem.x.shape[0]), problem.diag,
-                               problem.kappa)))
+        problem.prox._prox_diag(np.zeros(problem.x.shape[0]), problem.diag,
+                                problem.kappa)))
     if q0 == 0.0:
         s0 = 0.0
     else:
@@ -398,7 +400,7 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
     lo, hi, jw_prev, history, widths = -np.inf, np.inf, None, [], []
     for it in range(max_iter + 1):
         z = x - (s * alpha) * W[:, 0]
-        p = prox.prox_diag(z, d, kappa)
+        p = prox._prox_diag(z, d, kappa)
         val = float(u @ (x - p)) + alpha
         history.append(abs(val))
         if abs(val) <= tol:
@@ -461,7 +463,7 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
     """
     problem = RootProblem(metric, prox, x, kappa)
     if problem.rank == 0:
-        p = prox.prox_diag(problem.x, metric.diag, kappa)
+        p = prox._prox_diag(problem.x, problem.diag, kappa)
         return p, RootSolverReport(np.zeros(0), 0.0, 0, "diagonal")
     if warm_alpha is not None and \
             np.atleast_1d(warm_alpha).size != problem.rank:
@@ -563,7 +565,7 @@ def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
     residual does not reach ``tol``: no sufficient decrease after 30
     halvings, or 60 steps.
     """
-    P = metric.diag
+    P = prox.check_weights(metric.diag, metric.dim)
     U1, U2 = metric.factor_matrices
     r1 = U1.shape[1]
     r = r1 + U2.shape[1]
@@ -576,7 +578,7 @@ def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
 
     def system(ab):
         z = x + W @ (sgn * ab)
-        p = prox.prox_diag(z, P, kappa)
+        p = prox._prox_diag(z, P, kappa)
         return U.T @ (x - p) + K @ ab, p, z
 
     ab = np.array(warm, dtype=float) if warm is not None and \

@@ -168,14 +168,15 @@ class _Run:
 
     - ``propose(k, x)`` returns the candidate point of iteration ``k``;
     - ``advance(k, x, f_val, x_new, dx)`` moves past it and returns the
-      next ``(x, f_val, stalled)``.
+      next ``(x, f_val, stop)``, where ``stop`` is None or the status
+      that ends the solve there ("stagnated" or "nonfinite").
 
     Each iteration is recorded with the sup-norm of ``dx = x_new - x``
     before any stopping test.  The solve ends "nonfinite" on a NaN or
     infinite objective (except +inf at the start: an infeasible ``x0``,
     which the first prox step repairs), "converged" once the step norm
-    drops below ``tol``, "budget" past ``budget_seconds``, "stagnated"
-    when ``advance`` reports ``stalled``, and "max_iters" otherwise.
+    drops below ``tol``, "budget" past ``budget_seconds``, with the
+    status ``advance`` returns as ``stop``, and "max_iters" otherwise.
     """
 
     def __init__(self, problem, opts, solver_id):
@@ -214,9 +215,9 @@ class _Run:
                     self.elapsed() > opts.budget_seconds:
                 status = "budget"
                 break
-            x, f_val, stalled = advance(k, x, f_val, x_new, dx)
-            if stalled:
-                status = "stagnated"
+            x, f_val, stop = advance(k, x, f_val, x_new, dx)
+            if stop:
+                status = stop
                 break
         return SolverResult(x=x, objective=f_val, iterations=k,
                             converged=converged, status=status,
@@ -288,8 +289,12 @@ def _run_quasi_newton(problem, opts, variant):
         floor = rounding and pair is None and f_new >= f_val
         pair = None if rounding else QNPair(s, g_new - g)
         g = g_new
-        return x_new, f_new, floor or (
+        # a non-finite gradient shows in <s, y>; no metric can be built
+        if pair is not None and not math.isfinite(pair.curvature):
+            return x_new, f_new, "nonfinite"
+        stalled = floor or (
             stagnated and t * float(np.max(np.abs(p), initial=0.0)) < 1e-16)
+        return x_new, f_new, "stagnated" if stalled else None
 
     return run.drive(x, f_val, propose, advance)
 
@@ -329,7 +334,7 @@ def run_ista(problem, opts=None):
         return _euclid_prox(problem.h, x - kappa * problem.grad(x), kappa)
 
     def advance(k, x, f_val, x_new, dx):
-        return x_new, problem.objective(x_new), False
+        return x_new, problem.objective(x_new), None
 
     return run.drive(x, problem.objective(x), propose, advance)
 
@@ -373,7 +378,7 @@ def run_fista_bb(problem, opts=None):
         if sy > 0:
             kappa = min(max(sy / float(np.dot(yk, yk)), 1e-3 / L), 1e6 / L)
         y, g_y, t_mom = y_new, g_y_new, t_next
-        return x_new, problem.objective(x_new), False
+        return x_new, problem.objective(x_new), None
 
     return run.drive(x, f_val, propose, advance, first=1, settle=True)
 
@@ -413,7 +418,7 @@ def run_spg_sparsa(problem, opts=None):
             if sy > 0 else 1.0 / L
         g = g_new
         history.append(f_new)
-        return x_new, f_new, False
+        return x_new, f_new, None
 
     return run.drive(x, f_val, propose, advance, settle=True)
 

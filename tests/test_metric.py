@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxqn.metric import (
     LowRankMetric,
@@ -68,6 +70,34 @@ def test_invert_rank1_matches_eigh_formula_bitwise(rng):
         assert inv.sign == -sign
         assert np.array_equal(inv.factor_matrix, W)
         assert m.gram_norm_sq() == np.linalg.eigvalsh(0.5 * (G + G.T))[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 12),
+       rank=st.sampled_from([1, 2]), sign=st.sampled_from([+1, -1]),
+       gram=st.floats(0.01, 0.95))
+def test_invert_is_an_involution(seed, n, rank, sign, gram):
+    # the inverse undoes the metric, and inverting twice gives it back
+    rng = np.random.default_rng(seed)
+    d = np.exp(rng.uniform(-2.0, 2.0, n))
+    U = rng.standard_normal((n, rank))
+    # scale so that the largest eigenvalue of the Gram U^T P^-1 U is `gram`
+    U *= np.sqrt(gram / np.linalg.eigvalsh(U.T @ (U / d[:, None]))[-1])
+    try:
+        m = LowRankMetric(d, U.T, sign)
+    except MetricError:   # nearly dependent columns
+        return
+    inv = m.invert()
+    assert inv.sign == -sign
+    x = rng.standard_normal(n)
+    scale = 1.0 + np.max(np.abs(x))
+    assert np.max(np.abs(inv.apply(m.apply(x)) - x)) <= 1e-9 * scale
+    assert np.max(np.abs(m.apply(inv.apply(x)) - x)) <= 1e-9 * scale
+    back = inv.invert()
+    assert back.sign == sign
+    np.testing.assert_allclose(back.diag, m.diag, rtol=1e-14)
+    np.testing.assert_allclose(back.factor_matrix, m.factor_matrix,
+                               rtol=1e-9, atol=1e-12 * np.max(np.abs(U)))
 
 
 def test_invert_diagonal():

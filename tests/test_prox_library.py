@@ -17,6 +17,8 @@ from proxqn.prox import (
     Simplex,
     Zero,
 )
+from proxqn.metric import LowRankMetric, PlusMinusMetric
+from proxqn.scaled import scaled_prox, scaled_prox_rank2
 from proxqn.validate import exhaustive_simplex_qp
 
 
@@ -197,6 +199,34 @@ def test_group_l2_rejects_varying_weights():
     op = GroupL2(1.0, [np.array([0, 1])])
     with pytest.raises(ValueError):
         op.prox_diag(np.ones(2), np.array([1.0, 2.0]))
+    # the root problems check the metric diagonal once, with the same rule
+    metric = LowRankMetric(np.array([1.0, 2.0]), [np.array([0.3, 0.1])], +1)
+    for finder in ("auto", "bisection"):
+        with pytest.raises(ValueError, match="constant within blocks"):
+            scaled_prox(metric, op, np.ones(2), finder=finder)
+    with pytest.raises(ValueError, match="constant within blocks"):
+        scaled_prox_rank2(PlusMinusMetric(np.array([1.0, 2.0]),
+                                          [np.array([0.3, 0.1])],
+                                          [np.array([0.1, -0.2])]),
+                          op, np.ones(2))
+
+
+_ALL_OPERATORS = [
+    Zero(), L1Norm(0.5), NonNeg(), Box(-1.0, 2.0), Hinge(0.5),
+    LinfBall(1.0), L1Ball(1.0), Simplex(1.0), LinfNorm(0.5),
+    MaxFunction(0.5), GroupL2(0.5, [np.array([0, 1]), np.array([2])]),
+    AffineConstraint(np.array([[1.0, 1.0, 1.0]]), np.array([1.0])),
+]
+
+
+@pytest.mark.parametrize("op", _ALL_OPERATORS,
+                         ids=lambda op: type(op).__name__)
+def test_public_prox_diag_rejects_nonpositive_weights(op):
+    x = np.array([0.4, -1.2, 0.7])
+    assert np.all(np.isfinite(op.prox_diag(x, np.ones(3))))
+    for bad in ([1.0, 0.0, 1.0], [1.0, 1.0, -2.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="strictly positive"):
+            op.prox_diag(x, np.array(bad))
 
 
 def test_affine_projection_examples(rng):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from proxqn.metric import LowRankMetric
+from proxqn.metric import (
+    FACTOR_DROP_TOL,
+    LowRankMetric,
+    NotPositiveDefiniteError,
+    PlusMinusMetric,
+)
 from proxqn.quasi_newton import (
     CurvatureError,
     QNPair,
@@ -158,6 +163,103 @@ def test_contraction_rate_formulas():
     assert rho == pytest.approx(1.0 - 1.0 / (8.0 * eta))
     with pytest.raises(ValueError):
         contraction_rate(mu, L, 0.5, kappa, 3.0 / (L * b))
+
+
+def _same_low_rank(a, b):
+    assert a.sign == b.sign
+    assert np.array_equal(a.diag, b.diag)
+    assert np.array_equal(a.factor_matrix, b.factor_matrix)
+    assert np.array_equal(a._gram, b._gram)
+    assert a.gram_norm_sq() == b.gram_norm_sq()
+
+
+def _same_plus_minus(a, b):
+    assert np.array_equal(a.diag, b.diag)
+    for fa, fb in zip(a.factor_matrices, b.factor_matrices):
+        assert np.array_equal(fa, fb)
+    assert np.array_equal(a.p1_inv_minus, b.p1_inv_minus)
+
+
+def _random_pairs(rng, count):
+    for _ in range(count):
+        n = int(rng.integers(1, 120))
+        s = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0)
+        y = s * rng.uniform(0.1, 10.0, n) + 0.3 * rng.standard_normal(n) \
+            * np.linalg.norm(s) / np.sqrt(n)
+        yield QNPair(s, y * 10.0 ** rng.uniform(-3.0, 3.0))
+
+
+def test_sr1_trusted_construction_matches_public_bitwise(rng):
+    # the trusted constructor and its inverse give the numbers the public
+    # constructor gives on the same data, including the skipped update
+    # (orthogonal pair) and the rank-0 first iteration
+    pairs = list(_random_pairs(rng, 150)) + [
+        QNPair(np.array([1.0, 0.0]), np.array([0.0, 1.0])), None]
+    ranks = set()
+    for pair in pairs:
+        H = sr1_metric(pair, dim=2, tau0=0.3)
+        ranks.add(H.rank)
+        public = LowRankMetric(H.diag, H.factors, H.sign)
+        _same_low_rank(H, public)
+        _same_low_rank(H.invert(), public.invert())
+    assert ranks == {0, 1}
+
+
+def test_zbfgs_trusted_construction_matches_public_bitwise(rng):
+    for pair in _random_pairs(rng, 150):
+        H, B, skipped = zbfgs_metric(pair)
+        for m in (H, B):
+            _same_plus_minus(m, PlusMinusMetric(m.diag, m.plus_factors,
+                                                m.minus_factors))
+
+
+def test_trusted_constructors_drop_tiny_factors(rng):
+    n = 6
+    u = rng.standard_normal(n)
+    tiny = np.full(n, 0.5 * FACTOR_DROP_TOL / np.sqrt(n))
+    U = np.column_stack([u, tiny])
+    m = LowRankMetric._trusted(0.7, U, +1)
+    assert m.rank == 1
+    _same_low_rank(m, LowRankMetric(np.full(n, 0.7), [u, tiny], +1))
+    pm = PlusMinusMetric._trusted(0.7, U[:, :1], U[:, 1:])
+    assert pm.ranks == (1, 0)
+    _same_plus_minus(pm, PlusMinusMetric(np.full(n, 0.7), [u], [tiny]))
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(NotPositiveDefiniteError):
+            LowRankMetric._trusted(bad, U)
+        with pytest.raises(NotPositiveDefiniteError):
+            PlusMinusMetric._trusted(bad, U[:, :1], U[:, 1:])
+
+
+def test_zbfgs_degenerate_pair_falls_back_to_the_diagonal():
+    # s and y nearly parallel at extreme scales: the outer Gram test of
+    # the trusted construction fails as the public one does, and the
+    # diagonal gamma * tau_bb2 I is returned
+    v = np.array([0.6, -0.3, 0.8])
+    s = v * 1e-60
+    y = (v + np.array([0.0, 1e-9, 0.0])) * 1e-28
+    pair = QNPair(s, y)
+    H, B, skipped = zbfgs_metric(pair, gamma=1.0)
+    assert skipped and H.ranks == (0, 0) and B.ranks == (0, 0)
+    tau = pair.curvature / float(np.dot(y, y))
+    assert np.array_equal(H.diag, np.full(3, tau))
+    assert np.array_equal(B.diag, np.full(3, 1.0 / tau))
+    rho = 1.0 / pair.curvature
+    h_plus = np.sqrt(2.0 * rho) * (s - 0.5 * tau * y)
+    h_minus = np.sqrt(rho * tau ** 2 / 2.0) * y
+    b_plus = y / (np.sqrt(np.dot(y, y)) * np.sqrt(tau))
+    b_minus = s / (np.sqrt(np.dot(s, s)) * np.sqrt(tau))
+    failing = 0
+    for c, plus, minus in ((tau, h_plus, h_minus),
+                           (1.0 / tau, b_plus, b_minus)):
+        try:
+            PlusMinusMetric(np.full(3, c), [plus], [minus])
+        except NotPositiveDefiniteError:
+            failing += 1
+            with pytest.raises(NotPositiveDefiniteError):
+                PlusMinusMetric._trusted(c, plus.reshape(3, 1),
+                                         minus.reshape(3, 1))
+    assert failing
 
 
 def test_config_validation():

@@ -221,6 +221,28 @@ def test_nonfinite_objective_ends_the_solve(solver_id):
 
 
 @pytest.mark.parametrize("solver_id", sorted(SOLVERS))
+def test_nonfinite_gradient_ends_the_solve(solver_id):
+    # the gradient turns NaN from its 4th call on; the quasi-Newton
+    # solvers see it in <s, y> before any metric is built from the pair
+    prob = generate(ProblemRecipe("lasso_gaussian", m=150, n=300, lam=0.1,
+                                  seed=0))
+    calls = [0]
+    grad = prob.grad
+
+    def nan_grad(x):
+        calls[0] += 1
+        g = grad(x)
+        if calls[0] >= 4:
+            g[0] = np.nan
+        return g
+
+    prob.grad = nan_grad
+    res = solve(prob, solver_id, SolverOptions(max_iters=50))
+    assert res.status == "nonfinite"
+    assert not res.converged and res.iterations <= 4
+
+
+@pytest.mark.parametrize("solver_id", sorted(SOLVERS))
 def test_infeasible_start_is_not_nonfinite(solver_id):
     # F(x0) = +inf at an x0 outside dom h; the first prox step repairs it
     prob = quadratic_problem(np.diag([1.0, 2.0, 3.0]),
