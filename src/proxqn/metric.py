@@ -18,6 +18,8 @@ tests (the Gram test of a minus metric, the outer-Gram test of a
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -51,8 +53,8 @@ def _as_vector(x, dim=None, name="x"):
 
 def _drop_factors(U):
     """The columns of ``U`` with norm at least ``FACTOR_DROP_TOL``."""
-    keep = [j for j in range(U.shape[1])
-            if np.linalg.norm(U[:, j]) >= FACTOR_DROP_TOL]
+    keep = [j for j, u in enumerate(np.ascontiguousarray(U.T))
+            if math.sqrt(u.dot(u)) >= FACTOR_DROP_TOL]
     return U if len(keep) == U.shape[1] else np.ascontiguousarray(U[:, keep])
 
 
@@ -197,26 +199,28 @@ class LowRankMetric:
         low-rank part flips.  For r = 1 this reduces to
         ``v = P^{-1} u / sqrt(1 +- u^T P^{-1} u)``.
         """
-        p_inv = 1.0 / self.diag
-        if self.rank == 0:
-            W, sign = self._U, +1
-        else:
-            W, sign = self._inverse_factor(p_inv), -self.sign
+        sign = -self.sign if self.rank else +1
         if self._c is None:
-            return LowRankMetric(p_inv, W.T, sign)
-        return LowRankMetric._trusted(1.0 / self._c, W, sign)
+            p_inv = 1.0 / self.diag
+            return LowRankMetric(p_inv, self._inverse_factor(p_inv[:, None]).T,
+                                 sign)
+        c_inv = 1.0 / self._c   # a trusted c I needs no 1/diag vector
+        return LowRankMetric._trusted(c_inv, self._inverse_factor(c_inv), sign)
 
     def _inverse_factor(self, p_inv):
+        """``P^{-1} U C^{-1/2}``, ``C = I + sign U^T P^{-1} U``, where ``p_inv``
+        is the column ``1/diag`` or the scalar ``1/c``."""
+        if self.rank <= 1:
+            # C > 0 by the Gram test; the power of the 1-element array gives
+            # eigh's factor bit for bit, a Python float power does not
+            return self._U if self.rank == 0 else \
+                self._U * p_inv * (1.0 + self.sign * self._gram[0]) ** -0.5
         C = np.eye(self.rank) + self.sign * self._gram
         # C is SPD: for sign +, C >= I; for sign -, PD by the metric invariant.
-        # A 1-by-1 C is its own eigen-decomposition; the array power below
-        # matches eigh's factor bit for bit, a Python float power does not.
-        ew, EV = (C[0], np.ones((1, 1))) if self.rank == 1 else \
-            np.linalg.eigh(0.5 * (C + C.T))
+        ew, EV = np.linalg.eigh(0.5 * (C + C.T))
         if ew[0] <= 0:
             raise NotPositiveDefiniteError("capacitance matrix not positive definite")
-        C_inv_half = EV @ np.diag(ew ** -0.5) @ EV.T
-        return (self._U * p_inv[:, None]) @ C_inv_half
+        return (self._U * p_inv) @ (EV @ np.diag(ew ** -0.5) @ EV.T)
 
     def __repr__(self):
         s = "+" if self.sign > 0 else "-"
@@ -231,6 +235,7 @@ class PlusMinusMetric:
     Gram test on ``P1 - Q2`` with ``P1 = P + Q1``.
     """
 
+    _c = None   # as on LowRankMetric
     def __init__(self, diag, plus_factors=(), minus_factors=()):
         diag = _as_vector(diag, name="diag").copy()
         if not np.all(diag > 0):
@@ -251,6 +256,7 @@ class PlusMinusMetric:
         inner = LowRankMetric._trusted(c, U1, +1)   # P1 = P + Q1
         m = cls.__new__(cls)
         m.dim, m.diag, m._U1 = inner.dim, inner.diag, inner.factor_matrix
+        m._c = c
         m._U2 = _drop_factors(U2)
         m._W2 = np.zeros((m.dim, 0))
         if m._U2.shape[1]:

@@ -8,6 +8,9 @@ which is the proximity operator of ``kappa * h`` in the metric ``diag(d)``.
 The public ``prox_diag`` checks the weights (``check_weights``) and calls
 the unchecked core ``_prox_diag``; the root finders of :mod:`proxqn.scaled`
 check them once per root problem and call the core and ``prox_diag_jvp``.
+The rank-1 Newton calls the fused ``_prox_jw(z, d, kappa, w)``: the bits of
+``_prox_diag`` and of ``prox_diag_jvp`` with ``w[:, None]`` (or None), with
+shared temporaries (thresholds, group norms) formed once.
 Separable operators additionally expose a piecewise-affine description of
 their scalar prox maps (breakpoints / slopes / intercepts), which is what
 the exact low-rank root finder consumes.
@@ -121,6 +124,7 @@ class ProxOperator:
 
     separable = False
     blocks = None
+    dim = None   # the dimension the operator is built for, if it has one
 
     def evaluate(self, x):
         raise NotImplementedError
@@ -154,6 +158,12 @@ class ProxOperator:
         if slopes is None:
             return None
         return slopes[:, None] * np.atleast_2d(M.T).T
+
+    def _prox_jw(self, z, d, kappa, w):
+        """The prox and the Jacobian product with the vector ``w`` at ``z``."""
+        p = self._prox_diag(z, d, kappa)
+        jw = self.prox_diag_jvp(z, d, kappa, w[:, None])
+        return p, None if jw is None else jw[:, 0]
 
     def slope_rule(self, z, d, kappa):
         """The descriptor's Clarke slopes at ``z``, or None; separable
@@ -190,10 +200,27 @@ class Zero(ProxOperator):
         )
 
 
-class L1Norm(ProxOperator):
-    """``h(x) = lam * ||x||_1``; weighted soft thresholding."""
+class _Thresholding(ProxOperator):
+    """Separable, with prox map ``_prox_at(z, t)`` and Clarke slopes
+    ``_slopes_at(z, t)`` at the thresholds ``t = kappa * lam / d``."""
 
     separable = True
+
+    def _prox_diag(self, x, d, kappa):
+        if kappa <= 0:
+            raise ValueError("kappa must be positive")
+        return self._prox_at(x, kappa * self.lam / d)
+
+    def slope_rule(self, z, d, kappa):
+        return self._slopes_at(z, kappa * self.lam / d)
+
+    def _prox_jw(self, z, d, kappa, w):
+        t = kappa * self.lam / d
+        return self._prox_at(z, t), self._slopes_at(z, t) * w
+
+
+class L1Norm(_Thresholding):
+    """``h(x) = lam * ||x||_1``; weighted soft thresholding."""
 
     def __init__(self, lam):
         if lam <= 0:
@@ -203,14 +230,12 @@ class L1Norm(ProxOperator):
     def evaluate(self, x):
         return self.lam * float(np.sum(np.abs(x)))
 
-    def _prox_diag(self, x, d, kappa):
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
-        t = kappa * self.lam / d
-        return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    @staticmethod
+    def _prox_at(z, t):
+        return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
-    def slope_rule(self, z, d, kappa):
-        t = kappa * self.lam / d
+    @staticmethod
+    def _slopes_at(z, t):
         return ~((z >= -t) & (z < t))
 
     def pa_descriptor(self, d, kappa=1.0):
@@ -294,10 +319,8 @@ class LinfBall(Box):
         return L1Norm(self.radius)
 
 
-class Hinge(ProxOperator):
+class Hinge(_Thresholding):
     """``h(x) = lam * sum_i max(0, x_i)`` (one-sided shrink)."""
-
-    separable = True
 
     def __init__(self, lam=1.0):
         if lam <= 0:
@@ -307,12 +330,12 @@ class Hinge(ProxOperator):
     def evaluate(self, x):
         return self.lam * float(np.sum(np.maximum(np.asarray(x, dtype=float), 0.0)))
 
-    def _prox_diag(self, x, d, kappa):
-        c = kappa * self.lam / d
-        return np.where(x > c, x - c, np.minimum(x, 0.0))
+    @staticmethod
+    def _prox_at(z, c):
+        return np.where(z > c, z - c, np.minimum(z, 0.0))
 
-    def slope_rule(self, z, d, kappa):
-        c = kappa * self.lam / d
+    @staticmethod
+    def _slopes_at(z, c):
         return ~((z >= 0.0) & (z < c))
 
     def pa_descriptor(self, d, kappa=1.0):
@@ -368,6 +391,15 @@ def project_l1_ball_weighted(y, w, radius):
     return np.sign(y) * project_simplex_weighted(np.abs(y), w, radius)
 
 
+def _active_set_jvp(active, d, M):
+    """Clarke Jacobian of ``z -> max(0, z - theta(z)/d)``, the weighted simplex
+    projection, times ``M``, through its non-empty ``active`` set at ``z``."""
+    w = 1.0 / d[active]
+    out = np.zeros_like(M)
+    out[active] = M[active] - np.outer(w, M[active].sum(axis=0) / np.sum(w))
+    return out
+
+
 class Simplex(ProxOperator):
     """Indicator of ``{z >= 0, sum z = radius}``."""
 
@@ -387,18 +419,8 @@ class Simplex(ProxOperator):
         return project_simplex_weighted(x, d, self.radius)
 
     def prox_diag_jvp(self, z, d, kappa, M):
-        # Clarke element at the input point: differentiate
-        # z -> max(0, z - theta(z)/d) through the active set of the
-        # projection of z (non-empty since the radius is positive).
-        active = self._prox_diag(z, d, kappa) > 0
-        w = 1.0 / d
-        M = np.atleast_2d(np.asarray(M, dtype=float).T).T
-        out = np.zeros_like(M)
-        denom = float(np.sum(w[active]))
-        out[active] = M[active] - np.outer(
-            w[active], M[active].sum(axis=0) / denom
-        )
-        return out
+        return _active_set_jvp(self._prox_diag(z, d, kappa) > 0, d,
+                               np.atleast_2d(np.asarray(M, dtype=float).T).T)
 
     def conjugate(self):
         return MaxFunction(self.radius)
@@ -430,13 +452,7 @@ class L1Ball(ProxOperator):
         active = self._prox_diag(z, d, kappa) != 0
         if not np.any(active):
             return np.zeros_like(M)
-        w = 1.0 / d
-        out = np.zeros_like(M)
-        Ms = s[:, None] * M
-        denom = float(np.sum(w[active]))
-        out[active] = Ms[active] - np.outer(w[active],
-                                            Ms[active].sum(axis=0) / denom)
-        return s[:, None] * out
+        return s[:, None] * _active_set_jvp(active, d, s[:, None] * M)
 
     def conjugate(self):
         return LinfNorm(self.radius)
@@ -535,34 +551,41 @@ class GroupL2(ProxOperator):
         norms, _ = self._block_norms(np.asarray(x, dtype=float))
         return self.lam * float(np.sum(norms))
 
-    def _prox_diag(self, x, d, kappa):
-        norms, xp = self._block_norms(x)
+    def _shrink(self, z, d, kappa):
+        """Norms, block-ordered ``z``, thresholds and the prox's block factors."""
+        norms, zp = self._block_norms(z)
         thresh = kappa * self.lam / d[self._firsts]
         # 1 - thresh/norms on the active blocks, 0 elsewhere; dividing only
         # there needs no errstate context, whose cost shows at N = 100
         scale = 1.0 - np.divide(thresh, norms, out=np.ones_like(norms),
                                 where=norms > thresh)
-        out = np.empty_like(x)
-        out[self._perm] = np.repeat(scale, self._sizes) * xp
-        return out
+        return norms, zp, thresh, scale
 
-    def prox_diag_jvp(self, z, d, kappa, M):
-        z = np.asarray(z, dtype=float)
-        M = np.atleast_2d(np.asarray(M, dtype=float).T).T
-        norms, zp = self._block_norms(z)
-        thresh = kappa * self.lam / d[self._firsts]
-        active = norms > thresh
+    def _prox_diag(self, x, d, kappa):
+        return self._prox_jw(x, d, kappa, None)[0]
+
+    def _jvp_from(self, M, norms, zp, thresh, scale):
         safe = np.where(norms > 0, norms, 1.0)
-        lin = np.where(active, 1.0 - thresh / safe, 0.0)
-        curv = np.where(active, thresh / safe ** 3, 0.0)
+        curv = np.where(norms > thresh, thresh / safe ** 3, 0.0)
         Mp = M[self._perm]
         zdotM = np.add.reduceat(zp[:, None] * Mp, self._starts, axis=0)
-        outp = np.repeat(lin, self._sizes)[:, None] * Mp + (
+        outp = np.repeat(scale, self._sizes)[:, None] * Mp + (
             np.repeat(curv, self._sizes)[:, None] * zp[:, None]
         ) * np.repeat(zdotM, self._sizes, axis=0)
         out = np.empty_like(M)
         out[self._perm] = outp
         return out
+
+    def prox_diag_jvp(self, z, d, kappa, M):
+        M = np.atleast_2d(np.asarray(M, dtype=float).T).T
+        return self._jvp_from(M, *self._shrink(np.asarray(z, dtype=float),
+                                               d, kappa))
+
+    def _prox_jw(self, z, d, kappa, w):
+        parts = self._shrink(z, d, kappa)
+        p = np.empty_like(z)
+        p[self._perm] = np.repeat(parts[3], self._sizes) * parts[1]
+        return p, None if w is None else self._jvp_from(w[:, None], *parts)[:, 0]
 
 
 # -- affine constraint --------------------------------------------------------

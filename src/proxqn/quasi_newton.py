@@ -9,6 +9,7 @@ degenerate pairs skip the correction and keep the diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,7 +113,7 @@ def sr1_metric(pair, cfg: SR1Config = SR1Config(), dim=None, tau0=1.0):
     h0 = cfg.gamma * min(max(pair.curvature / yy, cfg.tau_min), cfg.tau_max)
     w = pair.s - h0 * pair.y
     wy = float(np.dot(w, pair.y))
-    if wy <= cfg.skip_tol * np.linalg.norm(pair.y) * np.linalg.norm(w):
+    if wy <= cfg.skip_tol * math.sqrt(yy) * math.sqrt(w.dot(w)):
         return LowRankMetric._trusted(h0, np.zeros((n, 0)))
     u = w / np.sqrt(wy)
     return LowRankMetric._trusted(h0, u.reshape(n, 1), +1)
@@ -167,9 +168,9 @@ def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
             (pair.y / (np.sqrt(yy) * np.sqrt(tau))).reshape(n, 1),
             (pair.s / (np.sqrt(ss) * np.sqrt(gamma * tau))).reshape(n, 1),
         )
-    except NotPositiveDefiniteError:
-        # numerically degenerate pair (s nearly parallel to y at an
-        # extreme scale); fall back to the safe diagonal
+    except (NotPositiveDefiniteError, OverflowError):
+        # numerically degenerate pair (s nearly parallel to y, or tau ** 2
+        # overflowing at an extreme scale); fall back to the safe diagonal
         return _diagonal(tau)
     return H, B, False
 

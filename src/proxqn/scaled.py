@@ -17,7 +17,8 @@ is the warm-started semi-smooth Newton, which terminates finitely on
 piecewise-affine maps and in a few steps on the piecewise-smooth maps of
 group norms and affine constraints; the exact O(N log N) breakpoint sweep
 (or bisection, for operators without a piecewise-affine descriptor) is its
-fallback and oracle.
+fallback and oracle.  Each Newton step makes one fused call ``_prox_jw``:
+the prox at ``z`` and its Jacobian times ``w = P^{-1} u`` (or None).
 
 The coupled solve in ``V = P + Q1 - Q2`` (0BFGS) has one production route:
 a damped semi-smooth Newton on the stacked two-multiplier system, one
@@ -100,8 +101,8 @@ class RootProblem:
         self.kappa = float(kappa)
         self.sign = metric.sign
         self.U = metric.factor_matrix
-        self.diag = prox.check_weights(metric.diag, metric.dim)
-        self._shift_dirs = self.U / self.diag[:, None]  # P^{-1} U
+        self.diag, p_div = _checked_weights(metric, prox)
+        self._shift_dirs = self.U / p_div  # P^{-1} U
         g_sq = metric.gram_norm_sq()
         self.lipschitz_bound = 1.0 + g_sq
         self.monotonicity_modulus = 1.0 if self.sign > 0 else 1.0 - g_sq
@@ -121,6 +122,15 @@ class RootProblem:
         """The dual map whose unique zero determines the scaled prox."""
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
         return self.U.T @ (self.x - self.prox_at(alpha)) + alpha
+
+
+def _checked_weights(metric, prox):
+    """``diag(P)`` checked for ``prox``, and the divisor giving ``P^{-1} U``;
+    a trusted ``c I`` (``c > 0`` tested) needs only the dimension test."""
+    if metric._c is None or prox.dim not in (None, metric.dim):
+        d = prox.check_weights(metric.diag, metric.dim)
+        return d, d[:, None]
+    return metric.diag, metric._c
 
 
 def _fd_jacobian(func, x, base):
@@ -383,7 +393,7 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
 
 
 def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
-    """Scalar semi-smooth Newton, one prox and one Jacobian product per
+    """Scalar semi-smooth Newton, one fused prox-and-Jacobian call per
     step, safeguarded by the bracket of map signs.  Stops at ``|L| <= tol``
     or at a point with its base point's Jacobian and ``|L|`` at rounding
     level: the root of that affine piece, as exact as the sweep's (equal
@@ -395,20 +405,22 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
     over."""
     prox, x, d, kappa, s = (problem.prox, problem.x, problem.diag,
                             problem.kappa, problem.sign)
-    u, W = problem.U[:, 0], problem._shift_dirs
+    u, w = problem.U[:, 0], problem._shift_dirs[:, 0]
     alpha = 0.0 if alpha0 is None else float(np.atleast_1d(alpha0)[0])
-    lo, hi, jw_prev, history, widths = -np.inf, np.inf, None, [], []
+    lo, hi, prev, history, widths = -np.inf, np.inf, (None, None), [], []
     for it in range(max_iter + 1):
-        z = x - (s * alpha) * W[:, 0]
-        p = prox._prox_diag(z, d, kappa)
-        val = float(u @ (x - p)) + alpha
+        z = x - (s * alpha) * w
+        p, jw = prox._prox_jw(z, d, kappa, w)
+        val = float(u.dot(x - p)) + alpha
         history.append(abs(val))
         if abs(val) <= tol:
             break
-        jw = prox.prox_diag_jvp(z, d, kappa, W)
+        slope = 1.0 + s * float(u.dot(jw)) if jw is not None else \
+            float(problem.map_L([alpha + _FD_STEP])[0] - val) / _FD_STEP
+        # equal products jw give equal slopes, the cheaper test first;
         # |u|.(|x| + |p|) + |alpha| bounds the terms summed into L
-        if jw_prev is not None and np.array_equal(jw, jw_prev) and \
-                abs(val) <= 4.0 * x.size * np.finfo(float).eps * (
+        if jw is not None and slope == prev[0] and (jw == prev[1]).all() \
+                and abs(val) <= 4.0 * x.size * np.finfo(float).eps * (
                     float(np.abs(u) @ (np.abs(x) + np.abs(p))) + abs(alpha)):
             break
         if it == max_iter:
@@ -422,8 +434,6 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
             return fb
         lo, hi = (lo, alpha) if val > 0 else (alpha, hi)
         widths.append(hi - lo)
-        slope = 1.0 + s * float(u @ jw[:, 0]) if jw is not None else \
-            float(problem.map_L([alpha + _FD_STEP])[0] - val) / _FD_STEP
         new = alpha - val / slope if slope > 0 else np.nan
         cycling = it >= _CYCLE_CHECK and widths[-1] > 0.5 * widths[-3] \
             and history[-1] > 0.5 * history[-3]
@@ -432,7 +442,7 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
                 beta = root_bound(problem)
                 lo, hi = max(min(-beta, hi), lo), min(max(beta, lo), hi)
             new = 0.5 * (lo + hi)
-        alpha, jw_prev = new, jw
+        alpha, prev = new, (slope, jw)
     return RootSolverReport(np.array([alpha]), abs(val), it, "ssnewton",
                             residual_history=history, point=p)
 
@@ -565,12 +575,12 @@ def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
     residual does not reach ``tol``: no sufficient decrease after 30
     halvings, or 60 steps.
     """
-    P = prox.check_weights(metric.diag, metric.dim)
+    P, p_div = _checked_weights(metric, prox)
     U1, U2 = metric.factor_matrices
     r1 = U1.shape[1]
     r = r1 + U2.shape[1]
     U = np.hstack([U1, U2])
-    W = np.hstack([U1 / P[:, None], metric.p1_inv_minus])
+    W = np.hstack([U1 / p_div, metric.p1_inv_minus])
     # z = x + W @ (sgn * ab): the a-directions enter with a minus sign
     sgn = np.concatenate([-np.ones(r1), np.ones(r - r1)])
     K = np.eye(r)

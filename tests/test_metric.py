@@ -52,24 +52,35 @@ def test_invert_rank1():
 
 def test_invert_rank1_matches_eigh_formula_bitwise(rng):
     # the rank-1 inverse skips the 1x1 eigen-decomposition; its factor
-    # must be the same numbers as the eigh formula's
+    # must be the same numbers as the eigh formula's, for a public metric
+    # and for a trusted c I + sign u u^T, which inverts with the scalar 1/c
+    # and must also give the public metric's inverse
     for _ in range(300):
         n = int(rng.integers(1, 200))
+        c = float(np.exp(rng.uniform(-3.0, 3.0)))
         d = np.exp(rng.uniform(-3.0, 3.0, n))
         u = rng.standard_normal(n) * np.exp(rng.uniform(-4.0, 4.0))
         sign = +1 if rng.random() < 0.5 else -1
         if sign < 0:
-            u *= np.sqrt(rng.uniform(1e-3, 0.999) / np.dot(u, u / d))
-        m = LowRankMetric(d, [u], sign)
-        U = m.factor_matrix
-        G = U.T @ (U / d[:, None])
-        C = np.eye(1) + sign * 0.5 * (G + G.T)
-        ew, EV = np.linalg.eigh(0.5 * (C + C.T))
-        W = (U * (1.0 / d)[:, None]) @ (EV @ np.diag(ew ** -0.5) @ EV.T)
-        inv = m.invert()
-        assert inv.sign == -sign
-        assert np.array_equal(inv.factor_matrix, W)
-        assert m.gram_norm_sq() == np.linalg.eigvalsh(0.5 * (G + G.T))[-1]
+            u *= np.sqrt(rng.uniform(1e-3, 0.999)
+                         / max(np.dot(u, u / d), np.dot(u, u / c)))
+        uniform = LowRankMetric(np.full(n, c), [u], sign)
+        for m, diag in ((LowRankMetric(d, [u], sign), d),
+                        (LowRankMetric._trusted(c, u.reshape(n, 1), sign),
+                         np.full(n, c))):
+            U = m.factor_matrix
+            G = U.T @ (U / diag[:, None])
+            C = np.eye(1) + sign * 0.5 * (G + G.T)
+            ew, EV = np.linalg.eigh(0.5 * (C + C.T))
+            W = (U * (1.0 / diag)[:, None]) @ (EV @ np.diag(ew ** -0.5) @ EV.T)
+            inv = m.invert()
+            assert inv.sign == -sign
+            assert np.array_equal(inv.factor_matrix, W)
+            assert m.gram_norm_sq() == np.linalg.eigvalsh(0.5 * (G + G.T))[-1]
+        public_inv = uniform.invert()
+        assert np.array_equal(inv.factor_matrix, public_inv.factor_matrix)
+        assert np.array_equal(inv.diag, public_inv.diag)
+        assert inv.gram_norm_sq() == public_inv.gram_norm_sq()
 
 
 @settings(max_examples=60, deadline=None)

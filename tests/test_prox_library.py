@@ -306,6 +306,84 @@ def test_slope_rules_match_descriptor_slopes_bitwise(rng):
             assert np.array_equal(op.prox_diag_jvp(z, d, kappa, M), expected)
 
 
+def _assert_fused_matches(op, z, d, kappa, w):
+    # the fused call gives the bits of the separate prox and Jacobian calls
+    p, jw = op._prox_jw(z, d, kappa, w)
+    assert p.tobytes() == op._prox_diag(z, d, kappa).tobytes()
+    jvp = op.prox_diag_jvp(z, d, kappa, w[:, None])
+    if jvp is None:
+        assert jw is None
+    else:
+        assert jw.shape == w.shape
+        assert jw.tobytes() == jvp[:, 0].tobytes()
+
+
+def test_fused_prox_and_jacobian_match_separate_calls_bitwise(rng):
+    n = 60
+    d = rng.uniform(0.5, 2.0, n)
+    kappa = 1.3
+    t = kappa * 0.7 / d
+    c = kappa * 0.9 / d
+    lo = rng.standard_normal(n)
+    hi = lo + rng.uniform(0.0, 2.0, n)
+    zeros = np.zeros(n)
+    cases = [
+        (Zero(), [zeros]),
+        (L1Norm(0.7), [t, -t]),
+        (Hinge(0.9), [c, zeros]),
+        (NonNeg(), [zeros]),
+        (Box(lo, hi), [lo, hi]),
+        (Box(lo, np.inf), [lo]),
+        (Box(-np.inf, hi), [hi]),
+        (LinfBall(0.8), [np.full(n, 0.8), np.full(n, -0.8)]),
+        (Simplex(1.5), [zeros]),
+        (L1Ball(1.5), [zeros, np.full(n, 0.01)]),
+        (LinfNorm(0.6), [zeros]),
+        (MaxFunction(0.6), [zeros]),
+        (AffineConstraint(rng.standard_normal((2, n)),
+                          rng.standard_normal(2)), [zeros]),
+    ]
+    w = rng.standard_normal(n)
+    for op, kinks in cases:
+        points = [3.0 * rng.standard_normal(n) for _ in range(5)]
+        for kink in kinks:
+            # exactly at the breakpoints, and one ulp to either side
+            points += [kink, np.nextafter(kink, -np.inf),
+                       np.nextafter(kink, np.inf)]
+        for z in points:
+            _assert_fused_matches(op, z, d, kappa, w)
+
+
+def test_fused_group_prox_matches_separate_calls_bitwise(rng):
+    sizes = [1, 2, 3, 5, 1, 4, 2, 3, 6]
+    n = sum(sizes)
+    blocks = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+    op = GroupL2(0.7, blocks)
+    kappa = 1.3
+    d = np.empty(n)
+    for b in blocks:
+        d[b] = rng.uniform(0.5, 2.0)
+    thresh = kappa * 0.7 / d[op._firsts]
+    w = rng.standard_normal(n)
+    points = [3.0 * rng.standard_normal(n) for _ in range(5)]
+    for side in (0.0, -np.inf, np.inf):
+        # a third of the blocks are zero, a third have their norm exactly
+        # at the threshold (or one ulp to either side), a third random
+        z = rng.standard_normal(n)
+        for k, b in enumerate(blocks):
+            if k % 3 < 2:
+                z[b] = 0.0
+            if k % 3 == 1:
+                z[b[0]] = thresh[k] if side == 0.0 else \
+                    np.nextafter(thresh[k], side)
+        norms = op._block_norms(z)[0]
+        assert np.all((norms[1::3] == thresh[1::3]) == (side == 0.0))
+        assert not norms[0::3].any()
+        points.append(z)
+    for z in points:
+        _assert_fused_matches(op, z, d, kappa, w)
+
+
 def test_nonexpansive_in_diag_metric(rng):
     ops = [L1Norm(0.6), Hinge(1.0), Simplex(1.0), L1Ball(1.0),
            LinfNorm(0.8), MaxFunction(0.7)]

@@ -262,6 +262,18 @@ def test_zbfgs_degenerate_pair_falls_back_to_the_diagonal():
     assert failing
 
 
+def test_zbfgs_overflowing_scale_falls_back_to_the_diagonal():
+    # tau = <s,y>/||y||^2 = 1e160, so the minus factor's tau ** 2 overflows
+    # the float range; the pair is degenerate and keeps the diagonal
+    v = np.array([0.6, -0.3, 0.8])
+    pair = QNPair(v * 1e80, v * 1e-80)
+    H, B, skipped = zbfgs_metric(pair, gamma=1.0)
+    assert skipped and H.ranks == (0, 0) and B.ranks == (0, 0)
+    tau = pair.curvature / float(np.dot(pair.y, pair.y))
+    assert np.array_equal(H.diag, np.full(3, tau))
+    assert np.array_equal(B.diag, np.full(3, 1.0 / tau))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SR1Config(gamma=1.5)

@@ -541,6 +541,69 @@ def test_conjugate_route_linf_in_lowrank_metric(rng):
         np.testing.assert_allclose(lhs + rho * inv.apply(q), x, atol=1e-10)
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
+       sign=st.sampled_from([+1, -1]), trusted=st.booleans(),
+       kind=st.sampled_from(["l1", "hinge", "nonneg"]),
+       log_rho=st.floats(-1.0, 1.0), gram=st.floats(0.01, 0.95))
+def test_metric_moreau_identity(seed, n, sign, trusted, kind, log_rho, gram):
+    # the conjugate route (through invert()) and the direct prox of h*
+    # give the same point, in public and trusted rank-1 metrics
+    rng = np.random.default_rng(seed)
+    h = {"l1": L1Norm(0.7), "hinge": Hinge(0.9), "nonneg": NonNeg()}[kind]
+    c = float(np.exp(rng.uniform(-1.0, 1.0)))
+    d = np.full(n, c) if trusted else np.exp(rng.uniform(-1.0, 1.0, n))
+    u = rng.standard_normal(n)
+    u *= np.sqrt(gram / np.dot(u, u / d))
+    metric = LowRankMetric._trusted(c, u.reshape(n, 1), sign) if trusted \
+        else LowRankMetric(d, [u], sign)
+    x = 2.0 * rng.standard_normal(n)
+    rho = float(np.exp(log_rho))
+    lhs, _ = scaled_prox_conjugate(metric, h, x, rho=rho)
+    rhs, _ = scaled_prox(metric, h.conjugate(), x, kappa=rho)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-9 * (1.0 + np.max(np.abs(rhs)))
+
+
+def test_trusted_metrics_keep_checks_and_bits(rng):
+    n = 9
+    blocks = [np.array([0, 3, 5]), np.array([1, 2]), np.array([4, 6, 7, 8])]
+    op = GroupL2(0.8, blocks)
+    u1 = rng.standard_normal(n)
+    u1 *= np.sqrt(0.45 / np.dot(u1, u1))   # ||P^-1/2 u1||^2 = 0.5
+    u2 = 0.5 * u1[::-1]
+    x = 2.0 * rng.standard_normal(n)
+    # a trusted c I skips the weight scan, with the same prox bits as the
+    # public metric it equals
+    for sign in (+1, -1):
+        trusted = LowRankMetric._trusted(0.9, u1.reshape(n, 1), sign)
+        public = LowRankMetric(np.full(n, 0.9), [u1], sign)
+        p_t, rep_t = scaled_prox(trusted, op, x)
+        p_p, rep_p = scaled_prox(public, op, x)
+        assert np.array_equal(p_t, p_p)
+        assert np.array_equal(rep_t.alpha_star, rep_p.alpha_star)
+    pm_t = PlusMinusMetric._trusted(0.9, u1.reshape(n, 1), u2.reshape(n, 1))
+    pm_p = PlusMinusMetric(np.full(n, 0.9), [u1], [u2])
+    assert np.array_equal(scaled_prox_rank2(pm_t, op, x)[0],
+                          scaled_prox_rank2(pm_p, op, x)[0])
+    # but the group operator's dimension is still checked
+    for m in (n - 1, n + 1):
+        v1 = rng.standard_normal(m) * 0.3
+        v2 = rng.standard_normal(m) * 0.1
+        with pytest.raises(ValueError, match="dimension"):
+            scaled_prox(LowRankMetric._trusted(0.9, v1.reshape(m, 1), +1),
+                        op, np.ones(m))
+        with pytest.raises(ValueError, match="dimension"):
+            scaled_prox_rank2(PlusMinusMetric._trusted(
+                0.9, v1.reshape(m, 1), v2.reshape(m, 1)), op, np.ones(m))
+    # and a public diagonal that varies within a block still raises
+    d = np.full(n, 0.9)
+    d[blocks[2][1]] = 1.1
+    with pytest.raises(ValueError, match="constant within blocks"):
+        scaled_prox(LowRankMetric(d, [u1], +1), op, x)
+    with pytest.raises(ValueError, match="constant within blocks"):
+        scaled_prox_rank2(PlusMinusMetric(d, [u1], [u2]), op, x)
+
+
 def test_subgradient_inclusion_for_l1(rng):
     # V(x - p) must be an element of kappa * lam * sign structure at p
     kappa, lam = 1.4, 0.8
