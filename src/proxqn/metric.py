@@ -11,9 +11,9 @@ and ``invert`` build metrics with a uniform diagonal ``c I`` through the
 internal ``_trusted`` constructors, which take ``(dim, r)`` factor arrays
 the caller owns and skip the copies, the reshaping and the N-vector scan
 of the diagonal.  They keep the scalar test ``c > 0`` (which rejects NaN),
-the factor drop rule, the Gram rank test and the positive-definiteness
-tests (the Gram test of a minus metric, the outer-Gram test of a
-:class:`PlusMinusMetric`), and give the same numbers bit for bit.
+the drop rule, the Gram rank test and both positive-definiteness tests,
+and give the same bits, with the Python float ``c`` in place of ``diag``
+in their products and rank-1 Gram tests.
 """
 
 from __future__ import annotations
@@ -53,9 +53,23 @@ def _as_vector(x, dim=None, name="x"):
 
 def _drop_factors(U):
     """The columns of ``U`` with norm at least ``FACTOR_DROP_TOL``."""
+    if U.shape[1] == 1:   # ravel: the column, contiguous as in the loop below
+        u = U.ravel()
+        return U if math.sqrt(u.dot(u)) >= FACTOR_DROP_TOL else U[:, :0]
     keep = [j for j, u in enumerate(np.ascontiguousarray(U.T))
             if math.sqrt(u.dot(u)) >= FACTOR_DROP_TOL]
     return U if len(keep) == U.shape[1] else np.ascontiguousarray(U[:, keep])
+
+
+def _checked_diag(diag):
+    """A read-only copy of a non-empty, strictly positive diagonal."""
+    diag = _as_vector(diag, name="diag").copy()
+    if diag.size == 0:
+        raise MetricError("empty metric")
+    if not np.all(diag > 0):
+        raise NotPositiveDefiniteError("diagonal entries must be strictly positive")
+    diag.setflags(write=False)
+    return diag
 
 
 def _clean_factors(factors, dim):
@@ -94,16 +108,10 @@ class LowRankMetric:
     _c = None
 
     def __init__(self, diag, factors=(), sign=+1):
-        diag = _as_vector(diag, name="diag").copy()
-        if diag.size == 0:
-            raise MetricError("empty metric")
-        if not np.all(diag > 0):
-            raise NotPositiveDefiniteError("diagonal entries must be strictly positive")
+        self.diag = diag = _checked_diag(diag)
         if sign not in (+1, -1):
             raise MetricError(f"sign must be +1 or -1, got {sign!r}")
         self.dim = diag.shape[0]
-        diag.setflags(write=False)
-        self.diag = diag
         self.sign = int(sign)
         U = _clean_factors(factors, self.dim)
         if U.shape[1] > self.dim:
@@ -136,19 +144,24 @@ class LowRankMetric:
             self._gram = np.zeros((0, 0))
             self._gram_norm_sq = 0.0
             return
-        # Gram of P^{-1/2} U; rank and positive-definiteness checks are
-        # both O(N r^2) + O(r^3) on this small matrix.
-        G = U.T @ (U / self.diag[:, None])
-        G = 0.5 * (G + G.T)
-        ew = G[0] if r == 1 else np.linalg.eigvalsh(G)
-        if ew[0] <= FACTOR_DROP_TOL * max(ew[-1], 1.0):
+        # Gram of P^{-1/2} U; for r = 1 Python floats with the 1x1 product's bits
+        if r == 1:
+            u = U.ravel()
+            g = float(u.dot(u / (self.diag if self._c is None else self._c)))
+            lo = hi = g = 0.5 * (g + g)
+            G = np.array([[g]])
+        else:
+            G = U.T @ (U / self.diag[:, None])
+            G = 0.5 * (G + G.T)
+            lo, hi = map(float, np.linalg.eigvalsh(G)[[0, -1]])
+        if lo <= FACTOR_DROP_TOL * max(hi, 1.0):
             raise MetricError("factor vectors are (nearly) linearly dependent")
         self._gram = G
-        self._gram_norm_sq = float(ew[-1])
-        if self.sign < 0 and ew[-1] >= 1.0:
+        self._gram_norm_sq = hi
+        if self.sign < 0 and hi >= 1.0:
             raise NotPositiveDefiniteError(
                 "diag - low-rank matrix is not positive definite: "
-                f"||P^-1/2 U||^2 = {ew[-1]:.6g} >= 1"
+                f"||P^-1/2 U||^2 = {hi:.6g} >= 1"
             )
 
     # -- basic queries --------------------------------------------------
@@ -177,7 +190,7 @@ class LowRankMetric:
     def apply(self, x):
         """Matrix-vector product ``V x`` in O(N r)."""
         x = _as_vector(x, self.dim)
-        y = self.diag * x
+        y = (self.diag if self._c is None else self._c) * x
         if self.rank:
             y = y + self.sign * (self._U @ (self._U.T @ x))
         return y
@@ -185,7 +198,7 @@ class LowRankMetric:
     def norm_sq(self, x):
         """Quadratic form ``<x, V x>`` (non-negative, zero iff x = 0)."""
         x = _as_vector(x, self.dim)
-        val = float(np.dot(x, self.diag * x))
+        val = float(np.dot(x, (self.diag if self._c is None else self._c) * x))
         if self.rank:
             w = self._U.T @ x
             val += self.sign * float(np.dot(w, w))
@@ -213,8 +226,8 @@ class LowRankMetric:
         if self.rank <= 1:
             # C > 0 by the Gram test; the power of the 1-element array gives
             # eigh's factor bit for bit, a Python float power does not
-            return self._U if self.rank == 0 else \
-                self._U * p_inv * (1.0 + self.sign * self._gram[0]) ** -0.5
+            return self._U if self.rank == 0 else self._U * p_inv * (
+                np.array([1.0 + self.sign * self._gram_norm_sq]) ** -0.5)[0]
         C = np.eye(self.rank) + self.sign * self._gram
         # C is SPD: for sign +, C >= I; for sign -, PD by the metric invariant.
         ew, EV = np.linalg.eigh(0.5 * (C + C.T))
@@ -237,12 +250,8 @@ class PlusMinusMetric:
 
     _c = None   # as on LowRankMetric
     def __init__(self, diag, plus_factors=(), minus_factors=()):
-        diag = _as_vector(diag, name="diag").copy()
-        if not np.all(diag > 0):
-            raise NotPositiveDefiniteError("diagonal entries must be strictly positive")
-        diag.setflags(write=False)
+        self.diag = diag = _checked_diag(diag)
         self.dim = diag.shape[0]
-        self.diag = diag
         self._U1 = _clean_factors(plus_factors, self.dim)
         self._U2 = _clean_factors(minus_factors, self.dim)
         self._W2 = np.zeros((self.dim, 0))
@@ -304,7 +313,7 @@ class PlusMinusMetric:
 
     def apply(self, x):
         x = _as_vector(x, self.dim)
-        y = self.diag * x
+        y = (self.diag if self._c is None else self._c) * x
         if self._U1.shape[1]:
             y = y + self._U1 @ (self._U1.T @ x)
         if self._U2.shape[1]:

@@ -8,9 +8,9 @@ which is the proximity operator of ``kappa * h`` in the metric ``diag(d)``.
 The public ``prox_diag`` checks the weights (``check_weights``) and calls
 the unchecked core ``_prox_diag``; the root finders of :mod:`proxqn.scaled`
 check them once per root problem and call the core and ``prox_diag_jvp``.
-The rank-1 Newton calls the fused ``_prox_jw(z, d, kappa, w)``: the bits of
-``_prox_diag`` and of ``prox_diag_jvp`` with ``w[:, None]`` (or None), with
-shared temporaries (thresholds, group norms) formed once.
+The rank-1 Newton binds once per root problem, ``step = op._bind(d, kappa)``
+(thresholds formed once), and gets ``p, jac = step(z)``: the bits of
+``_prox_diag``, and when called, ``jac(w)`` those of ``prox_diag_jvp`` or None.
 Separable operators additionally expose a piecewise-affine description of
 their scalar prox maps (breakpoints / slopes / intercepts), which is what
 the exact low-rank root finder consumes.
@@ -159,11 +159,12 @@ class ProxOperator:
             return None
         return slopes[:, None] * np.atleast_2d(M.T).T
 
-    def _prox_jw(self, z, d, kappa, w):
-        """The prox and the Jacobian product with the vector ``w`` at ``z``."""
-        p = self._prox_diag(z, d, kappa)
-        jw = self.prox_diag_jvp(z, d, kappa, w[:, None])
-        return p, None if jw is None else jw[:, 0]
+    def _bind(self, d, kappa):
+        """The step ``z -> (prox, jac)``; see the module docstring."""
+        def jac(z, w):
+            jw = self.prox_diag_jvp(z, d, kappa, w[:, None])
+            return None if jw is None else jw[:, 0]
+        return lambda z: (self._prox_diag(z, d, kappa), lambda w: jac(z, w))
 
     def slope_rule(self, z, d, kappa):
         """The descriptor's Clarke slopes at ``z``, or None; separable
@@ -201,8 +202,8 @@ class Zero(ProxOperator):
 
 
 class _Thresholding(ProxOperator):
-    """Separable, with prox map ``_prox_at(z, t)`` and Clarke slopes
-    ``_slopes_at(z, t)`` at the thresholds ``t = kappa * lam / d``."""
+    """Separable: prox ``_prox_at(z, t)`` at ``t = kappa * lam / d``, Clarke
+    slope 0 on ``[_lower(t), t)`` and 1 elsewhere."""
 
     separable = True
 
@@ -212,11 +213,14 @@ class _Thresholding(ProxOperator):
         return self._prox_at(x, kappa * self.lam / d)
 
     def slope_rule(self, z, d, kappa):
-        return self._slopes_at(z, kappa * self.lam / d)
-
-    def _prox_jw(self, z, d, kappa, w):
         t = kappa * self.lam / d
-        return self._prox_at(z, t), self._slopes_at(z, t) * w
+        return ~((z >= self._lower(t)) & (z < t))
+
+    def _bind(self, d, kappa):
+        t = kappa * self.lam / d
+        lo = self._lower(t)
+        return lambda z: (self._prox_at(z, t),
+                          lambda w: ~((z >= lo) & (z < t)) * w)
 
 
 class L1Norm(_Thresholding):
@@ -228,15 +232,15 @@ class L1Norm(_Thresholding):
         self.lam = float(lam)
 
     def evaluate(self, x):
-        return self.lam * float(np.sum(np.abs(x)))
+        return self.lam * float(np.abs(x).sum())
 
     @staticmethod
     def _prox_at(z, t):
         return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
 
     @staticmethod
-    def _slopes_at(z, t):
-        return ~((z >= -t) & (z < t))
+    def _lower(t):
+        return -t
 
     def pa_descriptor(self, d, kappa=1.0):
         d = _check_weights(d)
@@ -335,8 +339,8 @@ class Hinge(_Thresholding):
         return np.where(z > c, z - c, np.minimum(z, 0.0))
 
     @staticmethod
-    def _slopes_at(z, c):
-        return ~((z >= 0.0) & (z < c))
+    def _lower(c):
+        return 0.0
 
     def pa_descriptor(self, d, kappa=1.0):
         d = _check_weights(d)
@@ -549,12 +553,11 @@ class GroupL2(ProxOperator):
 
     def evaluate(self, x):
         norms, _ = self._block_norms(np.asarray(x, dtype=float))
-        return self.lam * float(np.sum(norms))
+        return self.lam * float(norms.sum())
 
-    def _shrink(self, z, d, kappa):
+    def _shrink(self, z, thresh):
         """Norms, block-ordered ``z``, thresholds and the prox's block factors."""
         norms, zp = self._block_norms(z)
-        thresh = kappa * self.lam / d[self._firsts]
         # 1 - thresh/norms on the active blocks, 0 elsewhere; dividing only
         # there needs no errstate context, whose cost shows at N = 100
         scale = 1.0 - np.divide(thresh, norms, out=np.ones_like(norms),
@@ -562,7 +565,13 @@ class GroupL2(ProxOperator):
         return norms, zp, thresh, scale
 
     def _prox_diag(self, x, d, kappa):
-        return self._prox_jw(x, d, kappa, None)[0]
+        return self._step(x, kappa * self.lam / d[self._firsts])[0]
+
+    def _step(self, z, thresh):   # the prox and the temporaries of its jac
+        parts = self._shrink(z, thresh)
+        p = np.empty_like(z)
+        p[self._perm] = np.repeat(parts[3], self._sizes) * parts[1]
+        return p, parts
 
     def _jvp_from(self, M, norms, zp, thresh, scale):
         safe = np.where(norms > 0, norms, 1.0)
@@ -578,14 +587,15 @@ class GroupL2(ProxOperator):
 
     def prox_diag_jvp(self, z, d, kappa, M):
         M = np.atleast_2d(np.asarray(M, dtype=float).T).T
-        return self._jvp_from(M, *self._shrink(np.asarray(z, dtype=float),
-                                               d, kappa))
+        return self._jvp_from(M, *self._shrink(
+            np.asarray(z, dtype=float), kappa * self.lam / d[self._firsts]))
 
-    def _prox_jw(self, z, d, kappa, w):
-        parts = self._shrink(z, d, kappa)
-        p = np.empty_like(z)
-        p[self._perm] = np.repeat(parts[3], self._sizes) * parts[1]
-        return p, None if w is None else self._jvp_from(w[:, None], *parts)[:, 0]
+    def _bind(self, d, kappa):
+        thresh = kappa * self.lam / d[self._firsts]
+        def step(z):
+            p, parts = self._step(z, thresh)
+            return p, lambda w: self._jvp_from(w[:, None], *parts)[:, 0]
+        return step
 
 
 # -- affine constraint --------------------------------------------------------

@@ -133,8 +133,8 @@ def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
         B = H^{-1} = 1/(gamma tau) (I - s s^T/||s||^2 + gamma y y^T/||y||^2).
 
     The rank-1 - rank-1 split of H requires ``rho ||y||^2 tau = 1``, so tau
-    is the unclamped tau_bb2 here.  Non-positive curvature skips the
-    low-rank parts and keeps ``gamma * tau_fallback * I``.
+    is the unclamped tau_bb2 here.  Non-positive curvature or an infinite
+    tau skips the low-rank parts and keeps ``gamma * tau_fallback * I``.
 
     Returns ``(H, B, skipped)``.
     """
@@ -149,11 +149,11 @@ def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
                 PlusMinusMetric._trusted(1.0 / h, empty, empty), True)
 
     sy = pair.curvature
-    if sy <= 0.0:
-        return _diagonal(float(tau_fallback))
     yy = float(np.dot(pair.y, pair.y))
+    tau = sy / yy if yy else math.inf   # ||y||^2 can underflow to 0
+    if sy <= 0.0 or tau == math.inf:    # then B's scale 1/(gamma tau) is 0
+        return _diagonal(float(tau_fallback))
     ss = float(np.dot(pair.s, pair.s))
-    tau = sy / yy
     rho = 1.0 / sy
     u_g = pair.s - (gamma * tau / (1.0 + gamma)) * pair.y
     try:

@@ -17,8 +17,8 @@ is the warm-started semi-smooth Newton, which terminates finitely on
 piecewise-affine maps and in a few steps on the piecewise-smooth maps of
 group norms and affine constraints; the exact O(N log N) breakpoint sweep
 (or bisection, for operators without a piecewise-affine descriptor) is its
-fallback and oracle.  Each Newton step makes one fused call ``_prox_jw``:
-the prox at ``z`` and its Jacobian times ``w = P^{-1} u`` (or None).
+fallback and oracle.  It binds the operator once per solve (``_bind`` in
+:mod:`proxqn.prox`) and asks for no Jacobian product at the step ending it.
 
 The coupled solve in ``V = P + Q1 - Q2`` (0BFGS) has one production route:
 a damped semi-smooth Newton on the stacked two-multiplier system, one
@@ -393,8 +393,8 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
 
 
 def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
-    """Scalar semi-smooth Newton, one fused prox-and-Jacobian call per
-    step, safeguarded by the bracket of map signs.  Stops at ``|L| <= tol``
+    """Scalar semi-smooth Newton, one bound prox step per iteration,
+    safeguarded by the bracket of map signs.  Stops at ``|L| <= tol``
     or at a point with its base point's Jacobian and ``|L|`` at rounding
     level: the root of that affine piece, as exact as the sweep's (equal
     slopes alone do not prove one piece: both outer l1 pieces have slope
@@ -403,18 +403,19 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
     that halve neither the bracket nor ``|L|`` are followed by a
     bisection.  On budget exhaustion the sweep, or bisection, takes
     over."""
-    prox, x, d, kappa, s = (problem.prox, problem.x, problem.diag,
-                            problem.kappa, problem.sign)
+    prox, x, d, s = problem.prox, problem.x, problem.diag, problem.sign
     u, w = problem.U[:, 0], problem._shift_dirs[:, 0]
+    step = prox._bind(d, problem.kappa)
     alpha = 0.0 if alpha0 is None else float(np.atleast_1d(alpha0)[0])
     lo, hi, prev, history, widths = -np.inf, np.inf, (None, None), [], []
     for it in range(max_iter + 1):
         z = x - (s * alpha) * w
-        p, jw = prox._prox_jw(z, d, kappa, w)
+        p, jac = step(z)
         val = float(u.dot(x - p)) + alpha
         history.append(abs(val))
         if abs(val) <= tol:
             break
+        jw = jac(w)
         slope = 1.0 + s * float(u.dot(jw)) if jw is not None else \
             float(problem.map_L([alpha + _FD_STEP])[0] - val) / _FD_STEP
         # equal products jw give equal slopes, the cheaper test first;
@@ -425,7 +426,7 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
             break
         if it == max_iter:
             logger.info("rank-1 Newton missed %g; falling back", tol)
-            desc = prox.pa_descriptor(d, kappa)
+            desc = prox.pa_descriptor(d, problem.kappa)
             fb = root_bisection(problem, eps=max(
                 tol / problem.lipschitz_bound, 1e-15)) if desc is None \
                 else root_exact_piecewise_affine(problem, descriptor=desc)

@@ -201,7 +201,7 @@ class _Run:
         for k in range(opts.max_iters):
             x_new = propose(k, x)
             dx = x_new - x
-            step_norm = float(np.max(np.abs(dx), initial=0.0))
+            step_norm = float(np.abs(dx).max(initial=0.0))
             self.trace.append(k, f_val, step_norm, self.elapsed())
             if not (math.isfinite(f_val) or (k == 0 and f_val == math.inf)):
                 status = "nonfinite"
@@ -285,7 +285,7 @@ def _run_quasi_newton(problem, opts, variant):
         # 1/<s,y> would amplify cancellation noise into the metric; two in
         # a row without a decrease of F put the solve on the objective's
         # rounding floor, where the next step would repeat this one
-        rounding = np.max(np.abs(s)) <= 1e-13 * (1.0 + np.max(np.abs(x_new)))
+        rounding = np.abs(s).max() <= 1e-13 * (1.0 + np.abs(x_new).max())
         floor = rounding and pair is None and f_new >= f_val
         pair = None if rounding else QNPair(s, g_new - g)
         g = g_new
@@ -293,7 +293,7 @@ def _run_quasi_newton(problem, opts, variant):
         if pair is not None and not math.isfinite(pair.curvature):
             return x_new, f_new, "nonfinite"
         stalled = floor or (
-            stagnated and t * float(np.max(np.abs(p), initial=0.0)) < 1e-16)
+            stagnated and t * float(np.abs(p).max(initial=0.0)) < 1e-16)
         return x_new, f_new, "stagnated" if stalled else None
 
     return run.drive(x, f_val, propose, advance)

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxqn.metric import (
+    FACTOR_DROP_TOL,
     LowRankMetric,
     MetricError,
     NotPositiveDefiniteError,
     PlusMinusMetric,
+    _drop_factors,
 )
 from proxqn.validate import dense_metric
 
@@ -109,6 +111,72 @@ def test_invert_is_an_involution(seed, n, rank, sign, gram):
     np.testing.assert_allclose(back.diag, m.diag, rtol=1e-14)
     np.testing.assert_allclose(back.factor_matrix, m.factor_matrix,
                                rtol=1e-9, atol=1e-12 * np.max(np.abs(U)))
+
+
+def test_trusted_metrics_match_public_bitwise(rng):
+    # a trusted c I + sign U U^T computes with the scalar c where the public
+    # metric it equals computes with its diagonal vector: the same bits in
+    # every product, Gram test and inverse, for ranks 0, 1 and 2
+    for _ in range(200):
+        n = int(rng.integers(2, 150))
+        r = int(rng.integers(0, 3))
+        c = float(np.exp(rng.uniform(-3.0, 3.0)))
+        sign = +1 if rng.random() < 0.5 else -1
+        U = rng.standard_normal((n, r)) * np.exp(rng.uniform(-3.0, 3.0))
+        if r:   # the largest Gram eigenvalue becomes `gram` (< 1)
+            gram = rng.uniform(0.01, 0.95)
+            U *= np.sqrt(gram / np.linalg.eigvalsh(U.T @ U / c)[-1])
+        try:
+            public = LowRankMetric(np.full(n, c), U.T, sign)
+        except MetricError:   # nearly dependent columns
+            continue
+        trusted = LowRankMetric._trusted(c, np.array(U), sign)
+        x = rng.standard_normal(n)
+        for a, b in ((trusted, public), (trusted.invert(), public.invert())):
+            assert a.sign == b.sign and a.rank == b.rank == r
+            assert np.array_equal(a.diag, b.diag)
+            assert np.array_equal(a.factor_matrix, b.factor_matrix)
+            assert a._gram.shape == (r, r)
+            assert np.array_equal(a._gram, b._gram)
+            assert a.gram_norm_sq() == b.gram_norm_sq()
+            assert a.apply(x).tobytes() == b.apply(x).tobytes()
+            assert a.norm_sq(x) == b.norm_sq(x)
+        if r == 2:
+            pm_t = PlusMinusMetric._trusted(c, U[:, :1].copy(),
+                                            0.5 * U[:, 1:].copy())
+            pm_p = PlusMinusMetric(np.full(n, c), [U[:, 0]], [0.5 * U[:, 1]])
+            assert pm_t.apply(x).tobytes() == pm_p.apply(x).tobytes()
+            assert pm_t.norm_sq(x) == pm_p.norm_sq(x)
+
+
+def test_drop_rule_at_its_tolerance():
+    # a factor of norm exactly FACTOR_DROP_TOL is kept, one an ulp shorter
+    # is dropped, by the public and the trusted constructors alike, and the
+    # single-column rule agrees with the many-column one
+    c = 1e-14   # keeps the Gram of a kept tiny factor above the rank test
+    for norm, rank in ((FACTOR_DROP_TOL, 1),
+                       (np.nextafter(FACTOR_DROP_TOL, 0.0), 0),
+                       (np.nextafter(FACTOR_DROP_TOL, 1.0), 1)):
+        u = np.array([0.0, norm, 0.0])
+        assert np.sqrt(u.dot(u)) == norm
+        U = u.reshape(3, 1)
+        for m in (LowRankMetric(np.full(3, c), [u], +1),
+                  LowRankMetric._trusted(c, U, +1),
+                  LowRankMetric(np.full(3, c), [u], -1),
+                  LowRankMetric._trusted(c, U, -1)):
+            assert m.rank == rank
+        for pm in (PlusMinusMetric(np.full(3, c), [u], [u]),
+                   PlusMinusMetric._trusted(c, U, U)):
+            assert pm.ranks == (rank, rank)
+        wide = np.column_stack([np.ones(3), u])
+        assert _drop_factors(U).shape[1] == rank
+        assert _drop_factors(wide).shape[1] == 1 + rank
+
+
+def test_empty_metric_rejected():
+    for make in (LowRankMetric, PlusMinusMetric):
+        with pytest.raises(MetricError, match="empty metric"):
+            make(np.zeros(0))
 
 
 def test_invert_diagonal():

@@ -306,16 +306,21 @@ def test_slope_rules_match_descriptor_slopes_bitwise(rng):
             assert np.array_equal(op.prox_diag_jvp(z, d, kappa, M), expected)
 
 
-def _assert_fused_matches(op, z, d, kappa, w):
-    # the fused call gives the bits of the separate prox and Jacobian calls
-    p, jw = op._prox_jw(z, d, kappa, w)
-    assert p.tobytes() == op._prox_diag(z, d, kappa).tobytes()
-    jvp = op.prox_diag_jvp(z, d, kappa, w[:, None])
-    if jvp is None:
-        assert jw is None
-    else:
-        assert jw.shape == w.shape
-        assert jw.tobytes() == jvp[:, 0].tobytes()
+def _assert_bound_matches(op, points, d, kappa, w):
+    # one binding, stepped at every point, gives the bits of the separate
+    # prox and Jacobian calls; each product is asked for only after every
+    # step, so it must keep the temporaries of its own point
+    step = op._bind(d, kappa)
+    steps = [step(z) for z in points]
+    for z, (p, jac) in zip(points, steps):
+        assert p.tobytes() == op._prox_diag(z, d, kappa).tobytes()
+        jw = jac(w)
+        jvp = op.prox_diag_jvp(z, d, kappa, w[:, None])
+        if jvp is None:
+            assert jw is None
+        else:
+            assert jw.shape == w.shape
+            assert jw.tobytes() == jvp[:, 0].tobytes()
 
 
 def test_fused_prox_and_jacobian_match_separate_calls_bitwise(rng):
@@ -350,8 +355,7 @@ def test_fused_prox_and_jacobian_match_separate_calls_bitwise(rng):
             # exactly at the breakpoints, and one ulp to either side
             points += [kink, np.nextafter(kink, -np.inf),
                        np.nextafter(kink, np.inf)]
-        for z in points:
-            _assert_fused_matches(op, z, d, kappa, w)
+        _assert_bound_matches(op, points, d, kappa, w)
 
 
 def test_fused_group_prox_matches_separate_calls_bitwise(rng):
@@ -380,8 +384,7 @@ def test_fused_group_prox_matches_separate_calls_bitwise(rng):
         assert np.all((norms[1::3] == thresh[1::3]) == (side == 0.0))
         assert not norms[0::3].any()
         points.append(z)
-    for z in points:
-        _assert_fused_matches(op, z, d, kappa, w)
+    _assert_bound_matches(op, points, d, kappa, w)
 
 
 def test_nonexpansive_in_diag_metric(rng):

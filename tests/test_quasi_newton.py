@@ -274,6 +274,22 @@ def test_zbfgs_overflowing_scale_falls_back_to_the_diagonal():
     assert np.array_equal(B.diag, np.full(3, 1.0 / tau))
 
 
+def test_zbfgs_infinite_tau_falls_back_to_the_diagonal():
+    # <s,y> > 0 but tau_bb2 = <s,y>/||y||^2 has no finite value: ||y||^2
+    # underflows to 0, or to a subnormal that the quotient overflows on;
+    # the fallback diagonal gamma * tau_fallback I is kept
+    v = np.array([0.6, -0.3, 0.8])
+    for s_scale, y_scale, yy_zero in ((1e200, 1e-170, True),
+                                      (1e160, 1e-160, False)):
+        pair = QNPair(v * s_scale, v * y_scale)
+        assert pair.curvature > 0
+        assert (float(np.dot(pair.y, pair.y)) == 0.0) == yy_zero
+        H, B, skipped = zbfgs_metric(pair, gamma=0.5, tau_fallback=3.0)
+        assert skipped and H.ranks == (0, 0) and B.ranks == (0, 0)
+        assert np.array_equal(H.diag, np.full(3, 1.5))
+        assert np.array_equal(B.diag, np.full(3, 1.0 / 1.5))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SR1Config(gamma=1.5)

@@ -604,6 +604,45 @@ def test_trusted_metrics_keep_checks_and_bits(rng):
         scaled_prox_rank2(PlusMinusMetric(d, [u1], [u2]), op, x)
 
 
+def _count_bound_calls(op):
+    """Wrap ``op._bind`` so that prox steps and Jacobian products count."""
+    counts = {"prox": 0, "jac": 0}
+    bind = op._bind
+
+    def counted_bind(d, kappa):
+        step = bind(d, kappa)
+
+        def counted_step(z):
+            counts["prox"] += 1
+            p, jac = step(z)
+
+            def counted_jac(w):
+                counts["jac"] += 1
+                return jac(w)
+            return p, counted_jac
+        return counted_step
+    op._bind = counted_bind
+    return counts
+
+
+def test_rank1_newton_skips_the_last_jacobian_product(rng):
+    # a solve that ends at |L| <= tol asks for one Jacobian product fewer
+    # than it makes prox steps: the last step's product would go unused
+    n = 24
+    blocks = np.split(rng.permutation(n), [3, 8, 12, 19])
+    for op in (L1Norm(0.4), GroupL2(0.4, blocks)):
+        for sign in (+1, -1):
+            u = rng.standard_normal(n)
+            u *= np.sqrt(0.6 / np.dot(u, u / 0.8))
+            metric = LowRankMetric._trusted(0.8, u.reshape(n, 1), sign)
+            counts = _count_bound_calls(op)
+            _, report = scaled_prox(metric, op, 2.0 * rng.standard_normal(n))
+            del op._bind
+            assert report.method == "ssnewton" and report.residual <= 1e-12
+            assert counts["prox"] == len(report.residual_history) >= 2
+            assert counts["jac"] == counts["prox"] - 1
+
+
 def test_subgradient_inclusion_for_l1(rng):
     # V(x - p) must be an element of kappa * lam * sign structure at p
     kappa, lam = 1.4, 0.8
