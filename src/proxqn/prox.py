@@ -7,7 +7,8 @@ Every operator solves, for a weight vector ``d > 0`` and scale ``kappa > 0``,
 which is the proximity operator of ``kappa * h`` in the metric ``diag(d)``.
 The public ``prox_diag`` checks the weights (``check_weights``) and calls
 the unchecked core ``_prox_diag``; the root finders of :mod:`proxqn.scaled`
-check them once per root problem and call the core and ``prox_diag_jvp``.
+check them once per root problem and call the core and ``prox_diag_jvp``,
+and the first-order solvers check their unit weights once per solve.
 The rank-1 Newton binds once per root problem, ``step = op._bind(d, kappa)``
 (thresholds formed once), and gets ``p, jac = step(z)``: the bits of
 ``_prox_diag``, and when called, ``jac(w)`` those of ``prox_diag_jvp`` or None.
@@ -539,8 +540,10 @@ class GroupL2(ProxOperator):
         self.dim = n
 
     def check_weights(self, d, n):
-        """Also raises unless the weights are constant within blocks."""
-        d = _check_weights(d, self.dim)
+        """Also raises unless ``n == dim`` and ``d`` is constant per block."""
+        if n != self.dim:
+            raise ValueError(f"point has dimension {n}, expected {self.dim}")
+        d = _check_weights(d, n)
         dp = d[self._perm]
         if np.any(np.abs(dp - np.repeat(dp[self._starts], self._sizes))
                   > 1e-12 * np.abs(dp)):

@@ -312,8 +312,10 @@ def run_zero_bfgs(problem, opts=None):
 # -- first-order baselines -----------------------------------------------------
 
 
-def _euclid_prox(h, v, kappa):
-    return h.prox_diag(v, np.ones(v.shape[0]), kappa)
+def _euclid_prox(h, v, d, kappa):
+    """The Euclidean prox, ``d`` being the solve's checked unit weights; a
+    module global called per prox, which perfbench's tracer wraps by name."""
+    return h._prox_diag(v, d, kappa)
 
 
 def _require_lipschitz(problem, solver):
@@ -329,9 +331,10 @@ def run_ista(problem, opts=None):
     run = _Run(problem, opts, "ista")
     kappa = opts.kappa if opts.kappa is not None else 1.0 / L
     x = _initial_point(problem, opts)
+    d = problem.h.check_weights(np.ones(problem.dim), problem.dim)
 
     def propose(k, x):
-        return _euclid_prox(problem.h, x - kappa * problem.grad(x), kappa)
+        return _euclid_prox(problem.h, x - kappa * problem.grad(x), d, kappa)
 
     def advance(k, x, f_val, x_new, dx):
         return x_new, problem.objective(x_new), None
@@ -349,19 +352,21 @@ def run_fista_bb(problem, opts=None):
     y = x.copy()
     t_mom = 1.0
     kappa = 1.0 / L
-    f_val = problem.objective(x)
+    f_val = f_new = problem.objective(x)
     g_y = problem.grad(y)
+    d = problem.h.check_weights(np.ones(problem.dim), problem.dim)
 
     def propose(k, x):
-        nonlocal kappa
+        nonlocal kappa, f_new
         f_y = float(problem.f(y))
         # backtrack kappa until the quadratic upper bound holds at y
         for _ in range(60):
-            x_new = _euclid_prox(problem.h, y - kappa * g_y, kappa)
+            x_new = _euclid_prox(problem.h, y - kappa * g_y, d, kappa)
             diff = x_new - y
             quad = f_y + float(np.dot(g_y, diff)) + \
                 float(np.dot(diff, diff)) / (2.0 * kappa)
-            if float(problem.f(x_new)) <= quad + 1e-12 * (1.0 + abs(quad)):
+            f_new = float(problem.f(x_new))
+            if f_new <= quad + 1e-12 * (1.0 + abs(quad)):
                 break
             kappa *= 0.5
         return x_new
@@ -378,7 +383,8 @@ def run_fista_bb(problem, opts=None):
         if sy > 0:
             kappa = min(max(sy / float(np.dot(yk, yk)), 1e-3 / L), 1e6 / L)
         y, g_y, t_mom = y_new, g_y_new, t_next
-        return x_new, problem.objective(x_new), None
+        # F(x_new) from the accepted trial's f: the bits of objective()
+        return x_new, f_new + float(problem.h.evaluate(x_new)), None
 
     return run.drive(x, f_val, propose, advance, first=1, settle=True)
 
@@ -395,12 +401,13 @@ def run_spg_sparsa(problem, opts=None):
     history = deque([f_val], maxlen=SPG_MEMORY)
     kappa = 1.0 / L
     f_new = f_val
+    d = problem.h.check_weights(np.ones(problem.dim), problem.dim)
 
     def propose(k, x):
         nonlocal f_new
         kap = kappa
         for _ in range(60):
-            x_new = _euclid_prox(problem.h, x - kap * g, kap)
+            x_new = _euclid_prox(problem.h, x - kap * g, d, kap)
             dx = x_new - x
             f_new = problem.objective(x_new)
             if f_new <= max(history) - SIGMA * float(np.dot(dx, dx)) / \

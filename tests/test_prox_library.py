@@ -211,6 +211,16 @@ def test_group_l2_rejects_varying_weights():
                           op, np.ones(2))
 
 
+def test_group_l2_rejects_a_point_of_another_dimension():
+    # the weights match the blocks; the point does not
+    op = GroupL2(0.1, [[0, 1], [2, 3]])
+    for x in (np.arange(1.0, 7.0), np.arange(1.0, 3.0)):
+        with pytest.raises(ValueError, match="dimension"):
+            op.prox_diag(x, np.ones(4))
+    with pytest.raises(ValueError, match="dimension"):
+        op.check_weights(np.ones(4), 6)
+
+
 _ALL_OPERATORS = [
     Zero(), L1Norm(0.5), NonNeg(), Box(-1.0, 2.0), Hinge(0.5),
     LinfBall(1.0), L1Ball(1.0), Simplex(1.0), LinfNorm(0.5),

@@ -5,6 +5,7 @@ import pytest
 
 from proxqn.bench import ProblemRecipe, generate
 from proxqn.metric import LowRankMetric
+from proxqn import solver
 from proxqn.prox import L1Norm, NonNeg, Zero
 from proxqn.quasi_newton import QNPair, SR1Config, sr1_metric
 from proxqn.solver import (
@@ -251,3 +252,66 @@ def test_infeasible_start_is_not_nonfinite(solver_id):
                                                x0=-np.ones(3)))
     assert res.status == "converged"
     np.testing.assert_allclose(res.x, [1.0, 0.0, 2.0 / 3.0], atol=1e-8)
+
+
+_FIRST_ORDER = ["ista", "fista-bb", "spg"]
+
+
+def _first_order_problem(kind):
+    if kind == "l1":
+        return generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
+                                      seed=3))
+    if kind == "group":
+        return generate(ProblemRecipe("group_lasso", m=24, n=40, lam=1.0,
+                                      block_cap=6, seed=3))
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((30, 20))
+    return quadratic_problem(A.T @ A + 0.1 * np.eye(20),
+                             rng.standard_normal(20), NonNeg())
+
+
+@pytest.mark.parametrize("kind", ["l1", "group", "nonneg"])
+@pytest.mark.parametrize("solver_id", _FIRST_ORDER)
+def test_first_order_checks_weights_once_per_solve(monkeypatch, kind,
+                                                   solver_id):
+    # the unit weights are checked once per solve and the loop calls the
+    # unchecked core; the iterates are those of the public prox_diag with
+    # a fresh vector of ones on every call
+    prob = _first_order_problem(kind)
+    check, checks = prob.h.check_weights, []
+    monkeypatch.setattr(prob.h, "check_weights",
+                        lambda d, n: checks.append(n) or check(d, n))
+    opts = SolverOptions(max_iters=400, tol=1e-12)
+    got = solve(prob, solver_id, opts)
+    assert checks == [prob.dim]
+    monkeypatch.setattr(solver, "_euclid_prox", lambda h, v, d, kappa:
+                        h.prox_diag(v, np.ones(v.shape[0]), kappa))
+    ref = solve(prob, solver_id, opts)
+    assert got.x.tobytes() == ref.x.tobytes()
+    assert (got.status, got.iterations) == (ref.status, ref.iterations)
+    assert got.trace.iters == ref.trace.iters
+    assert np.array_equal(got.trace.objectives, ref.trace.objectives)
+    assert np.array_equal(got.trace.step_norms, ref.trace.step_norms)
+
+
+def test_fista_bb_reuses_the_accepted_trials_f(monkeypatch):
+    # per iteration: f at y and one f per backtracking trial (each one
+    # prox call); F(x_new) reuses the accepted trial's f
+    prob = _first_order_problem("l1")
+    f, prox = prob.f, solver._euclid_prox
+    count = {"f": 0, "prox": 0}
+
+    def counting_f(x):
+        count["f"] += 1
+        return f(x)
+
+    def counting_prox(*args):
+        count["prox"] += 1
+        return prox(*args)
+
+    prob.f = counting_f
+    monkeypatch.setattr(solver, "_euclid_prox", counting_prox)
+    res = run_fista_bb(prob, SolverOptions(max_iters=50, tol=0.0))
+    assert res.status == "max_iters" and len(res.trace) == 50
+    # 1 for F(x0), then f(y) and the trials of each of the 50 proposals
+    assert count["f"] == 1 + 50 + count["prox"]
