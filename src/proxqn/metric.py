@@ -14,6 +14,16 @@ of the diagonal.  They keep the scalar test ``c > 0`` (which rejects NaN),
 the drop rule, the Gram rank test and both positive-definiteness tests,
 and give the same bits, with the Python float ``c`` in place of ``diag``
 in their products and rank-1 Gram tests.
+
+``PlusMinusMetric._trusted`` builds the rank-(1,1) metrics of 0BFGS (one
+plus and at most one minus factor) without metric objects for ``P + Q1``
+and its inverse.  It evaluates the numpy expressions that ``invert`` and
+``apply`` would, in their order, to get ``W2 = (P + Q1)^{-1} u2``, and keeps
+every check of the public path with its exception type: ``c > 0`` and
+``1/c > 0``, the drop rule on ``u1``, ``u2`` and the inverse factor, the
+rank tests of ``u1`` and of the inverse factor, the inverse's
+positive-definiteness test ``g >= 1``, and the outer Gram test on
+``P + Q1 - Q2``.
 """
 
 from __future__ import annotations
@@ -59,6 +69,43 @@ def _drop_factors(U):
     keep = [j for j, u in enumerate(np.ascontiguousarray(U.T))
             if math.sqrt(u.dot(u)) >= FACTOR_DROP_TOL]
     return U if len(keep) == U.shape[1] else np.ascontiguousarray(U[:, keep])
+
+
+def _rank_test(lo, hi):   # lo <= hi: the extreme Gram eigenvalues
+    if lo <= FACTOR_DROP_TOL * max(hi, 1.0):
+        raise MetricError("factor vectors are (nearly) linearly dependent")
+
+
+def _gram_rank1(U, p):
+    """``u^T P^{-1} u`` of a ``(dim, 1)`` factor after the rank test, ``p``
+    the diagonal or ``c``: a Python float with the 1x1 product's bits."""
+    u = U.ravel()
+    g = float(u.dot(u / p))
+    g = 0.5 * (g + g)
+    _rank_test(g, g)
+    return g
+
+
+def _minus_pd_test(g):   # g = ||P^-1/2 U||^2 of P - U U^T
+    if g >= 1.0:
+        raise NotPositiveDefiniteError(
+            "diag - low-rank matrix is not positive definite: "
+            f"||P^-1/2 U||^2 = {g:.6g} >= 1"
+        )
+
+
+def _positive_scalar(c):   # c of c I; NaN fails
+    if not c > 0:
+        raise NotPositiveDefiniteError(
+            f"diagonal value must be strictly positive, got {c!r}")
+
+
+def _uniform_diag(c, dim):
+    """The read-only diagonal of ``c I`` after the scalar test."""
+    _positive_scalar(c)
+    diag = np.full(dim, c)
+    diag.setflags(write=False)
+    return diag
 
 
 def _checked_diag(diag):
@@ -123,13 +170,8 @@ class LowRankMetric:
     def _trusted(cls, c, U, sign=+1):
         """``c I + sign U U^T`` from a ``(dim, r)`` factor array the caller
         owns; see the module docstring for the checks it keeps."""
-        if not c > 0:
-            raise NotPositiveDefiniteError(
-                f"diagonal value must be strictly positive, got {c!r}")
         m = cls.__new__(cls)
-        m.dim = U.shape[0]
-        m.diag = np.full(m.dim, c)
-        m.diag.setflags(write=False)
+        m.dim, m.diag = U.shape[0], _uniform_diag(c, U.shape[0])
         m.sign, m._c = sign, c
         m._U = _drop_factors(U)
         m._validate_factors()
@@ -144,25 +186,19 @@ class LowRankMetric:
             self._gram = np.zeros((0, 0))
             self._gram_norm_sq = 0.0
             return
-        # Gram of P^{-1/2} U; for r = 1 Python floats with the 1x1 product's bits
+        # Gram of P^{-1/2} U
         if r == 1:
-            u = U.ravel()
-            g = float(u.dot(u / (self.diag if self._c is None else self._c)))
-            lo = hi = g = 0.5 * (g + g)
-            G = np.array([[g]])
+            hi = _gram_rank1(U, self.diag if self._c is None else self._c)
+            G = np.array([[hi]])
         else:
             G = U.T @ (U / self.diag[:, None])
             G = 0.5 * (G + G.T)
             lo, hi = map(float, np.linalg.eigvalsh(G)[[0, -1]])
-        if lo <= FACTOR_DROP_TOL * max(hi, 1.0):
-            raise MetricError("factor vectors are (nearly) linearly dependent")
+            _rank_test(lo, hi)
         self._gram = G
         self._gram_norm_sq = hi
-        if self.sign < 0 and hi >= 1.0:
-            raise NotPositiveDefiniteError(
-                "diag - low-rank matrix is not positive definite: "
-                f"||P^-1/2 U||^2 = {hi:.6g} >= 1"
-            )
+        if self.sign < 0:
+            _minus_pd_test(hi)
 
     # -- basic queries --------------------------------------------------
 
@@ -240,6 +276,14 @@ class LowRankMetric:
         return f"{type(self).__name__}(dim={self.dim}, rank={self.rank}, sign={s})"
 
 
+def _outer_pd_test(lo):   # lo: the smallest outer Gram eigenvalue
+    if lo <= 0:
+        raise NotPositiveDefiniteError(
+            "diag + Q1 - Q2 is not positive definite "
+            f"(outer Gram eigenvalue {lo:.3g} <= 0)"
+        )
+
+
 class PlusMinusMetric:
     """SPD metric ``V = diag(d) + U1 U1^T - U2 U2^T``.
 
@@ -260,16 +304,34 @@ class PlusMinusMetric:
 
     @classmethod
     def _trusted(cls, c, U1, U2):
-        """``c I + U1 U1^T - U2 U2^T`` from ``(dim, r)`` factor arrays the
-        caller owns; see the module docstring for the checks it keeps."""
-        inner = LowRankMetric._trusted(c, U1, +1)   # P1 = P + Q1
+        """``c I + U1 U1^T - U2 U2^T`` from ``(dim, r)`` factor arrays with
+        ``r <= 1`` the caller owns; see the module docstring for the checks
+        it keeps."""
         m = cls.__new__(cls)
-        m.dim, m.diag, m._U1 = inner.dim, inner.diag, inner.factor_matrix
-        m._c = c
-        m._U2 = _drop_factors(U2)
-        m._W2 = np.zeros((m.dim, 0))
-        if m._U2.shape[1]:
-            m._check_outer(inner)
+        m.dim = n = U1.shape[0]
+        m.diag, m._c = _uniform_diag(c, n), c
+        m._U1 = U1 = _drop_factors(U1)
+        g = _gram_rank1(U1, c) if U1.shape[1] else 0.0   # P1 = P + Q1
+        m._U2 = U2 = _drop_factors(U2)
+        m._W2 = np.zeros((n, 0))
+        if not U2.shape[1]:
+            return m
+        # W2 = P1^{-1} u2 with P1^{-1} = c_inv I - V V^T, the checked trusted
+        # inverse of P1 built and applied in the order invert() and apply()
+        # take, without their metric objects
+        c_inv = 1.0 / c
+        _positive_scalar(c_inv)
+        u2 = U2.ravel()
+        w2 = c_inv * u2
+        if U1.shape[1]:
+            V = _drop_factors(U1 * c_inv * (np.array([1 + g]) ** -0.5)[0])
+            if V.shape[1]:
+                _minus_pd_test(_gram_rank1(V, c_inv))
+                w2 = w2 + -1 * (V @ (V.T @ u2))
+        m._W2 = w2.reshape(n, 1)
+        m._W2.setflags(write=False)
+        M = float(u2.dot(w2))   # the 1x1 U2^T W2 of _check_outer
+        _outer_pd_test(1.0 - 0.5 * (M + M))
         return m
 
     def _check_outer(self, inner):
@@ -282,12 +344,7 @@ class PlusMinusMetric:
         self._W2.setflags(write=False)
         M = self._U2.T @ self._W2
         C = np.eye(self._U2.shape[1]) - 0.5 * (M + M.T)
-        ew = C[0] if C.shape[0] == 1 else np.linalg.eigvalsh(C)
-        if ew[0] <= 0:
-            raise NotPositiveDefiniteError(
-                "diag + Q1 - Q2 is not positive definite "
-                f"(outer Gram eigenvalue {ew[0]:.3g} <= 0)"
-            )
+        _outer_pd_test(C[0, 0] if C.shape[0] == 1 else np.linalg.eigvalsh(C)[0])
 
     @property
     def plus_factors(self):

@@ -9,9 +9,11 @@ The public ``prox_diag`` checks the weights (``check_weights``) and calls
 the unchecked core ``_prox_diag``; the root finders of :mod:`proxqn.scaled`
 check them once per root problem and call the core and ``prox_diag_jvp``,
 and the first-order solvers check their unit weights once per solve.
-The rank-1 Newton binds once per root problem, ``step = op._bind(d, kappa)``
-(thresholds formed once), and gets ``p, jac = step(z)``: the bits of
-``_prox_diag``, and when called, ``jac(w)`` those of ``prox_diag_jvp`` or None.
+Both Newtons of :mod:`proxqn.scaled`, the rank-1 and the joint rank-2, bind
+once per root problem, ``step = op._bind(d, kappa)`` (thresholds formed
+once), and get ``p, jac = step(z)``: the bits of ``_prox_diag``, and when
+called, ``jac(w)`` those of ``prox_diag_jvp`` (or None) for a vector ``w``
+and an N x r matrix ``w`` alike, as a vector for a vector.
 Separable operators additionally expose a piecewise-affine description of
 their scalar prox maps (breakpoints / slopes / intercepts), which is what
 the exact low-rank root finder consumes.
@@ -163,6 +165,8 @@ class ProxOperator:
     def _bind(self, d, kappa):
         """The step ``z -> (prox, jac)``; see the module docstring."""
         def jac(z, w):
+            if w.ndim == 2:
+                return self.prox_diag_jvp(z, d, kappa, w)
             jw = self.prox_diag_jvp(z, d, kappa, w[:, None])
             return None if jw is None else jw[:, 0]
         return lambda z: (self._prox_diag(z, d, kappa), lambda w: jac(z, w))
@@ -220,8 +224,15 @@ class _Thresholding(ProxOperator):
     def _bind(self, d, kappa):
         t = kappa * self.lam / d
         lo = self._lower(t)
-        return lambda z: (self._prox_at(z, t),
-                          lambda w: ~((z >= lo) & (z < t)) * w)
+
+        def step(z):
+            def jac(w):
+                keep = ~((z >= lo) & (z < t))
+                # a bare keep * w would pair the N slopes with the r columns
+                # whenever N == r
+                return keep * w if w.ndim == 1 else keep[:, None] * w
+            return self._prox_at(z, t), jac
+        return step
 
 
 class L1Norm(_Thresholding):
@@ -597,7 +608,12 @@ class GroupL2(ProxOperator):
         thresh = kappa * self.lam / d[self._firsts]
         def step(z):
             p, parts = self._step(z, thresh)
-            return p, lambda w: self._jvp_from(w[:, None], *parts)[:, 0]
+
+            def jac(w):
+                if w.ndim == 2:
+                    return self._jvp_from(w, *parts)
+                return self._jvp_from(w[:, None], *parts)[:, 0]
+            return p, jac
         return step
 
 

@@ -17,20 +17,26 @@ is the warm-started semi-smooth Newton, which terminates finitely on
 piecewise-affine maps and in a few steps on the piecewise-smooth maps of
 group norms and affine constraints; the exact O(N log N) breakpoint sweep
 (or bisection, for operators without a piecewise-affine descriptor) is its
-fallback and oracle.  It binds the operator once per solve (``_bind`` in
-:mod:`proxqn.prox`) and asks for no Jacobian product at the step ending it.
+fallback and oracle.  It asks for no Jacobian product at the step ending
+it.
 
 The coupled solve in ``V = P + Q1 - Q2`` (0BFGS) has one production route:
 a damped semi-smooth Newton on the stacked two-multiplier system, one
-diagonal prox and one Clarke-Jacobian product per step, warm-started from
-the previous forward-backward iteration.  The recursive route (an outer
-scalar solve over inner rank-1 solves) is kept as its fallback, taken only
-when the Newton loop misses its tolerance, and as its oracle.
+diagonal prox and one Clarke-Jacobian product with an N x 2 matrix per
+step, warm-started from the previous forward-backward iteration.  Both
+Newtons bind the operator once per root problem (``_bind`` in
+:mod:`proxqn.prox`): every prox step, line-search trials included, reuses
+the thresholds, and a Newton step takes its Jacobian product from the
+accepted point's binding.  The recursive route (an outer scalar solve over
+inner rank-1 solves) is kept as its fallback, taken only when the Newton
+loop misses its tolerance, and as its oracle.  A report whose residual is
+not finite is never ``converged``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +76,8 @@ class BracketError(RootFinderError):
 
 @dataclass
 class RootSolverReport:
-    """Outcome of a low-dimensional root solve."""
+    """Outcome of a low-dimensional root solve; ``converged`` is False
+    whenever ``residual`` is not finite."""
 
     alpha_star: np.ndarray
     residual: float
@@ -208,7 +215,8 @@ def root_bisection(problem: RootProblem, eps=1e-10, max_iter=None):
         if alpha_prev is not None and abs(alpha - alpha_prev) < eps:
             break
         alpha_prev = alpha
-    return RootSolverReport(np.array([alpha]), abs(val), count, "bisection")
+    return RootSolverReport(np.array([alpha]), abs(val), count, "bisection",
+                            converged=math.isfinite(val))
 
 
 def root_exact_piecewise_affine(problem: RootProblem, descriptor=None):
@@ -297,7 +305,7 @@ def root_exact_piecewise_affine(problem: RootProblem, descriptor=None):
         p = problem.prox_at([alpha])
         residual = abs(float(np.dot(u, x - p)) + alpha)
         return RootSolverReport(np.array([alpha]), residual, 0, "exact",
-                                point=p)
+                                converged=math.isfinite(residual), point=p)
 
     if cand.size == 0:
         if a_init <= 0.0:
@@ -379,7 +387,7 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
     # budget exhausted: a globally convergent fallback
     step_size = c / problem.lipschitz_bound ** 2
     for it in range(10000):
-        if res <= tol:
+        if not res > tol:   # reached, or a NaN residual
             break
         alpha = alpha - step_size * val
         val = problem.map_L(alpha)
@@ -389,7 +397,7 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
         raise RootFinderError(
             f"semi-smooth Newton failed to reach {tol:g} (residual {res:g})")
     return RootSolverReport(alpha, res, max_iter + it + 1, "ssnewton",
-                            residual_history=history)
+                            converged=res <= tol, residual_history=history)
 
 
 def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
@@ -545,6 +553,10 @@ def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0,
     ("rank2-joint" or "rank2-recursive") names the path that produced the
     point.
     """
+    if method not in ("joint", "recursive"):
+        raise ValueError(f"unknown rank-2 method {method!r}")
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
     x = np.asarray(x, dtype=float)
     if warm is not None and np.atleast_1d(warm).size == 0:
         warm = None
@@ -552,8 +564,6 @@ def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0,
     if single is not None:
         return scaled_prox(single, prox, x, kappa=kappa, finder=inner_finder,
                            tol=tol)
-    if method not in ("joint", "recursive"):
-        raise ValueError(f"unknown rank-2 method {method!r}")
     if method == "joint" and inner_finder == "auto":
         result = _rank2_joint(metric, prox, x, kappa, tol, warm)
         if result is not None:
@@ -569,59 +579,62 @@ def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
         F2(a, b) = U2^T (x - p) + b,
         p = prox^P_{kh}(x + W2 b - W1 a),  W1 = P^{-1} U1,  W2 = P1^{-1} U2,
 
-    which is Theorem 3.4 recursed through ``V = (P + Q1) - Q2``.  Each step
-    takes one Clarke-Jacobian product with ``[W1 W2]`` (forward differences
+    which is Theorem 3.4 recursed through ``V = (P + Q1) - Q2``.  The
+    operator is bound once (``_bind``); each step takes the Clarke-Jacobian
+    product with ``[W1 W2]`` of its point's binding (forward differences
     on F when the operator exposes none) and halves its length until
     ``||F||`` falls by the factor ``1 - 1e-4 t``.  Returns None when the
     residual does not reach ``tol``: no sufficient decrease after 30
-    halvings, or 60 steps.
+    halvings, or 60 steps.  A NaN residual ends it at once, unconverged.
     """
     P, p_div = _checked_weights(metric, prox)
     U1, U2 = metric.factor_matrices
     r1 = U1.shape[1]
     r = r1 + U2.shape[1]
-    U = np.hstack([U1, U2])
-    W = np.hstack([U1 / p_div, metric.p1_inv_minus])
+    Ut = np.concatenate((U1, U2), axis=1).T
+    W = np.concatenate((U1 / p_div, metric.p1_inv_minus), axis=1)
     # z = x + W @ (sgn * ab): the a-directions enter with a minus sign
-    sgn = np.concatenate([-np.ones(r1), np.ones(r - r1)])
+    sgn = np.ones(r)
+    sgn[:r1] = -1.0
     K = np.eye(r)
     K[:r1, r1:] = U1.T @ W[:, r1:]
+    step = prox._bind(P, kappa)
 
     def system(ab):
-        z = x + W @ (sgn * ab)
-        p = prox._prox_diag(z, P, kappa)
-        return U.T @ (x - p) + K @ ab, p, z
+        p, jac = step(x + W @ (sgn * ab))
+        return Ut @ (x - p) + K @ ab, p, jac
 
     ab = np.array(warm, dtype=float) if warm is not None and \
         np.atleast_1d(warm).size == r else np.zeros(r)
-    val, p, z = system(ab)
-    res = float(np.linalg.norm(val))
+    val, p, jac = system(ab)
+    res = math.sqrt(val.dot(val))
     history = [res]
     steps = 0
     while res > tol:
         if steps == 60:
             return None
-        JW = prox.prox_diag_jvp(z, P, kappa, W)
+        JW = jac(W)
         G = _fd_jacobian(lambda v: system(v)[0], ab, val) if JW is None \
-            else K - (U.T @ JW) * sgn
+            else K - (Ut @ JW) * sgn
         try:
-            step = np.linalg.solve(G, val)
+            d_ab = np.linalg.solve(G, val)
         except np.linalg.LinAlgError:
-            step = np.linalg.solve(G + 1e-8 * np.eye(r), val)
+            d_ab = np.linalg.solve(G + 1e-8 * np.eye(r), val)
         t = 1.0
         for _ in range(31):
-            new = ab - t * step
-            new_val, new_p, new_z = system(new)
-            new_res = float(np.linalg.norm(new_val))
+            new = ab - t * d_ab
+            new_val, new_p, new_jac = system(new)
+            new_res = math.sqrt(new_val.dot(new_val))
             if new_res <= (1.0 - 1e-4 * t) * res:
                 break
             t *= 0.5
         else:
             return None
-        ab, val, p, z, res = new, new_val, new_p, new_z, new_res
+        ab, val, p, jac, res = new, new_val, new_p, new_jac, new_res
         history.append(res)
         steps += 1
     return p, RootSolverReport(ab, res, steps, "rank2-joint",
+                               converged=res <= tol,
                                residual_history=history)
 
 

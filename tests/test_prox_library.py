@@ -316,25 +316,34 @@ def test_slope_rules_match_descriptor_slopes_bitwise(rng):
             assert np.array_equal(op.prox_diag_jvp(z, d, kappa, M), expected)
 
 
-def _assert_bound_matches(op, points, d, kappa, w):
+def _assert_bound_matches(op, points, d, kappa, directions):
     # one binding, stepped at every point, gives the bits of the separate
-    # prox and Jacobian calls; each product is asked for only after every
-    # step, so it must keep the temporaries of its own point
+    # prox and Jacobian calls, for vector and N x r matrix directions; each
+    # product is asked for only after every step, so it must keep the
+    # temporaries of its own point
     step = op._bind(d, kappa)
     steps = [step(z) for z in points]
     for z, (p, jac) in zip(points, steps):
         assert p.tobytes() == op._prox_diag(z, d, kappa).tobytes()
-        jw = jac(w)
-        jvp = op.prox_diag_jvp(z, d, kappa, w[:, None])
-        if jvp is None:
-            assert jw is None
-        else:
-            assert jw.shape == w.shape
-            assert jw.tobytes() == jvp[:, 0].tobytes()
+        for w in directions:
+            jw = jac(w)
+            M = w if w.ndim == 2 else w[:, None]
+            jvp = op.prox_diag_jvp(z, d, kappa, M)
+            if jvp is None:
+                assert jw is None
+            else:
+                assert jw.shape == w.shape
+                assert jw.tobytes() == jvp.reshape(w.shape).tobytes()
 
 
-def test_fused_prox_and_jacobian_match_separate_calls_bitwise(rng):
-    n = 60
+def _directions(rng, n):
+    """A vector and C-ordered N x 2 and N x 3 matrices of directions."""
+    return [rng.standard_normal(n), rng.standard_normal((n, 2)),
+            rng.standard_normal((n, 3))]
+
+
+def _assert_bound_cases_match(rng, n):
+    """``_assert_bound_matches`` for every operator but the group norm."""
     d = rng.uniform(0.5, 2.0, n)
     kappa = 1.3
     t = kappa * 0.7 / d
@@ -358,14 +367,29 @@ def test_fused_prox_and_jacobian_match_separate_calls_bitwise(rng):
         (AffineConstraint(rng.standard_normal((2, n)),
                           rng.standard_normal(2)), [zeros]),
     ]
-    w = rng.standard_normal(n)
+    directions = _directions(rng, n)
+    even = np.arange(n) % 2 == 0
     for op, kinks in cases:
         points = [3.0 * rng.standard_normal(n) for _ in range(5)]
         for kink in kinks:
-            # exactly at the breakpoints, and one ulp to either side
+            # exactly at the breakpoints, and one ulp to either side; then
+            # every other coordinate at the breakpoint and the rest at a
+            # small value, so that the slopes differ between coordinates
             points += [kink, np.nextafter(kink, -np.inf),
-                       np.nextafter(kink, np.inf)]
-        _assert_bound_matches(op, points, d, kappa, w)
+                       np.nextafter(kink, np.inf),
+                       np.where(even, kink, 0.01 * rng.standard_normal(n))]
+        _assert_bound_matches(op, points, d, kappa, directions)
+
+
+def test_fused_prox_and_jacobian_match_separate_calls_bitwise(rng):
+    _assert_bound_cases_match(rng, 60)
+
+
+def test_bound_matrix_products_scale_rows_when_n_equals_r(rng):
+    # N = 2 with an N x 2 matrix: a bare (N,) slope mask times the matrix
+    # would broadcast over its columns instead of its rows, and no shape
+    # error would show it
+    _assert_bound_cases_match(rng, 2)
 
 
 def test_fused_group_prox_matches_separate_calls_bitwise(rng):
@@ -378,7 +402,6 @@ def test_fused_group_prox_matches_separate_calls_bitwise(rng):
     for b in blocks:
         d[b] = rng.uniform(0.5, 2.0)
     thresh = kappa * 0.7 / d[op._firsts]
-    w = rng.standard_normal(n)
     points = [3.0 * rng.standard_normal(n) for _ in range(5)]
     for side in (0.0, -np.inf, np.inf):
         # a third of the blocks are zero, a third have their norm exactly
@@ -394,7 +417,7 @@ def test_fused_group_prox_matches_separate_calls_bitwise(rng):
         assert np.all((norms[1::3] == thresh[1::3]) == (side == 0.0))
         assert not norms[0::3].any()
         points.append(z)
-    _assert_bound_matches(op, points, d, kappa, w)
+    _assert_bound_matches(op, points, d, kappa, _directions(rng, n))
 
 
 def test_nonexpansive_in_diag_metric(rng):

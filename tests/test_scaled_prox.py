@@ -343,22 +343,92 @@ def test_rank2_routing(rng):
     # a non-default inner finder is the independent oracle route
     _, rep = scaled_prox_rank2(B, op, x, tol=1e-12, inner_finder="bisection")
     assert rep.method == "rank2-recursive"
-    with pytest.raises(ValueError, match="unknown rank-2 method"):
-        scaled_prox_rank2(B, op, x, method="bogus")
+    # the method is checked before a one-sided metric is reduced to the
+    # rank-1 prox, so that all three shapes raise alike; so is kappa, which
+    # the joint route's bound prox steps do not see
+    u1, u2 = (0.5 * U[:, 0] for U in B.factor_matrices)
+    for pm in (B, PlusMinusMetric(B.diag, [u1], []),
+               PlusMinusMetric(B.diag, [], [u2])):
+        with pytest.raises(ValueError, match="unknown rank-2 method"):
+            scaled_prox_rank2(pm, op, x, method="bogus")
+        for h in (op, Box(-1.0, 1.0)):
+            with pytest.raises(ValueError, match="kappa must be positive"):
+                scaled_prox_rank2(pm, h, x, kappa=0.0)
 
 
-class _NaNJacobianL1(L1Norm):
-    """l1 norm whose Clarke-Jacobian products are NaN."""
-
-    def prox_diag_jvp(self, z, d, kappa, M):
-        return np.full(np.shape(M), np.nan)
+# one non-finite entry of x makes the residual non-finite; no route may
+# then report its root as converged
+NONFINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 
 
-class _ScaledJacobianL1(L1Norm):
-    """l1 norm whose Clarke-Jacobian products are 1e6 times too large."""
+def _point_with(rng, n, bad):
+    x = rng.standard_normal(n)
+    x[n // 3] = bad
+    return x
 
-    def prox_diag_jvp(self, z, d, kappa, M):
-        return 1e6 * super().prox_diag_jvp(z, d, kappa, M)
+
+@NONFINITE
+def test_rank2_nonfinite_point_is_not_reported_converged(rng, bad):
+    # the joint Newton ends at once on a NaN residual, or falls back to the
+    # recursive path on an infinite one
+    B, skipped = _bfgs_metric(rng, 30)
+    assert not skipped
+    x = _point_with(rng, 30, bad)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for op in (L1Norm(0.1), Box(-1.0, 1.0)):
+            _, rep = scaled_prox_rank2(B, op, x)
+            assert not np.isfinite(rep.residual)
+            assert not rep.converged
+
+
+@NONFINITE
+@pytest.mark.parametrize("rank", [1, 2])
+def test_single_sign_nonfinite_point_is_not_reported_converged(rng, bad,
+                                                               rank):
+    # the Newton runs to its budget and ends in its fallback: the sweep for
+    # rank 1, the damped fixed-point loop (which stops at a NaN) for rank 2
+    U = rng.standard_normal((30, rank))
+    U *= 0.6 / np.linalg.norm(U)   # ||U||^2 <= 0.36 < 1: both signs are SPD
+    x = _point_with(rng, 30, bad)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for op in (L1Norm(0.1), Box(-1.0, 1.0)):
+            for sign in (+1, -1):
+                _, rep = scaled_prox(LowRankMetric(np.ones(30), U.T, sign),
+                                     op, x)
+                assert not np.isfinite(rep.residual)
+                assert not rep.converged
+
+
+class _BadJacobianL1(L1Norm):
+    """l1 norm whose bound Clarke-Jacobian products with N x r matrices, the
+    joint rank-2 Newton's, go through ``_corrupt``; the vector products of
+    the rank-1 solves inside the recursive fallback stay exact."""
+
+    def _bind(self, d, kappa):
+        step = super()._bind(d, kappa)
+
+        def bad_step(z):
+            p, jac = step(z)
+            return p, lambda w: self._corrupt(jac(w)) if w.ndim == 2 \
+                else jac(w)
+        return bad_step
+
+
+class _NaNJacobianL1(_BadJacobianL1):
+    """l1 norm whose matrix Clarke-Jacobian products are NaN."""
+
+    @staticmethod
+    def _corrupt(jw):
+        return np.full(jw.shape, np.nan)
+
+
+class _ScaledJacobianL1(_BadJacobianL1):
+    """l1 norm whose matrix Clarke-Jacobian products are 1e6 times too
+    large."""
+
+    @staticmethod
+    def _corrupt(jw):
+        return 1e6 * jw
 
 
 @pytest.mark.parametrize("op_class", [_NaNJacobianL1, _ScaledJacobianL1])
