@@ -389,8 +389,11 @@ def project_simplex_weighted(y, w, radius):
     cum_y = np.cumsum(y[order])
     cum_w = np.cumsum(inv_w[order])
     theta_k = (cum_y - radius) / cum_w
-    # largest k such that the top-k active set is self-consistent
+    # largest k such that the top-k active set is self-consistent; the
+    # top-1 set always is (radius > 0), which an infinite or NaN entry
+    # would hide from the test: the result is then NaN, not an IndexError
     valid = theta_k < v[order]
+    valid[0] = True
     k = int(np.nonzero(valid)[0][-1])
     theta = theta_k[k]
     return np.maximum(y - theta * inv_w, 0.0)

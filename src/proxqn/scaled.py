@@ -188,6 +188,9 @@ def root_bisection(problem: RootProblem, eps=1e-10, max_iter=None):
     beta = root_bound(problem)
     if beta == 0.0:
         return RootSolverReport(np.zeros(1), 0.0, 0, "bisection")
+    if not math.isfinite(beta):   # a non-finite point: no bracket
+        return RootSolverReport(np.full(1, np.nan), np.nan, 0, "bisection",
+                                converged=False)
     lo, hi = -beta, beta
     f_lo = float(problem.map_L([lo])[0])
     f_hi = float(problem.map_L([hi])[0])
@@ -343,7 +346,8 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
     """Semi-smooth Newton on the dual map with exact r-by-r solves.
 
     For r = 1 see :func:`_ssnewton_rank1`; for r >= 2 a damped fixed-point
-    sweep takes over after budget exhaustion.
+    sweep takes over after budget exhaustion.  A non-finite map value ends
+    either at once, unconverged.
     """
     r = problem.rank
     if r < 1:
@@ -360,8 +364,9 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
     res = float(np.linalg.norm(val))
     history.append(res)
     for it in range(max_iter):
-        if res <= tol:
+        if not tol < res < math.inf:   # reached, or a non-finite map
             return RootSolverReport(alpha, res, it, "ssnewton",
+                                    converged=res <= tol,
                                     residual_history=history)
         # Clarke-element Jacobian I + sign U^T J_prox P^{-1} U, or forward
         # differences on the map when the operator exposes no prox Jacobian
@@ -402,15 +407,15 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
 
 def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
     """Scalar semi-smooth Newton, one bound prox step per iteration,
-    safeguarded by the bracket of map signs.  Stops at ``|L| <= tol``
-    or at a point with its base point's Jacobian and ``|L|`` at rounding
-    level: the root of that affine piece, as exact as the sweep's (equal
-    slopes alone do not prove one piece: both outer l1 pieces have slope
-    1).  On the smooth pieces of a group norm the steps can close in on a
-    2-cycle around the root, so from step ``_CYCLE_CHECK`` on two steps
-    that halve neither the bracket nor ``|L|`` are followed by a
-    bisection.  On budget exhaustion the sweep, or bisection, takes
-    over."""
+    safeguarded by the bracket of map signs.  Stops at ``|L| <= tol``, at
+    a non-finite ``L`` (unconverged), or at a point with its base point's
+    Jacobian and ``|L|`` at rounding level: the root of that affine piece,
+    as exact as the sweep's (equal slopes alone do not prove one piece:
+    both outer l1 pieces have slope 1).  On the smooth pieces of a group
+    norm the steps can close in on a 2-cycle around the root, so from step
+    ``_CYCLE_CHECK`` on two steps that halve neither the bracket nor ``|L|``
+    are followed by a bisection.  On budget exhaustion the sweep, or
+    bisection, takes over."""
     prox, x, d, s = problem.prox, problem.x, problem.diag, problem.sign
     u, w = problem.U[:, 0], problem._shift_dirs[:, 0]
     step = prox._bind(d, problem.kappa)
@@ -421,7 +426,7 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
         p, jac = step(z)
         val = float(u.dot(x - p)) + alpha
         history.append(abs(val))
-        if abs(val) <= tol:
+        if not tol < abs(val) < math.inf:   # reached, or a non-finite map
             break
         jw = jac(w)
         slope = 1.0 + s * float(u.dot(jw)) if jw is not None else \
@@ -453,6 +458,7 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
             new = 0.5 * (lo + hi)
         alpha, prev = new, (slope, jw)
     return RootSolverReport(np.array([alpha]), abs(val), it, "ssnewton",
+                            converged=math.isfinite(val),
                             residual_history=history, point=p)
 
 

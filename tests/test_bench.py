@@ -19,7 +19,7 @@ from proxqn.bench import (
     write_trace_csv,
 )
 from proxqn.prox import L1Norm, NonNeg
-from proxqn.solver import ProblemSpec
+from proxqn.solver import SOLVERS, ProblemSpec, SolverOptions
 from proxqn.trace import ConvergenceTrace
 
 
@@ -40,6 +40,77 @@ def test_generation_is_deterministic():
     assert a.b.tobytes() == b.b.tobytes()
     assert recipe.digest() == ProblemRecipe("lasso_gaussian", m=2, n=2,
                                             lam=0.1, seed=11).digest()
+
+
+SHARED_RESIDUAL_RECIPES = [
+    ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1, seed=3),
+    ProblemRecipe("group_lasso", m=24, n=40, lam=1.0, block_cap=6, seed=3),
+    ProblemRecipe("lasso_diff3d", side=4, lam=1.0, seed=3),
+]
+
+
+def _plain_problem(problem):
+    """The generated problem with uncached ``f`` and ``grad`` over the same
+    ``A`` and ``b``."""
+    A, b = problem.A, problem.b
+
+    def f(x):
+        r = A @ x - b
+        return 0.5 * float(np.dot(r, r))
+
+    def grad(x):
+        return A.T @ (A @ x - b)
+
+    return ProblemSpec(dim=problem.dim, f=f, grad=grad, h=problem.h,
+                       lipschitz=problem.lipschitz, name=problem.name)
+
+
+def _same_bits(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("recipe", SHARED_RESIDUAL_RECIPES,
+                         ids=lambda r: r.family)
+def test_shared_residual_matches_plain_expressions_bitwise(rng, recipe):
+    problem = generate(recipe)
+    plain = _plain_problem(problem)
+    x, y = rng.standard_normal(problem.dim), rng.standard_normal(problem.dim)
+    # f -> grad, grad -> f, alternating points, an equal point in a copy
+    for name, point in [("f", x), ("grad", x), ("grad", y), ("f", y),
+                        ("f", x), ("grad", y), ("grad", x.copy()),
+                        ("f", x), ("f", x)]:
+        got = getattr(problem, name)(point)
+        assert _same_bits(got, getattr(plain, name)(point)), name
+
+    # an in-place change between the calls is a new point
+    z = x.copy()
+    problem.f(z)
+    z[0] += 1.0
+    assert _same_bits(problem.grad(z), plain.grad(z))
+    z *= 2.0
+    assert _same_bits(problem.f(z), plain.f(z))
+
+    # equal bytes under another dtype are another point
+    xi = np.arange(problem.dim, dtype=np.int64)
+    xf = xi.view(np.float64)
+    problem.f(xf)
+    assert _same_bits(problem.grad(xi), plain.grad(xi))
+    assert _same_bits(problem.f(xi), plain.f(xi))
+
+
+@pytest.mark.parametrize("recipe", SHARED_RESIDUAL_RECIPES,
+                         ids=lambda r: r.family)
+def test_shared_residual_leaves_every_solver_bit_identical(recipe):
+    problem = generate(recipe)
+    plain = _plain_problem(problem)
+    opts = SolverOptions(max_iters=300, tol=1e-10)
+    for solver_id, run in SOLVERS.items():
+        got, want = run(problem, opts), run(plain, opts)
+        assert _same_bits(got.trace.objectives, want.trace.objectives), \
+            solver_id
+        assert _same_bits(got.trace.step_norms, want.trace.step_norms), \
+            solver_id
+        assert _same_bits(got.x, want.x), solver_id
 
 
 def test_diff3d_structure():

@@ -156,6 +156,18 @@ def test_max_prox_zero_scaling(rng):
     np.testing.assert_allclose(MaxFunction(0.0).prox_diag(x, np.ones(5)), x)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("op", [LinfNorm(0.5), L1Ball(0.9)])
+def test_l1_ball_projection_gives_nan_at_a_nonfinite_point(rng, op, bad):
+    # the weighted simplex projection underneath finds no self-consistent
+    # active set by its rounding test at such a point; it must not raise
+    x = rng.standard_normal(6)
+    x[2] = bad
+    with np.errstate(invalid="ignore"):
+        p = op.prox_diag(x, np.ones(6))
+    assert np.isnan(p[2])
+
+
 @pytest.mark.parametrize("op", [L1Norm(0.8), NonNeg(), Hinge(1.1),
                                 LinfBall(1.2), L1Ball(0.9), Simplex(1.4)])
 def test_euclidean_moreau_identity(rng, op):

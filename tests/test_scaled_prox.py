@@ -11,6 +11,7 @@ from proxqn.prox import (
     Hinge,
     L1Ball,
     L1Norm,
+    LinfNorm,
     NonNeg,
     Zero,
 )
@@ -375,7 +376,7 @@ def test_rank2_nonfinite_point_is_not_reported_converged(rng, bad):
     assert not skipped
     x = _point_with(rng, 30, bad)
     with np.errstate(invalid="ignore", over="ignore"):
-        for op in (L1Norm(0.1), Box(-1.0, 1.0)):
+        for op in (L1Norm(0.1), Box(-1.0, 1.0), LinfNorm(0.5)):
             _, rep = scaled_prox_rank2(B, op, x)
             assert not np.isfinite(rep.residual)
             assert not rep.converged
@@ -385,17 +386,31 @@ def test_rank2_nonfinite_point_is_not_reported_converged(rng, bad):
 @pytest.mark.parametrize("rank", [1, 2])
 def test_single_sign_nonfinite_point_is_not_reported_converged(rng, bad,
                                                                rank):
-    # the Newton runs to its budget and ends in its fallback: the sweep for
-    # rank 1, the damped fixed-point loop (which stops at a NaN) for rank 2
+    # the Newton ends at its first non-finite map value
     U = rng.standard_normal((30, rank))
     U *= 0.6 / np.linalg.norm(U)   # ||U||^2 <= 0.36 < 1: both signs are SPD
     x = _point_with(rng, 30, bad)
     with np.errstate(invalid="ignore", over="ignore"):
-        for op in (L1Norm(0.1), Box(-1.0, 1.0)):
+        for op in (L1Norm(0.1), Box(-1.0, 1.0), LinfNorm(0.5)):
             for sign in (+1, -1):
                 _, rep = scaled_prox(LowRankMetric(np.ones(30), U.T, sign),
                                      op, x)
                 assert not np.isfinite(rep.residual)
+                assert not rep.converged
+                assert rep.iterations <= 1
+
+
+@NONFINITE
+def test_bisection_on_a_nonfinite_point_is_not_reported_converged(rng, bad):
+    # the bracket radius is not finite: no iteration count can be formed
+    u = 0.1 * rng.standard_normal(30)
+    x = _point_with(rng, 30, bad)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for op in (L1Norm(0.1), LinfNorm(0.5)):
+            for sign in (+1, -1):
+                _, rep = scaled_prox(LowRankMetric(np.ones(30), [u], sign),
+                                     op, x, finder="bisection")
+                assert np.isnan(rep.residual)
                 assert not rep.converged
 
 
