@@ -306,9 +306,9 @@ def reference_solution(problem, tol=1e-12, max_iters=400_000, cache_dir=None,
                        use_cache=True) -> ReferenceSolution:
     """High-accuracy reference optimum, cached on disk by recipe digest.
 
-    Runs restarted FISTA to the step-norm tolerance (flagged approximate
-    if the iteration cap is reached first), then attempts an exact
-    support polish for l1/non-negative problems, kept only when it
+    Runs FISTA-BB (adaptive restart) to the step-norm tolerance (flagged
+    approximate if the iteration cap is reached first), then attempts an
+    exact support polish for l1/non-negative problems, kept only when it
     strictly decreases the objective.  A cache entry that cannot be read
     or that another package version wrote is recomputed; the ``.npy`` and
     then the ``.json`` file are replaced atomically.
@@ -323,7 +323,7 @@ def reference_solution(problem, tol=1e-12, max_iters=400_000, cache_dir=None,
         if cached is not None:
             return cached
 
-    opts = SolverOptions(max_iters=max_iters, tol=tol, restart_every=500)
+    opts = SolverOptions(max_iters=max_iters, tol=tol)
     result = run_fista_bb(problem, opts)
     x, f_val = result.x, result.objective
     if isinstance(problem.h, L1Norm):

@@ -301,7 +301,7 @@ def build_parser():
     ps.add_argument("--solver", default="zero-sr1")
     ps.add_argument("--tol", type=float, default=1e-8)
     ps.add_argument("--max-iters", type=_positive_int, default=200_000)
-    ps.add_argument("--budget-s", type=float)
+    ps.add_argument("--budget-s", type=float, help="CPU seconds per solve")
     ps.add_argument("--line-search", default="backtracking",
                     choices=["backtracking", "none"])
     ps.add_argument("--out")
@@ -318,7 +318,8 @@ def build_parser():
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--tol", type=float, default=1e-9)
     pr.add_argument("--max-iters", type=_positive_int, default=400_000)
-    pr.add_argument("--budget-s", type=float, default=120.0)
+    pr.add_argument("--budget-s", type=float, default=120.0,
+                    help="CPU seconds per solve")
     pr.add_argument("--out-dir", default="races")
     pr.add_argument("--cache-dir")
     pr.add_argument("--paper-scale", action="store_true",

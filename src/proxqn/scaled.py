@@ -591,7 +591,7 @@ def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
     on F when the operator exposes none) and halves its length until
     ``||F||`` falls by the factor ``1 - 1e-4 t``.  Returns None when the
     residual does not reach ``tol``: no sufficient decrease after 30
-    halvings, or 60 steps.  A NaN residual ends it at once, unconverged.
+    halvings, or 60 steps; a non-finite residual ends it at once, unconverged.
     """
     P, p_div = _checked_weights(metric, prox)
     U1, U2 = metric.factor_matrices
@@ -616,7 +616,7 @@ def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
     res = math.sqrt(val.dot(val))
     history = [res]
     steps = 0
-    while res > tol:
+    while tol < res < math.inf:
         if steps == 60:
             return None
         JW = jac(W)

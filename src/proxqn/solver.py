@@ -84,7 +84,6 @@ class SolverOptions:
     x0: np.ndarray | None = None
     budget_seconds: float | None = None
     f_star: float | None = None        # reference objective for the trace
-    restart_every: int = 1000          # FISTA momentum restart period
     record_metrics: bool = False
 
 
@@ -175,21 +174,19 @@ class _Run:
     before any stopping test.  The solve ends "nonfinite" on a NaN or
     infinite objective (except +inf at the start: an infeasible ``x0``,
     which the first prox step repairs), "converged" once the step norm
-    drops below ``tol``, "budget" past ``budget_seconds``, with the
-    status ``advance`` returns as ``stop``, and "max_iters" otherwise.
+    drops below ``tol``, "budget" past ``budget_seconds`` of the thread's
+    CPU time (the trace's seconds are wall-clock), with the status
+    ``advance`` returns as ``stop``, and "max_iters" otherwise.
     """
 
     def __init__(self, problem, opts, solver_id):
         self.opts = opts
         self.solver_id = solver_id
-        self.t0 = time.perf_counter()
+        self.t0, self.cpu0 = time.perf_counter(), time.thread_time()
         self.trace = ConvergenceTrace(solver_id=solver_id,
                                       problem_id=problem.name,
                                       f_star=opts.f_star)
         self.metrics = []   # (H, pair) per iteration with record_metrics
-
-    def elapsed(self):
-        return time.perf_counter() - self.t0
 
     def drive(self, x, f_val, propose, advance, first=0, settle=False):
         """Iterate from ``x``.  The step test counts from iteration
@@ -202,7 +199,8 @@ class _Run:
             x_new = propose(k, x)
             dx = x_new - x
             step_norm = float(np.abs(dx).max(initial=0.0))
-            self.trace.append(k, f_val, step_norm, self.elapsed())
+            self.trace.append(k, f_val, step_norm,
+                              time.perf_counter() - self.t0)
             if not (math.isfinite(f_val) or (k == 0 and f_val == math.inf)):
                 status = "nonfinite"
                 break
@@ -212,7 +210,7 @@ class _Run:
                 status, converged = "converged", True
                 break
             if opts.budget_seconds is not None and \
-                    self.elapsed() > opts.budget_seconds:
+                    time.thread_time() - self.cpu0 > opts.budget_seconds:
                 status = "budget"
                 break
             x, f_val, stop = advance(k, x, f_val, x_new, dx)
@@ -343,8 +341,8 @@ def run_ista(problem, opts=None):
 
 
 def run_fista_bb(problem, opts=None):
-    """FISTA with Barzilai-Borwein steps, backtracking, and periodic
-    momentum restarts."""
+    """FISTA with Barzilai-Borwein steps, backtracking, and a momentum
+    restart whenever the objective rises (O'Donoghue and Candes 2015)."""
     opts = opts or SolverOptions()
     L = _require_lipschitz(problem, "fista-bb")
     run = _Run(problem, opts, "fista-bb")
@@ -373,9 +371,11 @@ def run_fista_bb(problem, opts=None):
 
     def advance(k, x, f_val, x_new, dx):
         nonlocal y, g_y, t_mom, kappa
+        # F(x_new) from the accepted trial's f: the bits of objective()
+        F_new = f_new + float(problem.h.evaluate(x_new))
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom ** 2))
         y_new = x_new + ((t_mom - 1.0) / t_next) * dx
-        if (k + 1) % opts.restart_every == 0:
+        if F_new > f_val:   # the objective rose: restart the momentum
             t_next, y_new = 1.0, x_new.copy()
         g_y_new = problem.grad(y_new)
         sk, yk = y_new - y, g_y_new - g_y
@@ -383,8 +383,7 @@ def run_fista_bb(problem, opts=None):
         if sy > 0:
             kappa = min(max(sy / float(np.dot(yk, yk)), 1e-3 / L), 1e6 / L)
         y, g_y, t_mom = y_new, g_y_new, t_next
-        # F(x_new) from the accepted trial's f: the bits of objective()
-        return x_new, f_new + float(problem.h.evaluate(x_new)), None
+        return x_new, F_new, None
 
     return run.drive(x, f_val, propose, advance, first=1, settle=True)
 

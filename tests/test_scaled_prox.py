@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from proxqn import scaled
 from proxqn.metric import LowRankMetric, PlusMinusMetric
 from proxqn.prox import (
     AffineConstraint,
@@ -370,8 +371,7 @@ def _point_with(rng, n, bad):
 
 @NONFINITE
 def test_rank2_nonfinite_point_is_not_reported_converged(rng, bad):
-    # the joint Newton ends at once on a NaN residual, or falls back to the
-    # recursive path on an infinite one
+    # the joint Newton ends at once on a NaN or infinite residual
     B, skipped = _bfgs_metric(rng, 30)
     assert not skipped
     x = _point_with(rng, 30, bad)
@@ -380,6 +380,27 @@ def test_rank2_nonfinite_point_is_not_reported_converged(rng, bad):
             _, rep = scaled_prox_rank2(B, op, x)
             assert not np.isfinite(rep.residual)
             assert not rep.converged
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_rank2_joint_stops_at_an_infinite_residual(rng, monkeypatch, bad):
+    # Box keeps the prox point finite, so the residual is infinite, not NaN;
+    # no Newton step can decrease it, and the recursive fallback's 80 outer
+    # iterations end at a NaN residual, so the joint route reports it as is
+    B, skipped = _bfgs_metric(rng, 30)
+    assert not skipped
+    x = _point_with(rng, 30, bad)
+
+    def no_fallback(*args):
+        raise AssertionError("the recursive fallback ran")
+
+    monkeypatch.setattr(scaled, "_rank2_recursive", no_fallback)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _, rep = scaled_prox_rank2(B, Box(-1.0, 1.0), x)
+    assert rep.method == "rank2-joint"
+    assert rep.iterations == 0
+    assert rep.converged is False
+    assert rep.residual == np.inf
 
 
 @NONFINITE

@@ -164,14 +164,16 @@ def test_unknown_solver_id():
 
 @pytest.mark.parametrize("solver_id", sorted(SOLVERS))
 def test_budget_stops_early(rng, solver_id):
-    # each objective value costs at least 1 ms, so the 0.05 s budget ends
-    # the solve within 50 iterations, before 0SR1 and 0BFGS reach the
-    # objective's rounding floor (about iteration 85 on this problem)
+    # each objective value costs at least 1 ms of CPU time, so the 0.05 s
+    # budget ends the solve within 50 iterations, before 0SR1 and 0BFGS
+    # reach the objective's rounding floor (about iteration 85 here)
     prob = _quadratic_l1_problem(rng, 10, mu=0.1, L=10.0, lam=0.2)
     f = prob.f
 
     def slow_f(x):
-        time.sleep(1e-3)
+        end = time.thread_time() + 1e-3
+        while time.thread_time() < end:
+            pass
         return f(x)
 
     prob.f = slow_f
@@ -180,6 +182,37 @@ def test_budget_stops_early(rng, solver_id):
     assert res.status == "budget"
     assert not res.converged
     assert len(res.trace) == res.iterations + 1
+
+
+@pytest.mark.parametrize("solver_id", sorted(SOLVERS))
+def test_budget_reads_the_threads_cpu_clock(rng, monkeypatch, solver_id):
+    # a clock that jumps by 1 s per reading ends the solve at its first
+    # budget test, whatever the wall-clock time
+    prob = _quadratic_l1_problem(rng, 10, mu=0.1, L=10.0, lam=0.2)
+    ticks = iter(range(10 ** 6))
+    monkeypatch.setattr(solver.time, "thread_time", lambda: float(next(ticks)))
+    res = solve(prob, solver_id, SolverOptions(max_iters=10 ** 7, tol=0.0,
+                                               budget_seconds=0.5))
+    assert (res.status, res.iterations) == ("budget", 0)
+
+
+@pytest.mark.parametrize("solver_id", sorted(SOLVERS))
+def test_budget_ignores_time_spent_waiting(rng, solver_id):
+    # each objective value sleeps 5 ms, so 20 iterations take at least
+    # 0.1 s of wall-clock time but far less than the 0.05 s CPU budget
+    prob = _quadratic_l1_problem(rng, 10, mu=0.1, L=10.0, lam=0.2)
+    f = prob.f
+
+    def sleepy_f(x):
+        time.sleep(5e-3)
+        return f(x)
+
+    prob.f = sleepy_f
+    t0 = time.perf_counter()
+    res = solve(prob, solver_id, SolverOptions(max_iters=20, tol=0.0,
+                                               budget_seconds=0.05))
+    assert time.perf_counter() - t0 > 0.1
+    assert res.status == "max_iters"
 
 
 @pytest.mark.parametrize("solver_id", ["zero-sr1", "zero-bfgs"])
@@ -296,10 +329,11 @@ def test_first_order_checks_weights_once_per_solve(monkeypatch, kind,
 
 def test_fista_bb_reuses_the_accepted_trials_f(monkeypatch):
     # per iteration: f at y and one f per backtracking trial (each one
-    # prox call); F(x_new) reuses the accepted trial's f
+    # prox call), and one h; F(x_new) reuses the accepted trial's f, and
+    # the restart test reuses F(x_new)
     prob = _first_order_problem("l1")
-    f, prox = prob.f, solver._euclid_prox
-    count = {"f": 0, "prox": 0}
+    f, prox, h_eval = prob.f, solver._euclid_prox, prob.h.evaluate
+    count = {"f": 0, "prox": 0, "h": 0}
 
     def counting_f(x):
         count["f"] += 1
@@ -309,9 +343,56 @@ def test_fista_bb_reuses_the_accepted_trials_f(monkeypatch):
         count["prox"] += 1
         return prox(*args)
 
+    def counting_h(x):
+        count["h"] += 1
+        return h_eval(x)
+
     prob.f = counting_f
     monkeypatch.setattr(solver, "_euclid_prox", counting_prox)
+    monkeypatch.setattr(prob.h, "evaluate", counting_h)
     res = run_fista_bb(prob, SolverOptions(max_iters=50, tol=0.0))
     assert res.status == "max_iters" and len(res.trace) == 50
     # 1 for F(x0), then f(y) and the trials of each of the 50 proposals
     assert count["f"] == 1 + 50 + count["prox"]
+    # 1 for F(x0), then F(x_new) of each of the 50 iterations
+    assert count["h"] == 1 + 50
+
+
+def _group_lasso(seed):
+    return generate(ProblemRecipe("group_lasso", m=64, n=100, lam=1.0,
+                                  block_cap=12, seed=seed))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fista_bb_converges_on_the_group_lasso(seed):
+    # without a restart when the objective rises, FISTA-BB oscillates on
+    # these instances and ends 0.02-0.5 above the optimum at 1000 iterations
+    prob = _group_lasso(seed)
+    f_star = min(runner(prob, SolverOptions(tol=1e-13)).objective
+                 for runner in (run_zero_sr1, run_spg_sparsa))
+    res = run_fista_bb(prob, SolverOptions(max_iters=1000))
+    assert res.status == "converged"
+    assert res.objective - f_star <= 1e-9
+
+
+def test_fista_bb_restarts_where_the_objective_rises(monkeypatch):
+    # after an iteration whose objective rises, the momentum is dropped:
+    # the next gradient is taken at the new point x_new itself
+    prob = _group_lasso(1)
+    grads, points = [], []
+    grad, h_eval = prob.grad, prob.h.evaluate
+    prob.grad = lambda x: grads.append(x.copy()) or grad(x)
+    # evaluate sees F(x0), then x_new of each iteration
+    monkeypatch.setattr(prob.h, "evaluate",
+                        lambda x: points.append(x.copy()) or h_eval(x))
+    res = run_fista_bb(prob, SolverOptions(max_iters=1000))
+    assert res.converged
+    obj = res.trace.objectives
+    rises = [k for k in range(len(obj) - 1) if obj[k + 1] > obj[k]]
+    assert rises
+    # grads[0] is the start's; iteration k's is grads[k + 1]
+    for k in rises:
+        assert np.array_equal(grads[k + 1], points[k + 1])
+    # elsewhere the momentum moves the gradient's point off x_new
+    assert any(not np.array_equal(grads[k + 1], points[k + 1])
+               for k in range(len(obj) - 1) if k not in rises)
