@@ -100,7 +100,6 @@ def diff3d_operator(side):
     n = side ** 3
     idx = np.arange(n).reshape(side, side, side)
     rows, cols, vals = [], [], []
-    row = 0
     for axis in range(3):
         shifted = np.roll(idx, -1, axis=axis)
         interior = np.ones((side, side, side), dtype=bool)
@@ -109,12 +108,11 @@ def diff3d_operator(side):
         interior[tuple(sl)] = False
         src = idx[interior].ravel()
         dst = shifted[interior].ravel()
-        r = row + np.nonzero(interior.ravel())[0]
-        rows.extend(np.repeat(r, 2))
-        cols.extend(np.column_stack([src, dst]).ravel())
-        vals.extend(np.tile([-1.0, 1.0], src.size))
-        row += n
-    return sp.csr_matrix((vals, (rows, cols)), shape=(3 * n, n))
+        rows.append(np.repeat(axis * n + np.nonzero(interior.ravel())[0], 2))
+        cols.append(np.column_stack([src, dst]).ravel())
+        vals.append(np.tile([-1.0, 1.0], src.size))
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                          np.concatenate(cols))), shape=(3 * n, n))
 
 
 def estimate_sq_norm(A, iters=50, tol=1e-8):
@@ -126,9 +124,9 @@ def estimate_sq_norm(A, iters=50, tol=1e-8):
     n = A.shape[1]
     v = np.random.default_rng(12345).standard_normal(n)
     v /= np.linalg.norm(v)
-    lam = 0.0
+    lam, AT = 0.0, A.T   # a sparse A.T is a new matrix on every call
     for _ in range(iters):
-        w = A.T @ (A @ v)
+        w = AT @ (A @ v)
         lam_new = float(np.linalg.norm(w))
         if lam_new == 0.0:
             return 0.0
@@ -159,8 +157,9 @@ def generate(recipe: ProblemRecipe) -> ProblemSpec:
     residual ``A x - b`` per point: the last one computed is kept, keyed on
     the bits of ``x``, so a gradient at the point of the last objective (or
     the reverse) costs one product with A instead of two, with the same
-    values.  A user-built :class:`ProblemSpec` whose ``f`` and ``grad``
-    share a costly part can cache it the same way.
+    values.  ``grad`` multiplies by ``A.T`` bound once (a sparse ``A.T``
+    builds a new matrix per call).  A user-built :class:`ProblemSpec` whose
+    ``f`` and ``grad`` share a costly part can cache it the same way.
     """
     rng = np.random.default_rng(recipe.seed)
     blocks = None
@@ -192,7 +191,7 @@ def generate(recipe: ProblemRecipe) -> ProblemSpec:
     else:  # pragma: no cover - guarded by the recipe constructor
         raise ValueError(recipe.family)
 
-    n = A.shape[1]
+    n, AT = A.shape[1], A.T
     # the residual at the last point asked for, keyed on its bits: the
     # solvers ask for f and grad at equal points built as distinct arrays
     last = (None, None)
@@ -213,7 +212,7 @@ def generate(recipe: ProblemRecipe) -> ProblemSpec:
         return 0.5 * float(np.dot(r, r))
 
     def grad(x):
-        return A.T @ residual(x)
+        return AT @ residual(x)
 
     problem = ProblemSpec(dim=n, f=f, grad=grad, h=h,
                           lipschitz=estimate_sq_norm(A),

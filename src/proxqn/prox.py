@@ -46,6 +46,14 @@ __all__ = [
 _FEAS_TOL = 1e-8
 
 
+def _scale_rows(v, M):
+    """``v[:, None] * M`` to the bit, in M's memory order, formed down one
+    column after another; the broadcast loops along rows of r entries."""
+    out = np.empty_like(M, dtype=np.result_type(v, M))
+    np.multiply(v, M.T, out=out.T, order="C")
+    return out
+
+
 def _check_weights(d, n=None):
     d = np.asarray(d, dtype=float)
     if d.ndim == 0:
@@ -156,11 +164,13 @@ class ProxOperator:
     def prox_diag_jvp(self, z, d, kappa, M):
         """Product of a Clarke Jacobian of ``prox_diag(., d, kappa)`` at
         ``z`` with the columns of ``M``, or None if unavailable; ``d`` must
-        have passed :meth:`check_weights`."""
+        have passed :meth:`check_weights`.  The slope rule's product has the
+        bits of ``slopes[:, None] * M`` in M's memory order (C in, C out),
+        formed column by column: the broadcast loops over r entries a row."""
         slopes = self.slope_rule(z, d, kappa)
         if slopes is None:
             return None
-        return slopes[:, None] * np.atleast_2d(M.T).T
+        return _scale_rows(slopes, np.atleast_2d(M.T).T)
 
     def _bind(self, d, kappa):
         """The step ``z -> (prox, jac)``; see the module docstring."""
@@ -230,7 +240,7 @@ class _Thresholding(ProxOperator):
                 keep = ~((z >= lo) & (z < t))
                 # a bare keep * w would pair the N slopes with the r columns
                 # whenever N == r
-                return keep * w if w.ndim == 1 else keep[:, None] * w
+                return keep * w if w.ndim == 1 else _scale_rows(keep, w)
             return self._prox_at(z, t), jac
         return step
 

@@ -18,6 +18,7 @@ from proxqn.bench import (
     write_manifest,
     write_trace_csv,
 )
+from proxqn import prox
 from proxqn.prox import L1Norm, NonNeg
 from proxqn.solver import SOLVERS, ProblemSpec, SolverOptions
 from proxqn.trace import ConvergenceTrace
@@ -111,6 +112,73 @@ def test_shared_residual_leaves_every_solver_bit_identical(recipe):
         assert _same_bits(got.trace.step_norms, want.trace.step_norms), \
             solver_id
         assert _same_bits(got.x, want.x), solver_id
+
+
+@pytest.mark.parametrize("recipe", [
+    ProblemRecipe("lasso_gaussian", m=40, n=80, lam=0.1, seed=4),
+    ProblemRecipe("lasso_diff3d", side=7, lam=1.0, seed=4),
+    ProblemRecipe("nnls", m=40, n=80, seed=4),
+], ids=lambda r: r.family)
+def test_column_products_leave_the_quasi_newton_solvers_bit_identical(
+        monkeypatch, recipe):
+    # the Jacobian products of L1Norm's binding and of the slope-rule
+    # path (NonNeg) against the broadcast they replace
+    problem = generate(recipe)
+    opts = SolverOptions(max_iters=300, tol=1e-10)
+    calls = []
+
+    def broadcast(v, M):
+        calls.append(M.shape)
+        return v[:, None] * M
+
+    for solver_id in ("zero-bfgs", "zero-sr1"):
+        got = SOLVERS[solver_id](problem, opts)
+        with monkeypatch.context() as patch:
+            patch.setattr(prox, "_scale_rows", broadcast)
+            want = SOLVERS[solver_id](problem, opts)
+        assert _same_bits(got.trace.iters, want.trace.iters), solver_id
+        assert _same_bits(got.trace.objectives, want.trace.objectives), \
+            solver_id
+        assert _same_bits(got.trace.step_norms, want.trace.step_norms), \
+            solver_id
+        assert _same_bits(got.x, want.x), solver_id
+    # the joint rank-2 Newton took N x 2 products through the patch
+    assert (problem.dim, 2) in calls
+
+
+def _triplet_diff3d_operator(side):
+    """The triplet-list builder that ``diff3d_operator`` replaced."""
+    n = side ** 3
+    idx = np.arange(n).reshape(side, side, side)
+    rows, cols, vals = [], [], []
+    row = 0
+    for axis in range(3):
+        shifted = np.roll(idx, -1, axis=axis)
+        interior = np.ones((side, side, side), dtype=bool)
+        sl = [slice(None)] * 3
+        sl[axis] = side - 1
+        interior[tuple(sl)] = False
+        src = idx[interior].ravel()
+        dst = shifted[interior].ravel()
+        r = row + np.nonzero(interior.ravel())[0]
+        rows.extend(np.repeat(r, 2))
+        cols.extend(np.column_stack([src, dst]).ravel())
+        vals.extend(np.tile([-1.0, 1.0], src.size))
+        row += n
+    return sp.csr_matrix((vals, (rows, cols)), shape=(3 * n, n))
+
+
+@pytest.mark.parametrize("side", range(1, 8))
+def test_diff3d_operator_matches_the_triplet_builder_bytewise(side):
+    got, want = diff3d_operator(side), _triplet_diff3d_operator(side)
+    assert got.shape == want.shape
+    assert got.has_sorted_indices == want.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        # side 1 has no interior: empty arrays, whose dtypes still count
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.nnz == 6 * side ** 2 * (side - 1)
 
 
 def test_diff3d_structure():

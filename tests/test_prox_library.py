@@ -16,6 +16,7 @@ from proxqn.prox import (
     NonNeg,
     Simplex,
     Zero,
+    _scale_rows,
 )
 from proxqn.metric import LowRankMetric, PlusMinusMetric
 from proxqn.scaled import scaled_prox, scaled_prox_rank2
@@ -402,6 +403,50 @@ def test_bound_matrix_products_scale_rows_when_n_equals_r(rng):
     # would broadcast over its columns instead of its rows, and no shape
     # error would show it
     _assert_bound_cases_match(rng, 2)
+
+
+def _special_matrix(rng, n, cols):
+    """N x cols entries, ``M[i, j]`` by ``(i + j) % 6``: -x with x >= 1,
+    +inf, -inf, NaN, -0.0, and standard normal."""
+    M = rng.standard_normal((n, cols))
+    i, j = np.indices((n, cols))
+    kind = (i + j) % 6
+    M[kind == 0] = -np.abs(M[kind == 0]) - 1.0
+    M[kind == 1] = np.inf
+    M[kind == 2] = -np.inf
+    M[kind == 3] = np.nan
+    M[kind == 4] = -0.0
+    return M
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 60, 3000])
+def test_scale_rows_matches_the_broadcast_bitwise(rng, n, r):
+    # the bytes, dtype and strides of v[:, None] * M, for C-ordered,
+    # F-ordered and column-sliced M; a zero scale keeps IEEE products:
+    # 0 * (-x) = -0.0 and 0 * inf = NaN, where a select would give 0.0
+    wide = _special_matrix(rng, n, 2 * r)
+    layouts = {"C": np.ascontiguousarray(wide[:, :r]),
+               "F": np.asfortranarray(wide[:, r:]),
+               "column-sliced": wide[:, ::2]}
+    even = np.arange(n) % 2 == 0
+    scales = {"bool": ~even,
+              "float": np.where(even, 0.0, rng.standard_normal(n))}
+    with np.errstate(invalid="ignore"):
+        for layout, M in layouts.items():
+            for kind, v in scales.items():
+                want = v[:, None] * M
+                got = _scale_rows(v, M)
+                assert got.dtype == want.dtype, (layout, kind)
+                assert got.strides == want.strides, (layout, kind)
+                assert got.tobytes() == want.tobytes(), (layout, kind)
+        assert _scale_rows(v, layouts["C"]).flags.c_contiguous
+        assert _scale_rows(v, layouts["F"]).flags.f_contiguous
+        out = _scale_rows(scales["bool"], layouts["C"])
+    # the IEEE cases occur: row 0 is scaled by zero and holds -x first
+    # (so -0.0), and +inf in its second column when r > 1
+    assert np.signbit(out[0, 0]) and out[0, 0] == 0.0
+    assert r == 1 or np.isnan(out[0, 1])
 
 
 def test_fused_group_prox_matches_separate_calls_bitwise(rng):
