@@ -11,9 +11,13 @@ check them once per root problem and call the core and ``prox_diag_jvp``,
 and the first-order solvers check their unit weights once per solve.
 Both Newtons of :mod:`proxqn.scaled`, the rank-1 and the joint rank-2, bind
 once per root problem, ``step = op._bind(d, kappa)`` (thresholds formed
-once), and get ``p, jac = step(z)``: the bits of ``_prox_diag``, and when
-called, ``jac(w)`` those of ``prox_diag_jvp`` (or None) for a vector ``w``
-and an N x r matrix ``w`` alike, as a vector for a vector.
+once), and get ``p, jac = step(z, out, tmp)``: the bits of ``_prox_diag``,
+and when called, ``jac(w, out)`` those of ``prox_diag_jvp`` (or None) for a
+vector ``w`` and an N x r matrix ``w`` alike, as a vector for a vector.
+Thresholds write ``p`` and a vector's product, the group norm ``p``, into a
+caller-owned ``out`` if given, may overwrite a given N-vector ``tmp``, and
+take for ``d`` the ``c`` of ``c I`` (``_scalar_bind``; ``np.full(n, c)``'s
+bits); ``jac`` reads ``z`` when called.
 Separable operators additionally expose a piecewise-affine description of
 their scalar prox maps (breakpoints / slopes / intercepts), which is what
 the exact low-rank root finder consumes.
@@ -136,6 +140,7 @@ class ProxOperator:
     separable = False
     blocks = None
     dim = None   # the dimension the operator is built for, if it has one
+    _scalar_bind = False   # whether _bind takes a scalar d (module docstring)
 
     def evaluate(self, x):
         raise NotImplementedError
@@ -179,7 +184,8 @@ class ProxOperator:
                 return self.prox_diag_jvp(z, d, kappa, w)
             jw = self.prox_diag_jvp(z, d, kappa, w[:, None])
             return None if jw is None else jw[:, 0]
-        return lambda z: (self._prox_diag(z, d, kappa), lambda w: jac(z, w))
+        return lambda z, out=None, tmp=None: (
+            self._prox_diag(z, d, kappa), lambda w, out=None: jac(z, w))
 
     def slope_rule(self, z, d, kappa):
         """The descriptor's Clarke slopes at ``z``, or None; separable
@@ -218,9 +224,11 @@ class Zero(ProxOperator):
 
 class _Thresholding(ProxOperator):
     """Separable: prox ``_prox_at(z, t)`` at ``t = kappa * lam / d``, Clarke
-    slope 0 on ``[_lower(t), t)`` and 1 elsewhere."""
+    slope 0 on ``[_lower(t), t)`` and 1 elsewhere; ``_prox_into(z, t, out,
+    tmp, mask)`` does its operations in its order into ``out``."""
 
     separable = True
+    _scalar_bind = True
 
     def _prox_diag(self, x, d, kappa):
         if kappa <= 0:
@@ -232,16 +240,22 @@ class _Thresholding(ProxOperator):
         return ~((z >= self._lower(t)) & (z < t))
 
     def _bind(self, d, kappa):
-        t = kappa * self.lam / d
-        lo = self._lower(t)
-
-        def step(z):
-            def jac(w):
-                keep = ~((z >= lo) & (z < t))
+        t = kappa * self.lam / d   # 0-d: ufuncs convert a float per call
+        t, lo = np.asarray(t), np.asarray(self._lower(t))
+        masks = []   # the binding's two bool work arrays, made once
+        def step(z, out=None, tmp=None):
+            if not masks:
+                both = np.empty((2, z.size), bool)
+                masks.extend((both[0], both[1]))
+            def jac(w, out=None):
+                ge, lt = masks
+                keep = np.invert(np.bitwise_and(
+                    np.greater_equal(z, lo, ge), np.less(z, t, lt), ge), ge)
                 # a bare keep * w would pair the N slopes with the r columns
                 # whenever N == r
-                return keep * w if w.ndim == 1 else _scale_rows(keep, w)
-            return self._prox_at(z, t), jac
+                return np.multiply(keep, w, out) if w.ndim == 1 else \
+                    _scale_rows(keep, w)
+            return self._prox_into(z, t, out, tmp, masks[0]), jac
         return step
 
 
@@ -259,6 +273,12 @@ class L1Norm(_Thresholding):
     @staticmethod
     def _prox_at(z, t):
         return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+
+    @staticmethod
+    def _prox_into(z, t, out, tmp, mask):
+        p = np.abs(z, out)
+        np.maximum(np.subtract(p, t, p), 0.0, out=p)
+        return np.multiply(np.sign(z, tmp), p, p)
 
     @staticmethod
     def _lower(t):
@@ -359,6 +379,11 @@ class Hinge(_Thresholding):
     @staticmethod
     def _prox_at(z, c):
         return np.where(z > c, z - c, np.minimum(z, 0.0))
+
+    @staticmethod
+    def _prox_into(z, c, out, tmp, mask):
+        p = np.minimum(z, 0.0, out=out)
+        return np.subtract(z, c, out=p, where=np.greater(z, c, mask))
 
     @staticmethod
     def _lower(c):
@@ -546,6 +571,7 @@ class GroupL2(ProxOperator):
     vector must be constant within each block (block soft-thresholding has
     no closed form otherwise).
     """
+    _scalar_bind = True
 
     def __init__(self, lam, blocks):
         if lam <= 0:
@@ -594,9 +620,9 @@ class GroupL2(ProxOperator):
     def _prox_diag(self, x, d, kappa):
         return self._step(x, kappa * self.lam / d[self._firsts])[0]
 
-    def _step(self, z, thresh):   # the prox and the temporaries of its jac
+    def _step(self, z, thresh, out=None):   # the prox, its jac's temporaries
         parts = self._shrink(z, thresh)
-        p = np.empty_like(z)
+        p = np.empty_like(z) if out is None else out
         p[self._perm] = np.repeat(parts[3], self._sizes) * parts[1]
         return p, parts
 
@@ -618,11 +644,12 @@ class GroupL2(ProxOperator):
             np.asarray(z, dtype=float), kappa * self.lam / d[self._firsts]))
 
     def _bind(self, d, kappa):
-        thresh = kappa * self.lam / d[self._firsts]
-        def step(z):
-            p, parts = self._step(z, thresh)
+        thresh = np.asarray(   # 0-d for a scalar d, as in _Thresholding
+            kappa * self.lam / (d[self._firsts] if np.ndim(d) else d))
+        def step(z, out=None, tmp=None):
+            p, parts = self._step(z, thresh, out)
 
-            def jac(w):
+            def jac(w, out=None):
                 if w.ndim == 2:
                     return self._jvp_from(w, *parts)
                 return self._jvp_from(w[:, None], *parts)[:, 0]

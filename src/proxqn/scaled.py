@@ -25,12 +25,14 @@ a damped semi-smooth Newton on the stacked two-multiplier system, one
 diagonal prox and one Clarke-Jacobian product with an N x 2 matrix per
 step, warm-started from the previous forward-backward iteration.  Both
 Newtons bind the operator once per root problem (``_bind`` in
-:mod:`proxqn.prox`): every prox step, line-search trials included, reuses
-the thresholds, and a Newton step takes its Jacobian product from the
-accepted point's binding.  The recursive route (an outer scalar solve over
-inner rank-1 solves) is kept as its fallback, taken only when the Newton
-loop misses its tolerance, and as its oracle.  A report whose residual is
-not finite is never ``converged``.
+:mod:`proxqn.prox`), with the scalar ``c`` of a trusted ``P = c I`` where
+the operator takes one: every prox step, line-search trials included,
+reuses the thresholds, and a Newton step takes its Jacobian product from
+the accepted point's binding; the rank-1 Newton's steps write into arrays
+it allocates once.  The recursive route (an outer scalar solve over inner
+rank-1 solves) is kept as its fallback, taken only when the Newton loop
+misses its tolerance, and as its oracle.  A report whose residual is not
+finite is never ``converged``.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ class RootProblem:
         self.kappa = float(kappa)
         self.sign = metric.sign
         self.U = metric.factor_matrix
-        self.diag, p_div = _checked_weights(metric, prox)
+        self.diag, p_div, self.bind_weights = _checked_weights(metric, prox)
         self._shift_dirs = self.U / p_div  # P^{-1} U
         g_sq = metric.gram_norm_sq()
         self.lipschitz_bound = 1.0 + g_sq
@@ -132,12 +134,15 @@ class RootProblem:
 
 
 def _checked_weights(metric, prox):
-    """``diag(P)`` checked for ``prox``, and the divisor giving ``P^{-1} U``;
-    a trusted ``c I`` (``c > 0`` tested) needs only the dimension test."""
+    """``diag(P)`` checked for ``prox``, the divisor giving ``P^{-1} U`` and
+    the weights to bind ``prox`` with; a trusted ``c I`` (``c > 0`` tested)
+    needs only the dimension test, and binds with ``c`` if ``prox`` takes a
+    scalar."""
     if metric._c is None or prox.dim not in (None, metric.dim):
         d = prox.check_weights(metric.diag, metric.dim)
-        return d, d[:, None]
-    return metric.diag, metric._c
+        return d, d[:, None], d
+    c = metric._c
+    return metric.diag, c, c if prox._scalar_bind else metric.diag
 
 
 def _fd_jacobian(func, x, base):
@@ -415,31 +420,37 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
     norm the steps can close in on a 2-cycle around the root, so from step
     ``_CYCLE_CHECK`` on two steps that halve neither the bracket nor ``|L|``
     are followed by a bisection.  On budget exhaustion the sweep, or
-    bisection, takes over."""
-    prox, x, d, s = problem.prox, problem.x, problem.diag, problem.sign
+    bisection, takes over.  Steps write into the call's own ``p`` (returned),
+    ``z`` and two slots taken in turn (``tmp``, ``x - p``, then ``jw``)."""
+    prox, x, s = problem.prox, problem.x, problem.sign
     u, w = problem.U[:, 0], problem._shift_dirs[:, 0]
-    step = prox._bind(d, problem.kappa)
+    step = prox._bind(problem.bind_weights, problem.kappa)
+    p, rows = np.empty_like(x), np.empty((3, x.size))
+    z, jws = rows[0], (rows[1], rows[2])
+    abs_ux = None   # |u| and |x|, formed at the first rounding-level test
     alpha = 0.0 if alpha0 is None else float(np.atleast_1d(alpha0)[0])
     lo, hi, prev, history, widths = -np.inf, np.inf, (None, None), [], []
     for it in range(max_iter + 1):
-        z = x - (s * alpha) * w
-        p, jac = step(z)
-        val = float(u.dot(x - p)) + alpha
+        np.subtract(x, np.multiply(s * alpha, w, z), z)
+        p, jac = step(z, p, jws[it % 2])
+        val = float(u.dot(np.subtract(x, p, jws[it % 2]))) + alpha
         history.append(abs(val))
         if not tol < abs(val) < math.inf:   # reached, or a non-finite map
             break
-        jw = jac(w)
+        jw = jac(w, jws[it % 2])
         slope = 1.0 + s * float(u.dot(jw)) if jw is not None else \
             float(problem.map_L([alpha + _FD_STEP])[0] - val) / _FD_STEP
         # equal products jw give equal slopes, the cheaper test first;
         # |u|.(|x| + |p|) + |alpha| bounds the terms summed into L
-        if jw is not None and slope == prev[0] and (jw == prev[1]).all() \
-                and abs(val) <= 4.0 * x.size * np.finfo(float).eps * (
-                    float(np.abs(u) @ (np.abs(x) + np.abs(p))) + abs(alpha)):
-            break
+        if jw is not None and slope == prev[0] and (jw == prev[1]).all():
+            abs_ux = abs_ux or (np.abs(u), np.abs(x))
+            np.add(abs_ux[1], np.abs(p, z), z)
+            if abs(val) <= 4.0 * x.size * np.finfo(float).eps * (
+                    float(abs_ux[0] @ z) + abs(alpha)):
+                break
         if it == max_iter:
             logger.info("rank-1 Newton missed %g; falling back", tol)
-            desc = prox.pa_descriptor(d, problem.kappa)
+            desc = prox.pa_descriptor(problem.diag, problem.kappa)
             fb = root_bisection(problem, eps=max(
                 tol / problem.lipschitz_bound, 1e-15)) if desc is None \
                 else root_exact_piecewise_affine(problem, descriptor=desc)
@@ -593,7 +604,7 @@ def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
     residual does not reach ``tol``: no sufficient decrease after 30
     halvings, or 60 steps; a non-finite residual ends it at once, unconverged.
     """
-    P, p_div = _checked_weights(metric, prox)
+    _, p_div, weights = _checked_weights(metric, prox)
     U1, U2 = metric.factor_matrices
     r1 = U1.shape[1]
     r = r1 + U2.shape[1]
@@ -604,7 +615,7 @@ def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
     sgn[:r1] = -1.0
     K = np.eye(r)
     K[:r1, r1:] = U1.T @ W[:, r1:]
-    step = prox._bind(P, kappa)
+    step = prox._bind(weights, kappa)
 
     def system(ab):
         p, jac = step(x + W @ (sgn * ab))

@@ -170,13 +170,14 @@ class _Run:
       next ``(x, f_val, stop)``, where ``stop`` is None or the status
       that ends the solve there ("stagnated" or "nonfinite").
 
-    Each iteration is recorded with the sup-norm of ``dx = x_new - x``
-    before any stopping test.  The solve ends "nonfinite" on a NaN or
-    infinite objective (except +inf at the start: an infeasible ``x0``,
-    which the first prox step repairs), "converged" once the step norm
-    drops below ``tol``, "budget" past ``budget_seconds`` of the thread's
-    CPU time (the trace's seconds are wall-clock), with the status
-    ``advance`` returns as ``stop``, and "max_iters" otherwise.
+    Each iteration is recorded with the sup-norm of ``dx = x_new - x`` before
+    any stopping test.  The solve ends "nonfinite" on a NaN or infinite
+    objective (except +inf at the start: an infeasible ``x0``, which the
+    first prox step repairs) or step norm (at the finite ``x`` and objective
+    it stepped from), "converged" once the step norm drops below ``tol``,
+    "budget" past ``budget_seconds`` of the thread's CPU time (the trace's
+    seconds are wall-clock), with the status ``advance`` returns as
+    ``stop``, and "max_iters" otherwise.
     """
 
     def __init__(self, problem, opts, solver_id):
@@ -201,7 +202,8 @@ class _Run:
             step_norm = float(np.abs(dx).max(initial=0.0))
             self.trace.append(k, f_val, step_norm,
                               time.perf_counter() - self.t0)
-            if not (math.isfinite(f_val) or (k == 0 and f_val == math.inf)):
+            if not (math.isfinite(f_val) or (k == 0 and f_val == math.inf)) \
+                    or not math.isfinite(step_norm):
                 status = "nonfinite"
                 break
             if step_norm < opts.tol and k >= first:

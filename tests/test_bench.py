@@ -18,7 +18,7 @@ from proxqn.bench import (
     write_manifest,
     write_trace_csv,
 )
-from proxqn import prox
+from proxqn import prox, scaled
 from proxqn.prox import L1Norm, NonNeg
 from proxqn.solver import SOLVERS, ProblemSpec, SolverOptions
 from proxqn.trace import ConvergenceTrace
@@ -144,6 +144,41 @@ def test_column_products_leave_the_quasi_newton_solvers_bit_identical(
         assert _same_bits(got.x, want.x), solver_id
     # the joint rank-2 Newton took N x 2 products through the patch
     assert (problem.dim, 2) in calls
+
+
+@pytest.mark.parametrize("recipe", [
+    ProblemRecipe("lasso_gaussian", m=40, n=80, lam=0.1, seed=5),
+    ProblemRecipe("lasso_diff3d", side=7, lam=1.0, seed=5),
+    ProblemRecipe("group_lasso", m=40, n=80, lam=1.0, block_cap=8, seed=5),
+    ProblemRecipe("nnls", m=40, n=80, seed=5),
+], ids=lambda r: r.family)
+def test_scalar_binding_leaves_the_quasi_newton_solvers_bit_identical(
+        monkeypatch, recipe):
+    # every root problem bound with the vector diagonal instead of the
+    # scalar c of a trusted c I: the same traces and final points
+    problem = generate(recipe)
+    opts = SolverOptions(max_iters=300, tol=1e-10)
+    checked = scaled._checked_weights
+    scalar = []
+
+    def vector_weights(metric, op):
+        d, p_div, weights = checked(metric, op)
+        scalar.append(np.ndim(weights) == 0)
+        return d, p_div, d
+
+    for solver_id in ("zero-bfgs", "zero-sr1"):
+        got = SOLVERS[solver_id](problem, opts)
+        with monkeypatch.context() as patch:
+            patch.setattr(scaled, "_checked_weights", vector_weights)
+            want = SOLVERS[solver_id](problem, opts)
+        assert _same_bits(got.trace.iters, want.trace.iters), solver_id
+        assert _same_bits(got.trace.objectives, want.trace.objectives), \
+            solver_id
+        assert _same_bits(got.trace.step_norms, want.trace.step_norms), \
+            solver_id
+        assert _same_bits(got.x, want.x), solver_id
+    # the patch saw scalar weights, exactly where the operator takes them
+    assert any(scalar) == problem.h._scalar_bind
 
 
 def _triplet_diff3d_operator(side):

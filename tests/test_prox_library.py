@@ -17,6 +17,7 @@ from proxqn.prox import (
     Simplex,
     Zero,
     _scale_rows,
+    _Thresholding,
 )
 from proxqn.metric import LowRankMetric, PlusMinusMetric
 from proxqn.scaled import scaled_prox, scaled_prox_rank2
@@ -333,20 +334,45 @@ def _assert_bound_matches(op, points, d, kappa, directions):
     # one binding, stepped at every point, gives the bits of the separate
     # prox and Jacobian calls, for vector and N x r matrix directions; each
     # product is asked for only after every step, so it must keep the
-    # temporaries of its own point
+    # temporaries of its own point.  Every point is stepped twice: with
+    # allocated outputs, and with caller-owned ones holding NaN, which the
+    # thresholds (p and a vector's product) and the group norm (p) fill and
+    # return, and one shared NaN work array.  A scalar d binds the weights
+    # np.full(n, d)
+    n = points[0].size
+    dv = np.full(n, d) if np.ndim(d) == 0 else d
+    kept = [z.copy() for z in points]
     step = op._bind(d, kappa)
-    steps = [step(z) for z in points]
-    for z, (p, jac) in zip(points, steps):
-        assert p.tobytes() == op._prox_diag(z, d, kappa).tobytes()
+    outs = [None] * len(points) + [np.full(n, np.nan) for _ in points]
+    tmp = np.full(n, np.nan)
+    steps = [step(z, out, None if out is None else tmp)
+             for z, out in zip(points * 2, outs)]
+    for z, out, (p, jac) in zip(points * 2, outs, steps):
+        assert p.tobytes() == op._prox_diag(z, dv, kappa).tobytes()
+        assert (p is out) == (out is not None and op._scalar_bind)
         for w in directions:
-            jw = jac(w)
+            jw_out = None if out is None or w.ndim == 2 else \
+                np.full(n, np.nan)
+            jw = jac(w, jw_out)
             M = w if w.ndim == 2 else w[:, None]
-            jvp = op.prox_diag_jvp(z, d, kappa, M)
+            jvp = op.prox_diag_jvp(z, dv, kappa, M)
             if jvp is None:
                 assert jw is None
             else:
                 assert jw.shape == w.shape
                 assert jw.tobytes() == jvp.reshape(w.shape).tobytes()
+                assert (jw is jw_out) == (
+                    jw_out is not None and isinstance(op, _Thresholding))
+    assert all(z.tobytes() == k.tobytes() for z, k in zip(points, kept))
+
+
+def _special_point(rng, n):
+    """Entries by ``i % 6``: -0.0, +inf, -inf, NaN, 0.0, standard normal."""
+    z = rng.standard_normal(n)
+    kind = np.arange(n) % 6
+    for k, v in enumerate((-0.0, np.inf, -np.inf, np.nan, 0.0)):
+        z[kind == k] = v
+    return z
 
 
 def _directions(rng, n):
@@ -366,8 +392,8 @@ def _assert_bound_cases_match(rng, n):
     zeros = np.zeros(n)
     cases = [
         (Zero(), [zeros]),
-        (L1Norm(0.7), [t, -t]),
-        (Hinge(0.9), [c, zeros]),
+        (L1Norm(0.7), [t, -t, _special_point(rng, n)]),
+        (Hinge(0.9), [c, zeros, _special_point(rng, n)]),
         (NonNeg(), [zeros]),
         (Box(lo, hi), [lo, hi]),
         (Box(lo, np.inf), [lo]),
@@ -447,6 +473,27 @@ def test_scale_rows_matches_the_broadcast_bitwise(rng, n, r):
     # (so -0.0), and +inf in its second column when r > 1
     assert np.signbit(out[0, 0]) and out[0, 0] == 0.0
     assert r == 1 or np.isnan(out[0, 1])
+
+
+def test_bound_steps_take_the_scalar_of_a_uniform_diagonal_bitwise(rng):
+    # thresholds and the group norm bound with a scalar c step as with the
+    # vector np.full(n, c), at kinks, at -0.0, +-inf and NaN and elsewhere
+    n, kappa, c = 60, 1.3, 0.85
+    blocks = np.split(rng.permutation(n), [1, 4, 9, 20, 33, 34, 50])
+    directions = _directions(rng, n)
+    normal = [3.0 * rng.standard_normal(n) for _ in range(4)]
+    for op, lam in ((L1Norm(0.7), 0.7), (Hinge(0.9), 0.9)):
+        t = kappa * lam / c
+        kink = np.full(n, t)
+        points = normal + [kink, -kink, np.nextafter(kink, np.inf),
+                           np.nextafter(-kink, -np.inf), np.zeros(n),
+                           _special_point(rng, n)]
+        _assert_bound_matches(op, points, c, kappa, directions)
+    group = GroupL2(0.7, blocks)
+    signed_zeros = normal[0].copy()
+    signed_zeros[blocks[2]] = -0.0
+    _assert_bound_matches(group, normal + [np.zeros(n), signed_zeros], c,
+                          kappa, directions)
 
 
 def test_fused_group_prox_matches_separate_calls_bitwise(rng):

@@ -443,10 +443,10 @@ class _BadJacobianL1(L1Norm):
     def _bind(self, d, kappa):
         step = super()._bind(d, kappa)
 
-        def bad_step(z):
-            p, jac = step(z)
-            return p, lambda w: self._corrupt(jac(w)) if w.ndim == 2 \
-                else jac(w)
+        def bad_step(z, out=None, tmp=None):
+            p, jac = step(z, out, tmp)
+            return p, lambda w, out=None: self._corrupt(jac(w)) \
+                if w.ndim == 2 else jac(w, out)
         return bad_step
 
 
@@ -718,13 +718,13 @@ def _count_bound_calls(op):
     def counted_bind(d, kappa):
         step = bind(d, kappa)
 
-        def counted_step(z):
+        def counted_step(z, out=None, tmp=None):
             counts["prox"] += 1
-            p, jac = step(z)
+            p, jac = step(z, out, tmp)
 
-            def counted_jac(w):
+            def counted_jac(w, out=None):
                 counts["jac"] += 1
-                return jac(w)
+                return jac(w, out)
             return p, counted_jac
         return counted_step
     op._bind = counted_bind
@@ -782,3 +782,137 @@ def test_warm_start_size_mismatch_ignored(rng):
     p, _ = scaled_prox(metric, L1Norm(0.5), rng.standard_normal(5),
                        warm_alpha=np.zeros(0))
     assert p.shape == (5,)
+
+
+def _group_blocks(rng, n):
+    return np.split(rng.permutation(n), np.sort(rng.choice(
+        np.arange(1, n), size=n // 4, replace=False)))
+
+
+def _scalar_bind_cases(rng, n):
+    """Every binding route: the thresholds (scalar c), the group norm
+    (scalar c), the base binding and the affine factor cache (the vector)."""
+    return [L1Norm(0.4), Hinge(0.3), GroupL2(0.4, _group_blocks(rng, n)),
+            NonNeg(), Box(-0.2, 0.3),
+            AffineConstraint(rng.standard_normal((2, n)),
+                             rng.standard_normal(2))]
+
+
+def _record_bound_weights(monkeypatch, op):
+    weights = []
+    bind = op._bind
+
+    def recording(d, kappa):
+        weights.append(d)
+        return bind(d, kappa)
+    monkeypatch.setattr(op, "_bind", recording)
+    return weights
+
+
+def test_scalar_binding_gives_the_bits_of_the_vector_diagonal(rng,
+                                                              monkeypatch):
+    # a trusted c I binds the thresholding and group operators with the
+    # scalar c, the public metric with the same np.full(n, c) diagonal binds
+    # the vector: the same points, multipliers, iterations and method
+    n = 40
+    for op in _scalar_bind_cases(rng, n):
+        weights = _record_bound_weights(monkeypatch, op)
+        for trial in range(6):
+            c = float(np.exp(rng.uniform(-1.0, 1.0)))
+            u1, u2 = rng.standard_normal((2, n))
+            u1 *= np.sqrt(c * 0.6 / np.dot(u1, u1))
+            u2 *= np.sqrt(c * 0.2 / np.dot(u2, u2))
+            x = 2.0 * rng.standard_normal(n)
+            sign = +1 if trial % 2 else -1
+            pairs = [
+                (scaled_prox,
+                 LowRankMetric._trusted(c, u1.reshape(n, 1), sign),
+                 LowRankMetric(np.full(n, c), [u1], sign)),
+                (scaled_prox_rank2,
+                 PlusMinusMetric._trusted(c, u1.reshape(n, 1),
+                                          u2.reshape(n, 1)),
+                 PlusMinusMetric(np.full(n, c), [u1], [u2])),
+            ]
+            for route, trusted, public in pairs:
+                del weights[:]
+                p_t, rep_t = route(trusted, op, x)
+                scalar = np.ndim(weights[-1]) == 0
+                p_p, rep_p = route(public, op, x)
+                assert np.ndim(weights[-1]) == 1
+                assert scalar == op._scalar_bind, type(op).__name__
+                assert p_t.tobytes() == p_p.tobytes(), type(op).__name__
+                assert rep_t.alpha_star.tobytes() == \
+                    rep_p.alpha_star.tobytes()
+                assert rep_t.iterations == rep_p.iterations
+                assert rep_t.method == rep_p.method
+
+
+def _factors(metric):
+    if isinstance(metric, PlusMinusMetric):
+        return np.hstack(metric.factor_matrices)
+    return metric.factor_matrix
+
+
+def test_prox_points_do_not_alias_across_calls_or_inputs(rng):
+    # each call returns a point of its own and writes neither x nor U
+    n = 30
+    for op in _scalar_bind_cases(rng, n):
+        u1, u2 = rng.standard_normal((2, n))
+        u1 *= np.sqrt(0.4 / np.dot(u1, u1))
+        u2 *= np.sqrt(0.1 / np.dot(u2, u2))
+        metrics = [
+            (scaled_prox, LowRankMetric._trusted(0.8, u1.reshape(n, 1), +1)),
+            (scaled_prox, LowRankMetric(np.full(n, 0.8), [u1], -1)),
+            (scaled_prox_rank2, PlusMinusMetric._trusted(
+                0.8, u1.reshape(n, 1), u2.reshape(n, 1))),
+        ]
+        for route, metric in metrics:
+            U = np.array(_factors(metric))
+            x1, x2 = 2.0 * rng.standard_normal((2, n))
+            x1_copy, x2_copy = x1.copy(), x2.copy()
+            p1, _ = route(metric, op, x1)
+            kept = p1.copy()
+            p2, _ = route(metric, op, x2)
+            assert not np.shares_memory(p1, p2)
+            assert p1.tobytes() == kept.tobytes()
+            assert x1.tobytes() == x1_copy.tobytes()
+            assert x2.tobytes() == x2_copy.tobytes()
+            assert U.tobytes() == _factors(metric).tobytes()
+
+
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_rank1_newton_budget_falls_back_to_the_sweep_or_bisection(
+        rng, max_iter):
+    # L1Norm has a piecewise-affine descriptor: the exact sweep's root and
+    # point; GroupL2 has none: bisection's root, within its tolerance.  The
+    # report keeps the Newton's method name, adds its iterations to the
+    # fallback's and appends the fallback's residual to its history
+    n, tol = 40, 1e-12
+    taken = {"exact": 0, "bisection": 0}
+    for op in (L1Norm(2.0), GroupL2(2.0, _group_blocks(rng, n))):
+        for sign in (+1, -1) * 4:
+            u = rng.standard_normal(n)
+            u *= np.sqrt(0.7 / np.dot(u, u))
+            metric = LowRankMetric(np.ones(n), [u], sign)
+            x = 3.0 * rng.standard_normal(n)
+            full = root_semismooth_newton(RootProblem(metric, op, x), tol=tol)
+            if len(full.residual_history) <= max_iter + 1:
+                continue   # the Newton ends within the budget
+            problem = RootProblem(metric, op, x)
+            rep = root_semismooth_newton(problem, tol=tol, max_iter=max_iter)
+            if isinstance(op, L1Norm):
+                fb = root_exact_piecewise_affine(problem)
+                assert rep.point.tobytes() == fb.point.tobytes()
+                assert rep.alpha_star.tobytes() == fb.alpha_star.tobytes()
+                taken["exact"] += 1
+            else:
+                eps = tol / problem.lipschitz_bound
+                fb = root_bisection(problem, eps=eps)
+                assert rep.alpha_star.tobytes() == fb.alpha_star.tobytes()
+                assert abs(rep.alpha_star[0] - full.alpha_star[0]) <= 2 * eps
+                taken["bisection"] += 1
+            assert rep.method == "ssnewton" and rep.converged
+            assert rep.iterations == fb.iterations + max_iter
+            assert rep.residual_history == \
+                full.residual_history[:max_iter + 1] + [fb.residual]
+    assert taken["exact"] and taken["bisection"]

@@ -6,7 +6,7 @@ import pytest
 from proxqn.bench import ProblemRecipe, generate
 from proxqn.metric import LowRankMetric
 from proxqn import solver
-from proxqn.prox import L1Norm, NonNeg, Zero
+from proxqn.prox import L1Norm, NonNeg, ProxOperator, Zero
 from proxqn.quasi_newton import QNPair, SR1Config, sr1_metric
 from proxqn.solver import (
     SOLVERS,
@@ -274,6 +274,50 @@ def test_nonfinite_gradient_ends_the_solve(solver_id):
     res = solve(prob, solver_id, SolverOptions(max_iters=50))
     assert res.status == "nonfinite"
     assert not res.converged and res.iterations <= 4
+
+
+class _TurnsNaN(ProxOperator):
+    """l1 norm through the base binding whose prox points are NaN from its
+    ``after + 1``-th call on."""
+
+    separable = True
+
+    def __init__(self, lam, after):
+        self.l1, self.after, self.calls = L1Norm(lam), after, 0
+
+    def evaluate(self, x):
+        return self.l1.evaluate(x)
+
+    def _prox_diag(self, x, d, kappa):
+        self.calls += 1
+        p = self.l1._prox_diag(x, d, kappa)
+        return p if self.calls <= self.after else np.full_like(p, np.nan)
+
+    def slope_rule(self, z, d, kappa):
+        return self.l1.slope_rule(z, d, kappa)
+
+
+@pytest.mark.parametrize("solver_id", sorted(SOLVERS))
+def test_nonfinite_step_ends_the_solve_at_the_last_finite_point(solver_id):
+    # the first NaN step norm ends the solve, which keeps the point and
+    # objective it stepped from; the quasi-Newton solvers evaluate no
+    # objective on the NaN point (no line search on it)
+    prob = generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
+                                  seed=3))
+    prob.h = _TurnsNaN(0.1, after=5)
+    evaluations = []
+    f = prob.f
+    prob.f = lambda x: evaluations.append(prob.h.calls) or f(x)
+    res = solve(prob, solver_id, SolverOptions(max_iters=200))
+    assert res.status == "nonfinite" and not res.converged
+    steps = np.array(res.trace.step_norms)
+    assert np.isnan(steps[-1]) and np.isfinite(steps[:-1]).all()
+    assert len(steps) >= 2
+    assert np.isfinite(res.x).all()
+    assert res.objective == res.trace.objectives[-1] == prob.objective(res.x)
+    if solver_id in ("zero-sr1", "zero-bfgs"):
+        first_nan = next(i for i, c in enumerate(evaluations) if c > 5)
+        assert first_nan == len(evaluations) - 1   # only the check above
 
 
 @pytest.mark.parametrize("solver_id", sorted(SOLVERS))
