@@ -29,6 +29,7 @@ from proxqn.scaled import (
     scaled_prox_rank2,
 )
 from proxqn.validate import (
+    _euclid_l1_ball,
     brute_force_scaled_prox,
     dense_metric,
     euclidean_prox_for,
@@ -764,17 +765,27 @@ def test_subgradient_inclusion_for_l1(rng):
 
 
 def test_monotonicity_and_lipschitz_constants(rng):
-    for _ in range(5):
-        n = int(rng.integers(3, 25))
-        metric = sample_metric(rng, n)
-        problem = RootProblem(metric, L1Norm(0.7), rng.standard_normal(n))
-        c, lip = problem.monotonicity_modulus, problem.lipschitz_bound
-        for _ in range(200):
-            a, b = rng.uniform(-3, 3), rng.uniform(-3, 3)
-            la = problem.map_L([a])[0]
-            lb = problem.map_L([b])[0]
-            assert (la - lb) * (a - b) >= c * (a - b) ** 2 - 1e-9
-            assert abs(la - lb) <= lip * abs(a - b) + 1e-9
+    # <L(a) - L(b), a - b> >= c ||a - b||^2 and ||L(a) - L(b)|| <= Lip ||a - b||
+    # for vector multipliers, with the constants RootProblem carries
+    n = 12
+    d = np.repeat(rng.uniform(0.5, 2.0, 3), [3, 4, 5])
+    ops = (L1Norm(0.7), Box(-0.5, 0.7),
+           GroupL2(0.6, np.split(np.arange(n), [3, 7])))
+    for rank in (1, 2, 3):
+        for sign in (+1, -1):
+            for op in ops:
+                gram = rng.uniform(0.1, 0.9 if sign < 0 else 1.5)
+                metric = LowRankMetric(
+                    d, _scaled_factors(rng, n, d, rank, gram), sign)
+                problem = RootProblem(metric, op, 2.0 * rng.standard_normal(n))
+                c, lip = problem.monotonicity_modulus, problem.lipschitz_bound
+                assert c == (1.0 if sign > 0 else pytest.approx(1.0 - gram))
+                assert lip == pytest.approx(1.0 + gram)
+                for _ in range(100):
+                    a, b = rng.uniform(-3.0, 3.0, (2, rank))
+                    dl, da = problem.map_L(a) - problem.map_L(b), a - b
+                    assert dl @ da >= c * (da @ da) - 1e-9
+                    assert np.linalg.norm(dl) <= lip * np.linalg.norm(da) + 1e-9
 
 
 def test_warm_start_size_mismatch_ignored(rng):
@@ -916,3 +927,71 @@ def test_rank1_newton_budget_falls_back_to_the_sweep_or_bisection(
             assert rep.residual_history == \
                 full.residual_history[:max_iter + 1] + [fb.residual]
     assert taken["exact"] and taken["bisection"]
+
+
+# -- metrics of rank >= 2 against the dense oracle ------------------------------
+
+_HIGH_RANK_OPS = ["l1", "box", "hinge", "group", "linf"]
+
+
+def _high_rank_op(kind, rng, n):
+    """An operator, its independent Euclidean prox and weights ``d`` it
+    accepts (constant within each block for the group norm)."""
+    blocks = np.split(np.arange(n), [3, 7])
+    d = np.repeat(rng.uniform(0.5, 2.0, 3), [3, 4, n - 7])
+    if kind == "l1":
+        return L1Norm(0.6), euclidean_prox_for("l1", {"lam": 0.6}), d
+    if kind == "box":
+        return Box(-0.5, 0.7), \
+            euclidean_prox_for("box", {"lo": -0.5, "hi": 0.7}), d
+    if kind == "hinge":
+        return Hinge(0.8), euclidean_prox_for("hinge", {"lam": 0.8}), d
+    if kind == "group":
+        return GroupL2(0.6, blocks), euclidean_prox_for(
+            "group_l1l2", {"lam": 0.6, "blocks": blocks}), d
+    # h = 0.7 ||.||_inf has no Jacobian product: forward differences; its
+    # Euclidean prox is v minus the projection onto the l1 ball of 0.7 t
+    return LinfNorm(0.7), lambda v, t: v - _euclid_l1_ball(v, 0.7 * t), d
+
+
+def _scaled_factors(rng, n, d, r, gram):
+    """``r`` random factors with ``||P^{-1/2} U||^2 = gram``, as rows."""
+    U = rng.standard_normal((n, r))
+    U *= np.sqrt(gram / np.linalg.eigvalsh(U.T @ (U / d[:, None]))[-1])
+    return U.T
+
+
+@pytest.mark.parametrize("kind", _HIGH_RANK_OPS)
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_single_sign_high_rank_prox_against_brute_force(rng, kind, sign,
+                                                        rank):
+    n = 12
+    op, euclid, d = _high_rank_op(kind, rng, n)
+    for gram in (0.3, 0.8):
+        metric = LowRankMetric(d, _scaled_factors(rng, n, d, rank, gram),
+                               sign)
+        x = 2.0 * rng.standard_normal(n)
+        p, rep = scaled_prox(metric, op, x, kappa=1.3)
+        assert rep.converged and rep.residual <= 1e-12
+        z = brute_force_scaled_prox(dense_metric(metric), euclid, x, 1.3,
+                                    tol=1e-15)
+        np.testing.assert_allclose(p, z, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind", _HIGH_RANK_OPS)
+@pytest.mark.parametrize("ranks", [(2, 2), (3, 1), (1, 2)])
+def test_plus_minus_high_rank_prox_against_brute_force(rng, kind, ranks):
+    n = 12
+    op, euclid, d = _high_rank_op(kind, rng, n)
+    for plus_gram in (0.4, 1.5):
+        # ||P^{-1/2} U2||^2 < 1 keeps P - Q2, hence P + Q1 - Q2, SPD
+        metric = PlusMinusMetric(
+            d, _scaled_factors(rng, n, d, ranks[0], plus_gram),
+            _scaled_factors(rng, n, d, ranks[1], 0.6))
+        x = 2.0 * rng.standard_normal(n)
+        p, rep = scaled_prox_rank2(metric, op, x, kappa=0.9)
+        assert rep.converged and rep.residual <= 1e-12
+        z = brute_force_scaled_prox(dense_metric(metric), euclid, x, 0.9,
+                                    tol=1e-15)
+        np.testing.assert_allclose(p, z, atol=1e-8)
