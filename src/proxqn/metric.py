@@ -6,24 +6,20 @@ positive and ``U`` a thin factor matrix of rank ``r``.  All operations
 work on the factored form in ``O(N * r)`` without ever assembling the
 dense matrix.
 
+``PlusMinusMetric`` is ``V = P + U1 U1^T - U2 U2^T``.  Besides its factors
+it keeps ``W2 = (P + U1 U1^T)^{-1} U2``, which the scaled prox needs: with
+``(U1, U2, W2)``, and ``(U, 0, 0)`` or ``(0, U, P^{-1} U)`` for a single-sign
+metric, every metric gives the prox the same factored form.
+
 The public constructors check everything.  The quasi-Newton constructions
 and ``invert`` build metrics with a uniform diagonal ``c I`` through the
 internal ``_trusted`` constructors, which take ``(dim, r)`` factor arrays
 the caller owns and skip the copies, the reshaping and the N-vector scan
 of the diagonal.  They keep the scalar test ``c > 0`` (which rejects NaN),
-the drop rule, the Gram rank test and both positive-definiteness tests,
-and give the same bits, with the Python float ``c`` in place of ``diag``
-in their products and rank-1 Gram tests.
-
-``PlusMinusMetric._trusted`` builds the rank-(1,1) metrics of 0BFGS (one
-plus and at most one minus factor) without metric objects for ``P + Q1``
-and its inverse.  It evaluates the numpy expressions that ``invert`` and
-``apply`` would, in their order, to get ``W2 = (P + Q1)^{-1} u2``, and keeps
-every check of the public path with its exception type: ``c > 0`` and
-``1/c > 0``, the drop rule on ``u1``, ``u2`` and the inverse factor, the
-rank tests of ``u1`` and of the inverse factor, the inverse's
-positive-definiteness test ``g >= 1``, and the outer Gram test on
-``P + Q1 - Q2``.
+the drop rule, the Gram rank tests and the positive-definiteness tests, and
+give the same bits: both constructors of a class end in the same
+construction body, which computes with the Python float ``c`` where the
+public one has the diagonal vector.
 """
 
 from __future__ import annotations
@@ -76,14 +72,46 @@ def _rank_test(lo, hi):   # lo <= hi: the extreme Gram eigenvalues
         raise MetricError("factor vectors are (nearly) linearly dependent")
 
 
-def _gram_rank1(U, p):
-    """``u^T P^{-1} u`` of a ``(dim, 1)`` factor after the rank test, ``p``
-    the diagonal or ``c``: a Python float with the 1x1 product's bits."""
-    u = U.ravel()
-    g = float(u.dot(u / p))
-    g = 0.5 * (g + g)
-    _rank_test(g, g)
-    return g
+def _col(p):   # a diagonal as a column, or the c of c I as it is
+    return p[:, None] if isinstance(p, np.ndarray) else p
+
+
+def _gram(U, p):
+    """``(G, hi)``: the symmetrized Gram ``G = U^T P^{-1} U`` after the rank
+    test and its largest eigenvalue, ``p`` being the diagonal of ``P`` or
+    the ``c`` of ``c I`` (the same bits); a rank-1 ``hi`` is a Python float
+    with the 1x1 product's bits."""
+    r = U.shape[1]
+    if r == 0:
+        return np.zeros((0, 0)), 0.0
+    if r == 1:
+        u = U.ravel()
+        g = float(u.dot(u / p))
+        lo = hi = 0.5 * (g + g)
+        G = np.array([[hi]])
+    else:
+        G = U.T @ (U / _col(p))
+        G = 0.5 * (G + G.T)
+        lo, hi = map(float, np.linalg.eigvalsh(G)[[0, -1]])
+    _rank_test(lo, hi)
+    return G, hi
+
+
+def _inverse_factor(U, p_inv, sign, G):
+    """``P^{-1} U C^{-1/2}``, ``C = I + sign G`` with ``G = U^T P^{-1} U``,
+    where ``p_inv`` is ``1/diag`` or the scalar ``1/c``."""
+    r = U.shape[1]
+    if r <= 1:
+        # C > 0 by the Gram test; the power of the 1-element array gives
+        # eigh's factor bit for bit, a Python float power does not
+        return U if r == 0 else \
+            U * _col(p_inv) * (np.array([1.0 + sign * G[0, 0]]) ** -0.5)[0]
+    C = np.eye(r) + sign * G
+    # C is SPD: for sign +, C >= I; for sign -, PD by the metric invariant.
+    ew, EV = np.linalg.eigh(0.5 * (C + C.T))
+    if ew[0] <= 0:
+        raise NotPositiveDefiniteError("capacitance matrix not positive definite")
+    return (U * _col(p_inv)) @ (EV @ np.diag(ew ** -0.5) @ EV.T)
 
 
 def _minus_pd_test(g):   # g = ||P^-1/2 U||^2 of P - U U^T
@@ -180,25 +208,10 @@ class LowRankMetric:
     # -- construction-time checks -------------------------------------
 
     def _validate_factors(self):
-        U = self._U
-        r = U.shape[1]
-        if r == 0:
-            self._gram = np.zeros((0, 0))
-            self._gram_norm_sq = 0.0
-            return
-        # Gram of P^{-1/2} U
-        if r == 1:
-            hi = _gram_rank1(U, self.diag if self._c is None else self._c)
-            G = np.array([[hi]])
-        else:
-            G = U.T @ (U / self.diag[:, None])
-            G = 0.5 * (G + G.T)
-            lo, hi = map(float, np.linalg.eigvalsh(G)[[0, -1]])
-            _rank_test(lo, hi)
-        self._gram = G
-        self._gram_norm_sq = hi
+        self._gram, self._gram_norm_sq = _gram(
+            self._U, self.diag if self._c is None else self._c)
         if self.sign < 0:
-            _minus_pd_test(hi)
+            _minus_pd_test(self._gram_norm_sq)
 
     # -- basic queries --------------------------------------------------
 
@@ -251,25 +264,12 @@ class LowRankMetric:
         sign = -self.sign if self.rank else +1
         if self._c is None:
             p_inv = 1.0 / self.diag
-            return LowRankMetric(p_inv, self._inverse_factor(p_inv[:, None]).T,
-                                 sign)
+            return LowRankMetric(
+                p_inv, _inverse_factor(self._U, p_inv, self.sign, self._gram).T,
+                sign)
         c_inv = 1.0 / self._c   # a trusted c I needs no 1/diag vector
-        return LowRankMetric._trusted(c_inv, self._inverse_factor(c_inv), sign)
-
-    def _inverse_factor(self, p_inv):
-        """``P^{-1} U C^{-1/2}``, ``C = I + sign U^T P^{-1} U``, where ``p_inv``
-        is the column ``1/diag`` or the scalar ``1/c``."""
-        if self.rank <= 1:
-            # C > 0 by the Gram test; the power of the 1-element array gives
-            # eigh's factor bit for bit, a Python float power does not
-            return self._U if self.rank == 0 else self._U * p_inv * (
-                np.array([1.0 + self.sign * self._gram_norm_sq]) ** -0.5)[0]
-        C = np.eye(self.rank) + self.sign * self._gram
-        # C is SPD: for sign +, C >= I; for sign -, PD by the metric invariant.
-        ew, EV = np.linalg.eigh(0.5 * (C + C.T))
-        if ew[0] <= 0:
-            raise NotPositiveDefiniteError("capacitance matrix not positive definite")
-        return (self._U * p_inv) @ (EV @ np.diag(ew ** -0.5) @ EV.T)
+        return LowRankMetric._trusted(
+            c_inv, _inverse_factor(self._U, c_inv, self.sign, self._gram), sign)
 
     def __repr__(self):
         s = "+" if self.sign > 0 else "-"
@@ -293,58 +293,51 @@ class PlusMinusMetric:
     """
 
     _c = None   # as on LowRankMetric
+
     def __init__(self, diag, plus_factors=(), minus_factors=()):
         self.diag = diag = _checked_diag(diag)
         self.dim = diag.shape[0]
         self._U1 = _clean_factors(plus_factors, self.dim)
         self._U2 = _clean_factors(minus_factors, self.dim)
-        self._W2 = np.zeros((self.dim, 0))
-        if self._U2.shape[1]:
-            self._check_outer(LowRankMetric(diag, self._U1.T, +1))
+        self._build()
 
     @classmethod
     def _trusted(cls, c, U1, U2):
-        """``c I + U1 U1^T - U2 U2^T`` from ``(dim, r)`` factor arrays with
-        ``r <= 1`` the caller owns; see the module docstring for the checks
-        it keeps."""
+        """``c I + U1 U1^T - U2 U2^T`` from ``(dim, r)`` factor arrays the
+        caller owns; see the module docstring for the checks it keeps."""
         m = cls.__new__(cls)
-        m.dim = n = U1.shape[0]
-        m.diag, m._c = _uniform_diag(c, n), c
-        m._U1 = U1 = _drop_factors(U1)
-        g = _gram_rank1(U1, c) if U1.shape[1] else 0.0   # P1 = P + Q1
-        m._U2 = U2 = _drop_factors(U2)
-        m._W2 = np.zeros((n, 0))
-        if not U2.shape[1]:
-            return m
-        # W2 = P1^{-1} u2 with P1^{-1} = c_inv I - V V^T, the checked trusted
-        # inverse of P1 built and applied in the order invert() and apply()
-        # take, without their metric objects
-        c_inv = 1.0 / c
-        _positive_scalar(c_inv)
-        u2 = U2.ravel()
-        w2 = c_inv * u2
-        if U1.shape[1]:
-            V = _drop_factors(U1 * c_inv * (np.array([1 + g]) ** -0.5)[0])
-            if V.shape[1]:
-                _minus_pd_test(_gram_rank1(V, c_inv))
-                w2 = w2 + -1 * (V @ (V.T @ u2))
-        m._W2 = w2.reshape(n, 1)
-        m._W2.setflags(write=False)
-        M = float(u2.dot(w2))   # the 1x1 U2^T W2 of _check_outer
-        _outer_pd_test(1.0 - 0.5 * (M + M))
+        m.dim = U1.shape[0]
+        m.diag, m._c = _uniform_diag(c, m.dim), c
+        m._U1, m._U2 = _drop_factors(U1), _drop_factors(U2)
+        m._build()
         return m
 
-    def _check_outer(self, inner):
-        """Keep ``W2 = P1^{-1} U2`` from the inverse of ``inner = P + Q1``
-        and run the outer Gram test on ``P1 - Q2``."""
-        P1_inv = inner.invert()
-        self._W2 = np.column_stack(
-            [P1_inv.apply(self._U2[:, j]) for j in range(self._U2.shape[1])]
-        )
-        self._W2.setflags(write=False)
-        M = self._U2.T @ self._W2
-        C = np.eye(self._U2.shape[1]) - 0.5 * (M + M.T)
-        _outer_pd_test(C[0, 0] if C.shape[0] == 1 else np.linalg.eigvalsh(C)[0])
+    def _build(self):
+        """The construction body of both constructors: the rank test of
+        ``U1``, then ``W2 = (P + Q1)^{-1} U2`` column by column from the
+        inverse ``P^{-1} - V V^T`` of ``P + Q1`` (with the checks ``invert``
+        makes on it: ``1/P > 0``, the drop rule, the rank and
+        positive-definiteness tests of ``V``), and the outer Gram test on
+        ``P + Q1 - Q2``."""
+        U1, U2 = self._U1, self._U2
+        p = self.diag if self._c is None else self._c
+        G1, _ = _gram(U1, p)
+        self._W2 = np.zeros((self.dim, 0))
+        if not U2.shape[1]:
+            return
+        p_inv = 1.0 / p
+        _positive_scalar(float(np.min(p_inv)))
+        V = _drop_factors(_inverse_factor(U1, p_inv, +1, G1))
+        _minus_pd_test(_gram(V, p_inv)[1])
+        cols = []
+        for j in range(U2.shape[1]):
+            w = p_inv * U2[:, j]
+            cols.append(w - V @ (V.T @ U2[:, j]) if V.shape[1] else w)
+        self._W2 = W2 = np.column_stack(cols)
+        W2.setflags(write=False)
+        M = U2.T @ W2
+        _outer_pd_test(1.0 - M[0, 0] if M.shape[0] == 1 else
+                       np.linalg.eigvalsh(np.eye(M.shape[0]) - 0.5 * (M + M.T))[0])
 
     @property
     def plus_factors(self):

@@ -9,30 +9,35 @@ where ``alpha*`` is the unique zero of the strongly monotone map
 
     L(alpha) = U^T (x - prox^P_{kh}(x - sign * P^{-1} U alpha)) + alpha.
 
-This module provides the root problem, three interchangeable rank-1 root
-finders (exact piecewise-affine, bisection, semi-smooth Newton), the
-coupled diag + rank-1 - rank-1 solve, and the conjugate route through the
-metric Moreau identity.  The production rank-1 route, for every operator,
-is the warm-started semi-smooth Newton, which terminates finitely on
-piecewise-affine maps and in a few steps on the piecewise-smooth maps of
-group norms and affine constraints; the exact O(N log N) breakpoint sweep
-(or bisection, for operators without a piecewise-affine descriptor) is its
-fallback and oracle.  It asks for no Jacobian product at the step ending
-it.
+Each metric shape has one production route:
 
-The coupled solve in ``V = P + Q1 - Q2`` (0BFGS) has one production route:
-a damped semi-smooth Newton on the stacked two-multiplier system, one
-diagonal prox and one Clarke-Jacobian product with an N x 2 matrix per
-step, warm-started from the previous forward-backward iteration.  Both
-Newtons bind the operator once per root problem (``_bind`` in
+- rank 0: the diagonal prox;
+- rank 1: the warm-started scalar semi-smooth Newton
+  (:func:`root_semismooth_newton`), which terminates finitely on
+  piecewise-affine maps and in a few steps on the piecewise-smooth maps of
+  group norms and affine constraints; it asks for no Jacobian product at
+  the step ending it.  The exact O(N log N) breakpoint sweep (or bisection,
+  for operators without a piecewise-affine descriptor) is its fallback on a
+  budget miss and its oracle;
+- every rank >= 2, single-sign or ``V = P + Q1 - Q2`` (0BFGS): one damped
+  semi-smooth Newton on the stacked multiplier system.  It reads one
+  factored form, ``U1``, ``U2`` and ``W2 = (P + Q1)^{-1} U2`` (``(U, 0, 0)``
+  or ``(0, U, P^{-1} U)`` for a single-sign metric), and makes one diagonal
+  prox and one Clarke-Jacobian product with an N x r matrix per step,
+  warm-started from the previous forward-backward iteration.  Where it
+  misses its tolerance on a metric with exactly one minus factor, the
+  recursive route (an outer scalar solve over inner rank-1 solves), which
+  is also its oracle, takes over; with no such route it raises
+  :class:`RootFinderError`.
+
+Both Newtons bind the operator once per root problem (``_bind`` in
 :mod:`proxqn.prox`), with the scalar ``c`` of a trusted ``P = c I`` where
 the operator takes one: every prox step, line-search trials included,
 reuses the thresholds, and a Newton step takes its Jacobian product from
-the accepted point's binding; the rank-1 Newton's steps write into arrays
-it allocates once.  The recursive route (an outer scalar solve over inner
-rank-1 solves) is kept as its fallback, taken only when the Newton loop
-misses its tolerance, and as its oracle.  A report whose residual is not
-finite is never ``converged``.
+the accepted point's binding (forward differences on the map for
+operators without one); the rank-1 Newton's steps write into arrays it
+allocates once.  The conjugate route goes through the metric Moreau
+identity.  A report whose residual is not finite is never ``converged``.
 """
 
 from __future__ import annotations
@@ -348,66 +353,12 @@ def root_exact_piecewise_affine(problem: RootProblem, descriptor=None):
 
 def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
                            max_iter=50):
-    """Semi-smooth Newton on the dual map with exact r-by-r solves.
-
-    For r = 1 see :func:`_ssnewton_rank1`; for r >= 2 a damped fixed-point
-    sweep takes over after budget exhaustion.  A non-finite map value ends
-    either at once, unconverged.
-    """
-    r = problem.rank
-    if r < 1:
-        raise ValueError("root problem is trivial (rank 0)")
-    if r == 1:
-        return _ssnewton_rank1(problem, tol, alpha0, max_iter)
-    alpha = np.zeros(r) if alpha0 is None else \
-        np.atleast_1d(np.asarray(alpha0, dtype=float)).copy()
-    c = problem.monotonicity_modulus
-    W = problem._shift_dirs
-    history = []
-
-    val = problem.map_L(alpha)
-    res = float(np.linalg.norm(val))
-    history.append(res)
-    for it in range(max_iter):
-        if not tol < res < math.inf:   # reached, or a non-finite map
-            return RootSolverReport(alpha, res, it, "ssnewton",
-                                    converged=res <= tol,
-                                    residual_history=history)
-        # Clarke-element Jacobian I + sign U^T J_prox P^{-1} U, or forward
-        # differences on the map when the operator exposes no prox Jacobian
-        JW = problem.prox.prox_diag_jvp(problem.shifted_point(alpha),
-                                        problem.diag, problem.kappa, W)
-        G = _fd_jacobian(problem.map_L, alpha, val) if JW is None else \
-            np.eye(r) + problem.sign * (problem.U.T @ JW)
-        try:
-            step = np.linalg.solve(G, val)
-        except np.linalg.LinAlgError:
-            logger.info("singular generalized Jacobian; regularizing with c*I")
-            step = np.linalg.solve(G + c * np.eye(r), val)
-        if not np.all(np.isfinite(step)):
-            step = val / problem.lipschitz_bound
-        alpha = alpha - step
-        val = problem.map_L(alpha)
-        res = float(np.linalg.norm(val))
-        history.append(res)
-    if res <= tol:
-        return RootSolverReport(alpha, res, max_iter, "ssnewton",
-                                residual_history=history)
-
-    # budget exhausted: a globally convergent fallback
-    step_size = c / problem.lipschitz_bound ** 2
-    for it in range(10000):
-        if not res > tol:   # reached, or a NaN residual
-            break
-        alpha = alpha - step_size * val
-        val = problem.map_L(alpha)
-        res = float(np.linalg.norm(val))
-    history.append(res)
-    if res > tol:
-        raise RootFinderError(
-            f"semi-smooth Newton failed to reach {tol:g} (residual {res:g})")
-    return RootSolverReport(alpha, res, max_iter + it + 1, "ssnewton",
-                            converged=res <= tol, residual_history=history)
+    """The rank-1 semi-smooth Newton finder, :func:`_ssnewton_rank1`; a
+    non-finite map value ends it at once, unconverged."""
+    if problem.rank != 1:
+        raise ValueError("the semi-smooth Newton finder applies to rank-1 "
+                         "problems")
+    return _ssnewton_rank1(problem, tol, alpha0, max_iter)
 
 
 def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
@@ -484,9 +435,12 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
     ----------
     finder : {"auto", "exact", "bisection"}
         Root-finding strategy.  "auto" is the warm-started semi-smooth
-        Newton for every operator; "exact" (the breakpoint sweep, for
-        operators with a piecewise-affine descriptor) and "bisection" are
-        the oracles it is checked against.
+        Newton for every operator: the scalar one at rank 1, the joint one
+        (see :func:`_joint_newton`) above, which raises
+        :class:`RootFinderError` where it misses ``tol``.  "exact" (the
+        breakpoint sweep, for operators with a piecewise-affine
+        descriptor) and "bisection" are the rank-1 oracles it is checked
+        against.
     tol : float
         Alpha tolerance for bisection, residual tolerance otherwise.
     warm_alpha : array, optional
@@ -505,6 +459,14 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
             np.atleast_1d(warm_alpha).size != problem.rank:
         warm_alpha = None
 
+    if finder == "auto" and problem.rank > 1:
+        # the multipliers of a plus metric are the joint Newton's a, those
+        # of a minus metric its b; W = P^{-1} U either way
+        side, none = (problem.U, problem._shift_dirs), problem.U[:, :0]
+        sides = (*side, none, none) if problem.sign > 0 else \
+            (none, none, *side)
+        return _joint_newton(prox, problem.x, problem.kappa,
+                             problem.bind_weights, *sides, tol, warm_alpha)
     if finder == "auto":
         report = root_semismooth_newton(problem, tol=tol, alpha0=warm_alpha)
     elif finder == "exact":
@@ -549,26 +511,27 @@ def _newton_scalar_bracketed(func, lo, hi, f_lo, f_hi, tol, max_iter=80):
 def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0,
                       method="joint", tol=1e-12, warm=None,
                       inner_finder="auto"):
-    """Prox in ``V = P + Q1 - Q2`` via the coupled two-multiplier system.
+    """Prox in ``V = P + Q1 - Q2`` via the coupled multiplier system.
 
-    A metric with one empty side reduces to the rank-1 :func:`scaled_prox`
+    A metric with one empty side is the single-sign :func:`scaled_prox`
     with ``inner_finder``.  Otherwise the production route
-    (``method="joint"``) is a damped semi-smooth Newton on the stacked
-    system in the multipliers ``(a, b)`` of ``Q1`` and ``Q2``, started from
-    ``warm`` (see :func:`_rank2_joint`); each step costs one diagonal prox
-    and one Clarke-Jacobian product, and its point is returned only at
-    residual <= ``tol``.
+    (``method="joint"``) is the damped semi-smooth Newton
+    :func:`_joint_newton` on the stacked system in the multipliers
+    ``(a, b)`` of ``Q1`` and ``Q2``, started from ``warm``; each step costs
+    one diagonal prox and one Clarke-Jacobian product, and its point is
+    returned only at residual <= ``tol``.
 
-    The recursive path peels the minus part off first: an outer rank-1
-    problem in ``P1 - Q2`` with ``P1 = P + Q1``, solved by a bracketed
-    scalar Newton/secant with one inner rank-1 solve in ``P1`` per outer
-    evaluation.  It is the fallback when the Newton loop fails, and the
-    oracle: ``method="recursive"`` or ``inner_finder`` "exact" or
-    "bisection" (the values :func:`scaled_prox` accepts besides "auto")
-    selects it, so that e.g. ``inner_finder="bisection"`` is a computation
-    independent of the Newton route.  The report's ``method``
-    ("rank2-joint" or "rank2-recursive") names the path that produced the
-    point.
+    The recursive path, for exactly one minus factor, peels the minus part
+    off first: an outer rank-1 problem in ``P1 - Q2`` with ``P1 = P + Q1``,
+    solved by a bracketed scalar Newton/secant with one inner rank-1 solve
+    in ``P1`` per outer evaluation.  It is the fallback when the Newton
+    loop misses ``tol`` (with more minus factors the miss raises
+    :class:`RootFinderError`), and the oracle: ``method="recursive"`` or
+    ``inner_finder`` "exact" or "bisection" (the values
+    :func:`scaled_prox` accepts besides "auto") selects it, so that e.g.
+    ``inner_finder="bisection"`` is a computation independent of the
+    Newton route.  The report's ``method`` ("rank2-joint" or
+    "rank2-recursive") names the path that produced the point.
     """
     if method not in ("joint", "recursive"):
         raise ValueError(f"unknown rank-2 method {method!r}")
@@ -582,34 +545,39 @@ def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0,
         return scaled_prox(single, prox, x, kappa=kappa, finder=inner_finder,
                            tol=tol)
     if method == "joint" and inner_finder == "auto":
-        result = _rank2_joint(metric, prox, x, kappa, tol, warm)
-        if result is not None:
-            return result
+        _, p_div, weights = _checked_weights(metric, prox)
+        U1, U2 = metric.factor_matrices
+        try:
+            return _joint_newton(prox, x, kappa, weights, U1, U1 / p_div, U2,
+                                 metric.p1_inv_minus, tol, warm)
+        except RootFinderError:
+            if U2.shape[1] != 1:   # no recursive path to fall back on
+                raise
         logger.info("joint rank-2 Newton failed; using the recursive path")
     return _rank2_recursive(metric, prox, x, kappa, tol, warm, inner_finder)
 
 
-def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
+def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
     """Damped semi-smooth Newton on the stacked system
 
         F1(a, b) = U1^T (x + W2 b - p) + a
         F2(a, b) = U2^T (x - p) + b,
         p = prox^P_{kh}(x + W2 b - W1 a),  W1 = P^{-1} U1,  W2 = P1^{-1} U2,
 
-    which is Theorem 3.4 recursed through ``V = (P + Q1) - Q2``.  The
-    operator is bound once (``_bind``); each step takes the Clarke-Jacobian
-    product with ``[W1 W2]`` of its point's binding (forward differences
-    on F when the operator exposes none) and halves its length until
-    ``||F||`` falls by the factor ``1 - 1e-4 t``.  Returns None when the
-    residual does not reach ``tol``: no sufficient decrease after 30
-    halvings, or 60 steps; a non-finite residual ends it at once, unconverged.
+    which is Theorem 3.4 recursed through ``V = (P + Q1) - Q2``; either
+    side may be empty, which leaves the single-sign dual map.  The operator
+    is bound once (``_bind``, with ``weights``); each step takes the
+    Clarke-Jacobian product with ``[W1 W2]`` of its point's binding
+    (forward differences on F when the operator exposes none) and halves
+    its length until ``||F||`` falls by the factor ``1 - 1e-4 t``.  Raises
+    :class:`RootFinderError` when the residual does not reach ``tol``: no
+    sufficient decrease after 30 halvings, or 60 steps; a non-finite
+    residual ends it at once, unconverged.
     """
-    _, p_div, weights = _checked_weights(metric, prox)
-    U1, U2 = metric.factor_matrices
     r1 = U1.shape[1]
     r = r1 + U2.shape[1]
     Ut = np.concatenate((U1, U2), axis=1).T
-    W = np.concatenate((U1 / p_div, metric.p1_inv_minus), axis=1)
+    W = np.concatenate((W1, W2), axis=1)
     # z = x + W @ (sgn * ab): the a-directions enter with a minus sign
     sgn = np.ones(r)
     sgn[:r1] = -1.0
@@ -626,10 +594,9 @@ def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
     val, p, jac = system(ab)
     res = math.sqrt(val.dot(val))
     history = [res]
-    steps = 0
     while tol < res < math.inf:
-        if steps == 60:
-            return None
+        if len(history) > 60:
+            break
         JW = jac(W)
         G = _fd_jacobian(lambda v: system(v)[0], ab, val) if JW is None \
             else K - (Ut @ JW) * sgn
@@ -646,13 +613,15 @@ def _rank2_joint(metric: PlusMinusMetric, prox, x, kappa, tol, warm):
                 break
             t *= 0.5
         else:
-            return None
+            break
         ab, val, p, jac, res = new, new_val, new_p, new_jac, new_res
         history.append(res)
-        steps += 1
-    return p, RootSolverReport(ab, res, steps, "rank2-joint",
-                               converged=res <= tol,
-                               residual_history=history)
+    else:
+        return p, RootSolverReport(ab, res, len(history) - 1, "rank2-joint",
+                                   converged=res <= tol,
+                                   residual_history=history)
+    raise RootFinderError(f"joint semi-smooth Newton missed {tol:g} "
+                          f"(residual {res:g})")
 
 
 def _rank2_recursive(metric: PlusMinusMetric, prox, x, kappa, tol, warm,

@@ -19,6 +19,7 @@ from proxqn.prox import (
 from proxqn.quasi_newton import QNPair, zbfgs_metric
 from proxqn.scaled import (
     BracketError,
+    RootFinderError,
     RootProblem,
     root_bisection,
     root_bound,
@@ -479,6 +480,26 @@ def test_rank2_fallback_when_newton_fails(rng, op_class):
                                 euclidean_prox_for("l1", {"lam": 0.5}), x,
                                 1.0)
     np.testing.assert_allclose(p, z, atol=1e-9)
+
+
+def test_joint_newton_miss_without_a_recursive_path_raises(rng):
+    # the recursive fallback needs exactly one minus factor: a (2, 2) metric
+    # and single-sign rank-2 metrics have none, and a miss of the joint
+    # Newton (1e6 times too large Jacobian products) raises
+    n = 30
+    d = np.ones(n)
+    op = _ScaledJacobianL1(0.5)
+    x = 2.0 * rng.standard_normal(n)
+    pm = PlusMinusMetric(d, _scaled_factors(rng, n, d, 2, 0.8),
+                         _scaled_factors(rng, n, d, 2, 0.6))
+    with pytest.raises(RootFinderError, match="missed"):
+        scaled_prox_rank2(pm, op, x)
+    for sign in (+1, -1):
+        metric = LowRankMetric(d, _scaled_factors(rng, n, d, 2, 0.6), sign)
+        with pytest.raises(RootFinderError, match="missed"):
+            scaled_prox(metric, op, x)
+        # the exact products reach the root
+        assert scaled_prox(metric, L1Norm(0.5), x)[1].converged
 
 
 def _on_breakpoints(kind, rng, n, d, kappa, offset):
