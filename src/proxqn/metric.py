@@ -276,7 +276,10 @@ class LowRankMetric:
         return f"{type(self).__name__}(dim={self.dim}, rank={self.rank}, sign={s})"
 
 
-def _outer_pd_test(lo):   # lo: the smallest outer Gram eigenvalue
+def _outer_pd_test(M):   # M = U2^T W2: P + Q1 - Q2 > 0 iff I - M > 0
+    r = M.shape[0]
+    lo = 1.0 - M[0, 0] if r == 1 else \
+        np.linalg.eigvalsh(np.eye(r) - 0.5 * (M + M.T))[0]
     if lo <= 0:
         raise NotPositiveDefiniteError(
             "diag + Q1 - Q2 is not positive definite "
@@ -329,15 +332,10 @@ class PlusMinusMetric:
         _positive_scalar(float(np.min(p_inv)))
         V = _drop_factors(_inverse_factor(U1, p_inv, +1, G1))
         _minus_pd_test(_gram(V, p_inv)[1])
-        cols = []
-        for j in range(U2.shape[1]):
-            w = p_inv * U2[:, j]
-            cols.append(w - V @ (V.T @ U2[:, j]) if V.shape[1] else w)
-        self._W2 = W2 = np.column_stack(cols)
+        self._W2 = W2 = np.column_stack(
+            [p_inv * u - V @ (V.T @ u) for u in U2.T])
         W2.setflags(write=False)
-        M = U2.T @ W2
-        _outer_pd_test(1.0 - M[0, 0] if M.shape[0] == 1 else
-                       np.linalg.eigvalsh(np.eye(M.shape[0]) - 0.5 * (M + M.T))[0])
+        _outer_pd_test(U2.T @ W2)
 
     @property
     def plus_factors(self):

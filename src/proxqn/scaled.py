@@ -9,26 +9,21 @@ where ``alpha*`` is the unique zero of the strongly monotone map
 
     L(alpha) = U^T (x - prox^P_{kh}(x - sign * P^{-1} U alpha)) + alpha.
 
-Each metric shape has one production route:
-
-- rank 0: the diagonal prox;
-- rank 1: the warm-started scalar semi-smooth Newton
-  (:func:`root_semismooth_newton`), which terminates finitely on
-  piecewise-affine maps and in a few steps on the piecewise-smooth maps of
-  group norms and affine constraints; it asks for no Jacobian product at
-  the step ending it.  The exact O(N log N) breakpoint sweep (or bisection,
-  for operators without a piecewise-affine descriptor) is its fallback on a
-  budget miss and its oracle;
-- every rank >= 2, single-sign or ``V = P + Q1 - Q2`` (0BFGS): one damped
-  semi-smooth Newton on the stacked multiplier system.  It reads one
-  factored form, ``U1``, ``U2`` and ``W2 = (P + Q1)^{-1} U2`` (``(U, 0, 0)``
-  or ``(0, U, P^{-1} U)`` for a single-sign metric), and makes one diagonal
-  prox and one Clarke-Jacobian product with an N x r matrix per step,
-  warm-started from the previous forward-backward iteration.  Where it
-  misses its tolerance on a metric with exactly one minus factor, the
-  recursive route (an outer scalar solve over inner rank-1 solves), which
-  is also its oracle, takes over; with no such route it raises
-  :class:`RootFinderError`.
+Each metric shape has one production route.  Rank 1 is the warm-started
+scalar semi-smooth Newton (:func:`root_semismooth_newton`), which
+terminates finitely on piecewise-affine maps and in a few steps on the
+piecewise-smooth maps of group norms and affine constraints, and asks for
+no Jacobian product at the step ending it; the exact O(N log N) breakpoint
+sweep (or bisection, for operators without a piecewise-affine descriptor)
+is its fallback on a budget miss and its oracle.  Every rank >= 2,
+single-sign or ``V = P + Q1 - Q2`` (0BFGS), goes through one damped
+semi-smooth Newton on the stacked multiplier system.  It reads the factored
+form ``U1``, ``U2``, ``W2 = (P + Q1)^{-1} U2`` (``(U, 0, 0)`` or
+``(0, U, P^{-1} U)`` for a single-sign metric) and makes one diagonal prox
+and one Clarke-Jacobian product with an N x r matrix per step.  Where it
+misses its tolerance with exactly one minus factor, the recursive route (an
+outer scalar solve over inner rank-1 solves, also its oracle) takes over;
+otherwise it raises :class:`RootFinderError`.
 
 Both Newtons bind the operator once per root problem (``_bind`` in
 :mod:`proxqn.prox`), with the scalar ``c`` of a trusted ``P = c I`` where
@@ -435,12 +430,10 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
     ----------
     finder : {"auto", "exact", "bisection"}
         Root-finding strategy.  "auto" is the warm-started semi-smooth
-        Newton for every operator: the scalar one at rank 1, the joint one
-        (see :func:`_joint_newton`) above, which raises
-        :class:`RootFinderError` where it misses ``tol``.  "exact" (the
-        breakpoint sweep, for operators with a piecewise-affine
-        descriptor) and "bisection" are the rank-1 oracles it is checked
-        against.
+        Newton, the scalar one at rank 1 and above it the joint one, which
+        raises :class:`RootFinderError` where it misses ``tol``; "exact"
+        (the breakpoint sweep, for operators with a piecewise-affine
+        descriptor) and "bisection" are the rank-1 oracles.
     tol : float
         Alpha tolerance for bisection, residual tolerance otherwise.
     warm_alpha : array, optional
@@ -594,9 +587,7 @@ def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
     val, p, jac = system(ab)
     res = math.sqrt(val.dot(val))
     history = [res]
-    while tol < res < math.inf:
-        if len(history) > 60:
-            break
+    while tol < res < math.inf and len(history) <= 60:
         JW = jac(W)
         G = _fd_jacobian(lambda v: system(v)[0], ab, val) if JW is None \
             else K - (Ut @ JW) * sgn
@@ -616,12 +607,11 @@ def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
             break
         ab, val, p, jac, res = new, new_val, new_p, new_jac, new_res
         history.append(res)
-    else:
-        return p, RootSolverReport(ab, res, len(history) - 1, "rank2-joint",
-                                   converged=res <= tol,
-                                   residual_history=history)
-    raise RootFinderError(f"joint semi-smooth Newton missed {tol:g} "
-                          f"(residual {res:g})")
+    if tol < res < math.inf:   # no sufficient decrease, or 60 steps
+        raise RootFinderError(f"joint semi-smooth Newton missed {tol:g} "
+                              f"(residual {res:g})")
+    return p, RootSolverReport(ab, res, len(history) - 1, "rank2-joint",
+                               converged=res <= tol, residual_history=history)
 
 
 def _rank2_recursive(metric: PlusMinusMetric, prox, x, kappa, tol, warm,

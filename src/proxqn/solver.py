@@ -131,7 +131,9 @@ def line_search(problem, x, p, f_x, kappa, mode="backtracking"):
     Mode "none" returns t = 1.  Mode "backtracking" returns the largest
     ``t`` in {1, 1/2, 1/4, ...} with
     ``F(x + t p) <= F(x) - SIGMA t ||p||^2 / kappa``; if no scale is
-    admissible the smallest is returned with a stagnation flag.
+    admissible the smallest is returned with a stagnation flag.  It stops
+    at the first trial with a NaN objective and returns it (the solve ends
+    there); a trial at +inf (outside dom h) is halved like any other.
     """
     if mode == "none":
         return 1.0, problem.objective(x + p), False
@@ -141,7 +143,7 @@ def line_search(problem, x, p, f_x, kappa, mode="backtracking"):
     t = 1.0
     for _ in range(MAX_HALVINGS):
         f_new = problem.objective(x + t * p)
-        if f_new <= f_x - t * decrease:
+        if f_new <= f_x - t * decrease or math.isnan(f_new):
             return t, f_new, False
         t *= 0.5
     return t, problem.objective(x + t * p), True
@@ -171,10 +173,13 @@ class _Run:
       that ends the solve there ("stagnated" or "nonfinite").
 
     Each iteration is recorded with the sup-norm of ``dx = x_new - x`` before
-    any stopping test.  The solve ends "nonfinite" on a NaN or infinite
-    objective (except +inf at the start: an infeasible ``x0``, which the
-    first prox step repairs) or step norm (at the finite ``x`` and objective
-    it stepped from), "converged" once the step norm drops below ``tol``,
+    any stopping test.  The solve ends "nonfinite" at the last point with a
+    finite objective, on a non-finite step norm or on a non-finite objective
+    returned by ``advance`` (whose point is then not taken).  ``F(x0) =
+    +inf``, an infeasible ``x0``, is repaired by the first prox step; from
+    a NaN or -inf ``F(x0)`` no step is proposed, and the solve ends at once
+    with a NaN step norm.  It ends "converged" once the step norm drops
+    below ``tol``,
     "budget" past ``budget_seconds`` of the thread's CPU time (the trace's
     seconds are wall-clock), with the status ``advance`` returns as
     ``stop``, and "max_iters" otherwise.
@@ -197,13 +202,13 @@ class _Run:
         status, converged = "max_iters", False
         k = 0
         for k in range(opts.max_iters):
-            x_new = propose(k, x)
+            # false only for F(x0) NaN or -inf: no step from it, a NaN one
+            x_new = propose(k, x) if f_val > -math.inf else x * math.nan
             dx = x_new - x
             step_norm = float(np.abs(dx).max(initial=0.0))
             self.trace.append(k, f_val, step_norm,
                               time.perf_counter() - self.t0)
-            if not (math.isfinite(f_val) or (k == 0 and f_val == math.inf)) \
-                    or not math.isfinite(step_norm):
+            if not math.isfinite(step_norm):
                 status = "nonfinite"
                 break
             if step_norm < opts.tol and k >= first:
@@ -215,7 +220,10 @@ class _Run:
                     time.thread_time() - self.cpu0 > opts.budget_seconds:
                 status = "budget"
                 break
-            x, f_val, stop = advance(k, x, f_val, x_new, dx)
+            x_next, f_next, stop = advance(k, x, f_val, x_new, dx)
+            if not math.isfinite(f_next):   # end at the last finite one
+                x_next, f_next, stop = x, f_val, "nonfinite"
+            x, f_val = x_next, f_next
             if stop:
                 status = stop
                 break

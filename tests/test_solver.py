@@ -321,6 +321,36 @@ def test_nonfinite_step_ends_the_solve_at_the_last_finite_point(solver_id):
 
 
 @pytest.mark.parametrize("solver_id", sorted(SOLVERS))
+def test_solve_ends_at_its_last_finite_objective(solver_id):
+    # f is NaN for x_0 > 1, where the unconstrained minimizer lies: the line
+    # search stops at its first NaN trial, and the solve ends "nonfinite" at
+    # the last point with a finite objective; SPG's nonmonotone test halves
+    # its way back into the domain and converges there
+    Q = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+    b = np.array([3.0, 1.0, -1.0, 2.0, 0.5])
+    nan_calls = []
+
+    def f(x):
+        if x[0] > 1.0:
+            nan_calls.append(x[0])
+            return float("nan")
+        return 0.5 * float(x @ Q @ x) - float(b @ x)
+
+    prob = ProblemSpec(dim=5, f=f, grad=lambda x: Q @ x - b, h=L1Norm(0.1),
+                       lipschitz=5.0)
+    res = solve(prob, solver_id, SolverOptions(max_iters=500))
+    assert res.x[0] <= 1.0 and np.isfinite(res.trace.objectives).all()
+    if solver_id == "spg":
+        assert res.status == "converged"
+    else:
+        assert res.status == "nonfinite"
+        assert res.objective == res.trace.objectives[-1] \
+            == prob.objective(res.x)
+    if solver_id not in ("fista-bb", "spg"):   # their step searches halve
+        assert len(nan_calls) <= 1                # on a NaN objective
+
+
+@pytest.mark.parametrize("solver_id", sorted(SOLVERS))
 def test_infeasible_start_is_not_nonfinite(solver_id):
     # F(x0) = +inf at an x0 outside dom h; the first prox step repairs it
     prob = quadratic_problem(np.diag([1.0, 2.0, 3.0]),
