@@ -110,7 +110,8 @@ def _inverse_factor(U, p_inv, sign, G):
     # C is SPD: for sign +, C >= I; for sign -, PD by the metric invariant.
     ew, EV = np.linalg.eigh(0.5 * (C + C.T))
     if ew[0] <= 0:
-        raise NotPositiveDefiniteError("capacitance matrix not positive definite")
+        raise NotPositiveDefiniteError(
+            "capacitance matrix not positive definite")
     return (U * _col(p_inv)) @ (EV @ np.diag(ew ** -0.5) @ EV.T)
 
 
@@ -262,14 +263,12 @@ class LowRankMetric:
         ``v = P^{-1} u / sqrt(1 +- u^T P^{-1} u)``.
         """
         sign = -self.sign if self.rank else +1
+        # a trusted c I needs no 1/diag vector
+        p_inv = 1.0 / (self.diag if self._c is None else self._c)
+        V = _inverse_factor(self._U, p_inv, self.sign, self._gram)
         if self._c is None:
-            p_inv = 1.0 / self.diag
-            return LowRankMetric(
-                p_inv, _inverse_factor(self._U, p_inv, self.sign, self._gram).T,
-                sign)
-        c_inv = 1.0 / self._c   # a trusted c I needs no 1/diag vector
-        return LowRankMetric._trusted(
-            c_inv, _inverse_factor(self._U, c_inv, self.sign, self._gram), sign)
+            return LowRankMetric(p_inv, V.T, sign)
+        return LowRankMetric._trusted(p_inv, V, sign)
 
     def __repr__(self):
         s = "+" if self.sign > 0 else "-"
@@ -325,15 +324,15 @@ class PlusMinusMetric:
         U1, U2 = self._U1, self._U2
         p = self.diag if self._c is None else self._c
         G1, _ = _gram(U1, p)
-        self._W2 = np.zeros((self.dim, 0))
+        self._W2 = W2 = np.empty(U2.shape)
         if not U2.shape[1]:
             return
         p_inv = 1.0 / p
-        _positive_scalar(float(np.min(p_inv)))
+        _positive_scalar(float(p_inv.min()) if self._c is None else p_inv)
         V = _drop_factors(_inverse_factor(U1, p_inv, +1, G1))
         _minus_pd_test(_gram(V, p_inv)[1])
-        self._W2 = W2 = np.column_stack(
-            [p_inv * u - V @ (V.T @ u) for u in U2.T])
+        for j, u in enumerate(U2.T):
+            W2[:, j] = p_inv * u - V @ (V.T @ u)
         W2.setflags(write=False)
         _outer_pd_test(U2.T @ W2)
 

@@ -786,8 +786,9 @@ def test_subgradient_inclusion_for_l1(rng):
 
 
 def test_monotonicity_and_lipschitz_constants(rng):
-    # <L(a) - L(b), a - b> >= c ||a - b||^2 and ||L(a) - L(b)|| <= Lip ||a - b||
-    # for vector multipliers, with the constants RootProblem carries
+    # <L(a) - L(b), a - b> >= c ||a - b||^2 and
+    # ||L(a) - L(b)|| <= Lip ||a - b|| for vector multipliers, with the
+    # constants RootProblem carries
     n = 12
     d = np.repeat(rng.uniform(0.5, 2.0, 3), [3, 4, 5])
     ops = (L1Norm(0.7), Box(-0.5, 0.7),
@@ -806,7 +807,8 @@ def test_monotonicity_and_lipschitz_constants(rng):
                     a, b = rng.uniform(-3.0, 3.0, (2, rank))
                     dl, da = problem.map_L(a) - problem.map_L(b), a - b
                     assert dl @ da >= c * (da @ da) - 1e-9
-                    assert np.linalg.norm(dl) <= lip * np.linalg.norm(da) + 1e-9
+                    assert np.linalg.norm(dl) <= \
+                        lip * np.linalg.norm(da) + 1e-9
 
 
 def test_warm_start_size_mismatch_ignored(rng):
@@ -950,7 +952,7 @@ def test_rank1_newton_budget_falls_back_to_the_sweep_or_bisection(
     assert taken["exact"] and taken["bisection"]
 
 
-# -- metrics of rank >= 2 against the dense oracle ------------------------------
+# -- metrics of rank >= 2 against the dense oracle ----------------------------
 
 _HIGH_RANK_OPS = ["l1", "box", "hinge", "group", "linf"]
 
