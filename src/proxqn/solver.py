@@ -202,7 +202,8 @@ class _Run:
         status, converged = "max_iters", False
         k = 0
         for k in range(opts.max_iters):
-            # false only for F(x0) NaN or -inf: no step from it, a NaN one
+            # only a NaN or -inf F(x0) fails the test: no step is proposed
+            # from it, and its NaN point ends the solve below
             x_new = propose(k, x) if f_val > -math.inf else x * math.nan
             dx = x_new - x
             step_norm = float(np.abs(dx).max(initial=0.0))
