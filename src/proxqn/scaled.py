@@ -455,9 +455,8 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
     if finder == "auto" and problem.rank > 1:
         # the multipliers of a plus metric are the joint Newton's a, those
         # of a minus metric its b; W = P^{-1} U either way
-        side, none = (problem.U, problem._shift_dirs), problem.U[:, :0]
-        sides = (*side, none, none) if problem.sign > 0 else \
-            (none, none, *side)
+        U, W, none = problem.U, problem._shift_dirs, problem.U[:, :0]
+        sides = (U, W, none, none) if problem.sign > 0 else (none, none, U, W)
         return _joint_newton(prox, problem.x, problem.kappa,
                              problem.bind_weights, *sides, tol, warm_alpha)
     if finder == "auto":
