@@ -68,7 +68,8 @@ def _recipe_from_args(args):
 
 def _solve_ok(result):
     """A solve counts as a success when it converged or used up its
-    iteration cap; "nonfinite", "budget" and "stagnated" are failures."""
+    iteration cap; "nonfinite", "prox_failed", "budget" and "stagnated"
+    are failures."""
     return result.status in ("converged", "max_iters")
 
 

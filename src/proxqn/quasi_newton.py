@@ -115,8 +115,15 @@ def sr1_metric(pair, cfg: SR1Config = SR1Config(), dim=None, tau0=1.0):
     wy = float(np.dot(w, pair.y))
     if wy <= cfg.skip_tol * math.sqrt(yy) * math.sqrt(w.dot(w)):
         return LowRankMetric._trusted(h0, np.zeros((n, 0)))
-    u = w / np.sqrt(wy)
+    u = w / math.sqrt(wy)
     return LowRankMetric._trusted(h0, u.reshape(n, 1), +1)
+
+
+def _zbfgs_diagonal(h, n):
+    """The pair ``(h I, I / h, True)`` of a skipped 0BFGS update."""
+    empty = np.zeros((n, 0))
+    return (PlusMinusMetric._trusted(h, empty, empty),
+            PlusMinusMetric._trusted(1.0 / h, empty, empty), True)
 
 
 def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
@@ -142,36 +149,30 @@ def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
         raise ValueError("gamma must be positive")
 
     n = pair.s.shape[0]
-
-    def _diagonal(tau):
-        h, empty = gamma * tau, np.zeros((n, 0))
-        return (PlusMinusMetric._trusted(h, empty, empty),
-                PlusMinusMetric._trusted(1.0 / h, empty, empty), True)
-
     sy = pair.curvature
     yy = float(np.dot(pair.y, pair.y))
     tau = sy / yy if yy else math.inf   # ||y||^2 can underflow to 0
     if sy <= 0.0 or tau == math.inf:    # then B's scale 1/(gamma tau) is 0
-        return _diagonal(float(tau_fallback))
+        return _zbfgs_diagonal(gamma * float(tau_fallback), n)
     ss = float(np.dot(pair.s, pair.s))
     rho = 1.0 / sy
     u_g = pair.s - (gamma * tau / (1.0 + gamma)) * pair.y
     try:
         H = PlusMinusMetric._trusted(
             gamma * tau,
-            (np.sqrt(rho * (1.0 + gamma)) * u_g).reshape(n, 1),
-            (np.sqrt(rho * gamma ** 2 * tau ** 2 / (1.0 + gamma))
+            (math.sqrt(rho * (1.0 + gamma)) * u_g).reshape(n, 1),
+            (math.sqrt(rho * gamma ** 2 * tau ** 2 / (1.0 + gamma))
              * pair.y).reshape(n, 1),
         )
         B = PlusMinusMetric._trusted(
             1.0 / (gamma * tau),
-            (pair.y / (np.sqrt(yy) * np.sqrt(tau))).reshape(n, 1),
-            (pair.s / (np.sqrt(ss) * np.sqrt(gamma * tau))).reshape(n, 1),
+            (pair.y / (math.sqrt(yy) * math.sqrt(tau))).reshape(n, 1),
+            (pair.s / (math.sqrt(ss) * math.sqrt(gamma * tau))).reshape(n, 1),
         )
     except (NotPositiveDefiniteError, OverflowError):
         # numerically degenerate pair (s nearly parallel to y, or tau ** 2
         # overflowing at an extreme scale); fall back to the safe diagonal
-        return _diagonal(tau)
+        return _zbfgs_diagonal(gamma * tau, n)
     return H, B, False
 
 

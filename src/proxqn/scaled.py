@@ -9,21 +9,22 @@ where ``alpha*`` is the unique zero of the strongly monotone map
 
     L(alpha) = U^T (x - prox^P_{kh}(x - sign * P^{-1} U alpha)) + alpha.
 
-Each metric shape has one production route.  Rank 1 is the warm-started
-scalar semi-smooth Newton (:func:`root_semismooth_newton`), which
-terminates finitely on piecewise-affine maps and in a few steps on the
-piecewise-smooth maps of group norms and affine constraints, and asks for
-no Jacobian product at the step ending it; the exact O(N log N) breakpoint
-sweep (or bisection, for operators without a piecewise-affine descriptor)
-is its fallback on a budget miss and its oracle.  Every rank >= 2,
-single-sign or ``V = P + Q1 - Q2`` (0BFGS), goes through one damped
-semi-smooth Newton on the stacked multiplier system.  It reads the factored
-form ``U1``, ``U2``, ``W2 = (P + Q1)^{-1} U2`` (``(U, 0, 0)`` or
-``(0, U, P^{-1} U)`` for a single-sign metric) and makes one diagonal prox
-and one Clarke-Jacobian product with an N x r matrix per step.  Where it
-misses its tolerance with exactly one minus factor, the recursive route (an
-outer scalar solve over inner rank-1 solves, also its oracle) takes over;
-otherwise it raises :class:`RootFinderError`.
+One dispatcher serves every metric.  It reads the factored form
+``(U1, W1, U2, W2)`` that :mod:`proxqn.metric` keeps, with
+``W1 = P^{-1} U1`` and ``W2 = (P + Q1)^{-1} U2``, and routes by the total
+rank: rank 0 is the diagonal prox; rank 1 is the warm-started scalar
+semi-smooth Newton (:func:`root_semismooth_newton`) on ``(u, w, sign)`` of
+the non-empty side, which terminates finitely on piecewise-affine maps and
+in a few steps on the piecewise-smooth maps of group norms and affine
+constraints, and asks for no Jacobian product at the step ending it; the
+exact O(N log N) breakpoint sweep (or bisection, for operators without a
+piecewise-affine descriptor) is its fallback on a budget miss and its
+oracle.  Every rank >= 2, single-sign or ``V = P + Q1 - Q2`` (0BFGS), goes
+through one damped semi-smooth Newton on the stacked multiplier system,
+with one diagonal prox and one Clarke-Jacobian product with an N x r
+matrix per step; a miss of its tolerance raises :class:`RootFinderError`.
+The recursive route (an outer scalar solve over inner rank-1 solves) is
+the rank-2 oracle, reached only through the exact or bisection finders.
 
 Both Newtons bind the operator once per root problem (``_bind`` in
 :mod:`proxqn.prox`), with the scalar ``c`` of a trusted ``P = c I`` where
@@ -91,7 +92,8 @@ class RootSolverReport:
 
 
 class RootProblem:
-    """The r-dimensional dual root problem behind a scaled prox.
+    """The r-dimensional dual root problem behind the scaled prox in a
+    single-sign metric.
 
     Carries the strong-monotonicity modulus ``c`` (1 for a plus metric,
     ``1 - ||P^{-1/2} U||^2`` for a minus metric) and the Lipschitz bound
@@ -100,18 +102,15 @@ class RootProblem:
     """
 
     def __init__(self, metric: LowRankMetric, prox, x, kappa=1.0):
-        if kappa <= 0:
-            raise ValueError("kappa must be positive")
+        self.x, self.diag, self.bind_weights = _checked(metric, prox, x,
+                                                        kappa)
         self.metric = metric
         self.prox = prox
-        self.x = np.asarray(x, dtype=float)
-        if self.x.shape != (metric.dim,):
-            raise ValueError("query point dimension mismatch")
         self.kappa = float(kappa)
         self.sign = metric.sign
-        self.U = metric.factor_matrix
-        self.diag, p_div, self.bind_weights = _checked_weights(metric, prox)
-        self._shift_dirs = self.U / p_div  # P^{-1} U
+        # U and P^{-1} U of the non-empty side
+        self.U, self._shift_dirs = (metric._U2, metric._W2) \
+            if self.sign < 0 else (metric._U1, metric._W1)
         g_sq = metric.gram_norm_sq()
         self.lipschitz_bound = 1.0 + g_sq
         self.monotonicity_modulus = 1.0 if self.sign > 0 else 1.0 - g_sq
@@ -133,16 +132,20 @@ class RootProblem:
         return self.U.T @ (self.x - self.prox_at(alpha)) + alpha
 
 
-def _checked_weights(metric, prox):
-    """``diag(P)`` checked for ``prox``, the divisor giving ``P^{-1} U`` and
-    the weights to bind ``prox`` with; a trusted ``c I`` (``c > 0`` tested)
-    needs only the dimension test, and binds with ``c`` if ``prox`` takes a
-    scalar."""
+def _checked(metric, prox, x, kappa):
+    """``(x, diag(P), weights)``: the query point as a float vector,
+    ``diag(P)`` checked for ``prox`` and the weights to bind ``prox`` with;
+    a trusted ``c I`` (``c > 0`` tested) needs only the dimension test, and
+    binds with ``c`` if ``prox`` takes a scalar."""
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (metric.dim,):
+        raise ValueError("query point dimension mismatch")
     if metric._c is None or prox.dim not in (None, metric.dim):
         d = prox.check_weights(metric.diag, metric.dim)
-        return d, d[:, None], d
-    c = metric._c
-    return metric.diag, c, c if prox._scalar_bind else metric.diag
+        return x, d, d
+    return x, metric.diag, metric._c if prox._scalar_bind else metric.diag
 
 
 def _fd_jacobian(func, x, base):
@@ -422,9 +425,28 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
 # -- dispatcher ----------------------------------------------------------------
 
 
+def _prox(metric, prox, x, kappa, tol, warm):
+    """The one production route, by the metric's total rank: the diagonal
+    prox, the rank-1 Newton on the non-empty side, or the joint Newton on
+    ``(U1, W1, U2, W2)``; ``warm`` of another size is ignored."""
+    r = metric.rank
+    if warm is not None and np.atleast_1d(warm).size != r:
+        warm = None
+    if r == 1:
+        report = root_semismooth_newton(RootProblem(metric, prox, x, kappa),
+                                        tol=tol, alpha0=warm)
+        return report.point, report
+    x, diag, weights = _checked(metric, prox, x, kappa)
+    if r == 0:
+        return prox._prox_diag(x, diag, kappa), \
+            RootSolverReport(np.zeros(0), 0.0, 0, "diagonal")
+    return _joint_newton(prox, x, kappa, weights, metric._U1, metric._W1,
+                         metric._U2, metric._W2, tol, warm)
+
+
 def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
                 tol=1e-12, warm_alpha=None):
-    """Prox of ``kappa * h`` in the metric ``V = P + sign U U^T``.
+    """Prox of ``kappa * h`` in the metric ``V = P + U1 U1^T - U2 U2^T``.
 
     Parameters
     ----------
@@ -433,7 +455,8 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
         Newton, the scalar one at rank 1 and above it the joint one, which
         raises :class:`RootFinderError` where it misses ``tol``; "exact"
         (the breakpoint sweep, for operators with a piecewise-affine
-        descriptor) and "bisection" are the rank-1 oracles.
+        descriptor) and "bisection" are the rank-1 oracles of a single-sign
+        metric.
     tol : float
         Alpha tolerance for bisection, residual tolerance otherwise.
     warm_alpha : array, optional
@@ -444,24 +467,10 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
     -------
     (p, report) : the prox point and the root-solver report.
     """
+    if finder == "auto" or metric.rank == 0:
+        return _prox(metric, prox, x, kappa, tol, warm_alpha)
     problem = RootProblem(metric, prox, x, kappa)
-    if problem.rank == 0:
-        p = prox._prox_diag(problem.x, problem.diag, kappa)
-        return p, RootSolverReport(np.zeros(0), 0.0, 0, "diagonal")
-    if warm_alpha is not None and \
-            np.atleast_1d(warm_alpha).size != problem.rank:
-        warm_alpha = None
-
-    if finder == "auto" and problem.rank > 1:
-        # the multipliers of a plus metric are the joint Newton's a, those
-        # of a minus metric its b; W = P^{-1} U either way
-        U, W, none = problem.U, problem._shift_dirs, problem.U[:, :0]
-        sides = (U, W, none, none) if problem.sign > 0 else (none, none, U, W)
-        return _joint_newton(prox, problem.x, problem.kappa,
-                             problem.bind_weights, *sides, tol, warm_alpha)
-    if finder == "auto":
-        report = root_semismooth_newton(problem, tol=tol, alpha0=warm_alpha)
-    elif finder == "exact":
+    if finder == "exact":
         report = root_exact_piecewise_affine(problem)
     elif finder == "bisection":
         report = root_bisection(problem, eps=tol)
@@ -500,53 +509,33 @@ def _newton_scalar_bracketed(func, lo, hi, f_lo, f_hi, tol, max_iter=80):
     return alpha, val, max_iter
 
 
-def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0,
-                      method="joint", tol=1e-12, warm=None,
-                      inner_finder="auto"):
-    """Prox in ``V = P + Q1 - Q2`` via the coupled multiplier system.
+def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0, tol=1e-12,
+                      warm=None, inner_finder="auto"):
+    """Prox in ``V = P + Q1 - Q2``, either side possibly empty: the entry
+    of the forward-backward step.
 
-    A metric with one empty side is the single-sign :func:`scaled_prox`
-    with ``inner_finder``.  Otherwise the production route
-    (``method="joint"``) is the damped semi-smooth Newton
-    :func:`_joint_newton` on the stacked system in the multipliers
-    ``(a, b)`` of ``Q1`` and ``Q2``, started from ``warm``; each step costs
-    one diagonal prox and one Clarke-Jacobian product, and its point is
-    returned only at residual <= ``tol``.
+    With ``inner_finder="auto"`` it is the dispatcher of
+    :func:`scaled_prox`, started from ``warm``; at rank >= 2 the damped
+    semi-smooth Newton :func:`_joint_newton` on the stacked system in the
+    multipliers ``(a, b)`` of ``Q1`` and ``Q2`` returns its point only at
+    residual <= ``tol`` and raises :class:`RootFinderError` otherwise.
 
-    The recursive path, for exactly one minus factor, peels the minus part
-    off first: an outer rank-1 problem in ``P1 - Q2`` with ``P1 = P + Q1``,
-    solved by a bracketed scalar Newton/secant with one inner rank-1 solve
-    in ``P1`` per outer evaluation.  It is the fallback when the Newton
-    loop misses ``tol`` (with more minus factors the miss raises
-    :class:`RootFinderError`), and the oracle: ``method="recursive"`` or
-    ``inner_finder`` "exact" or "bisection" (the values
-    :func:`scaled_prox` accepts besides "auto") selects it, so that e.g.
-    ``inner_finder="bisection"`` is a computation independent of the
-    Newton route.  The report's ``method`` ("rank2-joint" or
-    "rank2-recursive") names the path that produced the point.
+    ``inner_finder`` "exact" or "bisection" (the values :func:`scaled_prox`
+    accepts besides "auto") selects the oracle, a computation independent
+    of the Newton route: that finder for a single-sign metric, and with
+    both sides the recursive path, for exactly one minus factor.  It peels
+    the minus part off first: an outer rank-1 problem in ``P1 - Q2`` with
+    ``P1 = P + Q1``, solved by a bracketed scalar Newton/secant with one
+    inner rank-1 solve in ``P1`` per outer evaluation.  The report's
+    ``method`` names the path that produced the point.
     """
-    if method not in ("joint", "recursive"):
-        raise ValueError(f"unknown rank-2 method {method!r}")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    x = np.asarray(x, dtype=float)
-    if warm is not None and np.atleast_1d(warm).size == 0:
-        warm = None
-    single = metric.to_single_sign()
-    if single is not None:
-        return scaled_prox(single, prox, x, kappa=kappa, finder=inner_finder,
+    if inner_finder == "auto":
+        return _prox(metric, prox, x, kappa, tol, warm)
+    if not all(metric.ranks):
+        return scaled_prox(metric, prox, x, kappa=kappa, finder=inner_finder,
                            tol=tol)
-    if method == "joint" and inner_finder == "auto":
-        _, p_div, weights = _checked_weights(metric, prox)
-        U1, U2 = metric.factor_matrices
-        try:
-            return _joint_newton(prox, x, kappa, weights, U1, U1 / p_div, U2,
-                                 metric.p1_inv_minus, tol, warm)
-        except RootFinderError:
-            if U2.shape[1] != 1:   # no recursive path to fall back on
-                raise
-        logger.info("joint rank-2 Newton failed; using the recursive path")
-    return _rank2_recursive(metric, prox, x, kappa, tol, warm, inner_finder)
+    return _rank2_recursive(metric, prox, np.asarray(x, dtype=float), kappa,
+                            tol, warm, inner_finder)
 
 
 def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
@@ -581,8 +570,7 @@ def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
         p, jac = step(x + W @ (sgn * ab))
         return Ut @ (x - p) + K @ ab, p, jac
 
-    ab = np.array(warm, dtype=float) if warm is not None and \
-        np.atleast_1d(warm).size == r else np.zeros(r)
+    ab = np.zeros(r) if warm is None else np.array(warm, dtype=float)
     val, p, jac = system(ab)
     res = math.sqrt(val.dot(val))
     history = [res]
@@ -616,7 +604,7 @@ def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
 def _rank2_recursive(metric: PlusMinusMetric, prox, x, kappa, tol, warm,
                      inner_finder):
     """Outer bracketed scalar solve in ``b`` over inner rank-1 solves in
-    ``P1 = P + Q1``: the fallback and oracle of :func:`scaled_prox_rank2`."""
+    ``P1 = P + Q1``: the rank-2 oracle of :func:`scaled_prox_rank2`."""
     U2 = metric.factor_matrices[1]
     if U2.shape[1] != 1:
         raise ValueError("the recursive path needs exactly one minus factor")
@@ -647,7 +635,8 @@ def _rank2_recursive(metric: PlusMinusMetric, prox, x, kappa, tol, warm,
     s0 = 0.0 if q0 == 0.0 else q0 * (
         1.0 + u2n * np.sqrt(g2_sq) / (c_outer * np.sqrt(float(np.min(metric.diag)))))
     beta = u2n * (2.0 * float(np.linalg.norm(x)) + s0)
-    b0 = 0.0 if warm is None else float(np.atleast_1d(warm)[-1])
+    b0 = 0.0 if warm is None or not np.size(warm) else \
+        float(np.atleast_1d(warm)[-1])
     beta = max(beta, abs(b0)) or 1.0
     b_star, val, outer_iters = _newton_scalar_bracketed(
         outer_map, -beta, beta, outer_map(-beta), outer_map(beta), tol)

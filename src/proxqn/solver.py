@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import PlusMinusMetric
 from .prox import ProxOperator
-from .quasi_newton import QNPair, SR1Config, sr1_metric, zbfgs_metric
-from .scaled import scaled_prox, scaled_prox_rank2
+from .quasi_newton import (QNPair, SR1Config, _zbfgs_diagonal, sr1_metric,
+                           zbfgs_metric)
+# scaled_prox is not called here; perfbench's tracer wraps it by this name
+from .scaled import RootFinderError, scaled_prox, scaled_prox_rank2  # noqa: F401
 from .trace import ConvergenceTrace
 
 __all__ = [
@@ -118,11 +119,8 @@ def fb_step(x, grad_x, H, B, h, kappa=1.0, warm_alpha=None, tol=1e-12):
     inverse; the forward step uses ``H`` directly (never a dense solve).
     """
     forward = x - kappa * H.apply(grad_x)
-    if isinstance(B, PlusMinusMetric):
-        return scaled_prox_rank2(B, h, forward, kappa=kappa,
-                                 warm=warm_alpha, tol=tol)
-    return scaled_prox(B, h, forward, kappa=kappa, tol=tol,
-                       warm_alpha=warm_alpha)
+    return scaled_prox_rank2(B, h, forward, kappa=kappa, tol=tol,
+                             warm=warm_alpha)
 
 
 def line_search(problem, x, p, f_x, kappa, mode="backtracking"):
@@ -178,15 +176,19 @@ class _Run:
     returned by ``advance`` (whose point is then not taken).  ``F(x0) =
     +inf``, an infeasible ``x0``, is repaired by the first prox step; from
     a NaN or -inf ``F(x0)`` no step is proposed, and the solve ends at once
-    with a NaN step norm.  It ends "converged" once the step norm drops
-    below ``tol``,
+    with a NaN step norm.  A scaled prox that misses its tolerance
+    (:class:`RootFinderError` from ``propose``) ends it "prox_failed" at the
+    last accepted point, its iteration recorded with a NaN step norm.  It
+    ends "converged" once the step norm drops below ``tol``,
     "budget" past ``budget_seconds`` of the thread's CPU time (the trace's
     seconds are wall-clock), with the status ``advance`` returns as
-    ``stop``, and "max_iters" otherwise.
+    ``stop``, and "max_iters" otherwise.  The result's objective is that of
+    the point it returns.
     """
 
     def __init__(self, problem, opts, solver_id):
         self.opts = opts
+        self.objective = problem.objective
         self.solver_id = solver_id
         self.t0, self.cpu0 = time.perf_counter(), time.thread_time()
         self.trace = ConvergenceTrace(solver_id=solver_id,
@@ -204,17 +206,23 @@ class _Run:
         for k in range(opts.max_iters):
             # only a NaN or -inf F(x0) fails the test: no step is proposed
             # from it, and its NaN point ends the solve below
-            x_new = propose(k, x) if f_val > -math.inf else x * math.nan
+            try:
+                x_new = propose(k, x) if f_val > -math.inf else x * math.nan
+            except RootFinderError:
+                x_new, status = x * math.nan, "prox_failed"
             dx = x_new - x
             step_norm = float(np.abs(dx).max(initial=0.0))
             self.trace.append(k, f_val, step_norm,
                               time.perf_counter() - self.t0)
             if not math.isfinite(step_norm):
-                status = "nonfinite"
+                if status != "prox_failed":
+                    status = "nonfinite"
                 break
             if step_norm < opts.tol and k >= first:
-                if settle:
-                    x = x_new
+                if settle:   # end at the candidate, with its objective
+                    f_new = self.objective(x_new)
+                    if math.isfinite(f_new):
+                        x, f_val = x_new, f_new
                 status, converged = "converged", True
                 break
             if opts.budget_seconds is not None and \
@@ -265,8 +273,7 @@ def _run_quasi_newton(problem, opts, variant):
             H = sr1_metric(pair, cfg, dim=problem.dim, tau0=tau0)
             B = H.invert()
         elif pair is None:
-            H = PlusMinusMetric(np.full(problem.dim, gamma * tau0))
-            B = PlusMinusMetric(np.full(problem.dim, 1.0 / (gamma * tau0)))
+            H, B, _ = _zbfgs_diagonal(gamma * tau0, problem.dim)
         else:
             H, B, skipped = zbfgs_metric(pair, gamma=gamma,
                                          tau_fallback=last_tau)
@@ -375,7 +382,9 @@ def run_fista_bb(problem, opts=None):
             quad = f_y + float(np.dot(g_y, diff)) + \
                 float(np.dot(diff, diff)) / (2.0 * kappa)
             f_new = float(problem.f(x_new))
-            if f_new <= quad + 1e-12 * (1.0 + abs(quad)):
+            # a NaN trial ends the search, and the solve (see line_search)
+            if f_new <= quad + 1e-12 * (1.0 + abs(quad)) or \
+                    math.isnan(f_new):
                 break
             kappa *= 0.5
         return x_new

@@ -158,18 +158,18 @@ def test_scalar_binding_leaves_the_quasi_newton_solvers_bit_identical(
     # scalar c of a trusted c I: the same traces and final points
     problem = generate(recipe)
     opts = SolverOptions(max_iters=300, tol=1e-10)
-    checked = scaled._checked_weights
+    checked = scaled._checked
     scalar = []
 
-    def vector_weights(metric, op):
-        d, p_div, weights = checked(metric, op)
+    def vector_weights(metric, op, x, kappa):
+        x, d, weights = checked(metric, op, x, kappa)
         scalar.append(np.ndim(weights) == 0)
-        return d, p_div, d
+        return x, d, d
 
     for solver_id in ("zero-bfgs", "zero-sr1"):
         got = SOLVERS[solver_id](problem, opts)
         with monkeypatch.context() as patch:
-            patch.setattr(scaled, "_checked_weights", vector_weights)
+            patch.setattr(scaled, "_checked", vector_weights)
             want = SOLVERS[solver_id](problem, opts)
         assert _same_bits(got.trace.iters, want.trace.iters), solver_id
         assert _same_bits(got.trace.objectives, want.trace.objectives), \

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxqn import scaled
+from proxqn.bench import ProblemRecipe, generate
 from proxqn.metric import LowRankMetric, PlusMinusMetric
 from proxqn.prox import (
     AffineConstraint,
@@ -29,6 +32,7 @@ from proxqn.scaled import (
     scaled_prox_conjugate,
     scaled_prox_rank2,
 )
+from proxqn.solver import SolverOptions, solve
 from proxqn.validate import (
     _euclid_l1_ball,
     brute_force_scaled_prox,
@@ -320,8 +324,8 @@ def test_rank2_bfgs_metric_against_brute_force(rng):
     assert not skipped
     op = L1Norm(0.5)
     x = rng.standard_normal(n)
-    p_rec, _ = scaled_prox_rank2(B, op, x, method="recursive", tol=1e-12)
-    p_joint, _ = scaled_prox_rank2(B, op, x, method="joint", tol=1e-12)
+    p_rec, _ = scaled_prox_rank2(B, op, x, tol=1e-12, inner_finder="exact")
+    p_joint, _ = scaled_prox_rank2(B, op, x, tol=1e-12)
     z = brute_force_scaled_prox(dense_metric(B),
                                 euclidean_prox_for("l1", {"lam": 0.5}), x,
                                 1.0)
@@ -342,19 +346,15 @@ def test_rank2_routing(rng):
     op = L1Norm(0.5)
     x = rng.standard_normal(30)
     assert scaled_prox_rank2(B, op, x)[1].method == "rank2-joint"
-    assert scaled_prox_rank2(B, op, x, method="recursive")[1].method \
-        == "rank2-recursive"
     # a non-default inner finder is the independent oracle route
-    _, rep = scaled_prox_rank2(B, op, x, tol=1e-12, inner_finder="bisection")
-    assert rep.method == "rank2-recursive"
-    # the method is checked before a one-sided metric is reduced to the
-    # rank-1 prox, so that all three shapes raise alike; so is kappa, which
-    # the joint route's bound prox steps do not see
+    for finder in ("exact", "bisection"):
+        _, rep = scaled_prox_rank2(B, op, x, tol=1e-12, inner_finder=finder)
+        assert rep.method == "rank2-recursive"
+    # kappa is checked for all three shapes alike, also where the joint
+    # route's bound prox steps do not see it
     u1, u2 = (0.5 * U[:, 0] for U in B.factor_matrices)
     for pm in (B, PlusMinusMetric(B.diag, [u1], []),
                PlusMinusMetric(B.diag, [], [u2])):
-        with pytest.raises(ValueError, match="unknown rank-2 method"):
-            scaled_prox_rank2(pm, op, x, method="bogus")
         for h in (op, Box(-1.0, 1.0)):
             with pytest.raises(ValueError, match="kappa must be positive"):
                 scaled_prox_rank2(pm, h, x, kappa=0.0)
@@ -470,36 +470,47 @@ class _ScaledJacobianL1(_BadJacobianL1):
 
 
 @pytest.mark.parametrize("op_class", [_NaNJacobianL1, _ScaledJacobianL1])
-def test_rank2_fallback_when_newton_fails(rng, op_class):
-    B, skipped = _bfgs_metric(rng, 30)
-    assert not skipped
-    x = 2.0 * rng.standard_normal(30)
-    p, rep = scaled_prox_rank2(B, op_class(0.5), x)
-    assert rep.method == "rank2-recursive"
-    z = brute_force_scaled_prox(dense_metric(B),
-                                euclidean_prox_for("l1", {"lam": 0.5}), x,
-                                1.0)
-    np.testing.assert_allclose(p, z, atol=1e-9)
-
-
-def test_joint_newton_miss_without_a_recursive_path_raises(rng):
-    # the recursive fallback needs exactly one minus factor: a (2, 2) metric
-    # and single-sign rank-2 metrics have none, and a miss of the joint
-    # Newton (1e6 times too large Jacobian products) raises
+def test_joint_newton_miss_raises_for_every_inertia(rng, op_class):
+    # a miss of the joint Newton (NaN or 1e6 times too large Jacobian
+    # products) raises for the (1, 1) metric of 0BFGS, a (2, 2) metric and
+    # single-sign rank-2 metrics alike, through either entry
     n = 30
     d = np.ones(n)
-    op = _ScaledJacobianL1(0.5)
+    op = op_class(0.5)
     x = 2.0 * rng.standard_normal(n)
+    B, skipped = _bfgs_metric(rng, n)
+    assert not skipped
     pm = PlusMinusMetric(d, _scaled_factors(rng, n, d, 2, 0.8),
                          _scaled_factors(rng, n, d, 2, 0.6))
-    with pytest.raises(RootFinderError, match="missed"):
-        scaled_prox_rank2(pm, op, x)
-    for sign in (+1, -1):
-        metric = LowRankMetric(d, _scaled_factors(rng, n, d, 2, 0.6), sign)
-        with pytest.raises(RootFinderError, match="missed"):
-            scaled_prox(metric, op, x)
-        # the exact products reach the root
-        assert scaled_prox(metric, L1Norm(0.5), x)[1].converged
+    metrics = [B, pm] + [
+        LowRankMetric(d, _scaled_factors(rng, n, d, 2, 0.6), sign)
+        for sign in (+1, -1)]
+    for metric in metrics:
+        for entry in (scaled_prox, scaled_prox_rank2):
+            with pytest.raises(RootFinderError, match="missed"):
+                entry(metric, op, x)
+            # the exact products reach the root
+            assert entry(metric, L1Norm(0.5), x)[1].converged
+
+
+def test_a_joint_newton_miss_ends_the_solve_prox_failed():
+    # every joint Newton of 0BFGS misses with 1e6 times too large Jacobian
+    # products: the solve ends "prox_failed" at its last accepted point,
+    # with its trace; 0SR1's rank-1 Newton takes vector products, exact
+    # here, and its solve is the one on the plain l1 norm
+    problem = generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
+                                     seed=3))
+    bad = dataclasses.replace(problem, h=_ScaledJacobianL1(problem.h.lam))
+    opts = SolverOptions(max_iters=500)
+    res = solve(bad, "zero-bfgs", opts)
+    assert res.status == "prox_failed" and res.converged is False
+    assert res.iterations >= 1 and len(res.trace) == res.iterations + 1
+    assert np.isfinite(res.objective)
+    assert res.objective == res.trace.objectives[-1] == bad.objective(res.x)
+    want, got = solve(problem, "zero-sr1", opts), solve(bad, "zero-sr1", opts)
+    assert got.status == want.status == "converged"
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.trace.objectives, want.trace.objectives)
 
 
 def _on_breakpoints(kind, rng, n, d, kappa, offset):
@@ -561,8 +572,11 @@ def test_rank2_joint_matches_recursive_near_breakpoints(seed, n, kind, offset,
     p_joint, rep = scaled_prox_rank2(B, op, x, kappa=kappa)
     assert rep.method == "rank2-joint"
     assert rep.converged and rep.residual <= 1e-12
-    p_rec, rep_rec = scaled_prox_rank2(B, op, x, kappa=kappa,
-                                       method="recursive")
+    # the recursive oracle, over the sweep (bisection for the group norm,
+    # which has no piecewise-affine descriptor)
+    p_rec, rep_rec = scaled_prox_rank2(
+        B, op, x, kappa=kappa,
+        inner_finder="bisection" if kind == "group" else "exact")
     assert rep_rec.method == "rank2-recursive"
     np.testing.assert_allclose(p_joint, p_rec, atol=1e-9)
     np.testing.assert_allclose(p_joint, p, atol=1e-9)

@@ -323,9 +323,10 @@ def test_nonfinite_step_ends_the_solve_at_the_last_finite_point(solver_id):
 @pytest.mark.parametrize("solver_id", sorted(SOLVERS))
 def test_solve_ends_at_its_last_finite_objective(solver_id):
     # f is NaN for x_0 > 1, where the unconstrained minimizer lies: the line
-    # search stops at its first NaN trial, and the solve ends "nonfinite" at
-    # the last point with a finite objective; SPG's nonmonotone test halves
-    # its way back into the domain and converges there
+    # search and FISTA-BB's step search stop at their first NaN trial, and
+    # the solve ends "nonfinite" at the last point with a finite objective;
+    # SPG's nonmonotone test halves its way back into the domain and
+    # converges there
     Q = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
     b = np.array([3.0, 1.0, -1.0, 2.0, 0.5])
     nan_calls = []
@@ -346,8 +347,19 @@ def test_solve_ends_at_its_last_finite_objective(solver_id):
         assert res.status == "nonfinite"
         assert res.objective == res.trace.objectives[-1] \
             == prob.objective(res.x)
-    if solver_id not in ("fista-bb", "spg"):   # their step searches halve
-        assert len(nan_calls) <= 1                # on a NaN objective
+    if solver_id != "spg":   # its nonmonotone search halves on a NaN
+        assert len(nan_calls) <= 1
+
+
+def test_result_objective_is_that_of_the_returned_point():
+    # FISTA-BB and SPG end a converged solve at the candidate point, and
+    # report its objective, not that of the iterate before it
+    problem = generate(ProblemRecipe("lasso_gaussian", m=150, n=300,
+                                     lam=0.1, seed=0))
+    for solver_id in sorted(SOLVERS):
+        res = solve(problem, solver_id)
+        assert res.status == "converged", solver_id
+        assert res.objective == problem.objective(res.x), solver_id
 
 
 @pytest.mark.parametrize("solver_id", sorted(SOLVERS))
