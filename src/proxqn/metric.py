@@ -204,8 +204,8 @@ class _FactoredMetric:
             return
         self._W1 = U1 / _col(p)
         self._gram, self._gram_norm_sq = _gram(U1, self._W1)
-        self._W2 = U2
-        if not U2.shape[1]:
+        if not U2.shape[1]:   # c I or P + Q1
+            self._W2 = U2
             return
         p_inv = 1.0 / p
         _positive_scalar(float(p_inv.min()) if c is None else p_inv)
