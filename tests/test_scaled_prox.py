@@ -470,25 +470,46 @@ class _ScaledJacobianL1(_BadJacobianL1):
 
 
 @pytest.mark.parametrize("op_class", [_NaNJacobianL1, _ScaledJacobianL1])
-def test_joint_newton_miss_raises_for_every_inertia(rng, op_class):
-    # a miss of the joint Newton (NaN or 1e6 times too large Jacobian
-    # products) raises for the (1, 1) metric of 0BFGS, a (2, 2) metric and
-    # single-sign rank-2 metrics alike, through either entry
+def test_joint_newton_miss_on_the_bfgs_metric_raises(rng, op_class):
+    # the (1, 1) metric of 0BFGS has no fallback: a miss of the joint Newton
+    # (NaN or 1e6 times too large Jacobian products) raises through either
+    # entry; the recursive oracle, whose rank-1 solves take the exact vector
+    # products, still reaches the prox
+    B, skipped = _bfgs_metric(rng, 30)
+    assert not skipped
+    op = op_class(0.5)
+    x = 2.0 * rng.standard_normal(30)
+    for entry in (scaled_prox, scaled_prox_rank2):
+        with pytest.raises(RootFinderError, match="missed"):
+            entry(B, op, x)
+        # the exact products reach the root
+        assert entry(B, L1Norm(0.5), x)[1].converged
+    p, rep = scaled_prox_rank2(B, op, x, inner_finder="exact")
+    assert rep.method == "rank2-recursive"
+    z = brute_force_scaled_prox(dense_metric(B),
+                                euclidean_prox_for("l1", {"lam": 0.5}), x,
+                                1.0)
+    np.testing.assert_allclose(p, z, atol=1e-9)
+
+
+def test_joint_newton_miss_without_a_recursive_path_raises(rng):
+    # the recursive oracle needs exactly one minus factor: a (2, 2) metric
+    # and single-sign rank-2 metrics have none, and a miss of the joint
+    # Newton (NaN or 1e6 times too large Jacobian products) raises through
+    # either entry
     n = 30
     d = np.ones(n)
-    op = op_class(0.5)
     x = 2.0 * rng.standard_normal(n)
-    B, skipped = _bfgs_metric(rng, n)
-    assert not skipped
     pm = PlusMinusMetric(d, _scaled_factors(rng, n, d, 2, 0.8),
                          _scaled_factors(rng, n, d, 2, 0.6))
-    metrics = [B, pm] + [
+    metrics = [pm] + [
         LowRankMetric(d, _scaled_factors(rng, n, d, 2, 0.6), sign)
         for sign in (+1, -1)]
     for metric in metrics:
         for entry in (scaled_prox, scaled_prox_rank2):
-            with pytest.raises(RootFinderError, match="missed"):
-                entry(metric, op, x)
+            for op_class in (_NaNJacobianL1, _ScaledJacobianL1):
+                with pytest.raises(RootFinderError, match="missed"):
+                    entry(metric, op_class(0.5), x)
             # the exact products reach the root
             assert entry(metric, L1Norm(0.5), x)[1].converged
 
