@@ -14,7 +14,8 @@ once per root problem, ``step = op._bind(d, kappa)`` (thresholds formed
 once), and get ``p, jac = step(z, out, tmp)``: the bits of ``_prox_diag``,
 and when called, ``jac(w, out)`` those of ``prox_diag_jvp`` (or None) for a
 vector ``w`` and an N x r matrix ``w`` alike, as a vector for a vector.
-Thresholds write ``p`` and a vector's product, the group norm ``p``, into a
+Thresholds form ``p = z - clip(z, lower, t)`` in three array passes; they
+write ``p`` and a vector's product, the group norm ``p``, into a
 caller-owned ``out`` if given, may overwrite a given N-vector ``tmp``, and
 take for ``d`` the ``c`` of ``c I`` (``_scalar_bind``; ``np.full(n, c)``'s
 bits); ``jac`` reads ``z`` when called.
@@ -64,7 +65,7 @@ def _check_weights(d, n=None):
         if n is None:
             raise ValueError("scalar weights need an explicit dimension")
         d = np.full(n, float(d))
-    if np.any(d <= 0):
+    if not np.all(d > 0):   # NaN fails
         raise ValueError("diagonal weights must be strictly positive")
     if n is not None and d.shape[0] != n:
         raise ValueError(f"weights have dimension {d.shape[0]}, expected {n}")
@@ -223,17 +224,27 @@ class Zero(ProxOperator):
 
 
 class _Thresholding(ProxOperator):
-    """Separable: prox ``_prox_at(z, t)`` at ``t = kappa * lam / d``, Clarke
-    slope 0 on ``[_lower(t), t)`` and 1 elsewhere; ``_prox_into(z, t, out,
-    tmp, mask)`` does its operations in its order into ``out``."""
+    """Separable: prox ``z - clip(z, _lower(t), t)`` at ``t = kappa * lam / d``
+    (:meth:`_threshold`), Clarke slope 0 on ``[_lower(t), t)`` and 1
+    elsewhere."""
 
     separable = True
     _scalar_bind = True
 
+    @staticmethod
+    def _threshold(z, t, lo, out=None, tmp=None):
+        """``z - clip(z, lo, t)`` in three passes: the clipped ``z`` into
+        ``tmp`` (or a new array), then the result into ``out`` if given,
+        else over the clipped ``z``."""
+        c = np.minimum(z, t, out=tmp)
+        np.maximum(c, lo, out=c)
+        return np.subtract(z, c, out=c if out is None else out)
+
     def _prox_diag(self, x, d, kappa):
         if kappa <= 0:
             raise ValueError("kappa must be positive")
-        return self._prox_at(x, kappa * self.lam / d)
+        t = kappa * self.lam / d
+        return self._threshold(x, t, self._lower(t))
 
     def slope_rule(self, z, d, kappa):
         t = kappa * self.lam / d
@@ -244,10 +255,10 @@ class _Thresholding(ProxOperator):
         t, lo = np.asarray(t), np.asarray(self._lower(t))
         masks = []   # the binding's two bool work arrays, made once
         def step(z, out=None, tmp=None):
-            if not masks:
-                both = np.empty((2, z.size), bool)
-                masks.extend((both[0], both[1]))
             def jac(w, out=None):
+                if not masks:
+                    both = np.empty((2, z.size), bool)
+                    masks.extend((both[0], both[1]))
                 ge, lt = masks
                 keep = np.invert(np.bitwise_and(
                     np.greater_equal(z, lo, ge), np.less(z, t, lt), ge), ge)
@@ -255,7 +266,7 @@ class _Thresholding(ProxOperator):
                 # whenever N == r
                 return np.multiply(keep, w, out) if w.ndim == 1 else \
                     _scale_rows(keep, w)
-            return self._prox_into(z, t, out, tmp, masks[0]), jac
+            return self._threshold(z, t, lo, out, tmp), jac
         return step
 
 
@@ -269,16 +280,6 @@ class L1Norm(_Thresholding):
 
     def evaluate(self, x):
         return self.lam * float(np.abs(x).sum())
-
-    @staticmethod
-    def _prox_at(z, t):
-        return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-
-    @staticmethod
-    def _prox_into(z, t, out, tmp, mask):
-        p = np.abs(z, out)
-        np.maximum(np.subtract(p, t, p), 0.0, out=p)
-        return np.multiply(np.sign(z, tmp), p, p)
 
     @staticmethod
     def _lower(t):
@@ -375,15 +376,6 @@ class Hinge(_Thresholding):
 
     def evaluate(self, x):
         return self.lam * float(np.sum(np.maximum(np.asarray(x, dtype=float), 0.0)))
-
-    @staticmethod
-    def _prox_at(z, c):
-        return np.where(z > c, z - c, np.minimum(z, 0.0))
-
-    @staticmethod
-    def _prox_into(z, c, out, tmp, mask):
-        p = np.minimum(z, 0.0, out=out)
-        return np.subtract(z, c, out=p, where=np.greater(z, c, mask))
 
     @staticmethod
     def _lower(c):

@@ -102,8 +102,7 @@ class RootProblem:
     """
 
     def __init__(self, metric: LowRankMetric, prox, x, kappa=1.0):
-        self.x, self.diag, self.bind_weights = _checked(metric, prox, x,
-                                                        kappa)
+        self.x, self.bind_weights = _checked(metric, prox, x, kappa)
         self.metric = metric
         self.prox = prox
         self.kappa = float(kappa)
@@ -119,6 +118,12 @@ class RootProblem:
     def rank(self):
         return self.U.shape[1]
 
+    @property
+    def diag(self):
+        """``diag(P)``, read only by the fallback and the oracles: a
+        trusted ``c I`` forms it at the first read."""
+        return self.metric.diag
+
     def shifted_point(self, alpha):
         return self.x - self.sign * (self._shift_dirs @ np.atleast_1d(alpha))
 
@@ -133,19 +138,18 @@ class RootProblem:
 
 
 def _checked(metric, prox, x, kappa):
-    """``(x, diag(P), weights)``: the query point as a float vector,
-    ``diag(P)`` checked for ``prox`` and the weights to bind ``prox`` with;
-    a trusted ``c I`` (``c > 0`` tested) needs only the dimension test, and
-    binds with ``c`` if ``prox`` takes a scalar."""
+    """``(x, weights)``: the query point as a float vector and the weights
+    to bind ``prox`` with, ``diag(P)`` checked for ``prox``; a trusted
+    ``c I`` (``c > 0`` tested) needs only the dimension test, and binds
+    with ``c`` if ``prox`` takes a scalar, without forming ``diag(P)``."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     x = np.asarray(x, dtype=float)
     if x.shape != (metric.dim,):
         raise ValueError("query point dimension mismatch")
     if metric._c is None or prox.dim not in (None, metric.dim):
-        d = prox.check_weights(metric.diag, metric.dim)
-        return x, d, d
-    return x, metric.diag, metric._c if prox._scalar_bind else metric.diag
+        return x, prox.check_weights(metric.diag, metric.dim)
+    return x, metric._c if prox._scalar_bind else metric.diag
 
 
 def _fd_jacobian(func, x, base):
@@ -436,9 +440,9 @@ def _prox(metric, prox, x, kappa, tol, warm):
         report = root_semismooth_newton(RootProblem(metric, prox, x, kappa),
                                         tol=tol, alpha0=warm)
         return report.point, report
-    x, diag, weights = _checked(metric, prox, x, kappa)
+    x, weights = _checked(metric, prox, x, kappa)
     if r == 0:
-        return prox._prox_diag(x, diag, kappa), \
+        return prox._prox_diag(x, metric.diag, kappa), \
             RootSolverReport(np.zeros(0), 0.0, 0, "diagonal")
     return _joint_newton(prox, x, kappa, weights, metric._U1, metric._W1,
                          metric._U2, metric._W2, tol, warm)

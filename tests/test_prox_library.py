@@ -248,7 +248,8 @@ _ALL_OPERATORS = [
 def test_public_prox_diag_rejects_nonpositive_weights(op):
     x = np.array([0.4, -1.2, 0.7])
     assert np.all(np.isfinite(op.prox_diag(x, np.ones(3))))
-    for bad in ([1.0, 0.0, 1.0], [1.0, 1.0, -2.0], [0.0, 0.0, 0.0]):
+    for bad in ([1.0, 0.0, 1.0], [1.0, 1.0, -2.0], [0.0, 0.0, 0.0],
+                [1.0, np.nan, 1.0]):
         with pytest.raises(ValueError, match="strictly positive"):
             op.prox_diag(x, np.array(bad))
 
@@ -373,6 +374,48 @@ def _special_point(rng, n):
     for k, v in enumerate((-0.0, np.inf, -np.inf, np.nan, 0.0)):
         z[kind == k] = v
     return z
+
+
+def _soft_threshold_closed_form(z, t):
+    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+
+
+def _hinge_closed_form(z, c):
+    return np.where(z > c, z - c, np.minimum(z, 0.0))
+
+
+@pytest.mark.parametrize("vector_d", [False, True], ids=["0-d t", "vector t"])
+def test_threshold_gives_the_closed_forms(rng, vector_d):
+    # z - clip(z, lower, t) has the values of the closed forms, equal under
+    # ==: the l1 form gives -0.0 for a negative z in the dead zone, the
+    # clip form 0.0.  Ties at +-t and 0 (the hinge's c is its t), -0.0,
+    # +-inf and NaN; with and without a caller's out and tmp, and through
+    # the public prox_diag
+    n, kappa = 60, 1.3
+    d = rng.uniform(0.5, 2.0, n) if vector_d else 0.85
+    for op, closed_form in ((L1Norm(0.7), _soft_threshold_closed_form),
+                            (Hinge(0.9), _hinge_closed_form)):
+        t = np.asarray(kappa * op.lam / d)
+        tv = np.broadcast_to(t, (n,))
+        lo = np.asarray(op._lower(t))
+        points = [3.0 * rng.standard_normal(n), _special_point(rng, n),
+                  np.zeros(n)]
+        for kink in (tv, -tv):
+            points += [kink.copy(), np.nextafter(kink, -np.inf),
+                       np.nextafter(kink, np.inf)]
+        for z in points:
+            want = closed_form(z, t)
+            kept = z.copy()
+            for out in (None, np.full(n, np.nan)):
+                for tmp in (None, np.full(n, np.nan)):
+                    p = op._threshold(z, t, lo, out, tmp)
+                    # into out, else into tmp, else a new array
+                    assert p is (tmp if out is None else out) or \
+                        out is tmp is None and p is not z
+                    assert np.array_equal(p, want, equal_nan=True)
+            assert np.array_equal(op.prox_diag(z, np.broadcast_to(d, (n,)),
+                                               kappa), want, equal_nan=True)
+            assert np.array_equal(z, kept, equal_nan=True)
 
 
 def _directions(rng, n):

@@ -482,3 +482,30 @@ def test_fista_bb_restarts_where_the_objective_rises(monkeypatch):
     # elsewhere the momentum moves the gradient's point off x_new
     assert any(not np.array_equal(grads[k + 1], points[k + 1])
                for k in range(len(obj) - 1) if k not in rises)
+
+
+class _FivePassL1(L1Norm):
+    """``L1Norm`` thresholding in the closed form's five array passes,
+    ``sign(z) * max(|z| - t, 0)``."""
+
+    @staticmethod
+    def _threshold(z, t, lo, out=None, tmp=None):
+        p = np.abs(z, out)
+        np.maximum(np.subtract(p, t, p), 0.0, out=p)
+        return np.multiply(np.sign(z, tmp), p, p)
+
+
+def test_clip_threshold_leaves_every_solver_bit_identical():
+    # the clip form's 0.0 where the closed form gives -0.0 reaches no trace
+    recipe = ProblemRecipe("lasso_gaussian", m=40, n=80, lam=0.1, seed=4)
+    problem, five_pass = generate(recipe), generate(recipe)
+    five_pass.h = _FivePassL1(problem.h.lam)
+    opts = SolverOptions(max_iters=300, tol=1e-10)
+    for solver_id, run in SOLVERS.items():
+        got, want = run(problem, opts), run(five_pass, opts)
+        for name in ("iters", "objectives", "step_norms"):
+            assert np.asarray(getattr(got.trace, name)).tobytes() == \
+                np.asarray(getattr(want.trace, name)).tobytes(), \
+                (solver_id, name)
+        assert got.status == want.status, solver_id
+        assert np.array_equal(got.x, want.x), solver_id
