@@ -27,7 +27,6 @@ from .prox import (  # noqa: F401
 )
 from .quasi_newton import (  # noqa: F401
     QNPair,
-    SR1Config,
     bb_stepsizes,
     sr1_metric,
     zbfgs_metric,

@@ -1,5 +1,5 @@
-"""Benchmark harness: problem generation, cached reference solutions,
-serial solver races, and trace persistence.
+"""Benchmark harness: problem generation, reference optima (FISTA-BB
+solutions, cached on disk), serial solver races, and trace persistence.
 
 Families follow the paper-style experiments at configurable scale:
 dense Gaussian LASSO, LASSO with a 3-D forward-difference operator,
@@ -239,38 +239,6 @@ def default_cache_dir():
                           os.path.join(os.getcwd(), ".proxqn-cache"))
 
 
-def _polish_l1(problem, x, lam):
-    """Support polish for LASSO: solve the stationarity system on the
-    detected support; used only when it strictly decreases F."""
-    A = problem.A
-    if sp.issparse(A):
-        A = A.toarray()
-    support = np.abs(x) > 1e-9 * max(1.0, float(np.max(np.abs(x), initial=0.0)))
-    if not np.any(support):
-        return None
-    As = A[:, support]
-    rhs = As.T @ problem.b - lam * np.sign(x[support])
-    sol, *_ = np.linalg.lstsq(As.T @ As, rhs, rcond=None)
-    candidate = np.zeros_like(x)
-    candidate[support] = sol
-    return candidate
-
-
-def _polish_nonneg(problem, x):
-    A = problem.A
-    if sp.issparse(A):
-        A = A.toarray()
-    free = x > 1e-9 * max(1.0, float(np.max(x, initial=0.0)))
-    if not np.any(free):
-        return None
-    sol, *_ = np.linalg.lstsq(A[:, free], problem.b, rcond=None)
-    if np.any(sol < 0):
-        return None
-    candidate = np.zeros_like(x)
-    candidate[free] = sol
-    return candidate
-
-
 def _write_atomic(path, payload):
     """Write ``payload`` bytes to ``path`` through a temporary file in the
     same directory and ``os.replace``, so that a reader never sees a
@@ -305,12 +273,11 @@ def reference_solution(problem, tol=1e-12, max_iters=400_000, cache_dir=None,
                        use_cache=True) -> ReferenceSolution:
     """High-accuracy reference optimum, cached on disk by recipe digest.
 
-    Runs FISTA-BB (adaptive restart) to the step-norm tolerance (flagged
-    approximate if the iteration cap is reached first), then attempts an
-    exact support polish for l1/non-negative problems, kept only when it
-    strictly decreases the objective.  A cache entry that cannot be read
-    or that another package version wrote is recomputed; the ``.npy`` and
-    then the ``.json`` file are replaced atomically.
+    The FISTA-BB (adaptive restart) solution at the step-norm tolerance,
+    flagged approximate if the iteration cap is reached first.  A cache
+    entry that cannot be read or that another package version wrote is
+    recomputed; the ``.npy`` and then the ``.json`` file are replaced
+    atomically.
     """
     cache_dir = cache_dir or default_cache_dir()
     key = None
@@ -322,20 +289,9 @@ def reference_solution(problem, tol=1e-12, max_iters=400_000, cache_dir=None,
         if cached is not None:
             return cached
 
-    opts = SolverOptions(max_iters=max_iters, tol=tol)
-    result = run_fista_bb(problem, opts)
-    x, f_val = result.x, result.objective
-    if isinstance(problem.h, L1Norm):
-        candidate = _polish_l1(problem, x, problem.h.lam)
-    elif isinstance(problem.h, NonNeg):
-        candidate = _polish_nonneg(problem, x)
-    else:
-        candidate = None
-    if candidate is not None:
-        f_cand = problem.objective(candidate)
-        if f_cand < f_val:
-            x, f_val = candidate, f_cand
-    ref = ReferenceSolution(x, f_val, not result.converged, False)
+    result = run_fista_bb(problem, SolverOptions(max_iters=max_iters, tol=tol))
+    ref = ReferenceSolution(result.x, result.objective, not result.converged,
+                            False)
 
     if key is not None:
         os.makedirs(cache_dir, exist_ok=True)

@@ -16,10 +16,13 @@ import numpy as np
 
 from .metric import LowRankMetric, NotPositiveDefiniteError, PlusMinusMetric
 
+# SR1 clamps tau_bb2 to [_SR1_TAU_MIN, _SR1_TAU_MAX] and skips the rank-1
+# update when <w, y> <= _SR1_SKIP_TOL ||w|| ||y||, w = s - H0 y
+_SR1_TAU_MIN, _SR1_TAU_MAX, _SR1_SKIP_TOL = 1e-8, 1e8, 1e-8
+
 __all__ = [
     "CurvatureError",
     "QNPair",
-    "SR1Config",
     "bb_stepsizes",
     "sr1_metric",
     "zbfgs_metric",
@@ -53,27 +56,6 @@ class QNPair:
         object.__setattr__(self, "curvature", float(np.dot(s, y)))
 
 
-@dataclass(frozen=True)
-class SR1Config:
-    """Parameters of the SR1 sub-routine.
-
-    ``gamma`` shrinks the Barzilai-Borwein diagonal (0.8 works well),
-    ``tau_min``/``tau_max`` clamp the step length, ``skip_tol`` is the
-    relative threshold below which the rank-1 update is skipped.
-    """
-
-    gamma: float = 0.8
-    tau_min: float = 1e-8
-    tau_max: float = 1e8
-    skip_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 < self.tau_min < self.tau_max:
-            raise ValueError("need 0 < tau_min < tau_max")
-
-
 def bb_stepsizes(pair: QNPair):
     """Barzilai-Borwein spectral step lengths ``(tau_bb1, tau_bb2)``.
 
@@ -90,18 +72,21 @@ def bb_stepsizes(pair: QNPair):
     return tau_bb1, tau_bb2
 
 
-def sr1_metric(pair, cfg: SR1Config = SR1Config(), dim=None, tau0=1.0):
+def sr1_metric(pair, gamma=0.8, dim=None, tau0=1.0):
     """Zero-memory SR1 inverse-Hessian metric ``H = gamma tau_bb2 I + u u^T``.
 
-    ``u = (s - H0 y)/sqrt(<s - H0 y, y>)`` when the curvature of the
-    residual pair is safely positive; otherwise the update is skipped and
-    the diagonal ``H0`` is returned (rank 0).  ``pair=None`` covers the
+    ``gamma`` in (0, 1) shrinks the Barzilai-Borwein diagonal ``H0`` (0.8
+    works well), and ``u = (s - H0 y)/sqrt(<s - H0 y, y>)`` when the
+    curvature of the residual pair is safely positive; otherwise the
+    update is skipped and the diagonal ``H0`` is returned (rank 0).  ``pair=None`` covers the
     first iteration, where ``H = tau0 * I`` (any positive tau is valid;
     callers use 1/L when a Lipschitz estimate exists).
 
     The secant identity ``H y = s`` holds exactly whenever the update is
     not skipped.
     """
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
     if pair is None:
         if dim is None:
             raise ValueError("dim is required when no pair is given")
@@ -110,10 +95,10 @@ def sr1_metric(pair, cfg: SR1Config = SR1Config(), dim=None, tau0=1.0):
     yy = float(np.dot(pair.y, pair.y))
     if yy == 0.0:
         return LowRankMetric._trusted(float(tau0), np.zeros((n, 0)))
-    h0 = cfg.gamma * min(max(pair.curvature / yy, cfg.tau_min), cfg.tau_max)
+    h0 = gamma * min(max(pair.curvature / yy, _SR1_TAU_MIN), _SR1_TAU_MAX)
     w = pair.s - h0 * pair.y
     wy = float(np.dot(w, pair.y))
-    if wy <= cfg.skip_tol * math.sqrt(yy) * math.sqrt(w.dot(w)):
+    if wy <= _SR1_SKIP_TOL * math.sqrt(yy) * math.sqrt(w.dot(w)):
         return LowRankMetric._trusted(h0, np.zeros((n, 0)))
     u = w / math.sqrt(wy)
     return LowRankMetric._trusted(h0, u.reshape(n, 1), +1)

@@ -16,15 +16,15 @@ rank: rank 0 is the diagonal prox; rank 1 is the warm-started scalar
 semi-smooth Newton (:func:`root_semismooth_newton`) on ``(u, w, sign)`` of
 the non-empty side, which terminates finitely on piecewise-affine maps and
 in a few steps on the piecewise-smooth maps of group norms and affine
-constraints, and asks for no Jacobian product at the step ending it; the
-exact O(N log N) breakpoint sweep (or bisection, for operators without a
-piecewise-affine descriptor) is its fallback on a budget miss and its
-oracle.  Every rank >= 2, single-sign or ``V = P + Q1 - Q2`` (0BFGS), goes
-through one damped semi-smooth Newton on the stacked multiplier system,
-with one diagonal prox and one Clarke-Jacobian product with an N x r
-matrix per step; a miss of its tolerance raises :class:`RootFinderError`.
-The recursive route (an outer scalar solve over inner rank-1 solves) is
-the rank-2 oracle, reached only through the exact or bisection finders.
+constraints, and asks for no Jacobian product at the step ending it.
+Every rank >= 2, single-sign or ``V = P + Q1 - Q2`` (0BFGS), goes through
+one damped semi-smooth Newton on the stacked multiplier system, with one
+diagonal prox and one Clarke-Jacobian product with an N x r matrix per
+step.  A miss of either Newton's tolerance raises :class:`RootFinderError`.
+The exact O(N log N) breakpoint sweep and bisection are the rank-1
+oracles, and the recursive route (an outer scalar solve over inner rank-1
+solves) the rank-2 one; they are reached only through the exact or
+bisection finders.
 
 Both Newtons bind the operator once per root problem (``_bind`` in
 :mod:`proxqn.prox`), with the scalar ``c`` of a trusted ``P = c I`` where
@@ -38,7 +38,6 @@ identity.  A report whose residual is not finite is never ``converged``.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -60,12 +59,12 @@ __all__ = [
     "scaled_prox_conjugate",
 ]
 
-logger = logging.getLogger(__name__)
-
 _FD_STEP = 1e-7
 # first rank-1 Newton step checked for a stalled bracket; Newton ends
 # within a few steps on the piecewise-affine maps of separable operators
 _CYCLE_CHECK = 8
+# the dispatcher and the rank-1 oracles, by their ``finder`` names
+_FINDERS = ("auto", "exact", "bisection")
 
 
 class RootFinderError(RuntimeError):
@@ -120,8 +119,9 @@ class RootProblem:
 
     @property
     def diag(self):
-        """``diag(P)``, read only by the fallback and the oracles: a
-        trusted ``c I`` forms it at the first read."""
+        """``diag(P)``, read by the oracles and the Newton's safeguards
+        (:func:`root_bound`, forward differences): a trusted ``c I`` forms
+        it at the first read."""
         return self.metric.diag
 
     def shifted_point(self, alpha):
@@ -355,15 +355,6 @@ def root_exact_piecewise_affine(problem: RootProblem, descriptor=None):
 
 def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
                            max_iter=50):
-    """The rank-1 semi-smooth Newton finder, :func:`_ssnewton_rank1`; a
-    non-finite map value ends it at once, unconverged."""
-    if problem.rank != 1:
-        raise ValueError("the semi-smooth Newton finder applies to rank-1 "
-                         "problems")
-    return _ssnewton_rank1(problem, tol, alpha0, max_iter)
-
-
-def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
     """Scalar semi-smooth Newton, one bound prox step per iteration,
     safeguarded by the bracket of map signs.  Stops at ``|L| <= tol``, at
     a non-finite ``L`` (unconverged), or at a point with its base point's
@@ -372,9 +363,13 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
     both outer l1 pieces have slope 1).  On the smooth pieces of a group
     norm the steps can close in on a 2-cycle around the root, so from step
     ``_CYCLE_CHECK`` on two steps that halve neither the bracket nor ``|L|``
-    are followed by a bisection.  On budget exhaustion the sweep, or
-    bisection, takes over.  Steps write into the call's own ``p`` (returned),
-    ``z`` and two slots taken in turn (``tmp``, ``x - p``, then ``jw``)."""
+    are followed by a bisection.  Raises :class:`RootFinderError` when
+    ``|L|`` is still above ``tol`` after ``max_iter`` steps.  Steps write
+    into the call's own ``p`` (returned), ``z`` and two slots taken in turn
+    (``tmp``, ``x - p``, then ``jw``)."""
+    if problem.rank != 1:
+        raise ValueError("the semi-smooth Newton finder applies to rank-1 "
+                         "problems")
     prox, x, s = problem.prox, problem.x, problem.sign
     u, w = problem.U[:, 0], problem._shift_dirs[:, 0]
     step = prox._bind(problem.bind_weights, problem.kappa)
@@ -402,14 +397,8 @@ def _ssnewton_rank1(problem: RootProblem, tol, alpha0, max_iter):
                     float(abs_ux[0] @ z) + abs(alpha)):
                 break
         if it == max_iter:
-            logger.info("rank-1 Newton missed %g; falling back", tol)
-            desc = prox.pa_descriptor(problem.diag, problem.kappa)
-            fb = root_bisection(problem, eps=max(
-                tol / problem.lipschitz_bound, 1e-15)) if desc is None \
-                else root_exact_piecewise_affine(problem, descriptor=desc)
-            fb.method, fb.iterations = "ssnewton", fb.iterations + max_iter
-            fb.residual_history = history + [fb.residual]
-            return fb
+            raise RootFinderError(f"rank-1 semi-smooth Newton missed {tol:g} "
+                                  f"(residual {abs(val):g})")
         lo, hi = (lo, alpha) if val > 0 else (alpha, hi)
         widths.append(hi - lo)
         new = alpha - val / slope if slope > 0 else np.nan
@@ -456,8 +445,8 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
     ----------
     finder : {"auto", "exact", "bisection"}
         Root-finding strategy.  "auto" is the warm-started semi-smooth
-        Newton, the scalar one at rank 1 and above it the joint one, which
-        raises :class:`RootFinderError` where it misses ``tol``; "exact"
+        Newton, the scalar one at rank 1 and above it the joint one; both
+        raise :class:`RootFinderError` where they miss ``tol``.  "exact"
         (the breakpoint sweep, for operators with a piecewise-affine
         descriptor) and "bisection" are the rank-1 oracles of a single-sign
         metric.
@@ -471,15 +460,15 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
     -------
     (p, report) : the prox point and the root-solver report.
     """
+    if finder not in _FINDERS:
+        raise ValueError(f"unknown finder {finder!r}")
     if finder == "auto" or metric.rank == 0:
         return _prox(metric, prox, x, kappa, tol, warm_alpha)
     problem = RootProblem(metric, prox, x, kappa)
     if finder == "exact":
         report = root_exact_piecewise_affine(problem)
-    elif finder == "bisection":
-        report = root_bisection(problem, eps=tol)
     else:
-        raise ValueError(f"unknown finder {finder!r}")
+        report = root_bisection(problem, eps=tol)
     p = report.point if report.point is not None \
         else problem.prox_at(report.alpha_star)
     return p, report
@@ -533,6 +522,8 @@ def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0, tol=1e-12,
     inner rank-1 solve in ``P1`` per outer evaluation.  The report's
     ``method`` names the path that produced the point.
     """
+    if inner_finder not in _FINDERS:
+        raise ValueError(f"unknown finder {inner_finder!r}")
     if inner_finder == "auto":
         return _prox(metric, prox, x, kappa, tol, warm)
     if not all(metric.ranks):

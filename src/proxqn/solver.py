@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .prox import ProxOperator
-from .quasi_newton import (QNPair, SR1Config, _zbfgs_diagonal, sr1_metric,
-                           zbfgs_metric)
+from .quasi_newton import QNPair, _zbfgs_diagonal, sr1_metric, zbfgs_metric
 # scaled_prox is not called here; perfbench's tracer wraps it by this name
 from .scaled import RootFinderError, scaled_prox, scaled_prox_rank2  # noqa: F401
 from .trace import ConvergenceTrace
@@ -255,7 +254,6 @@ def _run_quasi_newton(problem, opts, variant):
     run = _Run(problem, opts, "zero-sr1" if variant == "sr1" else "zero-bfgs")
     gamma = opts.gamma if opts.gamma is not None else \
         (0.8 if variant == "sr1" else 1.0)
-    cfg = SR1Config(gamma=gamma) if variant == "sr1" else None
     tau0 = 1.0 / problem.lipschitz if problem.lipschitz else 1.0
     kappa = opts.kappa if opts.kappa is not None else 1.0
     backtrack = opts.line_search != "none"
@@ -270,7 +268,7 @@ def _run_quasi_newton(problem, opts, variant):
     def propose(k, x):
         nonlocal warm, last_tau
         if variant == "sr1":
-            H = sr1_metric(pair, cfg, dim=problem.dim, tau0=tau0)
+            H = sr1_metric(pair, gamma, dim=problem.dim, tau0=tau0)
             B = H.invert()
         elif pair is None:
             H, B, _ = _zbfgs_diagonal(gamma * tau0, problem.dim)

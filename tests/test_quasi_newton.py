@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from proxqn.bench import ProblemRecipe, generate
 from proxqn.metric import (
     FACTOR_DROP_TOL,
     LowRankMetric,
@@ -10,7 +11,6 @@ from proxqn.metric import (
 from proxqn.quasi_newton import (
     CurvatureError,
     QNPair,
-    SR1Config,
     bb_stepsizes,
     contraction_rate,
     sr1_eigen_bounds,
@@ -18,6 +18,7 @@ from proxqn.quasi_newton import (
     zbfgs_eigen_bounds,
     zbfgs_metric,
 )
+from proxqn.solver import SolverOptions, run_zero_sr1
 from proxqn.validate import dense_metric
 
 
@@ -54,8 +55,7 @@ def test_bb_signals_nonpositive_curvature(rng):
 
 def test_sr1_secant_identity(rng):
     s = rng.standard_normal(7)
-    cfg = SR1Config(gamma=0.5)
-    H = sr1_metric(QNPair(s, s), cfg)
+    H = sr1_metric(QNPair(s, s), gamma=0.5)
     np.testing.assert_allclose(dense_metric(H),
                                0.5 * np.eye(7) + 0.5 * np.outer(s, s) /
                                np.dot(s, s), atol=1e-12)
@@ -69,26 +69,24 @@ def test_sr1_first_iteration_and_skip(rng):
     # orthogonal pair: tau_bb2 clamps to tau_min and the update is skipped
     s = np.array([1.0, 0.0])
     y = np.array([0.0, 1.0])
-    H = sr1_metric(QNPair(s, y), SR1Config())
+    H = sr1_metric(QNPair(s, y))
     assert H.rank == 0
 
 
 def test_sr1_skip_is_scale_invariant(rng):
-    cfg = SR1Config()
     for _ in range(20):
         s = rng.standard_normal(6)
         y = rng.standard_normal(6)
-        base = sr1_metric(QNPair(s, y), cfg).rank
+        base = sr1_metric(QNPair(s, y)).rank
         for t in (1e-6, 1e3):
-            assert sr1_metric(QNPair(t * s, t * y), cfg).rank == base
+            assert sr1_metric(QNPair(t * s, t * y)).rank == base
 
 
 def test_sr1_random_secant(rng):
-    cfg = SR1Config(gamma=0.8)
     for _ in range(20):
         s = rng.standard_normal(9)
         y = s + 0.5 * rng.standard_normal(9)
-        H = sr1_metric(QNPair(s, y), cfg)
+        H = sr1_metric(QNPair(s, y), gamma=0.8)
         if H.rank == 1:
             res = np.max(np.abs(H.apply(y) - s))
             assert res <= 1e-12 * (1.0 + np.max(np.abs(s)))
@@ -133,9 +131,8 @@ def _spd_pair(rng, mu, L, n):
 def test_sr1_eigenvalues_within_lemma_interval(rng):
     mu, L, gamma = 0.4, 5.0, 0.8
     a, b = sr1_eigen_bounds(mu, L, gamma)
-    cfg = SR1Config(gamma=gamma)
     for _ in range(30):
-        H = sr1_metric(_spd_pair(rng, mu, L, 10), cfg)
+        H = sr1_metric(_spd_pair(rng, mu, L, 10), gamma=gamma)
         ew = np.linalg.eigvalsh(dense_metric(H))
         assert ew[0] >= a - 1e-9 and ew[-1] <= b + 1e-9
 
@@ -291,7 +288,11 @@ def test_zbfgs_infinite_tau_falls_back_to_the_diagonal():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SR1Config(gamma=1.5)
-    with pytest.raises(ValueError):
-        SR1Config(tau_min=1.0, tau_max=0.5)
+    s = np.array([1.0, 0.5])
+    for gamma in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="gamma"):
+            sr1_metric(QNPair(s, s), gamma=gamma)
+    problem = generate(ProblemRecipe("lasso_gaussian", m=10, n=20, lam=0.1,
+                                     seed=0))
+    with pytest.raises(ValueError, match="gamma"):
+        run_zero_sr1(problem, SolverOptions(gamma=1.5))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -245,7 +246,7 @@ def test_group_newton_breaks_a_two_cycle():
     # the map of this group norm in a minus metric is S-shaped: Newton
     # steps from either side overshoot to the other and |L| alternates
     # about 1.09 and 1.33; the cycle check bisects once and Newton then
-    # converges, long before the 50-step budget and its fallback
+    # converges, long before the 50-step budget
     d = np.repeat([0.838, 1.319], 3)
     u = np.array([-0.314, -0.113, 0.995, -0.279, 0.586, -2.171])
     u *= np.sqrt(0.9 / np.dot(u, u / d))
@@ -534,6 +535,20 @@ def test_a_joint_newton_miss_ends_the_solve_prox_failed():
     assert np.array_equal(got.trace.objectives, want.trace.objectives)
 
 
+def test_a_rank1_newton_miss_ends_the_solve_prox_failed(monkeypatch):
+    # with a budget of no step every rank-1 Newton of 0SR1 that does not
+    # start at its root misses: the solve ends "prox_failed" at its last
+    # accepted point, with its trace
+    problem = generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
+                                     seed=3))
+    monkeypatch.setattr(scaled, "root_semismooth_newton", functools.partial(
+        scaled.root_semismooth_newton, max_iter=0))
+    res = solve(problem, "zero-sr1", SolverOptions(max_iters=500))
+    assert res.status == "prox_failed" and res.converged is False
+    assert res.objective == problem.objective(res.x)
+    assert len(res.trace) == res.iterations + 1
+
+
 def _on_breakpoints(kind, rng, n, d, kappa, offset):
     """An operator and a point whose coordinates (block norms for the group
     norm) lie, for about half of them, at the diagonal prox's breakpoints
@@ -629,13 +644,15 @@ def test_rank1_routing(rng, op):
 
 @pytest.mark.parametrize("finder", ["ssnewton", "group", "closed_form"])
 def test_unknown_finder_rejected(rng, finder):
-    metric = sample_metric(rng, 6)
+    # the name is checked before the rank: a metric without factors, which
+    # needs no finder, rejects it too
     x = rng.standard_normal(6)
-    with pytest.raises(ValueError, match="unknown finder"):
-        scaled_prox(metric, L1Norm(0.5), x, finder=finder)
-    B, _ = _bfgs_metric(rng, 6)
-    with pytest.raises(ValueError, match="unknown finder"):
-        scaled_prox_rank2(B, L1Norm(0.5), x, inner_finder=finder)
+    for metric in (sample_metric(rng, 6), LowRankMetric(np.ones(6))):
+        with pytest.raises(ValueError, match="unknown finder"):
+            scaled_prox(metric, L1Norm(0.5), x, finder=finder)
+    for B in (_bfgs_metric(rng, 6)[0], PlusMinusMetric(np.ones(6))):
+        with pytest.raises(ValueError, match="unknown finder"):
+            scaled_prox_rank2(B, L1Norm(0.5), x, inner_finder=finder)
 
 
 def test_rank1_newton_does_not_stop_on_equal_slopes_alone():
@@ -950,14 +967,13 @@ def test_prox_points_do_not_alias_across_calls_or_inputs(rng):
 
 
 @pytest.mark.parametrize("max_iter", [0, 1])
-def test_rank1_newton_budget_falls_back_to_the_sweep_or_bisection(
-        rng, max_iter):
-    # L1Norm has a piecewise-affine descriptor: the exact sweep's root and
-    # point; GroupL2 has none: bisection's root, within its tolerance.  The
-    # report keeps the Newton's method name, adds its iterations to the
-    # fallback's and appends the fallback's residual to its history
+def test_rank1_newton_budget_miss_raises(rng, max_iter):
+    # a rank-1 Newton that needs more than max_iter steps raises, on a
+    # separable operator (L1Norm) and on one without a piecewise-affine
+    # descriptor (GroupL2) alike; one that ends within the budget gives
+    # the full run's point
     n, tol = 40, 1e-12
-    taken = {"exact": 0, "bisection": 0}
+    missed = {L1Norm: 0, GroupL2: 0}
     for op in (L1Norm(2.0), GroupL2(2.0, _group_blocks(rng, n))):
         for sign in (+1, -1) * 4:
             u = rng.standard_normal(n)
@@ -965,26 +981,16 @@ def test_rank1_newton_budget_falls_back_to_the_sweep_or_bisection(
             metric = LowRankMetric(np.ones(n), [u], sign)
             x = 3.0 * rng.standard_normal(n)
             full = root_semismooth_newton(RootProblem(metric, op, x), tol=tol)
-            if len(full.residual_history) <= max_iter + 1:
-                continue   # the Newton ends within the budget
             problem = RootProblem(metric, op, x)
-            rep = root_semismooth_newton(problem, tol=tol, max_iter=max_iter)
-            if isinstance(op, L1Norm):
-                fb = root_exact_piecewise_affine(problem)
-                assert rep.point.tobytes() == fb.point.tobytes()
-                assert rep.alpha_star.tobytes() == fb.alpha_star.tobytes()
-                taken["exact"] += 1
-            else:
-                eps = tol / problem.lipschitz_bound
-                fb = root_bisection(problem, eps=eps)
-                assert rep.alpha_star.tobytes() == fb.alpha_star.tobytes()
-                assert abs(rep.alpha_star[0] - full.alpha_star[0]) <= 2 * eps
-                taken["bisection"] += 1
-            assert rep.method == "ssnewton" and rep.converged
-            assert rep.iterations == fb.iterations + max_iter
-            assert rep.residual_history == \
-                full.residual_history[:max_iter + 1] + [fb.residual]
-    assert taken["exact"] and taken["bisection"]
+            if len(full.residual_history) <= max_iter + 1:
+                rep = root_semismooth_newton(problem, tol=tol,
+                                             max_iter=max_iter)
+                assert rep.point.tobytes() == full.point.tobytes()
+                continue
+            with pytest.raises(RootFinderError, match="missed"):
+                root_semismooth_newton(problem, tol=tol, max_iter=max_iter)
+            missed[type(op)] += 1
+    assert missed[L1Norm] and missed[GroupL2]
 
 
 # -- metrics of rank >= 2 against the dense oracle ----------------------------

@@ -7,7 +7,7 @@ from proxqn.bench import ProblemRecipe, generate
 from proxqn.metric import LowRankMetric
 from proxqn import solver
 from proxqn.prox import L1Norm, NonNeg, ProxOperator, Zero
-from proxqn.quasi_newton import QNPair, SR1Config, sr1_metric
+from proxqn.quasi_newton import QNPair, sr1_metric
 from proxqn.solver import (
     SOLVERS,
     ProblemSpec,
@@ -66,7 +66,7 @@ def test_fb_step_matches_model_minimizer(rng):
     # candidate = argmin of the quadratic model plus h, checked brute force
     s = rng.standard_normal(2)
     y = s + 0.3 * rng.standard_normal(2)
-    H = sr1_metric(QNPair(s, y), SR1Config())
+    H = sr1_metric(QNPair(s, y))
     B = H.invert()
     prob = quadratic_problem(np.diag([1.0, 2.0]), rng.standard_normal(2),
                              L1Norm(0.4))
