@@ -271,6 +271,9 @@ def cmd_prox(args):
     try:
         p, report = scaled_prox(metric, op, x, kappa=kappa,
                                 finder=args.finder, tol=args.tol)
+    except ValueError as exc:   # an input check: kappa, weights, finder
+        print(f"error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
     except Exception as exc:  # noqa: BLE001
         print(f"solver failure: {exc}", file=sys.stderr)
         return SOLVER_ERROR

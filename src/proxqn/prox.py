@@ -12,16 +12,18 @@ and the first-order solvers check their unit weights once per solve.
 Both Newtons of :mod:`proxqn.scaled`, the rank-1 and the joint rank-2, bind
 once per root problem, ``step = op._bind(d, kappa)`` (thresholds formed
 once), and get ``p, jac = step(z, out, tmp)``: the bits of ``_prox_diag``,
-and when called, ``jac(w, out)`` those of ``prox_diag_jvp`` (or None) for a
-vector ``w`` and an N x r matrix ``w`` alike, as a vector for a vector.
+and when called, ``jac(w, out)`` those of ``prox_diag_jvp`` for a vector
+``w`` and an N x r matrix ``w`` alike, as a vector for a vector.
 Thresholds form ``p = z - clip(z, lower, t)`` in three array passes; they
 write ``p`` and a vector's product, the group norm ``p``, into a
 caller-owned ``out`` if given, may overwrite a given N-vector ``tmp``, and
 take for ``d`` the ``c`` of ``c I`` (``_scalar_bind``; ``np.full(n, c)``'s
 bits); ``jac`` reads ``z`` when called.
-Separable operators additionally expose a piecewise-affine description of
-their scalar prox maps (breakpoints / slopes / intercepts), which is what
-the exact low-rank root finder consumes.
+Every operator supplies an exact Clarke-Jacobian product: a separable one
+through ``slope_rule``, any other through ``prox_diag_jvp``.  Separable
+operators additionally expose a piecewise-affine description of their
+scalar prox maps (breakpoints / slopes / intercepts), which is what the
+exact low-rank root finder consumes.
 """
 
 from __future__ import annotations
@@ -97,12 +99,9 @@ class PiecewiseAffineDescriptor:
     def n(self):
         return self.breakpoints.shape[0]
 
-    def segment_index(self, z, ties="left"):
-        """Segment index per coordinate; ``ties='right'`` picks the
-        right-hand segment at a breakpoint (the Clarke-element choice)."""
+    def segment_index(self, z):
+        """Segment index per coordinate, the left one at a breakpoint."""
         z = np.asarray(z, dtype=float)
-        if ties == "right":
-            return np.sum(self.breakpoints <= z[:, None], axis=1)
         return np.sum(self.breakpoints < z[:, None], axis=1)
 
     def evaluate(self, z):
@@ -110,11 +109,6 @@ class PiecewiseAffineDescriptor:
         idx = self.segment_index(z)
         rows = np.arange(self.n)
         return self.slopes[rows, idx] * z + self.intercepts[rows, idx]
-
-    def slopes_at(self, z):
-        """Clarke-element slopes at ``z`` (right segment at breakpoints)."""
-        idx = self.segment_index(z, ties="right")
-        return self.slopes[np.arange(self.n), idx]
 
     def validate(self, tol=1e-12):
         """Raise if continuity or the slope range [0, 1] is violated."""
@@ -139,7 +133,6 @@ class ProxOperator:
     """Base class: a convex function with a diagonal-metric prox."""
 
     separable = False
-    blocks = None
     dim = None   # the dimension the operator is built for, if it has one
     _scalar_bind = False   # whether _bind takes a scalar d (module docstring)
 
@@ -169,30 +162,30 @@ class ProxOperator:
 
     def prox_diag_jvp(self, z, d, kappa, M):
         """Product of a Clarke Jacobian of ``prox_diag(., d, kappa)`` at
-        ``z`` with the columns of ``M``, or None if unavailable; ``d`` must
-        have passed :meth:`check_weights`.  The slope rule's product has the
-        bits of ``slopes[:, None] * M`` in M's memory order (C in, C out),
-        formed column by column: the broadcast loops over r entries a row."""
-        slopes = self.slope_rule(z, d, kappa)
-        if slopes is None:
-            return None
-        return _scale_rows(slopes, np.atleast_2d(M.T).T)
+        ``z`` with the columns of ``M``; ``d`` must have passed
+        :meth:`check_weights`.  A non-separable operator overrides it; here
+        it is the slope rule's product, with the bits of
+        ``slopes[:, None] * M`` in M's memory order (C in, C out), formed
+        column by column: the broadcast loops over r entries a row."""
+        return _scale_rows(self.slope_rule(z, d, kappa), np.atleast_2d(M.T).T)
 
     def _bind(self, d, kappa):
         """The step ``z -> (prox, jac)``; see the module docstring."""
         def jac(z, w):
             if w.ndim == 2:
                 return self.prox_diag_jvp(z, d, kappa, w)
-            jw = self.prox_diag_jvp(z, d, kappa, w[:, None])
-            return None if jw is None else jw[:, 0]
+            return self.prox_diag_jvp(z, d, kappa, w[:, None])[:, 0]
         return lambda z, out=None, tmp=None: (
             self._prox_diag(z, d, kappa), lambda w, out=None: jac(z, w))
 
     def slope_rule(self, z, d, kappa):
-        """The descriptor's Clarke slopes at ``z``, or None; separable
-        operators override it with a direct rule giving the same slopes."""
-        desc = self.pa_descriptor(d, kappa)
-        return None if desc is None else desc.slopes_at(z)
+        """Clarke slopes of a separable prox at ``z``, the right-hand
+        segment's at a breakpoint of its descriptor.  A separable operator
+        defines them, any other :meth:`prox_diag_jvp`; an operator with
+        neither has no Newton route."""
+        raise NotImplementedError(
+            f"{type(self).__name__} gives no Clarke-Jacobian product: a "
+            "separable operator defines slope_rule, any other prox_diag_jvp")
 
     def conjugate(self):
         """Operator of the convex conjugate, where implemented."""
@@ -507,50 +500,51 @@ class L1Ball(ProxOperator):
 # -- conjugate-route operators ------------------------------------------------
 
 
-class LinfNorm(ProxOperator):
-    """``h(x) = lam * ||x||_inf``, prox via the weighted Moreau identity
-    through the l1-ball projector."""
+class _SupportFunction(ProxOperator):
+    """``lam`` times the support function of the unit ``_set``: the prox
+    ``x - q / d`` by the weighted Moreau identity, ``q`` the projection of
+    ``d x`` onto ``_set(kappa lam)`` in ``diag(1/d)``, and its Clarke
+    product ``M - J_q (d M) / d`` by the same identity."""
 
     def __init__(self, lam=1.0):
         if lam < 0:
             raise ValueError("scaling must be non-negative")
         self.lam = float(lam)
+
+    def _prox_diag(self, x, d, kappa):
+        radius = kappa * self.lam
+        if radius == 0:
+            return np.array(x, copy=True)
+        return x - self._set(radius)._prox_diag(d * x, 1.0 / d, 1.0) / d
+
+    def prox_diag_jvp(self, z, d, kappa, M):
+        M = np.atleast_2d(np.asarray(M, dtype=float).T).T
+        radius = kappa * self.lam
+        if radius == 0:
+            return M.copy()
+        return M - self._set(radius).prox_diag_jvp(
+            d * z, 1.0 / d, 1.0, d[:, None] * M) / d[:, None]
+
+    def conjugate(self):
+        return self._set(self.lam)
+
+
+class LinfNorm(_SupportFunction):
+    """``h(x) = lam * ||x||_inf``, prox through the l1-ball projector."""
+
+    _set = L1Ball
 
     def evaluate(self, x):
         return self.lam * float(np.max(np.abs(x), initial=0.0))
 
-    def _prox_diag(self, x, d, kappa):
-        radius = kappa * self.lam
-        if radius == 0:
-            return np.array(x, copy=True)
-        q = project_l1_ball_weighted(d * x, 1.0 / d, radius)
-        return x - q / d
 
-    def conjugate(self):
-        return L1Ball(self.lam)
+class MaxFunction(_SupportFunction):
+    """``h(x) = lam * max_i x_i``, prox through the simplex projector."""
 
-
-class MaxFunction(ProxOperator):
-    """``h(x) = lam * max_i x_i``, prox via the weighted Moreau identity
-    through the simplex projector."""
-
-    def __init__(self, lam=1.0):
-        if lam < 0:
-            raise ValueError("scaling must be non-negative")
-        self.lam = float(lam)
+    _set = Simplex
 
     def evaluate(self, x):
         return self.lam * float(np.max(x))
-
-    def _prox_diag(self, x, d, kappa):
-        radius = kappa * self.lam
-        if radius == 0:
-            return np.array(x, copy=True)
-        q = project_simplex_weighted(d * x, 1.0 / d, radius)
-        return x - q / d
-
-    def conjugate(self):
-        return Simplex(self.lam)
 
 
 # -- block-separable ----------------------------------------------------------

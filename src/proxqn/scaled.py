@@ -29,11 +29,11 @@ bisection finders.
 Both Newtons bind the operator once per root problem (``_bind`` in
 :mod:`proxqn.prox`), with the scalar ``c`` of a trusted ``P = c I`` where
 the operator takes one: every prox step, line-search trials included,
-reuses the thresholds, and a Newton step takes its Jacobian product from
-the accepted point's binding (forward differences on the map for
-operators without one); the rank-1 Newton's steps write into arrays it
-allocates once.  The conjugate route goes through the metric Moreau
-identity.  A report whose residual is not finite is never ``converged``.
+reuses the thresholds, and a Newton step takes the exact Clarke-Jacobian
+product that every operator supplies from the accepted point's binding;
+the rank-1 Newton's steps write into arrays it allocates once.  The
+conjugate route goes through the metric Moreau identity.  A report whose
+residual is not finite is never ``converged``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ __all__ = [
     "scaled_prox_conjugate",
 ]
 
-_FD_STEP = 1e-7
 # first rank-1 Newton step checked for a stalled bracket; Newton ends
 # within a few steps on the piecewise-affine maps of separable operators
 _CYCLE_CHECK = 8
@@ -119,9 +118,9 @@ class RootProblem:
 
     @property
     def diag(self):
-        """``diag(P)``, read by the oracles and the Newton's safeguards
-        (:func:`root_bound`, forward differences): a trusted ``c I`` forms
-        it at the first read."""
+        """``diag(P)``, read by the oracles and the rank-1 Newton's
+        safeguard :func:`root_bound`: a trusted ``c I`` forms it at the
+        first read."""
         return self.metric.diag
 
     def shifted_point(self, alpha):
@@ -150,18 +149,6 @@ def _checked(metric, prox, x, kappa):
     if metric._c is None or prox.dim not in (None, metric.dim):
         return x, prox.check_weights(metric.diag, metric.dim)
     return x, metric._c if prox._scalar_bind else metric.diag
-
-
-def _fd_jacobian(func, x, base):
-    """Forward-difference Jacobian of ``func`` at ``x``, where
-    ``base = func(x)``."""
-    n = x.size
-    G = np.empty((n, n))
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = _FD_STEP
-        G[:, j] = (func(x + step) - base) / _FD_STEP
-    return G
 
 
 def root_bound(problem: RootProblem):
@@ -386,11 +373,10 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
         if not tol < abs(val) < math.inf:   # reached, or a non-finite map
             break
         jw = jac(w, jws[it % 2])
-        slope = 1.0 + s * float(u.dot(jw)) if jw is not None else \
-            float(problem.map_L([alpha + _FD_STEP])[0] - val) / _FD_STEP
+        slope = 1.0 + s * float(u.dot(jw))
         # equal products jw give equal slopes, the cheaper test first;
         # |u|.(|x| + |p|) + |alpha| bounds the terms summed into L
-        if jw is not None and slope == prev[0] and (jw == prev[1]).all():
+        if slope == prev[0] and (jw == prev[1]).all():
             abs_ux = abs_ux or (np.abs(u), np.abs(x))
             np.add(abs_ux[1], np.abs(p, z), z)
             if abs(val) <= 4.0 * x.size * np.finfo(float).eps * (
@@ -543,12 +529,12 @@ def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
     which is Theorem 3.4 recursed through ``V = (P + Q1) - Q2``; either
     side may be empty, which leaves the single-sign dual map.  The operator
     is bound once (``_bind``, with ``weights``); each step takes the
-    Clarke-Jacobian product with ``[W1 W2]`` of its point's binding
-    (forward differences on F when the operator exposes none) and halves
-    its length until ``||F||`` falls by the factor ``1 - 1e-4 t``.  Raises
-    :class:`RootFinderError` when the residual does not reach ``tol``: no
-    sufficient decrease after 30 halvings, or 60 steps; a non-finite
-    residual ends it at once, unconverged.
+    Clarke-Jacobian product with ``[W1 W2]`` of its point's binding and
+    halves its length until ``||F||`` falls by the factor ``1 - 1e-4 t``.
+    Raises :class:`RootFinderError` when the residual does not reach
+    ``tol``: a singular Newton system, no sufficient decrease after 30
+    halvings, or 60 steps; a non-finite residual ends it at once,
+    unconverged.
     """
     r1 = U1.shape[1]
     r = r1 + U2.shape[1]
@@ -570,13 +556,12 @@ def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
     res = math.sqrt(val.dot(val))
     history = [res]
     while tol < res < math.inf and len(history) <= 60:
-        JW = jac(W)
-        G = _fd_jacobian(lambda v: system(v)[0], ab, val) if JW is None \
-            else K - (Ut @ JW) * sgn
+        G = K - (Ut @ jac(W)) * sgn
         try:
             d_ab = np.linalg.solve(G, val)
         except np.linalg.LinAlgError:
-            d_ab = np.linalg.solve(G + 1e-8 * np.eye(r), val)
+            raise RootFinderError(f"joint semi-smooth Newton missed {tol:g} "
+                                  "(singular Newton system)") from None
         t = 1.0
         for _ in range(31):
             new = ab - t * d_ab

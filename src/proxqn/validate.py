@@ -203,14 +203,15 @@ def exhaustive_simplex_qp(y, d, radius):
 # ---------------------------------------------------------------------------
 
 
-def sample_metric(rng, n, sign=None, g_sq_minus_max=0.5):
-    """Random valid diag +- u u^T metric.
+def sample_metric(rng, n, sign=None, g_sq_minus_max=0.5, d=None):
+    """Random valid diag +- u u^T metric, on the diagonal ``d`` if given.
 
     Minus-sign factors are scaled so ``||P^{-1/2}u||^2 <= g_sq_minus_max``
     (0.5 keeps the strong-monotonicity modulus >= 1/2, which the
     bisection iteration-count bound requires).
     """
-    d = rng.uniform(0.5, 2.0, n)
+    if d is None:
+        d = rng.uniform(0.5, 2.0, n)
     if sign is None:
         sign = +1 if rng.random() < 0.5 else -1
     u = rng.standard_normal(n)
@@ -259,19 +260,10 @@ def sample_instance(rng, kind, max_n=50):
     else:
         raise ValueError(kind)
 
-    if blocks is not None:
-        vals = rng.uniform(0.5, 2.0, len(blocks))
-        d = np.empty(n)
-        for bi, blk in enumerate(blocks):
-            d[blk] = vals[bi]
-        sign = +1 if rng.random() < 0.5 else -1
-        u = rng.standard_normal(n)
-        g_sq = float(np.dot(u, u / d))
-        target = rng.uniform(0.05, 0.5) if sign < 0 else rng.uniform(0.1, 1.5)
-        u *= np.sqrt(target / g_sq)
-        metric = LowRankMetric(d, [u], sign)
-    else:
-        metric = sample_metric(rng, n)
+    # a group norm's weights are constant within its contiguous blocks
+    d = None if blocks is None else np.repeat(
+        rng.uniform(0.5, 2.0, len(blocks)), [len(b) for b in blocks])
+    metric = sample_metric(rng, n, d=d)
     x = rng.standard_normal(n) * float(rng.choice([1.0, 3.0]))
     return metric, op, x, kappa, params
 
@@ -680,10 +672,8 @@ def suite_ssnewton_local(seed=0, count=50):
         n = int(rng.integers(10, 60))
         blocks = _group_blocks(rng, n, 6)
         op = GroupL2(float(rng.uniform(0.5, 2.0)), blocks)
-        vals = rng.uniform(0.5, 2.0, len(blocks))
-        d = np.empty(n)
-        for bi, blk in enumerate(blocks):
-            d[blk] = vals[bi]
+        d = np.repeat(rng.uniform(0.5, 2.0, len(blocks)),
+                      [len(b) for b in blocks])
         x = rng.standard_normal(n)
 
         if i % 2 == 0:

@@ -112,6 +112,27 @@ def test_prox_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, finder, message", [
+    (ORTHANT_EXAMPLE.replace("# kappa: 1.0", "# kappa: -1"), "auto",
+     "kappa must be positive"),
+    ("# h: group_l1l2\n# blocks: 2\n# vector: x\n1.0\n2.0\n"
+     "# vector: d\n1.0\n2.0\n# vector: u\n0.3\n0.1\n", "auto",
+     "constant within blocks"),
+    (ORTHANT_EXAMPLE.replace("# h: nonneg", "# h: linf_norm"), "exact",
+     "no piecewise-affine descriptor"),
+    (ORTHANT_EXAMPLE.replace("# h: nonneg", "# h: group_l1l2\n# blocks: 2"),
+     "exact", "no piecewise-affine descriptor"),
+], ids=["negative-kappa", "weights-vary-in-a-block", "exact-linf",
+        "exact-group"])
+def test_prox_bad_input_exits_2(tmp_path, capsys, text, finder, message):
+    # input the prox rejects is a configuration error, not a solver failure
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["prox", "--input", str(path), "--finder", finder]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 def test_prox_group_input(tmp_path, capsys):
     path = tmp_path / "group.txt"
     path.write_text("# h: group_l1l2\n# lam: 0.5\n# blocks: 2,2\n# sign: -\n"

@@ -299,8 +299,9 @@ def test_descriptors_reproduce_prox_pointwise(rng):
 
 
 def test_slope_rules_match_descriptor_slopes_bitwise(rng):
-    # the direct Clarke slope rules give the descriptor's right-tie slopes,
-    # so the Jacobian products are the same numbers, not merely close
+    # the direct Clarke slope rules give the descriptor's slopes, the
+    # right-hand segment's at a breakpoint, so the Jacobian products are
+    # the same numbers, not merely close
     n = 60
     d = rng.uniform(0.5, 2.0, n)
     kappa = 1.3
@@ -327,7 +328,8 @@ def test_slope_rules_match_descriptor_slopes_bitwise(rng):
             points += [kink, np.nextafter(kink, -np.inf),
                        np.nextafter(kink, np.inf)]
         for z in points:
-            expected = desc.slopes_at(z)[:, None] * M
+            right = np.sum(desc.breakpoints <= z[:, None], axis=1)
+            expected = desc.slopes[np.arange(n), right][:, None] * M
             assert np.array_equal(op.prox_diag_jvp(z, d, kappa, M), expected)
 
 
@@ -357,13 +359,10 @@ def _assert_bound_matches(op, points, d, kappa, directions):
             jw = jac(w, jw_out)
             M = w if w.ndim == 2 else w[:, None]
             jvp = op.prox_diag_jvp(z, dv, kappa, M)
-            if jvp is None:
-                assert jw is None
-            else:
-                assert jw.shape == w.shape
-                assert jw.tobytes() == jvp.reshape(w.shape).tobytes()
-                assert (jw is jw_out) == (
-                    jw_out is not None and isinstance(op, _Thresholding))
+            assert jw.shape == w.shape
+            assert jw.tobytes() == jvp.reshape(w.shape).tobytes()
+            assert (jw is jw_out) == (
+                jw_out is not None and isinstance(op, _Thresholding))
     assert all(z.tobytes() == k.tobytes() for z, k in zip(points, kept))
 
 
@@ -424,16 +423,15 @@ def _directions(rng, n):
             rng.standard_normal((n, 3))]
 
 
-def _assert_bound_cases_match(rng, n):
-    """``_assert_bound_matches`` for every operator but the group norm."""
-    d = rng.uniform(0.5, 2.0, n)
-    kappa = 1.3
+def _operator_cases(rng, n, d, kappa):
+    """Every operator but the group norm, each with the points at which its
+    prox in ``diag(d)`` has kinks."""
     t = kappa * 0.7 / d
     c = kappa * 0.9 / d
     lo = rng.standard_normal(n)
     hi = lo + rng.uniform(0.0, 2.0, n)
     zeros = np.zeros(n)
-    cases = [
+    return [
         (Zero(), [zeros]),
         (L1Norm(0.7), [t, -t, _special_point(rng, n)]),
         (Hinge(0.9), [c, zeros, _special_point(rng, n)]),
@@ -449,6 +447,13 @@ def _assert_bound_cases_match(rng, n):
         (AffineConstraint(rng.standard_normal((2, n)),
                           rng.standard_normal(2)), [zeros]),
     ]
+
+
+def _assert_bound_cases_match(rng, n):
+    """``_assert_bound_matches`` for every operator but the group norm."""
+    d = rng.uniform(0.5, 2.0, n)
+    kappa = 1.3
+    cases = _operator_cases(rng, n, d, kappa)
     directions = _directions(rng, n)
     even = np.arange(n) % 2 == 0
     for op, kinks in cases:
@@ -472,6 +477,38 @@ def test_bound_matrix_products_scale_rows_when_n_equals_r(rng):
     # would broadcast over its columns instead of its rows, and no shape
     # error would show it
     _assert_bound_cases_match(rng, 2)
+
+
+def test_jacobian_products_match_central_differences(rng):
+    # every operator's Clarke product against central differences of its
+    # prox along each column of M, at seeded points of three scales (a
+    # search would hunt for the kinks); a column is compared only where
+    # the forward and backward differences agree, so that no kink lies
+    # within the step
+    sizes = [3, 4, 5]
+    n, kappa, h = sum(sizes), 1.3, 1e-7
+    blocks = np.split(np.arange(n), np.cumsum(sizes)[:-1])
+    d = np.repeat(rng.uniform(0.5, 2.0, len(sizes)), sizes)
+    ops = [op for op, _ in _operator_cases(rng, n, d, kappa)]
+    ops.append(GroupL2(0.7, blocks))
+    M = rng.standard_normal((n, 3))
+    for op in ops:
+        compared = 0
+        for scale in (0.1, 0.5, 3.0):
+            for _ in range(10):
+                z = scale * rng.standard_normal(n)
+                jvp = op.prox_diag_jvp(z, d, kappa, M)
+                p = op.prox_diag(z, d, kappa)
+                for j in range(M.shape[1]):
+                    fwd = (op.prox_diag(z + h * M[:, j], d, kappa) - p) / h
+                    bwd = (p - op.prox_diag(z - h * M[:, j], d, kappa)) / h
+                    if np.max(np.abs(fwd - bwd)) > 1e-6:
+                        continue
+                    np.testing.assert_allclose(
+                        jvp[:, j], 0.5 * (fwd + bwd), rtol=0, atol=1e-6,
+                        err_msg=type(op).__name__)
+                    compared += 1
+        assert compared >= 60, (type(op).__name__, compared)
 
 
 def _special_matrix(rng, n, cols):

@@ -17,7 +17,9 @@ from proxqn.prox import (
     L1Ball,
     L1Norm,
     LinfNorm,
+    MaxFunction,
     NonNeg,
+    ProxOperator,
     Zero,
 )
 from proxqn.quasi_newton import QNPair, zbfgs_metric
@@ -388,16 +390,16 @@ def test_rank2_nonfinite_point_is_not_reported_converged(rng, bad):
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
 def test_rank2_joint_stops_at_an_infinite_residual(rng, monkeypatch, bad):
     # Box keeps the prox point finite, so the residual is infinite, not NaN;
-    # no Newton step can decrease it, and the recursive fallback's 80 outer
-    # iterations end at a NaN residual, so the joint route reports it as is
+    # no Newton step can decrease it, so the joint route reports it as is,
+    # without a step and without the recursive oracle
     B, skipped = _bfgs_metric(rng, 30)
     assert not skipped
     x = _point_with(rng, 30, bad)
 
-    def no_fallback(*args):
-        raise AssertionError("the recursive fallback ran")
+    def no_oracle(*args):
+        raise AssertionError("the recursive oracle ran")
 
-    monkeypatch.setattr(scaled, "_rank2_recursive", no_fallback)
+    monkeypatch.setattr(scaled, "_rank2_recursive", no_oracle)
     with np.errstate(invalid="ignore", over="ignore"):
         _, rep = scaled_prox_rank2(B, Box(-1.0, 1.0), x)
     assert rep.method == "rank2-joint"
@@ -441,7 +443,8 @@ def test_bisection_on_a_nonfinite_point_is_not_reported_converged(rng, bad):
 class _BadJacobianL1(L1Norm):
     """l1 norm whose bound Clarke-Jacobian products with N x r matrices, the
     joint rank-2 Newton's, go through ``_corrupt``; the vector products of
-    the rank-1 solves inside the recursive fallback stay exact."""
+    the rank-1 Newton, the one inside the recursive oracle included, stay
+    exact."""
 
     def _bind(self, d, kappa):
         step = super()._bind(d, kappa)
@@ -547,6 +550,70 @@ def test_a_rank1_newton_miss_ends_the_solve_prox_failed(monkeypatch):
     assert res.status == "prox_failed" and res.converged is False
     assert res.objective == problem.objective(res.x)
     assert len(res.trace) == res.iterations + 1
+
+
+def test_a_singular_joint_newton_system_raises(rng, monkeypatch):
+    # a joint Newton step whose system cannot be solved is a miss, with no
+    # regularized step in its place; a 0BFGS solve that meets one ends
+    # "prox_failed" at its last accepted point, with its trace
+    B, skipped = _bfgs_metric(rng, 30)
+    assert not skipped
+    x = 2.0 * rng.standard_normal(30)
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(RootFinderError, match="missed .*singular"):
+        scaled_prox_rank2(B, L1Norm(0.5), x)
+    problem = generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
+                                     seed=3))
+    res = solve(problem, "zero-bfgs", SolverOptions(max_iters=500))
+    assert res.status == "prox_failed" and res.converged is False
+    assert res.objective == problem.objective(res.x)
+    assert len(res.trace) == res.iterations + 1
+
+
+class _ProxOnlyL1(ProxOperator):
+    """The l1 norm with a prox and neither Jacobian hook."""
+
+    def _prox_diag(self, x, d, kappa):
+        return L1Norm(0.5)._prox_diag(x, d, kappa)
+
+
+def test_an_operator_without_a_jacobian_hook_raises(rng):
+    # no numerical slope stands in for a missing Clarke product: both
+    # Newtons raise at their first step, naming the two hooks; the
+    # bisection oracle needs the prox alone
+    metric = sample_metric(rng, 20)
+    B, skipped = _bfgs_metric(rng, 20)
+    assert not skipped
+    x = 2.0 * rng.standard_normal(20)
+    want, rep = scaled_prox(metric, L1Norm(0.5), x)
+    assert rep.iterations > 0   # the root is not 0
+    for entry, m in ((scaled_prox, metric), (scaled_prox_rank2, B)):
+        with pytest.raises(NotImplementedError,
+                           match="slope_rule.*prox_diag_jvp"):
+            entry(m, _ProxOnlyL1(), x)
+    p, _ = scaled_prox(metric, _ProxOnlyL1(), x, finder="bisection")
+    np.testing.assert_allclose(p, want, atol=1e-9)
+
+
+@pytest.mark.parametrize("op", [LinfNorm(0.7), MaxFunction(0.7)],
+                         ids=["linf", "max"])
+def test_support_function_proxes_end_at_rounding_in_few_steps(rng, op):
+    # the exact Clarke products of the Moreau route put the Newtons on the
+    # root's affine piece: at ranks 1 and 2 and both signs every prox ends
+    # at a rounding-level residual within 3 steps
+    for k in range(80):
+        n = int(rng.integers(5, 60))
+        d = rng.uniform(0.5, 2.0, n)
+        rank, sign = 1 + k % 2, (+1, -1)[k // 2 % 2]
+        U = _scaled_factors(rng, n, d, rank, rng.uniform(0.1, 0.8))
+        x = 2.0 * rng.standard_normal(n)
+        _, rep = scaled_prox(LowRankMetric(d, U, sign), op, x, kappa=1.3)
+        assert rep.residual <= 1e-14 and rep.iterations <= 3, \
+            (k, rep.residual, rep.iterations)
 
 
 def _on_breakpoints(kind, rng, n, d, kappa, offset):
@@ -1013,8 +1080,9 @@ def _high_rank_op(kind, rng, n):
     if kind == "group":
         return GroupL2(0.6, blocks), euclidean_prox_for(
             "group_l1l2", {"lam": 0.6, "blocks": blocks}), d
-    # h = 0.7 ||.||_inf has no Jacobian product: forward differences; its
-    # Euclidean prox is v minus the projection onto the l1 ball of 0.7 t
+    # h = 0.7 ||.||_inf takes its Jacobian product through the l1-ball
+    # projector; its Euclidean prox is v minus the projection onto the l1
+    # ball of 0.7 t
     return LinfNorm(0.7), lambda v, t: v - _euclid_l1_ball(v, 0.7 * t), d
 
 
