@@ -282,7 +282,7 @@ def cmd_prox(args):
     alpha = ",".join(f"{a:.17g}" for a in report.alpha_star)
     print(f"alpha_star={alpha or 'nan'} residual={report.residual:.3e} "
           f"method={report.method} iterations={report.iterations}")
-    return 0
+    return 0 if report.converged else SOLVER_ERROR
 
 
 def build_parser():

@@ -14,11 +14,13 @@ once per root problem, ``step = op._bind(d, kappa)`` (thresholds formed
 once), and get ``p, jac = step(z, out, tmp)``: the bits of ``_prox_diag``,
 and when called, ``jac(w, out)`` those of ``prox_diag_jvp`` for a vector
 ``w`` and an N x r matrix ``w`` alike, as a vector for a vector.
-Thresholds form ``p = z - clip(z, lower, t)`` in three array passes; they
-write ``p`` and a vector's product, the group norm ``p``, into a
+Thresholds form ``p = z - clip(z, lower, t)`` in three array passes, the
+group norm expands its block factors through a segment map (``GroupL2``).
+They write ``p`` and a vector's product, the group norm ``p``, into a
 caller-owned ``out`` if given, may overwrite a given N-vector ``tmp``, and
 take for ``d`` the ``c`` of ``c I`` (``_scalar_bind``; ``np.full(n, c)``'s
-bits); ``jac`` reads ``z`` when called.
+bits).  ``jac`` reads ``z`` when called, the group norm's through a view
+when its blocks lie in order, so a caller keeps ``z`` until its products.
 Every operator supplies an exact Clarke-Jacobian product: a separable one
 through ``slope_rule``, any other through ``prox_diag_jvp``.  Separable
 operators additionally expose a piecewise-affine description of their
@@ -234,7 +236,7 @@ class _Thresholding(ProxOperator):
         return np.subtract(z, c, out=c if out is None else out)
 
     def _prox_diag(self, x, d, kappa):
-        if kappa <= 0:
+        if not kappa > 0:   # NaN fails
             raise ValueError("kappa must be positive")
         t = kappa * self.lam / d
         return self._threshold(x, t, self._lower(t))
@@ -553,9 +555,14 @@ class MaxFunction(_SupportFunction):
 class GroupL2(ProxOperator):
     """Group sparsity norm ``h(x) = lam * sum_b ||x_b||_2``.
 
-    ``blocks`` must partition the coordinate index set; the diagonal weight
-    vector must be constant within each block (block soft-thresholding has
-    no closed form otherwise).
+    ``blocks`` must partition the coordinates ``0..n-1``; the diagonal
+    weight vector must be constant within each block (block
+    soft-thresholding has no closed form otherwise).  Only the block sums
+    read ``z[_perm]``, the coordinates in block order; ``_perm`` is
+    ``slice(None)`` when the blocks list ``0..n-1`` in order, which makes
+    that gather a view.  The segment map ``_seg``, the block of each
+    coordinate, expands a per-block factor in one gather ``v[_seg]``, so
+    no pass scatters back.
     """
     _scalar_bind = True
 
@@ -564,83 +571,75 @@ class GroupL2(ProxOperator):
             raise ValueError("group weight must be positive")
         self.lam = float(lam)
         self.blocks = [np.asarray(b, dtype=np.intp) for b in blocks]
-        self._perm = np.concatenate(self.blocks)
-        self._sizes = np.array([len(b) for b in self.blocks])
-        if np.any(self._sizes == 0):
+        perm = np.concatenate(self.blocks)
+        sizes = np.array([len(b) for b in self.blocks])
+        if np.any(sizes == 0):
             raise ValueError("empty block")
-        n = self._perm.size
-        if np.unique(self._perm).size != n:
-            raise ValueError("blocks must be disjoint")
-        self._starts = np.concatenate([[0], np.cumsum(self._sizes)[:-1]])
-        self._firsts = self._perm[self._starts]   # first index of each block
-        self.dim = n
+        self.dim = perm.size
+        in_order = np.arange(perm.size)
+        if not np.array_equal(np.sort(perm), in_order):
+            raise ValueError("blocks must partition the coordinates 0..n-1")
+        self._starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        self._firsts = perm[self._starts]   # first index of each block
+        self._seg = np.repeat(np.arange(sizes.size), sizes)[np.argsort(perm)]
+        self._perm = slice(None) if np.array_equal(perm, in_order) else perm
 
     def check_weights(self, d, n):
         """Also raises unless ``n == dim`` and ``d`` is constant per block."""
         if n != self.dim:
             raise ValueError(f"point has dimension {n}, expected {self.dim}")
         d = _check_weights(d, n)
-        dp = d[self._perm]
-        if np.any(np.abs(dp - np.repeat(dp[self._starts], self._sizes))
-                  > 1e-12 * np.abs(dp)):
+        if np.any(np.abs(d - d[self._firsts][self._seg]) > 1e-12 * np.abs(d)):
             raise ValueError("diagonal weights must be constant within blocks")
         return d
 
     def _block_norms(self, z):
         zp = z[self._perm]
-        return np.sqrt(np.add.reduceat(zp * zp, self._starts)), zp
+        norms = np.add.reduceat(zp * zp, self._starts)
+        return np.sqrt(norms, out=norms), zp
 
     def evaluate(self, x):
         norms, _ = self._block_norms(np.asarray(x, dtype=float))
         return self.lam * float(norms.sum())
 
-    def _shrink(self, z, thresh):
-        """Norms, block-ordered ``z``, thresholds and the prox's block factors."""
-        norms, zp = self._block_norms(z)
-        # 1 - thresh/norms on the active blocks, 0 elsewhere; dividing only
-        # there needs no errstate context, whose cost shows at N = 100
-        scale = 1.0 - np.divide(thresh, norms, out=np.ones_like(norms),
-                                where=norms > thresh)
-        return norms, zp, thresh, scale
-
     def _prox_diag(self, x, d, kappa):
         return self._step(x, kappa * self.lam / d[self._firsts])[0]
 
-    def _step(self, z, thresh, out=None):   # the prox, its jac's temporaries
-        parts = self._shrink(z, thresh)
-        p = np.empty_like(z) if out is None else out
-        p[self._perm] = np.repeat(parts[3], self._sizes) * parts[1]
-        return p, parts
+    def _step(self, z, thresh, out=None):
+        """The prox at ``z`` into ``out`` (or a new array) and its ``jac``
+        (module docstring), for the blocks' thresholds or one for all."""
+        norms, zp = self._block_norms(z)
+        active = norms > thresh
+        # 1 - thresh/norms on the active blocks, 0 elsewhere (at a zero,
+        # inf or NaN norm and an infinite thresh too); dividing only there
+        # needs no errstate context, whose cost shows at N = 100
+        scale = np.divide(thresh, norms, out=np.zeros(norms.shape),
+                          where=active)
+        f = np.subtract(active, scale, out=scale)[self._seg]
 
-    def _jvp_from(self, M, norms, zp, thresh, scale):
-        safe = np.where(norms > 0, norms, 1.0)
-        curv = np.where(norms > thresh, thresh / safe ** 3, 0.0)
-        Mp = M[self._perm]
-        zdotM = np.add.reduceat(zp[:, None] * Mp, self._starts, axis=0)
-        outp = np.repeat(scale, self._sizes)[:, None] * Mp + (
-            np.repeat(curv, self._sizes)[:, None] * zp[:, None]
-        ) * np.repeat(zdotM, self._sizes, axis=0)
-        out = np.empty_like(M)
-        out[self._perm] = outp
-        return out
+        def jac(w, out=None):
+            M = w if w.ndim == 2 else w[:, None]
+            # the curvature thresh / norms^3 of the active blocks, times z
+            g = np.divide(thresh, norms ** 3, out=np.zeros(norms.shape),
+                          where=active)[self._seg]
+            g *= z
+            zdotM = np.add.reduceat(zp[:, None] * M[self._perm], self._starts,
+                                    axis=0).take(self._seg, axis=0)
+            np.multiply(g[:, None], zdotM, out=zdotM)
+            jw = np.multiply(f[:, None], M, out=np.empty_like(M))
+            jw += zdotM
+            return jw if w.ndim == 2 else jw[:, 0]
+        return np.multiply(f, z, out=out), jac
 
     def prox_diag_jvp(self, z, d, kappa, M):
         M = np.atleast_2d(np.asarray(M, dtype=float).T).T
-        return self._jvp_from(M, *self._shrink(
-            np.asarray(z, dtype=float), kappa * self.lam / d[self._firsts]))
+        return self._step(np.asarray(z, dtype=float),
+                          kappa * self.lam / d[self._firsts])[1](M)
 
     def _bind(self, d, kappa):
         thresh = np.asarray(   # 0-d for a scalar d, as in _Thresholding
             kappa * self.lam / (d[self._firsts] if np.ndim(d) else d))
-        def step(z, out=None, tmp=None):
-            p, parts = self._step(z, thresh, out)
-
-            def jac(w, out=None):
-                if w.ndim == 2:
-                    return self._jvp_from(w, *parts)
-                return self._jvp_from(w[:, None], *parts)[:, 0]
-            return p, jac
-        return step
+        return lambda z, out=None, tmp=None: self._step(z, thresh, out)
 
 
 # -- affine constraint --------------------------------------------------------

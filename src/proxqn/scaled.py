@@ -141,7 +141,7 @@ def _checked(metric, prox, x, kappa):
     to bind ``prox`` with, ``diag(P)`` checked for ``prox``; a trusted
     ``c I`` (``c > 0`` tested) needs only the dimension test, and binds
     with ``c`` if ``prox`` takes a scalar, without forming ``diag(P)``."""
-    if kappa <= 0:
+    if not kappa > 0:   # NaN fails
         raise ValueError("kappa must be positive")
     x = np.asarray(x, dtype=float)
     if x.shape != (metric.dim,):

@@ -115,6 +115,8 @@ def test_prox_malformed_file(tmp_path, capsys):
 @pytest.mark.parametrize("text, finder, message", [
     (ORTHANT_EXAMPLE.replace("# kappa: 1.0", "# kappa: -1"), "auto",
      "kappa must be positive"),
+    (ORTHANT_EXAMPLE.replace("# h: nonneg", "# h: l1").replace(
+        "# kappa: 1.0", "# kappa: nan"), "auto", "kappa must be positive"),
     ("# h: group_l1l2\n# blocks: 2\n# vector: x\n1.0\n2.0\n"
      "# vector: d\n1.0\n2.0\n# vector: u\n0.3\n0.1\n", "auto",
      "constant within blocks"),
@@ -122,8 +124,8 @@ def test_prox_malformed_file(tmp_path, capsys):
      "no piecewise-affine descriptor"),
     (ORTHANT_EXAMPLE.replace("# h: nonneg", "# h: group_l1l2\n# blocks: 2"),
      "exact", "no piecewise-affine descriptor"),
-], ids=["negative-kappa", "weights-vary-in-a-block", "exact-linf",
-        "exact-group"])
+], ids=["negative-kappa", "nan-kappa", "weights-vary-in-a-block",
+        "exact-linf", "exact-group"])
 def test_prox_bad_input_exits_2(tmp_path, capsys, text, finder, message):
     # input the prox rejects is a configuration error, not a solver failure
     path = tmp_path / "bad.txt"
@@ -131,6 +133,18 @@ def test_prox_bad_input_exits_2(tmp_path, capsys, text, finder, message):
     assert main(["prox", "--input", str(path), "--finder", finder]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def test_prox_unconverged_report_exits_3(tmp_path, capsys):
+    # a NaN entry in x ends the rank-1 Newton at a NaN residual, which its
+    # report marks unconverged: the result is printed, and the exit code
+    # is the solver failure's
+    path = tmp_path / "nan.txt"
+    path.write_text(ORTHANT_EXAMPLE.replace("# h: nonneg", "# h: l1")
+                    .replace("# vector: x\n1.0\n", "# vector: x\nnan\n"))
+    assert main(["prox", "--input", str(path)]) == 3
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    assert "residual=nan" in summary and "method=ssnewton" in summary
 
 
 def test_prox_group_input(tmp_path, capsys):

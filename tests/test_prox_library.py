@@ -23,6 +23,8 @@ from proxqn.metric import LowRankMetric, PlusMinusMetric
 from proxqn.scaled import scaled_prox, scaled_prox_rank2
 from proxqn.validate import exhaustive_simplex_qp
 
+from _group_reference import RepeatGroupL2
+
 
 def scalar_prox_oracle(h_scalar, x, d, kappa):
     """Golden-section minimization of kappa h(z) + d/2 (z - x)^2.
@@ -233,6 +235,17 @@ def test_group_l2_rejects_a_point_of_another_dimension():
             op.prox_diag(x, np.ones(4))
     with pytest.raises(ValueError, match="dimension"):
         op.check_weights(np.ones(4), 6)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([[0, 2]], "partition"), ([[0, 1], [1, 2]], "partition"),
+    ([[-1, 0]], "partition"), ([[0, 1], []], "empty block")],
+    ids=["out-of-range", "repeated", "negative", "empty"])
+def test_group_l2_rejects_blocks_that_do_not_partition(blocks, message):
+    # an index out of 0..n-1, a repeated or a negative one would otherwise
+    # reach the segment map
+    with pytest.raises(ValueError, match=message):
+        GroupL2(1.0, blocks)
 
 
 _ALL_OPERATORS = [
@@ -602,6 +615,109 @@ def test_fused_group_prox_matches_separate_calls_bitwise(rng):
         assert not norms[0::3].any()
         points.append(z)
     _assert_bound_matches(op, points, d, kappa, _directions(rng, n))
+
+
+def _same_values(got, want):
+    """Equal shapes, dtypes, strides and values, with the signs of zeros
+    and the places of NaNs; a NaN's own sign bit, which a sum of two NaNs
+    takes from one or the other depending on the SIMD lane its element
+    falls in, is not compared."""
+    nan = np.isnan(want)
+    return got.shape == want.shape and got.dtype == want.dtype and \
+        got.strides == want.strides and np.array_equal(np.isnan(got), nan) \
+        and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def _group_kernel_points(rng, blocks, thresh):
+    """Points for the group kernel: normal ones at three scales; zero
+    blocks, block norms exactly at the threshold and one ulp to either
+    side; signed zeros; +-inf and NaN entries."""
+    n = sum(b.size for b in blocks)
+    points = [s * rng.standard_normal(n) for s in (0.1, 1.0, 5.0)]
+    for side in (0.0, -np.inf, np.inf):
+        z = rng.standard_normal(n)
+        for k, b in enumerate(blocks):
+            if k % 3 < 2:
+                z[b] = 0.0
+            if k % 3 == 1:
+                z[b[0]] = thresh[k] if side == 0.0 else \
+                    np.nextafter(thresh[k], side)
+        points.append(z)
+    signed = -np.abs(rng.standard_normal(n))
+    for k, b in enumerate(blocks):
+        signed[b[k % 2::2]] = -0.0
+        if k % 2:
+            signed[b] = -0.0
+    points += [signed, _special_point(rng, n)]
+    return points
+
+
+@pytest.mark.parametrize("order", ["in-order", "permuted"])
+def test_group_kernel_keeps_the_bits_of_its_repeat_form(rng, order):
+    # the segment-map kernel against a copy of the np.repeat / np.where
+    # form it replaced, on blocks of 1 and 8-12 coordinates; every output
+    # byte for byte: bound steps (scalar and vector weights, with and
+    # without a caller's out) and their vector and N x r products, and the
+    # public prox, product, value and weight check
+    sizes = [1, 8, 3, 12, 1, 9, 2, 10, 1, 5, 8]
+    n, kappa, lam = sum(sizes), 1.3, 0.7
+    cuts = np.cumsum(sizes)[:-1]
+    blocks = np.split(np.arange(n) if order == "in-order"
+                      else rng.permutation(n), cuts)
+    new, old = GroupL2(lam, blocks), RepeatGroupL2(lam, blocks)
+    assert isinstance(new._perm, slice) == (order == "in-order")
+    dv = np.empty(n)
+    for b in blocks:
+        dv[b] = rng.uniform(0.5, 2.0)
+    directions = _directions(rng, n) + [
+        _special_matrix(rng, n, 2), np.asfortranarray(
+            rng.standard_normal((n, 2))), _special_matrix(rng, n, 1)[:, 0]]
+    for d in (dv, 0.85):
+        thresh = np.broadcast_to(kappa * lam / (
+            dv[new._firsts] if np.ndim(d) else d), len(blocks))
+        d_full = np.full(n, d) if np.ndim(d) == 0 else d
+        points = _group_kernel_points(rng, blocks, thresh)
+        # points 3-5: block norms at the threshold, one ulp below, above
+        for z, rel in zip(points[3:6], (np.equal, np.less, np.greater)):
+            norms = new._block_norms(z)[0]
+            assert np.all(rel(norms[1::3], thresh[1::3]))
+        steps = new._bind(d, kappa), old._bind(d, kappa)
+        with np.errstate(all="ignore"):   # inf and NaN entries
+            for z in points:
+                for out in (None, np.full(n, np.nan)):
+                    (p, jac), (p_old, jac_old) = [
+                        step(z, None if out is None else out.copy())
+                        for step in steps]
+                    assert _same_values(p, p_old)
+                    for w in directions:
+                        assert _same_values(jac(w), jac_old(w))
+                assert _same_values(new._prox_diag(z, d_full, kappa),
+                                    old._prox_diag(z, d_full, kappa))
+                for M in directions:
+                    assert _same_values(
+                        new.prox_diag_jvp(z, d_full, kappa, M),
+                        old.prox_diag_jvp(z, d_full, kappa, M))
+                assert _same_values(np.float64(new.evaluate(z)),
+                                    np.float64(old.evaluate(z)))
+    # the weight check: constant blocks, one entry off by 1e-12 relative
+    # (at the test's edge) or by 3e-12, and an infinite entry, which the
+    # test lets through (inf - d > 1e-12 * inf is false)
+    outcomes = []
+    for k, factor in ((0, 1.0), (1, 1.0 + 1e-12), (3, 1.0 + 3e-12),
+                      (5, np.inf)):
+        d = dv.copy()
+        d[blocks[k][-1]] *= factor
+        got = []
+        for op in (new, old):
+            try:
+                got.append(op.check_weights(d, n))
+            except ValueError as exc:
+                got.append(str(exc))
+        assert type(got[0]) is type(got[1])
+        assert got[0] == got[1] if isinstance(got[0], str) else \
+            _same_values(*got)
+        outcomes.append(isinstance(got[0], str))
+    assert outcomes[0::2] == [False, True] and not outcomes[3]
 
 
 def test_nonexpansive_in_diag_metric(rng):

@@ -764,6 +764,71 @@ def test_rank1_newton_matches_exact_sweep(seed, n, kind, offset, sign, gram,
     np.testing.assert_allclose(q, p, atol=1e-9)
 
 
+def _near_bound_case(kind, rng, n):
+    """An operator with its diagonal weights: l1 at one weight for all
+    coordinates, so that every threshold ties; the group norm on blocks of
+    permuted coordinates; the orthant and boxes with an infinite side."""
+    if kind == "group":
+        blocks = _group_blocks(rng, n)
+        d = np.empty(n)
+        for b in blocks:
+            d[b] = rng.uniform(0.5, 2.0)
+        return GroupL2(float(rng.uniform(0.2, 2.0)), blocks), d
+    d = rng.uniform(0.5, 2.0, n)
+    if kind == "l1":
+        return L1Norm(float(rng.uniform(0.2, 2.0))), np.full(n, d[0])
+    if kind == "nonneg":
+        return NonNeg(), d
+    bound = rng.standard_normal(n)
+    return (Box(-np.inf, bound) if kind == "box_hi" else Box(bound, np.inf)), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 40),
+       kind=st.sampled_from(["l1", "group", "nonneg", "box_hi", "box_lo"]),
+       gram=st.floats(0.99, 1.0 - 1e-6), kappa=st.floats(0.1, 3.0),
+       spread=st.sampled_from([1e-6, 1e-2, 1.0]))
+def test_rank1_minus_prox_is_firmly_nonexpansive_near_the_gram_bound(
+        seed, n, kind, gram, kappa, spread):
+    # <p - q, V (x - y)> >= ||p - q||_V^2 for p, q the proxes of x, y in
+    # V = P - u u^T with u^T P^-1 u = gram close to 1, where the Newton's
+    # slope 1 - u^T J P^-1 u can fall to 1 - gram.  The gap is formed as
+    # <p - q, V ((x - y) - (p - q))>.  A residual r of the dual map makes p
+    # the exact prox of x + r V^-1 u, which moves the gap by at most
+    # |r_x - r_y| |u^T (p - q)|; the rounding of the shifted points and
+    # proxes moves it by a few ulps of |p - q|^T |V| (|x| + |alpha w| + |p|)
+    # summed over both points.  A third of x sits on the kinks of the
+    # diagonal prox
+    rng = np.random.default_rng(seed)
+    op, d = _near_bound_case(kind, rng, n)
+    u = rng.standard_normal(n)
+    u *= np.sqrt(gram / np.dot(u, u / d))
+    metric = LowRankMetric(d, [u], -1)
+    x = 2.0 * rng.standard_normal(n)
+    y = x + spread * rng.standard_normal(n)
+    if kind == "l1":   # ties: coordinates at +-t and repeated values
+        t = kappa * op.lam / d[0]
+        x[::3] = t * np.where(rng.random(x[::3].size) < 0.5, -1.0, 1.0)
+        y[1::3] = x[1::3] = x[1]
+    elif kind != "group":
+        x[::3] = np.broadcast_to(op.hi if kind == "box_hi" else op.lo,
+                                 (n,))[::3]
+    p, rep_x = scaled_prox(metric, op, x, kappa=kappa)
+    q, rep_y = scaled_prox(metric, op, y, kappa=kappa)
+    assert rep_x.method == rep_y.method == "ssnewton"
+    assert rep_x.converged and rep_y.converged
+    dp, e = p - q, (x - y) - (p - q)
+    ud = float(u @ dp)
+    gap = float(dp @ (d * e)) - ud * float(u @ e)
+    size = np.abs(x) + np.abs(y) + np.abs(p) + np.abs(q) + (
+        abs(rep_x.alpha_star[0]) + abs(rep_y.alpha_star[0])) * np.abs(u / d)
+    ulps = float(np.abs(dp) @ (d * size)) + \
+        abs(ud) * float(np.abs(u) @ size)
+    slack = (rep_x.residual + rep_y.residual) * abs(ud) + \
+        4.0 * np.finfo(float).eps * ulps
+    assert gap >= -slack, (gap, slack)
+
+
 def test_conjugate_identity_metric_reduces_to_plain_moreau(rng):
     metric = LowRankMetric(np.ones(6))
     op = L1Norm(0.9)

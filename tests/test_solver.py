@@ -6,7 +6,7 @@ import pytest
 from proxqn.bench import ProblemRecipe, generate
 from proxqn.metric import LowRankMetric
 from proxqn import solver
-from proxqn.prox import L1Norm, NonNeg, ProxOperator, Zero
+from proxqn.prox import GroupL2, L1Norm, NonNeg, ProxOperator, Zero
 from proxqn.quasi_newton import QNPair, sr1_metric
 from proxqn.solver import (
     SOLVERS,
@@ -28,6 +28,8 @@ from proxqn.validate import (
     euclidean_prox_for,
     _quadratic_l1_problem,
 )
+
+from _group_reference import RepeatGroupL2
 
 
 def quadratic_problem(Q, b, h):
@@ -500,12 +502,32 @@ def test_clip_threshold_leaves_every_solver_bit_identical():
     recipe = ProblemRecipe("lasso_gaussian", m=40, n=80, lam=0.1, seed=4)
     problem, five_pass = generate(recipe), generate(recipe)
     five_pass.h = _FivePassL1(problem.h.lam)
+    _assert_every_solver_bit_identical(problem, five_pass)
+
+
+def _assert_every_solver_bit_identical(problem, reference):
     opts = SolverOptions(max_iters=300, tol=1e-10)
     for solver_id, run in SOLVERS.items():
-        got, want = run(problem, opts), run(five_pass, opts)
+        got, want = run(problem, opts), run(reference, opts)
         for name in ("iters", "objectives", "step_norms"):
             assert np.asarray(getattr(got.trace, name)).tobytes() == \
                 np.asarray(getattr(want.trace, name)).tobytes(), \
                 (solver_id, name)
         assert got.status == want.status, solver_id
         assert np.array_equal(got.x, want.x), solver_id
+
+
+@pytest.mark.parametrize("order", ["in-order", "permuted"])
+def test_group_segment_map_leaves_every_solver_bit_identical(order):
+    # the segment-map GroupL2 kernel against the np.repeat form it
+    # replaced (tests/_group_reference.py), on the generated blocks and on
+    # the same sizes over permuted coordinates
+    problem, repeat_form = _group_lasso(2), _group_lasso(2)
+    blocks = problem.h.blocks
+    if order == "permuted":
+        perm = np.random.default_rng(7).permutation(problem.dim)
+        blocks = [perm[b] for b in blocks]
+        problem.h = GroupL2(problem.h.lam, blocks)
+    assert isinstance(problem.h._perm, slice) == (order == "in-order")
+    repeat_form.h = RepeatGroupL2(problem.h.lam, blocks)
+    _assert_every_solver_bit_identical(problem, repeat_form)
