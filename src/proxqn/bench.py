@@ -72,6 +72,10 @@ class ProblemRecipe:
                 raise ValueError("diff3d needs a positive grid side")
         elif self.m <= 0 or self.n <= 0:
             raise ValueError("m and n must be positive")
+        if self.family != "nnls" and not self.lam > 0:   # nnls ignores lam
+            raise ValueError(f"lam must be positive, got {self.lam}")
+        if self.family == "group_lasso" and self.block_cap < 1:
+            raise ValueError("block_cap must be at least 1")
 
     def digest(self):
         blob = json.dumps(asdict(self), sort_keys=True).encode()

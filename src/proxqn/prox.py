@@ -9,17 +9,20 @@ The public ``prox_diag`` checks the weights (``check_weights``) and calls
 the unchecked core ``_prox_diag``; the root finders of :mod:`proxqn.scaled`
 check them once per root problem and call the core and ``prox_diag_jvp``,
 and the first-order solvers check their unit weights once per solve.
-Both Newtons of :mod:`proxqn.scaled`, the rank-1 and the joint rank-2, bind
-once per root problem, ``step = op._bind(d, kappa)`` (thresholds formed
-once), and get ``p, jac = step(z, out, tmp)``: the bits of ``_prox_diag``,
-and when called, ``jac(w, out)`` those of ``prox_diag_jvp`` for a vector
-``w`` and an N x r matrix ``w`` alike, as a vector for a vector.
-Thresholds form ``p = z - clip(z, lower, t)`` in three array passes, the
-group norm expands its block factors through a segment map (``GroupL2``).
-They write ``p`` and a vector's product, the group norm ``p``, into a
-caller-owned ``out`` if given, may overwrite a given N-vector ``tmp``, and
-take for ``d`` the ``c`` of ``c I`` (``_scalar_bind``; ``np.full(n, c)``'s
-bits).  ``jac`` reads ``z`` when called, the group norm's through a view
+Every separable operator but ``Zero`` is one piecewise-linear map with two
+breakpoints ``lo <= hi`` from ``_bounds`` (``_Clip``): the boxes clip,
+``c = clip(z, lo, hi)`` as ``min`` then ``max``, and ``L1Norm`` and
+``Hinge`` shrink, ``z - c`` in a third pass, at ``(-t, t)`` and ``(0, t)``
+with ``t = kappa * lam / d``.  Both Newtons of :mod:`proxqn.scaled` bind
+once per root problem, ``step = op._bind(d, kappa)``, and get
+``p, jac = step(z, out, tmp)``: the bits of ``_prox_diag``, and when
+called, ``jac(w, out)`` those of ``prox_diag_jvp`` for a vector ``w`` and
+an N x r matrix ``w`` alike, as a vector for a vector.  The clip family
+writes ``p`` and a vector's product, the group norm (``GroupL2``) ``p``,
+into a caller-owned ``out`` if given; a shrink may overwrite a given
+N-vector ``tmp``.  Both take for ``d`` the ``c`` of a trusted ``c I``
+(``_scalar_bind``; ``np.full(n, c)``'s bits), every other operator the
+vector.  ``jac`` reads ``z`` when called, the group norm's through a view
 when its blocks lie in order, so a caller keeps ``z`` until its products.
 Every operator supplies an exact Clarke-Jacobian product: a separable one
 through ``slope_rule``, any other through ``prox_diag_jvp``.  Separable
@@ -218,36 +221,54 @@ class Zero(ProxOperator):
         )
 
 
-class _Thresholding(ProxOperator):
-    """Separable: prox ``z - clip(z, _lower(t), t)`` at ``t = kappa * lam / d``
-    (:meth:`_threshold`), Clarke slope 0 on ``[_lower(t), t)`` and 1
-    elsewhere."""
+class _Clip(ProxOperator):
+    """Separable with two breakpoints ``lo <= hi`` per coordinate, which a
+    subclass gives as ``_bounds(d, kappa) -> (lo, hi)`` for a scalar or a
+    vector ``d``: the clip ``c = clip(z, lo, hi)``, or with ``_shrink``
+    the shrink ``z - c``; Clarke slope 1 on ``[lo, hi)`` for a clip, 0
+    there and 1 elsewhere for a shrink."""
 
     separable = True
     _scalar_bind = True
+    _shrink = False
 
-    @staticmethod
-    def _threshold(z, t, lo, out=None, tmp=None):
-        """``z - clip(z, lo, t)`` in three passes: the clipped ``z`` into
-        ``tmp`` (or a new array), then the result into ``out`` if given,
-        else over the clipped ``z``."""
-        c = np.minimum(z, t, out=tmp)
+    def _kernel(self, z, lo, hi, out=None, tmp=None):
+        """The clip in two passes into ``out`` (or a new array); the shrink
+        clips into ``tmp`` (or a new array) and subtracts in a third pass
+        into ``out`` if given, else over the clipped ``z``."""
+        c = np.minimum(z, hi, out=tmp if self._shrink else out)
         np.maximum(c, lo, out=c)
+        if not self._shrink:
+            return c
         return np.subtract(z, c, out=c if out is None else out)
 
     def _prox_diag(self, x, d, kappa):
         if not kappa > 0:   # NaN fails
             raise ValueError("kappa must be positive")
-        t = kappa * self.lam / d
-        return self._threshold(x, t, self._lower(t))
+        lo, hi = self._bounds(d, kappa)
+        return self._kernel(x, lo, hi)
 
     def slope_rule(self, z, d, kappa):
-        t = kappa * self.lam / d
-        return ~((z >= self._lower(t)) & (z < t))
+        lo, hi = self._bounds(d, kappa)
+        keep = (z >= lo) & (z < hi)
+        return ~keep if self._shrink else keep
+
+    def pa_descriptor(self, d, kappa=1.0):
+        d = _check_weights(d)
+        n = d.shape[0]
+        lo, hi = (np.broadcast_to(b, (n,)) for b in self._bounds(d, kappa))
+        if self._shrink:
+            slopes, inter = (1.0, 0.0, 1.0), (0.0 - lo, np.zeros(n), 0.0 - hi)
+        else:
+            slopes, inter = (0.0, 1.0, 0.0), (lo, np.zeros(n), hi)
+        bp, inter = np.column_stack((lo, hi)), np.column_stack(inter)
+        # the intercepts of unreachable infinite segments
+        inter[:, ::2][~np.isfinite(bp)] = 0.0
+        return PiecewiseAffineDescriptor(bp, np.tile(slopes, (n, 1)), inter)
 
     def _bind(self, d, kappa):
-        t = kappa * self.lam / d   # 0-d: ufuncs convert a float per call
-        t, lo = np.asarray(t), np.asarray(self._lower(t))
+        # 0-d bounds: ufuncs convert a float per call
+        lo, hi = (np.asarray(b) for b in self._bounds(d, kappa))
         masks = []   # the binding's two bool work arrays, made once
         def step(z, out=None, tmp=None):
             def jac(w, out=None):
@@ -255,61 +276,53 @@ class _Thresholding(ProxOperator):
                     both = np.empty((2, z.size), bool)
                     masks.extend((both[0], both[1]))
                 ge, lt = masks
-                keep = np.invert(np.bitwise_and(
-                    np.greater_equal(z, lo, ge), np.less(z, t, lt), ge), ge)
+                keep = np.bitwise_and(np.greater_equal(z, lo, ge),
+                                      np.less(z, hi, lt), ge)
+                if self._shrink:
+                    np.invert(keep, keep)
                 # a bare keep * w would pair the N slopes with the r columns
                 # whenever N == r
                 return np.multiply(keep, w, out) if w.ndim == 1 else \
                     _scale_rows(keep, w)
-            return self._threshold(z, t, lo, out, tmp), jac
+            return self._kernel(z, lo, hi, out, tmp), jac
         return step
 
 
-class L1Norm(_Thresholding):
+class L1Norm(_Clip):
     """``h(x) = lam * ||x||_1``; weighted soft thresholding."""
 
+    _shrink = True
+
     def __init__(self, lam):
-        if lam <= 0:
+        if not lam > 0:   # NaN fails
             raise ValueError("l1 weight must be positive")
         self.lam = float(lam)
 
     def evaluate(self, x):
         return self.lam * float(np.abs(x).sum())
 
-    @staticmethod
-    def _lower(t):
-        return -t
-
-    def pa_descriptor(self, d, kappa=1.0):
-        d = _check_weights(d)
+    def _bounds(self, d, kappa):
         t = kappa * self.lam / d
-        n = d.shape[0]
-        bp = np.empty((n, 2))
-        bp[:, 0], bp[:, 1] = -t, t
-        slopes = np.empty((n, 3))
-        slopes[:, 0] = slopes[:, 2] = 1.0
-        slopes[:, 1] = 0.0
-        inter = np.zeros((n, 3))
-        inter[:, 0], inter[:, 2] = t, -t
-        return PiecewiseAffineDescriptor(bp, slopes, inter)
+        return -t, t
 
     def conjugate(self):
         return LinfBall(self.lam)
 
 
-class Box(ProxOperator):
+class Box(_Clip):
     """Indicator of ``{lo <= x <= hi}``; prox is clipping.
 
     Bounds may be scalars or vectors and may be infinite on either side.
     """
 
-    separable = True
-
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
-        if np.any(self.lo > self.hi):
+        if not np.all(self.lo <= self.hi):   # NaN fails
             raise ValueError("box bounds must satisfy lo <= hi")
+
+    def _bounds(self, d, kappa):
+        return self.lo, self.hi
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -317,25 +330,6 @@ class Box(ProxOperator):
         if np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol):
             return 0.0
         return np.inf
-
-    def _prox_diag(self, x, d, kappa):
-        return np.clip(x, self.lo, self.hi)
-
-    def slope_rule(self, z, d, kappa):
-        return (z >= self.lo) & (z < self.hi)
-
-    def pa_descriptor(self, d, kappa=1.0):
-        d = _check_weights(d)
-        n = d.shape[0]
-        lo = np.broadcast_to(self.lo, (n,)).astype(float)
-        hi = np.broadcast_to(self.hi, (n,)).astype(float)
-        bp = np.column_stack([lo, hi])
-        slopes = np.tile([0.0, 1.0, 0.0], (n, 1))
-        inter = np.column_stack([lo, np.zeros(n), hi])
-        # clamp intercepts of unreachable infinite segments
-        inter[~np.isfinite(lo), 0] = 0.0
-        inter[~np.isfinite(hi), 2] = 0.0
-        return PiecewiseAffineDescriptor(bp, slopes, inter)
 
 
 class NonNeg(Box):
@@ -352,7 +346,7 @@ class LinfBall(Box):
     """Indicator of ``{||x||_inf <= radius}``."""
 
     def __init__(self, radius):
-        if radius <= 0:
+        if not radius > 0:   # NaN fails
             raise ValueError("ball radius must be positive")
         self.radius = float(radius)
         super().__init__(-self.radius, self.radius)
@@ -361,29 +355,21 @@ class LinfBall(Box):
         return L1Norm(self.radius)
 
 
-class Hinge(_Thresholding):
+class Hinge(_Clip):
     """``h(x) = lam * sum_i max(0, x_i)`` (one-sided shrink)."""
 
+    _shrink = True
+
     def __init__(self, lam=1.0):
-        if lam <= 0:
+        if not lam > 0:   # NaN fails
             raise ValueError("hinge weight must be positive")
         self.lam = float(lam)
 
     def evaluate(self, x):
         return self.lam * float(np.sum(np.maximum(np.asarray(x, dtype=float), 0.0)))
 
-    @staticmethod
-    def _lower(c):
-        return 0.0
-
-    def pa_descriptor(self, d, kappa=1.0):
-        d = _check_weights(d)
-        n = d.shape[0]
-        c = kappa * self.lam / d
-        bp = np.column_stack([np.zeros(n), c])
-        slopes = np.tile([1.0, 0.0, 1.0], (n, 1))
-        inter = np.column_stack([np.zeros(n), np.zeros(n), -c])
-        return PiecewiseAffineDescriptor(bp, slopes, inter)
+    def _bounds(self, d, kappa):
+        return 0.0, kappa * self.lam / d
 
     def conjugate(self):
         return Box(0.0, self.lam)
@@ -401,7 +387,7 @@ def project_simplex_weighted(y, w, radius):
     """
     y = np.asarray(y, dtype=float)
     w = _check_weights(w, y.shape[0])
-    if radius < 0:
+    if not radius >= 0:   # NaN fails
         raise ValueError("simplex radius must be non-negative")
     if radius == 0:
         return np.zeros_like(y)
@@ -425,7 +411,7 @@ def project_l1_ball_weighted(y, w, radius):
     """Projection onto ``{||z||_1 <= radius}`` in the metric ``diag(w)``."""
     y = np.asarray(y, dtype=float)
     w = _check_weights(w, y.shape[0])
-    if radius <= 0:
+    if not radius > 0:   # NaN fails
         raise ValueError("ball radius must be positive")
     if np.sum(np.abs(y)) <= radius:
         return np.array(y, copy=True)
@@ -445,7 +431,7 @@ class Simplex(ProxOperator):
     """Indicator of ``{z >= 0, sum z = radius}``."""
 
     def __init__(self, radius=1.0):
-        if radius <= 0:
+        if not radius > 0:   # NaN fails
             raise ValueError("simplex radius must be positive")
         self.radius = float(radius)
 
@@ -471,7 +457,7 @@ class L1Ball(ProxOperator):
     """Indicator of ``{||z||_1 <= radius}``."""
 
     def __init__(self, radius=1.0):
-        if radius <= 0:
+        if not radius > 0:   # NaN fails
             raise ValueError("ball radius must be positive")
         self.radius = float(radius)
 
@@ -509,7 +495,7 @@ class _SupportFunction(ProxOperator):
     product ``M - J_q (d M) / d`` by the same identity."""
 
     def __init__(self, lam=1.0):
-        if lam < 0:
+        if not lam >= 0:   # NaN fails
             raise ValueError("scaling must be non-negative")
         self.lam = float(lam)
 
@@ -567,7 +553,7 @@ class GroupL2(ProxOperator):
     _scalar_bind = True
 
     def __init__(self, lam, blocks):
-        if lam <= 0:
+        if not lam > 0:   # NaN fails
             raise ValueError("group weight must be positive")
         self.lam = float(lam)
         self.blocks = [np.asarray(b, dtype=np.intp) for b in blocks]
@@ -637,7 +623,7 @@ class GroupL2(ProxOperator):
                           kappa * self.lam / d[self._firsts])[1](M)
 
     def _bind(self, d, kappa):
-        thresh = np.asarray(   # 0-d for a scalar d, as in _Thresholding
+        thresh = np.asarray(   # 0-d for a scalar d, as in _Clip
             kappa * self.lam / (d[self._firsts] if np.ndim(d) else d))
         return lambda z, out=None, tmp=None: self._step(z, thresh, out)
 

@@ -78,8 +78,10 @@ class ProblemSpec:
 class SolverOptions:
     max_iters: int = 20000
     tol: float = 1e-10                 # sup-norm threshold on the prox step
+    # read by 0SR1 and 0BFGS only
     line_search: str = "backtracking"  # or "none"
     gamma: float | None = None         # None: 0.8 for SR1, 1.0 for 0BFGS
+    # read by 0SR1, 0BFGS and ISTA (None: 1/L); FISTA-BB and SPG ignore it
     kappa: float | None = None         # None: 1 with the metric absorbing BB
     x0: np.ndarray | None = None
     budget_seconds: float | None = None

@@ -76,6 +76,24 @@ def test_solve_unknown_solver(env_cache, capsys):
     assert "unknown solver" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--lambda", "-1"], "lam must be positive"),
+    (["--lambda", "nan"], "lam must be positive"),
+    (["--family", "group_lasso", "--block-cap", "0"],
+     "block_cap must be at least 1"),
+], ids=["negative-lambda", "nan-lambda", "zero-block-cap"])
+def test_solve_bad_recipe_exits_2(tmp_path, env_cache, capsys, args, message):
+    # the recipe check rejects them before a problem is generated or a
+    # trace written; nnls, which has no regularizer, ignores lam
+    out = tmp_path / "trace.csv"
+    assert main(["solve", "--m", "20", "--n", "30", "--out", str(out)]
+                + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+    assert bench.ProblemRecipe("nnls", m=20, n=30, lam=-1.0).lam == -1.0
+
+
 def test_prox_worked_example(tmp_path, capsys):
     path = tmp_path / "orthant.txt"
     path.write_text(ORTHANT_EXAMPLE)
@@ -124,8 +142,10 @@ def test_prox_malformed_file(tmp_path, capsys):
      "no piecewise-affine descriptor"),
     (ORTHANT_EXAMPLE.replace("# h: nonneg", "# h: group_l1l2\n# blocks: 2"),
      "exact", "no piecewise-affine descriptor"),
+    (ORTHANT_EXAMPLE.replace("# h: nonneg", "# h: l1\n# lam: nan"), "auto",
+     "l1 weight must be positive"),
 ], ids=["negative-kappa", "nan-kappa", "weights-vary-in-a-block",
-        "exact-linf", "exact-group"])
+        "exact-linf", "exact-group", "nan-lam"])
 def test_prox_bad_input_exits_2(tmp_path, capsys, text, finder, message):
     # input the prox rejects is a configuration error, not a solver failure
     path = tmp_path / "bad.txt"

@@ -16,8 +16,10 @@ from proxqn.prox import (
     NonNeg,
     Simplex,
     Zero,
+    _Clip,
     _scale_rows,
-    _Thresholding,
+    project_l1_ball_weighted,
+    project_simplex_weighted,
 )
 from proxqn.metric import LowRankMetric, PlusMinusMetric
 from proxqn.scaled import scaled_prox, scaled_prox_rank2
@@ -248,6 +250,34 @@ def test_group_l2_rejects_blocks_that_do_not_partition(blocks, message):
         GroupL2(1.0, blocks)
 
 
+_NAN_PARAMETERS = {
+    "L1Norm": lambda: L1Norm(np.nan),
+    "Hinge": lambda: Hinge(np.nan),
+    "LinfBall": lambda: LinfBall(np.nan),
+    "Simplex": lambda: Simplex(np.nan),
+    "L1Ball": lambda: L1Ball(np.nan),
+    "LinfNorm": lambda: LinfNorm(np.nan),
+    "MaxFunction": lambda: MaxFunction(np.nan),
+    "GroupL2": lambda: GroupL2(np.nan, [[0, 1]]),
+    "Box-lo": lambda: Box(np.nan, 1.0),
+    "Box-hi": lambda: Box(0.0, np.nan),
+    "Box-vector": lambda: Box([0.0, np.nan], 1.0),
+    "project_simplex_weighted": lambda: project_simplex_weighted(
+        np.ones(2), np.ones(2), np.nan),
+    "project_l1_ball_weighted": lambda: project_l1_ball_weighted(
+        np.full(2, 3.0), np.ones(2), np.nan),
+}
+
+
+@pytest.mark.parametrize("build", _NAN_PARAMETERS.values(),
+                         ids=_NAN_PARAMETERS.keys())
+def test_nan_parameters_are_rejected(build):
+    # a test lam <= 0 or radius <= 0 lets NaN through, and the operator
+    # then builds and gives a NaN prox (the group norm a zero one)
+    with pytest.raises(ValueError, match="positive|non-negative|lo <= hi"):
+        build()
+
+
 _ALL_OPERATORS = [
     Zero(), L1Norm(0.5), NonNeg(), Box(-1.0, 2.0), Hinge(0.5),
     LinfBall(1.0), L1Ball(1.0), Simplex(1.0), LinfNorm(0.5),
@@ -352,7 +382,7 @@ def _assert_bound_matches(op, points, d, kappa, directions):
     # product is asked for only after every step, so it must keep the
     # temporaries of its own point.  Every point is stepped twice: with
     # allocated outputs, and with caller-owned ones holding NaN, which the
-    # thresholds (p and a vector's product) and the group norm (p) fill and
+    # clip family (p and a vector's product) and the group norm (p) fill and
     # return, and one shared NaN work array.  A scalar d binds the weights
     # np.full(n, d)
     n = points[0].size
@@ -375,7 +405,7 @@ def _assert_bound_matches(op, points, d, kappa, directions):
             assert jw.shape == w.shape
             assert jw.tobytes() == jvp.reshape(w.shape).tobytes()
             assert (jw is jw_out) == (
-                jw_out is not None and isinstance(op, _Thresholding))
+                jw_out is not None and isinstance(op, _Clip))
     assert all(z.tobytes() == k.tobytes() for z, k in zip(points, kept))
 
 
@@ -398,7 +428,7 @@ def _hinge_closed_form(z, c):
 
 @pytest.mark.parametrize("vector_d", [False, True], ids=["0-d t", "vector t"])
 def test_threshold_gives_the_closed_forms(rng, vector_d):
-    # z - clip(z, lower, t) has the values of the closed forms, equal under
+    # z - clip(z, lo, t) has the values of the closed forms, equal under
     # ==: the l1 form gives -0.0 for a negative z in the dead zone, the
     # clip form 0.0.  Ties at +-t and 0 (the hinge's c is its t), -0.0,
     # +-inf and NaN; with and without a caller's out and tmp, and through
@@ -407,9 +437,8 @@ def test_threshold_gives_the_closed_forms(rng, vector_d):
     d = rng.uniform(0.5, 2.0, n) if vector_d else 0.85
     for op, closed_form in ((L1Norm(0.7), _soft_threshold_closed_form),
                             (Hinge(0.9), _hinge_closed_form)):
-        t = np.asarray(kappa * op.lam / d)
+        lo, t = op._bounds(d, kappa)
         tv = np.broadcast_to(t, (n,))
-        lo = np.asarray(op._lower(t))
         points = [3.0 * rng.standard_normal(n), _special_point(rng, n),
                   np.zeros(n)]
         for kink in (tv, -tv):
@@ -420,7 +449,7 @@ def test_threshold_gives_the_closed_forms(rng, vector_d):
             kept = z.copy()
             for out in (None, np.full(n, np.nan)):
                 for tmp in (None, np.full(n, np.nan)):
-                    p = op._threshold(z, t, lo, out, tmp)
+                    p = op._kernel(z, lo, t, out, tmp)
                     # into out, else into tmp, else a new array
                     assert p is (tmp if out is None else out) or \
                         out is tmp is None and p is not z
@@ -569,15 +598,19 @@ def test_scale_rows_matches_the_broadcast_bitwise(rng, n, r):
 
 
 def test_bound_steps_take_the_scalar_of_a_uniform_diagonal_bitwise(rng):
-    # thresholds and the group norm bound with a scalar c step as with the
-    # vector np.full(n, c), at kinks, at -0.0, +-inf and NaN and elsewhere
+    # the clip family and the group norm bound with a scalar c step as with
+    # the vector np.full(n, c), at kinks, at -0.0, +-inf and NaN and
+    # elsewhere
     n, kappa, c = 60, 1.3, 0.85
     blocks = np.split(rng.permutation(n), [1, 4, 9, 20, 33, 34, 50])
     directions = _directions(rng, n)
     normal = [3.0 * rng.standard_normal(n) for _ in range(4)]
-    for op, lam in ((L1Norm(0.7), 0.7), (Hinge(0.9), 0.9)):
-        t = kappa * lam / c
-        kink = np.full(n, t)
+    bound = rng.standard_normal(n)
+    for op, kink in ((L1Norm(0.7), kappa * 0.7 / c),
+                     (Hinge(0.9), kappa * 0.9 / c), (NonNeg(), 0.0),
+                     (LinfBall(0.8), 0.8), (Box(bound, np.inf), bound),
+                     (Box(-np.inf, bound), bound)):
+        kink = np.broadcast_to(kink, (n,))
         points = normal + [kink, -kink, np.nextafter(kink, np.inf),
                            np.nextafter(-kink, -np.inf), np.zeros(n),
                            _special_point(rng, n)]

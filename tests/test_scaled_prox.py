@@ -783,6 +783,23 @@ def _near_bound_case(kind, rng, n):
     return (Box(-np.inf, bound) if kind == "box_hi" else Box(bound, np.inf)), d
 
 
+def _near_bound_points(kind, op, d, kappa, spread, rng):
+    """Two points ``spread`` apart, a third of the first on the kinks of
+    the diagonal prox; for l1 also ties: coordinates at +-t and repeated
+    values."""
+    n = d.size
+    x = 2.0 * rng.standard_normal(n)
+    y = x + spread * rng.standard_normal(n)
+    if kind == "l1":
+        t = kappa * op.lam / d[0]
+        x[::3] = t * np.where(rng.random(x[::3].size) < 0.5, -1.0, 1.0)
+        y[1::3] = x[1::3] = x[1]
+    elif kind != "group":
+        x[::3] = np.broadcast_to(op.hi if kind == "box_hi" else op.lo,
+                                 (n,))[::3]
+    return x, y
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 40),
        kind=st.sampled_from(["l1", "group", "nonneg", "box_hi", "box_lo"]),
@@ -804,15 +821,7 @@ def test_rank1_minus_prox_is_firmly_nonexpansive_near_the_gram_bound(
     u = rng.standard_normal(n)
     u *= np.sqrt(gram / np.dot(u, u / d))
     metric = LowRankMetric(d, [u], -1)
-    x = 2.0 * rng.standard_normal(n)
-    y = x + spread * rng.standard_normal(n)
-    if kind == "l1":   # ties: coordinates at +-t and repeated values
-        t = kappa * op.lam / d[0]
-        x[::3] = t * np.where(rng.random(x[::3].size) < 0.5, -1.0, 1.0)
-        y[1::3] = x[1::3] = x[1]
-    elif kind != "group":
-        x[::3] = np.broadcast_to(op.hi if kind == "box_hi" else op.lo,
-                                 (n,))[::3]
+    x, y = _near_bound_points(kind, op, d, kappa, spread, rng)
     p, rep_x = scaled_prox(metric, op, x, kappa=kappa)
     q, rep_y = scaled_prox(metric, op, y, kappa=kappa)
     assert rep_x.method == rep_y.method == "ssnewton"
@@ -825,6 +834,60 @@ def test_rank1_minus_prox_is_firmly_nonexpansive_near_the_gram_bound(
     ulps = float(np.abs(dp) @ (d * size)) + \
         abs(ud) * float(np.abs(u) @ size)
     slack = (rep_x.residual + rep_y.residual) * abs(ud) + \
+        4.0 * np.finfo(float).eps * ulps
+    assert gap >= -slack, (gap, slack)
+
+
+# The joint Newton misses about 1 % of these draws, on l1, the orthant and
+# Box(lo, inf): a damped step crawls up to a kink of the diagonal prox
+# with the Jacobian of the near side, and the search gives up (CHANGES.md,
+# FOUND).  A miss marks the run xfailed; a point that breaks the property
+# still fails it
+@pytest.mark.xfail(raises=RootFinderError, strict=False,
+                   reason="joint Newton stalls at a kink")
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 40),
+       kind=st.sampled_from(["l1", "group", "nonneg", "box_hi", "box_lo"]),
+       gram=st.floats(0.99, 1.0 - 1e-6), plus=st.floats(0.1, 10.0),
+       kappa=st.floats(0.1, 3.0), spread=st.sampled_from([1e-6, 1e-2, 1.0]),
+       trusted=st.booleans())
+def test_rank11_prox_is_firmly_nonexpansive_near_the_outer_gram_bound(
+        seed, n, kind, gram, plus, kappa, spread, trusted):
+    # the rank-1 property above for 0BFGS's shape V = P + u1 u1^T - u2 u2^T,
+    # with u1^T P^-1 u1 = plus and the outer Gram u2^T (P + u1 u1^T)^-1 u2
+    # = gram close to 1; trusted, a c I of the quasi-Newton constructions
+    # (scalar bound steps), else the vector P.  The joint Newton's residual
+    # F = (F1, F2) makes p the exact prox of x + V^-1 (U2 F2 - U1 F1),
+    # which moves the gap by at most |F_x - F_y| (|u1^T dp| + |u2^T dp|);
+    # the rounding term is the rank-1 one over both factors and both
+    # multipliers' shift directions
+    rng = np.random.default_rng(seed)
+    op, d = _near_bound_case(kind, rng, n)
+    if trusted:
+        d = np.full(n, d[0])
+    u1, u2 = rng.standard_normal((2, n))
+    u1 *= np.sqrt(plus / np.dot(u1, u1 / d))
+    w2 = u2 / d - (u1 / d) * (np.dot(u1, u2 / d) / (1.0 + plus))
+    u2 *= np.sqrt(gram / np.dot(u2, w2))
+    metric = PlusMinusMetric._trusted(d[0], u1.reshape(n, 1),
+                                      u2.reshape(n, 1)) if trusted \
+        else PlusMinusMetric(d, [u1], [u2])
+    w1, w2 = u1 / d, metric.p1_inv_minus[:, 0]
+    x, y = _near_bound_points(kind, op, d, kappa, spread, rng)
+    p, rep_x = scaled_prox_rank2(metric, op, x, kappa=kappa)
+    q, rep_y = scaled_prox_rank2(metric, op, y, kappa=kappa)
+    assert rep_x.method == rep_y.method == "rank2-joint"
+    assert rep_x.converged and rep_y.converged
+    dp, e = p - q, (x - y) - (p - q)
+    ud1, ud2 = float(u1 @ dp), float(u2 @ dp)
+    gap = float(dp @ (d * e)) + ud1 * float(u1 @ e) - ud2 * float(u2 @ e)
+    (a_x, b_x), (a_y, b_y) = rep_x.alpha_star, rep_y.alpha_star
+    size = np.abs(x) + np.abs(y) + np.abs(p) + np.abs(q) + \
+        (abs(a_x) + abs(a_y)) * np.abs(w1) + (abs(b_x) + abs(b_y)) * np.abs(w2)
+    ulps = float(np.abs(dp) @ (d * size)) + \
+        abs(ud1) * float(np.abs(u1) @ size) + \
+        abs(ud2) * float(np.abs(u2) @ size)
+    slack = (rep_x.residual + rep_y.residual) * (abs(ud1) + abs(ud2)) + \
         4.0 * np.finfo(float).eps * ulps
     assert gap >= -slack, (gap, slack)
 
@@ -1008,8 +1071,9 @@ def _group_blocks(rng, n):
 
 
 def _scalar_bind_cases(rng, n):
-    """Every binding route: the thresholds (scalar c), the group norm
-    (scalar c), the base binding and the affine factor cache (the vector)."""
+    """Every binding route: the clip family (scalar c), the group norm
+    (scalar c), and the base binding of the affine factor cache (the
+    vector)."""
     return [L1Norm(0.4), Hinge(0.3), GroupL2(0.4, _group_blocks(rng, n)),
             NonNeg(), Box(-0.2, 0.3),
             AffineConstraint(rng.standard_normal((2, n)),
@@ -1029,7 +1093,7 @@ def _record_bound_weights(monkeypatch, op):
 
 def test_scalar_binding_gives_the_bits_of_the_vector_diagonal(rng,
                                                               monkeypatch):
-    # a trusted c I binds the thresholding and group operators with the
+    # a trusted c I binds the clip family and the group norm with the
     # scalar c, the public metric with the same np.full(n, c) diagonal binds
     # the vector: the same points, multipliers, iterations and method
     n = 40

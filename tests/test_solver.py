@@ -490,8 +490,7 @@ class _FivePassL1(L1Norm):
     """``L1Norm`` thresholding in the closed form's five array passes,
     ``sign(z) * max(|z| - t, 0)``."""
 
-    @staticmethod
-    def _threshold(z, t, lo, out=None, tmp=None):
+    def _kernel(self, z, lo, t, out=None, tmp=None):
         p = np.abs(z, out)
         np.maximum(np.subtract(p, t, p), 0.0, out=p)
         return np.multiply(np.sign(z, tmp), p, p)
@@ -503,6 +502,31 @@ def test_clip_threshold_leaves_every_solver_bit_identical():
     problem, five_pass = generate(recipe), generate(recipe)
     five_pass.h = _FivePassL1(problem.h.lam)
     _assert_every_solver_bit_identical(problem, five_pass)
+
+
+class _FormerRouteNonNeg(NonNeg):
+    """``NonNeg`` on the route the box family had before it shared the
+    thresholds' bound step: ``np.clip`` for the prox, and the slope rule's
+    Jacobian through the base binding, which takes the vector diagonal."""
+
+    _scalar_bind = False
+    _bind = ProxOperator._bind
+
+    def _prox_diag(self, x, d, kappa):
+        return np.clip(x, self.lo, self.hi)
+
+    def slope_rule(self, z, d, kappa):
+        return (z >= self.lo) & (z < self.hi)
+
+
+def test_clip_kernel_leaves_every_solver_bit_identical_on_the_orthant():
+    # min then max gives np.clip's values; at lo = 0 only the sign of a
+    # zero may differ, and it reaches no trace
+    recipe = ProblemRecipe("nnls", m=60, n=120, seed=4)
+    problem, former = generate(recipe), generate(recipe)
+    assert type(problem.h) is NonNeg
+    former.h = _FormerRouteNonNeg()
+    _assert_every_solver_bit_identical(problem, former)
 
 
 def _assert_every_solver_bit_identical(problem, reference):
