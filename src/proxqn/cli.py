@@ -80,14 +80,15 @@ def cmd_solve(args):
         return CONFIG_ERROR
     try:
         recipe = _recipe_from_args(args)
+        opts = SolverOptions(max_iters=args.max_iters, tol=args.tol,
+                             budget_seconds=args.budget_s,
+                             line_search=args.line_search)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     problem = generate(recipe)
     ref = reference_solution(problem, cache_dir=args.cache_dir)
-    opts = SolverOptions(max_iters=args.max_iters, tol=args.tol,
-                         budget_seconds=args.budget_s, f_star=ref.f_star,
-                         line_search=args.line_search)
+    opts.f_star = ref.f_star
     try:
         result = SOLVERS[args.solver](problem, opts)
     except Exception as exc:  # noqa: BLE001 - reported as exit code 3
@@ -105,10 +106,17 @@ def cmd_solve(args):
 
 def cmd_race(args):
     solver_ids = [s.strip() for s in args.solvers.split(",") if s.strip()]
-    for sid in solver_ids:
-        if sid not in SOLVERS:
-            print(f"error: unknown solver {sid!r}", file=sys.stderr)
-            return CONFIG_ERROR
+    try:   # what every solve of the race gets, checked before any solve
+        if not solver_ids:
+            raise ValueError("no solvers given")
+        for sid in solver_ids:
+            if sid not in SOLVERS:
+                raise ValueError(f"unknown solver {sid!r}")
+        SolverOptions(max_iters=args.max_iters, tol=args.tol,
+                      budget_seconds=args.budget_s)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CONFIG_ERROR
     if args.paper_scale:
         recipes = [
             ProblemRecipe("lasso_gaussian", m=1500, n=3000, lam=0.1,

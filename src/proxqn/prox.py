@@ -5,30 +5,29 @@ Every operator solves, for a weight vector ``d > 0`` and scale ``kappa > 0``,
     prox_diag(x, d, kappa) = argmin_z  kappa * h(z) + 1/2 * sum_i d_i (x_i - z_i)^2
 
 which is the proximity operator of ``kappa * h`` in the metric ``diag(d)``.
-The public ``prox_diag`` checks the weights (``check_weights``) and calls
-the unchecked core ``_prox_diag``; the root finders of :mod:`proxqn.scaled`
-check them once per root problem and call the core and ``prox_diag_jvp``,
-and the first-order solvers check their unit weights once per solve.
+Each operator defines the unchecked core ``_prox_diag`` and one
+Clarke-Jacobian route: ``_jvp(z, p, d, kappa, M)``, which the base
+``_bind`` calls with the prox ``p`` it evaluated at the step, or its own
+``_bind``.  The public ``prox_diag`` checks the weights, and the public
+``prox_diag_jvp`` coerces ``M`` to N x r and binds.  Both Newtons of
+:mod:`proxqn.scaled` check the weights once per root problem and bind
+once, ``step = op._bind(d, kappa)``, and get ``p, jac = step(z, out,
+tmp)``: the bits of ``_prox_diag`` and, when called, ``jac(w, out)`` the
+product with a vector ``w`` or an N x r matrix ``w``, as a vector for a
+vector.  The first-order solvers check their unit weights once per solve.
 Every separable operator but ``Zero`` is one piecewise-linear map with two
 breakpoints ``lo <= hi`` from ``_bounds`` (``_Clip``): the boxes clip,
 ``c = clip(z, lo, hi)`` as ``min`` then ``max``, and ``L1Norm`` and
 ``Hinge`` shrink, ``z - c`` in a third pass, at ``(-t, t)`` and ``(0, t)``
-with ``t = kappa * lam / d``.  Both Newtons of :mod:`proxqn.scaled` bind
-once per root problem, ``step = op._bind(d, kappa)``, and get
-``p, jac = step(z, out, tmp)``: the bits of ``_prox_diag``, and when
-called, ``jac(w, out)`` those of ``prox_diag_jvp`` for a vector ``w`` and
-an N x r matrix ``w`` alike, as a vector for a vector.  The clip family
-writes ``p`` and a vector's product, the group norm (``GroupL2``) ``p``,
-into a caller-owned ``out`` if given; a shrink may overwrite a given
-N-vector ``tmp``.  Both take for ``d`` the ``c`` of a trusted ``c I``
-(``_scalar_bind``; ``np.full(n, c)``'s bits), every other operator the
-vector.  ``jac`` reads ``z`` when called, the group norm's through a view
-when its blocks lie in order, so a caller keeps ``z`` until its products.
-Every operator supplies an exact Clarke-Jacobian product: a separable one
-through ``slope_rule``, any other through ``prox_diag_jvp``.  Separable
-operators additionally expose a piecewise-affine description of their
-scalar prox maps (breakpoints / slopes / intercepts), which is what the
-exact low-rank root finder consumes.
+with ``t = kappa * lam / d``.  The clip family and the group norm
+(``GroupL2``) bind themselves: the clip family writes ``p`` and a
+vector's product, the group norm ``p``, into a caller-owned ``out`` if
+given; a shrink may overwrite a given N-vector ``tmp``.  Both take for
+``d`` the ``c`` of a trusted ``c I`` (``_scalar_bind``; ``np.full(n,
+c)``'s bits), every other operator the vector.  ``jac`` reads ``z`` when
+called, the group norm's through a view when its blocks lie in order, so
+a caller keeps ``z`` until its products.  A separable operator's
+``pa_descriptor`` gives the exact rank-1 finder its scalar affine pieces.
 """
 
 from __future__ import annotations
@@ -167,30 +166,28 @@ class ProxOperator:
 
     def prox_diag_jvp(self, z, d, kappa, M):
         """Product of a Clarke Jacobian of ``prox_diag(., d, kappa)`` at
-        ``z`` with the columns of ``M``; ``d`` must have passed
-        :meth:`check_weights`.  A non-separable operator overrides it; here
-        it is the slope rule's product, with the bits of
-        ``slopes[:, None] * M`` in M's memory order (C in, C out), formed
-        column by column: the broadcast loops over r entries a row."""
-        return _scale_rows(self.slope_rule(z, d, kappa), np.atleast_2d(M.T).T)
+        ``z`` with the columns of ``M`` (a vector is one column), an N x r
+        matrix; ``d`` must have passed :meth:`check_weights`."""
+        M = np.atleast_2d(np.asarray(M, dtype=float).T).T
+        return self._bind(d, kappa)(np.asarray(z, dtype=float))[1](M)
 
     def _bind(self, d, kappa):
         """The step ``z -> (prox, jac)``; see the module docstring."""
-        def jac(z, w):
-            if w.ndim == 2:
-                return self.prox_diag_jvp(z, d, kappa, w)
-            return self.prox_diag_jvp(z, d, kappa, w[:, None])[:, 0]
-        return lambda z, out=None, tmp=None: (
-            self._prox_diag(z, d, kappa), lambda w, out=None: jac(z, w))
+        def step(z, out=None, tmp=None):
+            p = self._prox_diag(z, d, kappa)
+            def jac(w, out=None):
+                if w.ndim == 2:
+                    return self._jvp(z, p, d, kappa, w)
+                return self._jvp(z, p, d, kappa, w[:, None])[:, 0]
+            return p, jac
+        return step
 
-    def slope_rule(self, z, d, kappa):
-        """Clarke slopes of a separable prox at ``z``, the right-hand
-        segment's at a breakpoint of its descriptor.  A separable operator
-        defines them, any other :meth:`prox_diag_jvp`; an operator with
-        neither has no Newton route."""
+    def _jvp(self, z, p, d, kappa, M):
+        """The Clarke-Jacobian product of the base :meth:`_bind` at ``z``
+        with an N x r ``M``, given ``p = _prox_diag(z, d, kappa)``."""
         raise NotImplementedError(
-            f"{type(self).__name__} gives no Clarke-Jacobian product: a "
-            "separable operator defines slope_rule, any other prox_diag_jvp")
+            f"{type(self).__name__} gives no Clarke-Jacobian product: an "
+            "operator defines _jvp or its own _bind")
 
     def conjugate(self):
         """Operator of the convex conjugate, where implemented."""
@@ -211,8 +208,8 @@ class Zero(ProxOperator):
     def _prox_diag(self, x, d, kappa):
         return x.copy()
 
-    def slope_rule(self, z, d, kappa):
-        return np.ones(len(z))
+    def _jvp(self, z, p, d, kappa, M):
+        return M.copy(order="K")
 
     def pa_descriptor(self, d, kappa=1.0):
         n = _check_weights(d).shape[0]
@@ -247,11 +244,6 @@ class _Clip(ProxOperator):
             raise ValueError("kappa must be positive")
         lo, hi = self._bounds(d, kappa)
         return self._kernel(x, lo, hi)
-
-    def slope_rule(self, z, d, kappa):
-        lo, hi = self._bounds(d, kappa)
-        keep = (z >= lo) & (z < hi)
-        return ~keep if self._shrink else keep
 
     def pa_descriptor(self, d, kappa=1.0):
         d = _check_weights(d)
@@ -445,9 +437,8 @@ class Simplex(ProxOperator):
     def _prox_diag(self, x, d, kappa):
         return project_simplex_weighted(x, d, self.radius)
 
-    def prox_diag_jvp(self, z, d, kappa, M):
-        return _active_set_jvp(self._prox_diag(z, d, kappa) > 0, d,
-                               np.atleast_2d(np.asarray(M, dtype=float).T).T)
+    def _jvp(self, z, p, d, kappa, M):
+        return _active_set_jvp(p > 0, d, M)
 
     def conjugate(self):
         return MaxFunction(self.radius)
@@ -469,14 +460,13 @@ class L1Ball(ProxOperator):
     def _prox_diag(self, x, d, kappa):
         return project_l1_ball_weighted(x, d, self.radius)
 
-    def prox_diag_jvp(self, z, d, kappa, M):
-        M = np.atleast_2d(np.asarray(M, dtype=float).T).T
+    def _jvp(self, z, p, d, kappa, M):
         # strictly inside the ball: identity; else the signed Jacobian of
         # the weighted-simplex reduction at the projection's active set
         if float(np.sum(np.abs(z))) < self.radius * (1.0 - 1e-12):
             return M.copy()
         s = np.where(z >= 0, 1.0, -1.0)
-        active = self._prox_diag(z, d, kappa) != 0
+        active = p != 0
         if not np.any(active):
             return np.zeros_like(M)
         return s[:, None] * _active_set_jvp(active, d, s[:, None] * M)
@@ -505,8 +495,7 @@ class _SupportFunction(ProxOperator):
             return np.array(x, copy=True)
         return x - self._set(radius)._prox_diag(d * x, 1.0 / d, 1.0) / d
 
-    def prox_diag_jvp(self, z, d, kappa, M):
-        M = np.atleast_2d(np.asarray(M, dtype=float).T).T
+    def _jvp(self, z, p, d, kappa, M):
         radius = kappa * self.lam
         if radius == 0:
             return M.copy()
@@ -617,11 +606,6 @@ class GroupL2(ProxOperator):
             return jw if w.ndim == 2 else jw[:, 0]
         return np.multiply(f, z, out=out), jac
 
-    def prox_diag_jvp(self, z, d, kappa, M):
-        M = np.atleast_2d(np.asarray(M, dtype=float).T).T
-        return self._step(np.asarray(z, dtype=float),
-                          kappa * self.lam / d[self._firsts])[1](M)
-
     def _bind(self, d, kappa):
         thresh = np.asarray(   # 0-d for a scalar d, as in _Clip
             kappa * self.lam / (d[self._firsts] if np.ndim(d) else d))
@@ -667,8 +651,7 @@ class AffineConstraint(ProxOperator):
         factor, AinvD = self._factor(d)
         return x + AinvD.T @ cho_solve(factor, self.b - self.A @ x)
 
-    def prox_diag_jvp(self, z, d, kappa, M):
+    def _jvp(self, z, p, d, kappa, M):
         factor, AinvD = self._factor(d)
-        M = np.atleast_2d(np.asarray(M, dtype=float).T).T
         return M - AinvD.T @ cho_solve(factor, self.A @ M)
 

@@ -221,7 +221,7 @@ def root_bisection(problem: RootProblem, eps=1e-10, max_iter=None):
                             converged=math.isfinite(val))
 
 
-def root_exact_piecewise_affine(problem: RootProblem, descriptor=None):
+def root_exact_piecewise_affine(problem: RootProblem):
     """Exact rank-1 root for separable h with piecewise-affine prox maps.
 
     The map restricted to each interval between the sorted candidate
@@ -238,14 +238,11 @@ def root_exact_piecewise_affine(problem: RootProblem, descriptor=None):
     """
     if problem.rank != 1:
         raise ValueError("the exact finder applies to rank-1 problems")
-    desc = descriptor
-    if desc is None:
-        desc = problem.prox.pa_descriptor(problem.diag, problem.kappa)
+    desc = problem.prox.pa_descriptor(problem.diag, problem.kappa)
     if desc is None:
         raise ValueError(
             f"{type(problem.prox).__name__} exposes no piecewise-affine "
-            "descriptor; use bisection or the semi-smooth Newton finder"
-        )
+            "descriptor; use bisection or the semi-smooth Newton finder")
     u = problem.U[:, 0]
     d = problem.diag
     x = problem.x

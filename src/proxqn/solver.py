@@ -81,12 +81,23 @@ class SolverOptions:
     # read by 0SR1 and 0BFGS only
     line_search: str = "backtracking"  # or "none"
     gamma: float | None = None         # None: 0.8 for SR1, 1.0 for 0BFGS
-    # read by 0SR1, 0BFGS and ISTA (None: 1/L); FISTA-BB and SPG ignore it
-    kappa: float | None = None         # None: 1 with the metric absorbing BB
+    # the step of 0SR1 and 0BFGS (None: 1, the metric absorbing BB), ISTA's
+    # (None: 1/L) and the first step of FISTA-BB and SPG (None: 1/L)
+    kappa: float | None = None
     x0: np.ndarray | None = None
     budget_seconds: float | None = None
     f_star: float | None = None        # reference objective for the trace
     record_metrics: bool = False
+
+    def __post_init__(self):
+        if not self.tol >= 0:   # NaN fails each test
+            raise ValueError("tol must be non-negative")
+        if self.budget_seconds is not None and not self.budget_seconds > 0:
+            raise ValueError("budget_seconds must be positive")
+        if self.kappa is not None and not self.kappa > 0:
+            raise ValueError("kappa must be positive")
+        if self.line_search not in ("backtracking", "none"):
+            raise ValueError(f"unknown line-search mode {self.line_search!r}")
 
 
 @dataclass
@@ -367,7 +378,7 @@ def run_fista_bb(problem, opts=None):
     x = _initial_point(problem, opts)
     y = x.copy()
     t_mom = 1.0
-    kappa = 1.0 / L
+    kappa = opts.kappa if opts.kappa is not None else 1.0 / L
     f_val = f_new = problem.objective(x)
     g_y = problem.grad(y)
     d = problem.h.check_weights(np.ones(problem.dim), problem.dim)
@@ -418,7 +429,7 @@ def run_spg_sparsa(problem, opts=None):
     g = problem.grad(x)
     f_val = problem.objective(x)
     history = deque([f_val], maxlen=SPG_MEMORY)
-    kappa = 1.0 / L
+    kappa = opts.kappa if opts.kappa is not None else 1.0 / L
     f_new = f_val
     d = problem.h.check_weights(np.ones(problem.dim), problem.dim)
 

@@ -121,8 +121,8 @@ def test_shared_residual_leaves_every_solver_bit_identical(recipe):
 ], ids=lambda r: r.family)
 def test_column_products_leave_the_quasi_newton_solvers_bit_identical(
         monkeypatch, recipe):
-    # the Jacobian products of L1Norm's binding and of the slope-rule
-    # path (NonNeg) against the broadcast they replace
+    # the Jacobian products of the clip family's binding (L1Norm, NonNeg)
+    # against the broadcast they replace
     problem = generate(recipe)
     opts = SolverOptions(max_iters=300, tol=1e-10)
     calls = []

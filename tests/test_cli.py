@@ -94,6 +94,50 @@ def test_solve_bad_recipe_exits_2(tmp_path, env_cache, capsys, args, message):
     assert bench.ProblemRecipe("nnls", m=20, n=30, lam=-1.0).lam == -1.0
 
 
+_BAD_OPTIONS = [
+    (["--tol", "nan"], "tol must be non-negative"),
+    (["--tol", "-1"], "tol must be non-negative"),
+    (["--budget-s", "nan"], "budget_seconds must be positive"),
+    (["--budget-s", "0"], "budget_seconds must be positive"),
+]
+_BAD_OPTION_IDS = ["nan-tol", "negative-tol", "nan-budget", "zero-budget"]
+
+
+@pytest.mark.parametrize("args, message", _BAD_OPTIONS, ids=_BAD_OPTION_IDS)
+def test_solve_bad_options_exit_2(tmp_path, monkeypatch, capsys, args,
+                                  message):
+    # a NaN tol or budget would run the solve to its cap: the options are
+    # checked before a problem is generated or a trace written
+    monkeypatch.setattr(cli, "generate", _no_generate)
+    out = tmp_path / "trace.csv"
+    assert main(["solve", "--m", "20", "--n", "30", "--out", str(out)]
+                + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", _BAD_OPTIONS + [
+    (["--solvers", ","], "no solvers given"),
+    (["--solvers", ""], "no solvers given"),
+], ids=_BAD_OPTION_IDS + ["comma-solvers", "empty-solvers"])
+def test_race_bad_options_exit_2(tmp_path, monkeypatch, capsys, args,
+                                 message):
+    # checked once, before any problem is generated or solved, and before
+    # the output directory or its manifest is made
+    monkeypatch.setattr(cli, "generate", _no_generate)
+    out_dir = tmp_path / "rc"
+    assert main(["race", "--families", "lasso_diff3d", "--out-dir",
+                 str(out_dir)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out_dir.exists()
+
+
+def _no_generate(recipe):
+    raise AssertionError("a problem was generated")
+
+
 def test_prox_worked_example(tmp_path, capsys):
     path = tmp_path / "orthant.txt"
     path.write_text(ORTHANT_EXAMPLE)

@@ -26,6 +26,7 @@ from proxqn.scaled import scaled_prox, scaled_prox_rank2
 from proxqn.validate import exhaustive_simplex_qp
 
 from _group_reference import RepeatGroupL2
+from _jacobian_reference import reference_jvp
 
 
 def scalar_prox_oracle(h_scalar, x, d, kappa):
@@ -342,9 +343,9 @@ def test_descriptors_reproduce_prox_pointwise(rng):
 
 
 def test_slope_rules_match_descriptor_slopes_bitwise(rng):
-    # the direct Clarke slope rules give the descriptor's slopes, the
-    # right-hand segment's at a breakpoint, so the Jacobian products are
-    # the same numbers, not merely close
+    # the Clarke products of the clip family and Zero scale by the
+    # descriptor's slopes, the right-hand segment's at a breakpoint: the
+    # same numbers, not merely close
     n = 60
     d = rng.uniform(0.5, 2.0, n)
     kappa = 1.3
@@ -378,13 +379,15 @@ def test_slope_rules_match_descriptor_slopes_bitwise(rng):
 
 def _assert_bound_matches(op, points, d, kappa, directions):
     # one binding, stepped at every point, gives the bits of the separate
-    # prox and Jacobian calls, for vector and N x r matrix directions; each
-    # product is asked for only after every step, so it must keep the
-    # temporaries of its own point.  Every point is stepped twice: with
-    # allocated outputs, and with caller-owned ones holding NaN, which the
-    # clip family (p and a vector's product) and the group norm (p) fill and
-    # return, and one shared NaN work array.  A scalar d binds the weights
-    # np.full(n, d)
+    # prox call and of the former Jacobian products (_jacobian_reference),
+    # for vector and N x r matrix directions; each product is asked for
+    # only after every step, so it must keep the temporaries of its own
+    # point.  Every point is stepped twice: with allocated outputs, and with
+    # caller-owned ones holding NaN, which the clip family (p and a vector's
+    # product) and the group norm (p) fill and return, and one shared NaN
+    # work array.  A scalar d binds the weights np.full(n, d).  The public
+    # prox_diag_jvp binds too, so it is held to the reference on its own:
+    # shape, dtype, strides and bits
     n = points[0].size
     dv = np.full(n, d) if np.ndim(d) == 0 else d
     kept = [z.copy() for z in points]
@@ -400,10 +403,13 @@ def _assert_bound_matches(op, points, d, kappa, directions):
             jw_out = None if out is None or w.ndim == 2 else \
                 np.full(n, np.nan)
             jw = jac(w, jw_out)
-            M = w if w.ndim == 2 else w[:, None]
-            jvp = op.prox_diag_jvp(z, dv, kappa, M)
-            assert jw.shape == w.shape
-            assert jw.tobytes() == jvp.reshape(w.shape).tobytes()
+            if w.ndim == 2:
+                want = reference_jvp(op, z, dv, kappa, w)
+            else:   # the former vector adapter
+                want = reference_jvp(op, z, dv, kappa, w[:, None])[:, 0]
+            assert _same_values(jw, want)
+            assert _same_values(op.prox_diag_jvp(z, dv, kappa, w),
+                                reference_jvp(op, z, dv, kappa, w))
             assert (jw is jw_out) == (
                 jw_out is not None and isinstance(op, _Clip))
     assert all(z.tobytes() == k.tobytes() for z, k in zip(points, kept))
@@ -460,9 +466,11 @@ def test_threshold_gives_the_closed_forms(rng, vector_d):
 
 
 def _directions(rng, n):
-    """A vector and C-ordered N x 2 and N x 3 matrices of directions."""
+    """A vector, C-ordered N x 2 and N x 3 and F-ordered N x 2 matrices of
+    directions."""
     return [rng.standard_normal(n), rng.standard_normal((n, 2)),
-            rng.standard_normal((n, 3))]
+            rng.standard_normal((n, 3)),
+            np.asfortranarray(rng.standard_normal((n, 2)))]
 
 
 def _operator_cases(rng, n, d, kappa):

@@ -20,6 +20,7 @@ from proxqn.prox import (
     MaxFunction,
     NonNeg,
     ProxOperator,
+    Simplex,
     Zero,
 )
 from proxqn.quasi_newton import QNPair, zbfgs_metric
@@ -593,7 +594,7 @@ def test_an_operator_without_a_jacobian_hook_raises(rng):
     assert rep.iterations > 0   # the root is not 0
     for entry, m in ((scaled_prox, metric), (scaled_prox_rank2, B)):
         with pytest.raises(NotImplementedError,
-                           match="slope_rule.*prox_diag_jvp"):
+                           match="_jvp or its own _bind"):
             entry(m, _ProxOnlyL1(), x)
     p, _ = scaled_prox(metric, _ProxOnlyL1(), x, finder="bisection")
     np.testing.assert_allclose(p, want, atol=1e-9)
@@ -1016,6 +1017,30 @@ def test_rank1_newton_skips_the_last_jacobian_product(rng):
             assert report.method == "ssnewton" and report.residual <= 1e-12
             assert counts["prox"] == len(report.residual_history) >= 2
             assert counts["jac"] == counts["prox"] - 1
+
+
+def test_base_binding_evaluates_the_prox_once_a_step(rng, monkeypatch):
+    # the generic jac reads the prox of its step: a rank-1 solve on the
+    # sorting projections evaluates it once per Newton step, iterations + 1
+    # times, and no more inside the Jacobian products
+    n = 20
+    d = rng.uniform(0.5, 2.0, n)
+    for op in (Simplex(1.5), L1Ball(1.5)):
+        calls = []
+        core = op._prox_diag
+        monkeypatch.setattr(op, "_prox_diag",
+                            lambda *args: calls.append(1) or core(*args))
+        solves = 0
+        for trial in range(10):
+            u = rng.standard_normal(n)
+            u *= np.sqrt(0.5 / np.dot(u, u / d))
+            metric = LowRankMetric(d, [u], +1 if trial % 2 else -1)
+            del calls[:]
+            _, report = scaled_prox(metric, op, 3.0 * rng.standard_normal(n))
+            assert report.method == "ssnewton" and report.converged
+            assert len(calls) == report.iterations + 1, type(op).__name__
+            solves += report.iterations > 0
+        assert solves >= 5, type(op).__name__
 
 
 def test_subgradient_inclusion_for_l1(rng):

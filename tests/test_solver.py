@@ -164,6 +164,37 @@ def test_unknown_solver_id():
         solve(None, "nope")
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(tol=float("nan")), dict(tol=-1e-3), dict(budget_seconds=0.0),
+    dict(budget_seconds=-1.0), dict(budget_seconds=float("nan")),
+    dict(kappa=0.0), dict(kappa=-1.0), dict(kappa=float("nan")),
+    dict(line_search="armijo"),
+], ids=["nan-tol", "negative-tol", "zero-budget", "negative-budget",
+        "nan-budget", "zero-kappa", "negative-kappa", "nan-kappa",
+        "unknown-line-search"])
+def test_bad_options_are_rejected_at_construction(kwargs):
+    # a NaN tol or budget would run a solve to its cap; tol 0 stays legal
+    with pytest.raises(ValueError):
+        SolverOptions(**kwargs)
+    SolverOptions(tol=0.0)
+
+
+@pytest.mark.parametrize("runner", [run_fista_bb, run_spg_sparsa],
+                         ids=["fista-bb", "spg"])
+def test_first_order_solvers_take_kappa_as_their_first_step(runner):
+    # kappa = 1/L gives the default's bits; another kappa moves the first
+    # step
+    prob = generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
+                                  seed=3))
+    runs = [runner(prob, SolverOptions(max_iters=30, tol=0.0, kappa=kappa))
+            for kappa in (None, 1.0 / prob.lipschitz, 0.25 / prob.lipschitz)]
+    for name in ("iters", "objectives", "step_norms"):
+        assert np.asarray(getattr(runs[0].trace, name)).tobytes() == \
+            np.asarray(getattr(runs[1].trace, name)).tobytes(), name
+    assert runs[0].x.tobytes() == runs[1].x.tobytes()
+    assert runs[2].trace.step_norms[0] != runs[0].trace.step_norms[0]
+
+
 @pytest.mark.parametrize("solver_id", sorted(SOLVERS))
 def test_budget_stops_early(rng, solver_id):
     # each objective value costs at least 1 ms of CPU time, so the 0.05 s
@@ -295,8 +326,8 @@ class _TurnsNaN(ProxOperator):
         p = self.l1._prox_diag(x, d, kappa)
         return p if self.calls <= self.after else np.full_like(p, np.nan)
 
-    def slope_rule(self, z, d, kappa):
-        return self.l1.slope_rule(z, d, kappa)
+    def _jvp(self, z, p, d, kappa, M):
+        return self.l1.prox_diag_jvp(z, d, kappa, M)
 
 
 @pytest.mark.parametrize("solver_id", sorted(SOLVERS))
@@ -507,7 +538,8 @@ def test_clip_threshold_leaves_every_solver_bit_identical():
 class _FormerRouteNonNeg(NonNeg):
     """``NonNeg`` on the route the box family had before it shared the
     thresholds' bound step: ``np.clip`` for the prox, and the slope rule's
-    Jacobian through the base binding, which takes the vector diagonal."""
+    Jacobian product through the base binding (``_jvp``), which takes the
+    vector diagonal."""
 
     _scalar_bind = False
     _bind = ProxOperator._bind
@@ -515,8 +547,8 @@ class _FormerRouteNonNeg(NonNeg):
     def _prox_diag(self, x, d, kappa):
         return np.clip(x, self.lo, self.hi)
 
-    def slope_rule(self, z, d, kappa):
-        return (z >= self.lo) & (z < self.hi)
+    def _jvp(self, z, p, d, kappa, M):
+        return ((z >= self.lo) & (z < self.hi))[:, None] * M
 
 
 def test_clip_kernel_leaves_every_solver_bit_identical_on_the_orthant():
