@@ -21,7 +21,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -321,9 +321,9 @@ class RaceEntry:
     error: str | None = None
 
 
-def race(problems, solver_ids, max_iters=100_000, budget_seconds=None,
-         tol=1e-10, cache_dir=None):
-    """Run every (solver, problem) pair under identical budgets, one after
+def race(problems, solver_ids, opts, cache_dir=None):
+    """Run every (solver, problem) pair under the same options ``opts``,
+    with the problem's reference objective as ``f_star``, one after
     another, so that each pair's recorded times are its own.
 
     Warm starts are never shared between solvers; each pair owns its
@@ -338,12 +338,10 @@ def race(problems, solver_ids, max_iters=100_000, budget_seconds=None,
     entries = []
     for problem in problems:
         for solver_id in solver_ids:
-            opts = SolverOptions(max_iters=max_iters,
-                                 budget_seconds=budget_seconds, tol=tol,
-                                 f_star=refs[id(problem)].f_star)
+            pair_opts = replace(opts, f_star=refs[id(problem)].f_star)
             entry = RaceEntry(solver_id, problem.name, None)
             try:
-                result = SOLVERS[solver_id](problem, opts)
+                result = SOLVERS[solver_id](problem, pair_opts)
                 entry.trace, entry.result = result.trace, result
             except Exception as exc:  # noqa: BLE001 - recorded, race continues
                 entry.error = f"{type(exc).__name__}: {exc}"

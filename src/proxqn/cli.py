@@ -112,8 +112,8 @@ def cmd_race(args):
         for sid in solver_ids:
             if sid not in SOLVERS:
                 raise ValueError(f"unknown solver {sid!r}")
-        SolverOptions(max_iters=args.max_iters, tol=args.tol,
-                      budget_seconds=args.budget_s)
+        opts = SolverOptions(max_iters=args.max_iters, tol=args.tol,
+                             budget_seconds=args.budget_s)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
@@ -136,9 +136,7 @@ def cmd_race(args):
             return CONFIG_ERROR
         recipes = [r for r in recipes if r.family in wanted]
     problems = [generate(r) for r in recipes]
-    entries = race(problems, solver_ids, max_iters=args.max_iters,
-                   budget_seconds=args.budget_s, tol=args.tol,
-                   cache_dir=args.cache_dir)
+    entries = race(problems, solver_ids, opts, cache_dir=args.cache_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_paths = []
     failed = False

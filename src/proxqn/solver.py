@@ -81,9 +81,8 @@ class SolverOptions:
     # read by 0SR1 and 0BFGS only
     line_search: str = "backtracking"  # or "none"
     gamma: float | None = None         # None: 0.8 for SR1, 1.0 for 0BFGS
-    # the step of 0SR1 and 0BFGS (None: 1, the metric absorbing BB), ISTA's
-    # (None: 1/L) and the first step of FISTA-BB and SPG (None: 1/L)
-    kappa: float | None = None
+    # read by 0SR1, 0BFGS and ISTA (None: 1/L); FISTA-BB and SPG reject it
+    kappa: float | None = None         # None: 1 with the metric absorbing BB
     x0: np.ndarray | None = None
     budget_seconds: float | None = None
     f_star: float | None = None        # reference objective for the trace
@@ -374,11 +373,13 @@ def run_fista_bb(problem, opts=None):
     restart whenever the objective rises (O'Donoghue and Candes 2015)."""
     opts = opts or SolverOptions()
     L = _require_lipschitz(problem, "fista-bb")
+    if opts.kappa is not None:   # 1/L, then Barzilai-Borwein steps
+        raise ValueError("fista-bb picks its own steps and takes no kappa")
     run = _Run(problem, opts, "fista-bb")
     x = _initial_point(problem, opts)
     y = x.copy()
     t_mom = 1.0
-    kappa = opts.kappa if opts.kappa is not None else 1.0 / L
+    kappa = 1.0 / L
     f_val = f_new = problem.objective(x)
     g_y = problem.grad(y)
     d = problem.h.check_weights(np.ones(problem.dim), problem.dim)
@@ -424,12 +425,14 @@ def run_spg_sparsa(problem, opts=None):
     the last ``SPG_MEMORY`` objective values."""
     opts = opts or SolverOptions()
     L = _require_lipschitz(problem, "spg")
+    if opts.kappa is not None:   # 1/L, then Barzilai-Borwein steps
+        raise ValueError("spg picks its own steps and takes no kappa")
     run = _Run(problem, opts, "spg")
     x = _initial_point(problem, opts)
     g = problem.grad(x)
     f_val = problem.objective(x)
     history = deque([f_val], maxlen=SPG_MEMORY)
-    kappa = opts.kappa if opts.kappa is not None else 1.0 / L
+    kappa = 1.0 / L
     f_new = f_val
     d = problem.h.check_weights(np.ones(problem.dim), problem.dim)
 

@@ -741,8 +741,8 @@ def suite_experiments(seed=0, cache_dir=None):
     never exceeds the ISTA count."""
     problems = [generate(r) for r in desk_recipes(seed)]
     solver_ids = ["zero-sr1", "zero-bfgs", "ista", "fista-bb", "spg"]
-    entries = race(problems, solver_ids, max_iters=400_000,
-                   budget_seconds=120.0, tol=1e-9, cache_dir=cache_dir)
+    opts = SolverOptions(max_iters=400_000, budget_seconds=120.0, tol=1e-9)
+    entries = race(problems, solver_ids, opts, cache_dir=cache_dir)
     by_key = {}
     failures = []
     for e in entries:

@@ -327,7 +327,8 @@ def test_reference_cache_version_mismatch_is_recomputed(tmp_path):
 def test_race_single_pair(cache_dir):
     prob = generate(ProblemRecipe("lasso_gaussian", m=20, n=30, lam=0.2,
                                   seed=2))
-    entries = race([prob], ["ista"], max_iters=20000, tol=1e-9,
+    entries = race([prob], ["ista"], SolverOptions(max_iters=20000,
+                                                   tol=1e-9),
                    cache_dir=cache_dir)
     assert len(entries) == 1
     entry = entries[0]
@@ -347,8 +348,9 @@ def test_race_records_failures(cache_dir, monkeypatch):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setitem(SOLVERS, "ista", boom)
-    entries = race([prob], ["ista", "zero-sr1"], max_iters=2000,
-                   cache_dir=cache_dir, tol=1e-6)
+    entries = race([prob], ["ista", "zero-sr1"],
+                   SolverOptions(max_iters=2000, tol=1e-6),
+                   cache_dir=cache_dir)
     by_solver = {e.solver_id: e for e in entries}
     assert "synthetic failure" in by_solver["ista"].error
     assert by_solver["zero-sr1"].error is None
@@ -372,8 +374,8 @@ def test_trace_csv_roundtrip(tmp_path):
 def test_manifest(tmp_path, cache_dir):
     prob = generate(ProblemRecipe("lasso_gaussian", m=10, n=12, lam=0.2,
                                   seed=3))
-    entries = race([prob], ["ista"], max_iters=5000, cache_dir=cache_dir,
-                   tol=1e-8)
+    entries = race([prob], ["ista"], SolverOptions(max_iters=5000, tol=1e-8),
+                   cache_dir=cache_dir)
     path = tmp_path / "manifest.json"
     write_manifest(path, entries, [prob], {"tol": 1e-8})
     manifest = json.loads(path.read_text())

@@ -181,18 +181,12 @@ def test_bad_options_are_rejected_at_construction(kwargs):
 
 @pytest.mark.parametrize("runner", [run_fista_bb, run_spg_sparsa],
                          ids=["fista-bb", "spg"])
-def test_first_order_solvers_take_kappa_as_their_first_step(runner):
-    # kappa = 1/L gives the default's bits; another kappa moves the first
-    # step
+def test_first_order_solvers_reject_kappa(runner):
+    # both pick their own steps, so a kappa would be dropped without a word
     prob = generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
                                   seed=3))
-    runs = [runner(prob, SolverOptions(max_iters=30, tol=0.0, kappa=kappa))
-            for kappa in (None, 1.0 / prob.lipschitz, 0.25 / prob.lipschitz)]
-    for name in ("iters", "objectives", "step_norms"):
-        assert np.asarray(getattr(runs[0].trace, name)).tobytes() == \
-            np.asarray(getattr(runs[1].trace, name)).tobytes(), name
-    assert runs[0].x.tobytes() == runs[1].x.tobytes()
-    assert runs[2].trace.step_norms[0] != runs[0].trace.step_norms[0]
+    with pytest.raises(ValueError, match="takes no kappa"):
+        runner(prob, SolverOptions(kappa=1.0 / prob.lipschitz))
 
 
 @pytest.mark.parametrize("solver_id", sorted(SOLVERS))
