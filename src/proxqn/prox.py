@@ -24,9 +24,11 @@ with ``t = kappa * lam / d``.  The clip family and the group norm
 vector's product, the group norm ``p``, into a caller-owned ``out`` if
 given; a shrink may overwrite a given N-vector ``tmp``.  Both take for
 ``d`` the ``c`` of a trusted ``c I`` (``_scalar_bind``; ``np.full(n,
-c)``'s bits), every other operator the vector.  ``jac`` reads ``z`` when
-called, the group norm's through a view when its blocks lie in order, so
-a caller keeps ``z`` until its products.  A separable operator's
+c)``'s bits), every other operator the vector.  The support functions
+(``LinfNorm``, ``MaxFunction``) bind on their set's binding, so that the
+product reads the step's projection.  ``jac`` reads ``z`` when called,
+the group norm's through a view when its blocks lie in order, so a
+caller keeps ``z`` until its products.  A separable operator's
 ``pa_descriptor`` gives the exact rank-1 finder its scalar affine pieces.
 """
 
@@ -482,7 +484,9 @@ class _SupportFunction(ProxOperator):
     """``lam`` times the support function of the unit ``_set``: the prox
     ``x - q / d`` by the weighted Moreau identity, ``q`` the projection of
     ``d x`` onto ``_set(kappa lam)`` in ``diag(1/d)``, and its Clarke
-    product ``M - J_q (d M) / d`` by the same identity."""
+    product ``M - J_q (d M) / d`` by the same identity.  The bound step
+    keeps ``q`` and the projection's own binding for the product, which
+    therefore does not project again."""
 
     def __init__(self, lam=1.0):
         if not lam >= 0:   # NaN fails
@@ -490,17 +494,22 @@ class _SupportFunction(ProxOperator):
         self.lam = float(lam)
 
     def _prox_diag(self, x, d, kappa):
-        radius = kappa * self.lam
-        if radius == 0:
-            return np.array(x, copy=True)
-        return x - self._set(radius)._prox_diag(d * x, 1.0 / d, 1.0) / d
+        return self._bind(d, kappa)(x)[0]
 
-    def _jvp(self, z, p, d, kappa, M):
+    def _bind(self, d, kappa):
         radius = kappa * self.lam
-        if radius == 0:
-            return M.copy()
-        return M - self._set(radius).prox_diag_jvp(
-            d * z, 1.0 / d, 1.0, d[:, None] * M) / d[:, None]
+        project = self._set(radius)._bind(1.0 / d, 1.0) if radius else None
+
+        def step(z, out=None, tmp=None):
+            if project is None:
+                return np.array(z, copy=True), lambda w, out=None: w.copy()
+            q, jac_q = project(d * z)
+
+            def jac(w, out=None):
+                dw = d if w.ndim == 1 else d[:, None]
+                return w - jac_q(dw * w) / dw
+            return z - q / d, jac
+        return step
 
     def conjugate(self):
         return self._set(self.lam)

@@ -9,8 +9,8 @@ where ``alpha*`` is the unique zero of the strongly monotone map
 
     L(alpha) = U^T (x - prox^P_{kh}(x - sign * P^{-1} U alpha)) + alpha.
 
-One dispatcher serves every metric.  It reads the factored form
-``(U1, W1, U2, W2)`` that :mod:`proxqn.metric` keeps, with
+One dispatcher, :func:`scaled_prox`, serves every metric.  It reads the
+factored form ``(U1, W1, U2, W2)`` that :mod:`proxqn.metric` keeps, with
 ``W1 = P^{-1} U1`` and ``W2 = (P + Q1)^{-1} U2``, and routes by the total
 rank: rank 0 is the diagonal prox; rank 1 is the warm-started scalar
 semi-smooth Newton (:func:`root_semismooth_newton`) on ``(u, w, sign)`` of
@@ -21,10 +21,10 @@ Every rank >= 2, single-sign or ``V = P + Q1 - Q2`` (0BFGS), goes through
 one damped semi-smooth Newton on the stacked multiplier system, with one
 diagonal prox and one Clarke-Jacobian product with an N x r matrix per
 step.  A miss of either Newton's tolerance raises :class:`RootFinderError`.
-The exact O(N log N) breakpoint sweep and bisection are the rank-1
-oracles, and the recursive route (an outer scalar solve over inner rank-1
-solves) the rank-2 one; they are reached only through the exact or
-bisection finders.
+The oracles are one scalar engine, a rank-1 :class:`RootProblem` solved
+by the exact O(N log N) breakpoint sweep or by bisection in the bracket
+of :func:`root_bound`; on ``P + Q1 - Q2`` it is the minus side of
+``P1 - Q2``, with the rank-1 prox in ``P1 = P + Q1`` as its base.
 
 Both Newtons bind the operator once per root problem (``_bind`` in
 :mod:`proxqn.prox`), with the scalar ``c`` of a trusted ``P = c I`` where
@@ -62,7 +62,7 @@ __all__ = [
 # first rank-1 Newton step checked for a stalled bracket; Newton ends
 # within a few steps on the piecewise-affine maps of separable operators
 _CYCLE_CHECK = 8
-# the dispatcher and the rank-1 oracles, by their ``finder`` names
+# the ``finder`` names of the dispatcher: the Newtons and the two oracles
 _FINDERS = ("auto", "exact", "bisection")
 
 
@@ -90,25 +90,32 @@ class RootSolverReport:
 
 
 class RootProblem:
-    """The r-dimensional dual root problem behind the scaled prox in a
-    single-sign metric.
+    """The dual root problem ``L(alpha) = U^T (x - base(x - sign W alpha))
+    + alpha`` behind a scaled prox.
 
-    Carries the strong-monotonicity modulus ``c`` (1 for a plus metric,
-    ``1 - ||P^{-1/2} U||^2`` for a minus metric) and the Lipschitz bound
-    ``1 + ||P^{-1/2} U||^2`` of the map.  The weights ``diag(P)`` are checked
-    once, here; the root finders then call the unchecked ``_prox_diag``.
+    Without ``base``, that of a single-sign metric ``P + sign U U^T``:
+    ``W = P^{-1} U``, and the base is the diagonal prox in ``P``.  Given
+    ``base``, the prox in ``P1 = P + Q1`` of a two-sided metric, the minus
+    side of ``P1 - Q2``: ``sign = -1``, ``U = U2``, ``W = W2``, which only
+    :func:`root_bisection` solves.  Carries the modulus ``c`` (1, or
+    ``1 - g`` on a minus side, ``g`` the top eigenvalue of the Gram
+    ``U^T W``) and the Lipschitz bound ``1 + g`` of the map.  The weights
+    ``diag(P)`` are checked once, here; the finders then call the
+    unchecked ``_prox_diag``.
     """
 
-    def __init__(self, metric: LowRankMetric, prox, x, kappa=1.0):
+    def __init__(self, metric: LowRankMetric, prox, x, kappa=1.0, base=None):
         self.x, self.bind_weights = _checked(metric, prox, x, kappa)
         self.metric = metric
         self.prox = prox
         self.kappa = float(kappa)
-        self.sign = metric.sign
-        # U and P^{-1} U of the non-empty side
+        self._base = base   # the callable itself: no cycle through self
+        self.sign = metric.sign if base is None else -1
+        # U and W of the non-empty side, or of the minus side given a base
         self.U, self._shift_dirs = (metric._U2, metric._W2) \
             if self.sign < 0 else (metric._U1, metric._W1)
-        g_sq = metric.gram_norm_sq()
+        g_sq = metric.gram_norm_sq() if base is None else \
+            float(np.linalg.eigvalsh(self.U.T @ self._shift_dirs)[-1])
         self.lipschitz_bound = 1.0 + g_sq
         self.monotonicity_modulus = 1.0 if self.sign > 0 else 1.0 - g_sq
 
@@ -123,12 +130,17 @@ class RootProblem:
         first read."""
         return self.metric.diag
 
+    def base(self, z):
+        """The base prox at ``z``: the given one, or the prox in ``P``."""
+        if self._base is not None:
+            return self._base(z)
+        return self.prox._prox_diag(z, self.diag, self.kappa)
+
     def shifted_point(self, alpha):
         return self.x - self.sign * (self._shift_dirs @ np.atleast_1d(alpha))
 
     def prox_at(self, alpha):
-        return self.prox._prox_diag(self.shifted_point(alpha), self.diag,
-                                    self.kappa)
+        return self.base(self.shifted_point(alpha))
 
     def map_L(self, alpha):
         """The dual map whose unique zero determines the scaled prox."""
@@ -152,21 +164,19 @@ def _checked(metric, prox, x, kappa):
 
 
 def root_bound(problem: RootProblem):
-    """Bracket radius ``beta = ||u|| (2 ||x|| + s0)`` for the rank-1 root.
+    """Bracket radius ``beta = ||u|| (2 ||x|| + s0)`` of every rank-1 root.
 
     ``s0`` over-estimates ``||prox^V_h(0)||``: it is zero whenever the
-    diagonal prox fixes the origin (all positively homogeneous h), else
-    ``q0 (1 + ||u|| g / (c sqrt(d_min)))`` with ``q0 = ||prox^P_{kh}(0)||``,
+    base prox fixes the origin (all positively homogeneous h), else
+    ``q0 (1 + ||u|| g / (c sqrt(d_min)))`` with ``q0 = ||base(0)||``,
     which follows from strong monotonicity of the map at x = 0 and
-    P-norm non-expansiveness of the diagonal prox.
+    non-expansiveness of the base prox in a metric above ``P``.
     """
     if problem.rank != 1:
         raise ValueError("root bound applies to rank-1 problems")
     u = problem.U[:, 0]
     u_norm = float(np.linalg.norm(u))
-    q0 = float(np.linalg.norm(
-        problem.prox._prox_diag(np.zeros(problem.x.shape[0]), problem.diag,
-                                problem.kappa)))
+    q0 = float(np.linalg.norm(problem.base(np.zeros(problem.x.shape[0]))))
     if q0 == 0.0:
         s0 = 0.0
     else:
@@ -431,10 +441,13 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
         Newton, the scalar one at rank 1 and above it the joint one; both
         raise :class:`RootFinderError` where they miss ``tol``.  "exact"
         (the breakpoint sweep, for operators with a piecewise-affine
-        descriptor) and "bisection" are the rank-1 oracles of a single-sign
-        metric.
+        descriptor) and "bisection" are the oracles: that finder on a
+        single-sign rank-1 metric, and on ``P + Q1 - Q2`` with one minus
+        factor the recursion (:func:`_rank2_recursive`), whose inner
+        rank-1 solves in ``P + Q1`` take that finder.
     tol : float
-        Alpha tolerance for bisection, residual tolerance otherwise.
+        Alpha tolerance for bisection, residual tolerance otherwise; it
+        must be finite and non-negative (``ValueError``).
     warm_alpha : array, optional
         Starting point of the Newton finder (continuation across
         forward-backward iterations).
@@ -445,8 +458,12 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
     """
     if finder not in _FINDERS:
         raise ValueError(f"unknown finder {finder!r}")
+    if not 0 <= tol < math.inf:   # NaN fails
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     if finder == "auto" or metric.rank == 0:
         return _prox(metric, prox, x, kappa, tol, warm_alpha)
+    if all(metric.ranks):
+        return _rank2_recursive(metric, prox, x, kappa, tol, finder)
     problem = RootProblem(metric, prox, x, kappa)
     if finder == "exact":
         report = root_exact_piecewise_affine(problem)
@@ -457,63 +474,15 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
     return p, report
 
 
-def _newton_scalar_bracketed(func, lo, hi, f_lo, f_hi, tol, max_iter=80):
-    """Safeguarded scalar secant on a strictly increasing map."""
-    if f_lo > 0 or f_hi < 0:
-        raise BracketError("no sign change on the outer bracket")
-    alpha = 0.5 * (lo + hi)
-    val = func(alpha)
-    a_prev, f_prev = lo, f_lo
-    for it in range(max_iter):
-        if abs(val) <= tol:
-            return alpha, val, it + 1
-        if val > 0:
-            hi = alpha
-        else:
-            lo = alpha
-        denom = val - f_prev
-        slope = denom / (alpha - a_prev) if alpha != a_prev and denom != 0 \
-            else None
-        a_prev, f_prev = alpha, val
-        new = alpha - val / slope if slope and slope > 0 else None
-        if new is None or not (lo < new < hi):
-            new = 0.5 * (lo + hi)
-        if new == alpha:
-            break
-        alpha = new
-        val = func(alpha)
-    return alpha, val, max_iter
-
-
 def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0, tol=1e-12,
                       warm=None, inner_finder="auto"):
-    """Prox in ``V = P + Q1 - Q2``, either side possibly empty: the entry
-    of the forward-backward step.
-
-    With ``inner_finder="auto"`` it is the dispatcher of
-    :func:`scaled_prox`, started from ``warm``; at rank >= 2 the damped
-    semi-smooth Newton :func:`_joint_newton` on the stacked system in the
-    multipliers ``(a, b)`` of ``Q1`` and ``Q2`` returns its point only at
-    residual <= ``tol`` and raises :class:`RootFinderError` otherwise.
-
-    ``inner_finder`` "exact" or "bisection" (the values :func:`scaled_prox`
-    accepts besides "auto") selects the oracle, a computation independent
-    of the Newton route: that finder for a single-sign metric, and with
-    both sides the recursive path, for exactly one minus factor.  It peels
-    the minus part off first: an outer rank-1 problem in ``P1 - Q2`` with
-    ``P1 = P + Q1``, solved by a bracketed scalar Newton/secant with one
-    inner rank-1 solve in ``P1`` per outer evaluation.  The report's
-    ``method`` names the path that produced the point.
-    """
-    if inner_finder not in _FINDERS:
-        raise ValueError(f"unknown finder {inner_finder!r}")
-    if inner_finder == "auto":
+    """:func:`scaled_prox` on ``V = P + Q1 - Q2`` (either side may be
+    empty) with ``inner_finder`` and ``warm`` for ``finder`` and
+    ``warm_alpha``: the forward-backward step's entry, whose "auto" route
+    with a valid ``tol`` skips the dispatcher's checks."""
+    if inner_finder == "auto" and 0 <= tol < math.inf:
         return _prox(metric, prox, x, kappa, tol, warm)
-    if not all(metric.ranks):
-        return scaled_prox(metric, prox, x, kappa=kappa, finder=inner_finder,
-                           tol=tol)
-    return _rank2_recursive(metric, prox, np.asarray(x, dtype=float), kappa,
-                            tol, warm, inner_finder)
+    return scaled_prox(metric, prox, x, kappa, inner_finder, tol, warm)
 
 
 def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
@@ -578,50 +547,19 @@ def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
                                converged=res <= tol, residual_history=history)
 
 
-def _rank2_recursive(metric: PlusMinusMetric, prox, x, kappa, tol, warm,
-                     inner_finder):
-    """Outer bracketed scalar solve in ``b`` over inner rank-1 solves in
-    ``P1 = P + Q1``: the rank-2 oracle of :func:`scaled_prox_rank2`."""
-    U2 = metric.factor_matrices[1]
-    if U2.shape[1] != 1:
-        raise ValueError("the recursive path needs exactly one minus factor")
-    u2 = U2[:, 0]
-    w2 = metric.p1_inv_minus[:, 0]
-    inner_metric = LowRankMetric(metric.diag, metric.plus_factors, +1)
-    g2_sq = float(np.dot(u2, w2))
-    if g2_sq >= 1.0:
-        raise RootFinderError("outer metric P1 - Q2 not positive definite")
-    c_outer = 1.0 - g2_sq
+def _rank2_recursive(metric: PlusMinusMetric, prox, x, kappa, tol, finder):
+    """The rank-2 oracle: the rank-1 problem in ``P1 - Q2``, its base the
+    prox in ``P1 = P + Q1`` by ``finder``, solved by bisection."""
+    inner = LowRankMetric(metric.diag, metric.plus_factors, +1)
     inner_tol = min(tol, 1e-13)
-    state = {"warm": None}
 
-    def inner_prox(z):
-        p, rep = scaled_prox(inner_metric, prox, z, kappa=kappa,
-                             finder=inner_finder, tol=inner_tol,
-                             warm_alpha=state["warm"])
-        state["warm"] = rep.alpha_star
-        return p
+    def base(z):   # the module global, which a tracer may wrap
+        return scaled_prox(inner, prox, z, kappa, finder, inner_tol)[0]
 
-    def outer_map(b):
-        return float(np.dot(u2, x - inner_prox(x + b * w2))) + b
-
-    # Prop 3.10 bound on the outer problem, with the q0 chain for
-    # non-homogeneous h evaluated through the inner metric.
-    q0 = float(np.linalg.norm(inner_prox(np.zeros_like(x))))
-    u2n = float(np.linalg.norm(u2))
-    s0 = 0.0 if q0 == 0.0 else q0 * (
-        1.0 + u2n * np.sqrt(g2_sq) / (c_outer * np.sqrt(float(np.min(metric.diag)))))
-    beta = u2n * (2.0 * float(np.linalg.norm(x)) + s0)
-    b0 = 0.0 if warm is None or not np.size(warm) else \
-        float(np.atleast_1d(warm)[-1])
-    beta = max(beta, abs(b0)) or 1.0
-    b_star, val, outer_iters = _newton_scalar_bracketed(
-        outer_map, -beta, beta, outer_map(-beta), outer_map(beta), tol)
-    p = inner_prox(x + b_star * w2)
-    alpha = np.concatenate([state["warm"] if state["warm"] is not None
-                            else np.zeros(0), [b_star]])
-    return p, RootSolverReport(alpha, abs(val), outer_iters, "rank2-recursive",
-                               converged=abs(val) <= tol * 10)
+    problem = RootProblem(metric, prox, x, kappa, base=base)
+    report = root_bisection(problem, eps=tol)
+    report.method = "rank2-recursive"
+    return problem.prox_at(report.alpha_star), report
 
 
 def scaled_prox_conjugate(metric: LowRankMetric, prox, x, rho=1.0,
@@ -632,7 +570,7 @@ def scaled_prox_conjugate(metric: LowRankMetric, prox, x, rho=1.0,
 
     computed with the inverse metric (whose low-rank sign flips).
     """
-    if rho <= 0:
+    if not rho > 0:   # NaN fails
         raise ValueError("rho must be positive")
     x = np.asarray(x, dtype=float)
     inv = metric.invert()

@@ -199,6 +199,23 @@ def test_prox_bad_input_exits_2(tmp_path, capsys, text, finder, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("finder", ["auto", "exact", "bisection"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_prox_bad_tol_exits_2(tmp_path, capsys, tol, finder):
+    # a NaN or infinite tol ended the Newton before its first step, and the
+    # starting point alpha = 0 (residual 1.5; the root is -2/3) was
+    # printed as converged with exit 0
+    path = tmp_path / "l1.txt"
+    path.write_text("# h: l1\n# vector: x\n1.0\n0.5\n# vector: d\n1.0\n1.0\n"
+                    "# vector: u\n1.0\n1.0\n")
+    assert main(["prox", "--input", str(path), "--tol", tol,
+                 "--finder", finder]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") \
+        and "tol must be finite and non-negative" in captured.err
+
+
 def test_prox_unconverged_report_exits_3(tmp_path, capsys):
     # a NaN entry in x ends the rank-1 Newton at a NaN residual, which its
     # report marks unconverged: the result is printed, and the exit code

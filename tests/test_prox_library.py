@@ -494,6 +494,7 @@ def _operator_cases(rng, n, d, kappa):
         (L1Ball(1.5), [zeros, np.full(n, 0.01)]),
         (LinfNorm(0.6), [zeros]),
         (MaxFunction(0.6), [zeros]),
+        (LinfNorm(0.0), [zeros]),
         (AffineConstraint(rng.standard_normal((2, n)),
                           rng.standard_normal(2)), [zeros]),
     ]

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 
 import numpy as np
 import pytest
@@ -362,6 +363,75 @@ def test_rank2_routing(rng):
         for h in (op, Box(-1.0, 1.0)):
             with pytest.raises(ValueError, match="kappa must be positive"):
                 scaled_prox_rank2(pm, h, x, kappa=0.0)
+
+
+@pytest.mark.parametrize("finder", ["exact", "bisection"])
+def test_dispatcher_routes_a_two_sided_oracle_to_the_recursion(rng, finder):
+    # one dispatcher: scaled_prox takes the oracle finders on 0BFGS's
+    # metric, and scaled_prox_rank2 forwards them to it, bit for bit
+    B, skipped = _bfgs_metric(rng, 30)
+    assert not skipped
+    x = 2.0 * rng.standard_normal(30)
+    p, rep = scaled_prox(B, L1Norm(0.5), x, finder=finder)
+    q, rep_q = scaled_prox_rank2(B, L1Norm(0.5), x, inner_finder=finder)
+    assert rep.method == rep_q.method == "rank2-recursive"
+    assert p.tobytes() == q.tobytes()
+    assert rep.alpha_star.tobytes() == rep_q.alpha_star.tobytes()
+
+
+def test_recursive_oracle_matches_the_joint_newton_at_kernel_scale():
+    # the benchmark's rank-2 kernel input at N = 3000: the B of
+    # zbfgs_metric on a pair with <s, y> > 0, L1Norm(0.5) and a standard
+    # normal point; the bisection-based recursion agrees with the joint
+    # Newton within the benchmark's oracle tolerance, 1e-8
+    rng = np.random.default_rng(0)
+    n = 3000
+    s = rng.standard_normal(n)
+    _, B, skipped = zbfgs_metric(QNPair(s, rng.uniform(0.5, 2.0, n) * s))
+    assert not skipped
+    x = rng.standard_normal(n)
+    p, rep = scaled_prox_rank2(B, L1Norm(0.5), x)
+    assert rep.method == "rank2-joint"
+    for finder in ("exact", "bisection"):
+        q, rep_q = scaled_prox_rank2(B, L1Norm(0.5), x, inner_finder=finder)
+        assert rep_q.method == "rank2-recursive" and rep_q.converged
+        assert np.max(np.abs(p - q)) <= 1e-8
+
+
+def test_recursive_oracle_leaves_no_garbage_cycles(rng):
+    # the recursion's problem holds its base prox as a callable that does
+    # not refer back to the problem, so reference counting frees a call
+    B, skipped = _bfgs_metric(rng, 30)
+    assert not skipped
+    x = rng.standard_normal(30)
+    gc.collect()
+    gc.disable()
+    try:
+        for finder in ("exact", "bisection"):
+            scaled_prox(B, L1Norm(0.5), x, finder=finder)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-12])
+def test_a_tolerance_that_cannot_be_met_is_rejected(rng, tol):
+    # a NaN or infinite tol ended both Newtons before their first step and
+    # reported the starting point converged; the dispatcher checks it
+    # before any routing, for every metric shape and finder, and the
+    # forward-backward entry forwards a bad one to it
+    x = rng.standard_normal(8)
+    metrics = (LowRankMetric(np.ones(8)), sample_metric(rng, 8),
+               _bfgs_metric(rng, 8)[0])
+    for metric in metrics:
+        for finder in ("auto", "exact", "bisection"):
+            with pytest.raises(ValueError,
+                               match="tol must be finite and non-negative"):
+                scaled_prox(metric, L1Norm(0.5), x, finder=finder, tol=tol)
+            with pytest.raises(ValueError,
+                               match="tol must be finite and non-negative"):
+                scaled_prox_rank2(metric, L1Norm(0.5), x, tol=tol,
+                                  inner_finder=finder)
 
 
 # one non-finite entry of x makes the residual non-finite; no route may
@@ -902,6 +972,15 @@ def test_conjugate_identity_metric_reduces_to_plain_moreau(rng):
     np.testing.assert_allclose(p, np.clip(x, -0.9, 0.9), atol=1e-12)
 
 
+def test_conjugate_rejects_a_nan_rho(rng):
+    # a NaN rho fails its own test, not the kappa = 1/rho test behind it
+    metric = sample_metric(rng, 6)
+    for rho in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            scaled_prox_conjugate(metric, L1Norm(0.5),
+                                  rng.standard_normal(6), rho=rho)
+
+
 def test_conjugate_route_linf_in_lowrank_metric(rng):
     d = rng.uniform(0.5, 2.0, 7)
     u = rng.standard_normal(7)
@@ -1041,6 +1120,31 @@ def test_base_binding_evaluates_the_prox_once_a_step(rng, monkeypatch):
             assert len(calls) == report.iterations + 1, type(op).__name__
             solves += report.iterations > 0
         assert solves >= 5, type(op).__name__
+
+
+@pytest.mark.parametrize("op", [LinfNorm(1.5), MaxFunction(1.5)],
+                         ids=["linf", "max"])
+def test_support_function_step_projects_once(rng, monkeypatch, op):
+    # the bound step keeps its projection for the Clarke product: a rank-1
+    # solve projects onto the inner set once per Newton step, iterations + 1
+    # times, as the simplex does
+    n = 20
+    d = rng.uniform(0.5, 2.0, n)
+    calls = []
+    core = op._set._prox_diag
+    monkeypatch.setattr(op._set, "_prox_diag",
+                        lambda *args: calls.append(1) or core(*args))
+    solves = 0
+    for trial in range(10):
+        u = rng.standard_normal(n)
+        u *= np.sqrt(0.5 / np.dot(u, u / d))
+        metric = LowRankMetric(d, [u], +1 if trial % 2 else -1)
+        del calls[:]
+        _, report = scaled_prox(metric, op, 3.0 * rng.standard_normal(n))
+        assert report.method == "ssnewton" and report.converged
+        assert len(calls) == report.iterations + 1
+        solves += report.iterations > 0
+    assert solves >= 5
 
 
 def test_subgradient_inclusion_for_l1(rng):
