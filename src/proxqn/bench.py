@@ -21,7 +21,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -273,8 +273,8 @@ def _read_cached(problem, xpath, jpath):
         return None
 
 
-def reference_solution(problem, tol=1e-12, max_iters=400_000, cache_dir=None,
-                       use_cache=True) -> ReferenceSolution:
+def reference_solution(problem, tol=1e-12, max_iters=400_000,
+                       cache_dir=None) -> ReferenceSolution:
     """High-accuracy reference optimum, cached on disk by recipe digest.
 
     The FISTA-BB (adaptive restart) solution at the step-norm tolerance,
@@ -285,7 +285,7 @@ def reference_solution(problem, tol=1e-12, max_iters=400_000, cache_dir=None,
     """
     cache_dir = cache_dir or default_cache_dir()
     key = None
-    if use_cache and problem.recipe is not None:
+    if problem.recipe is not None:
         key = f"{problem.recipe.digest()}_t{tol:g}"
         xpath = os.path.join(cache_dir, key + ".npy")
         jpath = os.path.join(cache_dir, key + ".json")
@@ -323,8 +323,8 @@ class RaceEntry:
 
 def race(problems, solver_ids, opts, cache_dir=None):
     """Run every (solver, problem) pair under the same options ``opts``,
-    with the problem's reference objective as ``f_star``, one after
-    another, so that each pair's recorded times are its own.
+    one after another, so that each pair's recorded times are its own;
+    each trace gets the problem's reference objective as ``f_star``.
 
     Warm starts are never shared between solvers; each pair owns its
     state.  Individual solver failures are recorded and the race
@@ -338,10 +338,10 @@ def race(problems, solver_ids, opts, cache_dir=None):
     entries = []
     for problem in problems:
         for solver_id in solver_ids:
-            pair_opts = replace(opts, f_star=refs[id(problem)].f_star)
             entry = RaceEntry(solver_id, problem.name, None)
             try:
-                result = SOLVERS[solver_id](problem, pair_opts)
+                result = SOLVERS[solver_id](problem, opts)
+                result.trace.f_star = refs[id(problem)].f_star
                 entry.trace, entry.result = result.trace, result
             except Exception as exc:  # noqa: BLE001 - recorded, race continues
                 entry.error = f"{type(exc).__name__}: {exc}"

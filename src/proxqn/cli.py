@@ -47,20 +47,26 @@ from .validate import SUITES, run_suites
 CONFIG_ERROR, SOLVER_ERROR = 2, 3
 
 
-def _positive_int(text):
-    """``--max-iters``: the summary lines need one recorded iteration."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+def _int_at_least(low):
+    """The type of an integer option with the least value ``low``: the
+    summary lines need one recorded iteration (``--max-iters``), a suite
+    one instance (``--count``) and the test problems two coordinates
+    (``validate --n``)."""
+    def int_at_least(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {text}")
+        return int(text)
+    return int_at_least
 
 
 def _recipe_from_args(args):
     kwargs = dict(family=args.family, lam=args.lam, seed=args.seed)
     if args.family == "lasso_diff3d":
-        kwargs["side"] = args.side or 7
+        kwargs["side"] = 7 if args.side is None else args.side
     else:
-        kwargs["m"] = args.m or 150
-        kwargs["n"] = args.n or 300
+        kwargs["m"] = 150 if args.m is None else args.m
+        kwargs["n"] = 300 if args.n is None else args.n
     if args.family == "group_lasso":
         kwargs["block_cap"] = args.block_cap
     return ProblemRecipe(**kwargs)
@@ -88,12 +94,12 @@ def cmd_solve(args):
         return CONFIG_ERROR
     problem = generate(recipe)
     ref = reference_solution(problem, cache_dir=args.cache_dir)
-    opts.f_star = ref.f_star
     try:
         result = SOLVERS[args.solver](problem, opts)
     except Exception as exc:  # noqa: BLE001 - reported as exit code 3
         print(f"solver failure: {exc}", file=sys.stderr)
         return SOLVER_ERROR
+    result.trace.f_star = ref.f_star
     out = args.out or f"{recipe.label()}_{args.solver}.csv"
     write_trace_csv(result.trace, out, timed=args.timed)
     err = result.objective - ref.f_star
@@ -192,7 +198,7 @@ Plain-text scaled-prox input: one value per line, '#'-prefixed metadata.
   # h: l1            function id (l1, nonneg, box, hinge, linf_ball,
   #                  l1_ball, simplex, linf_norm, max, group_l1l2, zero)
   # lam: 1.0         function weight (or radius / lo+hi for balls/boxes)
-  # sign: +          sign of the rank-1 metric term
+  # sign: +          sign of the rank-1 metric term (+ or -)
   # kappa: 1.0       prox scale
   # blocks: 2,2      group sizes (group_l1l2 only)
   # vector: x        the following lines hold x; likewise d and u
@@ -267,7 +273,10 @@ def cmd_prox(args):
             raise ValueError("x and d must have equal length")
         factors = [vectors["u"]] if "u" in vectors and \
             np.any(vectors["u"] != 0) else []
-        sign = +1 if meta.get("sign", "+").strip() in ("+", "+1", "1") else -1
+        sign = {"+": +1, "+1": +1, "1": +1, "-": -1, "-1": -1}.get(
+            meta.get("sign", "+"))
+        if sign is None:
+            raise ValueError(f"sign must be + or -, got {meta['sign']!r}")
         metric = LowRankMetric(d, factors, sign)
         op = _operator_from_meta(meta, x.shape[0])
         kappa = float(meta.get("kappa", 1.0))
@@ -310,7 +319,7 @@ def build_parser():
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--solver", default="zero-sr1")
     ps.add_argument("--tol", type=float, default=1e-8)
-    ps.add_argument("--max-iters", type=_positive_int, default=200_000)
+    ps.add_argument("--max-iters", type=_int_at_least(1), default=200_000)
     ps.add_argument("--budget-s", type=float, help="CPU seconds per solve")
     ps.add_argument("--line-search", default="backtracking",
                     choices=["backtracking", "none"])
@@ -327,7 +336,7 @@ def build_parser():
     pr.add_argument("--families", help="comma-separated subset")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--tol", type=float, default=1e-9)
-    pr.add_argument("--max-iters", type=_positive_int, default=400_000)
+    pr.add_argument("--max-iters", type=_int_at_least(1), default=400_000)
     pr.add_argument("--budget-s", type=float, default=120.0,
                     help="CPU seconds per solve")
     pr.add_argument("--out-dir", default="races")
@@ -341,8 +350,10 @@ def build_parser():
     pv = sub.add_parser("validate", help="run invariant suites")
     pv.add_argument("--suite", choices=sorted(SUITES))
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--n", type=int, help="instance dimension cap")
-    pv.add_argument("--count", type=int, help="instances per suite")
+    pv.add_argument("--n", type=_int_at_least(2),
+                    help="instance dimension cap")
+    pv.add_argument("--count", type=_int_at_least(1),
+                    help="instances per suite")
     pv.set_defaults(func=cmd_validate)
 
     pp = sub.add_parser("prox", help="evaluate a scaled prox from a file",

@@ -3,13 +3,16 @@
 Every metric is ``V = P + U1 U1^T - U2 U2^T`` with ``P`` diagonal and
 strictly positive and thin factor matrices ``U1`` (the plus side) and
 ``U2`` (the minus side), either of which may be empty.  One factored form
-holds it: ``P`` (the diagonal, or the scalar ``c`` of ``c I``), ``U1``,
-``U2`` and the shift directions ``W1 = P^{-1} U1`` and
-``W2 = (P + U1 U1^T)^{-1} U2`` that the scaled prox reads, formed once at
-construction.  A single-sign metric's ``W`` is the division ``U / P``;
-with both sides present ``W2`` comes from the inverse of ``P + U1 U1^T``.
-Products, quadratic forms and the Sherman-Morrison inverse work on the
-factored form in ``O(N * r)`` without ever assembling the dense matrix.
+holds it, formed once at construction and read through the attributes
+``diag`` (``P``), ``c`` (the scalar of a trusted ``c I``, else None),
+``U1``, ``U2``, the ``(dim, r)`` shift directions ``W1 = P^{-1} U1`` and
+``W2 = (P + U1 U1^T)^{-1} U2`` that the scaled prox reads, and the float
+``gram_norm_sq = ||P^{-1/2} U||^2``, the top eigenvalue of the Gram
+``U^T W`` of a single side (the plus side of two; 0 at rank 0).
+A single-sign metric's ``W`` is the division ``U / P``; with both sides
+present ``W2`` comes from the inverse of ``P + U1 U1^T``.  Products,
+quadratic forms and the Sherman-Morrison inverse work on the factored
+form in ``O(N * r)`` without ever assembling the dense matrix.
 
 Two public constructors build it and check everything:
 :class:`LowRankMetric` ``(diag, factors, sign)`` for ``P + sign U U^T`` and
@@ -164,10 +167,6 @@ def _clean_factors(factors, dim):
     return U
 
 
-def _columns(U):
-    return [U[:, i] for i in range(U.shape[1])]
-
-
 class _FactoredMetric:
     """SPD metric ``V = P + U1 U1^T - U2 U2^T`` in the factored form of the
     module docstring, built by :class:`LowRankMetric` or
@@ -194,24 +193,24 @@ class _FactoredMetric:
         the drop rule, the rank and positive-definiteness tests of ``V``),
         followed by the outer Gram test on ``P + Q1 - Q2``.  A trusted
         ``c I`` has ``diag=None``; see :attr:`diag`."""
-        self.dim, self._diag, self._c = U1.shape[0], diag, c
-        self._U1, self._U2 = U1, U2
+        self.dim, self._diag, self.c = U1.shape[0], diag, c
+        self.U1, self.U2 = U1, U2
         p = diag if c is None else c
         if U2.shape[1] and not U1.shape[1]:   # P - Q2
-            self._W1, self._W2 = U1, U2 / _col(p)
-            self._gram, self._gram_norm_sq = _gram(U2, self._W2)
-            _minus_pd_test(self._gram_norm_sq)
+            self.W1, self.W2 = U1, U2 / _col(p)
+            self._gram, self.gram_norm_sq = _gram(U2, self.W2)
+            _minus_pd_test(self.gram_norm_sq)
             return
-        self._W1 = U1 / _col(p)
-        self._gram, self._gram_norm_sq = _gram(U1, self._W1)
+        self.W1 = U1 / _col(p)
+        self._gram, self.gram_norm_sq = _gram(U1, self.W1)
         if not U2.shape[1]:   # c I or P + Q1
-            self._W2 = U2
+            self.W2 = U2
             return
         p_inv = 1.0 / p
         _positive_scalar(float(p_inv.min()) if c is None else p_inv)
         V = _drop_factors(_inverse_factor(U1, p_inv, +1, self._gram))
         _minus_pd_test(_gram(V, V / _col(p_inv))[1])
-        self._W2 = W2 = np.empty(U2.shape)
+        self.W2 = W2 = np.empty(U2.shape)
         for j, u in enumerate(U2.T):
             W2[:, j] = p_inv * u - V @ (V.T @ u)
         _outer_pd_test(U2.T @ W2)
@@ -223,79 +222,51 @@ class _FactoredMetric:
         """The read-only diagonal of ``P``; a trusted ``c I`` forms it at
         the first use."""
         if self._diag is None:
-            self._diag = np.full(self.dim, self._c)
+            self._diag = np.full(self.dim, self.c)
             self._diag.setflags(write=False)
         return self._diag
 
     @property
     def ranks(self):
         """The ranks ``(r1, r2)`` of the plus and the minus side."""
-        return (self._U1.shape[1], self._U2.shape[1])
+        return (self.U1.shape[1], self.U2.shape[1])
 
     @property
     def rank(self):
         """Rank of the low-rank modification, both sides together."""
-        return self._U1.shape[1] + self._U2.shape[1]
+        return self.U1.shape[1] + self.U2.shape[1]
 
     @property
     def sign(self):
         """The sign of a single-sign metric's low-rank part (+1 at rank
         0); a metric with both sides has none."""
-        if self._U1.shape[1] and self._U2.shape[1]:
+        if self.U1.shape[1] and self.U2.shape[1]:
             raise MetricError("a metric with a plus and a minus side has "
                               "no single sign")
-        return -1 if self._U2.shape[1] else +1
+        return -1 if self.U2.shape[1] else +1
 
     @property
     def factor_matrix(self):
         """The (dim, r) factor matrix U of a single-sign metric."""
-        return self._U2 if self.sign < 0 else self._U1
-
-    @property
-    def factors(self):
-        """List of factor vectors (columns of U) of a single-sign metric."""
-        return _columns(self.factor_matrix)
-
-    @property
-    def factor_matrices(self):
-        """The (dim, r1) plus and (dim, r2) minus factor matrices."""
-        return self._U1, self._U2
-
-    @property
-    def plus_factors(self):
-        return _columns(self._U1)
-
-    @property
-    def minus_factors(self):
-        return _columns(self._U2)
-
-    @property
-    def p1_inv_minus(self):
-        """``W2 = (P + Q1)^{-1} U2``."""
-        return self._W2
-
-    def gram_norm_sq(self):
-        """``||P^{-1/2} U||^2``, the largest eigenvalue of the Gram matrix of
-        a single side (the plus side, when there are two)."""
-        return self._gram_norm_sq
+        return self.U2 if self.sign < 0 else self.U1
 
     # -- linear algebra --------------------------------------------------
 
     def apply(self, x):
         """Matrix-vector product ``V x`` in O(N r)."""
         x = _as_vector(x, self.dim)
-        y = (self.diag if self._c is None else self._c) * x
-        if self._U1.shape[1]:
-            y = y + self._U1 @ (self._U1.T @ x)
-        if self._U2.shape[1]:
-            y = y - self._U2 @ (self._U2.T @ x)
+        y = (self.diag if self.c is None else self.c) * x
+        if self.U1.shape[1]:
+            y = y + self.U1 @ (self.U1.T @ x)
+        if self.U2.shape[1]:
+            y = y - self.U2 @ (self.U2.T @ x)
         return y
 
     def norm_sq(self, x):
         """Quadratic form ``<x, V x>`` (non-negative, zero iff x = 0)."""
         x = _as_vector(x, self.dim)
-        w1, w2 = self._U1.T @ x, self._U2.T @ x
-        return float(np.dot(x, (self.diag if self._c is None else self._c)
+        w1, w2 = self.U1.T @ x, self.U2.T @ x
+        return float(np.dot(x, (self.diag if self.c is None else self.c)
                             * x)) + float(w1.dot(w1)) - float(w2.dot(w2))
 
     def invert(self):
@@ -309,15 +280,15 @@ class _FactoredMetric:
         """
         sign = self.sign
         # a trusted c I needs no 1/diag vector
-        p_inv = 1.0 / (self.diag if self._c is None else self._c)
+        p_inv = 1.0 / (self.diag if self.c is None else self.c)
         V = _inverse_factor(self.factor_matrix, p_inv, sign, self._gram)
-        if self._c is None:
+        if self.c is None:
             return LowRankMetric(p_inv, V.T, -sign)
         return LowRankMetric._trusted(p_inv, V, -sign)
 
     def __repr__(self):
         return (f"{type(self).__name__}(dim={self.dim}, "
-                f"ranks=+{self._U1.shape[1]}/-{self._U2.shape[1]})")
+                f"ranks=+{self.U1.shape[1]}/-{self.U2.shape[1]})")
 
 
 class LowRankMetric(_FactoredMetric):

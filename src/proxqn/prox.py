@@ -15,11 +15,11 @@ once, ``step = op._bind(d, kappa)``, and get ``p, jac = step(z, out,
 tmp)``: the bits of ``_prox_diag`` and, when called, ``jac(w, out)`` the
 product with a vector ``w`` or an N x r matrix ``w``, as a vector for a
 vector.  The first-order solvers check their unit weights once per solve.
-Every separable operator but ``Zero`` is one piecewise-linear map with two
-breakpoints ``lo <= hi`` from ``_bounds`` (``_Clip``): the boxes clip,
-``c = clip(z, lo, hi)`` as ``min`` then ``max``, and ``L1Norm`` and
-``Hinge`` shrink, ``z - c`` in a third pass, at ``(-t, t)`` and ``(0, t)``
-with ``t = kappa * lam / d``.  The clip family and the group norm
+Every separable operator is one piecewise-linear map with two breakpoints
+``lo <= hi`` from ``_bounds`` (``_Clip``): the boxes clip, ``Zero`` to
+``(-inf, inf)``, ``c = clip(z, lo, hi)`` as ``min`` then ``max``, and
+``L1Norm`` and ``Hinge`` shrink, ``z - c`` in a third pass, at ``(-t, t)``
+and ``(0, t)`` with ``t = kappa * lam / d``.  The clip family and the group norm
 (``GroupL2``) bind themselves: the clip family writes ``p`` and a
 vector's product, the group norm ``p``, into a caller-owned ``out`` if
 given; a shrink may overwrite a given N-vector ``tmp``.  Both take for
@@ -199,27 +199,6 @@ class ProxOperator:
 # -- separable operators ----------------------------------------------------
 
 
-class Zero(ProxOperator):
-    """The zero function; prox is the identity."""
-
-    separable = True
-
-    def evaluate(self, x):
-        return 0.0
-
-    def _prox_diag(self, x, d, kappa):
-        return x.copy()
-
-    def _jvp(self, z, p, d, kappa, M):
-        return M.copy(order="K")
-
-    def pa_descriptor(self, d, kappa=1.0):
-        n = _check_weights(d).shape[0]
-        return PiecewiseAffineDescriptor(
-            np.zeros((n, 0)), np.ones((n, 1)), np.zeros((n, 1))
-        )
-
-
 class _Clip(ProxOperator):
     """Separable with two breakpoints ``lo <= hi`` per coordinate, which a
     subclass gives as ``_bounds(d, kappa) -> (lo, hi)`` for a scalar or a
@@ -324,6 +303,17 @@ class Box(_Clip):
         if np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol):
             return 0.0
         return np.inf
+
+
+class Zero(Box):
+    """The zero function: the clip to ``(-inf, inf)``, whose prox is the
+    identity.  Its value is 0 also where ``Box``'s would be inf, at NaN."""
+
+    def __init__(self):
+        super().__init__(-np.inf, np.inf)
+
+    def evaluate(self, x):
+        return 0.0
 
 
 class NonNeg(Box):

@@ -112,9 +112,9 @@ class RootProblem:
         self._base = base   # the callable itself: no cycle through self
         self.sign = metric.sign if base is None else -1
         # U and W of the non-empty side, or of the minus side given a base
-        self.U, self._shift_dirs = (metric._U2, metric._W2) \
-            if self.sign < 0 else (metric._U1, metric._W1)
-        g_sq = metric.gram_norm_sq() if base is None else \
+        self.U, self._shift_dirs = (metric.U2, metric.W2) \
+            if self.sign < 0 else (metric.U1, metric.W1)
+        g_sq = metric.gram_norm_sq if base is None else \
             float(np.linalg.eigvalsh(self.U.T @ self._shift_dirs)[-1])
         self.lipschitz_bound = 1.0 + g_sq
         self.monotonicity_modulus = 1.0 if self.sign > 0 else 1.0 - g_sq
@@ -158,9 +158,9 @@ def _checked(metric, prox, x, kappa):
     x = np.asarray(x, dtype=float)
     if x.shape != (metric.dim,):
         raise ValueError("query point dimension mismatch")
-    if metric._c is None or prox.dim not in (None, metric.dim):
+    if metric.c is None or prox.dim not in (None, metric.dim):
         return x, prox.check_weights(metric.diag, metric.dim)
-    return x, metric._c if prox._scalar_bind else metric.diag
+    return x, metric.c if prox._scalar_bind else metric.diag
 
 
 def root_bound(problem: RootProblem):
@@ -426,8 +426,8 @@ def _prox(metric, prox, x, kappa, tol, warm):
     if r == 0:
         return prox._prox_diag(x, metric.diag, kappa), \
             RootSolverReport(np.zeros(0), 0.0, 0, "diagonal")
-    return _joint_newton(prox, x, kappa, weights, metric._U1, metric._W1,
-                         metric._U2, metric._W2, tol, warm)
+    return _joint_newton(prox, x, kappa, weights, metric.U1, metric.W1,
+                         metric.U2, metric.W2, tol, warm)
 
 
 def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
@@ -550,7 +550,7 @@ def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
 def _rank2_recursive(metric: PlusMinusMetric, prox, x, kappa, tol, finder):
     """The rank-2 oracle: the rank-1 problem in ``P1 - Q2``, its base the
     prox in ``P1 = P + Q1`` by ``finder``, solved by bisection."""
-    inner = LowRankMetric(metric.diag, metric.plus_factors, +1)
+    inner = LowRankMetric(metric.diag, metric.U1.T, +1)
     inner_tol = min(tol, 1e-13)
 
     def base(z):   # the module global, which a tracer may wrap

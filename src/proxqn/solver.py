@@ -50,8 +50,6 @@ class ProblemSpec:
     grad: callable
     h: ProxOperator
     lipschitz: float | None = None
-    strong_convexity: float | None = None
-    x_star: np.ndarray | None = None
     f_star: float | None = None
     name: str = "problem"
     recipe: object = None
@@ -85,7 +83,6 @@ class SolverOptions:
     kappa: float | None = None         # None: 1 with the metric absorbing BB
     x0: np.ndarray | None = None
     budget_seconds: float | None = None
-    f_star: float | None = None        # reference objective for the trace
     record_metrics: bool = False
 
     def __post_init__(self):
@@ -203,8 +200,7 @@ class _Run:
         self.solver_id = solver_id
         self.t0, self.cpu0 = time.perf_counter(), time.thread_time()
         self.trace = ConvergenceTrace(solver_id=solver_id,
-                                      problem_id=problem.name,
-                                      f_star=opts.f_star)
+                                      problem_id=problem.name)
         self.metrics = []   # (H, pair) per iteration with record_metrics
 
     def drive(self, x, f_val, propose, advance, first=0, settle=False):

@@ -87,9 +87,9 @@ class SuiteResult:
 def dense_metric(metric):
     """Dense assembly of a factored metric (oracle use only)."""
     V = np.diag(metric.diag).astype(float)
-    for u in metric.plus_factors:
+    for u in metric.U1.T:
         V += np.outer(u, u)
-    for u in metric.minus_factors:
+    for u in metric.U2.T:
         V -= np.outer(u, u)
     return V
 
@@ -542,7 +542,6 @@ def _quadratic_l1_problem(rng, n, mu, L, lam):
 
     x_star = np.sign(b / q) * np.maximum(np.abs(b / q) - lam / q, 0.0)
     problem = ProblemSpec(dim=n, f=f, grad=grad, h=h, lipschitz=L,
-                          strong_convexity=mu, x_star=x_star,
                           name="quadratic_l1")
     problem.f_star = problem.objective(x_star)
     return problem

@@ -255,7 +255,7 @@ def test_reference_scalar_lasso_analytic(cache_dir):
         h=L1Norm(lam), lipschitz=a_val ** 2, name="scalar")
     prob.A = np.array([[a_val]])
     prob.b = np.array([b_val])
-    ref = reference_solution(prob, use_cache=False)
+    ref = reference_solution(prob)
     want = np.sign(b_val / a_val) * max(abs(b_val / a_val) -
                                         lam / a_val ** 2, 0.0)
     assert ref.x_star[0] == pytest.approx(want, abs=1e-9)
@@ -270,7 +270,7 @@ def test_reference_nnls_identity(cache_dir):
         h=NonNeg(), lipschitz=1.0, name="nnls_eye")
     prob.A = np.eye(3)
     prob.b = b
-    ref = reference_solution(prob, use_cache=False)
+    ref = reference_solution(prob)
     np.testing.assert_allclose(ref.x_star, b, atol=1e-9)
 
 

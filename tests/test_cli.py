@@ -81,10 +81,16 @@ def test_solve_unknown_solver(env_cache, capsys):
     (["--lambda", "nan"], "lam must be positive"),
     (["--family", "group_lasso", "--block-cap", "0"],
      "block_cap must be at least 1"),
-], ids=["negative-lambda", "nan-lambda", "zero-block-cap"])
+    (["--m", "0"], "m and n must be positive"),
+    (["--n", "0"], "m and n must be positive"),
+    (["--family", "lasso_diff3d", "--side", "0"],
+     "diff3d needs a positive grid side"),
+], ids=["negative-lambda", "nan-lambda", "zero-block-cap", "zero-m",
+        "zero-n", "zero-side"])
 def test_solve_bad_recipe_exits_2(tmp_path, env_cache, capsys, args, message):
     # the recipe check rejects them before a problem is generated or a
-    # trace written; nnls, which has no regularizer, ignores lam
+    # trace written; nnls, which has no regularizer, ignores lam.  A size
+    # of 0 is passed on, not replaced by the family's default
     out = tmp_path / "trace.csv"
     assert main(["solve", "--m", "20", "--n", "30", "--out", str(out)]
                 + args) == 2
@@ -157,6 +163,20 @@ def test_prox_worked_example(tmp_path, capsys):
     assert alpha == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("signs", [("+", "+1", "1"), ("-", "-1")])
+def test_prox_sign_spellings_agree(tmp_path, capsys, signs):
+    # the accepted spellings of each sign give the same prox
+    outputs = []
+    for sign in signs:
+        path = tmp_path / "signed.txt"
+        path.write_text(ORTHANT_EXAMPLE.replace("# sign: +", f"# sign: {sign}")
+                        .replace("# vector: u\n1.0\n1.0",
+                                 "# vector: u\n0.5\n0.5"))
+        assert main(["prox", "--input", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == 1
+
+
 def test_prox_rank0_echoes_diagonal_prox(tmp_path, capsys):
     path = tmp_path / "diag.txt"
     path.write_text("# h: l1\n# lam: 1.0\n# vector: x\n2.0\n-3.0\n"
@@ -188,8 +208,14 @@ def test_prox_malformed_file(tmp_path, capsys):
      "exact", "no piecewise-affine descriptor"),
     (ORTHANT_EXAMPLE.replace("# h: nonneg", "# h: l1\n# lam: nan"), "auto",
      "l1 weight must be positive"),
+    (ORTHANT_EXAMPLE.replace("# sign: +", "# sign: plus"), "auto",
+     "sign must be + or -, got 'plus'"),
+    (ORTHANT_EXAMPLE.replace("# sign: +", "# sign: plus").replace(
+        "# vector: u\n1.0\n1.0", "# vector: u\n0.5\n0.5"), "exact",
+     "sign must be + or -, got 'plus'"),
 ], ids=["negative-kappa", "nan-kappa", "weights-vary-in-a-block",
-        "exact-linf", "exact-group", "nan-lam"])
+        "exact-linf", "exact-group", "nan-lam", "unknown-sign",
+        "unknown-sign-small-u"])
 def test_prox_bad_input_exits_2(tmp_path, capsys, text, finder, message):
     # input the prox rejects is a configuration error, not a solver failure
     path = tmp_path / "bad.txt"
@@ -242,6 +268,21 @@ def test_prox_group_input(tmp_path, capsys):
 def test_validate_single_suite(capsys):
     assert main(["validate", "--suite", "metric"]) == 0
     assert capsys.readouterr().out.startswith("PASS metric")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--count", "0"], "--count: must be at least 1, got 0"),
+    (["--count", "-3"], "--count: must be at least 1, got -3"),
+    (["--n", "1"], "--n: must be at least 2, got 1"),
+], ids=["zero-count", "negative-count", "n-1"])
+def test_validate_bad_size_exits_2(capsys, args, message):
+    # a count of 0 passed the suite on no instances, and n = 1 ended in a
+    # numpy traceback with the exit code of a failed suite
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"] + args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_validate_filtered_prox_oracle(capsys):

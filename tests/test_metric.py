@@ -24,6 +24,31 @@ def test_apply_diagonal_rank0():
     np.testing.assert_allclose(m.apply([1.0, 1.0]), [2.0, 3.0])
 
 
+def test_factored_form_attributes(rng):
+    # the factored form the scaled prox reads: W1 = P^-1 U1,
+    # W2 = (P + U1 U1^T)^-1 U2, gram_norm_sq as a float, c the scalar of a
+    # trusted c I and None for a diagonal vector
+    n = 6
+    d = rng.uniform(0.5, 2.0, n)
+    u1, u2 = rng.standard_normal((2, n))
+    u2 *= np.sqrt(0.5 / np.dot(u2, u2 / d))
+    both = PlusMinusMetric(d, [u1], [u2])
+    assert both.c is None
+    np.testing.assert_allclose(both.W1[:, 0], u1 / d, rtol=1e-15)
+    np.testing.assert_allclose(
+        both.W2[:, 0], np.linalg.solve(np.diag(d) + np.outer(u1, u1), u2),
+        rtol=1e-12)
+    assert type(both.gram_norm_sq) is float
+    assert both.gram_norm_sq == pytest.approx(np.dot(u1, u1 / d))
+    minus = LowRankMetric(d, [u2], -1)
+    assert minus.U1.shape == minus.W1.shape == (n, 0)
+    np.testing.assert_allclose(minus.W2[:, 0], u2 / d, rtol=1e-15)
+    assert minus.gram_norm_sq == pytest.approx(0.5)
+    trusted = LowRankMetric._trusted(0.7, u1.reshape(n, 1), +1)
+    assert trusted.c == 0.7 and trusted.W2.shape == (n, 0)
+    assert LowRankMetric(d).gram_norm_sq == 0.0
+
+
 def test_apply_matches_dense(rng):
     for sign in (+1, -1):
         d = rng.uniform(0.5, 2.0, 5)
@@ -46,7 +71,7 @@ def test_invert_rank1():
     assert isinstance(inv, LowRankMetric)
     assert inv.sign == -1
     np.testing.assert_allclose(inv.diag, [1.0, 1.0])
-    np.testing.assert_allclose(np.abs(inv.factors[0]),
+    np.testing.assert_allclose(np.abs(inv.factor_matrix[:, 0]),
                                [1.0 / np.sqrt(2.0), 0.0], atol=1e-15)
     np.testing.assert_allclose(dense_metric(m) @ dense_metric(inv), np.eye(2),
                                atol=1e-12)
@@ -78,11 +103,11 @@ def test_invert_rank1_matches_eigh_formula_bitwise(rng):
             inv = m.invert()
             assert inv.sign == -sign
             assert np.array_equal(inv.factor_matrix, W)
-            assert m.gram_norm_sq() == np.linalg.eigvalsh(0.5 * (G + G.T))[-1]
+            assert m.gram_norm_sq == np.linalg.eigvalsh(0.5 * (G + G.T))[-1]
         public_inv = uniform.invert()
         assert np.array_equal(inv.factor_matrix, public_inv.factor_matrix)
         assert np.array_equal(inv.diag, public_inv.diag)
-        assert inv.gram_norm_sq() == public_inv.gram_norm_sq()
+        assert inv.gram_norm_sq == public_inv.gram_norm_sq
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,7 +163,7 @@ def test_trusted_metrics_match_public_bitwise(rng):
             assert np.array_equal(a.factor_matrix, b.factor_matrix)
             assert a._gram.shape == (r, r)
             assert np.array_equal(a._gram, b._gram)
-            assert a.gram_norm_sq() == b.gram_norm_sq()
+            assert a.gram_norm_sq == b.gram_norm_sq
             assert a.apply(x).tobytes() == b.apply(x).tobytes()
             assert a.norm_sq(x) == b.norm_sq(x)
         if r == 2:

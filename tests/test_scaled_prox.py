@@ -357,7 +357,7 @@ def test_rank2_routing(rng):
         assert rep.method == "rank2-recursive"
     # kappa is checked for all three shapes alike, also where the joint
     # route's bound prox steps do not see it
-    u1, u2 = (0.5 * U[:, 0] for U in B.factor_matrices)
+    u1, u2 = (0.5 * U[:, 0] for U in (B.U1, B.U2))
     for pm in (B, PlusMinusMetric(B.diag, [u1], []),
                PlusMinusMetric(B.diag, [], [u2])):
         for h in (op, Box(-1.0, 1.0)):
@@ -736,8 +736,8 @@ def test_rank2_joint_matches_recursive_near_breakpoints(seed, n, kind, offset,
     assume(not skipped)
     P = B.diag
     op, z = _on_breakpoints(kind, rng, n, P, kappa, offset)
-    U1, U2 = B.factor_matrices
-    W1, W2 = U1 / P[:, None], B.p1_inv_minus
+    U1, U2 = B.U1, B.U2
+    W1, W2 = U1 / P[:, None], B.W2
     p = op.prox_diag(z, P, kappa)
     a = -(U1.T @ (z - p)) / (1.0 + U1.T @ W1)[0]
     b = -(U2.T @ (z - p + W1 @ a)) / (1.0 - U2.T @ W2)[0]
@@ -943,7 +943,7 @@ def test_rank11_prox_is_firmly_nonexpansive_near_the_outer_gram_bound(
     metric = PlusMinusMetric._trusted(d[0], u1.reshape(n, 1),
                                       u2.reshape(n, 1)) if trusted \
         else PlusMinusMetric(d, [u1], [u2])
-    w1, w2 = u1 / d, metric.p1_inv_minus[:, 0]
+    w1, w2 = u1 / d, metric.W2[:, 0]
     x, y = _near_bound_points(kind, op, d, kappa, spread, rng)
     p, rep_x = scaled_prox_rank2(metric, op, x, kappa=kappa)
     q, rep_y = scaled_prox_rank2(metric, op, y, kappa=kappa)
@@ -1259,9 +1259,7 @@ def test_scalar_binding_gives_the_bits_of_the_vector_diagonal(rng,
 
 
 def _factors(metric):
-    if isinstance(metric, PlusMinusMetric):
-        return np.hstack(metric.factor_matrices)
-    return metric.factor_matrix
+    return np.hstack((metric.U1, metric.U2))
 
 
 def test_prox_points_do_not_alias_across_calls_or_inputs(rng):

@@ -39,7 +39,6 @@ def quadratic_problem(Q, b, h):
         grad=lambda x: Q @ x - b,
         h=h,
         lipschitz=float(np.linalg.eigvalsh(Q)[-1]),
-        strong_convexity=float(np.linalg.eigvalsh(Q)[0]),
     )
 
 
