@@ -24,6 +24,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 
 from . import __version__
@@ -368,10 +369,31 @@ def read_trace_csv(path):
     return np.atleast_1d(data)
 
 
+def _environment():
+    """The numpy and scipy versions with the BLAS build each links (name,
+    version and OpenBLAS configuration, where ``show_config(mode="dicts")``
+    reports them; else None), the core count and the BLAS thread
+    variables, which change the timings and 0BFGS's iterates."""
+    env = {}
+    for module in (np, scipy):
+        try:
+            deps = module.show_config(mode="dicts")["Build Dependencies"]
+            blas = {k: deps["blas"].get(k)
+                    for k in ("name", "version", "openblas configuration")}
+        except (TypeError, KeyError):   # a version without the dict mode
+            blas = None
+        env[module.__name__] = {"version": module.__version__, "blas": blas}
+    env["cpu_count"] = os.cpu_count()
+    env["threads"] = {k: os.environ.get(k) for k in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    return env
+
+
 def write_manifest(path, entries, problems, options):
     manifest = {
         "version": __version__,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "environment": _environment(),
         "options": options,
         "problems": [
             {"name": p.name, "digest": p.recipe.digest() if p.recipe else None,

@@ -212,7 +212,7 @@ class _FactoredMetric:
         _minus_pd_test(_gram(V, V / _col(p_inv))[1])
         self.W2 = W2 = np.empty(U2.shape)
         for j, u in enumerate(U2.T):
-            W2[:, j] = p_inv * u - V @ (V.T @ u)
+            W2[:, j] = p_inv * u - V.dot(V.T.dot(u))
         _outer_pd_test(U2.T @ W2)
 
     # -- views -----------------------------------------------------------
@@ -257,9 +257,9 @@ class _FactoredMetric:
         x = _as_vector(x, self.dim)
         y = (self.diag if self.c is None else self.c) * x
         if self.U1.shape[1]:
-            y = y + self.U1 @ (self.U1.T @ x)
+            y = y + self.U1.dot(self.U1.T.dot(x))
         if self.U2.shape[1]:
-            y = y - self.U2 @ (self.U2.T @ x)
+            y = y - self.U2.dot(self.U2.T.dot(x))
         return y
 
     def norm_sq(self, x):

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
 from proxqn import __version__
@@ -381,6 +382,27 @@ def test_manifest(tmp_path, cache_dir):
     manifest = json.loads(path.read_text())
     assert manifest["problems"][0]["digest"] == prob.recipe.digest()
     assert manifest["runs"][0]["solver"] == "ista"
+
+
+def test_manifest_records_the_environment(tmp_path, monkeypatch):
+    # numpy's and scipy's versions and BLAS builds, the core count and the
+    # BLAS thread variables, an unset one as null
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    path = tmp_path / "manifest.json"
+    write_manifest(path, [], [], {})
+    env = json.loads(path.read_text())["environment"]
+    assert env["numpy"]["version"] == np.__version__
+    assert env["scipy"]["version"] == scipy.__version__
+    for module in (np, scipy):
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env[module.__name__]["blas"]["name"] == blas["name"]
+        assert env[module.__name__]["blas"]["version"] == blas["version"]
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["threads"]["MKL_NUM_THREADS"] is None
+    assert set(env["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                   "MKL_NUM_THREADS"}
 
 
 def test_desk_recipes_families():

@@ -285,6 +285,15 @@ def test_validate_bad_size_exits_2(capsys, args, message):
     assert captured.out == "" and message in captured.err
 
 
+def test_validate_eigen_bounds_keeps_its_instance_at_small_n(capsys):
+    # --n 2 reached the suite's dimension, and a 2-d solve records 14
+    # metric pairs where the gate asks for 200
+    rc = main(["validate", "--suite", "eigen-bounds", "--n", "2",
+               "--count", "1"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("PASS eigen-bounds: 264 metrics")
+
+
 def test_validate_filtered_prox_oracle(capsys):
     rc = main(["validate", "--suite", "prox-oracle", "--n", "12",
                "--count", "3"])

@@ -11,6 +11,8 @@ from proxqn.metric import (
     PlusMinusMetric,
     _drop_factors,
 )
+from proxqn.prox import L1Norm
+from proxqn.scaled import RootProblem
 from proxqn.validate import dense_metric
 
 
@@ -57,6 +59,71 @@ def test_apply_matches_dense(rng):
         V = dense_metric(m)
         x = rng.standard_normal(5)
         np.testing.assert_allclose(m.apply(x), V @ x, atol=1e-12)
+
+
+def _signed_zeros(rng, a):
+    """``a`` with about a third of its entries set to 0.0 or -0.0."""
+    hit = rng.random(a.shape) < 0.3
+    a[hit] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[hit]
+    return a
+
+
+def test_thin_factor_products_keep_the_bits_of_matmul(rng):
+    # apply, the two-sided W2 column and RootProblem.shifted_point form
+    # their thin products with np.dot, without matmul's loop over an inner
+    # dimension of 1: the same bits, signed zeros included, for public and
+    # trusted metrics of every shape from dimension 2 (at dimension 1
+    # matmul sums a lone product from +0.0 and so drops the sign of a
+    # -0.0 product, which np.dot keeps)
+    checked = 0
+    for k in range(400):
+        n = int(rng.integers(2, 120))
+        r1, r2 = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        c = float(np.exp(rng.uniform(-2.0, 2.0)))
+        p = c if k % 2 else rng.uniform(0.5, 2.0, n)
+        U1 = _signed_zeros(rng, rng.standard_normal((n, r1)))
+        U2 = _signed_zeros(rng, rng.standard_normal((n, r2)))
+        if r2:   # the largest Gram eigenvalue of U2 in P becomes 0.5
+            g = np.linalg.eigvalsh(U2.T @ (U2 / np.reshape(p, (-1, 1))))[-1]
+            if not g > 1e-3:
+                continue
+            U2 *= np.sqrt(0.5 / g)
+        try:
+            if k % 2:
+                metric = PlusMinusMetric._trusted(c, U1, U2)
+                plus = LowRankMetric._trusted(c, U1, +1)
+            else:
+                metric = PlusMinusMetric(p, U1.T, U2.T)
+                plus = LowRankMetric(p, U1.T, +1)
+        except MetricError:   # a dropped or nearly dependent column
+            continue
+        x = _signed_zeros(rng, rng.standard_normal(n))
+        metrics = [metric, plus, LowRankMetric(plus.diag, metric.U2.T, -1)]
+        if metric.ranks[0] and metric.ranks[1]:   # W2 from P^-1 - V V^T
+            V = plus.invert().factor_matrix
+            p_inv = 1.0 / p
+            want = np.column_stack([p_inv * u - V @ (V.T @ u)
+                                    for u in metric.U2.T])
+            assert metric.W2.tobytes() == want.tobytes()
+            metrics.append(plus.invert())
+            checked += 1
+        for m in metrics:
+            y = (m.diag if m.c is None else m.c) * x
+            if m.U1.shape[1]:
+                y = y + m.U1 @ (m.U1.T @ x)
+            if m.U2.shape[1]:
+                y = y - m.U2 @ (m.U2.T @ x)
+            assert m.apply(x).tobytes() == y.tobytes()
+            if m.rank and not all(m.ranks):   # a single-sign metric
+                problem = RootProblem(m, L1Norm(0.5), x)
+                for alpha in (np.full(m.rank, -0.0),
+                              rng.standard_normal(m.rank),
+                              _signed_zeros(rng, rng.standard_normal(m.rank))):
+                    want = x - problem.sign * (problem._shift_dirs
+                                               @ np.atleast_1d(alpha))
+                    got = problem.shifted_point(alpha)
+                    assert got.tobytes() == want.tobytes()
+    assert checked >= 50
 
 
 def test_apply_dimension_mismatch():

@@ -631,10 +631,10 @@ def test_a_singular_joint_newton_system_raises(rng, monkeypatch):
     assert not skipped
     x = 2.0 * rng.standard_normal(30)
 
-    def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def singular(G, F):   # (lu, piv, x, info): an exactly zero pivot
+        return None, None, F, 1
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(scaled, "dgesv", singular)
     with pytest.raises(RootFinderError, match="missed .*singular"):
         scaled_prox_rank2(B, L1Norm(0.5), x)
     problem = generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
@@ -643,6 +643,35 @@ def test_a_singular_joint_newton_system_raises(rng, monkeypatch):
     assert res.status == "prox_failed" and res.converged is False
     assert res.objective == problem.objective(res.x)
     assert len(res.trace) == res.iterations + 1
+
+
+@pytest.mark.parametrize("n", [7, 100, 300])
+def test_the_joint_newton_keeps_the_bits_of_np_linalg_solve(rng, n,
+                                                            monkeypatch):
+    # LAPACK's dgesv through scipy solves the r x r Newton system with the
+    # bits of np.linalg.solve: on 0BFGS's B, patching the latter back in
+    # gives the same prox point, multipliers and residual history
+    calls = []
+
+    def solve(G, F):
+        calls.append(G.shape)
+        return None, None, np.linalg.solve(G, F), 0
+
+    for k in range(20):
+        B, skipped = _bfgs_metric(rng, n)
+        assert not skipped
+        x = 2.0 * rng.standard_normal(n)
+        for op in (L1Norm(0.5), NonNeg(), GroupL2(0.5, _group_blocks(rng, n))):
+            warm = None if k % 2 else 0.1 * rng.standard_normal(2)
+            want, want_rep = scaled_prox_rank2(B, op, x, warm=warm)
+            with monkeypatch.context() as patch:
+                patch.setattr(scaled, "dgesv", solve)
+                got, rep = scaled_prox_rank2(B, op, x, warm=warm)
+            assert rep.method == want_rep.method == "rank2-joint"
+            assert got.tobytes() == want.tobytes()
+            assert rep.alpha_star.tobytes() == want_rep.alpha_star.tobytes()
+            assert rep.residual_history == want_rep.residual_history
+    assert len(calls) >= 60 and set(calls) == {(2, 2)}
 
 
 class _ProxOnlyL1(ProxOperator):
