@@ -498,12 +498,9 @@ def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
     is bound once (``_bind``, with ``weights``); each step takes the
     Clarke-Jacobian product with ``[W1 W2]`` of its point's binding and
     halves its length until ``||F||`` falls by the factor ``1 - 1e-4 t``.
-    The r x r Newton system goes to scipy's binding of LAPACK's ``dgesv``,
-    at a fifth of the cost of ``np.linalg.solve`` at r = 2.  With the
-    OpenBLAS builds of scipy 1.17.1 (0.3.30, LP64) and numpy 2.4.6 (0.3.31,
-    ILP64) it gave ``solve``'s bits on 20 000 standard normal systems each
-    at r = 2..5, but at r = 6 the two builds disagree in the last bit on
-    2 350 of 20 000, so a larger ``r`` must check its bits again.
+    The r x r Newton system goes to LAPACK's ``dgesv`` through scipy; its
+    bits match ``np.linalg.solve``'s only up to r = 5, so a larger ``r``
+    must check them again.
     Raises :class:`RootFinderError` when the residual does not reach
     ``tol``: a singular Newton system, no sufficient decrease after 30
     halvings, or 60 steps; a non-finite residual ends it at once,

@@ -581,17 +581,15 @@ def suite_secant(seed=0, steps=200, n=40):
 
 
 @_timed
-def suite_eigen_bounds(seed=0, steps=200, dim=40):
+def suite_eigen_bounds(seed=0, steps=200):
     """Dense eigenvalues of the trajectory metrics inside the uniform
     intervals of the eigenvalue lemmas (tolerance 1e-9).
 
     The instance is conditioned so that all recorded steps stay well above
     rounding level; pairs from vanishing steps carry no curvature
-    information in floating point and are skipped by the solver.  Its
-    dimension is ``dim``, out of reach of the ``n`` override of
-    ``proxqn validate --n``: a smaller instance converges before it
-    records the ``steps`` pairs that the gate asks for.
+    information in floating point and are skipped by the solver.
     """
+    dim = 40  # a smaller instance converges before it records ``steps`` pairs
     rng = np.random.default_rng(seed)
     mu, L = 0.05, 5.0
     problem = _quadratic_l1_problem(rng, dim, mu=mu, L=L, lam=0.3)
