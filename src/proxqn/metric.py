@@ -27,6 +27,10 @@ Gram rank tests and the positive-definiteness tests, and gives the same
 bits: every constructor ends in the one construction body, which computes
 with the Python float ``c`` where a public one has the diagonal vector.
 ``invert`` serves single-sign metrics, as 0SR1's ``B = H^{-1}`` needs.
+The internal ``_proven`` constructor stores a ``c I`` factored form as
+its caller proves it, with no check: zero-memory BFGS builds its ``B``
+there with ``_build``'s operations, and its ``H`` as a product-only
+operator that holds ``c``, ``U1`` and ``U2`` and forms no ``W``.
 """
 
 from __future__ import annotations
@@ -182,6 +186,21 @@ class _FactoredMetric:
         U1, U2 = cls._split(*factors)
         m = cls.__new__(cls)
         m._build(c, None, _drop_factors(U1), _drop_factors(U2))
+        return m
+
+    @classmethod
+    def _proven(cls, c, U1, W1, U2, W2, gram_norm_sq=None):
+        """``c I + U1 U1^T - U2 U2^T`` stored exactly as the caller proves
+        it, with no check and no copy.  A caller that passes ``W1``, ``W2``
+        and ``gram_norm_sq`` as ``_build`` would form them has a complete
+        metric with both sides (whose ``invert`` is undefined); one that
+        passes None for them has a product-only operator, which serves
+        ``apply``, ``norm_sq``, ``diag`` and the factors, but no prox and
+        no ``invert``."""
+        m = cls.__new__(cls)
+        m.dim, m._diag, m.c = U1.shape[0], None, c
+        m.U1, m.W1, m.U2, m.W2 = U1, W1, U2, W2
+        m._gram, m.gram_norm_sq = None, gram_norm_sq
         return m
 
     def _build(self, c, diag, U1, U2):

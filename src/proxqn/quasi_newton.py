@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import LowRankMetric, NotPositiveDefiniteError, PlusMinusMetric
+from .metric import (LowRankMetric, NotPositiveDefiniteError, PlusMinusMetric,
+                     _drop_factors)
 
 # SR1 clamps tau_bb2 to [_SR1_TAU_MIN, _SR1_TAU_MAX] and skips the rank-1
 # update when <w, y> <= _SR1_SKIP_TOL ||w|| ||y||, w = s - H0 y
@@ -40,11 +41,12 @@ class CurvatureError(ValueError):
 class QNPair:
     """Displacement ``s = x_k - x_{k-1}`` and gradient change
     ``y = grad f(x_k) - grad f(x_{k-1})``, with the curvature ``<s, y>``
-    computed once."""
+    and ``||y||^2`` computed once."""
 
     s: np.ndarray
     y: np.ndarray
     curvature: float = field(init=False)
+    y_norm_sq: float = field(init=False)
 
     def __post_init__(self):
         s = np.asarray(self.s, dtype=float)
@@ -54,6 +56,7 @@ class QNPair:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "curvature", float(np.dot(s, y)))
+        object.__setattr__(self, "y_norm_sq", float(np.dot(y, y)))
 
 
 def bb_stepsizes(pair: QNPair):
@@ -67,7 +70,7 @@ def bb_stepsizes(pair: QNPair):
     sy = pair.curvature
     if sy <= 0.0:
         raise CurvatureError(f"<s, y> = {sy:g} <= 0")
-    tau_bb2 = sy / float(np.dot(pair.y, pair.y))
+    tau_bb2 = sy / pair.y_norm_sq
     tau_bb1 = float(np.dot(pair.s, pair.s)) / sy
     return tau_bb1, tau_bb2
 
@@ -92,7 +95,7 @@ def sr1_metric(pair, gamma=0.8, dim=None, tau0=1.0):
             raise ValueError("dim is required when no pair is given")
         return LowRankMetric._trusted(float(tau0), np.zeros((dim, 0)))
     n = pair.s.shape[0]
-    yy = float(np.dot(pair.y, pair.y))
+    yy = pair.y_norm_sq
     if yy == 0.0:
         return LowRankMetric._trusted(float(tau0), np.zeros((n, 0)))
     h0 = gamma * min(max(pair.curvature / yy, _SR1_TAU_MIN), _SR1_TAU_MAX)
@@ -128,37 +131,61 @@ def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
     is the unclamped tau_bb2 here.  Non-positive curvature or an infinite
     tau skips the low-rank parts and keeps ``gamma * tau_fallback * I``.
 
-    Returns ``(H, B, skipped)``.
+    Returns ``(H, B, skipped)``: ``B`` a complete metric, ``H`` a
+    product-only operator (``apply``, ``norm_sq``, ``diag``, the factors),
+    all that the forward step reads, both with the bits and the skip
+    decision of :class:`PlusMinusMetric` on these factors.  For
+    ``1e-4 <= gamma <= 1e4``, ``1e-250 <= gamma tau <= 1e16``, inner
+    products in ``[1e-250, 1e250]`` and ``N (1+gamma) <= 2^40 gamma
+    cos^2(s, y)``, the Gram values its rank and positive-definiteness tests
+    read (``gamma``, ``gamma/(1+gamma)``, ``1/(1+gamma)``,
+    ``g_H < (1+gamma)/(gamma cos^2)`` and ``g_H/(1+g_H)``) clear their
+    bounds by far more than rounding: there only its drop rule and B's
+    outer Gram test are kept, elsewhere it builds both.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
 
     n = pair.s.shape[0]
-    sy = pair.curvature
-    yy = float(np.dot(pair.y, pair.y))
+    sy, yy = pair.curvature, pair.y_norm_sq
     tau = sy / yy if yy else math.inf   # ||y||^2 can underflow to 0
     if sy <= 0.0 or tau == math.inf:    # then B's scale 1/(gamma tau) is 0
         return _zbfgs_diagonal(gamma * float(tau_fallback), n)
     ss = float(np.dot(pair.s, pair.s))
-    rho = 1.0 / sy
-    u_g = pair.s - (gamma * tau / (1.0 + gamma)) * pair.y
+    rho, c = 1.0 / sy, gamma * tau
+    u_g = pair.s - (c / (1.0 + gamma)) * pair.y
     try:
-        H = PlusMinusMetric._trusted(
-            gamma * tau,
-            (math.sqrt(rho * (1.0 + gamma)) * u_g).reshape(n, 1),
-            (math.sqrt(rho * gamma ** 2 * tau ** 2 / (1.0 + gamma))
-             * pair.y).reshape(n, 1),
-        )
-        B = PlusMinusMetric._trusted(
-            1.0 / (gamma * tau),
-            (pair.y / (math.sqrt(yy) * math.sqrt(tau))).reshape(n, 1),
-            (pair.s / (math.sqrt(ss) * math.sqrt(gamma * tau))).reshape(n, 1),
-        )
+        h_plus = (math.sqrt(rho * (1.0 + gamma)) * u_g).reshape(n, 1)
+        h_minus = (math.sqrt(rho * gamma ** 2 * tau ** 2 / (1.0 + gamma))
+                   * pair.y).reshape(n, 1)
+        proven = (1e-4 <= gamma <= 1e4 and 1e-250 <= c <= 1e16
+                  and 1e-250 <= min(sy, ss, yy) <= max(ss, yy) <= 1e250
+                  and n * (1.0 + gamma) <= 2.0 ** 40 * gamma * tau * sy / ss)
+        H = PlusMinusMetric._proven(c, _drop_factors(h_plus), None,
+                                    _drop_factors(h_minus), None) \
+            if proven else PlusMinusMetric._trusted(c, h_plus, h_minus)
+        U1 = (pair.y / (math.sqrt(yy) * math.sqrt(tau))).reshape(n, 1)
+        U2 = (pair.s / (math.sqrt(ss) * math.sqrt(c))).reshape(n, 1)
+        if not proven:
+            return H, PlusMinusMetric._trusted(1.0 / c, U1, U2), False
     except (NotPositiveDefiniteError, OverflowError):
         # numerically degenerate pair (s nearly parallel to y, or tau ** 2
         # overflowing at an extreme scale); fall back to the safe diagonal
-        return _zbfgs_diagonal(gamma * tau, n)
-    return H, B, False
+        return _zbfgs_diagonal(c, n)
+    # B's two-sided build: both columns have norm >= 1e-10 here, and
+    # W2 = ((P + Q1)^{-1}) U2 = (P^{-1} - V V^T) U2 with V's drop rule
+    cb = 1.0 / c
+    W1 = U1 / cb
+    g = float(U1.ravel().dot(W1.ravel()))
+    g = 0.5 * (g + g)   # the symmetrized 1x1 Gram
+    p_inv = 1.0 / cb   # as _build forms it; not always c
+    V = _drop_factors(U1 * p_inv * (np.array([1.0 + g]) ** -0.5)[0])
+    u2 = U2.ravel()
+    w2 = p_inv * u2 - V.dot(V.T.dot(u2))
+    if 1.0 - float(u2.dot(w2)) <= 0:   # the outer Gram test of P + Q1 - Q2
+        return _zbfgs_diagonal(c, n)
+    return H, PlusMinusMetric._proven(cb, U1, W1, U2, w2.reshape(n, 1),
+                                      g), False
 
 
 # -- theory constants ---------------------------------------------------------

@@ -123,8 +123,9 @@ SPG_MEMORY = 10
 def fb_step(x, grad_x, H, B, h, kappa=1.0, warm_alpha=None, tol=1e-12):
     """One forward-backward step ``prox^B_{kappa h}(x - kappa H grad)``.
 
-    ``H`` is the factored inverse-Hessian metric and ``B`` its factored
-    inverse; the forward step uses ``H`` directly (never a dense solve).
+    ``H`` is the inverse-Hessian metric, of which the forward step reads
+    only the product ``H.apply`` (0BFGS passes a product-only operator),
+    and ``B`` its factored inverse, the prox's metric; no dense solve.
     """
     forward = x - kappa * H.apply(grad_x)
     return scaled_prox_rank2(B, h, forward, kappa=kappa, tol=tol,
@@ -284,7 +285,7 @@ def _run_quasi_newton(problem, opts, variant):
             H, B, skipped = zbfgs_metric(pair, gamma=gamma,
                                          tau_fallback=last_tau)
             if not skipped:
-                last_tau = pair.curvature / float(np.dot(pair.y, pair.y))
+                last_tau = pair.curvature / pair.y_norm_sq
         if opts.record_metrics:
             run.metrics.append((H, pair))
         xbar, report = fb_step(x, g, H, B, problem.h, kappa=kappa,

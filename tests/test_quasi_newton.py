@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -202,11 +204,67 @@ def test_sr1_trusted_construction_matches_public_bitwise(rng):
     assert ranks == {0, 1}
 
 
+def _zbfgs_reference(pair, gamma):
+    """``(H, B)`` of the docstring's formulas through the public
+    constructor, or None where it refuses them (the skipped update)."""
+    s, y, n = pair.s, pair.y, pair.s.shape[0]
+    sy, yy, ss = pair.curvature, float(np.dot(y, y)), float(np.dot(s, s))
+    tau = sy / yy
+    rho, c = 1.0 / sy, gamma * tau
+    try:
+        H = PlusMinusMetric(
+            np.full(n, c),
+            [math.sqrt(rho * (1.0 + gamma)) * (s - (c / (1.0 + gamma)) * y)],
+            [math.sqrt(rho * gamma ** 2 * tau ** 2 / (1.0 + gamma)) * y])
+        B = PlusMinusMetric(np.full(n, 1.0 / c),
+                            [y / (math.sqrt(yy) * math.sqrt(tau))],
+                            [s / (math.sqrt(ss) * math.sqrt(c))])
+    except (NotPositiveDefiniteError, OverflowError):
+        return None
+    return H, B
+
+
 def test_zbfgs_trusted_construction_matches_public_bitwise(rng):
-    for pair in _random_pairs(rng, 150):
-        H, B, skipped = zbfgs_metric(pair)
-        for m in (H, B):
-            _same_plus_minus(m, PlusMinusMetric(m.diag, m.U1.T, m.U2.T))
+    # the public constructor on the docstring's factors is the reference:
+    # the same skip and ranks, B's factored form bit for bit and the same
+    # product H g.  Beyond random pairs (at several gamma): extreme scales
+    # where the drop rule takes H's columns and V (s ~ 1e-60, y ~ 1e-28;
+    # s ~ 1, y ~ 1e28) or a column of B (s ~ 1, y ~ 1e-28), s parallel
+    # to y, an overflowing tau ** 2, and s nearly orthogonal to y, where
+    # H's Gram nears its bound and the checked build decides
+    v = np.array([0.6, -0.3, 0.8])
+    w = v + np.array([0.0, 1e-9, 0.0])
+    cases = [(pair, 1.0) for pair in _random_pairs(rng, 150)]
+    cases += [(pair, float(10.0 ** rng.uniform(-5.0, 5.0)))
+              for pair in _random_pairs(rng, 60)]
+    for s_scale, y_scale in ((1e-60, 1e-28), (1.0, 1e28), (1.0, 1e-28)):
+        cases += [(QNPair(v * s_scale, w * y_scale), gamma)
+                  for gamma in (0.5, 1.0, 2.0)]
+    cases += [(QNPair(v, 2.5 * v), 1.0), (QNPair(v * 1e80, v * 1e-80), 1.0)]
+    for _ in range(20):
+        s, z = rng.standard_normal((2, 50))
+        z -= z.dot(s) / s.dot(s) * s
+        cases.append((QNPair(s, z + 10.0 ** rng.uniform(-12.0, -6.0) * s),
+                      float(rng.choice([0.5, 1.0]))))
+    skips = set()
+    for pair, gamma in cases:
+        H, B, skipped = zbfgs_metric(pair, gamma=gamma)
+        ref = _zbfgs_reference(pair, gamma)
+        assert skipped == (ref is None)
+        skips.add(skipped)
+        if ref is None:
+            assert H.ranks == B.ranks == (0, 0)
+            continue
+        H_ref, B_ref = ref
+        assert H.ranks == H_ref.ranks and B.ranks == B_ref.ranks
+        assert np.array_equal(B.diag, B_ref.diag)
+        for name in ("U1", "W1", "U2", "W2"):
+            assert np.array_equal(getattr(B, name), getattr(B_ref, name))
+        assert B.gram_norm_sq == B_ref.gram_norm_sq
+        g = rng.standard_normal(pair.s.shape[0])
+        assert np.array_equal(H.apply(g), H_ref.apply(g))
+        PlusMinusMetric(H.diag, H.U1.T, H.U2.T)   # accepts H's factors
+    assert skips == {False, True}
 
 
 def test_trusted_constructors_drop_tiny_factors(rng):
