@@ -363,8 +363,8 @@ def build_parser():
     pp.add_argument("--finder", default="auto",
                     choices=["auto", "exact", "bisection"],
                     help="rank-1 root finder: the warm-started semi-smooth "
-                    "Newton (auto), or the breakpoint sweep or bisection "
-                    "it is checked against")
+                    "Newton (auto), or the exact search over the sorted "
+                    "breakpoint crossings or bisection it is checked against")
     pp.add_argument("--tol", type=float, default=1e-12)
     pp.set_defaults(func=cmd_prox)
     return parser

@@ -29,7 +29,8 @@ c)``'s bits), every other operator the vector.  The support functions
 product reads the step's projection.  ``jac`` reads ``z`` when called,
 the group norm's through a view when its blocks lie in order, so a
 caller keeps ``z`` until its products.  A separable operator's
-``pa_descriptor`` gives the exact rank-1 finder its scalar affine pieces.
+``pa_descriptor`` gives its scalar affine pieces, of which the exact
+rank-1 finder reads only the breakpoints.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import (LowRankMetric, NotPositiveDefiniteError, PlusMinusMetric,
+from .metric import (LowRankMetric, MetricError, PlusMinusMetric,
                      _drop_factors)
 
 # SR1 clamps tau_bb2 to [_SR1_TAU_MIN, _SR1_TAU_MAX] and skips the rank-1
@@ -168,9 +168,9 @@ def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
         U2 = (pair.s / (math.sqrt(ss) * math.sqrt(c))).reshape(n, 1)
         if not proven:
             return H, PlusMinusMetric._trusted(1.0 / c, U1, U2), False
-    except (NotPositiveDefiniteError, OverflowError):
-        # numerically degenerate pair (s nearly parallel to y, or tau ** 2
-        # overflowing at an extreme scale); fall back to the safe diagonal
+    except (MetricError, OverflowError):
+        # a degenerate pair (s nearly parallel to y, a Gram under the rank
+        # test at an extreme gamma, tau ** 2 overflowing): the diagonal
         return _zbfgs_diagonal(c, n)
     # B's two-sided build: both columns have norm >= 1e-10 here, and
     # W2 = ((P + Q1)^{-1}) U2 = (P^{-1} - V V^T) U2 with V's drop rule

@@ -22,9 +22,9 @@ one damped semi-smooth Newton on the stacked multiplier system, with one
 diagonal prox and one Clarke-Jacobian product with an N x r matrix per
 step.  A miss of either Newton's tolerance raises :class:`RootFinderError`.
 The oracles are one scalar engine, a rank-1 :class:`RootProblem` solved
-by the exact O(N log N) breakpoint sweep or by bisection in the bracket
-of :func:`root_bound`; on ``P + Q1 - Q2`` it is the minus side of
-``P1 - Q2``, with the rank-1 prox in ``P1 = P + Q1`` as its base.
+in the bracket of :func:`root_bound` by the exact search over the sorted
+breakpoint crossings or by bisection; on ``P + Q1 - Q2`` it is the minus
+side of ``P1 - Q2``, with the rank-1 prox in ``P1 = P + Q1`` as its base.
 
 Both Newtons bind the operator once per root problem (``_bind`` in
 :mod:`proxqn.prox`), with the scalar ``c`` of a trusted ``P = c I`` where
@@ -187,6 +187,24 @@ def root_bound(problem: RootProblem):
     return u_norm * (2.0 * float(np.linalg.norm(problem.x)) + s0)
 
 
+def _bracket(problem, method):
+    """``(beta, L(-beta), L(beta))`` for :func:`root_bound`'s ``beta``, or
+    the report that ends the solve: root 0 at ``beta = 0``, NaN unconverged
+    at a non-finite one; :class:`BracketError` if the ends do not bracket."""
+    beta = root_bound(problem)
+    if beta == 0.0:
+        return RootSolverReport(np.zeros(1), 0.0, 0, method)
+    if not math.isfinite(beta):   # a non-finite point: no bracket
+        return RootSolverReport(np.full(1, np.nan), np.nan, 0, method,
+                                converged=False)
+    f_lo, f_hi = (float(problem.map_L([end])[0]) for end in (-beta, beta))
+    if f_lo > 0 or f_hi < 0:
+        raise BracketError(
+            f"map has no sign change on [-beta, beta] = [{-beta:.3g}, "
+            f"{beta:.3g}]; metric or prox invariants are violated")
+    return beta, f_lo, f_hi
+
+
 def root_bisection(problem: RootProblem, eps=1e-10, max_iter=None):
     """Bisection on ``[-beta, beta]``; terminates once successive midpoints
     are closer than ``eps``, which puts the iterate within ``eps`` of the
@@ -195,26 +213,13 @@ def root_bisection(problem: RootProblem, eps=1e-10, max_iter=None):
         raise ValueError("bisection applies to rank-1 problems")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    beta = root_bound(problem)
-    if beta == 0.0:
-        return RootSolverReport(np.zeros(1), 0.0, 0, "bisection")
-    if not math.isfinite(beta):   # a non-finite point: no bracket
-        return RootSolverReport(np.full(1, np.nan), np.nan, 0, "bisection",
-                                converged=False)
-    lo, hi = -beta, beta
-    f_lo = float(problem.map_L([lo])[0])
-    f_hi = float(problem.map_L([hi])[0])
-    if f_lo > 0 or f_hi < 0:
-        raise BracketError(
-            f"map has no sign change on [-beta, beta] = [{lo:.3g}, {hi:.3g}]; "
-            "metric or prox invariants are violated"
-        )
+    ends = _bracket(problem, "bisection")
+    if isinstance(ends, RootSolverReport):
+        return ends
+    lo, hi = -ends[0], ends[0]
     if max_iter is None:
-        max_iter = int(np.ceil(np.log2(max(2.0 * beta / eps, 2.0)))) + 8
-    alpha_prev = None
-    alpha = 0.0
-    val = np.inf
-    count = 0
+        max_iter = int(np.ceil(np.log2(max(2.0 * hi / eps, 2.0)))) + 8
+    alpha_prev, alpha, val, count = None, 0.0, np.inf, 0
     for _ in range(max_iter):
         alpha = 0.5 * (lo + hi)
         val = float(problem.map_L([alpha])[0])
@@ -235,18 +240,13 @@ def root_bisection(problem: RootProblem, eps=1e-10, max_iter=None):
 def root_exact_piecewise_affine(problem: RootProblem):
     """Exact rank-1 root for separable h with piecewise-affine prox maps.
 
-    The map restricted to each interval between the sorted candidate
-    breakpoints ``sign * d_i (x_i - t^j_i) / u_i`` is affine with
-
-        a = 1 + sign * sum_i a^j_i u_i^2 / d_i,
-        b = sum_i u_i ((1 - a^j_i) x_i - b^j_i),
-
-    and exactly one coordinate changes segment between consecutive
-    candidates, so all interval coefficients follow from one prefix scan
-    over the sorted crossings (O(K log K) total, dominated by the sort).
-    The root of the bracketing interval is ``-b / a``, exact up to
-    floating point.
-    """
+    The map is affine between the sorted crossings ``sign * d_i (x_i -
+    t^j_i) / u_i`` of the breakpoints in :func:`root_bound`'s bracket.  A
+    search on its sign probes the crossing at the secant zero of the two
+    latest points (the middle one if it leaves the range or three probes
+    did not halve it) until the ends are neighbours.  The root is the zero
+    of their line plus one more step along it, which restores the digits a
+    line through far ends loses; ``iterations`` counts map evaluations."""
     if problem.rank != 1:
         raise ValueError("the exact finder applies to rank-1 problems")
     desc = problem.prox.pa_descriptor(problem.diag, problem.kappa)
@@ -254,98 +254,46 @@ def root_exact_piecewise_affine(problem: RootProblem):
         raise ValueError(
             f"{type(problem.prox).__name__} exposes no piecewise-affine "
             "descriptor; use bisection or the semi-smooth Newton finder")
-    u = problem.U[:, 0]
-    d = problem.diag
-    x = problem.x
-    s = problem.sign
-    mask = u != 0.0
-    k = desc.breakpoints.shape[1]
+    bp, desc = desc.breakpoints, None   # only the breakpoints are read
+    ends = _bracket(problem, "exact")
+    if isinstance(ends, RootSolverReport):
+        ends.point = problem.prox_at(ends.alpha_star)
+        return ends
+    beta, f_lo, f_hi = ends
+    u, x = problem.U[:, 0], problem.x
+    w = problem.sign * problem._shift_dirs[:, 0]
+    pts = np.empty(bp.size + 2)
+    pts[:2] = -beta, beta
+    cross = np.subtract(x[:, None], bp, out=pts[2:].reshape(bp.shape))
+    with np.errstate(divide="ignore", invalid="ignore"):   # u_i = 0: none
+        cross /= w[:, None]
+    pts.sort()
+    pts = pts[np.searchsorted(pts, -beta, "right") - 1:
+              np.searchsorted(pts, beta) + 1]
+    step = problem.prox._bind(problem.bind_weights, problem.kappa)
 
-    # segment of every coordinate at alpha -> -inf; infinite breakpoints
-    # are never crossed, so they shift the reachable segment range.
-    # Coordinates with u_i = 0 never contribute (their terms carry u_i).
-    coef = np.where(mask, -s * u / d, 0.0)   # d z_i / d alpha
-    if k:
-        n_neg_inf = np.sum(desc.breakpoints == -np.inf, axis=1)
-        n_pos_inf = np.sum(desc.breakpoints == np.inf, axis=1)
-    else:
-        n_neg_inf = n_pos_inf = np.zeros(desc.n, dtype=int)
-    init_seg = np.where(coef > 0, n_neg_inf, k - n_pos_inf)
-    rows = np.arange(desc.n)
-    slope0 = desc.slopes[rows, init_seg]
-    inter0 = desc.intercepts[rows, init_seg]
-    wa = s * u * u / d
-    a_init = 1.0 + float(np.sum((slope0 * wa)[mask]))
-    b_init = float(np.sum((u * ((1.0 - slope0) * x - inter0))[mask]))
+    def value(alpha):   # the map at alpha, and the prox point there
+        p = step(x - alpha * w)[0]
+        return float(np.sum(u * (x - p))) + alpha, p   # no BLAS threads
 
-    cand = np.empty(0)
-    if k and np.any(mask):
-        xm, um, dm = x[mask], u[mask], d[mask]
-        with np.errstate(invalid="ignore"):
-            cross = s * dm[:, None] * (xm[:, None] - desc.breakpoints[mask]) \
-                / um[:, None]
-        # segment jump at each crossing: +1 when z_i increases with alpha
-        jump = np.where(coef[mask] > 0, 1.0, -1.0)[:, None]
-        d_slope = np.diff(desc.slopes[mask], axis=1) * jump
-        d_inter = np.diff(desc.intercepts[mask], axis=1) * jump
-        delta_a = wa[mask, None] * d_slope
-        delta_b = -um[:, None] * (d_slope * xm[:, None] + d_inter)
-        finite = np.isfinite(cross)
-        if finite.all():
-            cand = cross.ravel()
-            delta_a, delta_b = delta_a.ravel(), delta_b.ravel()
-        else:
-            cand = cross[finite]
-            delta_a, delta_b = delta_a[finite], delta_b[finite]
-        if cand.size:
-            order = np.argsort(cand)
-            cand = cand[order]
-            a_vals = a_init + np.cumsum(delta_a[order])
-            b_vals = b_init + np.cumsum(delta_b[order])
-            # collapse tied crossings so interval states are consistent
-            if cand.size > 1:
-                last = np.append(cand[1:] != cand[:-1], True)
-                if not last.all():
-                    cand = cand[last]
-                    a_vals, b_vals = a_vals[last], b_vals[last]
-
-    def finish(alpha):
-        # one prox evaluation serves both the report residual and the
-        # returned point
-        p = problem.prox_at([alpha])
-        residual = abs(float(np.dot(u, x - p)) + alpha)
-        return RootSolverReport(np.array([alpha]), residual, 0, "exact",
-                                converged=math.isfinite(residual), point=p)
-
-    if cand.size == 0:
-        if a_init <= 0.0:
-            raise RootFinderError("non-positive slope; invariants violated")
-        return finish(-b_init / a_init)
-
-    # L at the candidates (continuous, non-decreasing up to rounding);
-    # locate the sign change and solve on that interval
-    l_vals = a_vals * cand + b_vals
-    idx = int(np.searchsorted(l_vals, 0.0, side="right"))
-    best = None
-    for m in (idx - 1, idx - 2, idx):
-        if m < -1 or m >= cand.size:
-            continue
-        a_coef = a_init if m < 0 else float(a_vals[m])
-        b_coef = b_init if m < 0 else float(b_vals[m])
-        if a_coef <= 0.0:
-            continue
-        alpha = -b_coef / a_coef
-        lo = -np.inf if m < 0 else cand[m]
-        hi = np.inf if m + 1 >= cand.size else cand[m + 1]
-        pad = 1e-12 * (1.0 + abs(alpha))
-        if lo - pad <= alpha <= hi + pad:
-            best = alpha
-            break
-        if best is None:
-            best = min(max(alpha, lo), hi)
-    if best is None:
-        raise RootFinderError("no bracketing interval; invariants violated")
-    return finish(best)
+    lo, hi, spans = 0, pts.size - 1, [np.inf] * 3
+    a, f_a, b, f_b = -beta, f_lo, beta, f_hi   # the two latest points
+    while f_lo and hi - lo > 1:   # f_lo = 0: the root is pts[lo]
+        zero = b - f_b * (b - a) / (f_b - f_a) if f_b != f_a else np.nan
+        secant = pts[lo] < zero < pts[hi] and 2 * (hi - lo) <= spans[-3]
+        mid = min(int(np.searchsorted(pts, zero)), hi - 1) if secant \
+            else (lo + hi) // 2
+        spans.append(hi - lo)
+        a, f_a, b, f_b = b, f_b, pts[mid], value(pts[mid])[0]
+        lo, f_lo, hi, f_hi = (lo, f_lo, mid, f_b) if f_b > 0 else \
+            (mid, f_b, hi, f_hi)
+    alpha, val, width = float(pts[lo]), f_lo, float(pts[hi] - pts[lo])
+    for _ in range(2):   # the line's zero, then one more step along it
+        if val != 0.0:   # else f_hi - f_lo may be 0
+            alpha -= val * width / (f_hi - f_lo)
+        val, p = value(alpha)
+    return RootSolverReport(np.array([alpha]), abs(val), len(spans) - 1,
+                            "exact", converged=math.isfinite(val), point=p)
 
 
 def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
@@ -354,11 +302,11 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
     safeguarded by the bracket of map signs.  Stops at ``|L| <= tol``, at
     a non-finite ``L`` (unconverged), or at a point with its base point's
     Jacobian and ``|L|`` at rounding level: the root of that affine piece,
-    as exact as the sweep's (equal slopes alone do not prove one piece:
-    both outer l1 pieces have slope 1).  On the smooth pieces of a group
-    norm the steps can close in on a 2-cycle around the root, so from step
-    ``_CYCLE_CHECK`` on two steps that halve neither the bracket nor ``|L|``
-    are followed by a bisection.  Raises :class:`RootFinderError` when
+    as exact as the exact finder's (equal slopes alone do not prove one
+    piece: both outer l1 pieces have slope 1).  On the smooth pieces of a
+    group norm the steps can close in on a 2-cycle around the root, so from
+    step ``_CYCLE_CHECK`` on two steps that halve neither the bracket nor
+    ``|L|`` are followed by a bisection.  Raises :class:`RootFinderError` when
     ``|L|`` is still above ``tol`` after ``max_iter`` steps.  Steps write
     into the call's own ``p`` (returned), ``z`` and two slots taken in turn
     (``tmp``, ``x - p``, then ``jw``)."""
@@ -441,7 +389,7 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
         Root-finding strategy.  "auto" is the warm-started semi-smooth
         Newton, the scalar one at rank 1 and above it the joint one; both
         raise :class:`RootFinderError` where they miss ``tol``.  "exact"
-        (the breakpoint sweep, for operators with a piecewise-affine
+        (the crossing search, for operators with a piecewise-affine
         descriptor) and "bisection" are the oracles: that finder on a
         single-sign rank-1 metric, and on ``P + Q1 - Q2`` with one minus
         factor the recursion (:func:`_rank2_recursive`), whose inner

@@ -328,6 +328,19 @@ def test_zbfgs_overflowing_scale_falls_back_to_the_diagonal():
     assert np.array_equal(B.diag, np.full(3, 1.0 / tau))
 
 
+def test_zbfgs_rank_deficient_gram_falls_back_to_the_diagonal(rng):
+    # the checked build refuses both pairs as linearly dependent factors:
+    # B's Gram is about gamma at gamma = 1e-13 on an ordinary pair, and H's
+    # about 1 / (gamma (1 + gamma)) at gamma = 1e7 on s parallel to y
+    s = rng.standard_normal(5)
+    for pair, gamma in ((QNPair(s, s * rng.uniform(0.5, 2.0, 5)), 1e-13),
+                        (QNPair(s, 2.5 * s), 1e7)):
+        H, B, skipped = zbfgs_metric(pair, gamma=gamma)
+        assert skipped and H.ranks == (0, 0) and B.ranks == (0, 0)
+        tau = pair.curvature / float(np.dot(pair.y, pair.y))
+        assert B.c == 1.0 / (gamma * tau)
+
+
 def test_zbfgs_infinite_tau_falls_back_to_the_diagonal():
     # <s,y> > 0 but tau_bb2 = <s,y>/||y||^2 has no finite value: ||y||^2
     # underflows to 0, or to a subnormal that the quotient overflows on;

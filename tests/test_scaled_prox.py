@@ -106,6 +106,25 @@ def test_exact_finder_single_segment(rng):
     assert report.alpha_star[0] == pytest.approx(0.0, abs=1e-14)
 
 
+def test_exact_finder_reaches_rounding_level_in_a_wide_bracket(rng):
+    # plus Grams of 1e5-1e6 and ||x|| ~ 1e6 make the bracket radius ~1e9
+    # times the root's scale; the zero of the line through the bracket's
+    # far ends alone loses the root's digits (h = 0 has no crossing at
+    # all), and one more step along that line restores them
+    n = 30
+    for op in (Zero(), L1Norm(0.5)):
+        for _ in range(100):
+            d = rng.uniform(0.5, 2.0, n)
+            u = rng.standard_normal(n)
+            u *= np.sqrt(10.0 ** rng.uniform(5.0, 6.0) / np.dot(u, u / d))
+            x = rng.standard_normal(n) * (1e6 / np.sqrt(n))
+            problem = RootProblem(LowRankMetric(d, [u], +1), op, x)
+            rep = root_exact_piecewise_affine(problem)
+            alpha = float(rep.alpha_star[0])
+            scale = np.abs(u) @ (np.abs(x) + np.abs(rep.point)) + abs(alpha)
+            assert rep.residual <= 4.0 * n * np.finfo(float).eps * scale
+
+
 def test_exact_requires_descriptor(rng):
     metric = sample_metric(rng, 5)
     with pytest.raises(ValueError):
@@ -499,16 +518,21 @@ def test_single_sign_nonfinite_point_is_not_reported_converged(rng, bad,
 
 @NONFINITE
 def test_bisection_on_a_nonfinite_point_is_not_reported_converged(rng, bad):
-    # the bracket radius is not finite: no iteration count can be formed
+    # the bracket radius is not finite: no iteration count can be formed;
+    # the exact finder shares the bracket, on the operators with a
+    # piecewise-affine descriptor
     u = 0.1 * rng.standard_normal(30)
     x = _point_with(rng, 30, bad)
     with np.errstate(invalid="ignore", over="ignore"):
-        for op in (L1Norm(0.1), LinfNorm(0.5)):
-            for sign in (+1, -1):
-                _, rep = scaled_prox(LowRankMetric(np.ones(30), [u], sign),
-                                     op, x, finder="bisection")
-                assert np.isnan(rep.residual)
-                assert not rep.converged
+        for finder, ops in (("bisection", (L1Norm(0.1), LinfNorm(0.5))),
+                            ("exact", (L1Norm(0.1), Box(-1.0, 1.0)))):
+            for op in ops:
+                for sign in (+1, -1):
+                    _, rep = scaled_prox(
+                        LowRankMetric(np.ones(30), [u], sign), op, x,
+                        finder=finder)
+                    assert np.isnan(rep.residual)
+                    assert not rep.converged
 
 
 class _BadJacobianL1(L1Norm):
@@ -775,8 +799,8 @@ def test_rank2_joint_matches_recursive_near_breakpoints(seed, n, kind, offset,
     p_joint, rep = scaled_prox_rank2(B, op, x, kappa=kappa)
     assert rep.method == "rank2-joint"
     assert rep.converged and rep.residual <= 1e-12
-    # the recursive oracle, over the sweep (bisection for the group norm,
-    # which has no piecewise-affine descriptor)
+    # the recursive oracle, over the exact finder (bisection for the group
+    # norm, which has no piecewise-affine descriptor)
     p_rec, rep_rec = scaled_prox_rank2(
         B, op, x, kappa=kappa,
         inner_finder="bisection" if kind == "group" else "exact")
@@ -800,7 +824,7 @@ def test_rank1_routing(rng, op):
     x = rng.standard_normal(12)
     p, rep = scaled_prox(metric, op, x)
     assert rep.method == "ssnewton"
-    # the sweep needs a piecewise-affine descriptor; bisection does not
+    # only the exact finder needs a piecewise-affine descriptor
     oracle = "exact" if op.pa_descriptor(metric.diag) is not None \
         else "bisection"
     q, rep_oracle = scaled_prox(metric, op, x, finder=oracle, tol=1e-13)
