@@ -20,7 +20,6 @@ from .prox import (  # noqa: F401
     LinfNorm,
     MaxFunction,
     NonNeg,
-    PiecewiseAffineDescriptor,
     ProxOperator,
     Simplex,
     Zero,

@@ -197,12 +197,24 @@ Plain-text scaled-prox input: one value per line, '#'-prefixed metadata.
 
   # h: l1            function id (l1, nonneg, box, hinge, linf_ball,
   #                  l1_ball, simplex, linf_norm, max, group_l1l2, zero)
-  # lam: 1.0         function weight (or radius / lo+hi for balls/boxes)
+  # lam: 1.0         weight of l1, hinge, linf_norm, max and group_l1l2
+  # radius: 1.0      radius of linf_ball, l1_ball and simplex
+  # lo: -1 / hi: 1   bounds of box
+  # blocks: 2,2      group sizes of group_l1l2
   # sign: +          sign of the rank-1 metric term (+ or -)
   # kappa: 1.0       prox scale
-  # blocks: 2,2      group sizes (group_l1l2 only)
   # vector: x        the following lines hold x; likewise d and u
+
+A key that the chosen h does not read is an error; a '#' line whose text
+before the colon is not one word is a comment.
 """
+
+# the metadata keys each function id reads besides h, sign and kappa
+_PROX_KEYS = {"l1": ("lam",), "nonneg": (), "box": ("lo", "hi"),
+              "hinge": ("lam",), "linf_ball": ("radius",),
+              "l1_ball": ("radius",), "simplex": ("radius",),
+              "linf_norm": ("lam",), "max": ("lam",), "zero": (),
+              "group_l1l2": ("lam", "blocks")}
 
 
 def _parse_prox_file(path):
@@ -214,10 +226,9 @@ def _parse_prox_file(path):
             if not line:
                 continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if ":" in body:
-                    key, value = body.split(":", 1)
-                    key, value = key.strip().lower(), value.strip()
+                key, colon, value = line.lstrip("#").partition(":")
+                key, value = key.strip().lower(), value.strip()
+                if colon and len(key.split()) == 1:   # else a comment
                     if key == "vector":
                         current = value
                         vectors[current] = []
@@ -232,6 +243,11 @@ def _parse_prox_file(path):
 
 def _operator_from_meta(meta, n):
     h = meta.get("h", "l1").lower()
+    if h not in _PROX_KEYS:
+        raise ValueError(f"unknown function id {h!r}")
+    unread = sorted(set(meta) - {"h", "sign", "kappa", *_PROX_KEYS[h]})
+    if unread:
+        raise ValueError(f"h {h} reads no metadata key {unread[0]!r}")
     lam = float(meta.get("lam", 1.0))
     if h == "l1":
         return L1Norm(lam)
@@ -253,14 +269,12 @@ def _operator_from_meta(meta, n):
         return MaxFunction(lam)
     if h == "zero":
         return Zero()
-    if h == "group_l1l2":
-        sizes = [int(s) for s in meta.get("blocks", "").split(",") if s]
-        if sum(sizes) != n:
-            raise ValueError("group sizes must sum to the dimension")
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        blocks = [np.arange(s, s + size) for s, size in zip(starts, sizes)]
-        return GroupL2(lam, blocks)
-    raise ValueError(f"unknown function id {h!r}")
+    sizes = [int(s) for s in meta.get("blocks", "").split(",") if s]
+    if sum(sizes) != n:
+        raise ValueError("group sizes must sum to the dimension")
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    blocks = [np.arange(s, s + size) for s, size in zip(starts, sizes)]
+    return GroupL2(lam, blocks)
 
 
 def cmd_prox(args):

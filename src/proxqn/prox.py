@@ -29,8 +29,8 @@ c)``'s bits), every other operator the vector.  The support functions
 product reads the step's projection.  ``jac`` reads ``z`` when called,
 the group norm's through a view when its blocks lie in order, so a
 caller keeps ``z`` until its products.  A separable operator's
-``pa_descriptor`` gives its scalar affine pieces, of which the exact
-rank-1 finder reads only the breakpoints.
+``pa_descriptor`` gives the breakpoints of its scalar maps, the N x 2
+column stack of ``_bounds``, which the exact rank-1 finder reads.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
-    "PiecewiseAffineDescriptor",
     "ProxOperator",
     "Zero",
     "L1Norm",
@@ -81,61 +80,6 @@ def _check_weights(d, n=None):
     return d
 
 
-class PiecewiseAffineDescriptor:
-    """Per-coordinate piecewise-affine scalar maps.
-
-    Coordinate ``i`` maps ``z`` to ``slopes[i, j] * z + intercepts[i, j]`` on
-    the segment ``[breakpoints[i, j-1], breakpoints[i, j]]`` with the outer
-    sentinels ``-inf`` and ``+inf``.  Breakpoints are sorted per row; rows
-    may contain ``+-inf`` entries for segments that never activate.
-
-    Invariants (checked by :meth:`validate`): continuity at every finite
-    breakpoint and all slopes in ``[0, 1]`` (the maps are monotone and
-    non-expansive, as proximal maps of scalar convex functions must be).
-    """
-
-    def __init__(self, breakpoints, slopes, intercepts):
-        self.breakpoints = np.atleast_2d(np.asarray(breakpoints, dtype=float))
-        self.slopes = np.atleast_2d(np.asarray(slopes, dtype=float))
-        self.intercepts = np.atleast_2d(np.asarray(intercepts, dtype=float))
-        n, k = self.breakpoints.shape
-        if self.slopes.shape != (n, k + 1) or self.intercepts.shape != (n, k + 1):
-            raise ValueError("descriptor arrays have inconsistent shapes")
-
-    @property
-    def n(self):
-        return self.breakpoints.shape[0]
-
-    def segment_index(self, z):
-        """Segment index per coordinate, the left one at a breakpoint."""
-        z = np.asarray(z, dtype=float)
-        return np.sum(self.breakpoints < z[:, None], axis=1)
-
-    def evaluate(self, z):
-        """Apply the scalar maps coordinate-wise."""
-        idx = self.segment_index(z)
-        rows = np.arange(self.n)
-        return self.slopes[rows, idx] * z + self.intercepts[rows, idx]
-
-    def validate(self, tol=1e-12):
-        """Raise if continuity or the slope range [0, 1] is violated."""
-        if np.any(self.slopes < -tol) or np.any(self.slopes > 1 + tol):
-            raise ValueError("descriptor slopes outside [0, 1]")
-        if self.breakpoints.shape[1] == 0:
-            return
-        if np.any(np.diff(self.breakpoints, axis=1) < 0):
-            raise ValueError("breakpoints not sorted")
-        t = self.breakpoints
-        with np.errstate(invalid="ignore"):   # 0 * inf at infinite bounds
-            left = self.slopes[:, :-1] * t + self.intercepts[:, :-1]
-            right = self.slopes[:, 1:] * t + self.intercepts[:, 1:]
-        finite = np.isfinite(t)
-        scale = np.maximum(1.0, np.abs(t, where=finite, out=np.ones_like(t)))
-        gap = np.abs(left - right)
-        if np.any(gap[finite] > tol * scale[finite]):
-            raise ValueError("descriptor is discontinuous at a breakpoint")
-
-
 class ProxOperator:
     """Base class: a convex function with a diagonal-metric prox."""
 
@@ -164,7 +108,9 @@ class ProxOperator:
         raise NotImplementedError
 
     def pa_descriptor(self, d, kappa=1.0):
-        """Piecewise-affine description of the scalar prox maps, or None."""
+        """The ``(N, k)`` breakpoints of the scalar prox maps, each row
+        sorted, between which every map is affine; None if they are not
+        piecewise affine."""
         return None
 
     def prox_diag_jvp(self, z, d, kappa, M):
@@ -229,16 +175,8 @@ class _Clip(ProxOperator):
 
     def pa_descriptor(self, d, kappa=1.0):
         d = _check_weights(d)
-        n = d.shape[0]
-        lo, hi = (np.broadcast_to(b, (n,)) for b in self._bounds(d, kappa))
-        if self._shrink:
-            slopes, inter = (1.0, 0.0, 1.0), (0.0 - lo, np.zeros(n), 0.0 - hi)
-        else:
-            slopes, inter = (0.0, 1.0, 0.0), (lo, np.zeros(n), hi)
-        bp, inter = np.column_stack((lo, hi)), np.column_stack(inter)
-        # the intercepts of unreachable infinite segments
-        inter[:, ::2][~np.isfinite(bp)] = 0.0
-        return PiecewiseAffineDescriptor(bp, np.tile(slopes, (n, 1)), inter)
+        lo, hi = np.broadcast_arrays(*self._bounds(d, kappa), d)[:2]
+        return np.column_stack((lo, hi))
 
     def _bind(self, d, kappa):
         # 0-d bounds: ufuncs convert a float per call

@@ -22,8 +22,9 @@ one damped semi-smooth Newton on the stacked multiplier system, with one
 diagonal prox and one Clarke-Jacobian product with an N x r matrix per
 step.  A miss of either Newton's tolerance raises :class:`RootFinderError`.
 The oracles are one scalar engine, a rank-1 :class:`RootProblem` solved
-in the bracket of :func:`root_bound` by the exact search over the sorted
-breakpoint crossings or by bisection; on ``P + Q1 - Q2`` it is the minus
+in the bracket of :func:`root_bound`, which strong monotonicity gives from
+one map evaluation, by the exact search over the sorted breakpoint
+crossings or by bisection; on ``P + Q1 - Q2`` it is the minus
 side of ``P1 - Q2``, with the rank-1 prox in ``P1 = P + Q1`` as its base.
 
 Both Newtons bind the operator once per root problem (``_bind`` in
@@ -126,9 +127,8 @@ class RootProblem:
 
     @property
     def diag(self):
-        """``diag(P)``, read by the oracles and the rank-1 Newton's
-        safeguard :func:`root_bound`: a trusted ``c I`` forms it at the
-        first read."""
+        """``diag(P)``, read by the base prox and the exact finder's
+        breakpoints: a trusted ``c I`` forms it at the first read."""
         return self.metric.diag
 
     def base(self, z):
@@ -165,26 +165,17 @@ def _checked(metric, prox, x, kappa):
 
 
 def root_bound(problem: RootProblem):
-    """Bracket radius ``beta = ||u|| (2 ||x|| + s0)`` of every rank-1 root.
+    """Bracket radius ``beta = 2 |L(0)| / c`` of every rank-1 root.
 
-    ``s0`` over-estimates ``||prox^V_h(0)||``: it is zero whenever the
-    base prox fixes the origin (all positively homogeneous h), else
-    ``q0 (1 + ||u|| g / (c sqrt(d_min)))`` with ``q0 = ||base(0)||``,
-    which follows from strong monotonicity of the map at x = 0 and
-    non-expansiveness of the base prox in a metric above ``P``.
+    Strong monotonicity with modulus ``c`` gives ``|alpha*| <= |L(0)| / c``
+    for either sign; the factor 2 keeps ``L(-beta)`` and ``L(beta)`` at
+    least ``|L(0)|`` away from zero, so the end check never rests on
+    rounding.  One map evaluation.
     """
     if problem.rank != 1:
         raise ValueError("root bound applies to rank-1 problems")
-    u = problem.U[:, 0]
-    u_norm = float(np.linalg.norm(u))
-    q0 = float(np.linalg.norm(problem.base(np.zeros(problem.x.shape[0]))))
-    if q0 == 0.0:
-        s0 = 0.0
-    else:
-        g = np.sqrt(problem.lipschitz_bound - 1.0)
-        c = problem.monotonicity_modulus
-        s0 = q0 * (1.0 + u_norm * g / (c * np.sqrt(float(np.min(problem.diag)))))
-    return u_norm * (2.0 * float(np.linalg.norm(problem.x)) + s0)
+    return 2.0 * abs(float(problem.map_L([0.0])[0])) \
+        / problem.monotonicity_modulus
 
 
 def _bracket(problem, method):
@@ -246,15 +237,15 @@ def root_exact_piecewise_affine(problem: RootProblem):
     latest points (the middle one if it leaves the range or three probes
     did not halve it) until the ends are neighbours.  The root is the zero
     of their line plus one more step along it, which restores the digits a
-    line through far ends loses; ``iterations`` counts map evaluations."""
+    line through far ends loses; ``iterations`` counts the map evaluations
+    at the bracket ends and the probes."""
     if problem.rank != 1:
         raise ValueError("the exact finder applies to rank-1 problems")
-    desc = problem.prox.pa_descriptor(problem.diag, problem.kappa)
-    if desc is None:
+    bp = problem.prox.pa_descriptor(problem.diag, problem.kappa)
+    if bp is None:
         raise ValueError(
             f"{type(problem.prox).__name__} exposes no piecewise-affine "
             "descriptor; use bisection or the semi-smooth Newton finder")
-    bp, desc = desc.breakpoints, None   # only the breakpoints are read
     ends = _bracket(problem, "exact")
     if isinstance(ends, RootSolverReport):
         ends.point = problem.prox_at(ends.alpha_star)
@@ -389,8 +380,8 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
         Root-finding strategy.  "auto" is the warm-started semi-smooth
         Newton, the scalar one at rank 1 and above it the joint one; both
         raise :class:`RootFinderError` where they miss ``tol``.  "exact"
-        (the crossing search, for operators with a piecewise-affine
-        descriptor) and "bisection" are the oracles: that finder on a
+        (the crossing search, for operators whose ``pa_descriptor``
+        gives breakpoints) and "bisection" are the oracles: that finder on a
         single-sign rank-1 metric, and on ``P + Q1 - Q2`` with one minus
         factor the recursion (:func:`_rank2_recursive`), whose inner
         rank-1 solves in ``P + Q1`` take that finder.

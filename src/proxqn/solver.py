@@ -86,6 +86,8 @@ class SolverOptions:
     record_metrics: bool = False
 
     def __post_init__(self):
+        if not self.max_iters >= 1:   # an empty trace breaks SolverResult
+            raise ValueError("max_iters must be at least 1")
         if not self.tol >= 0:   # NaN fails each test
             raise ValueError("tol must be non-negative")
         if self.budget_seconds is not None and not self.budget_seconds > 0:

@@ -317,10 +317,12 @@ def suite_metric(seed=0, count=50):
 
 @_timed
 def suite_prox_library(seed=0, count=60):
-    """Descriptor/pointwise agreement, non-expansiveness, diagonal Moreau
-    identity, and permutation equivariance of separable proxes."""
+    """Sorted breakpoints with the prox affine between them (zero second
+    difference at half the distance to the nearest one), non-expansiveness,
+    diagonal Moreau identity, and permutation equivariance of separable
+    proxes."""
     rng = np.random.default_rng(seed)
-    worst_desc = worst_moreau = worst_exp = worst_perm = 0.0
+    worst_bp = worst_moreau = worst_exp = worst_perm = 0.0
     kinds = ("l1", "nonneg", "box", "hinge", "l1_ball", "simplex",
              "group_l1l2")
     for _ in range(count):
@@ -328,13 +330,18 @@ def suite_prox_library(seed=0, count=60):
         metric, op, x, kappa, params = sample_instance(rng, kind, max_n=30)
         d = metric.diag
         n = d.shape[0]
-        desc = op.pa_descriptor(d, kappa)
-        if desc is not None:
-            desc.validate()
+        bp = op.pa_descriptor(d, kappa)
+        if bp is not None:
+            if np.any(np.diff(bp, axis=1) < 0):
+                worst_bp = np.inf
             for _ in range(max(1000 // (count * n), 3)):
                 z = rng.standard_normal(n) * 3.0
-                err = np.max(np.abs(desc.evaluate(z) - op.prox_diag(z, d, kappa)))
-                worst_desc = max(worst_desc, float(err))
+                step = 0.5 * np.min(np.abs(z[:, None] - bp), axis=1)
+                step[np.isinf(step)] = 1.0   # no finite breakpoint (Zero)
+                lo, mid, hi = (op.prox_diag(z + s * step, d, kappa)
+                               for s in (-1.0, 0.0, 1.0))
+                err = np.max(np.abs(lo - 2.0 * mid + hi))
+                worst_bp = max(worst_bp, float(err))
         a = rng.standard_normal(n)
         b = rng.standard_normal(n)
         pa, pb = op.prox_diag(a, d, kappa), op.prox_diag(b, d, kappa)
@@ -360,11 +367,11 @@ def suite_prox_library(seed=0, count=60):
                     rho * op.prox_diag(d * a / rho, 1.0 / d, 1.0 / rho) / d
                 worst_moreau = max(worst_moreau,
                                    float(np.max(np.abs(weighted - a))))
-    passed = (worst_desc <= 1e-12 and worst_exp <= 1e-10 and
+    passed = (worst_bp <= 1e-12 and worst_exp <= 1e-10 and
               worst_perm <= 1e-14 and worst_moreau <= 1e-12)
     return SuiteResult(
         "prox-library", passed,
-        f"descriptor {worst_desc:.2e}, moreau {worst_moreau:.2e}, "
+        f"breakpoints {worst_bp:.2e}, moreau {worst_moreau:.2e}, "
         f"expansiveness slack {worst_exp:.2e}, permutation {worst_perm:.2e}")
 
 
@@ -675,6 +682,7 @@ def suite_ssnewton_local(seed=0, count=50):
         d = np.repeat(rng.uniform(0.5, 2.0, len(blocks)),
                       [len(b) for b in blocks])
         x = rng.standard_normal(n)
+        reach = 2.0 * float(np.linalg.norm(x))
 
         if i % 2 == 0:
             sign = +1 if rng.random() < 0.5 else -1
@@ -684,7 +692,7 @@ def suite_ssnewton_local(seed=0, count=50):
             u *= np.sqrt(target / float(np.dot(u, u / d)))
             metric = LowRankMetric(d, [u], sign)
             problem = RootProblem(metric, op, x)
-            beta = root_bound(problem)
+            beta = float(np.linalg.norm(u)) * reach
 
             def newton_from(frac):
                 return root_semismooth_newton(problem, tol=1e-10,
@@ -695,7 +703,6 @@ def suite_ssnewton_local(seed=0, count=50):
             u2 = rng.standard_normal(n)
             u2 *= np.sqrt(rng.uniform(0.2, 0.45) / float(np.dot(u2, u2 / d)))
             metric = PlusMinusMetric(d, [u1], [u2])
-            reach = 2.0 * float(np.linalg.norm(x))
             b1 = float(np.linalg.norm(u1)) * reach
             b2 = float(np.linalg.norm(u2)) * reach
 

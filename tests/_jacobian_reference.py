@@ -25,7 +25,7 @@ from _group_reference import RepeatGroupL2
 
 def _slope_rule(op, z, d, kappa):
     """Clarke slopes of a separable prox at ``z``, the right-hand
-    segment's at a breakpoint of its descriptor."""
+    segment's at a breakpoint of its ``pa_descriptor``."""
     if isinstance(op, Zero):
         return np.ones(len(z))
     lo, hi = op._bounds(d, kappa)

@@ -213,9 +213,14 @@ def test_prox_malformed_file(tmp_path, capsys):
     (ORTHANT_EXAMPLE.replace("# sign: +", "# sign: plus").replace(
         "# vector: u\n1.0\n1.0", "# vector: u\n0.5\n0.5"), "exact",
      "sign must be + or -, got 'plus'"),
+    # a key the chosen h does not read ran at that key's default
+    (ORTHANT_EXAMPLE.replace("# h: nonneg", "# h: linf_ball\n# lam: 5"),
+     "auto", "h linf_ball reads no metadata key 'lam'"),
+    (ORTHANT_EXAMPLE.replace("# h: nonneg", "# h: l1\n# lamda: 5"),
+     "auto", "h l1 reads no metadata key 'lamda'"),
 ], ids=["negative-kappa", "nan-kappa", "weights-vary-in-a-block",
         "exact-linf", "exact-group", "nan-lam", "unknown-sign",
-        "unknown-sign-small-u"])
+        "unknown-sign-small-u", "lam-on-linf-ball", "misspelt-lam"])
 def test_prox_bad_input_exits_2(tmp_path, capsys, text, finder, message):
     # input the prox rejects is a configuration error, not a solver failure
     path = tmp_path / "bad.txt"

@@ -334,18 +334,22 @@ def test_descriptors_reproduce_prox_pointwise(rng):
     n = 40
     d = rng.uniform(0.5, 2.0, n)
     for op, _ in cases:
-        desc = op.pa_descriptor(d, kappa=1.7)
-        desc.validate()
+        # sorted rows, between which the prox is affine: its second
+        # difference vanishes at half the distance to the nearest breakpoint
+        bp = op.pa_descriptor(d, kappa=1.7)
+        assert bp.shape == (n, 2) and np.all(np.diff(bp, axis=1) >= 0)
         for _ in range(25):
             z = rng.standard_normal(n) * 3.0
-            np.testing.assert_allclose(desc.evaluate(z),
-                                       op.prox_diag(z, d, 1.7), atol=1e-12)
+            step = 0.5 * np.min(np.abs(z[:, None] - bp), axis=1)
+            lo, mid, hi = (op.prox_diag(z + s * step, d, 1.7)
+                           for s in (-1.0, 0.0, 1.0))
+            np.testing.assert_allclose(lo - 2.0 * mid + hi, 0.0, atol=1e-12)
 
 
 def test_slope_rules_match_descriptor_slopes_bitwise(rng):
-    # the Clarke products of the clip family and Zero scale by the
-    # descriptor's slopes, the right-hand segment's at a breakpoint: the
-    # same numbers, not merely close
+    # the Clarke products of the clip family and Zero scale by the slopes
+    # of the pieces between pa_descriptor's breakpoints, the right-hand
+    # piece's at a breakpoint: the same numbers, not merely close
     n = 60
     d = rng.uniform(0.5, 2.0, n)
     kappa = 1.3
@@ -365,15 +369,17 @@ def test_slope_rules_match_descriptor_slopes_bitwise(rng):
     ]
     M = rng.standard_normal((n, 2))
     for op, kinks in cases:
-        desc = op.pa_descriptor(d, kappa)
+        bp = op.pa_descriptor(d, kappa)
+        # the pieces' slopes: a shrink's, and a clip's (Zero among them)
+        slopes = np.array((1.0, 0.0, 1.0) if op._shrink else (0.0, 1.0, 0.0))
         points = [3.0 * rng.standard_normal(n) for _ in range(5)]
         for kink in kinks:
             # exactly at the breakpoints, and one ulp to either side
             points += [kink, np.nextafter(kink, -np.inf),
                        np.nextafter(kink, np.inf)]
         for z in points:
-            right = np.sum(desc.breakpoints <= z[:, None], axis=1)
-            expected = desc.slopes[np.arange(n), right][:, None] * M
+            right = np.sum(bp <= z[:, None], axis=1)
+            expected = slopes[right][:, None] * M
             assert np.array_equal(op.prox_diag_jvp(z, d, kappa, M), expected)
 
 

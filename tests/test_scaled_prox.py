@@ -97,7 +97,7 @@ def test_exact_finder_worked_example():
 
 
 def test_exact_finder_single_segment(rng):
-    # h = 0 has a one-segment descriptor: L(a) = (1 + |u|^2/d) a, root 0
+    # h = 0 has one affine piece: L(a) = (1 + |u|^2/d) a, root 0
     d = rng.uniform(0.5, 2.0, 5)
     u = rng.standard_normal(5) * 0.5
     metric = LowRankMetric(d, [u], +1)
@@ -174,6 +174,27 @@ def test_bisection_iteration_bound(rng):
         allowed = int(np.ceil(np.log2(2.0 * c * beta / eps))) + 2
         assert report.iterations <= allowed
         assert abs(report.alpha_star[0]) <= beta + 1e-12
+
+
+def test_oracles_bracket_the_root_in_ill_conditioned_minus_metrics():
+    # a minus Gram of 1 - 10^U(-8, -4) put NonNeg's root outside the
+    # former norm bound ||u|| (2 ||x|| + s0), so both oracles raised
+    # BracketError on 6 of these 200 draws; strong monotonicity bounds the
+    # root for every metric
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        d = rng.uniform(0.5, 2.0, n)
+        u = rng.standard_normal(n)
+        u *= np.sqrt((1.0 - 10.0 ** rng.uniform(-8.0, -4.0)) /
+                     np.dot(u, u / d))
+        problem = RootProblem(LowRankMetric(d, [u], -1), NonNeg(),
+                              rng.standard_normal(n))
+        newton = float(root_semismooth_newton(problem).alpha_star[0])
+        for report in (root_bisection(problem, eps=1e-10),
+                       root_exact_piecewise_affine(problem)):
+            assert abs(report.alpha_star[0] - newton) <= \
+                1e-8 * max(1.0, abs(newton))
 
 
 def test_bisection_signals_broken_bracket(rng):

@@ -167,12 +167,13 @@ def test_unknown_solver_id():
     dict(tol=float("nan")), dict(tol=-1e-3), dict(budget_seconds=0.0),
     dict(budget_seconds=-1.0), dict(budget_seconds=float("nan")),
     dict(kappa=0.0), dict(kappa=-1.0), dict(kappa=float("nan")),
-    dict(line_search="armijo"),
+    dict(line_search="armijo"), dict(max_iters=0), dict(max_iters=-3),
 ], ids=["nan-tol", "negative-tol", "zero-budget", "negative-budget",
         "nan-budget", "zero-kappa", "negative-kappa", "nan-kappa",
-        "unknown-line-search"])
+        "unknown-line-search", "zero-max-iters", "negative-max-iters"])
 def test_bad_options_are_rejected_at_construction(kwargs):
-    # a NaN tol or budget would run a solve to its cap; tol 0 stays legal
+    # a NaN tol or budget would run a solve to its cap, a cap below 1 would
+    # return an empty trace; tol 0 stays legal
     with pytest.raises(ValueError):
         SolverOptions(**kwargs)
     SolverOptions(tol=0.0)
