@@ -31,6 +31,10 @@ The internal ``_proven`` constructor stores a ``c I`` factored form as
 its caller proves it, with no check: zero-memory BFGS builds its ``B``
 there with ``_build``'s operations, and its ``H`` as a product-only
 operator that holds ``c``, ``U1`` and ``U2`` and forms no ``W``.
+Zero-memory SR1's step builds no metric at all: ``quasi_newton`` forms
+the factors of ``H`` and of ``invert()``'s ``B`` with ``_build``'s
+operations and tests, and the solver forms ``H g`` with ``_apply``, the
+body of :meth:`_FactoredMetric.apply`.
 """
 
 from __future__ import annotations
@@ -143,6 +147,17 @@ def _outer_pd_test(M):   # M = U2^T W2: P + Q1 - Q2 > 0 iff I - M > 0
             "diag + Q1 - Q2 is not positive definite "
             f"(outer Gram eigenvalue {lo:.3g} <= 0)"
         )
+
+
+def _apply(p, U1, U2, x):
+    """``(P + U1 U1^T - U2 U2^T) x`` for a checked ``x``, ``p`` the diagonal
+    vector or the ``c`` of ``c I``: :meth:`_FactoredMetric.apply`'s bits."""
+    y = p * x
+    if U1.shape[1]:
+        y = y + U1.dot(U1.T.dot(x))
+    if U2.shape[1]:
+        y = y - U2.dot(U2.T.dot(x))
+    return y
 
 
 def _positive_scalar(c):   # c of c I; NaN fails
@@ -273,13 +288,8 @@ class _FactoredMetric:
 
     def apply(self, x):
         """Matrix-vector product ``V x`` in O(N r)."""
-        x = _as_vector(x, self.dim)
-        y = (self.diag if self.c is None else self.c) * x
-        if self.U1.shape[1]:
-            y = y + self.U1.dot(self.U1.T.dot(x))
-        if self.U2.shape[1]:
-            y = y - self.U2.dot(self.U2.T.dot(x))
-        return y
+        return _apply(self.diag if self.c is None else self.c, self.U1,
+                      self.U2, _as_vector(x, self.dim))
 
     def norm_sq(self, x):
         """Quadratic form ``<x, V x>`` (non-negative, zero iff x = 0)."""

@@ -5,6 +5,10 @@ Hessian from the most recent displacement/gradient pair at every
 iteration.  The diagonal is a Barzilai-Borwein multiple of the identity
 scaled down by ``gamma`` so the low-rank correction stays well defined;
 degenerate pairs skip the correction and keep the diagonal.
+
+The solver's 0SR1 step builds no metric object: ``_sr1_factors`` gives
+the factors of ``H = sr1_metric(...)`` and ``B = H.invert()`` with their
+bits and decisions.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import (LowRankMetric, MetricError, PlusMinusMetric,
-                     _drop_factors)
+from .metric import (FACTOR_DROP_TOL, LowRankMetric, MetricError,
+                     PlusMinusMetric, _drop_factors, _minus_pd_test,
+                     _rank_test)
 
 # SR1 clamps tau_bb2 to [_SR1_TAU_MIN, _SR1_TAU_MAX] and skips the rank-1
 # update when <w, y> <= _SR1_SKIP_TOL ||w|| ||y||, w = s - H0 y
@@ -58,6 +63,16 @@ class QNPair:
         object.__setattr__(self, "curvature", float(np.dot(s, y)))
         object.__setattr__(self, "y_norm_sq", float(np.dot(y, y)))
 
+    @classmethod
+    def _trusted(cls, s, y):
+        """The pair of float vectors ``s`` and ``y`` of one length, which
+        the caller owns, without the coercion, the check and the frozen
+        ``__setattr__``: the solver's loop makes one per iteration."""
+        pair = cls.__new__(cls)
+        vars(pair).update(s=s, y=y, curvature=float(np.dot(s, y)),
+                          y_norm_sq=float(np.dot(y, y)))
+        return pair
+
 
 def bb_stepsizes(pair: QNPair):
     """Barzilai-Borwein spectral step lengths ``(tau_bb1, tau_bb2)``.
@@ -95,16 +110,63 @@ def sr1_metric(pair, gamma=0.8, dim=None, tau0=1.0):
             raise ValueError("dim is required when no pair is given")
         return LowRankMetric._trusted(float(tau0), np.zeros((dim, 0)))
     n = pair.s.shape[0]
-    yy = pair.y_norm_sq
-    if yy == 0.0:
+    if pair.y_norm_sq == 0.0:
         return LowRankMetric._trusted(float(tau0), np.zeros((n, 0)))
+    h0, u = _sr1_update(pair, gamma)
+    if u is None:
+        return LowRankMetric._trusted(h0, np.zeros((n, 0)))
+    return LowRankMetric._trusted(h0, u.reshape(n, 1), +1)
+
+
+def _sr1_update(pair, gamma):
+    """``(h0, u)`` of :func:`sr1_metric` on a pair with ``||y|| > 0``;
+    ``u`` is None where the update is skipped."""
+    yy = pair.y_norm_sq
     h0 = gamma * min(max(pair.curvature / yy, _SR1_TAU_MIN), _SR1_TAU_MAX)
     w = pair.s - h0 * pair.y
     wy = float(np.dot(w, pair.y))
     if wy <= _SR1_SKIP_TOL * math.sqrt(yy) * math.sqrt(w.dot(w)):
-        return LowRankMetric._trusted(h0, np.zeros((n, 0)))
-    u = w / math.sqrt(wy)
-    return LowRankMetric._trusted(h0, u.reshape(n, 1), +1)
+        return h0, None
+    return h0, w / math.sqrt(wy)
+
+
+def _sr1_factors(pair, gamma, n, tau0):
+    """What one 0SR1 step reads of ``H = sr1_metric(pair, gamma, n, tau0)``
+    and ``B = H.invert()``, with their bits and decisions and no metric
+    object: ``(h0, U, b, V, W, g)`` with ``H = h0 I + U U^T``,
+    ``B = b I - V V^T``, ``W = V / b`` and ``g = V^T W``, B's Gram
+    (``B.c``, ``B.U2``, ``B.W2`` and ``B.gram_norm_sq``); each factor is
+    ``(n, 1)``, or ``(n, 0)`` at rank 0 with ``g = 0``.
+
+    It keeps the skip rule, the diagonals of the first step and of
+    ``||y|| = 0``, the drop rule of both factors, both Gram rank tests and
+    B's test ``g < 1``, raising as the metric layer does.  It skips the
+    tests ``c > 0`` of ``h0`` and ``b``, which the caller proves: ``gamma``
+    in (0, 1), a finite ``<s, y>``, and ``tau0`` with ``1/tau0 > 0`` put
+    ``h0`` in ``[gamma 1e-8, gamma 1e8]`` and ``b = 1/h0`` above 0.
+    """
+    if pair is None or pair.y_norm_sq == 0.0:
+        h0, u = float(tau0), None
+    else:
+        h0, u = _sr1_update(pair, gamma)
+    b = 1.0 / h0
+    # the 1-d column u of U: its products have the (n, 1) column's bits
+    if u is None or not math.sqrt(u.dot(u)) >= FACTOR_DROP_TOL:
+        U = np.zeros((n, 0))
+        return h0, U, b, U, U, 0.0
+    g = float(u.dot(u / h0))   # H's Gram: the rank test
+    g = 0.5 * (g + g)
+    _rank_test(g, g)
+    v = u * b * (np.array([1.0 + g]) ** -0.5)[0]   # invert()'s factor
+    if not math.sqrt(v.dot(v)) >= FACTOR_DROP_TOL:
+        V = np.zeros((n, 0))
+        return h0, u.reshape(n, 1), b, V, V, 0.0
+    w = v / b   # B's minus side
+    g = float(v.dot(w))
+    g = 0.5 * (g + g)
+    _rank_test(g, g)
+    _minus_pd_test(g)
+    return h0, u.reshape(n, 1), b, v.reshape(n, 1), w.reshape(n, 1), g
 
 
 def _zbfgs_diagonal(h, n):

@@ -27,6 +27,14 @@ one map evaluation, by the exact search over the sorted breakpoint
 crossings or by bisection; on ``P + Q1 - Q2`` it is the minus
 side of ``P1 - Q2``, with the rank-1 prox in ``P1 = P + Q1`` as its base.
 
+The dispatcher checks the query point and the weights (``_checked``) and
+hands the factored form to ``_route``, which takes arrays: the solvers'
+step calls it directly, with the checks that hold for a whole solve made
+once.  The rank-1 Newton is one core, ``_ssnewton``, on ``(x, U, W,
+sign, weights, kappa)``, which :func:`root_semismooth_newton` and the
+route wrap; it builds a :class:`RootProblem` only where its safeguard
+needs :func:`root_bound`'s bracket.
+
 Both Newtons bind the operator once per root problem (``_bind`` in
 :mod:`proxqn.prox`), with the scalar ``c`` of a trusted ``P = c I`` where
 the operator takes one: every prox step, line-search trials included,
@@ -107,19 +115,32 @@ class RootProblem:
     """
 
     def __init__(self, metric: LowRankMetric, prox, x, kappa=1.0, base=None):
-        self.x, self.bind_weights = _checked(metric, prox, x, kappa)
-        self.metric = metric
-        self.prox = prox
-        self.kappa = float(kappa)
-        self._base = base   # the callable itself: no cycle through self
-        self.sign = metric.sign if base is None else -1
+        x, weights = _checked(metric, prox, x, kappa)
+        sign = metric.sign if base is None else -1
         # U and W of the non-empty side, or of the minus side given a base
-        self.U, self._shift_dirs = (metric.U2, metric.W2) \
-            if self.sign < 0 else (metric.U1, metric.W1)
+        U, W = (metric.U2, metric.W2) if sign < 0 else (metric.U1, metric.W1)
         g_sq = metric.gram_norm_sq if base is None else \
-            float(np.linalg.eigvalsh(self.U.T @ self._shift_dirs)[-1])
+            float(np.linalg.eigvalsh(U.T @ W)[-1])
+        self._fill(prox, x, U, W, sign, weights, float(kappa), g_sq)
+        self.metric = metric
+        self._base = base   # the callable itself: no cycle through self
+
+    @classmethod
+    def _of(cls, prox, x, U, W, sign, weights, kappa, g_sq):
+        """The single-sign problem on ``(U, W)`` with the sign ``sign``,
+        from arrays and weights that :func:`_checked` would give; its
+        ``diag(P)`` comes from the weights."""
+        problem = cls.__new__(cls)
+        problem._fill(prox, x, U, W, sign, weights, kappa, g_sq)
+        problem.metric = problem._base = None
+        return problem
+
+    def _fill(self, prox, x, U, W, sign, weights, kappa, g_sq):
+        self.x, self.bind_weights = x, weights
+        self.prox, self.kappa, self.sign = prox, kappa, sign
+        self.U, self._shift_dirs = U, W
         self.lipschitz_bound = 1.0 + g_sq
-        self.monotonicity_modulus = 1.0 if self.sign > 0 else 1.0 - g_sq
+        self.monotonicity_modulus = 1.0 if sign > 0 else 1.0 - g_sq
 
     @property
     def rank(self):
@@ -128,7 +149,11 @@ class RootProblem:
     @property
     def diag(self):
         """``diag(P)``, read by the base prox and the exact finder's
-        breakpoints: a trusted ``c I`` forms it at the first read."""
+        breakpoints: a trusted ``c I`` forms it at the first read, a
+        problem of :meth:`_of` from its weights at every read."""
+        if self.metric is None:
+            w = self.bind_weights
+            return w if isinstance(w, np.ndarray) else np.full(self.x.size, w)
         return self.metric.diag
 
     def base(self, z):
@@ -304,9 +329,20 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
     if problem.rank != 1:
         raise ValueError("the semi-smooth Newton finder applies to rank-1 "
                          "problems")
-    prox, x, s = problem.prox, problem.x, problem.sign
-    u, w = problem.U[:, 0], problem._shift_dirs[:, 0]
-    step = prox._bind(problem.bind_weights, problem.kappa)
+    return _ssnewton(problem.prox, problem.x, problem.U, problem._shift_dirs,
+                     problem.sign, problem.bind_weights, problem.kappa, None,
+                     tol, alpha0, max_iter, problem)
+
+
+def _ssnewton(prox, x, U, W, s, weights, kappa, g_sq, tol=1e-12, alpha0=None,
+              max_iter=50, problem=None):
+    """:func:`root_semismooth_newton` on the rank-1 problem of
+    :meth:`RootProblem._of` (``U``, ``W`` and ``weights`` as checked, the
+    float ``kappa``, ``g_sq`` the Gram of ``U`` and ``W``), which is built
+    only where the safeguard needs :func:`root_bound`'s bracket, unless
+    ``problem`` is given."""
+    u, w = U[:, 0], W[:, 0]
+    step = prox._bind(weights, kappa)
     p, rows = np.empty_like(x), np.empty((3, x.size))
     z, jws = rows[0], (rows[1], rows[2])
     abs_ux = None   # |u| and |x|, formed at the first rounding-level test
@@ -339,6 +375,9 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
             and history[-1] > 0.5 * history[-3]
         if cycling or not lo < new < hi:
             if np.isinf(lo) or np.isinf(hi):
+                if problem is None:
+                    problem = RootProblem._of(prox, x, U, W, s, weights,
+                                              kappa, g_sq)
                 beta = root_bound(problem)
                 lo, hi = max(min(-beta, hi), lo), min(max(beta, lo), hi)
             new = 0.5 * (lo + hi)
@@ -352,22 +391,33 @@ def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
 
 
 def _prox(metric, prox, x, kappa, tol, warm):
-    """The one production route, by the metric's total rank: the diagonal
-    prox, the rank-1 Newton on the non-empty side, or the joint Newton on
-    ``(U1, W1, U2, W2)``; ``warm`` of another size is ignored."""
-    r = metric.rank
+    """The one production route (:func:`_route`) on the metric's factored
+    form, after :func:`_checked`."""
+    x, weights = _checked(metric, prox, x, kappa)
+    return _route(prox, x, kappa, weights, metric.U1, metric.W1, metric.U2,
+                  metric.W2, metric.gram_norm_sq, tol, warm)
+
+
+def _route(prox, x, kappa, weights, U1, W1, U2, W2, g_sq, tol, warm):
+    """The prox in ``P + U1 U1^T - U2 U2^T`` on checked arrays, by the total
+    rank: the diagonal prox, the rank-1 Newton on the non-empty side (the
+    Gram ``g_sq`` its top eigenvalue), or the joint Newton; ``warm`` of
+    another size is ignored.  ``weights`` bind the operator, and give
+    ``diag(P)`` as a vector for the diagonal prox."""
+    r = U1.shape[1] + U2.shape[1]
     if warm is not None and np.atleast_1d(warm).size != r:
         warm = None
     if r == 1:
-        report = root_semismooth_newton(RootProblem(metric, prox, x, kappa),
-                                        tol=tol, alpha0=warm)
+        U, W, sign = (U2, W2, -1) if U2.shape[1] else (U1, W1, +1)
+        report = _ssnewton(prox, x, U, W, sign, weights, float(kappa), g_sq,
+                           tol, warm)
         return report.point, report
-    x, weights = _checked(metric, prox, x, kappa)
     if r == 0:
-        return prox._prox_diag(x, metric.diag, kappa), \
+        d = weights if isinstance(weights, np.ndarray) else \
+            np.full(x.size, weights)
+        return prox._prox_diag(x, d, kappa), \
             RootSolverReport(np.zeros(0), 0.0, 0, "diagonal")
-    return _joint_newton(prox, x, kappa, weights, metric.U1, metric.W1,
-                         metric.U2, metric.W2, tol, warm)
+    return _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm)
 
 
 def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",

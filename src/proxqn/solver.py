@@ -1,5 +1,13 @@
 """Forward-backward solvers: quasi-Newton (0SR1, 0BFGS) and first-order
-baselines (ISTA, FISTA with Barzilai-Borwein steps, SPG/SpaRSA)."""
+baselines (ISTA, FISTA with Barzilai-Borwein steps, SPG/SpaRSA).
+
+The quasi-Newton loop takes :func:`fb_step`'s step with its bits, on
+arrays: it forms ``H g`` with ``apply``'s expressions from the factors of
+``H`` and sends the prox in ``B`` down ``scaled._route``.  0SR1 reads
+both from the pair (``quasi_newton._sr1_factors``), 0BFGS from
+:func:`zbfgs_metric`'s metrics; ``record_metrics`` stores the public
+``H`` beside the step.
+"""
 
 from __future__ import annotations
 
@@ -10,10 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metric import _apply, _as_vector, _positive_scalar
 from .prox import ProxOperator
-from .quasi_newton import QNPair, _zbfgs_diagonal, sr1_metric, zbfgs_metric
+from .quasi_newton import (QNPair, _sr1_factors, _zbfgs_diagonal, sr1_metric,
+                           zbfgs_metric)
 # scaled_prox is not called here; perfbench's tracer wraps it by this name
-from .scaled import RootFinderError, scaled_prox, scaled_prox_rank2  # noqa: F401
+from .scaled import (RootFinderError, _route, scaled_prox,  # noqa: F401
+                     scaled_prox_rank2)
 from .trace import ConvergenceTrace
 
 __all__ = [
@@ -94,6 +105,8 @@ class SolverOptions:
             raise ValueError("budget_seconds must be positive")
         if self.kappa is not None and not self.kappa > 0:
             raise ValueError("kappa must be positive")
+        if self.gamma is not None and not self.gamma > 0:
+            raise ValueError("gamma must be positive")
         if self.line_search not in ("backtracking", "none"):
             raise ValueError(f"unknown line-search mode {self.line_search!r}")
 
@@ -262,12 +275,27 @@ def _initial_point(problem, opts):
 
 
 def _run_quasi_newton(problem, opts, variant):
+    """The loop of 0SR1 and 0BFGS.  The checks that ``scaled._checked``
+    and the metrics' tests ``c > 0`` would make at every step hold for the
+    whole loop and run once: kappa, the operator's dimension,
+    ``1/tau0 > 0`` and 0SR1's ``gamma < 1``."""
     run = _Run(problem, opts, "zero-sr1" if variant == "sr1" else "zero-bfgs")
     gamma = opts.gamma if opts.gamma is not None else \
         (0.8 if variant == "sr1" else 1.0)
-    tau0 = 1.0 / problem.lipschitz if problem.lipschitz else 1.0
+    L = _lipschitz(problem, run.solver_id, required=False)
+    tau0 = 1.0 / L if L else 1.0
     kappa = opts.kappa if opts.kappa is not None else 1.0
     backtrack = opts.line_search != "none"
+    n, h = problem.dim, problem.h
+    if variant == "sr1" and not gamma < 1.0:   # gamma > 0: SolverOptions
+        raise ValueError("gamma must lie in (0, 1)")
+    if not kappa > 0:
+        raise ValueError("kappa must be positive")
+    if h.dim not in (None, n):
+        h.check_weights(np.ones(n), n)
+    if variant == "sr1":
+        _positive_scalar(1.0 / tau0)
+    scalar = h._scalar_bind and h.dim in (None, n)
 
     x = _initial_point(problem, opts)
     g = problem.grad(x)
@@ -275,23 +303,34 @@ def _run_quasi_newton(problem, opts, variant):
     pair = None
     warm = None
     last_tau = tau0
+    empty = np.zeros((n, 0))
 
     def propose(k, x):
         nonlocal warm, last_tau
+        # H as (c, U1, U2) and B as (c, U1, W1, U2, W2, Gram)
         if variant == "sr1":
-            H = sr1_metric(pair, gamma, dim=problem.dim, tau0=tau0)
-            B = H.invert()
-        elif pair is None:
-            H, B, _ = _zbfgs_diagonal(gamma * tau0, problem.dim)
+            c, U, b, V, W, g_sq = _sr1_factors(pair, gamma, n, tau0)
+            H, B = (c, U, empty), (b, empty, empty, V, W, g_sq)
+            if opts.record_metrics:
+                run.metrics.append(
+                    (sr1_metric(pair, gamma, dim=n, tau0=tau0), pair))
         else:
-            H, B, skipped = zbfgs_metric(pair, gamma=gamma,
-                                         tau_fallback=last_tau)
-            if not skipped:
-                last_tau = pair.curvature / pair.y_norm_sq
-        if opts.record_metrics:
-            run.metrics.append((H, pair))
-        xbar, report = fb_step(x, g, H, B, problem.h, kappa=kappa,
-                               warm_alpha=warm)
+            if pair is None:
+                H, B, _ = _zbfgs_diagonal(gamma * tau0, n)
+            else:
+                H, B, skipped = zbfgs_metric(pair, gamma=gamma,
+                                             tau_fallback=last_tau)
+                if not skipped:
+                    last_tau = pair.curvature / pair.y_norm_sq
+            if opts.record_metrics:
+                run.metrics.append((H, pair))
+            H = H.c, H.U1, H.U2
+            B = B.c, B.U1, B.W1, B.U2, B.W2, B.gram_norm_sq
+        # fb_step's forward point, with H.apply's bits, and its prox
+        forward = x - kappa * _apply(*H, _as_vector(g, n))
+        xbar, report = _route(h, forward, kappa,
+                              B[0] if scalar else np.full(n, B[0]), *B[1:],
+                              1e-12, warm)
         warm = report.alpha_star
         return xbar
 
@@ -312,7 +351,7 @@ def _run_quasi_newton(problem, opts, variant):
         # rounding floor, where the next step would repeat this one
         rounding = np.abs(s).max() <= 1e-13 * (1.0 + np.abs(x_new).max())
         floor = rounding and pair is None and f_new >= f_val
-        pair = None if rounding else QNPair(s, g_new - g)
+        pair = None if rounding else QNPair._trusted(s, g_new - g)
         g = g_new
         # a non-finite gradient shows in <s, y>; no metric can be built
         if pair is not None and not math.isfinite(pair.curvature):
@@ -343,16 +382,25 @@ def _euclid_prox(h, v, d, kappa):
     return h._prox_diag(v, d, kappa)
 
 
-def _require_lipschitz(problem, solver):
-    if not problem.lipschitz or problem.lipschitz <= 0:
-        raise ValueError(f"{solver} needs a gradient Lipschitz estimate")
-    return problem.lipschitz
+def _lipschitz(problem, solver, required=True):
+    """The problem's gradient Lipschitz estimate.  None and 0 mean none:
+    the quasi-Newton solvers (``required`` False) then return None, the
+    first-order ones raise; a NaN, infinite or negative one raises."""
+    L = problem.lipschitz
+    if not L:
+        if required:
+            raise ValueError(f"{solver} needs a gradient Lipschitz estimate")
+        return None
+    if not 0 < L < math.inf:   # NaN fails
+        raise ValueError(f"{solver}: the gradient Lipschitz estimate must "
+                         f"be finite and non-negative, got {L!r}")
+    return L
 
 
 def run_ista(problem, opts=None):
     """Proximal gradient descent with the constant step 1/L."""
     opts = opts or SolverOptions()
-    L = _require_lipschitz(problem, "ista")
+    L = _lipschitz(problem, "ista")
     run = _Run(problem, opts, "ista")
     kappa = opts.kappa if opts.kappa is not None else 1.0 / L
     x = _initial_point(problem, opts)
@@ -371,7 +419,7 @@ def run_fista_bb(problem, opts=None):
     """FISTA with Barzilai-Borwein steps, backtracking, and a momentum
     restart whenever the objective rises (O'Donoghue and Candes 2015)."""
     opts = opts or SolverOptions()
-    L = _require_lipschitz(problem, "fista-bb")
+    L = _lipschitz(problem, "fista-bb")
     if opts.kappa is not None:   # 1/L, then Barzilai-Borwein steps
         raise ValueError("fista-bb picks its own steps and takes no kappa")
     run = _Run(problem, opts, "fista-bb")
@@ -423,7 +471,7 @@ def run_spg_sparsa(problem, opts=None):
     """Spectral proximal gradient with a nonmonotone acceptance test over
     the last ``SPG_MEMORY`` objective values."""
     opts = opts or SolverOptions()
-    L = _require_lipschitz(problem, "spg")
+    L = _lipschitz(problem, "spg")
     if opts.kappa is not None:   # 1/L, then Barzilai-Borwein steps
         raise ValueError("spg picks its own steps and takes no kappa")
     run = _Run(problem, opts, "spg")

@@ -1,5 +1,13 @@
-import numpy as np
-import pytest
+import os
+
+# single-thread BLAS, as CI and perfbench run it, set before numpy loads
+# BLAS: OpenBLAS's default thread count makes the timed criteria read the
+# machine's load
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture

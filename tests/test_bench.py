@@ -19,7 +19,7 @@ from proxqn.bench import (
     write_manifest,
     write_trace_csv,
 )
-from proxqn import prox, scaled
+from proxqn import prox
 from proxqn.prox import L1Norm, NonNeg
 from proxqn.solver import SOLVERS, ProblemSpec, SolverOptions
 from proxqn.trace import ConvergenceTrace
@@ -156,21 +156,23 @@ def test_column_products_leave_the_quasi_newton_solvers_bit_identical(
 def test_scalar_binding_leaves_the_quasi_newton_solvers_bit_identical(
         monkeypatch, recipe):
     # every root problem bound with the vector diagonal instead of the
-    # scalar c of a trusted c I: the same traces and final points
+    # scalar c of a trusted c I (the operator's _scalar_bind off): the same
+    # traces and final points
     problem = generate(recipe)
     opts = SolverOptions(max_iters=300, tol=1e-10)
-    checked = scaled._checked
-    scalar = []
+    op, bind = problem.h, problem.h._bind
+    scalar = {True: [], False: []}   # by the operator's _scalar_bind
 
-    def vector_weights(metric, op, x, kappa):
-        x, weights = checked(metric, op, x, kappa)
-        scalar.append(np.ndim(weights) == 0)
-        return x, metric.diag
+    def recording(d, kappa):
+        scalar[op._scalar_bind].append(np.ndim(d) == 0)
+        return bind(d, kappa)
 
+    monkeypatch.setattr(op, "_bind", recording)
+    takes_scalar = op._scalar_bind
     for solver_id in ("zero-bfgs", "zero-sr1"):
         got = SOLVERS[solver_id](problem, opts)
         with monkeypatch.context() as patch:
-            patch.setattr(scaled, "_checked", vector_weights)
+            patch.setattr(op, "_scalar_bind", False)
             want = SOLVERS[solver_id](problem, opts)
         assert _same_bits(got.trace.iters, want.trace.iters), solver_id
         assert _same_bits(got.trace.objectives, want.trace.objectives), \
@@ -178,8 +180,11 @@ def test_scalar_binding_leaves_the_quasi_newton_solvers_bit_identical(
         assert _same_bits(got.trace.step_norms, want.trace.step_norms), \
             solver_id
         assert _same_bits(got.x, want.x), solver_id
-    # the patch saw scalar weights, exactly where the operator takes them
-    assert any(scalar) == problem.h._scalar_bind
+    # the solves bound scalars exactly where the operator takes them, and
+    # the vector with _scalar_bind off
+    assert scalar[False] and not any(scalar[False])
+    if takes_scalar:
+        assert scalar[True] and all(scalar[True])
 
 
 def _triplet_diff3d_operator(side):

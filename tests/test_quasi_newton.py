@@ -7,14 +7,17 @@ from proxqn.bench import ProblemRecipe, generate
 from proxqn.metric import (
     FACTOR_DROP_TOL,
     LowRankMetric,
+    MetricError,
     NotPositiveDefiniteError,
     PlusMinusMetric,
+    _apply,
 )
 from proxqn.quasi_newton import (
     CurvatureError,
     QNPair,
     bb_stepsizes,
     contraction_rate,
+    _sr1_factors,
     sr1_eigen_bounds,
     sr1_metric,
     zbfgs_eigen_bounds,
@@ -202,6 +205,84 @@ def test_sr1_trusted_construction_matches_public_bitwise(rng):
         _same_low_rank(H, public)
         _same_low_rank(H.invert(), public.invert())
     assert ranks == {0, 1}
+
+
+def _sr1_public_step(pair, gamma, n, tau0):
+    """What the 0SR1 step reads of the public ``H`` and ``B = H.invert()``
+    in the builder's layout, or the metric layer's error."""
+    try:
+        H = sr1_metric(pair, gamma, dim=n, tau0=tau0)
+        B = H.invert()
+    except MetricError as err:
+        return type(err), str(err)
+    return H, B
+
+
+def _sr1_edge_pairs(rng):
+    """``(pair, gamma)``: the first step, ``||y|| = 0``, skips below and at
+    the skip tolerance, both tau clamps, the drop rule of H's factor (and
+    H's Gram rank test) where ``s - h0 y`` is one ulp, and signed zeros."""
+    v = rng.standard_normal(7)
+    cases = [(None, 0.8), (QNPair(v, np.zeros(7)), 0.8),
+             (QNPair(v, -0.0 * v), 0.5),
+             (QNPair(np.array([1.0, 0.0]), np.array([0.0, 1.0])), 0.8),
+             (QNPair(v, -v), 0.8)]
+    # y = e1, s = e1 + b e2, gamma 0.5: <w, y> = 0.5 against the skip
+    # tolerance 1e-8 ||w||, which b = 5e7 puts at the boundary
+    for b in 5e7 * np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6]):
+        cases.append((QNPair(np.array([1.0, b]), np.array([1.0, 0.0])),
+                      0.5))
+    for t in (1e-12, 1e-9, 1e9, 1e12):   # tau_bb2 clamped at 1e-8 and 1e8
+        y = rng.standard_normal(9)
+        cases.append((QNPair(t * y * rng.uniform(0.5, 2.0, 9), y), 0.8))
+    for gamma in (0.1, 0.3, 0.8, 0.8, 0.8):
+        # h0 = gamma 1e-8 at the lower clamp and s = h0 y up to one ulp:
+        # ||u|| is about 1e-12, dropped below it, kept above it with a Gram
+        # under the rank test's bound
+        y = rng.uniform(1.0, 2.0, 5) * rng.choice([-1.0, 1.0], 5)
+        s = gamma * 1e-8 * y
+        s[0] = np.nextafter(s[0], np.copysign(np.inf, y[0]))
+        cases.append((QNPair(s, y), gamma))
+    s, y = rng.standard_normal((2, 12))
+    s[::3], y[1::4] = -0.0, 0.0
+    cases.append((QNPair(s, np.abs(y) * np.sign(s)), 0.8))
+    return cases
+
+
+def test_sr1_step_factors_match_the_public_metrics_bytewise(rng):
+    # the builder the solver's step reads gives the public H's product
+    # H g, B's c, factors and Gram and the skip and drop decisions byte
+    # for byte, and raises where the metric layer raises
+    cases = [(pair, 0.8) for pair in _random_pairs(rng, 120)]
+    cases += [(pair, float(rng.uniform(0.05, 0.95)))
+              for pair in _random_pairs(rng, 60)]
+    cases += _sr1_edge_pairs(rng)
+    seen = set()
+    for pair, gamma in cases:
+        n = 7 if pair is None else pair.s.shape[0]
+        tau0 = float(10.0 ** rng.uniform(-3.0, 3.0))
+        want = _sr1_public_step(pair, gamma, n, tau0)
+        if isinstance(want[0], type):
+            with pytest.raises(want[0]) as err:
+                _sr1_factors(pair, gamma, n, tau0)
+            assert str(err.value) == want[1]
+            seen.add("raises")
+            continue
+        H, B = want
+        c, U, b, V, W, g_sq = _sr1_factors(pair, gamma, n, tau0)
+        seen.add((H.rank, B.rank))
+        assert c == H.c and U.shape == H.U1.shape
+        assert U.tobytes() == H.U1.tobytes()
+        g = rng.standard_normal(n)
+        g[::5] = -0.0
+        assert _apply(c, U, U[:, :0], g).tobytes() == H.apply(g).tobytes()
+        assert b == B.c and B.ranks == (0, V.shape[1])
+        assert V.shape == W.shape == B.U2.shape
+        assert V.tobytes() == B.U2.tobytes()
+        assert W.tobytes() == B.W2.tobytes()
+        assert g_sq == B.gram_norm_sq
+    # kept and skipped updates, a drop and a rank-test failure were met
+    assert seen == {(1, 1), (0, 0), "raises"}
 
 
 def _zbfgs_reference(pair, gamma):

@@ -655,17 +655,96 @@ def test_a_joint_newton_miss_ends_the_solve_prox_failed():
 
 
 def test_a_rank1_newton_miss_ends_the_solve_prox_failed(monkeypatch):
-    # with a budget of no step every rank-1 Newton of 0SR1 that does not
+    # with a budget of no step every rank-1 Newton of 0SR1 (the core that
+    # root_semismooth_newton and the solver's step share) that does not
     # start at its root misses: the solve ends "prox_failed" at its last
     # accepted point, with its trace
     problem = generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
                                      seed=3))
-    monkeypatch.setattr(scaled, "root_semismooth_newton", functools.partial(
-        scaled.root_semismooth_newton, max_iter=0))
+    monkeypatch.setattr(scaled, "_ssnewton", functools.partial(
+        scaled._ssnewton, max_iter=0))
     res = solve(problem, "zero-sr1", SolverOptions(max_iters=500))
     assert res.status == "prox_failed" and res.converged is False
     assert res.objective == problem.objective(res.x)
     assert len(res.trace) == res.iterations + 1
+
+
+class _SteepVectorJacobianL1(L1Norm):
+    """l1 norm whose vector Clarke-Jacobian products are 1e6 times too
+    large: in a minus metric the rank-1 Newton's slope turns negative, and
+    its safeguard bisects in :func:`root_bound`'s bracket."""
+
+    def _bind(self, d, kappa):
+        step = super()._bind(d, kappa)
+
+        def steep_step(z, out=None, tmp=None):
+            p, jac = step(z, out, tmp)
+            return p, lambda w, out=None: 1e6 * jac(w, out)
+        return steep_step
+
+
+def _rank1_outcome(run):
+    """A rank-1 solve's point, multiplier, iterations, residual history
+    and method as bytes and values, or its error."""
+    try:
+        rep = run()
+    except RootFinderError as err:
+        return str(err)
+    return (rep.point.tobytes(), rep.alpha_star.tobytes(), rep.iterations,
+            rep.residual_history, rep.method, rep.converged)
+
+
+def test_the_rank1_newton_core_keeps_the_public_finders_bits(rng,
+                                                            monkeypatch):
+    # scaled._route, the array-level entry of the solvers' step, against
+    # root_semismooth_newton(RootProblem(...)) on trusted c I and public
+    # metrics of both signs, from cold, warm and far starts: the same
+    # point, multiplier, iterations and residual history bit for bit.  The
+    # steep operator drives the safeguard to root_bound, whose problem the
+    # core builds there and only there; the group norm's two-cycle
+    # instance closes the list
+    built = []
+    bound = scaled.root_bound
+    monkeypatch.setattr(scaled, "root_bound", lambda problem: built.append(
+        problem.metric is None) or bound(problem))
+    n = 24
+    cases = []
+    for op in (L1Norm(0.4), NonNeg(), GroupL2(0.4, _group_blocks(rng, n)),
+               _SteepVectorJacobianL1(0.4)):
+        for trial in range(12):
+            sign = -1 if trial % 2 else +1
+            c = float(np.exp(rng.uniform(-1.0, 1.0)))
+            u = rng.standard_normal(n)
+            u *= np.sqrt(c * rng.uniform(0.1, 0.95) / np.dot(u, u))
+            metric = LowRankMetric._trusted(c, u.reshape(n, 1), sign) \
+                if trial % 4 < 2 else LowRankMetric(np.full(n, c), [u], sign)
+            warm = (None, np.array([0.3]), np.array([1e3]))[trial % 3]
+            cases.append((op, metric, 2.0 * rng.standard_normal(n), warm,
+                          float(rng.uniform(0.5, 2.0))))
+    d = np.repeat([0.838, 1.319], 3)
+    u = np.array([-0.314, -0.113, 0.995, -0.279, 0.586, -2.171])
+    u *= np.sqrt(0.9 / np.dot(u, u / d))
+    cases.append((GroupL2(1.042, [np.arange(3), np.arange(3, 6)]),
+                  LowRankMetric(d, [u], -1),
+                  np.array([2.155, 4.639, -4.399, 1.165, -1.125, 2.313]),
+                  None, 1.0))
+    fallbacks = 0
+    for op, metric, x, warm, kappa in cases:
+        del built[:]
+        want = _rank1_outcome(lambda: root_semismooth_newton(
+            RootProblem(metric, op, x, kappa), alpha0=warm))
+        public_built = list(built)
+        del built[:]
+        xc, weights = scaled._checked(metric, op, x, kappa)
+        got = _rank1_outcome(lambda: scaled._route(
+            op, xc, kappa, weights, metric.U1, metric.W1, metric.U2,
+            metric.W2, metric.gram_norm_sq, 1e-12, warm)[1])
+        assert got == want
+        # the public finder brackets with its own problem, the core with
+        # the one it builds, as often
+        assert public_built == [False] * len(built) and all(built)
+        fallbacks += bool(built)
+    assert fallbacks >= 6
 
 
 def test_a_singular_joint_newton_system_raises(rng, monkeypatch):

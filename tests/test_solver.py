@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -168,15 +169,98 @@ def test_unknown_solver_id():
     dict(budget_seconds=-1.0), dict(budget_seconds=float("nan")),
     dict(kappa=0.0), dict(kappa=-1.0), dict(kappa=float("nan")),
     dict(line_search="armijo"), dict(max_iters=0), dict(max_iters=-3),
+    dict(gamma=0.0), dict(gamma=-1.0), dict(gamma=float("nan")),
 ], ids=["nan-tol", "negative-tol", "zero-budget", "negative-budget",
         "nan-budget", "zero-kappa", "negative-kappa", "nan-kappa",
-        "unknown-line-search", "zero-max-iters", "negative-max-iters"])
+        "unknown-line-search", "zero-max-iters", "negative-max-iters",
+        "zero-gamma", "negative-gamma", "nan-gamma"])
 def test_bad_options_are_rejected_at_construction(kwargs):
     # a NaN tol or budget would run a solve to its cap, a cap below 1 would
     # return an empty trace; tol 0 stays legal
     with pytest.raises(ValueError):
         SolverOptions(**kwargs)
     SolverOptions(tol=0.0)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.5, float("inf")])
+def test_zero_sr1_rejects_gamma_from_one_before_its_first_step(gamma):
+    # 0SR1's step no longer builds sr1_metric, whose test this was; the
+    # solve checks it once, with its message, before any gradient
+    prob = generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
+                                  seed=3))
+    grads = []
+    grad = prob.grad
+    prob.grad = lambda x: grads.append(1) or grad(x)
+    with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\)"):
+        run_zero_sr1(prob, SolverOptions(gamma=gamma))
+    assert not grads
+    if gamma < math.inf:   # 0BFGS takes gamma >= 1
+        assert run_zero_bfgs(prob, SolverOptions(gamma=gamma, max_iters=5))
+
+
+@pytest.mark.parametrize("lipschitz", [float("nan"), float("inf"), -1.0],
+                         ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("solver_id", sorted(SOLVERS))
+def test_a_bad_lipschitz_estimate_is_rejected(solver_id, lipschitz):
+    # a NaN, infinite or negative estimate fed a step 1/L of NaN or 0 to
+    # the first-order solvers and a zero or NaN diagonal to the metrics
+    prob = generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
+                                  seed=3))
+    prob.lipschitz = lipschitz
+    with pytest.raises(ValueError, match=f"^{solver_id}: .*Lipschitz"):
+        solve(prob, solver_id, SolverOptions(max_iters=5))
+
+
+@pytest.mark.parametrize("lipschitz", [None, 0.0], ids=["none", "zero"])
+@pytest.mark.parametrize("solver_id", sorted(SOLVERS))
+def test_a_missing_lipschitz_estimate_keeps_its_meaning(solver_id,
+                                                        lipschitz):
+    # no estimate: tau0 = 1 for the quasi-Newton solvers, an error naming
+    # the solver for the first-order ones
+    prob = generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
+                                  seed=3))
+    prob.lipschitz = lipschitz
+    opts = SolverOptions(max_iters=5)
+    if solver_id in ("zero-sr1", "zero-bfgs"):
+        res = solve(prob, solver_id, opts)
+        prob.lipschitz = 1.0   # tau0 = 1/L = 1: the same solve
+        ref = solve(prob, solver_id, opts)
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert np.array_equal(res.trace.objectives, ref.trace.objectives)
+    else:
+        with pytest.raises(ValueError, match=f"{solver_id} needs a gradient "
+                           "Lipschitz estimate"):
+            solve(prob, solver_id, opts)
+
+
+@pytest.mark.parametrize("solver_id", ["zero-sr1", "zero-bfgs"])
+@pytest.mark.parametrize("recipe", [
+    ProblemRecipe("lasso_gaussian", m=40, n=80, lam=0.1, seed=4),
+    ProblemRecipe("group_lasso", m=40, n=80, lam=1.0, block_cap=8, seed=4),
+], ids=lambda r: r.family)
+def test_recording_the_metrics_leaves_the_trace_byte_identical(recipe,
+                                                              solver_id):
+    # record_metrics stores the public H beside the step, never in its
+    # place: the traces and points of a recorded and a plain solve agree
+    # byte for byte, and 0SR1 records sr1_metric's H and the loop's pair
+    problem = generate(recipe)
+    plain = solve(problem, solver_id, SolverOptions(max_iters=300, tol=1e-10))
+    recorded = solve(problem, solver_id, SolverOptions(
+        max_iters=300, tol=1e-10, record_metrics=True))
+    for name in ("iters", "objectives", "step_norms"):
+        assert np.asarray(getattr(plain.trace, name)).tobytes() == \
+            np.asarray(getattr(recorded.trace, name)).tobytes(), name
+    assert plain.x.tobytes() == recorded.x.tobytes()
+    assert (plain.status, plain.iterations) == \
+        (recorded.status, recorded.iterations)
+    assert not plain.metrics
+    assert len(recorded.metrics) == recorded.iterations + 1
+    H, pair = recorded.metrics[1]
+    assert pair is not None and H.rank >= 1
+    if solver_id == "zero-sr1":
+        ref = sr1_metric(pair, 0.8, dim=problem.dim,
+                         tau0=1.0 / problem.lipschitz)
+        assert H.c == ref.c and np.array_equal(H.U1, ref.U1)
 
 
 @pytest.mark.parametrize("runner", [run_fista_bb, run_spg_sparsa],

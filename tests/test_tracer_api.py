@@ -4,9 +4,12 @@ traced benchmark runs."""
 
 import os
 
+import numpy as np
+
 from proxqn import metric, scaled, solver
 from proxqn.bench import ProblemRecipe, generate
 from proxqn.prox import GroupL2
+from proxqn.quasi_newton import QNPair
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -18,9 +21,11 @@ def _own_attributes(owners):
 def test_tracer_wraps_every_layer_and_restores_it(monkeypatch):
     # install() finds every name it wraps (the operator's prox_diag,
     # pa_descriptor and evaluate among them), 20 iterations each of 0SR1,
-    # 0BFGS and ISTA on a small group LASSO call the solver-side layers, and
-    # uninstall() gives every owner back its attributes, the very objects,
-    # and drops the ones it added
+    # 0BFGS and ISTA on a small group LASSO call the solver-side layers of
+    # their loops, one call of each public step and metric entry through
+    # its owner, which the quasi-Newton loop no longer calls, finds its
+    # wrapper, and uninstall() gives every owner back its attributes, the
+    # very objects, and drops the ones it added
     monkeypatch.syspath_prepend(PERFBENCH)
     from tracing import Tracer
 
@@ -36,13 +41,19 @@ def test_tracer_wraps_every_layer_and_restores_it(monkeypatch):
         for run in (solver.run_zero_sr1, solver.run_zero_bfgs,
                     solver.run_ista):
             run(problem, opts)
+        loop_calls = dict(tracer.calls)
+        x0, x1 = np.zeros(40), np.full(40, 0.1)
+        g0, g1 = problem.grad(x0), problem.grad(x1)
+        H = solver.sr1_metric(QNPair(x1 - x0, g1 - g0), dim=40)
+        solver.fb_step(x1, g1, H, H.invert(), problem.h)
     finally:
         tracer.uninstall()
-    for name in ("solver.fb_step", "scaled.rank2",
-                 "quasi_newton.sr1_metric", "quasi_newton.zbfgs_metric",
-                 "metric.invert", "solver.line_search",
+    for name in ("quasi_newton.zbfgs_metric", "solver.line_search",
                  "solver._euclid_prox", "prox.evaluate", "bench.f",
                  "bench.grad"):
+        assert loop_calls.get(name, 0) > 0, name
+    for name in ("solver.fb_step", "scaled.rank2", "quasi_newton.sr1_metric",
+                 "metric.invert"):
         assert tracer.calls[name] > 0, name
     for owner, old, new in zip(owners, before, _own_attributes(owners)):
         assert new.keys() == old.keys(), owner
