@@ -127,6 +127,16 @@ def _transpose(A):
     return A.T.tocsr() if sp.issparse(A) else A.T
 
 
+def _aligned(a, align=64):
+    """A copy of ``a`` on an ``align``-byte boundary: a BLAS product with a
+    matrix at 16 or 48 bytes mod 64 costs about 1.4x more, bit for bit."""
+    buf = np.empty(a.nbytes + align, dtype=np.uint8)
+    start = -buf.ctypes.data % align
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
 def estimate_sq_norm(A, iters=50, tol=1e-8):
     """Power iteration for ``||A^T A||_2`` with a deterministic start.
 
@@ -203,6 +213,7 @@ def generate(recipe: ProblemRecipe) -> ProblemSpec:
     else:  # pragma: no cover - guarded by the recipe constructor
         raise ValueError(recipe.family)
 
+    A, b = (A if sp.issparse(A) else _aligned(A)), _aligned(b)
     n, AT = A.shape[1], _transpose(A)
     # the residual at the last point asked for, keyed on its bits: the
     # solvers ask for f and grad at equal points built as distinct arrays

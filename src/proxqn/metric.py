@@ -4,9 +4,10 @@ Every metric is ``V = P + U1 U1^T - U2 U2^T`` with ``P`` diagonal and
 strictly positive and thin factor matrices ``U1`` (the plus side) and
 ``U2`` (the minus side), either of which may be empty.  One factored form
 holds it, formed once at construction and read through the attributes
-``diag`` (``P``), ``c`` (the scalar of a trusted ``c I``, else None),
-``U1``, ``U2``, the ``(dim, r)`` shift directions ``W1 = P^{-1} U1`` and
-``W2 = (P + U1 U1^T)^{-1} U2`` that the scaled prox reads, and the float
+``diag`` (``P``), ``c`` (the scalar of a trusted ``c I``, else None), the
+factor block ``U = [U1 U2]``, the block ``W = [W1 W2]`` of the shift
+directions ``W1 = P^{-1} U1`` and ``W2 = (P + U1 U1^T)^{-1} U2`` that the
+scaled prox reads, the plus side's width ``r1``, and the float
 ``gram_norm_sq = ||P^{-1/2} U||^2``, the top eigenvalue of the Gram
 ``U^T W`` of a single side (the plus side of two; 0 at rank 0).
 A single-sign metric's ``W`` is the division ``U / P``; with both sides
@@ -14,13 +15,20 @@ present ``W2`` comes from the inverse of ``P + U1 U1^T``.  Products,
 quadratic forms and the Sherman-Morrison inverse work on the factored
 form in ``O(N * r)`` without ever assembling the dense matrix.
 
+Both blocks are column-major ``(dim, r)`` arrays, and ``U1``, ``U2``,
+``W1`` and ``W2`` are column views of them.  The scaled prox sweeps down
+factor columns (``W`` times a vector, ``J W``, and ``U^T`` as a row-major
+``r x N`` operand), which column-major order keeps contiguous, and its
+joint Newton reads the blocks without a copy.  An ``(N, 1)`` factor is C-
+and F-contiguous at once, so a rank-1 side keeps the bits of a lone one.
+
 Two public constructors build it and check everything:
 :class:`LowRankMetric` ``(diag, factors, sign)`` for ``P + sign U U^T`` and
 :class:`PlusMinusMetric` ``(diag, plus_factors, minus_factors)``, the
 zero-memory BFGS shape.  The quasi-Newton constructions and ``invert``
 build metrics with a uniform diagonal ``c I`` through the internal
 ``_trusted`` constructor, which takes the factors of either signature as
-``(dim, r)`` arrays the caller owns and skips the copies, the reshaping
+``(dim, r)`` arrays the caller owns and skips the coercion, the reshaping
 and the N-vector scan of the diagonal, which it forms only when read.  It
 keeps the scalar test ``c > 0`` (which rejects NaN), the drop rule, the
 Gram rank tests and the positive-definiteness tests, and gives the same
@@ -28,9 +36,9 @@ bits: every constructor ends in the one construction body, which computes
 with the Python float ``c`` where a public one has the diagonal vector.
 ``invert`` serves single-sign metrics, as 0SR1's ``B = H^{-1}`` needs.
 The internal ``_proven`` constructor stores a ``c I`` factored form as
-its caller proves it, with no check: zero-memory BFGS builds its ``B``
+its caller proves it, with no check: zero-memory BFGS writes its ``B``
 there with ``_build``'s operations, and its ``H`` as a product-only
-operator that holds ``c``, ``U1`` and ``U2`` and forms no ``W``.
+operator that holds ``c`` and the block ``U`` and forms no ``W``.
 Zero-memory SR1's step builds no metric at all: ``quasi_newton`` forms
 the factors of ``H`` and of ``invert()``'s ``B`` with ``_build``'s
 operations and tests, and the solver forms ``H g`` with ``_apply``, the
@@ -72,16 +80,21 @@ def _as_vector(x, dim=None, name="x"):
     return x
 
 
-def _drop_factors(U):
-    """The columns of ``U`` with norm at least ``FACTOR_DROP_TOL``."""
-    if U.shape[1] == 0:
-        return U
-    if U.shape[1] == 1:   # ravel: the column, contiguous as in the loop below
-        u = U.ravel()
-        return U if math.sqrt(u.dot(u)) >= FACTOR_DROP_TOL else U[:, :0]
-    keep = [j for j, u in enumerate(np.ascontiguousarray(U.T))
+def _drop_block(U, r1=0):
+    """``(U, r1)`` for the block ``U`` with the plus side ``U[:, :r1]``,
+    column-major and without its columns of norm under
+    ``FACTOR_DROP_TOL``, each norm taken over its contiguous column."""
+    U = np.asfortranarray(U)
+    keep = [j for j, u in enumerate(U.T)
             if math.sqrt(u.dot(u)) >= FACTOR_DROP_TOL]
-    return U if len(keep) == U.shape[1] else np.ascontiguousarray(U[:, keep])
+    return (U, r1) if len(keep) == U.shape[1] else \
+        (U.T[keep].T, sum(j < r1 for j in keep))
+
+
+def _drop_factors(U):
+    """The columns of ``U`` with norm at least ``FACTOR_DROP_TOL``, as a
+    column-major block."""
+    return _drop_block(U)[0]
 
 
 def _rank_test(lo, hi):   # lo <= hi: the extreme Gram eigenvalues
@@ -178,7 +191,7 @@ def _checked_diag(diag):
 
 
 def _clean_factors(factors, dim):
-    """Drop near-zero factors and return a read-only (dim, r) matrix."""
+    """Drop near-zero factors and return a read-only (dim, r) block."""
     cols = [_as_vector(u, dim, name=f"factor {i}")
             for i, u in enumerate(factors)]
     U = _drop_factors(np.column_stack(cols)) if cols else np.zeros((dim, 0))
@@ -190,7 +203,7 @@ class _FactoredMetric:
     """SPD metric ``V = P + U1 U1^T - U2 U2^T`` in the factored form of the
     module docstring, built by :class:`LowRankMetric` or
     :class:`PlusMinusMetric`; ``_split`` maps the factors of a
-    constructor's signature to the sides ``(U1, U2)``."""
+    constructor's signature to the block ``U`` and the plus width ``r1``."""
 
     @classmethod
     def _trusted(cls, c, *factors):
@@ -198,27 +211,27 @@ class _FactoredMetric:
         signature, which the caller owns; see the module docstring for the
         checks it keeps."""
         _positive_scalar(c)
-        U1, U2 = cls._split(*factors)
         m = cls.__new__(cls)
-        m._build(c, None, _drop_factors(U1), _drop_factors(U2))
+        m._build(c, None, *_drop_block(*cls._split(*factors)))
         return m
 
     @classmethod
-    def _proven(cls, c, U1, W1, U2, W2, gram_norm_sq=None):
-        """``c I + U1 U1^T - U2 U2^T`` stored exactly as the caller proves
-        it, with no check and no copy.  A caller that passes ``W1``, ``W2``
-        and ``gram_norm_sq`` as ``_build`` would form them has a complete
+    def _proven(cls, c, U, r1, W=None, gram_norm_sq=None):
+        """``c I`` with the column-major block ``U`` of plus side
+        ``U[:, :r1]``, stored exactly as the caller proves it, with no
+        check and no copy.  A caller that passes the block ``W`` and
+        ``gram_norm_sq`` as ``_build`` would form them has a complete
         metric with both sides (whose ``invert`` is undefined); one that
-        passes None for them has a product-only operator, which serves
+        passes neither has a product-only operator, which serves
         ``apply``, ``norm_sq``, ``diag`` and the factors, but no prox and
         no ``invert``."""
         m = cls.__new__(cls)
-        m.dim, m._diag, m.c = U1.shape[0], None, c
-        m.U1, m.W1, m.U2, m.W2 = U1, W1, U2, W2
+        m.dim, m._diag, m.c = U.shape[0], None, c
+        m.U, m.r1, m.W = U, r1, W
         m._gram, m.gram_norm_sq = None, gram_norm_sq
         return m
 
-    def _build(self, c, diag, U1, U2):
+    def _build(self, c, diag, U, r1):
         """The construction body of every constructor.  A single side gets
         ``W = U / P`` and the Gram rank test, a minus side alone also the
         test ``||P^{-1/2} U2||^2 < 1``.  With both sides, ``W2`` is formed
@@ -226,30 +239,36 @@ class _FactoredMetric:
         ``P + Q1`` (with the checks ``invert`` makes on it: ``1/P > 0``,
         the drop rule, the rank and positive-definiteness tests of ``V``),
         followed by the outer Gram test on ``P + Q1 - Q2``.  A trusted
-        ``c I`` has ``diag=None``; see :attr:`diag`."""
-        self.dim, self._diag, self.c = U1.shape[0], diag, c
-        self.U1, self.U2 = U1, U2
+        ``c I`` has ``diag=None``; see :attr:`diag`.  ``U`` is the block
+        of plus side ``U[:, :r1]``, and ``W`` is formed as one."""
+        self.dim, self._diag, self.c = U.shape[0], diag, c
+        self.U, self.r1 = U, r1
         p = diag if c is None else c
-        if U2.shape[1] and not U1.shape[1]:   # P - Q2
-            self.W1, self.W2 = U1, U2 / _col(p)
-            self._gram, self.gram_norm_sq = _gram(U2, self.W2)
-            _minus_pd_test(self.gram_norm_sq)
+        if r1 in (0, U.shape[1]):   # c I, P + Q1 or P - Q2
+            self.W = U / _col(p)
+            self._gram, self.gram_norm_sq = _gram(U, self.W)
+            if not r1 and U.shape[1]:
+                _minus_pd_test(self.gram_norm_sq)
             return
-        self.W1 = U1 / _col(p)
-        self._gram, self.gram_norm_sq = _gram(U1, self.W1)
-        if not U2.shape[1]:   # c I or P + Q1
-            self.W2 = U2
-            return
+        self.W = W = np.empty_like(U)
+        U1, W1, U2, W2 = U[:, :r1], W[:, :r1], U[:, r1:], W[:, r1:]
+        self._gram, self.gram_norm_sq = _gram(U1, np.divide(U1, _col(p),
+                                                            out=W1))
         p_inv = 1.0 / p
         _positive_scalar(float(p_inv.min()) if c is None else p_inv)
         V = _drop_factors(_inverse_factor(U1, p_inv, +1, self._gram))
         _minus_pd_test(_gram(V, V / _col(p_inv))[1])
-        self.W2 = W2 = np.empty(U2.shape)
         for j, u in enumerate(U2.T):
             W2[:, j] = p_inv * u - V.dot(V.T.dot(u))
         _outer_pd_test(U2.T @ W2)
 
     # -- views -----------------------------------------------------------
+
+    # the sides, column views of the blocks (None for a product-only W)
+    U1 = property(lambda self: self.U[:, :self.r1])
+    U2 = property(lambda self: self.U[:, self.r1:])
+    W1 = property(lambda self: None if self.W is None else self.W[:, :self.r1])
+    W2 = property(lambda self: None if self.W is None else self.W[:, self.r1:])
 
     @property
     def diag(self):
@@ -263,21 +282,21 @@ class _FactoredMetric:
     @property
     def ranks(self):
         """The ranks ``(r1, r2)`` of the plus and the minus side."""
-        return (self.U1.shape[1], self.U2.shape[1])
+        return (self.r1, self.U.shape[1] - self.r1)
 
     @property
     def rank(self):
         """Rank of the low-rank modification, both sides together."""
-        return self.U1.shape[1] + self.U2.shape[1]
+        return self.U.shape[1]
 
     @property
     def sign(self):
         """The sign of a single-sign metric's low-rank part (+1 at rank
         0); a metric with both sides has none."""
-        if self.U1.shape[1] and self.U2.shape[1]:
+        if 0 < self.r1 < self.U.shape[1]:
             raise MetricError("a metric with a plus and a minus side has "
                               "no single sign")
-        return -1 if self.U2.shape[1] else +1
+        return -1 if self.U.shape[1] > self.r1 else +1
 
     @property
     def factor_matrix(self):
@@ -355,7 +374,7 @@ class LowRankMetric(_FactoredMetric):
 
     @staticmethod
     def _split(U, sign=+1):
-        return (U, U[:, :0]) if sign > 0 else (U[:, :0], U)
+        return U, (U.shape[1] if sign > 0 else 0)
 
 
 class PlusMinusMetric(_FactoredMetric):
@@ -368,9 +387,10 @@ class PlusMinusMetric(_FactoredMetric):
 
     def __init__(self, diag, plus_factors=(), minus_factors=()):
         diag = _checked_diag(diag)
-        self._build(None, diag, _clean_factors(plus_factors, diag.shape[0]),
-                    _clean_factors(minus_factors, diag.shape[0]))
+        self._build(None, diag, *self._split(
+            _clean_factors(plus_factors, diag.shape[0]),
+            _clean_factors(minus_factors, diag.shape[0])))
 
     @staticmethod
     def _split(U1, U2):
-        return U1, U2
+        return np.asfortranarray(np.hstack((U1, U2))), U1.shape[1]

@@ -61,7 +61,8 @@ _FEAS_TOL = 1e-8
 
 def _scale_rows(v, M):
     """``v[:, None] * M`` to the bit, in M's memory order, formed down one
-    column after another; the broadcast loops along rows of r entries."""
+    column after another; the broadcast loops along rows of r entries.  On
+    the metric's column-major blocks every column is contiguous."""
     out = np.empty_like(M, dtype=np.result_type(v, M))
     np.multiply(v, M.T, out=out.T, order="C")
     return out
@@ -475,7 +476,10 @@ class GroupL2(ProxOperator):
     ``slice(None)`` when the blocks list ``0..n-1`` in order, which makes
     that gather a view.  The segment map ``_seg``, the block of each
     coordinate, expands a per-block factor in one gather ``v[_seg]``, so
-    no pass scatters back.
+    no pass scatters back.  The N x r Clarke-Jacobian product follows the
+    layout of a column-major ``M`` (the metric's blocks) and gathers the
+    block sums along the rows of their transpose, so each pass streams
+    columns; a vector's product keeps its bits.
     """
     _scalar_bind = True
 
@@ -536,8 +540,9 @@ class GroupL2(ProxOperator):
             g = np.divide(thresh, norms ** 3, out=np.zeros(norms.shape),
                           where=active)[self._seg]
             g *= z
+            # the block sums expanded through the transpose: column-major
             zdotM = np.add.reduceat(zp[:, None] * M[self._perm], self._starts,
-                                    axis=0).take(self._seg, axis=0)
+                                    axis=0).T.take(self._seg, axis=1).T
             np.multiply(g[:, None], zdotM, out=zdotM)
             jw = np.multiply(f[:, None], M, out=np.empty_like(M))
             jw += zdotM

@@ -10,8 +10,9 @@ where ``alpha*`` is the unique zero of the strongly monotone map
     L(alpha) = U^T (x - prox^P_{kh}(x - sign * P^{-1} U alpha)) + alpha.
 
 One dispatcher, :func:`scaled_prox`, serves every metric.  It reads the
-factored form ``(U1, W1, U2, W2)`` that :mod:`proxqn.metric` keeps, with
-``W1 = P^{-1} U1`` and ``W2 = (P + Q1)^{-1} U2``, and routes by the total
+factored form that :mod:`proxqn.metric` keeps, the column-major blocks
+``U = [U1 U2]`` and ``W = [W1 W2]`` with ``W1 = P^{-1} U1``,
+``W2 = (P + Q1)^{-1} U2`` and ``r1`` plus columns, and routes by the total
 rank: rank 0 is the diagonal prox; rank 1 is the warm-started scalar
 semi-smooth Newton (:func:`root_semismooth_newton`) on ``(u, w, sign)`` of
 the non-empty side, which terminates finitely on piecewise-affine maps and
@@ -394,30 +395,30 @@ def _prox(metric, prox, x, kappa, tol, warm):
     """The one production route (:func:`_route`) on the metric's factored
     form, after :func:`_checked`."""
     x, weights = _checked(metric, prox, x, kappa)
-    return _route(prox, x, kappa, weights, metric.U1, metric.W1, metric.U2,
-                  metric.W2, metric.gram_norm_sq, tol, warm)
+    return _route(prox, x, kappa, weights, metric.U, metric.W, metric.r1,
+                  metric.gram_norm_sq, tol, warm)
 
 
-def _route(prox, x, kappa, weights, U1, W1, U2, W2, g_sq, tol, warm):
-    """The prox in ``P + U1 U1^T - U2 U2^T`` on checked arrays, by the total
-    rank: the diagonal prox, the rank-1 Newton on the non-empty side (the
-    Gram ``g_sq`` its top eigenvalue), or the joint Newton; ``warm`` of
-    another size is ignored.  ``weights`` bind the operator, and give
-    ``diag(P)`` as a vector for the diagonal prox."""
-    r = U1.shape[1] + U2.shape[1]
+def _route(prox, x, kappa, weights, U, W, r1, g_sq, tol, warm):
+    """The prox in ``P + U1 U1^T - U2 U2^T`` on checked arrays and the
+    metric's blocks ``U`` and ``W`` (``r1`` plus columns), by the total
+    rank: the diagonal prox, the rank-1 Newton on the one column (the Gram
+    ``g_sq`` its top eigenvalue), or the joint Newton; ``warm`` of another
+    size is ignored.  ``weights`` bind the operator, and give ``diag(P)``
+    as a vector for the diagonal prox."""
+    r = U.shape[1]
     if warm is not None and np.atleast_1d(warm).size != r:
         warm = None
     if r == 1:
-        U, W, sign = (U2, W2, -1) if U2.shape[1] else (U1, W1, +1)
-        report = _ssnewton(prox, x, U, W, sign, weights, float(kappa), g_sq,
-                           tol, warm)
+        report = _ssnewton(prox, x, U, W, 1 if r1 else -1, weights,
+                           float(kappa), g_sq, tol, warm)
         return report.point, report
     if r == 0:
         d = weights if isinstance(weights, np.ndarray) else \
             np.full(x.size, weights)
         return prox._prox_diag(x, d, kappa), \
             RootSolverReport(np.zeros(0), 0.0, 0, "diagonal")
-    return _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm)
+    return _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm)
 
 
 def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
@@ -475,7 +476,7 @@ def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0, tol=1e-12,
     return scaled_prox(metric, prox, x, kappa, inner_finder, tol, warm)
 
 
-def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
+def _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm):
     """Damped semi-smooth Newton on the stacked system
 
         F1(a, b) = U1^T (x + W2 b - p) + a
@@ -483,9 +484,11 @@ def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
         p = prox^P_{kh}(x + W2 b - W1 a),  W1 = P^{-1} U1,  W2 = P1^{-1} U2,
 
     which is Theorem 3.4 recursed through ``V = (P + Q1) - Q2``; either
-    side may be empty, which leaves the single-sign dual map.  The operator
-    is bound once (``_bind``, with ``weights``); each step takes the
-    Clarke-Jacobian product with ``[W1 W2]`` of its point's binding and
+    side may be empty, which leaves the single-sign dual map.  It reads
+    the column-major blocks ``U = [U1 U2]`` and ``W = [W1 W2]`` as they
+    are, ``U^T`` as a row-major r x N operand, and copies no factor.  The
+    operator is bound once (``_bind``, with ``weights``); each step takes
+    the Clarke-Jacobian product with ``W`` of its point's binding and
     halves its length until ``||F||`` falls by the factor ``1 - 1e-4 t``.
     The r x r Newton system goes to LAPACK's ``dgesv`` through scipy; its
     bits match ``np.linalg.solve``'s only up to r = 5, so a larger ``r``
@@ -495,15 +498,13 @@ def _joint_newton(prox, x, kappa, weights, U1, W1, U2, W2, tol, warm):
     halvings, or 60 steps; a non-finite residual ends it at once,
     unconverged.
     """
-    r1 = U1.shape[1]
-    r = r1 + U2.shape[1]
-    Ut = np.concatenate((U1, U2), axis=1).T
-    W = np.concatenate((W1, W2), axis=1)
+    r = U.shape[1]
+    Ut = U.T
     # z = x + W @ (sgn * ab): the a-directions enter with a minus sign
     sgn = np.ones(r)
     sgn[:r1] = -1.0
     K = np.eye(r)
-    K[:r1, r1:] = U1.T @ W[:, r1:]
+    K[:r1, r1:] = U[:, :r1].T @ W[:, r1:]
     step = prox._bind(weights, kappa)
 
     def system(ab):

@@ -303,14 +303,13 @@ def _run_quasi_newton(problem, opts, variant):
     pair = None
     warm = None
     last_tau = tau0
-    empty = np.zeros((n, 0))
 
     def propose(k, x):
         nonlocal warm, last_tau
-        # H as (c, U1, U2) and B as (c, U1, W1, U2, W2, Gram)
+        # H as (c, U1, U2) and B as (c, U, W, r1, Gram), U and W its blocks
         if variant == "sr1":
             c, U, b, V, W, g_sq = _sr1_factors(pair, gamma, n, tau0)
-            H, B = (c, U, empty), (b, empty, empty, V, W, g_sq)
+            H, B = (c, U, U[:, :0]), (b, V, W, 0, g_sq)
             if opts.record_metrics:
                 run.metrics.append(
                     (sr1_metric(pair, gamma, dim=n, tau0=tau0), pair))
@@ -325,7 +324,7 @@ def _run_quasi_newton(problem, opts, variant):
             if opts.record_metrics:
                 run.metrics.append((H, pair))
             H = H.c, H.U1, H.U2
-            B = B.c, B.U1, B.W1, B.U2, B.W2, B.gram_norm_sq
+            B = B.c, B.U, B.W, B.r1, B.gram_norm_sq
         # fb_step's forward point, with H.apply's bits, and its prox
         forward = x - kappa * _apply(*H, _as_vector(g, n))
         xbar, report = _route(h, forward, kappa,

@@ -71,6 +71,41 @@ def _same_bits(got, want):
     return np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+def _at_offset(a, offset):
+    """A copy of ``a`` whose data starts at ``offset`` bytes mod 64."""
+    buf = np.empty(a.nbytes + 64, dtype=np.uint8)
+    start = (offset - buf.ctypes.data) % 64
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+@pytest.mark.parametrize("recipe", [
+    ProblemRecipe("lasso_gaussian", m=150, n=300, lam=0.1, seed=0),
+    ProblemRecipe("group_lasso", m=64, n=100, lam=1.0, block_cap=12, seed=1),
+    ProblemRecipe("nnls", m=150, n=300, seed=0),
+], ids=lambda r: r.family)
+def test_dense_data_is_aligned_and_keeps_its_bits(rng, recipe):
+    # generate copies a dense A and b onto 64-byte boundaries, where a BLAS
+    # product is fastest; f and grad equal those of copies at 16, 32 and 48
+    # bytes mod 64 bit for bit
+    problem = generate(recipe)
+    assert problem.A.ctypes.data % 64 == problem.b.ctypes.data % 64 == 0
+    for offset in (16, 32, 48):
+        A, b = _at_offset(problem.A, offset), _at_offset(problem.b, offset)
+        assert A.ctypes.data % 64 == b.ctypes.data % 64 == offset
+        for _ in range(3):
+            x = rng.standard_normal(problem.dim)
+            r = A @ x - b
+            assert _same_bits(problem.f(x), 0.5 * float(np.dot(r, r)))
+            assert _same_bits(problem.grad(x), A.T @ r)
+
+
+def test_sparse_data_stays_sparse():
+    problem = generate(ProblemRecipe("lasso_diff3d", side=4, lam=1.0, seed=3))
+    assert sp.issparse(problem.A) and problem.b.ctypes.data % 64 == 0
+
+
 @pytest.mark.parametrize("recipe", SHARED_RESIDUAL_RECIPES,
                          ids=lambda r: r.family)
 def test_shared_residual_matches_plain_expressions_bitwise(rng, recipe):

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from proxqn import bench, cli
+from proxqn import bench, cli, validate
 from proxqn.bench import ReferenceSolution
 from proxqn.cli import main
 from proxqn.prox import L1Norm
@@ -292,11 +292,15 @@ def test_validate_bad_size_exits_2(capsys, args, message):
 
 def test_validate_eigen_bounds_keeps_its_instance_at_small_n(capsys):
     # --n 2 reached the suite's dimension, and a 2-d solve records 14
-    # metric pairs where the gate asks for 200
+    # metric pairs where the gate asks for 200: with --n 2 the suite runs
+    # its own instance and records as many pairs as it does by default
     rc = main(["validate", "--suite", "eigen-bounds", "--n", "2",
                "--count", "1"])
     assert rc == 0
-    assert capsys.readouterr().out.startswith("PASS eigen-bounds: 264 metrics")
+    default = validate.suite_eigen_bounds()
+    assert default.passed
+    metrics = default.detail.split(",")[0]
+    assert capsys.readouterr().out.startswith(f"PASS eigen-bounds: {metrics},")
 
 
 def test_validate_filtered_prox_oracle(capsys):

@@ -357,3 +357,51 @@ def test_plus_minus_metric(rng):
     np.testing.assert_allclose(pm.apply(x), V @ x, atol=1e-12)
     with pytest.raises(NotPositiveDefiniteError):
         PlusMinusMetric(np.full(n, 0.01), [], [np.ones(n)])
+
+
+def _assert_blocks(m):
+    """``U`` and ``W`` are column-major blocks and the sides are views of
+    them, with the plus side first."""
+    r1, r2 = m.ranks
+    blocks = [(m.U, (m.U1, m.U2))]
+    if m.W is not None:
+        blocks.append((m.W, (m.W1, m.W2)))
+    for block, (plus, minus) in blocks:
+        assert block.flags.f_contiguous and block.shape == (m.dim, r1 + r2)
+        assert plus.shape == (m.dim, r1) and minus.shape == (m.dim, r2)
+        for side in (plus, minus):
+            # an empty side shares no memory with anything
+            assert side.size == 0 or np.shares_memory(side, block)
+        assert np.array_equal(np.hstack((plus, minus)), block)
+
+
+def test_every_constructor_stores_column_major_blocks(rng):
+    from proxqn.quasi_newton import QNPair, sr1_metric, zbfgs_metric
+    n = 9
+    d = rng.uniform(1.0, 2.0, n)
+    u = [rng.standard_normal(n) * 0.1 for _ in range(3)]
+    tiny = np.zeros(n)
+    tiny[0] = 0.1 * FACTOR_DROP_TOL
+    metrics = [LowRankMetric(d), LowRankMetric(d, u[:1], +1),
+               LowRankMetric(d, u[:1], -1), LowRankMetric(d, u, +1),
+               LowRankMetric(d, [u[0], tiny, u[1]], +1),   # r = 2 after a drop
+               LowRankMetric(d, [u[0], tiny, u[1]], -1),
+               PlusMinusMetric(d, u[:1], u[1:2]),
+               PlusMinusMetric(d, u[:2], [0.3 * u[2]]),
+               PlusMinusMetric(d, [], u[:1])]
+    assert [m.ranks for m in metrics[4:6]] == [(2, 0), (0, 2)]
+    U = np.column_stack(u)   # C-order, as a caller may pass it
+    metrics += [LowRankMetric._trusted(0.7, U, +1),
+                LowRankMetric._trusted(0.7, U[:, :2], -1),
+                PlusMinusMetric._trusted(0.7, U[:, :2], 0.3 * U[:, 2:]),
+                PlusMinusMetric._trusted(0.7, U[:, :1], np.zeros((n, 0)))]
+    metrics += [m.invert() for m in metrics if m.rank and not all(m.ranks)]
+    s = rng.standard_normal(n)
+    y = s + 0.3 * rng.standard_normal(n)
+    for pair in (QNPair(s, y), QNPair(s, -s)):
+        H, B, _ = zbfgs_metric(pair)
+        metrics += [H, B, sr1_metric(pair, dim=n)]
+    H, B, _ = zbfgs_metric(QNPair(s, y), gamma=1e-5)   # the checked branch
+    metrics += [H, B]
+    for m in metrics:
+        _assert_blocks(m)

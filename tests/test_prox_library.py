@@ -800,3 +800,24 @@ def test_projection_tie_breaking_is_permutation_invariant(rng):
         perm = np.array(perm)
         np.testing.assert_array_equal(Simplex(1.0).prox_diag(x[perm], d),
                                       base[perm])
+
+
+@pytest.mark.parametrize("order", ["in-order", "permuted"])
+def test_group_product_on_a_column_major_block_matches_row_major(rng, order):
+    # the N x 2 product with the metric's column-major block is formed
+    # column-major and equals the product with the row-major copy to
+    # rounding; the vector product is the block product's column
+    for n in (100, 3000):
+        cuts = np.sort(rng.choice(np.arange(1, n), size=n // 6, replace=False))
+        blocks = np.split(np.arange(n) if order == "in-order"
+                          else rng.permutation(n), cuts)
+        op = GroupL2(0.7, blocks)
+        z = rng.standard_normal(n)
+        jac = op._bind(0.9, 1.0)(z)[1]
+        F = np.asfortranarray(rng.standard_normal((n, 2)))
+        got, want = jac(F), jac(np.ascontiguousarray(F))
+        assert got.flags.f_contiguous and want.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
+        for j in range(2):
+            assert jac(F[:, j]).tobytes() == jac(F[:, j:j + 1])[:, 0].tobytes()

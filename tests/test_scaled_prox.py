@@ -737,8 +737,8 @@ def test_the_rank1_newton_core_keeps_the_public_finders_bits(rng,
         del built[:]
         xc, weights = scaled._checked(metric, op, x, kappa)
         got = _rank1_outcome(lambda: scaled._route(
-            op, xc, kappa, weights, metric.U1, metric.W1, metric.U2,
-            metric.W2, metric.gram_norm_sq, 1e-12, warm)[1])
+            op, xc, kappa, weights, metric.U, metric.W, metric.r1,
+            metric.gram_norm_sq, 1e-12, warm)[1])
         assert got == want
         # the public finder brackets with its own problem, the core with
         # the one it builds, as often
@@ -1535,4 +1535,44 @@ def test_plus_minus_high_rank_prox_against_brute_force(rng, kind, ranks):
         assert rep.converged and rep.residual <= 1e-12
         z = brute_force_scaled_prox(dense_metric(metric), euclid, x, 0.9,
                                     tol=1e-15)
+        np.testing.assert_allclose(p, z, atol=1e-8)
+
+
+def test_the_rank1_route_keeps_its_bits_on_a_column_of_a_block(rng):
+    # an (N, 1) factor is C- and F-contiguous at once: the route on a
+    # standalone column and on the same column inside a column-major block
+    # gives the same point, multiplier and residual history bit for bit
+    for n in (7, 100, 3000):
+        for op in (L1Norm(0.4), NonNeg(), GroupL2(0.4, _group_blocks(rng, n))):
+            for sign, warm in ((+1, None), (-1, None), (-1, np.array([0.2]))):
+                c = float(np.exp(rng.uniform(-1.0, 1.0)))
+                u = rng.standard_normal(n)
+                u *= np.sqrt(c * rng.uniform(0.1, 0.95) / np.dot(u, u))
+                m = LowRankMetric._trusted(c, u.reshape(n, 1), sign)
+                U, W = (np.empty((n, 3), order="F") for _ in range(2))
+                U[:, 1:2], W[:, 1:2] = m.U, m.W
+                x = 2.0 * rng.standard_normal(n)
+                outcomes = [_rank1_outcome(lambda: scaled._route(
+                    op, x, 1.0, c, U_, W_, int(sign > 0), m.gram_norm_sq,
+                    1e-12, warm)[1])
+                    for U_, W_ in ((m.U, m.W), (U[:, 1:2], W[:, 1:2]))]
+                assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("n", [7, 100, 3000])
+def test_the_joint_newton_on_the_blocks_matches_the_dense_oracle(rng, n):
+    # the joint Newton reads 0BFGS's column-major blocks as they are; its
+    # prox agrees with the brute-force prox in the dense metric
+    B, skipped = _bfgs_metric(rng, n)
+    assert not skipped and B.U.flags.f_contiguous and B.W.flags.f_contiguous
+    V = dense_metric(B)
+    blocks = _group_blocks(rng, n)
+    x = 2.0 * rng.standard_normal(n)
+    for op, kind, params in ((L1Norm(0.5), "l1", {"lam": 0.5}),
+                             (NonNeg(), "nonneg", {}),
+                             (GroupL2(0.5, blocks), "group_l1l2",
+                              {"lam": 0.5, "blocks": blocks})):
+        p, rep = scaled_prox_rank2(B, op, x)
+        assert rep.method == "rank2-joint" and rep.converged
+        z = brute_force_scaled_prox(V, euclidean_prox_for(kind, params), x)
         np.testing.assert_allclose(p, z, atol=1e-8)
