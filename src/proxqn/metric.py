@@ -85,8 +85,12 @@ def _drop_block(U, r1=0):
     column-major and without its columns of norm under
     ``FACTOR_DROP_TOL``, each norm taken over its contiguous column."""
     U = np.asfortranarray(U)
-    keep = [j for j, u in enumerate(U.T)
-            if math.sqrt(u.dot(u)) >= FACTOR_DROP_TOL]
+    if U.shape[1] == 1:   # no list for one column
+        u = U.ravel()
+        return (U, r1) if math.sqrt(u.dot(u)) >= FACTOR_DROP_TOL else \
+            (U[:, :0], 0)
+    keep = [j for j in range(U.shape[1])
+            if math.sqrt((u := U[:, j]).dot(u)) >= FACTOR_DROP_TOL]
     return (U, r1) if len(keep) == U.shape[1] else \
         (U.T[keep].T, sum(j < r1 for j in keep))
 
