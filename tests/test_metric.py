@@ -12,6 +12,7 @@ from proxqn.metric import (
     _drop_factors,
 )
 from proxqn.prox import L1Norm
+from proxqn.quasi_newton import QNPair, sr1_metric, zbfgs_metric
 from proxqn.scaled import RootProblem
 from proxqn.validate import dense_metric
 
@@ -376,7 +377,6 @@ def _assert_blocks(m):
 
 
 def test_every_constructor_stores_column_major_blocks(rng):
-    from proxqn.quasi_newton import QNPair, sr1_metric, zbfgs_metric
     n = 9
     d = rng.uniform(1.0, 2.0, n)
     u = [rng.standard_normal(n) * 0.1 for _ in range(3)]
