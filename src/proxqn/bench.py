@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -127,14 +128,14 @@ def _transpose(A):
     return A.T.tocsr() if sp.issparse(A) else A.T
 
 
-def _aligned(a, align=64):
-    """A copy of ``a`` on an ``align``-byte boundary: a BLAS product with a
-    matrix at 16 or 48 bytes mod 64 costs about 1.4x more, bit for bit."""
-    buf = np.empty(a.nbytes + align, dtype=np.uint8)
-    start = -buf.ctypes.data % align
-    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
-    out[...] = a
-    return out
+def _aligned(*shape):
+    """An empty float array on a 64-byte boundary, for ``generate`` to draw
+    the dense data into: a BLAS product with a matrix at 16 or 48 bytes mod
+    64 costs about 1.4x more, bit for bit."""
+    size = math.prod(shape)
+    buf = np.empty(size + 8)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + size].reshape(shape)
 
 
 def estimate_sq_norm(A, iters=50, tol=1e-8):
@@ -186,34 +187,35 @@ def generate(recipe: ProblemRecipe) -> ProblemSpec:
     rng = np.random.default_rng(recipe.seed)
     blocks = None
     if recipe.family == "lasso_gaussian":
-        A = rng.standard_normal((recipe.m, recipe.n))
+        A = rng.standard_normal(out=_aligned(recipe.m, recipe.n))
         k = max(1, recipe.m // 10)
         x0 = np.zeros(recipe.n)
         support = rng.choice(recipe.n, size=k, replace=False)
         x0[support] = rng.choice([-1.0, 1.0], size=k) * (1.0 + rng.random(k))
-        b = A @ x0 + 0.01 * rng.standard_normal(recipe.m)
+        b = np.add(A @ x0, 0.01 * rng.standard_normal(recipe.m),
+                   out=_aligned(recipe.m))
         h = L1Norm(recipe.lam)
     elif recipe.family == "lasso_diff3d":
         A = diff3d_operator(recipe.side)
-        b = rng.standard_normal(A.shape[0])
+        b = rng.standard_normal(out=_aligned(A.shape[0]))
         h = L1Norm(recipe.lam)
     elif recipe.family == "group_lasso":
-        A = rng.random((recipe.m, recipe.n))
-        b = rng.random(recipe.m)
+        A = rng.random(out=_aligned(recipe.m, recipe.n))
+        b = rng.random(out=_aligned(recipe.m))
         blocks = _group_blocks(rng, recipe.n, recipe.block_cap)
         h = GroupL2(recipe.lam, blocks)
     elif recipe.family == "nnls":
-        A = rng.standard_normal((recipe.m, recipe.n))
+        A = rng.standard_normal(out=_aligned(recipe.m, recipe.n))
         k = max(1, recipe.m // 10)
         x0 = np.zeros(recipe.n)
         support = rng.choice(recipe.n, size=k, replace=False)
         x0[support] = np.abs(rng.standard_normal(k)) + 0.5
-        b = A @ x0 + 0.01 * rng.standard_normal(recipe.m)
+        b = np.add(A @ x0, 0.01 * rng.standard_normal(recipe.m),
+                   out=_aligned(recipe.m))
         h = NonNeg()
     else:  # pragma: no cover - guarded by the recipe constructor
         raise ValueError(recipe.family)
 
-    A, b = (A if sp.issparse(A) else _aligned(A)), _aligned(b)
     n, AT = A.shape[1], _transpose(A)
     # the residual at the last point asked for, keyed on its bits: the
     # solvers ask for f and grad at equal points built as distinct arrays

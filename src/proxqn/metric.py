@@ -95,12 +95,6 @@ def _drop_block(U, r1=0):
         (U.T[keep].T, sum(j < r1 for j in keep))
 
 
-def _drop_factors(U):
-    """The columns of ``U`` with norm at least ``FACTOR_DROP_TOL``, as a
-    column-major block."""
-    return _drop_block(U)[0]
-
-
 def _rank_test(lo, hi):   # lo <= hi: the extreme Gram eigenvalues
     if lo <= FACTOR_DROP_TOL * max(hi, 1.0):
         raise MetricError("factor vectors are (nearly) linearly dependent")
@@ -194,13 +188,15 @@ def _checked_diag(diag):
     return diag
 
 
-def _clean_factors(factors, dim):
-    """Drop near-zero factors and return a read-only (dim, r) block."""
+def _clean_factors(factors, dim, r1=0):
+    """``_drop_block`` of the factor vectors, the first ``r1`` of them the
+    plus side, with a read-only (dim, r) block."""
     cols = [_as_vector(u, dim, name=f"factor {i}")
             for i, u in enumerate(factors)]
-    U = _drop_factors(np.column_stack(cols)) if cols else np.zeros((dim, 0))
+    U, r1 = _drop_block(np.column_stack(cols), r1) if cols else \
+        (np.zeros((dim, 0)), 0)
     U.setflags(write=False)
-    return U
+    return U, r1
 
 
 class _FactoredMetric:
@@ -260,7 +256,7 @@ class _FactoredMetric:
                                                             out=W1))
         p_inv = 1.0 / p
         _positive_scalar(float(p_inv.min()) if c is None else p_inv)
-        V = _drop_factors(_inverse_factor(U1, p_inv, +1, self._gram))
+        V = _drop_block(_inverse_factor(U1, p_inv, +1, self._gram))[0]
         _minus_pd_test(_gram(V, V / _col(p_inv))[1])
         for j, u in enumerate(U2.T):
             W2[:, j] = p_inv * u - V.dot(V.T.dot(u))
@@ -370,7 +366,7 @@ class LowRankMetric(_FactoredMetric):
         diag = _checked_diag(diag)
         if sign not in (+1, -1):
             raise MetricError(f"sign must be +1 or -1, got {sign!r}")
-        U = _clean_factors(factors, diag.shape[0])
+        U, _ = _clean_factors(factors, diag.shape[0])
         if U.shape[1] > diag.shape[0]:
             raise MetricError(
                 f"rank {U.shape[1]} exceeds dimension {diag.shape[0]}")
@@ -391,10 +387,10 @@ class PlusMinusMetric(_FactoredMetric):
 
     def __init__(self, diag, plus_factors=(), minus_factors=()):
         diag = _checked_diag(diag)
-        self._build(None, diag, *self._split(
-            _clean_factors(plus_factors, diag.shape[0]),
-            _clean_factors(minus_factors, diag.shape[0])))
+        plus = list(plus_factors)
+        self._build(None, diag, *_clean_factors(
+            plus + list(minus_factors), diag.shape[0], len(plus)))
 
     @staticmethod
     def _split(U1, U2):
-        return np.asfortranarray(np.hstack((U1, U2))), U1.shape[1]
+        return np.hstack((U1, U2)), U1.shape[1]

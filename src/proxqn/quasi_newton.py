@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import (FACTOR_DROP_TOL, LowRankMetric, MetricError,
-                     PlusMinusMetric, _drop_block, _drop_factors,
-                     _minus_pd_test, _rank_test)
+                     PlusMinusMetric, _drop_block, _minus_pd_test,
+                     _rank_test)
 
 # SR1 clamps tau_bb2 to [_SR1_TAU_MIN, _SR1_TAU_MAX] and skips the rank-1
 # update when <w, y> <= _SR1_SKIP_TOL ||w|| ||y||, w = s - H0 y
@@ -216,19 +216,26 @@ def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
     ss = float(np.dot(pair.s, pair.s))
     rho, c = 1.0 / sy, gamma * tau
     u_g = pair.s - (c / (1.0 + gamma)) * pair.y
-    # the factors of H and of B, each as one column-major block
-    HU, U = np.empty((n, 2), order="F"), np.empty((n, 2), order="F")
+    # the factors of H and of B, each the column-major transpose of a
+    # (2, n) array written row by row
+    HT, UT = np.empty((2, n)), np.empty((2, n))
+    HU, U = HT.T, UT.T
     try:
-        np.multiply(math.sqrt(rho * (1.0 + gamma)), u_g, out=HU[:, 0])
+        np.multiply(math.sqrt(rho * (1.0 + gamma)), u_g, out=HT[0])
         np.multiply(math.sqrt(rho * gamma ** 2 * tau ** 2 / (1.0 + gamma)),
-                    pair.y, out=HU[:, 1])
+                    pair.y, out=HT[1])
         proven = (1e-4 <= gamma <= 1e4 and 1e-250 <= c <= 1e16
                   and 1e-250 <= min(sy, ss, yy) <= max(ss, yy) <= 1e250
                   and n * (1.0 + gamma) <= 2.0 ** 40 * gamma * tau * sy / ss)
-        H = PlusMinusMetric._proven(c, *_drop_block(HU, 1)) if proven \
-            else PlusMinusMetric._trusted(c, HU[:, :1], HU[:, 1:])
-        np.divide(pair.y, math.sqrt(yy) * math.sqrt(tau), out=U[:, 0])
-        np.divide(pair.s, math.sqrt(ss) * math.sqrt(c), out=U[:, 1])
+        if not proven:
+            H = PlusMinusMetric._trusted(c, HU[:, :1], HU[:, 1:])
+        elif all(math.sqrt(h.dot(h)) >= FACTOR_DROP_TOL
+                 for h in (HT[0], HT[1])):   # the drop rule keeps both
+            H = PlusMinusMetric._proven(c, HU, 1)
+        else:
+            H = PlusMinusMetric._proven(c, *_drop_block(HU, 1))
+        np.divide(pair.y, math.sqrt(yy) * math.sqrt(tau), out=UT[0])
+        np.divide(pair.s, math.sqrt(ss) * math.sqrt(c), out=UT[1])
         U1, U2 = U[:, :1], U[:, 1:]
         if not proven:
             return H, PlusMinusMetric._trusted(1.0 / c, U1, U2), False
@@ -239,18 +246,18 @@ def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
     # B's two-sided build: both columns have norm >= 1e-10 here, and
     # W2 = ((P + Q1)^{-1}) U2 = (P^{-1} - V V^T) U2 with V's drop rule
     cb = 1.0 / c
-    W = np.empty((n, 2), order="F")
-    W1 = np.divide(U1, cb, out=W[:, :1])
+    WT = np.empty((2, n))
+    W1 = np.divide(U1, cb, out=WT[:1].T)
     g = float(U1.ravel().dot(W1.ravel()))
     g = 0.5 * (g + g)   # the symmetrized 1x1 Gram
     p_inv = 1.0 / cb   # as _build forms it; not always c
-    V = _drop_factors(U1 * p_inv * (np.array([1.0 + g]) ** -0.5)[0])
+    V = _drop_block(U1 * p_inv * (np.array([1.0 + g]) ** -0.5)[0])[0]
     u2 = U2.ravel()
     w2 = p_inv * u2 - V.dot(V.T.dot(u2))
     if 1.0 - float(u2.dot(w2)) <= 0:   # the outer Gram test of P + Q1 - Q2
         return _zbfgs_diagonal(c, n)
-    W[:, 1] = w2
-    return H, PlusMinusMetric._proven(cb, U, 1, W, g), False
+    WT[1] = w2
+    return H, PlusMinusMetric._proven(cb, U, 1, WT.T, g), False
 
 
 # -- theory constants ---------------------------------------------------------

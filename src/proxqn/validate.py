@@ -163,12 +163,14 @@ def euclidean_prox_for(kind, params):
 
 
 def brute_force_scaled_prox(V, euclid_prox, x, kappa=1.0, tol=1e-13,
-                            max_iters=200_000):
+                            max_iters=200_000, step=None):
     """Minimize ``kappa h(z) + 1/2 ||x - z||_V^2`` by projected/proximal
     gradient descent with the optimal constant step (dense V; independent
-    of the low-rank reduction it is used to check)."""
-    ew = np.linalg.eigvalsh(V)
-    step = 2.0 / (ew[-1] + ew[0])
+    of the low-rank reduction it is used to check).  ``step`` is that step
+    of ``V``, ``2 / (lambda_max + lambda_min)``, where the caller has it."""
+    if step is None:
+        ew = np.linalg.eigvalsh(V)
+        step = 2.0 / (ew[-1] + ew[0])
     z = np.array(x, dtype=float, copy=True)
     for _ in range(max_iters):
         z_new = euclid_prox(z - step * (V @ (z - x)), step * kappa)

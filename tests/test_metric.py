@@ -9,7 +9,7 @@ from proxqn.metric import (
     MetricError,
     NotPositiveDefiniteError,
     PlusMinusMetric,
-    _drop_factors,
+    _drop_block,
 )
 from proxqn.prox import L1Norm
 from proxqn.quasi_newton import QNPair, sr1_metric, zbfgs_metric
@@ -262,8 +262,8 @@ def test_drop_rule_at_its_tolerance():
                    PlusMinusMetric._trusted(c, U, U)):
             assert pm.ranks == (rank, rank)
         wide = np.column_stack([np.ones(3), u])
-        assert _drop_factors(U).shape[1] == rank
-        assert _drop_factors(wide).shape[1] == 1 + rank
+        assert _drop_block(U)[0].shape[1] == rank
+        assert _drop_block(wide)[0].shape[1] == 1 + rank
 
 
 def test_empty_metric_rejected():
@@ -405,3 +405,26 @@ def test_every_constructor_stores_column_major_blocks(rng):
     metrics += [H, B]
     for m in metrics:
         _assert_blocks(m)
+
+
+def test_the_public_constructors_store_read_only_blocks(rng):
+    # the factors of a public metric cannot be written through U or a
+    # side, which would leave W and gram_norm_sq out of step with them;
+    # a side's dropped column goes as it went when each side was cleaned
+    n = 6
+    d = rng.uniform(1.0, 2.0, n)
+    u = [rng.standard_normal(n) * 0.1 for _ in range(3)]
+    tiny = np.zeros(n)
+    tiny[1] = 0.1 * FACTOR_DROP_TOL
+    for m in (LowRankMetric(d, u[:1], +1), LowRankMetric(d, u[:2], -1),
+              PlusMinusMetric(d, u[:1], u[1:2]),
+              PlusMinusMetric(d, [u[0], tiny], [tiny, 0.3 * u[2]]),
+              PlusMinusMetric(d, u[:2], [0.3 * u[2]])):
+        for block in (m.U, m.U1, m.U2):
+            assert not block.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 1.0
+    assert m.ranks == (2, 1)
+    pm = PlusMinusMetric(d, [u[0], tiny], [tiny, 0.3 * u[2]])
+    assert pm.ranks == (1, 1)
+    assert np.array_equal(pm.U, np.column_stack([u[0], 0.3 * u[2]]))
