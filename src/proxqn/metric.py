@@ -36,13 +36,10 @@ bits: every constructor ends in the one construction body, which computes
 with the Python float ``c`` where a public one has the diagonal vector.
 ``invert`` serves single-sign metrics, as 0SR1's ``B = H^{-1}`` needs.
 The internal ``_proven`` constructor stores a ``c I`` factored form as
-its caller proves it, with no check: zero-memory BFGS writes its ``B``
-there with ``_build``'s operations, and its ``H`` as a product-only
-operator that holds ``c`` and the block ``U`` and forms no ``W``.
-Zero-memory SR1's step builds no metric at all: ``quasi_newton`` forms
-the factors of ``H`` and of ``invert()``'s ``B`` with ``_build``'s
-operations and tests, and the solver forms ``H g`` with ``_apply``, the
-body of :meth:`_FactoredMetric.apply`.
+its caller proves it, with no check: ``zbfgs_metric`` wraps there the
+factors that ``quasi_newton`` forms with ``_build``'s operations.  The
+solvers' steps build no metric: they read those factors and form ``H g``
+with ``_apply``, the body of :meth:`_FactoredMetric.apply`.
 """
 
 from __future__ import annotations

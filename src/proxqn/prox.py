@@ -152,11 +152,13 @@ class _Clip(ProxOperator):
     subclass gives as ``_bounds(d, kappa) -> (lo, hi)`` for a scalar or a
     vector ``d``: the clip ``c = clip(z, lo, hi)``, or with ``_shrink``
     the shrink ``z - c``; Clarke slope 1 on ``[lo, hi)`` for a clip, 0
-    there and 1 elsewhere for a shrink."""
+    there and 1 elsewhere for a shrink.  ``_slope`` forms them from ``a =
+    (z >= lo)`` and ``b = (z >= hi)`` in three passes: ``a > b`` for a
+    clip, ``a <= b`` for a shrink, which gives a NaN ``z`` the slope 1."""
 
     separable = True
     _scalar_bind = True
-    _shrink = False
+    _shrink, _slope = False, np.greater
 
     def _kernel(self, z, lo, hi, out=None, tmp=None):
         """The clip in two passes into ``out`` (or a new array); the shrink
@@ -185,18 +187,15 @@ class _Clip(ProxOperator):
         masks = []   # the binding's two bool work arrays, made once
         def step(z, out=None, tmp=None):
             def jac(w, out=None):
-                if not masks:
-                    both = np.empty((2, z.size), bool)
-                    masks.extend((both[0], both[1]))
-                ge, lt = masks
-                keep = np.bitwise_and(np.greater_equal(z, lo, ge),
-                                      np.less(z, hi, lt), ge)
-                if self._shrink:
-                    np.invert(keep, keep)
-                # a bare keep * w would pair the N slopes with the r columns
-                # whenever N == r
-                return np.multiply(keep, w, out) if w.ndim == 1 else \
-                    _scale_rows(keep, w)
+                if not masks:   # the rows of one array
+                    masks.extend(np.empty((2, z.size), bool))
+                a, b = masks
+                slope = self._slope(np.greater_equal(z, lo, a),
+                                    np.greater_equal(z, hi, b), a)
+                # a bare slope * w would pair the N slopes with the r
+                # columns whenever N == r; they read the floats, cast once
+                return np.multiply(slope, w, out) if w.ndim == 1 else \
+                    _scale_rows(slope.astype(float), w)
             return self._kernel(z, lo, hi, out, tmp), jac
         return step
 
@@ -204,7 +203,7 @@ class _Clip(ProxOperator):
 class L1Norm(_Clip):
     """``h(x) = lam * ||x||_1``; weighted soft thresholding."""
 
-    _shrink = True
+    _shrink, _slope = True, np.less_equal
 
     def __init__(self, lam):
         if not lam > 0:   # NaN fails
@@ -247,13 +246,18 @@ class Box(_Clip):
 
 class Zero(Box):
     """The zero function: the clip to ``(-inf, inf)``, whose prox is the
-    identity.  Its value is 0 also where ``Box``'s would be inf, at NaN."""
+    identity.  Its value is 0 also where ``Box``'s would be inf, at NaN,
+    and its Clarke slope 1 also where a clip's would be 0, at +inf and NaN
+    (``a >= b``)."""
+
+    _slope = np.greater_equal
 
     def __init__(self):
         super().__init__(-np.inf, np.inf)
 
     def evaluate(self, x):
         return 0.0
+
 
 
 class NonNeg(Box):
@@ -282,7 +286,7 @@ class LinfBall(Box):
 class Hinge(_Clip):
     """``h(x) = lam * sum_i max(0, x_i)`` (one-sided shrink)."""
 
-    _shrink = True
+    _shrink, _slope = True, np.less_equal
 
     def __init__(self, lam=1.0):
         if not lam > 0:   # NaN fails

@@ -6,9 +6,10 @@ iteration.  The diagonal is a Barzilai-Borwein multiple of the identity
 scaled down by ``gamma`` so the low-rank correction stays well defined;
 degenerate pairs skip the correction and keep the diagonal.
 
-The solver's 0SR1 step builds no metric object: ``_sr1_factors`` gives
-the factors of ``H = sr1_metric(...)`` and ``B = H.invert()`` with their
-bits and decisions.
+Neither solver step builds a metric object: ``_sr1_factors`` gives the
+factors of ``H = sr1_metric(...)`` and ``B = H.invert()``, and
+``_zbfgs_factors`` those of ``zbfgs_metric(...)``, which wraps it, with
+their bits and decisions.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .metric import (FACTOR_DROP_TOL, LowRankMetric, MetricError,
                      PlusMinusMetric, _drop_block, _minus_pd_test,
-                     _rank_test)
+                     _positive_scalar, _rank_test)
 
 # SR1 clamps tau_bb2 to [_SR1_TAU_MIN, _SR1_TAU_MAX] and skips the rank-1
 # update when <w, y> <= _SR1_SKIP_TOL ||w|| ||y||, w = s - H0 y
@@ -170,10 +171,78 @@ def _sr1_factors(pair, gamma, n, tau0):
 
 
 def _zbfgs_diagonal(h, n):
-    """The pair ``(h I, I / h, True)`` of a skipped 0BFGS update."""
+    """:func:`_zbfgs_factors` of a skipped update, ``H = h I`` and ``B = I /
+    h``, with the tests ``c > 0`` of both."""
+    _positive_scalar(h)
+    _positive_scalar(cb := 1.0 / h)
     empty = np.zeros((n, 0))
-    return (PlusMinusMetric._trusted(h, empty, empty),
-            PlusMinusMetric._trusted(1.0 / h, empty, empty), True)
+    return (h, empty, empty), (cb, empty, empty, 0, 0.0), True
+
+
+def _zbfgs_factors(pair, gamma, tau_fallback):
+    """:func:`zbfgs_metric`'s ``(H, B, skipped)`` as the solver's step reads
+    them, with no metric object: ``H`` as ``(c, U1, U2)`` and ``B`` as
+    ``(c, U, W, r1, gram_norm_sq)``, both with the bits and the skip
+    decision of :class:`PlusMinusMetric` on the docstring's factors.  For
+    ``1e-4 <= gamma <= 1e4``, ``1e-250 <= gamma tau <= 1e16``, inner
+    products in ``[1e-250, 1e250]`` and ``N (1+gamma) <= 2^40 gamma
+    cos^2(s, y)``, the Gram values its rank and positive-definiteness tests
+    read (``gamma``, ``gamma/(1+gamma)``, ``1/(1+gamma)``,
+    ``g_H < (1+gamma)/(gamma cos^2)`` and ``g_H/(1+g_H)``) clear their
+    bounds by far more than rounding: there only its drop rule and B's
+    outer Gram test are kept, and the six columns go into the rows of one
+    ``(6, n)`` array, whose row pairs transposed are the column-major
+    blocks; elsewhere it builds both.  A refused build keeps ``c I``."""
+    s, y, n = pair.s, pair.y, pair.s.shape[0]
+    sy, yy = pair.curvature, pair.y_norm_sq
+    tau = sy / yy if yy else math.inf   # ||y||^2 can underflow to 0
+    if sy <= 0.0 or tau == math.inf:    # then B's scale 1/(gamma tau) is 0
+        return _zbfgs_diagonal(gamma * float(tau_fallback), n)
+    ss = float(s.dot(s))
+    rho, c = 1.0 / sy, gamma * tau
+    F = np.empty((6, n))   # rows indexed, not unpacked (which iterates)
+    h1, h2, u1, u2, w1, w2 = F[0], F[1], F[2], F[3], F[4], F[5]
+    np.subtract(s, np.multiply(c / (1.0 + gamma), y, out=h1), out=h1)
+    proven = (1e-4 <= gamma <= 1e4 and 1e-250 <= c <= 1e16
+              and 1e-250 <= min(sy, ss, yy) <= max(ss, yy) <= 1e250
+              and n * (1.0 + gamma) <= 2.0 ** 40 * gamma * tau * sy / ss)
+    try:
+        np.multiply(math.sqrt(rho * (1.0 + gamma)), h1, out=h1)
+        np.multiply(math.sqrt(rho * gamma ** 2 * tau ** 2 / (1.0 + gamma)),
+                    y, out=h2)
+        if not proven:   # the checked build, which may refuse H first
+            H = PlusMinusMetric._trusted(c, F[:1].T, F[1:2].T)
+        np.divide(y, math.sqrt(yy) * math.sqrt(tau), out=u1)
+        np.divide(s, math.sqrt(ss) * math.sqrt(c), out=u2)
+        if not proven:
+            B = PlusMinusMetric._trusted(1.0 / c, F[2:3].T, F[3:4].T)
+            return ((c, H.U1, H.U2), (B.c, B.U, B.W, B.r1, B.gram_norm_sq),
+                    False)
+    except (MetricError, OverflowError):
+        # a degenerate pair (s nearly parallel to y, a Gram under the rank
+        # test at an extreme gamma, tau ** 2 overflowing): the diagonal
+        return _zbfgs_diagonal(c, n)
+    if math.sqrt(h1.dot(h1)) >= FACTOR_DROP_TOL and \
+            math.sqrt(h2.dot(h2)) >= FACTOR_DROP_TOL:
+        H = c, F[:1].T, F[1:2].T
+    else:   # the drop rule takes a column
+        HU, r = _drop_block(F[:2].T, 1)
+        H = c, HU[:, :r], HU[:, r:]
+    # B's two-sided build: both columns have norm >= 1e-10 here, and
+    # W2 = ((P + Q1)^{-1}) U2 = (P^{-1} - V V^T) U2 with V's drop rule
+    cb = 1.0 / c
+    np.divide(u1, cb, out=w1)
+    g = float(u1.dot(w1))
+    g = 0.5 * (g + g)   # the symmetrized 1x1 Gram
+    p_inv = 1.0 / cb   # as _build forms it; not always c
+    v = u1 * p_inv * (np.array([1.0 + g]) ** -0.5)[0]
+    np.multiply(p_inv, u2, out=w2)
+    if math.sqrt(v.dot(v)) >= FACTOR_DROP_TOL:   # else V is dropped
+        V = v.reshape(n, 1)
+        np.subtract(w2, V.dot(V.T.dot(u2)), out=w2)
+    if 1.0 - float(u2.dot(w2)) <= 0:   # the outer Gram test of P + Q1 - Q2
+        return _zbfgs_diagonal(c, n)
+    return H, (cb, F[2:4].T, F[4:6].T, 1, g), False
 
 
 def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
@@ -195,69 +264,22 @@ def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
 
     Returns ``(H, B, skipped)``: ``B`` a complete metric, ``H`` a
     product-only operator (``apply``, ``norm_sq``, ``diag``, the factors),
-    all that the forward step reads, both with the bits and the skip
-    decision of :class:`PlusMinusMetric` on these factors.  For
-    ``1e-4 <= gamma <= 1e4``, ``1e-250 <= gamma tau <= 1e16``, inner
-    products in ``[1e-250, 1e250]`` and ``N (1+gamma) <= 2^40 gamma
-    cos^2(s, y)``, the Gram values its rank and positive-definiteness tests
-    read (``gamma``, ``gamma/(1+gamma)``, ``1/(1+gamma)``,
-    ``g_H < (1+gamma)/(gamma cos^2)`` and ``g_H/(1+g_H)``) clear their
-    bounds by far more than rounding: there only its drop rule and B's
-    outer Gram test are kept, elsewhere it builds both.
+    all that the forward step reads; they wrap :func:`_zbfgs_factors`.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    return _zbfgs_metrics(*_zbfgs_factors(pair, gamma, tau_fallback))
 
-    n = pair.s.shape[0]
-    sy, yy = pair.curvature, pair.y_norm_sq
-    tau = sy / yy if yy else math.inf   # ||y||^2 can underflow to 0
-    if sy <= 0.0 or tau == math.inf:    # then B's scale 1/(gamma tau) is 0
-        return _zbfgs_diagonal(gamma * float(tau_fallback), n)
-    ss = float(np.dot(pair.s, pair.s))
-    rho, c = 1.0 / sy, gamma * tau
-    u_g = pair.s - (c / (1.0 + gamma)) * pair.y
-    # the factors of H and of B, each the column-major transpose of a
-    # (2, n) array written row by row
-    HT, UT = np.empty((2, n)), np.empty((2, n))
-    HU, U = HT.T, UT.T
-    try:
-        np.multiply(math.sqrt(rho * (1.0 + gamma)), u_g, out=HT[0])
-        np.multiply(math.sqrt(rho * gamma ** 2 * tau ** 2 / (1.0 + gamma)),
-                    pair.y, out=HT[1])
-        proven = (1e-4 <= gamma <= 1e4 and 1e-250 <= c <= 1e16
-                  and 1e-250 <= min(sy, ss, yy) <= max(ss, yy) <= 1e250
-                  and n * (1.0 + gamma) <= 2.0 ** 40 * gamma * tau * sy / ss)
-        if not proven:
-            H = PlusMinusMetric._trusted(c, HU[:, :1], HU[:, 1:])
-        elif all(math.sqrt(h.dot(h)) >= FACTOR_DROP_TOL
-                 for h in (HT[0], HT[1])):   # the drop rule keeps both
-            H = PlusMinusMetric._proven(c, HU, 1)
-        else:
-            H = PlusMinusMetric._proven(c, *_drop_block(HU, 1))
-        np.divide(pair.y, math.sqrt(yy) * math.sqrt(tau), out=UT[0])
-        np.divide(pair.s, math.sqrt(ss) * math.sqrt(c), out=UT[1])
-        U1, U2 = U[:, :1], U[:, 1:]
-        if not proven:
-            return H, PlusMinusMetric._trusted(1.0 / c, U1, U2), False
-    except (MetricError, OverflowError):
-        # a degenerate pair (s nearly parallel to y, a Gram under the rank
-        # test at an extreme gamma, tau ** 2 overflowing): the diagonal
-        return _zbfgs_diagonal(c, n)
-    # B's two-sided build: both columns have norm >= 1e-10 here, and
-    # W2 = ((P + Q1)^{-1}) U2 = (P^{-1} - V V^T) U2 with V's drop rule
-    cb = 1.0 / c
-    WT = np.empty((2, n))
-    W1 = np.divide(U1, cb, out=WT[:1].T)
-    g = float(U1.ravel().dot(W1.ravel()))
-    g = 0.5 * (g + g)   # the symmetrized 1x1 Gram
-    p_inv = 1.0 / cb   # as _build forms it; not always c
-    V = _drop_block(U1 * p_inv * (np.array([1.0 + g]) ** -0.5)[0])[0]
-    u2 = U2.ravel()
-    w2 = p_inv * u2 - V.dot(V.T.dot(u2))
-    if 1.0 - float(u2.dot(w2)) <= 0:   # the outer Gram test of P + Q1 - Q2
-        return _zbfgs_diagonal(c, n)
-    WT[1] = w2
-    return H, PlusMinusMetric._proven(cb, U, 1, WT.T, g), False
+
+def _zbfgs_metrics(H, B, skipped):
+    """:func:`zbfgs_metric` from :func:`_zbfgs_factors`: ``H`` product-only
+    on a copy of its sides, ``B`` as it is, or rebuilt to keep ``invert``
+    with a single side."""
+    (c, U1, U2), (cb, U, W, r1, g) = H, B
+    return (PlusMinusMetric._proven(c, np.concatenate((U1.T, U2.T)).T,
+                                    U1.shape[1]),
+            PlusMinusMetric._proven(cb, U, r1, W, g) if 0 < r1 < U.shape[1]
+            else PlusMinusMetric._trusted(cb, U[:, :r1], U[:, r1:]), skipped)
 
 
 # -- theory constants ---------------------------------------------------------

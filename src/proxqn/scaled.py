@@ -486,7 +486,9 @@ def _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm):
     which is Theorem 3.4 recursed through ``V = (P + Q1) - Q2``; either
     side may be empty, which leaves the single-sign dual map.  It reads
     the column-major blocks ``U = [U1 U2]`` and ``W = [W1 W2]`` as they
-    are, ``U^T`` as a row-major r x N operand, and copies no factor.  The
+    are, ``U^T`` as a row-major r x N operand, and copies no factor; the
+    thin products take ``ndarray.dot``, the BLAS calls of ``@`` with less
+    dispatch, but ``W`` times a vector ``@``, faster at large N.  The
     operator is bound once (``_bind``, with ``weights``); each step takes
     the Clarke-Jacobian product with ``W`` of its point's binding and
     halves its length until ``||F||`` falls by the factor ``1 - 1e-4 t``.
@@ -504,19 +506,19 @@ def _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm):
     sgn = np.ones(r)
     sgn[:r1] = -1.0
     K = np.eye(r)
-    K[:r1, r1:] = U[:, :r1].T @ W[:, r1:]
+    K[:r1, r1:] = U[:, :r1].T.dot(W[:, r1:])
     step = prox._bind(weights, kappa)
 
     def system(ab):
         p, jac = step(x + W @ (sgn * ab))
-        return Ut @ (x - p) + K @ ab, p, jac
+        return Ut.dot(x - p) + K.dot(ab), p, jac
 
     ab = np.zeros(r) if warm is None else np.array(warm, dtype=float)
     val, p, jac = system(ab)
     res = math.sqrt(val.dot(val))
     history = [res]
     while tol < res < math.inf and len(history) <= 60:
-        G = K - (Ut @ jac(W)) * sgn
+        G = K - Ut.dot(jac(W)) * sgn
         d_ab, info = dgesv(G, val)[2:]
         if info > 0:
             raise RootFinderError(f"joint semi-smooth Newton missed {tol:g} "

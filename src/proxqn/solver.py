@@ -2,11 +2,10 @@
 baselines (ISTA, FISTA with Barzilai-Borwein steps, SPG/SpaRSA).
 
 The quasi-Newton loop takes :func:`fb_step`'s step with its bits, on
-arrays: it forms ``H g`` with ``apply``'s expressions from the factors of
-``H`` and sends the prox in ``B`` down ``scaled._route``.  0SR1 reads
-both from the pair (``quasi_newton._sr1_factors``), 0BFGS from
-:func:`zbfgs_metric`'s metrics; ``record_metrics`` stores the public
-``H`` beside the step.
+arrays and with no metric object: it reads the factors of ``H`` and ``B``
+from the pair (``quasi_newton._sr1_factors`` or ``_zbfgs_factors``),
+forms ``H g`` with ``apply``'s expressions and sends the prox in ``B``
+down ``scaled._route``; ``record_metrics`` stores the public ``H``.
 """
 
 from __future__ import annotations
@@ -20,9 +19,11 @@ import numpy as np
 
 from .metric import _apply, _as_vector, _positive_scalar
 from .prox import ProxOperator
-from .quasi_newton import (QNPair, _sr1_factors, _zbfgs_diagonal, sr1_metric,
+# zbfgs_metric and scaled_prox are not called here; perfbench's tracer
+# wraps them by these names
+from .quasi_newton import (QNPair, _sr1_factors, _zbfgs_diagonal,  # noqa: F401
+                           _zbfgs_factors, _zbfgs_metrics, sr1_metric,
                            zbfgs_metric)
-# scaled_prox is not called here; perfbench's tracer wraps it by this name
 from .scaled import (RootFinderError, _route, scaled_prox,  # noqa: F401
                      scaled_prox_rank2)
 from .trace import ConvergenceTrace
@@ -314,17 +315,12 @@ def _run_quasi_newton(problem, opts, variant):
                 run.metrics.append(
                     (sr1_metric(pair, gamma, dim=n, tau0=tau0), pair))
         else:
-            if pair is None:
-                H, B, _ = _zbfgs_diagonal(gamma * tau0, n)
-            else:
-                H, B, skipped = zbfgs_metric(pair, gamma=gamma,
-                                             tau_fallback=last_tau)
-                if not skipped:
-                    last_tau = pair.curvature / pair.y_norm_sq
+            H, B, skipped = _zbfgs_diagonal(gamma * tau0, n) if pair is None \
+                else _zbfgs_factors(pair, gamma, last_tau)
+            if not skipped:
+                last_tau = pair.curvature / pair.y_norm_sq
             if opts.record_metrics:
-                run.metrics.append((H, pair))
-            H = H.c, H.U1, H.U2
-            B = B.c, B.U, B.W, B.r1, B.gram_norm_sq
+                run.metrics.append((_zbfgs_metrics(H, B, skipped)[0], pair))
         # fb_step's forward point, with H.apply's bits, and its prox
         forward = x - kappa * _apply(*H, _as_vector(g, n))
         xbar, report = _route(h, forward, kappa,

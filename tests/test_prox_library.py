@@ -536,6 +536,49 @@ def test_bound_matrix_products_scale_rows_when_n_equals_r(rng):
     _assert_bound_cases_match(rng, 2)
 
 
+@pytest.mark.parametrize("make_op", [
+    lambda lo, hi: L1Norm(0.7), lambda lo, hi: Hinge(0.9),
+    lambda lo, hi: Zero(), lambda lo, hi: NonNeg(),
+    lambda lo, hi: Box(lo, hi), lambda lo, hi: Box(lo, np.inf),
+    lambda lo, hi: Box(-np.inf, hi), lambda lo, hi: LinfBall(0.8)],
+    ids=["l1", "hinge", "zero", "nonneg", "box", "box-lo", "box-hi",
+         "linf-ball"])
+@pytest.mark.parametrize("scalar_d", [False, True], ids=["vector d", "c I"])
+def test_clip_slopes_at_the_breakpoints_match_the_reference(rng, make_op,
+                                                            scalar_d):
+    # the clip family's Clarke mask, from (z >= lo) and (z >= hi) in three
+    # passes, gives the reference slope rule's products bit for bit: at z
+    # exactly at lo and at hi and one ulp to either side, where a bound is
+    # infinite (Zero, NonNeg, the half-open boxes), at +-inf and NaN, for
+    # a vector and for column-major N x 2 blocks of directions, normal ones
+    # and ones that hold -x, +-inf, NaN and -0.0 (0 * -x = -0.0, 0 * inf =
+    # NaN)
+    n, kappa = 36, 1.3
+    lo = rng.standard_normal(n)
+    op = make_op(lo, lo + rng.uniform(0.0, 2.0, n))
+    d = 0.85 if scalar_d else rng.uniform(0.5, 2.0, n)
+    dv = np.broadcast_to(d, (n,)).copy()
+    bounds = np.broadcast_arrays(*op._bounds(dv, kappa), dv)[:2]
+    points = [_special_point(rng, n), np.full(n, np.inf), np.full(n, -np.inf)]
+    for b in bounds:
+        points += [b.copy(), np.nextafter(b, -np.inf), np.nextafter(b, np.inf)]
+    step = op._bind(d, kappa)
+    # the special rows of the directions are shifted against those of the
+    # points, so that a special z meets a finite direction
+    blocks = [np.asfortranarray(np.roll(M, shift, axis=0)) for M in (
+        _special_matrix(rng, n, 2), rng.standard_normal((n, 2)))
+        for shift in (0, 1)]
+    with np.errstate(invalid="ignore"):
+        for z in points:
+            jac = step(z)[1]
+            for W in blocks:
+                assert _same_values(jac(W),
+                                    reference_jvp(op, z, dv, kappa, W))
+                w = W[:, 0].copy()
+                assert _same_values(jac(w), reference_jvp(
+                    op, z, dv, kappa, w[:, None])[:, 0])
+
+
 def test_jacobian_products_match_central_differences(rng):
     # every operator's Clarke product against central differences of its
     # prox along each column of M, at seeded points of three scales (a

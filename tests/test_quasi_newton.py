@@ -18,6 +18,8 @@ from proxqn.quasi_newton import (
     bb_stepsizes,
     contraction_rate,
     _sr1_factors,
+    _zbfgs_diagonal,
+    _zbfgs_factors,
     sr1_eigen_bounds,
     sr1_metric,
     zbfgs_eigen_bounds,
@@ -283,6 +285,93 @@ def test_sr1_step_factors_match_the_public_metrics_bytewise(rng):
         assert g_sq == B.gram_norm_sq
     # kept and skipped updates, a drop and a rank-test failure were met
     assert seen == {(1, 1), (0, 0), "raises"}
+
+
+def _zbfgs_branch_cases(rng, branch):
+    """``(pair, gamma, tau_fallback)`` draws of one branch of the 0BFGS
+    builder; ``pair`` None is the first step."""
+    def draw(scale=1.0, noise=0.3):
+        v = rng.standard_normal(9)
+        return v, (v * rng.uniform(0.5, 2.0, 9)
+                   + noise * rng.standard_normal(9)) * scale
+
+    tau = float(10.0 ** rng.uniform(-3.0, 3.0))
+    if branch == "first step":
+        return [(None, gamma, tau) for gamma in (0.5, 1.0, 3.0)]
+    if branch == "proven":
+        return [(pair, gamma, tau) for pair in _random_pairs(rng, 60)
+                if pair.curvature > 0
+                for gamma in (1.0, float(10.0 ** rng.uniform(-4.0, 4.0)))]
+    if branch == "checked":   # gamma outside [1e-4, 1e4]; 1e-13 is refused
+        return [(QNPair(*draw()), gamma, tau)
+                for gamma in (1e-5, 1e-5, 2e4, 1e-13)]
+    if branch == "skipped":   # <s, y> <= 0, ||y||^2 = 0, tau = inf
+        v = rng.standard_normal(3)
+        return [(QNPair(v, -v), 1.0, tau), (QNPair(v, 0.0 * v), 0.5, tau),
+                (QNPair(v * 1e200, v * 1e-170), 0.5, tau),
+                (QNPair(v * 1e160, v * 1e-160), 2.0, tau)]
+    if branch == "drop":
+        # tau ~ 1e-24: H's minus column and B's V fall under the drop
+        # rule; the outer Gram reads 1 - p_inv ||U2||^2, about 0, and
+        # decides on the rounding of its product
+        return [(QNPair(*draw(scale, noise=1.0)), 1.0, tau)
+                for scale in (1e24, 1e25) for _ in range(20)]
+    assert branch == "outer Gram fallback"
+    # s and y nearly parallel at extreme scales, and a tau ** 2 overflow
+    v = np.array([0.6, -0.3, 0.8])
+    w = v + np.array([0.0, 1e-9, 0.0])
+    return [(QNPair(v * 1e-60, w * 1e-28), gamma, tau)
+            for gamma in (0.5, 1.0, 2.0)] + \
+        [(QNPair(v * 1e80, v * 1e-80), 1.0, tau)]
+
+
+@pytest.mark.parametrize("branch", [
+    "first step", "proven", "checked", "skipped", "drop",
+    "outer Gram fallback"])
+def test_zbfgs_step_factors_match_the_public_metrics_bytewise(rng, branch):
+    # the factors the solver's 0BFGS step reads give zbfgs_metric's public
+    # H (its c, sides and product H g) and B (its c, blocks, plus width
+    # and Gram) byte for byte, with its skip decision, on every branch of
+    # the builder; the first step's diagonal is the skipped pair's at
+    # tau_fallback = tau0.  The blocks the prox route reads are
+    # column-major
+    outcomes = set()
+    for pair, gamma, tau in _zbfgs_branch_cases(rng, branch):
+        if pair is None:
+            got = _zbfgs_diagonal(gamma * tau, 9)
+            v = rng.standard_normal(9)
+            want = zbfgs_metric(QNPair(v, -v), gamma, tau_fallback=tau)
+        else:
+            got = _zbfgs_factors(pair, gamma, tau)
+            want = zbfgs_metric(pair, gamma, tau_fallback=tau)
+        (c, U1, U2), (cb, U, W, r1, g_sq), skipped = got
+        H, B, want_skipped = want
+        assert skipped == want_skipped
+        assert c == H.c and (U1.shape, U2.shape) == (H.U1.shape, H.U2.shape)
+        assert U1.tobytes() == H.U1.tobytes()
+        assert U2.tobytes() == H.U2.tobytes()
+        g = rng.standard_normal(H.dim)
+        g[::5] = -0.0
+        assert _apply(c, U1, U2, g).tobytes() == H.apply(g).tobytes()
+        assert cb == B.c and r1 == B.r1 and U.shape == W.shape == B.U.shape
+        assert U.tobytes() == B.U.tobytes() and W.tobytes() == B.W.tobytes()
+        assert g_sq == B.gram_norm_sq
+        assert U.flags.f_contiguous and W.flags.f_contiguous
+        # B's V dropped: W2 is P^{-1} U2 itself
+        dropped = U.shape[1] == 2 and \
+            W[:, 1].tobytes() == (1.0 / cb * U[:, 1]).tobytes()
+        outcomes.add((skipped, H.ranks, B.ranks, dropped))
+    refused, kept = (True, (0, 0), (0, 0), False), \
+        (False, (1, 1), (1, 1), False)
+    if branch in ("first step", "skipped", "outer Gram fallback"):
+        assert outcomes == {refused}
+    elif branch == "proven":
+        assert outcomes == {kept}
+    elif branch == "checked":   # gamma = 1e-13 fails B's rank test
+        assert outcomes == {kept, refused}
+    else:   # kept with V and one or both of H's columns dropped, or refused
+        assert outcomes == {refused, (False, (1, 0), (1, 1), True),
+                            (False, (0, 0), (1, 1), True)}
 
 
 def _zbfgs_reference(pair, gamma):

@@ -1,11 +1,13 @@
 import dataclasses
 import functools
 import gc
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dgesv
 
 from proxqn import scaled
 from proxqn.bench import ProblemRecipe, generate
@@ -796,6 +798,86 @@ def test_the_joint_newton_keeps_the_bits_of_np_linalg_solve(rng, n,
             assert rep.alpha_star.tobytes() == want_rep.alpha_star.tobytes()
             assert rep.residual_history == want_rep.residual_history
     assert len(calls) >= 60 and set(calls) == {(2, 2)}
+
+
+def _joint_newton_by_matmul(prox, x, kappa, weights, U, W, r1, tol, warm):
+    """``(p, ab, residual_history)`` of ``scaled._joint_newton`` with every
+    product formed by ``@``, as before its thin products went through
+    ``ndarray.dot``: the bit reference of those products."""
+    r = U.shape[1]
+    Ut = U.T
+    sgn = np.ones(r)
+    sgn[:r1] = -1.0
+    K = np.eye(r)
+    K[:r1, r1:] = U[:, :r1].T @ W[:, r1:]
+    step = prox._bind(weights, kappa)
+
+    def system(ab):
+        p, jac = step(x + W @ (sgn * ab))
+        return Ut @ (x - p) + K @ ab, p, jac
+
+    ab = np.zeros(r) if warm is None else np.array(warm, dtype=float)
+    val, p, jac = system(ab)
+    res = math.sqrt(val.dot(val))
+    history = [res]
+    while tol < res < math.inf and len(history) <= 60:
+        G = K - (Ut @ jac(W)) * sgn
+        d_ab, info = dgesv(G, val)[2:]
+        assert info == 0
+        t = 1.0
+        for _ in range(31):
+            new = ab - t * d_ab
+            new_val, new_p, new_jac = system(new)
+            new_res = math.sqrt(new_val.dot(new_val))
+            if new_res <= (1.0 - 1e-4 * t) * res:
+                break
+            t *= 0.5
+        else:
+            break
+        ab, val, p, jac, res = new, new_val, new_p, new_jac, new_res
+        history.append(res)
+    return p, ab, history
+
+
+@pytest.mark.parametrize("n", [7, 300, 3000])
+@pytest.mark.parametrize("ranks", [(1, 1), (2, 0), (0, 2), (2, 2)])
+def test_the_joint_newton_keeps_the_bits_of_its_matmul_products(rng, n,
+                                                                ranks):
+    # ndarray.dot forms the thin products U1^T W2, U^T (x - p), K ab and
+    # U^T (J W) with the bits of @ on the numpy and scipy builds the suite
+    # runs with: the prox point, multipliers and residual history equal the
+    # matmul reference's byte for byte, cold and warm, on public metrics of
+    # each shape and on 0BFGS's trusted B, for a shrink, a clip and the
+    # group norm
+    r1, r2 = ranks
+    steps = 0
+    for k in range(2):
+        # a diagonal constant within the groups, which the group norm needs
+        blocks = _group_blocks(rng, n)
+        d = np.empty(n)
+        for block in blocks:
+            d[block] = rng.uniform(0.5, 2.0)
+        metrics = [PlusMinusMetric(
+            d, _scaled_factors(rng, n, d, r1, 1.5 * k + 0.4) if r1 else [],
+            _scaled_factors(rng, n, d, r2, 0.6) if r2 else [])]
+        if ranks == (1, 1):
+            metrics.append(_bfgs_metric(rng, n)[0])
+        x = 2.0 * rng.standard_normal(n)
+        for metric in metrics:
+            assert metric.ranks == ranks
+            for op in (L1Norm(0.5), NonNeg(), GroupL2(0.5, blocks)):
+                x, weights = scaled._checked(metric, op, x, 0.9)
+                for warm in (None, 0.1 * rng.standard_normal(r1 + r2)):
+                    args = (op, x, 0.9, weights, metric.U, metric.W, r1,
+                            1e-12, warm)
+                    p, rep = scaled._joint_newton(*args)
+                    want_p, want_ab, want_history = \
+                        _joint_newton_by_matmul(*args)
+                    assert p.tobytes() == want_p.tobytes()
+                    assert rep.alpha_star.tobytes() == want_ab.tobytes()
+                    assert rep.residual_history == want_history
+                    steps += rep.iterations
+    assert steps > 0
 
 
 class _ProxOnlyL1(ProxOperator):
