@@ -152,13 +152,14 @@ class _Clip(ProxOperator):
     subclass gives as ``_bounds(d, kappa) -> (lo, hi)`` for a scalar or a
     vector ``d``: the clip ``c = clip(z, lo, hi)``, or with ``_shrink``
     the shrink ``z - c``; Clarke slope 1 on ``[lo, hi)`` for a clip, 0
-    there and 1 elsewhere for a shrink.  ``_slope`` forms them from ``a =
+    there and 1 elsewhere for a shrink.  The binding forms them from ``a =
     (z >= lo)`` and ``b = (z >= hi)`` in three passes: ``a > b`` for a
-    clip, ``a <= b`` for a shrink, which gives a NaN ``z`` the slope 1."""
+    clip, ``a <= b`` for a shrink, which gives a NaN ``z`` the slope 1, or
+    a subclass's ``_slope`` ufunc of ``a`` and ``b``."""
 
     separable = True
     _scalar_bind = True
-    _shrink, _slope = False, np.greater
+    _shrink, _slope = False, None
 
     def _kernel(self, z, lo, hi, out=None, tmp=None):
         """The clip in two passes into ``out`` (or a new array); the shrink
@@ -184,14 +185,16 @@ class _Clip(ProxOperator):
     def _bind(self, d, kappa):
         # 0-d bounds: ufuncs convert a float per call
         lo, hi = (np.asarray(b) for b in self._bounds(d, kappa))
+        slope_of = self._slope or (np.less_equal if self._shrink else
+                                   np.greater)
         masks = []   # the binding's two bool work arrays, made once
         def step(z, out=None, tmp=None):
             def jac(w, out=None):
                 if not masks:   # the rows of one array
                     masks.extend(np.empty((2, z.size), bool))
                 a, b = masks
-                slope = self._slope(np.greater_equal(z, lo, a),
-                                    np.greater_equal(z, hi, b), a)
+                slope = slope_of(np.greater_equal(z, lo, a),
+                                 np.greater_equal(z, hi, b), a)
                 # a bare slope * w would pair the N slopes with the r
                 # columns whenever N == r; they read the floats, cast once
                 return np.multiply(slope, w, out) if w.ndim == 1 else \
@@ -203,7 +206,7 @@ class _Clip(ProxOperator):
 class L1Norm(_Clip):
     """``h(x) = lam * ||x||_1``; weighted soft thresholding."""
 
-    _shrink, _slope = True, np.less_equal
+    _shrink = True
 
     def __init__(self, lam):
         if not lam > 0:   # NaN fails
@@ -286,7 +289,7 @@ class LinfBall(Box):
 class Hinge(_Clip):
     """``h(x) = lam * sum_i max(0, x_i)`` (one-sided shrink)."""
 
-    _shrink, _slope = True, np.less_equal
+    _shrink = True
 
     def __init__(self, lam=1.0):
         if not lam > 0:   # NaN fails

@@ -190,9 +190,10 @@ def _zbfgs_factors(pair, gamma, tau_fallback):
     read (``gamma``, ``gamma/(1+gamma)``, ``1/(1+gamma)``,
     ``g_H < (1+gamma)/(gamma cos^2)`` and ``g_H/(1+g_H)``) clear their
     bounds by far more than rounding: there only its drop rule and B's
-    outer Gram test are kept, and the six columns go into the rows of one
-    ``(6, n)`` array, whose row pairs transposed are the column-major
-    blocks; elsewhere it builds both.  A refused build keeps ``c I``."""
+    outer Gram test are kept, and the six columns go into the rows of a
+    ``(2, n)`` and a ``(4, n)`` array, whose row pairs transposed are the
+    column-major blocks; elsewhere it builds both.  A refused build keeps
+    ``c I``."""
     s, y, n = pair.s, pair.y, pair.s.shape[0]
     sy, yy = pair.curvature, pair.y_norm_sq
     tau = sy / yy if yy else math.inf   # ||y||^2 can underflow to 0
@@ -200,8 +201,10 @@ def _zbfgs_factors(pair, gamma, tau_fallback):
         return _zbfgs_diagonal(gamma * float(tau_fallback), n)
     ss = float(s.dot(s))
     rho, c = 1.0 / sy, gamma * tau
-    F = np.empty((6, n))   # rows indexed, not unpacked (which iterates)
-    h1, h2, u1, u2, w1, w2 = F[0], F[1], F[2], F[3], F[4], F[5]
+    # H's columns and B's U1, U2, W1 and W2 as rows, indexed (unpacking
+    # iterates); B keeps only its own rows alive
+    HT, BT = np.empty((2, n)), np.empty((4, n))
+    h1, h2, u1, u2, w1, w2 = HT[0], HT[1], BT[0], BT[1], BT[2], BT[3]
     np.subtract(s, np.multiply(c / (1.0 + gamma), y, out=h1), out=h1)
     proven = (1e-4 <= gamma <= 1e4 and 1e-250 <= c <= 1e16
               and 1e-250 <= min(sy, ss, yy) <= max(ss, yy) <= 1e250
@@ -211,11 +214,11 @@ def _zbfgs_factors(pair, gamma, tau_fallback):
         np.multiply(math.sqrt(rho * gamma ** 2 * tau ** 2 / (1.0 + gamma)),
                     y, out=h2)
         if not proven:   # the checked build, which may refuse H first
-            H = PlusMinusMetric._trusted(c, F[:1].T, F[1:2].T)
+            H = PlusMinusMetric._trusted(c, HT[:1].T, HT[1:].T)
         np.divide(y, math.sqrt(yy) * math.sqrt(tau), out=u1)
         np.divide(s, math.sqrt(ss) * math.sqrt(c), out=u2)
         if not proven:
-            B = PlusMinusMetric._trusted(1.0 / c, F[2:3].T, F[3:4].T)
+            B = PlusMinusMetric._trusted(1.0 / c, BT[:1].T, BT[1:2].T)
             return ((c, H.U1, H.U2), (B.c, B.U, B.W, B.r1, B.gram_norm_sq),
                     False)
     except (MetricError, OverflowError):
@@ -224,9 +227,9 @@ def _zbfgs_factors(pair, gamma, tau_fallback):
         return _zbfgs_diagonal(c, n)
     if math.sqrt(h1.dot(h1)) >= FACTOR_DROP_TOL and \
             math.sqrt(h2.dot(h2)) >= FACTOR_DROP_TOL:
-        H = c, F[:1].T, F[1:2].T
+        H = c, HT[:1].T, HT[1:].T
     else:   # the drop rule takes a column
-        HU, r = _drop_block(F[:2].T, 1)
+        HU, r = _drop_block(HT.T, 1)
         H = c, HU[:, :r], HU[:, r:]
     # B's two-sided build: both columns have norm >= 1e-10 here, and
     # W2 = ((P + Q1)^{-1}) U2 = (P^{-1} - V V^T) U2 with V's drop rule
@@ -242,7 +245,7 @@ def _zbfgs_factors(pair, gamma, tau_fallback):
         np.subtract(w2, V.dot(V.T.dot(u2)), out=w2)
     if 1.0 - float(u2.dot(w2)) <= 0:   # the outer Gram test of P + Q1 - Q2
         return _zbfgs_diagonal(c, n)
-    return H, (cb, F[2:4].T, F[4:6].T, 1, g), False
+    return H, (cb, BT[:2].T, BT[2:].T, 1, g), False
 
 
 def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
