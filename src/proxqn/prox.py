@@ -262,7 +262,6 @@ class Zero(Box):
         return 0.0
 
 
-
 class NonNeg(Box):
     """Indicator of the positive orthant."""
 
