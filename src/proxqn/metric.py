@@ -37,9 +37,11 @@ with the Python float ``c`` where a public one has the diagonal vector.
 ``invert`` serves single-sign metrics, as 0SR1's ``B = H^{-1}`` needs.
 The internal ``_proven`` constructor stores a ``c I`` factored form as
 its caller proves it, with no check: ``zbfgs_metric`` wraps there the
-factors that ``quasi_newton`` forms with ``_build``'s operations.  The
-solvers' steps build no metric: they read those factors and form ``H g``
-with ``_apply``, the body of :meth:`_FactoredMetric.apply`.
+factors that ``quasi_newton`` forms with ``_build``'s operations, and
+``sr1_metric`` is ``_trusted`` on its builder's factors.  The solvers'
+one step, ``solver.fb_step``, builds no metric: it reads the builders'
+factors and forms ``H g`` with ``_apply``, the body of
+:meth:`_FactoredMetric.apply`.
 """
 
 from __future__ import annotations

@@ -6,10 +6,14 @@ iteration.  The diagonal is a Barzilai-Borwein multiple of the identity
 scaled down by ``gamma`` so the low-rank correction stays well defined;
 degenerate pairs skip the correction and keep the diagonal.
 
-Neither solver step builds a metric object: ``_sr1_factors`` gives the
-factors of ``H = sr1_metric(...)`` and ``B = H.invert()``, and
-``_zbfgs_factors`` those of ``zbfgs_metric(...)``, which wraps it, with
-their bits and decisions.
+Each method has one builder, which the solver's step calls and the
+public metric wraps: ``_sr1_factors`` and ``_zbfgs_factors`` take ``(pair,
+gamma, n, tau)`` and return ``(H, B, skipped)``, ``H`` as ``(c, U1, U2)``
+and ``B = H^{-1}`` as ``(c, U, W, r1, g)``, the factored forms of
+:mod:`proxqn.metric`, with no metric object.  :func:`sr1_metric` is the
+trusted metric on the 0SR1 builder's ``H`` (whose ``invert()`` gives its
+``B`` with the same bits), and :func:`zbfgs_metric` wraps both of the
+0BFGS builder's factors.
 """
 
 from __future__ import annotations
@@ -97,93 +101,87 @@ def sr1_metric(pair, gamma=0.8, dim=None, tau0=1.0):
     ``gamma`` in (0, 1) shrinks the Barzilai-Borwein diagonal ``H0`` (0.8
     works well), and ``u = (s - H0 y)/sqrt(<s - H0 y, y>)`` when the
     curvature of the residual pair is safely positive; otherwise the
-    update is skipped and the diagonal ``H0`` is returned (rank 0).  ``pair=None`` covers the
-    first iteration, where ``H = tau0 * I`` (any positive tau is valid;
-    callers use 1/L when a Lipschitz estimate exists).
+    update is skipped and the diagonal ``H0`` is returned (rank 0).
+    ``pair=None`` covers the first iteration, where ``H = tau0 * I`` (any
+    positive tau is valid; callers use 1/L when a Lipschitz estimate
+    exists); ``dim``, required there, must otherwise match the pair.
 
     The secant identity ``H y = s`` holds exactly whenever the update is
-    not skipped.
+    not skipped.  ``H`` wraps :func:`_sr1_factors`, which also builds
+    ``B = H^{-1}``, so an ``H`` whose inverse the metric layer refuses
+    raises here.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if pair is None:
-        if dim is None:
-            raise ValueError("dim is required when no pair is given")
-        return LowRankMetric._trusted(float(tau0), np.zeros((dim, 0)))
-    n = pair.s.shape[0]
-    if pair.y_norm_sq == 0.0:
-        return LowRankMetric._trusted(float(tau0), np.zeros((n, 0)))
-    h0, u = _sr1_update(pair, gamma)
-    if u is None:
-        return LowRankMetric._trusted(h0, np.zeros((n, 0)))
-    return LowRankMetric._trusted(h0, u.reshape(n, 1), +1)
+    n = dim if pair is None else pair.s.shape[0]
+    if n is None:
+        raise ValueError("dim is required when no pair is given")
+    if dim not in (None, n):
+        raise ValueError(f"dim {dim} disagrees with the pair's length {n}")
+    return _sr1_H(_sr1_factors(pair, gamma, n, tau0)[0])
 
 
-def _sr1_update(pair, gamma):
-    """``(h0, u)`` of :func:`sr1_metric` on a pair with ``||y|| > 0``;
-    ``u`` is None where the update is skipped."""
+def _sr1_H(H):   # sr1_metric on _sr1_factors's H
+    return LowRankMetric._trusted(H[0], H[1], +1)
+
+
+def _sr1_factors(pair, gamma, n, tau0):
+    """The one 0SR1 builder: the ``(H, B, skipped)`` of
+    :func:`_zbfgs_factors`'s shapes, with the bits of :func:`sr1_metric`'s
+    ``H = h0 I + U U^T``, ``(h0, U, U2)`` with ``U2`` empty, and of
+    ``B = H.invert() = b I - V V^T``, ``(b, V, W, 0, g)`` with ``W = V / b``
+    and B's Gram ``g = V^T W``; each factor is ``(n, 1)``, or ``(n, 0)``
+    with ``g = 0``.  The first step (``pair`` None) and ``||y|| = 0`` keep
+    ``tau0 I``.  It keeps the skip rule, the drop rule of both factors,
+    both Gram rank tests and B's test ``g < 1``, and the tests ``c > 0``
+    of a diagonal, raising as the metric layer does; it skips those of a
+    rank-1 ``H``, since ``gamma`` in (0, 1) and a finite ``<s, y>`` put
+    ``h0`` in ``[gamma 1e-8, gamma 1e8]``.
+    """
+    if pair is None or pair.y_norm_sq == 0.0:
+        return _diagonal(float(tau0), n)
     yy = pair.y_norm_sq
     h0 = gamma * min(max(pair.curvature / yy, _SR1_TAU_MIN), _SR1_TAU_MAX)
     w = pair.s - h0 * pair.y
     wy = float(np.dot(w, pair.y))
     if wy <= _SR1_SKIP_TOL * math.sqrt(yy) * math.sqrt(w.dot(w)):
-        return h0, None
-    return h0, w / math.sqrt(wy)
-
-
-def _sr1_factors(pair, gamma, n, tau0):
-    """What one 0SR1 step reads of ``H = sr1_metric(pair, gamma, n, tau0)``
-    and ``B = H.invert()``, with their bits and decisions and no metric
-    object: ``(h0, U, b, V, W, g)`` with ``H = h0 I + U U^T``,
-    ``B = b I - V V^T``, ``W = V / b`` and ``g = V^T W``, B's Gram
-    (``B.c``, ``B.U2``, ``B.W2`` and ``B.gram_norm_sq``); each factor is
-    ``(n, 1)``, or ``(n, 0)`` at rank 0 with ``g = 0``.
-
-    It keeps the skip rule, the diagonals of the first step and of
-    ``||y|| = 0``, the drop rule of both factors, both Gram rank tests and
-    B's test ``g < 1``, raising as the metric layer does.  It skips the
-    tests ``c > 0`` of ``h0`` and ``b``, which the caller proves: ``gamma``
-    in (0, 1), a finite ``<s, y>``, and ``tau0`` with ``1/tau0 > 0`` put
-    ``h0`` in ``[gamma 1e-8, gamma 1e8]`` and ``b = 1/h0`` above 0.
-    """
-    if pair is None or pair.y_norm_sq == 0.0:
-        h0, u = float(tau0), None
-    else:
-        h0, u = _sr1_update(pair, gamma)
-    b = 1.0 / h0
+        return _diagonal(h0, n)
     # the 1-d column u of U: its products have the (n, 1) column's bits
-    if u is None or not math.sqrt(u.dot(u)) >= FACTOR_DROP_TOL:
-        U = np.zeros((n, 0))
-        return h0, U, b, U, U, 0.0
+    u = w / math.sqrt(wy)
+    if not math.sqrt(u.dot(u)) >= FACTOR_DROP_TOL:
+        return _diagonal(h0, n)
+    b = 1.0 / h0
+    H = h0, u.reshape(n, 1), np.zeros((n, 0))
     g = float(u.dot(u / h0))   # H's Gram: the rank test
     g = 0.5 * (g + g)
     _rank_test(g, g)
     v = u * b * (np.array([1.0 + g]) ** -0.5)[0]   # invert()'s factor
     if not math.sqrt(v.dot(v)) >= FACTOR_DROP_TOL:
-        V = np.zeros((n, 0))
-        return h0, u.reshape(n, 1), b, V, V, 0.0
+        return H, (b, H[2], H[2], 0, 0.0), False
     w = v / b   # B's minus side
     g = float(v.dot(w))
     g = 0.5 * (g + g)
     _rank_test(g, g)
     _minus_pd_test(g)
-    return h0, u.reshape(n, 1), b, v.reshape(n, 1), w.reshape(n, 1), g
+    return H, (b, v.reshape(n, 1), w.reshape(n, 1), 0, g), False
 
 
-def _zbfgs_diagonal(h, n):
-    """:func:`_zbfgs_factors` of a skipped update, ``H = h I`` and ``B = I /
-    h``, with the tests ``c > 0`` of both."""
+def _diagonal(h, n):
+    """A builder's ``(H, B, skipped)`` of ``H = h I`` and ``B = I / h``,
+    with the tests ``c > 0`` of both."""
     _positive_scalar(h)
     _positive_scalar(cb := 1.0 / h)
     empty = np.zeros((n, 0))
     return (h, empty, empty), (cb, empty, empty, 0, 0.0), True
 
 
-def _zbfgs_factors(pair, gamma, tau_fallback):
-    """:func:`zbfgs_metric`'s ``(H, B, skipped)`` as the solver's step reads
-    them, with no metric object: ``H`` as ``(c, U1, U2)`` and ``B`` as
-    ``(c, U, W, r1, gram_norm_sq)``, both with the bits and the skip
-    decision of :class:`PlusMinusMetric` on the docstring's factors.  For
+def _zbfgs_factors(pair, gamma, n, tau_fallback):
+    """The one 0BFGS builder: :func:`zbfgs_metric`'s ``(H, B, skipped)`` as
+    the solver's step reads them, with no metric object: ``H`` as ``(c,
+    U1, U2)`` and ``B`` as ``(c, U, W, r1, gram_norm_sq)``, both with the
+    bits and the skip decision of :class:`PlusMinusMetric` on the
+    docstring's factors.  The first step (``pair`` None) and a skipped
+    pair keep ``H = gamma tau_fallback I`` in ``R^n``.  For
     ``1e-4 <= gamma <= 1e4``, ``1e-250 <= gamma tau <= 1e16``, inner
     products in ``[1e-250, 1e250]`` and ``N (1+gamma) <= 2^40 gamma
     cos^2(s, y)``, the Gram values its rank and positive-definiteness tests
@@ -194,11 +192,13 @@ def _zbfgs_factors(pair, gamma, tau_fallback):
     ``(2, n)`` and a ``(4, n)`` array, whose row pairs transposed are the
     column-major blocks; elsewhere it builds both.  A refused build keeps
     ``c I``."""
-    s, y, n = pair.s, pair.y, pair.s.shape[0]
+    if pair is None:
+        return _diagonal(gamma * float(tau_fallback), n)
+    s, y = pair.s, pair.y
     sy, yy = pair.curvature, pair.y_norm_sq
     tau = sy / yy if yy else math.inf   # ||y||^2 can underflow to 0
     if sy <= 0.0 or tau == math.inf:    # then B's scale 1/(gamma tau) is 0
-        return _zbfgs_diagonal(gamma * float(tau_fallback), n)
+        return _diagonal(gamma * float(tau_fallback), n)
     ss = float(s.dot(s))
     rho, c = 1.0 / sy, gamma * tau
     # H's columns and B's U1, U2, W1 and W2 as rows, indexed (unpacking
@@ -224,7 +224,7 @@ def _zbfgs_factors(pair, gamma, tau_fallback):
     except (MetricError, OverflowError):
         # a degenerate pair (s nearly parallel to y, a Gram under the rank
         # test at an extreme gamma, tau ** 2 overflowing): the diagonal
-        return _zbfgs_diagonal(c, n)
+        return _diagonal(c, n)
     if math.sqrt(h1.dot(h1)) >= FACTOR_DROP_TOL and \
             math.sqrt(h2.dot(h2)) >= FACTOR_DROP_TOL:
         H = c, HT[:1].T, HT[1:].T
@@ -244,7 +244,7 @@ def _zbfgs_factors(pair, gamma, tau_fallback):
         V = v.reshape(n, 1)
         np.subtract(w2, V.dot(V.T.dot(u2)), out=w2)
     if 1.0 - float(u2.dot(w2)) <= 0:   # the outer Gram test of P + Q1 - Q2
-        return _zbfgs_diagonal(c, n)
+        return _diagonal(c, n)
     return H, (cb, BT[:2].T, BT[2:].T, 1, g), False
 
 
@@ -267,22 +267,24 @@ def zbfgs_metric(pair, gamma=1.0, tau_fallback=1.0):
 
     Returns ``(H, B, skipped)``: ``B`` a complete metric, ``H`` a
     product-only operator (``apply``, ``norm_sq``, ``diag``, the factors),
-    all that the forward step reads; they wrap :func:`_zbfgs_factors`.
+    all that the forward step reads; they wrap :func:`_zbfgs_factors`:
+    ``B`` as it is, or rebuilt to keep ``invert`` with a single side.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return _zbfgs_metrics(*_zbfgs_factors(pair, gamma, tau_fallback))
+    if pair is None:   # the solver's first step is gamma tau0 I
+        raise ValueError("zbfgs_metric needs a pair (s, y), got None")
+    H, (cb, U, W, r1, g), skipped = _zbfgs_factors(
+        pair, gamma, pair.s.shape[0], tau_fallback)
+    return _zbfgs_H(H), (
+        PlusMinusMetric._proven(cb, U, r1, W, g) if 0 < r1 < U.shape[1]
+        else PlusMinusMetric._trusted(cb, U[:, :r1], U[:, r1:])), skipped
 
 
-def _zbfgs_metrics(H, B, skipped):
-    """:func:`zbfgs_metric` from :func:`_zbfgs_factors`: ``H`` product-only
-    on a copy of its sides, ``B`` as it is, or rebuilt to keep ``invert``
-    with a single side."""
-    (c, U1, U2), (cb, U, W, r1, g) = H, B
-    return (PlusMinusMetric._proven(c, np.concatenate((U1.T, U2.T)).T,
-                                    U1.shape[1]),
-            PlusMinusMetric._proven(cb, U, r1, W, g) if 0 < r1 < U.shape[1]
-            else PlusMinusMetric._trusted(cb, U[:, :r1], U[:, r1:]), skipped)
+def _zbfgs_H(H):   # zbfgs_metric's product-only H on a copy of the sides
+    c, U1, U2 = H
+    return PlusMinusMetric._proven(c, np.concatenate((U1.T, U2.T)).T,
+                                   U1.shape[1])
 
 
 # -- theory constants ---------------------------------------------------------

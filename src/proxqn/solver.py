@@ -1,11 +1,10 @@
 """Forward-backward solvers: quasi-Newton (0SR1, 0BFGS) and first-order
 baselines (ISTA, FISTA with Barzilai-Borwein steps, SPG/SpaRSA).
 
-The quasi-Newton loop takes :func:`fb_step`'s step with its bits, on
-arrays and with no metric object: it reads the factors of ``H`` and ``B``
-from the pair (``quasi_newton._sr1_factors`` or ``_zbfgs_factors``),
-forms ``H g`` with ``apply``'s expressions and sends the prox in ``B``
-down ``scaled._route``; ``record_metrics`` stores the public ``H``.
+The quasi-Newton loop steps through :func:`fb_step` once per iteration,
+on the factored forms of ``H`` and ``B`` that one builder per method
+(``quasi_newton._sr1_factors``, ``_zbfgs_factors``) reads from the pair,
+with no metric object; ``record_metrics`` wraps the step's ``H``.
 """
 
 from __future__ import annotations
@@ -17,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric import _apply, _as_vector, _positive_scalar
+from .metric import _apply, _as_vector
 from .prox import ProxOperator
-# zbfgs_metric and scaled_prox are not called here; perfbench's tracer
-# wraps them by these names
-from .quasi_newton import (QNPair, _sr1_factors, _zbfgs_diagonal,  # noqa: F401
-                           _zbfgs_factors, _zbfgs_metrics, sr1_metric,
+# the public metrics and scaled proxes are not called here; perfbench's
+# tracer wraps them by these names
+from .quasi_newton import (QNPair, _sr1_H, _sr1_factors,  # noqa: F401
+                           _zbfgs_factors, _zbfgs_H, sr1_metric,
                            zbfgs_metric)
 from .scaled import (RootFinderError, _route, scaled_prox,  # noqa: F401
                      scaled_prox_rank2)
@@ -137,15 +136,17 @@ SPG_MEMORY = 10
 
 
 def fb_step(x, grad_x, H, B, h, kappa=1.0, warm_alpha=None, tol=1e-12):
-    """One forward-backward step ``prox^B_{kappa h}(x - kappa H grad)``.
+    """The quasi-Newton loop's step ``prox^B_{kappa h}(x - kappa H grad)``
+    on the factored forms of its builders, with no check and no dense solve.
 
-    ``H`` is the inverse-Hessian metric, of which the forward step reads
-    only the product ``H.apply`` (0BFGS passes a product-only operator),
-    and ``B`` its factored inverse, the prox's metric; no dense solve.
+    ``H = (c, U1, U2)``, ``c`` a scalar or the diagonal, gives the forward
+    point with ``H.apply``'s bits; ``B = (weights, U, W, r1, g)`` goes to
+    ``scaled._route`` as it is (the weights that bind ``h``).  The point
+    and report are those of ``scaled_prox_rank2(B, h, x - kappa H.apply(g),
+    kappa, tol, warm_alpha)`` on the metrics that these factors form.
     """
-    forward = x - kappa * H.apply(grad_x)
-    return scaled_prox_rank2(B, h, forward, kappa=kappa, tol=tol,
-                             warm=warm_alpha)
+    forward = x - kappa * _apply(*H, _as_vector(grad_x, H[1].shape[0]))
+    return _route(h, forward, kappa, *B, tol, warm_alpha)
 
 
 def line_search(problem, x, p, f_x, kappa, mode="backtracking"):
@@ -278,13 +279,15 @@ def _initial_point(problem, opts):
 def _run_quasi_newton(problem, opts, variant):
     """The loop of 0SR1 and 0BFGS.  The checks that ``scaled._checked``
     and the metrics' tests ``c > 0`` would make at every step hold for the
-    whole loop and run once: kappa, the operator's dimension,
-    ``1/tau0 > 0`` and 0SR1's ``gamma < 1``."""
+    whole loop and run once: kappa, the operator's dimension and 0SR1's
+    ``gamma < 1``; the builders test a diagonal's ``c > 0``."""
     run = _Run(problem, opts, "zero-sr1" if variant == "sr1" else "zero-bfgs")
     gamma = opts.gamma if opts.gamma is not None else \
         (0.8 if variant == "sr1" else 1.0)
     L = _lipschitz(problem, run.solver_id, required=False)
     tau0 = 1.0 / L if L else 1.0
+    build, public_H = (_sr1_factors, _sr1_H) if variant == "sr1" else \
+        (_zbfgs_factors, _zbfgs_H)
     kappa = opts.kappa if opts.kappa is not None else 1.0
     backtrack = opts.line_search != "none"
     n, h = problem.dim, problem.h
@@ -294,8 +297,6 @@ def _run_quasi_newton(problem, opts, variant):
         raise ValueError("kappa must be positive")
     if h.dim not in (None, n):
         h.check_weights(np.ones(n), n)
-    if variant == "sr1":
-        _positive_scalar(1.0 / tau0)
     scalar = h._scalar_bind and h.dim in (None, n)
 
     x = _initial_point(problem, opts)
@@ -303,29 +304,20 @@ def _run_quasi_newton(problem, opts, variant):
     f_val = problem.objective(x)
     pair = None
     warm = None
-    last_tau = tau0
+    last_tau = tau0   # 0BFGS's fallback: tau_bb2 of its last update
 
     def propose(k, x):
         nonlocal warm, last_tau
-        # H as (c, U1, U2) and B as (c, U, W, r1, Gram), U and W its blocks
-        if variant == "sr1":
-            c, U, b, V, W, g_sq = _sr1_factors(pair, gamma, n, tau0)
-            H, B = (c, U, U[:, :0]), (b, V, W, 0, g_sq)
-            if opts.record_metrics:
-                run.metrics.append(
-                    (sr1_metric(pair, gamma, dim=n, tau0=tau0), pair))
-        else:
-            H, B, skipped = _zbfgs_diagonal(gamma * tau0, n) if pair is None \
-                else _zbfgs_factors(pair, gamma, last_tau)
-            if not skipped:
-                last_tau = pair.curvature / pair.y_norm_sq
-            if opts.record_metrics:
-                run.metrics.append((_zbfgs_metrics(H, B, skipped)[0], pair))
-        # fb_step's forward point, with H.apply's bits, and its prox
-        forward = x - kappa * _apply(*H, _as_vector(g, n))
-        xbar, report = _route(h, forward, kappa,
-                              B[0] if scalar else np.full(n, B[0]), *B[1:],
-                              1e-12, warm)
+        # H as (c, U1, U2) and B as (c, U, W, r1, Gram), U and W its blocks;
+        # a step without a pair keeps tau0
+        H, (c, *B), skipped = build(pair, gamma, n,
+                                    tau0 if pair is None else last_tau)
+        if variant == "bfgs" and not skipped:
+            last_tau = pair.curvature / pair.y_norm_sq
+        if opts.record_metrics:
+            run.metrics.append((public_H(H), pair))
+        xbar, report = fb_step(x, g, H, (c if scalar else np.full(n, c), *B),
+                               h, kappa, warm, 1e-12)
         warm = report.alpha_star
         return xbar
 

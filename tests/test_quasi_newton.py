@@ -18,7 +18,6 @@ from proxqn.quasi_newton import (
     bb_stepsizes,
     contraction_rate,
     _sr1_factors,
-    _zbfgs_diagonal,
     _zbfgs_factors,
     sr1_eigen_bounds,
     sr1_metric,
@@ -201,7 +200,8 @@ def test_sr1_trusted_construction_matches_public_bitwise(rng):
         QNPair(np.array([1.0, 0.0]), np.array([0.0, 1.0])), None]
     ranks = set()
     for pair in pairs:
-        H = sr1_metric(pair, dim=2, tau0=0.3)
+        H = sr1_metric(pair, dim=2 if pair is None else None,
+                       tau0=0.3)
         ranks.add(H.rank)
         public = LowRankMetric(H.diag, H.factor_matrix.T, H.sign)
         _same_low_rank(H, public)
@@ -210,10 +210,20 @@ def test_sr1_trusted_construction_matches_public_bitwise(rng):
 
 
 def _sr1_public_step(pair, gamma, n, tau0):
-    """What the 0SR1 step reads of the public ``H`` and ``B = H.invert()``
-    in the builder's layout, or the metric layer's error."""
+    """``H`` of the docstring's formulas through the trusted constructor,
+    as ``sr1_metric`` built it before it wrapped the builder, and ``B =
+    H.invert()``, or the metric layer's error."""
+    h0, u = float(tau0), None
+    if pair is not None and pair.y_norm_sq > 0.0:
+        yy = pair.y_norm_sq
+        h0 = gamma * min(max(pair.curvature / yy, 1e-8), 1e8)
+        w = pair.s - h0 * pair.y
+        wy = float(np.dot(w, pair.y))
+        if wy > 1e-8 * math.sqrt(yy) * math.sqrt(w.dot(w)):
+            u = w / math.sqrt(wy)
     try:
-        H = sr1_metric(pair, gamma, dim=n, tau0=tau0)
+        H = LowRankMetric._trusted(h0, np.zeros((n, 0)) if u is None
+                                   else u.reshape(n, 1), +1)
         B = H.invert()
     except MetricError as err:
         return type(err), str(err)
@@ -252,9 +262,10 @@ def _sr1_edge_pairs(rng):
 
 
 def test_sr1_step_factors_match_the_public_metrics_bytewise(rng):
-    # the builder the solver's step reads gives the public H's product
+    # the builder the solver's step reads gives the reference H's product
     # H g, B's c, factors and Gram and the skip and drop decisions byte
-    # for byte, and raises where the metric layer raises
+    # for byte, and raises where the metric layer raises; sr1_metric is
+    # the builder's H, and raises with it
     cases = [(pair, 0.8) for pair in _random_pairs(rng, 120)]
     cases += [(pair, float(rng.uniform(0.05, 0.95)))
               for pair in _random_pairs(rng, 60)]
@@ -265,13 +276,18 @@ def test_sr1_step_factors_match_the_public_metrics_bytewise(rng):
         tau0 = float(10.0 ** rng.uniform(-3.0, 3.0))
         want = _sr1_public_step(pair, gamma, n, tau0)
         if isinstance(want[0], type):
-            with pytest.raises(want[0]) as err:
-                _sr1_factors(pair, gamma, n, tau0)
-            assert str(err.value) == want[1]
+            for build in (_sr1_factors, sr1_metric):
+                with pytest.raises(want[0]) as err:
+                    build(pair, gamma, n, tau0)
+                assert str(err.value) == want[1]
             seen.add("raises")
             continue
         H, B = want
-        c, U, b, V, W, g_sq = _sr1_factors(pair, gamma, n, tau0)
+        (c, U, U2), (b, V, W, r1, g_sq), skipped = \
+            _sr1_factors(pair, gamma, n, tau0)
+        public = sr1_metric(pair, gamma, n, tau0)
+        assert public.c == H.c and public.U.tobytes() == H.U.tobytes()
+        assert skipped == (H.rank == 0) and U2.shape == (n, 0) and r1 == 0
         seen.add((H.rank, B.rank))
         assert c == H.c and U.shape == H.U1.shape
         assert U.tobytes() == H.U1.tobytes()
@@ -338,11 +354,11 @@ def test_zbfgs_step_factors_match_the_public_metrics_bytewise(rng, branch):
     outcomes = set()
     for pair, gamma, tau in _zbfgs_branch_cases(rng, branch):
         if pair is None:
-            got = _zbfgs_diagonal(gamma * tau, 9)
+            got = _zbfgs_factors(None, gamma, 9, tau)
             v = rng.standard_normal(9)
             want = zbfgs_metric(QNPair(v, -v), gamma, tau_fallback=tau)
         else:
-            got = _zbfgs_factors(pair, gamma, tau)
+            got = _zbfgs_factors(pair, gamma, pair.s.shape[0], tau)
             want = zbfgs_metric(pair, gamma, tau_fallback=tau)
         (c, U1, U2), (cb, U, W, r1, g_sq), skipped = got
         H, B, want_skipped = want
@@ -536,3 +552,17 @@ def test_config_validation():
                                      seed=0))
     with pytest.raises(ValueError, match="gamma"):
         run_zero_sr1(problem, SolverOptions(gamma=1.5))
+
+
+def test_zbfgs_metric_names_a_missing_pair():
+    # it has no dim for the first step's diagonal, and read pair.s of None
+    with pytest.raises(ValueError, match="needs a pair"):
+        zbfgs_metric(None)
+
+
+def test_sr1_metric_rejects_a_dim_that_disagrees_with_the_pair():
+    # it returned the pair's dimension whatever dim said
+    s, y = np.array([1.0, 0.5, -0.2]), np.array([1.2, 0.4, -0.1])
+    with pytest.raises(ValueError, match="dim 5 disagrees"):
+        sr1_metric(QNPair(s, y), dim=5)
+    assert sr1_metric(QNPair(s, y), dim=3).dim == 3

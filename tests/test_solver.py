@@ -8,7 +8,9 @@ from proxqn.bench import ProblemRecipe, generate
 from proxqn.metric import LowRankMetric
 from proxqn import solver
 from proxqn.prox import GroupL2, L1Norm, NonNeg, ProxOperator, Zero
-from proxqn.quasi_newton import QNPair, sr1_metric
+from proxqn.quasi_newton import (QNPair, _sr1_factors, _zbfgs_factors,
+                                  sr1_metric, zbfgs_metric)
+from proxqn.scaled import _checked, scaled_prox_rank2
 from proxqn.solver import (
     SOLVERS,
     ProblemSpec,
@@ -43,13 +45,21 @@ def quadratic_problem(Q, b, h):
     )
 
 
+def _factored(H, B, h):
+    """``fb_step``'s factored forms of the metric ``H`` and its inverse
+    ``B``, with the weights that the checked route binds ``h`` with."""
+    weights = _checked(B, h, np.zeros(B.dim), 1.0)[1]
+    return ((H.diag if H.c is None else H.c, H.U1, H.U2),
+            (weights, B.U, B.W, B.r1, B.gram_norm_sq))
+
+
 def test_fb_step_plain_gradient(rng):
     Q = np.eye(3) * 2.0
     prob = quadratic_problem(Q, rng.standard_normal(3), Zero())
     x = rng.standard_normal(3)
     H = LowRankMetric(np.ones(3))
-    xbar, _ = fb_step(x, prob.grad(x), H, H.invert(), prob.h,
-                      kappa=1.0 / prob.lipschitz)
+    xbar, _ = fb_step(x, prob.grad(x), *_factored(H, H.invert(), prob.h),
+                      prob.h, kappa=1.0 / prob.lipschitz)
     np.testing.assert_allclose(
         xbar, x - prob.grad(x) / prob.lipschitz, atol=1e-14)
 
@@ -59,7 +69,8 @@ def test_fb_step_projected_gradient(rng):
     prob = quadratic_problem(Q, np.array([-1.0, 2.0]), NonNeg())
     x = np.array([0.2, 0.1])
     H = LowRankMetric(np.ones(2))
-    xbar, _ = fb_step(x, prob.grad(x), H, H.invert(), prob.h, kappa=1.0 / 3.0)
+    xbar, _ = fb_step(x, prob.grad(x), *_factored(H, H.invert(), prob.h),
+                      prob.h, kappa=1.0 / 3.0)
     np.testing.assert_allclose(
         xbar, np.maximum(x - prob.grad(x) / 3.0, 0.0), atol=1e-14)
 
@@ -74,12 +85,53 @@ def test_fb_step_matches_model_minimizer(rng):
                              L1Norm(0.4))
     x = rng.standard_normal(2)
     kappa = 0.7
-    xbar, _ = fb_step(x, prob.grad(x), H, B, prob.h, kappa=kappa)
+    xbar, _ = fb_step(x, prob.grad(x), *_factored(H, B, prob.h), prob.h,
+                      kappa=kappa)
     forward = x - kappa * H.apply(prob.grad(x))
     z = brute_force_scaled_prox(dense_metric(B),
                                 euclidean_prox_for("l1", {"lam": 0.4}),
                                 forward, kappa)
     np.testing.assert_allclose(xbar, z, atol=1e-10)
+
+
+_N = 12
+_BLOCKS = [range(0, 3), range(3, 4), range(4, 9), range(9, 12)]
+
+
+@pytest.mark.parametrize("variant", ["sr1", "bfgs"])
+@pytest.mark.parametrize("h, vector", [
+    (L1Norm(0.3), False), (NonNeg(), False), (GroupL2(0.5, _BLOCKS), True),
+], ids=["l1", "nonneg", "group-vector-weights"])
+def test_fb_step_keeps_the_bits_of_the_checked_route(rng, variant, h, vector):
+    # the loop's step on a builder's factored forms gives the point and
+    # alpha* of the checked route, scaled_prox_rank2 on the public metrics
+    # at x - kappa H.apply(g), byte for byte: cold, then warm from the
+    # cold alpha* at a nearby point, as the loop continues it
+    ranks = set()
+    for _ in range(15):
+        s = rng.standard_normal(_N)
+        pair = QNPair(s, s * rng.uniform(0.5, 2.0, _N)
+                      + 0.3 * rng.standard_normal(_N))
+        if variant == "sr1":
+            H, B, _ = _sr1_factors(pair, 0.8, _N, 0.5)
+            Hm = sr1_metric(pair, 0.8, tau0=0.5)
+            Bm = Hm.invert()
+        else:
+            H, B, _ = _zbfgs_factors(pair, 1.0, _N, 0.5)
+            Hm, Bm, _ = zbfgs_metric(pair, 1.0, 0.5)
+        ranks.add(Bm.ranks)
+        B = (np.full(_N, B[0]) if vector else B[0], *B[1:])
+        kappa = float(rng.uniform(0.3, 1.5))
+        x, g = 2.0 * rng.standard_normal((2, _N))
+        warm = None
+        for _ in ("cold", "warm"):
+            p, report = fb_step(x, g, H, B, h, kappa, warm)
+            want_p, want = scaled_prox_rank2(
+                Bm, h, x - kappa * Hm.apply(g), kappa=kappa, warm=warm)
+            assert p.tobytes() == want_p.tobytes()
+            assert report.alpha_star.tobytes() == want.alpha_star.tobytes()
+            x, warm = x + 0.1 * rng.standard_normal(_N), report.alpha_star
+    assert ranks == ({(0, 1)} if variant == "sr1" else {(1, 1)})
 
 
 def test_line_search_modes(rng):

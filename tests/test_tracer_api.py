@@ -22,10 +22,11 @@ def test_tracer_wraps_every_layer_and_restores_it(monkeypatch):
     # install() finds every name it wraps (the operator's prox_diag,
     # pa_descriptor and evaluate among them), 20 iterations each of 0SR1,
     # 0BFGS and ISTA on a small group LASSO call the solver-side layers of
-    # their loops, one call of each public step and metric entry through
-    # its owner, which the quasi-Newton loop no longer calls, finds its
-    # wrapper, and uninstall() gives every owner back its attributes, the
-    # very objects, and drops the ones it added
+    # their loops (the quasi-Newton step fb_step among them), one call of
+    # each public metric entry and of scaled_prox_rank2 through its owner,
+    # which the quasi-Newton loop does not call, finds its wrapper, and
+    # uninstall() gives every owner back its attributes, the very objects,
+    # and drops the ones it added
     monkeypatch.syspath_prepend(PERFBENCH)
     from tracing import Tracer
 
@@ -46,14 +47,15 @@ def test_tracer_wraps_every_layer_and_restores_it(monkeypatch):
         g0, g1 = problem.grad(x0), problem.grad(x1)
         pair = QNPair(x1 - x0, g1 - g0)
         H = solver.sr1_metric(pair, dim=40)
-        solver.fb_step(x1, g1, H, H.invert(), problem.h)
+        solver.scaled_prox_rank2(H.invert(), problem.h, x1)
         solver.zbfgs_metric(pair)
     finally:
         tracer.uninstall()
-    for name in ("solver.line_search", "solver._euclid_prox",
-                 "prox.evaluate", "bench.f", "bench.grad"):
+    for name in ("solver.fb_step", "solver.line_search",
+                 "solver._euclid_prox", "prox.evaluate", "bench.f",
+                 "bench.grad"):
         assert loop_calls.get(name, 0) > 0, name
-    for name in ("solver.fb_step", "scaled.rank2", "quasi_newton.sr1_metric",
+    for name in ("scaled.rank2", "quasi_newton.sr1_metric",
                  "quasi_newton.zbfgs_metric", "metric.invert"):
         assert tracer.calls[name] > 0, name
     for owner, old, new in zip(owners, before, _own_attributes(owners)):
