@@ -38,7 +38,8 @@ with the Python float ``c`` where a public one has the diagonal vector.
 The internal ``_proven`` constructor stores a ``c I`` factored form as
 its caller proves it, with no check: ``zbfgs_metric`` wraps there the
 factors that ``quasi_newton`` forms with ``_build``'s operations, and
-``sr1_metric`` is ``_trusted`` on its builder's factors.  The solvers'
+``sr1_metric`` is ``_trusted`` on its builder's ``H``, whose ``invert``
+returns the builder's ``B`` through ``_proven``.  The solvers'
 one step, ``solver.fb_step``, builds no metric: it reads the builders'
 factors and forms ``H g`` with ``_apply``, the body of
 :meth:`_FactoredMetric.apply`.
@@ -204,6 +205,8 @@ class _FactoredMetric:
     :class:`PlusMinusMetric`; ``_split`` maps the factors of a
     constructor's signature to the block ``U`` and the plus width ``r1``."""
 
+    _inverse = None   # the inverse a builder formed, which invert returns
+
     @classmethod
     def _trusted(cls, c, *factors):
         """``c I`` with the ``(dim, r)`` factor arrays of ``cls``'s
@@ -215,19 +218,20 @@ class _FactoredMetric:
         return m
 
     @classmethod
-    def _proven(cls, c, U, r1, W=None, gram_norm_sq=None):
+    def _proven(cls, c, U, r1, W=None, gram_norm_sq=None, gram=None):
         """``c I`` with the column-major block ``U`` of plus side
         ``U[:, :r1]``, stored exactly as the caller proves it, with no
         check and no copy.  A caller that passes the block ``W`` and
         ``gram_norm_sq`` as ``_build`` would form them has a complete
-        metric with both sides (whose ``invert`` is undefined); one that
-        passes neither has a product-only operator, which serves
-        ``apply``, ``norm_sq``, ``diag`` and the factors, but no prox and
-        no ``invert``."""
+        metric; with a single side and its Gram ``U^T W`` as ``gram`` it
+        can ``invert``, with both sides it cannot.  One that passes none
+        of them has a product-only operator, which serves ``apply``,
+        ``norm_sq``, ``diag`` and the factors, but no prox and no
+        ``invert``."""
         m = cls.__new__(cls)
         m.dim, m._diag, m.c = U.shape[0], None, c
         m.U, m.r1, m.W = U, r1, W
-        m._gram, m.gram_norm_sq = None, gram_norm_sq
+        m._gram, m.gram_norm_sq = gram, gram_norm_sq
         return m
 
     def _build(self, c, diag, U, r1):
@@ -323,8 +327,11 @@ class _FactoredMetric:
         ``V^{-1} = P^{-1} - sign * W W^T`` with
         ``W = P^{-1} U (I_r + sign U^T P^{-1} U)^{-1/2}``; the sign of the
         low-rank part flips.  For r = 1 this reduces to
-        ``v = P^{-1} u / sqrt(1 +- u^T P^{-1} u)``.
+        ``v = P^{-1} u / sqrt(1 +- u^T P^{-1} u)``.  A metric whose builder
+        formed that inverse already (``sr1_metric``) returns it.
         """
+        if self._inverse is not None:
+            return self._inverse
         sign = self.sign
         # a trusted c I needs no 1/diag vector
         p_inv = 1.0 / (self.diag if self.c is None else self.c)

@@ -541,18 +541,23 @@ class GroupL2(ProxOperator):
         f = np.subtract(active, scale, out=scale)[self._seg]
 
         def jac(w, out=None):
-            M = w if w.ndim == 2 else w[:, None]
             # the curvature thresh / norms^3 of the active blocks, times z
             g = np.divide(thresh, norms ** 3, out=np.zeros(norms.shape),
                           where=active)[self._seg]
             g *= z
+            if w.ndim == 1:   # f w + g (block sums of zp w[perm])[seg]
+                g *= np.add.reduceat(zp * w[self._perm],
+                                     self._starts)[self._seg]
+                jw = f * w
+                jw += g
+                return jw
             # the block sums expanded through the transpose: column-major
-            zdotM = np.add.reduceat(zp[:, None] * M[self._perm], self._starts,
+            zdotM = np.add.reduceat(zp[:, None] * w[self._perm], self._starts,
                                     axis=0).T.take(self._seg, axis=1).T
             np.multiply(g[:, None], zdotM, out=zdotM)
-            jw = np.multiply(f[:, None], M, out=np.empty_like(M))
+            jw = np.multiply(f[:, None], w, out=np.empty_like(w))
             jw += zdotM
-            return jw if w.ndim == 2 else jw[:, 0]
+            return jw
         return np.multiply(f, z, out=out), jac
 
     def _bind(self, d, kappa):

@@ -11,8 +11,8 @@ public metric wraps: ``_sr1_factors`` and ``_zbfgs_factors`` take ``(pair,
 gamma, n, tau)`` and return ``(H, B, skipped)``, ``H`` as ``(c, U1, U2)``
 and ``B = H^{-1}`` as ``(c, U, W, r1, g)``, the factored forms of
 :mod:`proxqn.metric`, with no metric object.  :func:`sr1_metric` is the
-trusted metric on the 0SR1 builder's ``H`` (whose ``invert()`` gives its
-``B`` with the same bits), and :func:`zbfgs_metric` wraps both of the
+trusted metric on the 0SR1 builder's ``H``, whose ``invert()`` returns
+the builder's ``B``, and :func:`zbfgs_metric` wraps both of the
 0BFGS builder's factors.
 """
 
@@ -109,7 +109,8 @@ def sr1_metric(pair, gamma=0.8, dim=None, tau0=1.0):
     The secant identity ``H y = s`` holds exactly whenever the update is
     not skipped.  ``H`` wraps :func:`_sr1_factors`, which also builds
     ``B = H^{-1}``, so an ``H`` whose inverse the metric layer refuses
-    raises here.
+    raises here, and ``H.invert()`` returns that ``B``, read-only, with
+    the bits the Sherman-Morrison inverse would give.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -118,7 +119,14 @@ def sr1_metric(pair, gamma=0.8, dim=None, tau0=1.0):
         raise ValueError("dim is required when no pair is given")
     if dim not in (None, n):
         raise ValueError(f"dim {dim} disagrees with the pair's length {n}")
-    return _sr1_H(_sr1_factors(pair, gamma, n, tau0)[0])
+    H, (b, V, W, _, g), _ = _sr1_factors(pair, gamma, n, tau0)
+    metric = _sr1_H(H)
+    # invert() hands out the builder's B, complete with its Gram
+    gram = np.full((V.shape[1],) * 2, g)
+    for a in (V, W, gram):
+        a.setflags(write=False)
+    metric._inverse = LowRankMetric._proven(b, V, 0, W, g, gram)
+    return metric
 
 
 def _sr1_H(H):   # sr1_metric on _sr1_factors's H

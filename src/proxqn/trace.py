@@ -1,7 +1,19 @@
-"""Per-iteration convergence records."""
+"""Per-iteration convergence records.
+
+A trace keeps its rows in four typed columns, 8 bytes a value:
+``iters`` is an ``array('q')`` of int64 and ``objectives``,
+``step_norms`` and ``seconds`` are ``array('d')`` of float64.  A column
+reads like a list (``len``, indexing, slicing, ``==`` and ``.index``), and
+NumPy reads it without a copy through the buffer protocol.  One rule comes
+with the format: while a NumPy view of a column is alive (``np.asarray``
+or ``np.frombuffer`` of it), ``append`` raises ``BufferError``, so no
+reader may hold such a view while a solve is still recording.  The
+readers here drop theirs before they return.
+"""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,39 +25,47 @@ __all__ = ["ConvergenceTrace"]
 class ConvergenceTrace:
     """One record per iteration: objective, prox-step norm, elapsed time.
 
-    Objective errors require a reference value ``f_star``; the harness
-    attaches it before persisting.
+    Columns given to the constructor (lists, say) are copied into typed
+    ones.  Objective errors require a reference value ``f_star``; the
+    harness attaches it before persisting.
     """
 
     solver_id: str = ""
     problem_id: str = ""
     f_star: float | None = None
-    iters: list = field(default_factory=list)
-    objectives: list = field(default_factory=list)
-    step_norms: list = field(default_factory=list)
-    seconds: list = field(default_factory=list)
+    iters: array = field(default_factory=lambda: array("q"))
+    objectives: array = field(default_factory=lambda: array("d"))
+    step_norms: array = field(default_factory=lambda: array("d"))
+    seconds: array = field(default_factory=lambda: array("d"))
+
+    def __post_init__(self):
+        self.iters = array("q", self.iters)
+        self.objectives = array("d", self.objectives)
+        self.step_norms = array("d", self.step_norms)
+        self.seconds = array("d", self.seconds)
 
     def append(self, k, objective, step_norm, elapsed):
-        if self.iters and k <= self.iters[-1]:
+        iters, seconds = self.iters, self.seconds
+        if iters and k <= iters[-1]:
             raise ValueError("iteration numbers must be strictly increasing")
-        if self.seconds and elapsed < self.seconds[-1]:
+        if seconds and elapsed < seconds[-1]:
             raise ValueError("elapsed times must be non-decreasing")
-        self.iters.append(int(k))
-        self.objectives.append(float(objective))
-        self.step_norms.append(float(step_norm))
-        self.seconds.append(float(elapsed))
+        iters.append(k)
+        self.objectives.append(objective)
+        self.step_norms.append(step_norm)
+        seconds.append(elapsed)
 
     def __len__(self):
         return len(self.iters)
 
     def objective_errors(self):
+        """``F - f_star`` per row, as a new array."""
         if self.f_star is None:
             raise ValueError("trace has no reference objective attached")
-        return np.asarray(self.objectives) - self.f_star
+        return np.frombuffer(self.objectives) - self.f_star
 
     def iterations_to_error(self, threshold):
         """First recorded iteration whose objective error is <= threshold,
         or None if never reached."""
-        errs = self.objective_errors()
-        hit = np.nonzero(errs <= threshold)[0]
-        return int(self.iters[hit[0]]) if hit.size else None
+        hit = np.flatnonzero(self.objective_errors() <= threshold)
+        return self.iters[hit[0]] if hit.size else None

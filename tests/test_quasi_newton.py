@@ -303,6 +303,35 @@ def test_sr1_step_factors_match_the_public_metrics_bytewise(rng):
     assert seen == {(1, 1), (0, 0), "raises"}
 
 
+def _same_factored_bits(a, b):
+    assert a.c == b.c and a.ranks == b.ranks
+    assert a.gram_norm_sq == b.gram_norm_sq
+    for x, y in ((a.U, b.U), (a.W, b.W), (a._gram, b._gram),
+                 (a.diag, b.diag)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_sr1_metric_inverts_to_its_builders_b_bytewise(rng):
+    # sr1_metric's invert() hands out the builder's B: the bits of the
+    # Sherman-Morrison inverse of the same H, read-only, with a Gram that
+    # inverts in turn as that inverse does
+    cases = [(pair, 0.8) for pair in _random_pairs(rng, 80)]
+    cases += _sr1_edge_pairs(rng)
+    ranks = set()
+    for pair, gamma in cases:
+        n = 7 if pair is None else pair.s.shape[0]
+        want = _sr1_public_step(pair, gamma, n, 0.3)
+        if isinstance(want[0], type):   # sr1_metric raises: see above
+            continue
+        B = sr1_metric(pair, gamma, n, 0.3).invert()
+        ranks.add(B.rank)
+        _same_factored_bits(B, want[1])
+        for a in (B.U, B.W, B._gram):
+            assert not a.flags.writeable
+        _same_factored_bits(B.invert(), want[1].invert())
+    assert ranks == {0, 1}
+
+
 def _zbfgs_branch_cases(rng, branch):
     """``(pair, gamma, tau_fallback)`` draws of one branch of the 0BFGS
     builder; ``pair`` None is the first step."""
