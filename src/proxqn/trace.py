@@ -14,7 +14,7 @@ readers here drop theirs before they return.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +33,10 @@ class ConvergenceTrace:
     solver_id: str = ""
     problem_id: str = ""
     f_star: float | None = None
-    iters: array = field(default_factory=lambda: array("q"))
-    objectives: array = field(default_factory=lambda: array("d"))
-    step_norms: array = field(default_factory=lambda: array("d"))
-    seconds: array = field(default_factory=lambda: array("d"))
+    iters: array = ()   # each column made an array by __post_init__
+    objectives: array = ()
+    step_norms: array = ()
+    seconds: array = ()
 
     def __post_init__(self):
         self.iters = array("q", self.iters)
