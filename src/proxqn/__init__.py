@@ -35,7 +35,6 @@ from .scaled import (  # noqa: F401
     RootSolverReport,
     root_bisection,
     root_exact_piecewise_affine,
-    root_semismooth_newton,
     scaled_prox,
     scaled_prox_conjugate,
     scaled_prox_rank2,

@@ -14,10 +14,10 @@ factored form that :mod:`proxqn.metric` keeps, the column-major blocks
 ``U = [U1 U2]`` and ``W = [W1 W2]`` with ``W1 = P^{-1} U1``,
 ``W2 = (P + Q1)^{-1} U2`` and ``r1`` plus columns, and routes by the total
 rank: rank 0 is the diagonal prox; rank 1 is the warm-started scalar
-semi-smooth Newton (:func:`root_semismooth_newton`) on ``(u, w, sign)`` of
-the non-empty side, which terminates finitely on piecewise-affine maps and
-in a few steps on the piecewise-smooth maps of group norms and affine
-constraints, and asks for no Jacobian product at the step ending it.
+semi-smooth Newton (``_ssnewton``) on ``(u, w, sign)`` of the non-empty
+side, which terminates finitely on piecewise-affine maps and in a few
+steps on the piecewise-smooth maps of group norms and affine constraints,
+and asks for no Jacobian product at the step ending it.
 Every rank >= 2, single-sign or ``V = P + Q1 - Q2`` (0BFGS), goes through
 one damped semi-smooth Newton on the stacked multiplier system, with one
 diagonal prox and one Clarke-Jacobian product with an N x r matrix per
@@ -31,10 +31,10 @@ side of ``P1 - Q2``, with the rank-1 prox in ``P1 = P + Q1`` as its base.
 The dispatcher checks the query point and the weights (``_checked``) and
 hands the factored form to ``_route``, which takes arrays: the solvers'
 step calls it directly, with the checks that hold for a whole solve made
-once.  The rank-1 Newton is one core, ``_ssnewton``, on ``(x, U, W,
-sign, weights, kappa)``, which :func:`root_semismooth_newton` and the
-route wrap; it builds a :class:`RootProblem` only where its safeguard
-needs :func:`root_bound`'s bracket.
+once.  The rank-1 Newton takes arrays, ``(x, U, W, sign, weights,
+kappa)``, and ``_route`` is its one entry; where its safeguard needs a
+bracket it takes :func:`root_bound`'s radius from one bound step at
+``x``.
 
 Both Newtons bind the operator once per root problem (``_bind`` in
 :mod:`proxqn.prox`), with the scalar ``c`` of a trusted ``P = c I`` where
@@ -64,7 +64,6 @@ __all__ = [
     "root_bound",
     "root_bisection",
     "root_exact_piecewise_affine",
-    "root_semismooth_newton",
     "scaled_prox",
     "scaled_prox_rank2",
     "scaled_prox_conjugate",
@@ -122,26 +121,13 @@ class RootProblem:
         U, W = (metric.U2, metric.W2) if sign < 0 else (metric.U1, metric.W1)
         g_sq = metric.gram_norm_sq if base is None else \
             float(np.linalg.eigvalsh(U.T @ W)[-1])
-        self._fill(prox, x, U, W, sign, weights, float(kappa), g_sq)
-        self.metric = metric
-        self._base = base   # the callable itself: no cycle through self
-
-    @classmethod
-    def _of(cls, prox, x, U, W, sign, weights, kappa, g_sq):
-        """The single-sign problem on ``(U, W)`` with the sign ``sign``,
-        from arrays and weights that :func:`_checked` would give; its
-        ``diag(P)`` comes from the weights."""
-        problem = cls.__new__(cls)
-        problem._fill(prox, x, U, W, sign, weights, kappa, g_sq)
-        problem.metric = problem._base = None
-        return problem
-
-    def _fill(self, prox, x, U, W, sign, weights, kappa, g_sq):
         self.x, self.bind_weights = x, weights
-        self.prox, self.kappa, self.sign = prox, kappa, sign
+        self.prox, self.kappa, self.sign = prox, float(kappa), sign
         self.U, self._shift_dirs = U, W
         self.lipschitz_bound = 1.0 + g_sq
         self.monotonicity_modulus = 1.0 if sign > 0 else 1.0 - g_sq
+        self.metric = metric
+        self._base = base   # the callable itself: no cycle through self
 
     @property
     def rank(self):
@@ -150,11 +136,7 @@ class RootProblem:
     @property
     def diag(self):
         """``diag(P)``, read by the base prox and the exact finder's
-        breakpoints: a trusted ``c I`` forms it at the first read, a
-        problem of :meth:`_of` from its weights at every read."""
-        if self.metric is None:
-            w = self.bind_weights
-            return w if isinstance(w, np.ndarray) else np.full(self.x.size, w)
+        breakpoints: a trusted ``c I`` forms it at the first read."""
         return self.metric.diag
 
     def base(self, z):
@@ -264,9 +246,13 @@ def root_exact_piecewise_affine(problem: RootProblem):
     did not halve it) until the ends are neighbours.  The root is the zero
     of their line plus one more step along it, which restores the digits a
     line through far ends loses; ``iterations`` counts the map evaluations
-    at the bracket ends and the probes."""
+    at the bracket ends and the probes.  The crossings are the diagonal
+    prox's, so a problem with a base prox raises ``ValueError``."""
     if problem.rank != 1:
         raise ValueError("the exact finder applies to rank-1 problems")
+    if problem._base is not None:   # its breakpoints are the diagonal prox's
+        raise ValueError("the exact finder applies to problems without a "
+                         "base prox; use bisection")
     bp = problem.prox.pa_descriptor(problem.diag, problem.kappa)
     if bp is None:
         raise ValueError(
@@ -313,35 +299,26 @@ def root_exact_piecewise_affine(problem: RootProblem):
                             "exact", converged=math.isfinite(val), point=p)
 
 
-def root_semismooth_newton(problem: RootProblem, tol=1e-12, alpha0=None,
-                           max_iter=50):
-    """Scalar semi-smooth Newton, one bound prox step per iteration,
-    safeguarded by the bracket of map signs.  Stops at ``|L| <= tol``, at
-    a non-finite ``L`` (unconverged), or at a point with its base point's
-    Jacobian and ``|L|`` at rounding level: the root of that affine piece,
-    as exact as the exact finder's (equal slopes alone do not prove one
-    piece: both outer l1 pieces have slope 1).  On the smooth pieces of a
-    group norm the steps can close in on a 2-cycle around the root, so from
-    step ``_CYCLE_CHECK`` on two steps that halve neither the bracket nor
-    ``|L|`` are followed by a bisection.  Raises :class:`RootFinderError` when
-    ``|L|`` is still above ``tol`` after ``max_iter`` steps.  Steps write
-    into the call's own ``p`` (returned), ``z`` and two slots taken in turn
-    (``tmp``, ``x - p``, then ``jw``)."""
-    if problem.rank != 1:
-        raise ValueError("the semi-smooth Newton finder applies to rank-1 "
-                         "problems")
-    return _ssnewton(problem.prox, problem.x, problem.U, problem._shift_dirs,
-                     problem.sign, problem.bind_weights, problem.kappa, None,
-                     tol, alpha0, max_iter, problem)
-
-
 def _ssnewton(prox, x, U, W, s, weights, kappa, g_sq, tol=1e-12, alpha0=None,
-              max_iter=50, problem=None):
-    """:func:`root_semismooth_newton` on the rank-1 problem of
-    :meth:`RootProblem._of` (``U``, ``W`` and ``weights`` as checked, the
-    float ``kappa``, ``g_sq`` the Gram of ``U`` and ``W``), which is built
-    only where the safeguard needs :func:`root_bound`'s bracket, unless
-    ``problem`` is given."""
+              max_iter=50):
+    """Scalar semi-smooth Newton on the rank-1 map ``L(alpha) = u^T (x -
+    p(alpha)) + alpha``, ``p(alpha)`` the bound prox step at ``x - s w
+    alpha`` (``U``, ``W`` and ``weights`` as :func:`_checked` gives them,
+    the float ``kappa``, ``g_sq`` the Gram of ``U`` and ``W``), one prox
+    step per iteration, safeguarded by the bracket of map signs.  Stops at
+    ``|L| <= tol``, at a non-finite ``L`` (unconverged), or at a point with
+    its base point's Jacobian and ``|L|`` at rounding level: the root of
+    that affine piece, as exact as the exact finder's (equal slopes alone
+    do not prove one piece: both outer l1 pieces have slope 1).  A step
+    that leaves the bracket, or has no positive slope, is a bisection;
+    while one bracket end is open, :func:`root_bound`'s radius ``2 |L(0)| /
+    c`` closes it, from one more bound step at ``x``.  On the smooth pieces
+    of a group norm the steps can close in on a 2-cycle around the root, so
+    from step ``_CYCLE_CHECK`` on two steps that halve neither the bracket
+    nor ``|L|`` are followed by a bisection.  Raises
+    :class:`RootFinderError` when ``|L|`` is still above ``tol`` after
+    ``max_iter`` steps.  Steps write into the call's own ``p`` (returned),
+    ``z`` and two slots taken in turn (``tmp``, ``x - p``, then ``jw``)."""
     u, w = U[:, 0], W[:, 0]
     step = prox._bind(weights, kappa)
     p, rows = np.empty_like(x), np.empty((3, x.size))
@@ -375,11 +352,9 @@ def _ssnewton(prox, x, U, W, s, weights, kappa, g_sq, tol=1e-12, alpha0=None,
         cycling = it >= _CYCLE_CHECK and widths[-1] > 0.5 * widths[-3] \
             and history[-1] > 0.5 * history[-3]
         if cycling or not lo < new < hi:
-            if np.isinf(lo) or np.isinf(hi):
-                if problem is None:
-                    problem = RootProblem._of(prox, x, U, W, s, weights,
-                                              kappa, g_sq)
-                beta = root_bound(problem)
+            if np.isinf(lo) or np.isinf(hi):   # root_bound's radius
+                beta = 2.0 * abs(float((U.T @ (x - step(x)[0]))[0])) \
+                    / (1.0 if s > 0 else 1.0 - g_sq)
                 lo, hi = max(min(-beta, hi), lo), min(max(beta, lo), hi)
             new = 0.5 * (lo + hi)
         alpha, prev = new, (slope, jw)
@@ -469,8 +444,10 @@ def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0, tol=1e-12,
                       warm=None, inner_finder="auto"):
     """:func:`scaled_prox` on ``V = P + Q1 - Q2`` (either side may be
     empty) with ``inner_finder`` and ``warm`` for ``finder`` and
-    ``warm_alpha``: the forward-backward step's entry, whose "auto" route
-    with a valid ``tol`` skips the dispatcher's checks."""
+    ``warm_alpha``, whose "auto" route with a valid ``tol`` skips the
+    dispatcher's checks: the rank-2 entry that ``perfbench`` (its
+    ``kernel_oracle_ok`` and its tracer) and the tests call; the solvers'
+    step enters ``_route`` directly."""
     if inner_finder == "auto" and 0 <= tol < math.inf:
         return _prox(metric, prox, x, kappa, tol, warm)
     return scaled_prox(metric, prox, x, kappa, inner_finder, tol, warm)

@@ -44,7 +44,6 @@ from .scaled import (
     root_bisection,
     root_bound,
     root_exact_piecewise_affine,
-    root_semismooth_newton,
     scaled_prox,
     scaled_prox_rank2,
 )
@@ -408,8 +407,7 @@ def run_scaled_prox_battery(seed=0, count=200, max_n=50, oracle_tol=1e-13,
         problem = RootProblem(metric, op, x, kappa)
         rep_bis = root_bisection(problem, eps=bisect_eps)
         alphas = [float(rep_bis.alpha_star[0])]
-        rep_ssn = root_semismooth_newton(problem, tol=1e-12)
-        alphas.append(float(rep_ssn.alpha_star[0]))
+        alphas.append(float(report.alpha_star[0]))
         if op.pa_descriptor(metric.diag, kappa) is not None:
             rep_exact = root_exact_piecewise_affine(problem)
             alphas.append(float(rep_exact.alpha_star[0]))
@@ -670,6 +668,14 @@ def suite_ssnewton_local(seed=0, count=50):
     next to a breakpoint the iteration finishes in one or two steps from
     any starting point and saturates at rounding level, so such instances
     are skipped (the skip rule never looks at the ratio pattern itself).
+
+    The starts are fractions of the norm radius ``||u|| 2 ||x||``, not of
+    :func:`root_bound`'s ``2 |L(0)| / c``, and the thresholds hold for
+    these starts.  From a start far out but inside a valid bracket the
+    Newton on a group norm need not show a superlinear tail: with
+    ``root_bound``-based single-sign starts, draw #36 of seed 0 fails the
+    tail test, its residual rising before the final step (4.2e-3, 6.1e-3,
+    9.6e-9).
     """
     rng = np.random.default_rng(seed)
     failures = []
@@ -693,12 +699,11 @@ def suite_ssnewton_local(seed=0, count=50):
                 rng.uniform(0.5, 1.5)
             u *= np.sqrt(target / float(np.dot(u, u / d)))
             metric = LowRankMetric(d, [u], sign)
-            problem = RootProblem(metric, op, x)
             beta = float(np.linalg.norm(u)) * reach
 
             def newton_from(frac):
-                return root_semismooth_newton(problem, tol=1e-10,
-                                              alpha0=[frac * beta])
+                return scaled_prox(metric, op, x, tol=1e-10,
+                                   warm_alpha=[frac * beta])[1]
         else:
             u1 = rng.standard_normal(n)
             u1 *= np.sqrt(rng.uniform(0.5, 1.5) / float(np.dot(u1, u1 / d)))

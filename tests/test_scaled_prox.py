@@ -34,7 +34,6 @@ from proxqn.scaled import (
     root_bisection,
     root_bound,
     root_exact_piecewise_affine,
-    root_semismooth_newton,
     scaled_prox,
     scaled_prox_conjugate,
     scaled_prox_rank2,
@@ -134,6 +133,29 @@ def test_exact_requires_descriptor(rng):
             RootProblem(metric, L1Ball(1.0), rng.standard_normal(5)))
 
 
+def test_exact_rejects_a_problem_with_a_base():
+    # the minus side of P + Q1 - Q2, its base the rank-1 prox in P + Q1:
+    # the crossings are the diagonal prox's, not the base's, and the exact
+    # finder returned a "converged" alpha = 0.4117 (residual 1.2e-5) where
+    # bisection finds 0.4232, the joint Newton's point
+    rng = np.random.default_rng(0)
+    n = 8
+    d = rng.uniform(0.5, 2.0, n)
+    u1, u2 = rng.standard_normal((2, n))
+    u1 *= np.sqrt(0.8 / np.dot(u1, u1 / d))
+    u2 *= np.sqrt(0.3 / np.dot(u2, u2 / d))
+    metric, op = PlusMinusMetric(d, [u1], [u2]), L1Norm(0.5)
+    x = 2.0 * rng.standard_normal(n)
+    inner = LowRankMetric(d, [u1], +1)
+    problem = RootProblem(metric, op, x,
+                          base=lambda z: scaled_prox(inner, op, z)[0])
+    with pytest.raises(ValueError, match="base"):
+        root_exact_piecewise_affine(problem)
+    bis = root_bisection(problem, eps=1e-12)
+    np.testing.assert_allclose(problem.prox_at(bis.alpha_star),
+                               scaled_prox(metric, op, x)[0], atol=1e-9)
+
+
 def test_exact_agrees_with_bisection_on_random_l1(rng):
     worst_res, worst_gap = 0.0, 0.0
     for _ in range(20):
@@ -190,9 +212,9 @@ def test_oracles_bracket_the_root_in_ill_conditioned_minus_metrics():
         u = rng.standard_normal(n)
         u *= np.sqrt((1.0 - 10.0 ** rng.uniform(-8.0, -4.0)) /
                      np.dot(u, u / d))
-        problem = RootProblem(LowRankMetric(d, [u], -1), NonNeg(),
-                              rng.standard_normal(n))
-        newton = float(root_semismooth_newton(problem).alpha_star[0])
+        metric, x = LowRankMetric(d, [u], -1), rng.standard_normal(n)
+        problem = RootProblem(metric, NonNeg(), x)
+        newton = float(scaled_prox(metric, NonNeg(), x)[1].alpha_star[0])
         for report in (root_bisection(problem, eps=1e-10),
                        root_exact_piecewise_affine(problem)):
             assert abs(report.alpha_star[0] - newton) <= \
@@ -212,9 +234,8 @@ def test_ssnewton_one_step_on_affine_map(rng):
     A = rng.standard_normal((2, 6))
     b = A @ rng.standard_normal(6)
     metric = sample_metric(rng, 6)
-    problem = RootProblem(metric, AffineConstraint(A, b),
-                          rng.standard_normal(6))
-    report = root_semismooth_newton(problem, tol=1e-12)
+    report = scaled_prox(metric, AffineConstraint(A, b),
+                         rng.standard_normal(6), tol=1e-12)[1]
     assert report.iterations == 1
     assert report.residual <= 1e-12
 
@@ -657,10 +678,10 @@ def test_a_joint_newton_miss_ends_the_solve_prox_failed():
 
 
 def test_a_rank1_newton_miss_ends_the_solve_prox_failed(monkeypatch):
-    # with a budget of no step every rank-1 Newton of 0SR1 (the core that
-    # root_semismooth_newton and the solver's step share) that does not
-    # start at its root misses: the solve ends "prox_failed" at its last
-    # accepted point, with its trace
+    # with a budget of no step every rank-1 Newton of 0SR1 (``_ssnewton``,
+    # the core of the solver's step) that does not start at its root
+    # misses: the solve ends "prox_failed" at its last accepted point,
+    # with its trace
     problem = generate(ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1,
                                      seed=3))
     monkeypatch.setattr(scaled, "_ssnewton", functools.partial(
@@ -674,12 +695,16 @@ def test_a_rank1_newton_miss_ends_the_solve_prox_failed(monkeypatch):
 class _SteepVectorJacobianL1(L1Norm):
     """l1 norm whose vector Clarke-Jacobian products are 1e6 times too
     large: in a minus metric the rank-1 Newton's slope turns negative, and
-    its safeguard bisects in :func:`root_bound`'s bracket."""
+    its safeguard bisects in :func:`root_bound`'s bracket, whose radius it
+    takes from the one step without an ``out`` array (``bound_steps``)."""
+
+    bound_steps = 0
 
     def _bind(self, d, kappa):
         step = super()._bind(d, kappa)
 
         def steep_step(z, out=None, tmp=None):
+            self.bound_steps += out is None
             p, jac = step(z, out, tmp)
             return p, lambda w, out=None: 1e6 * jac(w, out)
         return steep_step
@@ -696,19 +721,14 @@ def _rank1_outcome(run):
             rep.residual_history, rep.method, rep.converged)
 
 
-def test_the_rank1_newton_core_keeps_the_public_finders_bits(rng,
-                                                            monkeypatch):
-    # scaled._route, the array-level entry of the solvers' step, against
-    # root_semismooth_newton(RootProblem(...)) on trusted c I and public
-    # metrics of both signs, from cold, warm and far starts: the same
-    # point, multiplier, iterations and residual history bit for bit.  The
-    # steep operator drives the safeguard to root_bound, whose problem the
-    # core builds there and only there; the group norm's two-cycle
-    # instance closes the list
-    built = []
-    bound = scaled.root_bound
-    monkeypatch.setattr(scaled, "root_bound", lambda problem: built.append(
-        problem.metric is None) or bound(problem))
+def test_the_rank1_newton_core_agrees_with_bisection(rng):
+    # scaled._route, the array-level entry of the solvers' step, on trusted
+    # c I and public metrics of both signs, from cold, warm and far starts:
+    # a converged root within 1e-9 of the bisection oracle's.  The steep
+    # operator's slopes are 1e6 times too large: in a plus metric its
+    # Newton misses, and in a minus metric its safeguard bisects in the
+    # bracket of one bound step at x; the group norm's two-cycle instance
+    # closes the list
     n = 24
     cases = []
     for op in (L1Norm(0.4), NonNeg(), GroupL2(0.4, _group_blocks(rng, n)),
@@ -730,23 +750,27 @@ def test_the_rank1_newton_core_keeps_the_public_finders_bits(rng,
                   LowRankMetric(d, [u], -1),
                   np.array([2.155, 4.639, -4.399, 1.165, -1.125, 2.313]),
                   None, 1.0))
-    fallbacks = 0
     for op, metric, x, warm, kappa in cases:
-        del built[:]
-        want = _rank1_outcome(lambda: root_semismooth_newton(
-            RootProblem(metric, op, x, kappa), alpha0=warm))
-        public_built = list(built)
-        del built[:]
+        steep = isinstance(op, _SteepVectorJacobianL1)
+        if steep:
+            op.bound_steps = 0
         xc, weights = scaled._checked(metric, op, x, kappa)
-        got = _rank1_outcome(lambda: scaled._route(
-            op, xc, kappa, weights, metric.U, metric.W, metric.r1,
-            metric.gram_norm_sq, 1e-12, warm)[1])
-        assert got == want
-        # the public finder brackets with its own problem, the core with
-        # the one it builds, as often
-        assert public_built == [False] * len(built) and all(built)
-        fallbacks += bool(built)
-    assert fallbacks >= 6
+
+        def route():
+            return scaled._route(op, xc, kappa, weights, metric.U, metric.W,
+                                 metric.r1, metric.gram_norm_sq, 1e-12, warm)
+        if steep and metric.sign > 0:
+            with pytest.raises(RootFinderError, match="missed"):
+                route()
+            continue
+        p, rep = route()
+        assert rep.converged and rep.residual <= 1e-12
+        if steep:   # the safeguard bisected, in the bracket of one bound step
+            assert op.bound_steps == 1
+        q, bis = scaled_prox(metric, op, x, kappa, finder="bisection")
+        alpha = float(bis.alpha_star[0])
+        assert abs(rep.alpha_star[0] - alpha) <= 1e-9 * max(1.0, abs(alpha))
+        np.testing.assert_allclose(p, q, atol=1e-9)
 
 
 def test_a_singular_joint_newton_system_raises(rng, monkeypatch):
@@ -1525,28 +1549,29 @@ def test_prox_points_do_not_alias_across_calls_or_inputs(rng):
 
 
 @pytest.mark.parametrize("max_iter", [0, 1])
-def test_rank1_newton_budget_miss_raises(rng, max_iter):
+def test_rank1_newton_budget_miss_raises(rng, max_iter, monkeypatch):
     # a rank-1 Newton that needs more than max_iter steps raises, on a
     # separable operator (L1Norm) and on one without a piecewise-affine
     # descriptor (GroupL2) alike; one that ends within the budget gives
     # the full run's point
     n, tol = 40, 1e-12
     missed = {L1Norm: 0, GroupL2: 0}
+    budget = functools.partial(scaled._ssnewton, max_iter=max_iter)
     for op in (L1Norm(2.0), GroupL2(2.0, _group_blocks(rng, n))):
         for sign in (+1, -1) * 4:
             u = rng.standard_normal(n)
             u *= np.sqrt(0.7 / np.dot(u, u))
             metric = LowRankMetric(np.ones(n), [u], sign)
             x = 3.0 * rng.standard_normal(n)
-            full = root_semismooth_newton(RootProblem(metric, op, x), tol=tol)
-            problem = RootProblem(metric, op, x)
-            if len(full.residual_history) <= max_iter + 1:
-                rep = root_semismooth_newton(problem, tol=tol,
-                                             max_iter=max_iter)
-                assert rep.point.tobytes() == full.point.tobytes()
-                continue
-            with pytest.raises(RootFinderError, match="missed"):
-                root_semismooth_newton(problem, tol=tol, max_iter=max_iter)
+            full = scaled_prox(metric, op, x, tol=tol)[1]
+            with monkeypatch.context() as patch:
+                patch.setattr(scaled, "_ssnewton", budget)
+                if len(full.residual_history) <= max_iter + 1:
+                    rep = scaled_prox(metric, op, x, tol=tol)[1]
+                    assert rep.point.tobytes() == full.point.tobytes()
+                    continue
+                with pytest.raises(RootFinderError, match="missed"):
+                    scaled_prox(metric, op, x, tol=tol)
             missed[type(op)] += 1
     assert missed[L1Norm] and missed[GroupL2]
 
