@@ -183,6 +183,13 @@ def generate(recipe: ProblemRecipe) -> ProblemSpec:
     values.  ``grad`` multiplies by ``A.T`` bound once, in CSR for a sparse
     ``A`` (:func:`_transpose`).  A user-built :class:`ProblemSpec` whose
     ``f`` and ``grad`` share a costly part can cache it the same way.
+
+    The problem's ``ray`` hook forms ``q = A p`` and keeps ``r + t q`` as
+    the residual of the point ``x + t p`` that it returns, which is not
+    ``A (x + t p) - b`` to the last bit.  That residual is read only at
+    that array (and while its bits are unchanged): a solve that starts
+    at a point with the same bits, such as the zero optimum of a large
+    ``lam``, gets ``A x - b`` as from a fresh problem.
     """
     rng = np.random.default_rng(recipe.seed)
     blocks = None
@@ -217,19 +224,20 @@ def generate(recipe: ProblemRecipe) -> ProblemSpec:
         raise ValueError(recipe.family)
 
     n, AT = A.shape[1], _transpose(A)
-    # the residual at the last point asked for, keyed on its bits: the
-    # solvers ask for f and grad at equal points built as distinct arrays
-    last = (None, None)
+    # the residual at the last point asked for, keyed on its bits (the
+    # solvers ask for f and grad at equal points built as distinct arrays),
+    # and the array of a ray step, whose residual only that array reads
+    last = (None, None, None)
 
     def residual(x):
         nonlocal last
         x = np.asarray(x, dtype=float)
         key = (x.shape, x.tobytes())
-        hit = last
-        if hit[0] == key:
-            return hit[1]
+        hit_key, r, point = last
+        if hit_key == key and (point is None or point is x):
+            return r
         r = A @ x - b
-        last = (key, r)
+        last = (key, r, None)
         return r
 
     def f(x):
@@ -239,9 +247,19 @@ def generate(recipe: ProblemRecipe) -> ProblemSpec:
     def grad(x):
         return AT @ residual(x)
 
+    def ray(x, p):
+        r, q = residual(x), A @ p
+
+        def take(t):
+            nonlocal last
+            x_new = x + t * p
+            last = ((x_new.shape, x_new.tobytes()), r + t * q, x_new)
+            return x_new
+        return float(np.dot(q, q)), take
+
     problem = ProblemSpec(dim=n, f=f, grad=grad, h=h,
                           lipschitz=estimate_sq_norm(A),
-                          name=recipe.label(), recipe=recipe)
+                          name=recipe.label(), recipe=recipe, ray=ray)
     problem.A = A
     problem.b = b
     problem.blocks = blocks

@@ -53,18 +53,33 @@ SHARED_RESIDUAL_RECIPES = [
 
 def _plain_problem(problem):
     """The generated problem with uncached ``f`` and ``grad`` over the same
-    ``A`` and ``b``."""
+    ``A`` and ``b``, and the same step rule: a ``ray`` hook whose point
+    alone, found by identity, reads ``r + t A p`` as its residual."""
     A, b = problem.A, problem.b
+    ray_point = (None, None)
+
+    def residual(x):
+        return ray_point[1] if x is ray_point[0] else A @ x - b
 
     def f(x):
-        r = A @ x - b
+        r = residual(x)
         return 0.5 * float(np.dot(r, r))
 
     def grad(x):
-        return A.T @ (A @ x - b)
+        return A.T @ residual(x)
+
+    def ray(x, p):
+        r, q = residual(x), A @ p
+
+        def take(t):
+            nonlocal ray_point
+            ray_point = (x + t * p, r + t * q)
+            return ray_point[0]
+        return float(np.dot(q, q)), take
 
     return ProblemSpec(dim=problem.dim, f=f, grad=grad, h=problem.h,
-                       lipschitz=problem.lipschitz, name=problem.name)
+                       lipschitz=problem.lipschitz, name=problem.name,
+                       ray=ray)
 
 
 def _same_bits(got, want):
