@@ -252,8 +252,11 @@ def generate(recipe: ProblemRecipe) -> ProblemSpec:
 
         def take(t):
             nonlocal last
-            x_new = x + t * p
-            last = ((x_new.shape, x_new.tobytes()), r + t * q, x_new)
+            x_new = p * t   # x + t p and r + t q, with their bits
+            x_new += x
+            q_t = q * t
+            q_t += r
+            last = ((x_new.shape, x_new.tobytes()), q_t, x_new)
             return x_new
         return float(np.dot(q, q)), take
 

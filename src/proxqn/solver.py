@@ -101,10 +101,9 @@ class ProblemSpec:
 class SolverOptions:
     max_iters: int = 20000
     tol: float = 1e-10                 # sup-norm threshold on the prox step
-    # read by 0SR1 and 0BFGS only
-    line_search: str | None = None     # "exact", "backtracking" or "none";
-    #                                    None: "exact" for 0BFGS, else
-    #                                    "backtracking"
+    # read by 0SR1 and 0BFGS only; None: "exact" for 0BFGS, "backtracking"
+    # for 0SR1
+    line_search: str | None = None     # "exact", "backtracking" or "none"
     gamma: float | None = None         # None: 0.8 for SR1, 1.0 for 0BFGS
     # read by 0SR1, 0BFGS and ISTA (None: 1/L); FISTA-BB and SPG reject it
     kappa: float | None = None         # None: 1 with the metric absorbing BB

@@ -10,18 +10,18 @@ import pytest
 
 from proxqn.bench import ProblemRecipe, generate
 from proxqn.cli import main
+from proxqn import solver
 from proxqn.prox import Box, GroupL2, L1Norm, NonNeg
-from proxqn.solver import (RAY_CAP, SOLVERS, SolverOptions, _ray_box,
-                           _ray_group, _ray_l1, _ray_step, run_zero_bfgs,
-                           run_zero_sr1)
+from proxqn.solver import (RAY_CAP, RAY_SEARCHES, SOLVERS, SolverOptions,
+                           _ray_box, _ray_group, _ray_l1, _ray_step,
+                           run_zero_bfgs, run_zero_sr1)
 from proxqn.validate import _quadratic_l1_problem
 
 BLOCKS = [[0, 1, 2], [3, 4], [5, 6, 7, 8], [9], [10, 11]]
-SEARCHES = {L1Norm: _ray_l1, GroupL2: _ray_group, Box: _ray_box}
 
 
 def _search(h):
-    return next(s for family, s in SEARCHES.items() if isinstance(h, family))
+    return next(s for family, s in RAY_SEARCHES if isinstance(h, family))
 
 
 def _phi(h, x, p, a, c, t):
@@ -32,6 +32,12 @@ def _phi(h, x, p, a, c, t):
                                    and np.all(z <= h.hi + 1e-12)):
         return np.inf
     return a * t + 0.5 * c * t * t + h.evaluate(z)
+
+
+def _phi_slopes(h, x, p, a, c, t, eps=1e-7):
+    """phi's one-sided difference quotients at t."""
+    return ((_phi(h, x, p, a, c, t) - _phi(h, x, p, a, c, t - eps)) / eps,
+            (_phi(h, x, p, a, c, t + eps) - _phi(h, x, p, a, c, t)) / eps)
 
 
 def _brute_force(h, x, p, a, c, points=40_001):
@@ -126,8 +132,9 @@ def test_the_l1_search_stops_at_the_kink_at_one():
     assert _ray_l1(h, x, p, 0.0, 0.0) == 1.0
 
 
-def test_the_group_search_stops_at_the_kink_at_one():
-    # the prox point zeroes block 2, whose jump 2 lam ||p_g|| encloses 0
+def test_the_group_search_stops_at_the_kink_at_one(monkeypatch):
+    # the prox point zeroes block 2, whose jump 2 lam ||p_g|| encloses 0;
+    # the search's first evaluation, at t = 1, finds it
     h = GroupL2(1.0, BLOCKS)
     x = np.linspace(-1.0, 1.0, 12)
     p = np.zeros(12)
@@ -135,13 +142,9 @@ def test_the_group_search_stops_at_the_kink_at_one():
     p[[0, 10]] = 0.1
     slopes = _phi_slopes(h, x, p, 0.0, 0.5, 1.0)
     assert slopes[0] < 0 < slopes[1]
-    assert _ray_group(h, x, p, 0.0, 0.5) == 1.0
     _assert_minimizes(h, x, p, 0.0, 0.5)
-
-
-def _phi_slopes(h, x, p, a, c, t, eps=1e-7):
-    return ((_phi(h, x, p, a, c, t) - _phi(h, x, p, a, c, t - eps)) / eps,
-            (_phi(h, x, p, a, c, t + eps) - _phi(h, x, p, a, c, t)) / eps)
+    monkeypatch.setattr(solver, "RAY_MAX_EVALS", 1)
+    assert _ray_group(h, x, p, 0.0, 0.5) == 1.0
 
 
 def test_the_group_search_at_zero_and_still_blocks():
