@@ -295,7 +295,10 @@ def _ray_group(h, x, p, a, c):
         slope *= slope   # the curvature of a block: (gam - slope^2) / norm
         np.subtract(gam, slope, out=slope)
         slope /= norm
-        step = d / (c + lam * float(slope.sum()))
+        curvature = c + lam * float(slope.sum())
+        # phi' flat here (A p = 0, every block moving straight to its
+        # zero): no Newton step, the bracket's end on the root's side
+        step = d / curvature if curvature > 0 else math.copysign(RAY_CAP, d)
         t_next = t - step
         if abs(step) <= RAY_STEP_TOL and lo <= t_next <= hi:
             return t_next

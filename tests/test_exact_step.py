@@ -8,9 +8,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from proxqn import solver
 from proxqn.bench import ProblemRecipe, generate
 from proxqn.cli import main
-from proxqn import solver
 from proxqn.prox import Box, GroupL2, L1Norm, NonNeg
 from proxqn.solver import (RAY_CAP, RAY_SEARCHES, SOLVERS, SolverOptions,
                            _ray_box, _ray_group, _ray_l1, _ray_step,
@@ -158,6 +158,24 @@ def test_the_group_search_at_zero_and_still_blocks():
     assert _ray_group(h, x, p, 0.0, 1.0) == 0.0
     assert _ray_group(h, x, p, -50.0, 1.0) == RAY_CAP
     _assert_minimizes(h, x, p, -3.0, 1.0)
+
+
+def test_the_group_search_on_a_flat_slope():
+    # A p = 0 and one block moving straight to its zero at t = 1.5: phi'
+    # is constant on each side of that kink, with no curvature for a
+    # Newton step
+    h = GroupL2(1.0, BLOCKS)
+    x = np.zeros(12)
+    x[3:5] = [0.6, -0.3]
+    p = np.zeros(12)
+    p[3:5] = -x[3:5] / 1.5
+    assert _ray_group(h, x, p, 0.0, 0.0) == pytest.approx(1.5, abs=1e-12)
+    assert _ray_group(h, x, p, 1.0, 0.0) == 0.0
+    x[3:5] = -x[3:5]
+    assert _ray_group(h, x, p, 0.0, 0.0) == 0.0
+    assert _ray_group(h, x, p, -1.0, 0.0) == RAY_CAP
+    # no block moves: phi = a t, with no curvature at all
+    assert _ray_group(h, x, np.zeros(12), -1.0, 0.0) == RAY_CAP
 
 
 def test_the_box_search_stops_where_the_ray_leaves_the_box():
