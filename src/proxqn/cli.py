@@ -335,9 +335,10 @@ def build_parser():
     ps.add_argument("--tol", type=float, default=1e-8)
     ps.add_argument("--max-iters", type=_int_at_least(1), default=200_000)
     ps.add_argument("--budget-s", type=float, help="CPU seconds per solve")
-    ps.add_argument("--line-search", choices=["exact", "backtracking", "none"],
-                    help="default: exact for zero-bfgs, backtracking for "
-                         "zero-sr1 (exact falls back to backtracking)")
+    ps.add_argument("--line-search", choices=["backtracking", "none"],
+                    help="default: the solver's own step, the exact one "
+                         "along the ray for zero-bfgs (backtracking where "
+                         "it does not apply), backtracking for zero-sr1")
     ps.add_argument("--out")
     ps.add_argument("--cache-dir")
     ps.add_argument("--timed", action="store_true",

@@ -65,8 +65,11 @@ class ProblemSpec:
     A x - b``) stored as its residual, which ``f`` and ``grad`` then read
     without a product.  It must store that residual for this very array
     only, so that no other solve meets it at a point with the same bits.
-    With the hook, 0BFGS takes the exact step along its ray (see
-    :func:`line_search`).
+    On a box ``h`` the loop clips the returned point in place, moving an
+    entry that rounded past a bound back onto it; a hook that keys the
+    residual on the point's bits, as ``bench.generate``'s does, then
+    forms it anew.  With the hook, 0BFGS takes the exact step along its
+    ray (see :func:`line_search`).
     """
 
     dim: int
@@ -101,9 +104,9 @@ class ProblemSpec:
 class SolverOptions:
     max_iters: int = 20000
     tol: float = 1e-10                 # sup-norm threshold on the prox step
-    # read by 0SR1 and 0BFGS only; None: "exact" for 0BFGS, "backtracking"
-    # for 0SR1
-    line_search: str | None = None     # "exact", "backtracking" or "none"
+    # read by 0SR1 and 0BFGS only; None: the method's own step, the exact
+    # one along the ray for 0BFGS (see line_search), backtracking for 0SR1
+    line_search: str | None = None     # or "backtracking" or "none"
     gamma: float | None = None         # None: 0.8 for SR1, 1.0 for 0BFGS
     # read by 0SR1, 0BFGS and ISTA (None: 1/L); FISTA-BB and SPG reject it
     kappa: float | None = None         # None: 1 with the metric absorbing BB
@@ -122,7 +125,7 @@ class SolverOptions:
             raise ValueError("kappa must be positive")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.line_search not in (None, "exact", "backtracking", "none"):
+        if self.line_search not in (None, "backtracking", "none"):
             raise ValueError(f"unknown line-search mode {self.line_search!r}")
 
 
@@ -187,13 +190,13 @@ def line_search(problem, x, p, f_x, kappa, mode="backtracking"):
     at the first trial with a NaN objective and returns it (the solve ends
     there); a trial at +inf (outside dom h) is halved like any other.
 
-    The option value "exact" is the loop's, not this function's: with the
-    problem's ``ray`` hook and an ``h`` of the l1, group or box family the
-    loop steps to the minimizer of ``F(x + t p)`` on ``[0, RAY_CAP]``
-    (:func:`_ray_step`), and comes here, backtracking, where that step is
-    0 or does not decrease ``F``.  Since that interval holds every ``t``
-    that backtracking tries, the exact step decreases ``F`` at least as
-    much as the Armijo step would.
+    0BFGS's own step (option value None) is the loop's, not this
+    function's: with the problem's ``ray`` hook and an ``h`` of the l1,
+    group or box family the loop steps to the minimizer of ``F(x + t p)``
+    on ``[0, RAY_CAP]`` (:func:`_ray_step`), and comes here, backtracking,
+    where that step is 0 or does not decrease ``F``.  Since that interval
+    holds every ``t`` that backtracking tries, the exact step decreases
+    ``F`` at least as much as the Armijo step would.
     """
     if mode == "none":
         return 1.0, problem.objective(x + p), False
@@ -335,10 +338,16 @@ def _ray_step(problem, search, x, p, g, f_x):
     to take over: at ``t = 0``, and where ``F(x + t p)`` is not finite or
     exceeds ``F(x)``."""
     c, take = problem.ray(x, p)
-    t = search(problem.h, x, p, float(np.dot(g, p)), c)
+    h = problem.h
+    t = search(h, x, p, float(np.dot(g, p)), c)
     if not t > 0:
         return None
     x_new = take(t)
+    if search is _ray_box:
+        # x + t_max p can round past the bound it reaches: such an entry
+        # goes back onto it, and the point's new bits miss the residual
+        # that take stored, so f and grad form A x - b anew
+        np.clip(x_new, h.lo, h.hi, out=x_new)
     f_new = problem.objective(x_new)
     if f_new <= f_x + RAY_SLACK * (1.0 + abs(f_x)) and f_new < math.inf:
         return t, x_new, f_new
@@ -461,15 +470,15 @@ def _run_quasi_newton(problem, opts, variant):
     build, public_H = (_sr1_factors, _sr1_H) if variant == "sr1" else \
         (_zbfgs_factors, _zbfgs_H)
     kappa = opts.kappa if opts.kappa is not None else 1.0
-    mode = opts.line_search or ("backtracking" if variant == "sr1" else
-                                "exact")
     n, h = problem.dim, problem.h
-    # the exact step needs the ray hook and a search for h's family; where
-    # either is missing, or the step is refused, the loop backtracks
+    # 0BFGS's own step is the exact one, where the problem has the ray hook
+    # and h's family a search; where either is missing, or the step is
+    # refused, the loop backtracks, as 0SR1 does
     search = next((search for family, search in RAY_SEARCHES
                    if isinstance(h, family)), None) \
-        if mode == "exact" and problem.ray is not None else None
-    fallback = "backtracking" if mode == "exact" else mode
+        if opts.line_search is None and variant == "bfgs" \
+        and problem.ray is not None else None
+    fallback = opts.line_search or "backtracking"
     if variant == "sr1" and not gamma < 1.0:   # gamma > 0: SolverOptions
         raise ValueError("gamma must lie in (0, 1)")
     if not kappa > 0:

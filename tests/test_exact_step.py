@@ -240,6 +240,42 @@ def test_the_ray_step_refuses_a_rise_of_the_objective():
     assert _ray_step(problem, _ray_l1, x, -p, g, f_x) is None
 
 
+def test_box_ray_points_stay_in_the_box():
+    # x + t_max p rounds an ulp past the bound it reaches on these NNLS
+    # solves: the loop moves it back onto the bound, and the gradient there
+    # is that of A x - b formed anew, not of r + t A p
+    for seed in (3, 5, 7):
+        moved = 0
+        recipe = ProblemRecipe("nnls", m=30, n=60, seed=seed)
+        problem, fresh = generate(recipe), generate(recipe)
+        grad, ray, taken = problem.grad, problem.ray, [None, None]
+
+        def keeping_ray(x, p):
+            c, take = ray(x, p)
+
+            def take_and_keep(t):
+                taken[0] = take(t)
+                taken[1] = taken[0].copy()
+                return taken[0]
+            return c, take_and_keep
+
+        def checking_grad(x):
+            nonlocal moved
+            assert x.min() >= 0.0
+            g = grad(x)
+            if x is taken[0] and x.tobytes() != taken[1].tobytes():
+                moved += 1
+                assert g.tobytes() == fresh.grad(x.copy()).tobytes()
+            return g
+
+        problem.grad, problem.ray = checking_grad, keeping_ray
+        result = run_zero_bfgs(problem, SolverOptions(max_iters=2000,
+                                                      tol=1e-10))
+        assert result.status == "converged" and result.x.min() >= 0.0
+        assert result.objective == problem.objective(result.x)
+        assert moved, seed
+
+
 @pytest.mark.parametrize("recipe", [
     ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1, seed=3),
     ProblemRecipe("group_lasso", m=24, n=40, lam=1.0, block_cap=6, seed=3),
@@ -247,7 +283,7 @@ def test_the_ray_step_refuses_a_rise_of_the_objective():
 ], ids=lambda r: r.family)
 def test_a_problem_without_the_hook_backtracks_bit_for_bit(recipe):
     # without the ray hook 0BFGS's default is today's backtracking search;
-    # so is a user-built problem's (no hook) under "exact"
+    # so is a user-built problem's (no hook)
     problem = dataclasses.replace(generate(recipe), ray=None)
     got = run_zero_bfgs(problem, SolverOptions(max_iters=300, tol=1e-10))
     want = run_zero_bfgs(generate(recipe), SolverOptions(
@@ -255,7 +291,7 @@ def test_a_problem_without_the_hook_backtracks_bit_for_bit(recipe):
     _assert_same_solve(got, want)
     quadratic = _quadratic_l1_problem(np.random.default_rng(5), 20, mu=0.1,
                                       L=4.0, lam=0.2)
-    got = run_zero_bfgs(quadratic, SolverOptions(line_search="exact"))
+    got = run_zero_bfgs(quadratic, SolverOptions())
     want = run_zero_bfgs(quadratic, SolverOptions(line_search="backtracking"))
     _assert_same_solve(got, want)
 
@@ -293,20 +329,19 @@ def test_an_exact_solve_leaves_the_next_solve_bit_identical(recipe):
 
 
 def test_the_line_search_option_values():
-    # None resolves per method: exact for 0BFGS, backtracking for 0SR1
-    for mode in (None, "exact", "backtracking", "none"):
+    # None is the method's own step: exact for 0BFGS, backtracking for
+    # 0SR1; the exact step has no value of its own
+    for mode in (None, "backtracking", "none"):
         assert SolverOptions(line_search=mode).line_search == mode
-    for mode in ("armijo", "Exact", ""):
+    for mode in ("exact", "armijo", "Backtracking", ""):
         with pytest.raises(ValueError, match="line-search"):
             SolverOptions(line_search=mode)
     recipe = ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1, seed=3)
     opts = SolverOptions(max_iters=300, tol=1e-10)
-    for run, default in ((run_zero_bfgs, "exact"),
-                         (run_zero_sr1, "backtracking")):
-        got = run(generate(recipe), opts)
-        want = run(generate(recipe),
-                   dataclasses.replace(opts, line_search=default))
-        _assert_same_solve(got, want)
+    got = run_zero_sr1(generate(recipe), opts)
+    want = run_zero_sr1(generate(recipe),
+                        dataclasses.replace(opts, line_search="backtracking"))
+    _assert_same_solve(got, want)
     exact = run_zero_bfgs(generate(recipe), opts)
     backtracking = run_zero_bfgs(generate(recipe), dataclasses.replace(
         opts, line_search="backtracking"))
@@ -318,11 +353,13 @@ def test_the_cli_line_search_follows_the_option_default(tmp_path, cache_dir):
               "60", "--seed", "3", "--cache-dir", cache_dir]
     outputs = {}
     for solver in ("zero-bfgs", "zero-sr1"):
-        for mode in (None, "exact", "backtracking"):
+        for mode in (None, "backtracking"):
             out = tmp_path / f"{solver}-{mode}.csv"
             args = common + ["--solver", solver, "--out", str(out)]
             assert main(args + (["--line-search", mode] if mode else [])) == 0
             outputs[solver, mode] = out.read_bytes()
-    assert outputs["zero-bfgs", None] == outputs["zero-bfgs", "exact"] \
-        != outputs["zero-bfgs", "backtracking"]
+    assert outputs["zero-bfgs", None] != outputs["zero-bfgs", "backtracking"]
     assert outputs["zero-sr1", None] == outputs["zero-sr1", "backtracking"]
+    # the exact step is each solver's default or nothing
+    with pytest.raises(SystemExit):
+        main(common + ["--solver", "zero-bfgs", "--line-search", "exact"])
