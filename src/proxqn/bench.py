@@ -25,8 +25,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy
-import scipy.sparse as sp
 
 from . import __version__
 from .prox import GroupL2, L1Norm, NonNeg
@@ -102,7 +100,10 @@ def desk_recipes(seed=0):
 def diff3d_operator(side):
     """Concatenated forward-difference stencils along the three axes of an
     ``side^3`` grid, with zero rows on the far (Neumann) boundaries.
-    Every non-zero row holds exactly one -1 and one +1."""
+    Every non-zero row holds exactly one -1 and one +1.  This family alone
+    needs scipy, and imports ``scipy.sparse`` here."""
+    import scipy.sparse as sp
+
     n = side ** 3
     idx = np.arange(n).reshape(side, side, side)
     rows, cols, vals = [], [], []
@@ -124,8 +125,9 @@ def diff3d_operator(side):
 def _transpose(A):
     """``A.T`` to bind once: a sparse ``A.T`` is a new matrix on every
     call, and its CSC view multiplies slower than the CSR copy, whose
-    products sum each entry's terms in the same ascending order."""
-    return A.T.tocsr() if sp.issparse(A) else A.T
+    products sum each entry's terms in the same ascending order.  A sparse
+    ``A`` is told by its ``tocsr`` method, so a dense one loads no scipy."""
+    return A.T.tocsr() if hasattr(A, "tocsr") else A.T
 
 
 def _aligned(*shape):
@@ -414,7 +416,10 @@ def _environment():
     """The numpy and scipy versions with the BLAS build each links (name,
     version and OpenBLAS configuration, where ``show_config(mode="dicts")``
     reports them; else None), the core count and the BLAS thread
-    variables, which change the timings and 0BFGS's iterates."""
+    variables, which change the timings and 0BFGS's iterates.  scipy is
+    imported here, where a manifest needs its version."""
+    import scipy
+
     env = {}
     for module in (np, scipy):
         try:

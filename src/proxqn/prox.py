@@ -36,7 +36,6 @@ column stack of ``_bounds``, which the exact rank-1 finder reads.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "ProxOperator",
@@ -184,7 +183,8 @@ class _Clip(ProxOperator):
 
     def _bind(self, d, kappa):
         # 0-d bounds: ufuncs convert a float per call
-        lo, hi = (np.asarray(b) for b in self._bounds(d, kappa))
+        lo, hi = self._bounds(d, kappa)
+        lo, hi = np.asarray(lo), np.asarray(hi)
         slope_of = self._slope or (np.less_equal if self._shrink else
                                    np.greater)
         masks = []   # the binding's two bool work arrays, made once
@@ -587,9 +587,12 @@ class AffineConstraint(ProxOperator):
         self.b = b
         self._cache = {}
 
+    # scipy.linalg is imported where the operator factors and solves, so
+    # that a process without an affine constraint never loads it
     def _factor(self, d):
         key = d.tobytes()
         if key not in self._cache:
+            from scipy.linalg import cho_factor
             AinvD = self.A / d[None, :]
             self._cache[key] = (cho_factor(AinvD @ self.A.T), AinvD)
             if len(self._cache) > 8:
@@ -602,10 +605,12 @@ class AffineConstraint(ProxOperator):
         return 0.0 if float(np.max(np.abs(r), initial=0.0)) <= tol else np.inf
 
     def _prox_diag(self, x, d, kappa):
+        from scipy.linalg import cho_solve
         factor, AinvD = self._factor(d)
         return x + AinvD.T @ cho_solve(factor, self.b - self.A @ x)
 
     def _jvp(self, z, p, d, kappa, M):
+        from scipy.linalg import cho_solve
         factor, AinvD = self._factor(d)
         return M - AinvD.T @ cho_solve(factor, self.A @ M)
 

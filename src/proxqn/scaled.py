@@ -21,7 +21,10 @@ and asks for no Jacobian product at the step ending it.
 Every rank >= 2, single-sign or ``V = P + Q1 - Q2`` (0BFGS), goes through
 one damped semi-smooth Newton on the stacked multiplier system, with one
 diagonal prox and one Clarke-Jacobian product with an N x r matrix per
-step.  A miss of either Newton's tolerance raises :class:`RootFinderError`.
+step, and its r x r system solved by the LAPACK gufunc behind
+``np.linalg.solve``, with that function's bits for every r; the module
+loads no scipy.  A miss of either Newton's tolerance raises
+:class:`RootFinderError`.
 The oracles are one scalar engine, a rank-1 :class:`RootProblem` solved
 in the bracket of :func:`root_bound`, which strong monotonicity gives from
 one map evaluation, by the exact search over the sorted breakpoint
@@ -48,11 +51,12 @@ residual is not finite is never ``converged``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
+from numpy.linalg import _umath_linalg
 
 from .metric import LowRankMetric, PlusMinusMetric
 
@@ -74,6 +78,10 @@ __all__ = [
 _CYCLE_CHECK = 8
 # the ``finder`` names of the dispatcher: the Newtons and the two oracles
 _FINDERS = ("auto", "exact", "bisection")
+# np.linalg.solve's LAPACK gufunc without that wrapper's checks: a singular
+# system comes back as NaNs, its invalid-value warning silenced (the
+# decorator costs less per call than a ``with`` block)
+_solve = np.errstate(invalid="ignore")(_umath_linalg.solve1)
 
 
 class RootFinderError(RuntimeError):
@@ -469,9 +477,9 @@ def _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm):
     operator is bound once (``_bind``, with ``weights``); each step takes
     the Clarke-Jacobian product with ``W`` of its point's binding and
     halves its length until ``||F||`` falls by the factor ``1 - 1e-4 t``.
-    The r x r Newton system goes to LAPACK's ``dgesv`` through scipy; its
-    bits match ``np.linalg.solve``'s only up to r = 5, so a larger ``r``
-    must check them again.
+    The r x r Newton system goes to the LAPACK gufunc behind
+    ``np.linalg.solve``, with its bits for every ``r``; a singular one
+    gives a non-finite direction.
     Raises :class:`RootFinderError` when the residual does not reach
     ``tol``: a singular Newton system, no sufficient decrease after 30
     halvings, or 60 steps; a non-finite residual ends it at once,
@@ -480,10 +488,9 @@ def _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm):
     r = U.shape[1]
     Ut = U.T
     # z = x + W @ (sgn * ab): the a-directions enter with a minus sign
-    sgn = np.ones(r)
-    sgn[:r1] = -1.0
-    K = np.eye(r)
-    K[:r1, r1:] = U[:, :r1].T.dot(W[:, r1:])
+    sgn, eye = _constants(r, r1)
+    K = eye.copy()
+    K[:r1, r1:] = Ut[:r1].dot(W[:, r1:])
     step = prox._bind(weights, kappa)
 
     def system(ab):
@@ -496,18 +503,18 @@ def _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm):
     history = [res]
     while tol < res < math.inf and len(history) <= 60:
         G = K - Ut.dot(jac(W)) * sgn
-        d_ab, info = dgesv(G, val)[2:]
-        if info > 0:
+        d_ab = _solve(G, val)
+        if not d_ab.dot(d_ab) < math.inf:   # NaN or inf: a singular G
             raise RootFinderError(f"joint semi-smooth Newton missed {tol:g} "
                                   "(singular Newton system)")
-        t = 1.0
+        t, new = 1.0, ab - d_ab   # t * d_ab is d_ab at t = 1
         for _ in range(31):
-            new = ab - t * d_ab
             new_val, new_p, new_jac = system(new)
             new_res = math.sqrt(new_val.dot(new_val))
             if new_res <= (1.0 - 1e-4 * t) * res:
                 break
             t *= 0.5
+            new = ab - t * d_ab
         else:
             break
         ab, val, p, jac, res = new, new_val, new_p, new_jac, new_res
@@ -517,6 +524,17 @@ def _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm):
                               f"(residual {res:g})")
     return p, RootSolverReport(ab, res, len(history) - 1, "rank2-joint",
                                converged=res <= tol, residual_history=history)
+
+
+@functools.lru_cache(maxsize=None)
+def _constants(r, r1):
+    """The joint Newton's read-only signs, -1 on the ``r1`` plus columns and
+    +1 on the rest, and the r x r identity, made once per shape."""
+    sgn = np.ones(r)
+    sgn[:r1] = -1.0
+    eye = np.eye(r)
+    sgn.flags.writeable = eye.flags.writeable = False
+    return sgn, eye
 
 
 def _rank2_recursive(metric: PlusMinusMetric, prox, x, kappa, tol, finder):

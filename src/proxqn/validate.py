@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect as _scalar_bisect
 
 from .bench import _group_blocks, desk_recipes, generate, race
 from .metric import LowRankMetric, PlusMinusMetric
@@ -99,10 +98,13 @@ def _euclid_soft(v, t):
 
 def _euclid_simplex(v, radius):
     # continuous bisection on the shift, independent of the library's
-    # sort-based projection
+    # sort-based projection; scipy is imported here, so that the CLI that
+    # imports this module starts without it
+    from scipy.optimize import bisect
+
     lo = float(np.min(v)) - (radius + 1.0) / v.size
     hi = float(np.max(v))
-    theta = _scalar_bisect(
+    theta = bisect(
         lambda c: float(np.sum(np.maximum(v - c, 0.0))) - radius,
         lo, hi, xtol=1e-15, maxiter=400)
     return np.maximum(v - theta, 0.0)
