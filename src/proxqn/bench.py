@@ -100,8 +100,9 @@ def desk_recipes(seed=0):
 def diff3d_operator(side):
     """Concatenated forward-difference stencils along the three axes of an
     ``side^3`` grid, with zero rows on the far (Neumann) boundaries.
-    Every non-zero row holds exactly one -1 and one +1.  This family alone
-    needs scipy, and imports ``scipy.sparse`` here."""
+    Every non-zero row holds exactly one -1 and one +1.  Of the generated
+    families only this one needs scipy, so ``scipy.sparse`` is imported
+    here."""
     import scipy.sparse as sp
 
     n = side ** 3
