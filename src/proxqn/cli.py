@@ -209,12 +209,19 @@ A key that the chosen h does not read is an error; a '#' line whose text
 before the colon is not one word is a comment.
 """
 
-# the metadata keys each function id reads besides h, sign and kappa
-_PROX_KEYS = {"l1": ("lam",), "nonneg": (), "box": ("lo", "hi"),
-              "hinge": ("lam",), "linf_ball": ("radius",),
-              "l1_ball": ("radius",), "simplex": ("radius",),
-              "linf_norm": ("lam",), "max": ("lam",), "zero": (),
-              "group_l1l2": ("lam", "blocks")}
+# each function id: its operator, and the metadata keys that it reads
+# besides h, sign and kappa with their defaults, in the operator's
+# argument order
+_OPERATORS = {
+    "l1": (L1Norm, {"lam": 1.0}), "nonneg": (NonNeg, {}),
+    "box": (Box, {"lo": -1.0, "hi": 1.0}), "hinge": (Hinge, {"lam": 1.0}),
+    "linf_ball": (LinfBall, {"radius": 1.0}),
+    "l1_ball": (L1Ball, {"radius": 1.0}),
+    "simplex": (Simplex, {"radius": 1.0}),
+    "linf_norm": (LinfNorm, {"lam": 1.0}),
+    "max": (MaxFunction, {"lam": 1.0}), "zero": (Zero, {}),
+    "group_l1l2": (GroupL2, {"lam": 1.0, "blocks": ""}),
+}
 
 
 def _parse_prox_file(path):
@@ -243,38 +250,22 @@ def _parse_prox_file(path):
 
 def _operator_from_meta(meta, n):
     h = meta.get("h", "l1").lower()
-    if h not in _PROX_KEYS:
+    if h not in _OPERATORS:
         raise ValueError(f"unknown function id {h!r}")
-    unread = sorted(set(meta) - {"h", "sign", "kappa", *_PROX_KEYS[h]})
+    operator, keys = _OPERATORS[h]
+    unread = sorted(set(meta) - {"h", "sign", "kappa", *keys})
     if unread:
         raise ValueError(f"h {h} reads no metadata key {unread[0]!r}")
-    lam = float(meta.get("lam", 1.0))
-    if h == "l1":
-        return L1Norm(lam)
-    if h == "nonneg":
-        return NonNeg()
-    if h == "box":
-        return Box(float(meta.get("lo", -1.0)), float(meta.get("hi", 1.0)))
-    if h == "hinge":
-        return Hinge(lam)
-    if h == "linf_ball":
-        return LinfBall(float(meta.get("radius", 1.0)))
-    if h == "l1_ball":
-        return L1Ball(float(meta.get("radius", 1.0)))
-    if h == "simplex":
-        return Simplex(float(meta.get("radius", 1.0)))
-    if h == "linf_norm":
-        return LinfNorm(lam)
-    if h == "max":
-        return MaxFunction(lam)
-    if h == "zero":
-        return Zero()
-    sizes = [int(s) for s in meta.get("blocks", "").split(",") if s]
-    if sum(sizes) != n:
-        raise ValueError("group sizes must sum to the dimension")
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    blocks = [np.arange(s, s + size) for s, size in zip(starts, sizes)]
-    return GroupL2(lam, blocks)
+    args = [float(meta.get(key, default)) for key, default in keys.items()
+            if key != "blocks"]
+    if "blocks" in keys:
+        sizes = [int(s) for s in meta.get("blocks", "").split(",") if s]
+        if sum(sizes) != n:
+            raise ValueError("group sizes must sum to the dimension")
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        args.append([np.arange(s, s + size)
+                     for s, size in zip(starts, sizes)])
+    return operator(*args)
 
 
 def cmd_prox(args):

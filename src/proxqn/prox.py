@@ -5,7 +5,9 @@ Every operator solves, for a weight vector ``d > 0`` and scale ``kappa > 0``,
     prox_diag(x, d, kappa) = argmin_z  kappa * h(z) + 1/2 * sum_i d_i (x_i - z_i)^2
 
 which is the proximity operator of ``kappa * h`` in the metric ``diag(d)``.
-Each operator defines the unchecked core ``_prox_diag`` and one
+Besides ``evaluate``, ``check_weights(d, n)`` and ``dim`` (None, or the
+dimension it is built for), each operator defines the unchecked core
+``_prox_diag`` and one
 Clarke-Jacobian route: ``_jvp(z, p, d, kappa, M)``, which the base
 ``_bind`` calls with the prox ``p`` it evaluated at the step, or its own
 ``_bind``.  The public ``prox_diag`` checks the weights, and the public
@@ -31,9 +33,16 @@ the group norm's through a view when its blocks lie in order, so a
 caller keeps ``z`` until its products.  A separable operator's
 ``pa_descriptor`` gives the breakpoints of its scalar maps, the N x 2
 column stack of ``_bounds``, which the exact rank-1 finder reads.
+The l1, group and box families also give the 0BFGS step on a
+least-squares ``f`` its exact search along a ray: ``_ray_min(x, p, a, c,
+cap)`` returns the minimizer on ``[0, cap]`` of ``a t + c t^2 / 2 + h(x +
+t p)``, and is None on the other operators, which backtrack.  The solver
+clips a box's ray point to the box's ``lo`` and ``hi``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -56,6 +65,11 @@ __all__ = [
 ]
 
 _FEAS_TOL = 1e-8
+# the Newton step on the group norm's phi' below which its ray search
+# stops, taking that step: the error left is of its square
+RAY_STEP_TOL = 1e-8
+# phi' evaluations after which that search returns its last point
+RAY_MAX_EVALS = 60
 
 
 def _scale_rows(v, M):
@@ -86,6 +100,7 @@ class ProxOperator:
     separable = False
     dim = None   # the dimension the operator is built for, if it has one
     _scalar_bind = False   # whether _bind takes a scalar d (module docstring)
+    _ray_min = None   # the exact ray search, if any (module docstring)
 
     def evaluate(self, x):
         raise NotImplementedError
@@ -220,6 +235,40 @@ class L1Norm(_Clip):
         t = kappa * self.lam / d
         return -t, t
 
+    def _ray_min(self, x, p, a, c, cap):
+        """The minimizer on ``[0, cap]`` of ``phi(t) = a t + c t^2 / 2 +
+        lam ||x + t p||_1``.  ``phi'`` is nondecreasing and piecewise affine
+        with slope ``c``: from ``a + lam ||p||_1 - 2 lam sum |p_i|`` over the
+        coordinates that cross zero (``x_i p_i < 0``), each of which raises it
+        by ``2 lam |p_i|`` at its kink ``|x_i| / |p_i|``.  The root lies below
+        ``-phi'(0+) / c``, so only the kinks before that bound are sorted."""
+        ap = np.abs(p)
+        cross = np.sign(x)
+        cross *= p
+        np.minimum(cross, 0.0, out=cross)   # -|p_i| where x_i crosses zero
+        d = a + self.lam * (float(ap.sum()) + 2.0 * float(cross.sum()))
+        if not d < 0:
+            return 0.0
+        cross *= cap if c * cap <= -d else -d / c
+        cross += np.abs(x)
+        near = np.flatnonzero(cross < 0)   # |x_i| < bound |p_i|
+        if near.size:
+            kinks = np.abs(x[near])
+            kinks /= ap[near]
+            order = np.argsort(kinks)
+            kinks = kinks[order]
+            rise = np.cumsum(ap[near[order]])   # phi' gained past each kink
+            rise *= 2.0 * self.lam
+            after = c * kinks
+            after += rise
+            after += d
+            k = int(np.searchsorted(after, 0.0))
+            if k:
+                d += float(rise[k - 1])
+            if k < kinks.size and d + c * float(kinks[k]) < 0:
+                return float(kinks[k])   # phi' changes sign at the kink
+        return cap if c * cap <= -d else -d / c
+
     def conjugate(self):
         return LinfBall(self.lam)
 
@@ -245,6 +294,19 @@ class Box(_Clip):
         if np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol):
             return 0.0
         return np.inf
+
+    def _ray_min(self, x, p, a, c, cap):
+        """The minimizer on ``[0, cap]`` of ``phi(t) = a t + c t^2 / 2 +
+        h(x + t p)`` for the box: the quadratic's minimizer clipped to
+        ``[0, min(cap, t_max)]``, ``t_max`` where the ray leaves the box."""
+        if not a < 0:
+            return 0.0
+        up, down = p > 0, p < 0
+        t_max = min(cap, float(np.min((self.hi - x)[up] / p[up],
+                                      initial=math.inf)),
+                    float(np.min((self.lo - x)[down] / p[down],
+                                 initial=math.inf)))
+        return t_max if c * t_max <= -a else -a / c
 
 
 class Zero(Box):
@@ -564,6 +626,71 @@ class GroupL2(ProxOperator):
         thresh = np.asarray(   # 0-d for a scalar d, as in _Clip
             kappa * self.lam / (d[self._firsts] if np.ndim(d) else d))
         return lambda z, out=None, tmp=None: self._step(z, thresh, out)
+
+    def _ray_min(self, x, p, a, c, cap):
+        """The minimizer on ``[0, cap]`` of ``phi(t) = a t + c t^2 / 2 +
+        lam sum_g ||x_g + t p_g||``.
+
+        A block with ``p_g != 0`` contributes ``sqrt(gam (t - t0)^2 + delta)``,
+        with ``gam = ||p_g||^2``, ``t0 = -<x_g, p_g> / gam`` and ``delta =
+        ||x_g||^2 + <x_g, p_g> t0 >= 0``; it is smooth but at a zero of the
+        block, a kink of ``phi'`` by ``2 lam sqrt(gam)``.  The prox zeroes a
+        block at ``t = 1`` (``p_g = -x_g``: ``t0 = 1`` and ``delta = 0``
+        exactly) and a zero block sits at ``t = 0``, so the search starts at
+        ``t = 1`` and returns any point at which the one-sided values of
+        ``phi'`` enclose 0.  Otherwise it takes Newton steps on ``phi'`` inside
+        the bracket that the signs of ``phi'`` give, an end of ``[0,
+        cap]`` where a step leaves the interval and the bracket's midpoint
+        where it leaves a bracket.
+        """
+        xp, pp = x[self._perm], p[self._perm]
+        gam = np.add.reduceat(pp * pp, self._starts)
+        on = gam > 0
+        gam = gam[on]
+        beta = np.add.reduceat(xp * pp, self._starts)[on]
+        t0 = beta / gam
+        np.negative(t0, out=t0)
+        delta = np.add.reduceat(xp * xp, self._starts)[on]
+        delta += beta * t0
+        np.maximum(delta, 0.0, out=delta)
+        lam = self.lam
+        lo, hi, t = 0.0, cap, 1.0
+        open_lo = open_hi = True   # an end of [0, cap] not yet evaluated
+        for _ in range(RAY_MAX_EVALS):
+            u = t - t0
+            gu = gam * u
+            norm = gu * u
+            norm += delta
+            np.sqrt(norm, out=norm)
+            zero = norm == 0
+            jump = 0.0
+            if zero.any():   # a block at its kink: phi' is taken on each side
+                jump = lam * float(np.sqrt(gam[zero]).sum())
+                norm[zero] = math.inf
+            slope = gu / norm
+            d = a + c * t + lam * float(slope.sum())
+            if t > 0 and d - jump > 0:
+                hi, d, open_hi = t, d - jump, False
+            elif t < cap and d + jump < 0:
+                lo, d, open_lo = t, d + jump, False
+            else:
+                return t
+            slope *= slope   # the curvature of a block: (gam - slope^2) / norm
+            np.subtract(gam, slope, out=slope)
+            slope /= norm
+            curvature = c + lam * float(slope.sum())
+            # phi' flat here (A p = 0, every block moving straight to its
+            # zero): no Newton step, the bracket's end on the root's side
+            step = d / curvature if curvature > 0 else math.copysign(cap, d)
+            t_next = t - step
+            if abs(step) <= RAY_STEP_TOL and lo <= t_next <= hi:
+                return t_next
+            if t_next >= hi:
+                t_next = hi if open_hi else 0.5 * (lo + hi)
+            elif t_next <= lo:
+                t_next = lo if open_lo else 0.5 * (lo + hi)
+            t = t_next
+        return t
 
 
 # -- affine constraint --------------------------------------------------------

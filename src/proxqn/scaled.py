@@ -374,14 +374,6 @@ def _ssnewton(prox, x, U, W, s, weights, kappa, g_sq, tol=1e-12, alpha0=None,
 # -- dispatcher ----------------------------------------------------------------
 
 
-def _prox(metric, prox, x, kappa, tol, warm):
-    """The one production route (:func:`_route`) on the metric's factored
-    form, after :func:`_checked`."""
-    x, weights = _checked(metric, prox, x, kappa)
-    return _route(prox, x, kappa, weights, metric.U, metric.W, metric.r1,
-                  metric.gram_norm_sq, tol, warm)
-
-
 def _route(prox, x, kappa, weights, U, W, r1, g_sq, tol, warm):
     """The prox in ``P + U1 U1^T - U2 U2^T`` on checked arrays and the
     metric's blocks ``U`` and ``W`` (``r1`` plus columns), by the total
@@ -434,8 +426,10 @@ def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
         raise ValueError(f"unknown finder {finder!r}")
     if not 0 <= tol < math.inf:   # NaN fails
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    if finder == "auto" or metric.rank == 0:
-        return _prox(metric, prox, x, kappa, tol, warm_alpha)
+    if finder == "auto" or metric.rank == 0:   # the one production route
+        x, weights = _checked(metric, prox, x, kappa)
+        return _route(prox, x, kappa, weights, metric.U, metric.W, metric.r1,
+                      metric.gram_norm_sq, tol, warm_alpha)
     if all(metric.ranks):
         return _rank2_recursive(metric, prox, x, kappa, tol, finder)
     problem = RootProblem(metric, prox, x, kappa)
@@ -452,12 +446,9 @@ def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0, tol=1e-12,
                       warm=None, inner_finder="auto"):
     """:func:`scaled_prox` on ``V = P + Q1 - Q2`` (either side may be
     empty) with ``inner_finder`` and ``warm`` for ``finder`` and
-    ``warm_alpha``, whose "auto" route with a valid ``tol`` skips the
-    dispatcher's checks: the rank-2 entry that ``perfbench`` (its
+    ``warm_alpha``: the rank-2 entry that ``perfbench`` (its
     ``kernel_oracle_ok`` and its tracer) and the tests call; the solvers'
     step enters ``_route`` directly."""
-    if inner_finder == "auto" and 0 <= tol < math.inf:
-        return _prox(metric, prox, x, kappa, tol, warm)
     return scaled_prox(metric, prox, x, kappa, inner_finder, tol, warm)
 
 

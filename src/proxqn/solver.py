@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metric import _apply, _as_vector
-from .prox import Box, GroupL2, L1Norm, ProxOperator
+from .prox import Box, ProxOperator
 # the public metrics and scaled proxes are not called here; perfbench's
 # tracer wraps them by these names
 from .quasi_newton import (QNPair, _sr1_H, _sr1_factors,  # noqa: F401
@@ -159,11 +159,6 @@ RAY_CAP = 2.0
 # to a few units in its last place a strict test refuses every step and
 # ends the solve "stagnated" above tol (the 7^3 grid at tol 1e-8)
 RAY_SLACK = 1e-15
-# the Newton step on the group norm's phi' below which the search stops,
-# taking that step: the error left is of its square
-RAY_STEP_TOL = 1e-8
-# phi' evaluations after which that search returns its last point
-RAY_MAX_EVALS = 60
 
 
 def fb_step(x, grad_x, H, B, h, kappa=1.0, warm_alpha=None, tol=1e-12):
@@ -191,12 +186,13 @@ def line_search(problem, x, p, f_x, kappa, mode="backtracking"):
     there); a trial at +inf (outside dom h) is halved like any other.
 
     0BFGS's own step (option value None) is the loop's, not this
-    function's: with the problem's ``ray`` hook and an ``h`` of the l1,
-    group or box family the loop steps to the minimizer of ``F(x + t p)``
-    on ``[0, RAY_CAP]`` (:func:`_ray_step`), and comes here, backtracking,
-    where that step is 0 or does not decrease ``F``.  Since that interval
-    holds every ``t`` that backtracking tries, the exact step decreases
-    ``F`` at least as much as the Armijo step would.
+    function's: with the problem's ``ray`` hook and an ``h`` with an exact
+    search (``_ray_min``: the l1, group and box families) the loop steps to
+    the minimizer of ``F(x + t p)`` on ``[0, RAY_CAP]`` (:func:`_ray_step`),
+    and comes here, backtracking, where that step is 0 or does not decrease
+    ``F``.  Since that interval holds every ``t`` that backtracking tries,
+    the exact step decreases ``F`` at least as much as the Armijo step
+    would.
     """
     if mode == "none":
         return 1.0, problem.objective(x + p), False
@@ -212,138 +208,20 @@ def line_search(problem, x, p, f_x, kappa, mode="backtracking"):
     return t, problem.objective(x + t * p), True
 
 
-def _ray_l1(h, x, p, a, c):
-    """The minimizer on ``[0, RAY_CAP]`` of ``phi(t) = a t + c t^2 / 2 +
-    lam ||x + t p||_1``.  ``phi'`` is nondecreasing and piecewise affine
-    with slope ``c``: from ``a + lam ||p||_1 - 2 lam sum |p_i|`` over the
-    coordinates that cross zero (``x_i p_i < 0``), each of which raises it
-    by ``2 lam |p_i|`` at its kink ``|x_i| / |p_i|``.  The root lies below
-    ``-phi'(0+) / c``, so only the kinks before that bound are sorted."""
-    ap = np.abs(p)
-    cross = np.sign(x)
-    cross *= p
-    np.minimum(cross, 0.0, out=cross)   # -|p_i| where x_i crosses zero
-    d = a + h.lam * (float(ap.sum()) + 2.0 * float(cross.sum()))
-    if not d < 0:
-        return 0.0
-    cross *= RAY_CAP if c * RAY_CAP <= -d else -d / c
-    cross += np.abs(x)
-    near = np.flatnonzero(cross < 0)   # |x_i| < bound |p_i|
-    if near.size:
-        kinks = np.abs(x[near])
-        kinks /= ap[near]
-        order = np.argsort(kinks)
-        kinks = kinks[order]
-        rise = np.cumsum(ap[near[order]])   # phi' gained past each kink
-        rise *= 2.0 * h.lam
-        after = c * kinks
-        after += rise
-        after += d
-        k = int(np.searchsorted(after, 0.0))
-        if k:
-            d += float(rise[k - 1])
-        if k < kinks.size and d + c * float(kinks[k]) < 0:
-            return float(kinks[k])   # phi' changes sign at the kink
-    return RAY_CAP if c * RAY_CAP <= -d else -d / c
-
-
-def _ray_group(h, x, p, a, c):
-    """The minimizer on ``[0, RAY_CAP]`` of ``phi(t) = a t + c t^2 / 2 +
-    lam sum_g ||x_g + t p_g||``.
-
-    A block with ``p_g != 0`` contributes ``sqrt(gam (t - t0)^2 + delta)``,
-    with ``gam = ||p_g||^2``, ``t0 = -<x_g, p_g> / gam`` and ``delta =
-    ||x_g||^2 + <x_g, p_g> t0 >= 0``; it is smooth but at a zero of the
-    block, a kink of ``phi'`` by ``2 lam sqrt(gam)``.  The prox zeroes a
-    block at ``t = 1`` (``p_g = -x_g``: ``t0 = 1`` and ``delta = 0``
-    exactly) and a zero block sits at ``t = 0``, so the search starts at
-    ``t = 1`` and returns any point at which the one-sided values of
-    ``phi'`` enclose 0.  Otherwise it takes Newton steps on ``phi'`` inside
-    the bracket that the signs of ``phi'`` give, an end of ``[0,
-    RAY_CAP]`` where a step leaves the interval and the bracket's midpoint
-    where it leaves a bracket.
-    """
-    xp, pp = x[h._perm], p[h._perm]
-    gam = np.add.reduceat(pp * pp, h._starts)
-    on = gam > 0
-    gam = gam[on]
-    beta = np.add.reduceat(xp * pp, h._starts)[on]
-    t0 = beta / gam
-    np.negative(t0, out=t0)
-    delta = np.add.reduceat(xp * xp, h._starts)[on]
-    delta += beta * t0
-    np.maximum(delta, 0.0, out=delta)
-    lam = h.lam
-    lo, hi, t = 0.0, RAY_CAP, 1.0
-    open_lo = open_hi = True   # an end of [0, RAY_CAP] not yet evaluated
-    for _ in range(RAY_MAX_EVALS):
-        u = t - t0
-        gu = gam * u
-        norm = gu * u
-        norm += delta
-        np.sqrt(norm, out=norm)
-        zero = norm == 0
-        jump = 0.0
-        if zero.any():   # a block at its kink: phi' is taken on each side
-            jump = lam * float(np.sqrt(gam[zero]).sum())
-            norm[zero] = math.inf
-        slope = gu / norm
-        d = a + c * t + lam * float(slope.sum())
-        if t > 0 and d - jump > 0:
-            hi, d, open_hi = t, d - jump, False
-        elif t < RAY_CAP and d + jump < 0:
-            lo, d, open_lo = t, d + jump, False
-        else:
-            return t
-        slope *= slope   # the curvature of a block: (gam - slope^2) / norm
-        np.subtract(gam, slope, out=slope)
-        slope /= norm
-        curvature = c + lam * float(slope.sum())
-        # phi' flat here (A p = 0, every block moving straight to its
-        # zero): no Newton step, the bracket's end on the root's side
-        step = d / curvature if curvature > 0 else math.copysign(RAY_CAP, d)
-        t_next = t - step
-        if abs(step) <= RAY_STEP_TOL and lo <= t_next <= hi:
-            return t_next
-        if t_next >= hi:
-            t_next = hi if open_hi else 0.5 * (lo + hi)
-        elif t_next <= lo:
-            t_next = lo if open_lo else 0.5 * (lo + hi)
-        t = t_next
-    return t
-
-
-def _ray_box(h, x, p, a, c):
-    """The minimizer on ``[0, RAY_CAP]`` of ``phi(t) = a t + c t^2 / 2 +
-    h(x + t p)`` for the box ``h``: the quadratic's minimizer clipped to
-    ``[0, min(RAY_CAP, t_max)]``, ``t_max`` where the ray leaves the box."""
-    if not a < 0:
-        return 0.0
-    up, down = p > 0, p < 0
-    t_max = min(RAY_CAP,
-                float(np.min((h.hi - x)[up] / p[up], initial=math.inf)),
-                float(np.min((h.lo - x)[down] / p[down], initial=math.inf)))
-    return t_max if c * t_max <= -a else -a / c
-
-
-# the exact searches by family; subclasses share their family's
-RAY_SEARCHES = ((L1Norm, _ray_l1), (GroupL2, _ray_group), (Box, _ray_box))
-
-
-def _ray_step(problem, search, x, p, g, f_x):
+def _ray_step(problem, x, p, g, f_x):
     """The exact step along the ray: ``(t, x + t p, F(x + t p))`` for the
     minimizer ``t`` of ``phi(t) = F(x + t p)`` on ``[0, RAY_CAP]``, which
-    ``search(h, x, p, a, c)`` finds from ``a = <grad f(x), p>`` and ``c =
-    ||A p||^2`` (the ``ray`` hook's), or None for the backtracking search
-    to take over: at ``t = 0``, and where ``F(x + t p)`` is not finite or
-    exceeds ``F(x)``."""
+    ``h._ray_min(x, p, a, c, RAY_CAP)`` finds from ``a = <grad f(x), p>``
+    and ``c = ||A p||^2`` (the ``ray`` hook's), or None for the
+    backtracking search to take over: at ``t = 0``, and where ``F(x + t
+    p)`` is not finite or exceeds ``F(x)``."""
     c, take = problem.ray(x, p)
     h = problem.h
-    t = search(h, x, p, float(np.dot(g, p)), c)
+    t = h._ray_min(x, p, float(np.dot(g, p)), c, RAY_CAP)
     if not t > 0:
         return None
     x_new = take(t)
-    if search is _ray_box:
+    if isinstance(h, Box):
         # x + t_max p can round past the bound it reaches: such an entry
         # goes back onto it, and the point's new bits miss the residual
         # that take stored, so f and grad form A x - b anew
@@ -472,12 +350,10 @@ def _run_quasi_newton(problem, opts, variant):
     kappa = opts.kappa if opts.kappa is not None else 1.0
     n, h = problem.dim, problem.h
     # 0BFGS's own step is the exact one, where the problem has the ray hook
-    # and h's family a search; where either is missing, or the step is
+    # and h an exact search; where either is missing, or the step is
     # refused, the loop backtracks, as 0SR1 does
-    search = next((search for family, search in RAY_SEARCHES
-                   if isinstance(h, family)), None) \
-        if opts.line_search is None and variant == "bfgs" \
-        and problem.ray is not None else None
+    exact = opts.line_search is None and variant == "bfgs" \
+        and problem.ray is not None and h._ray_min is not None
     fallback = opts.line_search or "backtracking"
     if variant == "sr1" and not gamma < 1.0:   # gamma > 0: SolverOptions
         raise ValueError("gamma must lie in (0, 1)")
@@ -511,8 +387,7 @@ def _run_quasi_newton(problem, opts, variant):
 
     def advance(k, x, f_val, xbar, p):
         nonlocal g, pair
-        step = None if search is None else \
-            _ray_step(problem, search, x, p, g, f_val)
+        step = _ray_step(problem, x, p, g, f_val) if exact else None
         if step is not None:
             t, x_new, f_new = step
             stagnated = False

@@ -6,7 +6,10 @@ import pytest
 from proxqn import bench, cli, validate
 from proxqn.bench import ReferenceSolution
 from proxqn.cli import main
-from proxqn.prox import L1Norm
+from proxqn.metric import LowRankMetric
+from proxqn.prox import (Box, GroupL2, Hinge, L1Ball, L1Norm, LinfBall,
+                         LinfNorm, MaxFunction, NonNeg, Simplex, Zero)
+from proxqn.scaled import scaled_prox
 from proxqn.solver import SOLVERS, ProblemSpec
 
 ORTHANT_EXAMPLE = """\
@@ -194,6 +197,19 @@ def test_prox_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_PROX_X, _PROX_D = [1.5, -0.7, 0.3, -2.0], [1.0, 1.0, 2.0, 2.0]
+_PROX_U = [0.3, -0.2, 0.1, 0.4]
+_HALVES = [np.arange(2), np.arange(2, 4)]
+
+
+def _prox_text(meta, x=_PROX_X, d=_PROX_D, u=_PROX_U):
+    lines = [f"# {key}: {value}" for key, value in meta.items()]
+    for name, values in (("x", x), ("d", d), ("u", u)):
+        if values is not None:
+            lines += [f"# vector: {name}", *(repr(v) for v in values)]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("text, finder, message", [
     (ORTHANT_EXAMPLE.replace("# kappa: 1.0", "# kappa: -1"), "auto",
      "kappa must be positive"),
@@ -218,16 +234,40 @@ def test_prox_malformed_file(tmp_path, capsys):
      "auto", "h linf_ball reads no metadata key 'lam'"),
     (ORTHANT_EXAMPLE.replace("# h: nonneg", "# h: l1\n# lamda: 5"),
      "auto", "h l1 reads no metadata key 'lamda'"),
+    (_prox_text({"h": "lasso"}), "auto", "unknown function id 'lasso'"),
+    (_prox_text({"h": "group_l1l2", "blocks": "2,1"}), "auto",
+     "group sizes must sum to the dimension"),
+    (_prox_text({"h": "group_l1l2"}), "auto",
+     "group sizes must sum to the dimension"),
+    # a bad lam and bad sizes: the sizes are checked before the operator,
+    # lam's number parsed before the sizes
+    (_prox_text({"h": "group_l1l2", "lam": -1, "blocks": "3"}), "auto",
+     "group sizes must sum to the dimension"),
+    (_prox_text({"h": "group_l1l2", "lam": "big", "blocks": "3"}), "auto",
+     "could not convert string to float: 'big'"),
+    (_prox_text({"h": "group_l1l2", "lam": -1, "blocks": "2,2"}), "auto",
+     "group weight must be positive"),
+    (_prox_text({"h": "box", "lo": 2.0}), "auto",
+     "box bounds must satisfy lo <= hi"),
+    (_prox_text({}, x=None), "auto", "input must define vectors x and d"),
+    (_prox_text({}, d=None), "auto", "input must define vectors x and d"),
+    (_prox_text({}, d=_PROX_D[:3]), "auto", "x and d must have equal length"),
+    ("# h: l1\n1.0\n" + _prox_text({}), "auto",
+     "line 2: value outside any vector"),
 ], ids=["negative-kappa", "nan-kappa", "weights-vary-in-a-block",
         "exact-linf", "exact-group", "nan-lam", "unknown-sign",
-        "unknown-sign-small-u", "lam-on-linf-ball", "misspelt-lam"])
+        "unknown-sign-small-u", "lam-on-linf-ball", "misspelt-lam",
+        "unknown-id", "sizes-short", "no-sizes", "negative-lam-bad-sizes",
+        "unparsed-lam-bad-sizes", "negative-group-lam", "empty-box",
+        "no-x", "no-d", "unequal-lengths", "value-outside-a-vector"])
 def test_prox_bad_input_exits_2(tmp_path, capsys, text, finder, message):
     # input the prox rejects is a configuration error, not a solver failure
     path = tmp_path / "bad.txt"
     path.write_text(text)
     assert main(["prox", "--input", str(path), "--finder", finder]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
 
 
 @pytest.mark.parametrize("finder", ["auto", "exact", "bisection"])
@@ -268,6 +308,46 @@ def test_prox_group_input(tmp_path, capsys):
     assert main(["prox", "--input", str(path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert "method=ssnewton" in lines[-1]
+
+
+@pytest.mark.parametrize("sign", ["+", "-"], ids=["plus", "minus"])
+@pytest.mark.parametrize("meta, op", [
+    ({}, L1Norm(1.0)),
+    ({"h": "l1", "lam": 0.5}, L1Norm(0.5)),
+    ({"h": "nonneg"}, NonNeg()),
+    ({"h": "box"}, Box(-1.0, 1.0)),
+    ({"h": "box", "lo": -0.5, "hi": 0.75}, Box(-0.5, 0.75)),
+    ({"h": "hinge"}, Hinge(1.0)),
+    ({"h": "hinge", "lam": 0.5}, Hinge(0.5)),
+    ({"h": "linf_ball"}, LinfBall(1.0)),
+    ({"h": "linf_ball", "radius": 0.8}, LinfBall(0.8)),
+    ({"h": "l1_ball"}, L1Ball(1.0)),
+    ({"h": "l1_ball", "radius": 2.0}, L1Ball(2.0)),
+    ({"h": "simplex"}, Simplex(1.0)),
+    ({"h": "simplex", "radius": 2.0}, Simplex(2.0)),
+    ({"h": "linf_norm"}, LinfNorm(1.0)),
+    ({"h": "linf_norm", "lam": 0.5}, LinfNorm(0.5)),
+    ({"h": "max"}, MaxFunction(1.0)),
+    ({"h": "max", "lam": 0.5}, MaxFunction(0.5)),
+    ({"h": "zero"}, Zero()),
+    ({"h": "group_l1l2", "blocks": "2,2"}, GroupL2(1.0, _HALVES)),
+    ({"h": "GROUP_L1L2", "lam": 0.5, "blocks": "2,2"},
+     GroupL2(0.5, _HALVES)),
+], ids=lambda v: ",".join(map(str, v.values())) or "default"
+    if isinstance(v, dict) else type(v).__name__)
+def test_prox_function_ids_print_the_operators_prox(tmp_path, capsys, meta,
+                                                    op, sign):
+    # each id with its keys, or their defaults, is the operator's scaled
+    # prox on the same inputs
+    path = tmp_path / "prox.txt"
+    path.write_text(_prox_text({**meta, "sign": sign}))
+    assert main(["prox", "--input", str(path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    metric = LowRankMetric(np.array(_PROX_D), [np.array(_PROX_U)],
+                           1 if sign == "+" else -1)
+    p, report = scaled_prox(metric, op, np.array(_PROX_X))
+    assert [float(v) for v in lines[:-1]] == p.tolist()
+    assert f"method={report.method} " in lines[-1]
 
 
 def test_validate_single_suite(capsys):

@@ -3,25 +3,21 @@ brute-force minimizer of phi(t) = a t + c t^2 / 2 + h(x + t p), the
 fallback to backtracking, and the residual that a ray step leaves in a
 generated problem."""
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
-from proxqn import solver
+from proxqn import prox
 from proxqn.bench import ProblemRecipe, generate
 from proxqn.cli import main
-from proxqn.prox import Box, GroupL2, L1Norm, NonNeg
-from proxqn.solver import (RAY_CAP, RAY_SEARCHES, SOLVERS, SolverOptions,
-                           _ray_box, _ray_group, _ray_l1, _ray_step,
+from proxqn.prox import Box, GroupL2, Hinge, L1Norm, NonNeg
+from proxqn.solver import (RAY_CAP, SOLVERS, SolverOptions, _ray_step,
                            run_zero_bfgs, run_zero_sr1)
 from proxqn.validate import _quadratic_l1_problem
 
 BLOCKS = [[0, 1, 2], [3, 4], [5, 6, 7, 8], [9], [10, 11]]
-
-
-def _search(h):
-    return next(s for family, s in RAY_SEARCHES if isinstance(h, family))
 
 
 def _phi(h, x, p, a, c, t):
@@ -57,7 +53,7 @@ def _brute_force(h, x, p, a, c, points=40_001):
 
 
 def _assert_minimizes(h, x, p, a, c):
-    t = _search(h)(h, x, p, a, c)
+    t = h._ray_min(x, p, a, c, RAY_CAP)
     assert 0.0 <= t <= RAY_CAP
     t_grid, phi_grid = _brute_force(h, x, p, a, c)
     value = _phi(h, x, p, a, c, t)
@@ -125,11 +121,11 @@ def test_the_l1_search_stops_at_the_kink_at_one():
     h = L1Norm(1.0)
     x = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
     p = np.array([-1.0, 2.0, 0.3, 0.2, -0.1])
-    assert _ray_l1(h, x, p, 0.0, 1.0) == 1.0
+    assert h._ray_min(x, p, 0.0, 1.0, RAY_CAP) == 1.0
     _assert_minimizes(h, x, p, 0.0, 1.0)
     # no curvature: phi' is constant past the kinks, so the cap or a kink
-    assert _ray_l1(h, x, p, -10.0, 0.0) == RAY_CAP
-    assert _ray_l1(h, x, p, 0.0, 0.0) == 1.0
+    assert h._ray_min(x, p, -10.0, 0.0, RAY_CAP) == RAY_CAP
+    assert h._ray_min(x, p, 0.0, 0.0, RAY_CAP) == 1.0
 
 
 def test_the_group_search_stops_at_the_kink_at_one(monkeypatch):
@@ -143,8 +139,8 @@ def test_the_group_search_stops_at_the_kink_at_one(monkeypatch):
     slopes = _phi_slopes(h, x, p, 0.0, 0.5, 1.0)
     assert slopes[0] < 0 < slopes[1]
     _assert_minimizes(h, x, p, 0.0, 0.5)
-    monkeypatch.setattr(solver, "RAY_MAX_EVALS", 1)
-    assert _ray_group(h, x, p, 0.0, 0.5) == 1.0
+    monkeypatch.setattr(prox, "RAY_MAX_EVALS", 1)
+    assert h._ray_min(x, p, 0.0, 0.5, RAY_CAP) == 1.0
 
 
 def test_the_group_search_at_zero_and_still_blocks():
@@ -155,8 +151,8 @@ def test_the_group_search_at_zero_and_still_blocks():
     x[9] = 2.0
     p = np.zeros(12)
     p[:5] = 1.0
-    assert _ray_group(h, x, p, 0.0, 1.0) == 0.0
-    assert _ray_group(h, x, p, -50.0, 1.0) == RAY_CAP
+    assert h._ray_min(x, p, 0.0, 1.0, RAY_CAP) == 0.0
+    assert h._ray_min(x, p, -50.0, 1.0, RAY_CAP) == RAY_CAP
     _assert_minimizes(h, x, p, -3.0, 1.0)
 
 
@@ -169,13 +165,14 @@ def test_the_group_search_on_a_flat_slope():
     x[3:5] = [0.6, -0.3]
     p = np.zeros(12)
     p[3:5] = -x[3:5] / 1.5
-    assert _ray_group(h, x, p, 0.0, 0.0) == pytest.approx(1.5, abs=1e-12)
-    assert _ray_group(h, x, p, 1.0, 0.0) == 0.0
+    assert h._ray_min(x, p, 0.0, 0.0, RAY_CAP) == \
+        pytest.approx(1.5, abs=1e-12)
+    assert h._ray_min(x, p, 1.0, 0.0, RAY_CAP) == 0.0
     x[3:5] = -x[3:5]
-    assert _ray_group(h, x, p, 0.0, 0.0) == 0.0
-    assert _ray_group(h, x, p, -1.0, 0.0) == RAY_CAP
+    assert h._ray_min(x, p, 0.0, 0.0, RAY_CAP) == 0.0
+    assert h._ray_min(x, p, -1.0, 0.0, RAY_CAP) == RAY_CAP
     # no block moves: phi = a t, with no curvature at all
-    assert _ray_group(h, x, np.zeros(12), -1.0, 0.0) == RAY_CAP
+    assert h._ray_min(x, np.zeros(12), -1.0, 0.0, RAY_CAP) == RAY_CAP
 
 
 def test_the_box_search_stops_where_the_ray_leaves_the_box():
@@ -183,9 +180,10 @@ def test_the_box_search_stops_where_the_ray_leaves_the_box():
     x = np.array([0.0, 1.5, -0.5])
     p = np.array([1.0, 0.25, -0.25])   # leaves at t = 2 (coordinates 1, 2)
     p[0] = 1.25                         # and at t = 1.6 (coordinate 0)
-    assert _ray_box(h, x, p, -10.0, 1.0) == pytest.approx(1.6, abs=1e-15)
-    assert _ray_box(h, x, p, -1.0, 1.0) == 1.0
-    assert _ray_box(h, x, p, 1.0, 1.0) == 0.0
+    assert h._ray_min(x, p, -10.0, 1.0, RAY_CAP) == \
+        pytest.approx(1.6, abs=1e-15)
+    assert h._ray_min(x, p, -1.0, 1.0, RAY_CAP) == 1.0
+    assert h._ray_min(x, p, 1.0, 1.0, RAY_CAP) == 0.0
     _assert_minimizes(h, x, p, -10.0, 1.0)
 
 
@@ -231,13 +229,13 @@ def test_the_ray_step_refuses_a_rise_of_the_objective():
     g = problem.grad(x)
     f_x = problem.objective(x)
     p = -0.01 * g
-    step = _ray_step(problem, _ray_l1, x, p, g, f_x)
+    step = _ray_step(problem, x, p, g, f_x)
     assert step is not None and step[2] < f_x
     assert step[2] == problem.objective(step[1])
     # the same step from a lower F(x): refused
-    assert _ray_step(problem, _ray_l1, x, p, g, step[2] - 1.0) is None
+    assert _ray_step(problem, x, p, g, step[2] - 1.0) is None
     # a direction of ascent: t = 0, refused
-    assert _ray_step(problem, _ray_l1, x, -p, g, f_x) is None
+    assert _ray_step(problem, x, -p, g, f_x) is None
 
 
 def test_box_ray_points_stay_in_the_box():
@@ -274,6 +272,51 @@ def test_box_ray_points_stay_in_the_box():
         assert result.status == "converged" and result.x.min() >= 0.0
         assert result.objective == problem.objective(result.x)
         assert moved, seed
+
+
+def test_an_operator_without_a_search_backtracks_bit_for_bit():
+    # the hinge has no _ray_min: with the ray hook, 0BFGS's default is the
+    # backtracking solve, and the hook is never called
+    recipe = ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1, seed=3)
+    problem = dataclasses.replace(generate(recipe), h=Hinge(0.1))
+    assert problem.h._ray_min is None
+    ray, calls = problem.ray, []
+
+    def counting_ray(x, p):
+        calls.append(None)
+        return ray(x, p)
+
+    problem.ray = counting_ray
+    opts = SolverOptions(max_iters=300, tol=1e-10)
+    got = run_zero_bfgs(problem, opts)
+    want = run_zero_bfgs(dataclasses.replace(generate(recipe), h=Hinge(0.1)),
+                         dataclasses.replace(opts, line_search="backtracking"))
+    _assert_same_solve(got, want)
+    assert not calls
+
+
+@pytest.mark.parametrize("recipe", [
+    ProblemRecipe("lasso_gaussian", m=30, n=60, lam=0.1, seed=3),
+    ProblemRecipe("group_lasso", m=24, n=40, lam=1.0, block_cap=6, seed=3),
+    ProblemRecipe("nnls", m=30, n=60, seed=3),
+], ids=lambda r: r.family)
+def test_a_subclass_takes_its_familys_search(recipe):
+    # an operator derived from L1Norm, GroupL2 or Box inherits the
+    # family's exact search, and its 0BFGS solve is the family's, bit for
+    # bit; that solve is not the backtracking one
+    problem = generate(recipe)
+    family = type(problem.h)
+    assert family in (L1Norm, GroupL2, NonNeg)
+    derived = copy.copy(problem.h)
+    derived.__class__ = type("Derived", (family,), {})
+    assert type(derived)._ray_min is family._ray_min
+    opts = SolverOptions(max_iters=300, tol=1e-10)
+    got = run_zero_bfgs(dataclasses.replace(problem, h=derived), opts)
+    want = run_zero_bfgs(generate(recipe), opts)
+    _assert_same_solve(got, want)
+    backtracking = run_zero_bfgs(generate(recipe), dataclasses.replace(
+        opts, line_search="backtracking"))
+    assert got.trace.objectives != backtracking.trace.objectives
 
 
 @pytest.mark.parametrize("recipe", [

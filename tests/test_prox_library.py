@@ -176,7 +176,8 @@ def test_l1_ball_projection_gives_nan_at_a_nonfinite_point(rng, op, bad):
 
 
 @pytest.mark.parametrize("op", [L1Norm(0.8), NonNeg(), Hinge(1.1),
-                                LinfBall(1.2), L1Ball(0.9), Simplex(1.4)])
+                                LinfBall(1.2), L1Ball(0.9), Simplex(1.4),
+                                LinfNorm(0.7), MaxFunction(1.3)])
 def test_euclidean_moreau_identity(rng, op):
     conj = op.conjugate()
     ones = np.ones(7)
@@ -296,6 +297,75 @@ def test_public_prox_diag_rejects_nonpositive_weights(op):
                 [1.0, np.nan, 1.0]):
         with pytest.raises(ValueError, match="strictly positive"):
             op.prox_diag(x, np.array(bad))
+
+
+@pytest.mark.parametrize("op", _ALL_OPERATORS,
+                         ids=lambda op: type(op).__name__)
+def test_a_scalar_weight_is_the_equal_vector(op):
+    x = np.array([0.4, -1.2, 0.7])
+    for kappa in (0.5, 2.0):
+        assert op.prox_diag(x, 2.5, kappa).tobytes() == \
+            op.prox_diag(x, np.full(3, 2.5), kappa).tobytes()
+
+
+def test_weights_of_another_dimension_are_rejected():
+    x = np.array([0.4, -1.2, 0.7])
+    for op in (L1Norm(0.5), Box(-1.0, 2.0), Simplex(1.0), LinfNorm(0.5)):
+        with pytest.raises(ValueError, match="dimension 4, expected 3"):
+            op.prox_diag(x, np.ones(4))
+    with pytest.raises(ValueError, match="explicit dimension"):
+        L1Norm(0.5).pa_descriptor(2.0)
+
+
+def test_function_values_match_their_closed_forms():
+    x = np.array([0.5, -2.0, 0.0, 1.25])
+    assert Hinge(0.8).evaluate(x) == 0.8 * 1.75
+    assert Hinge(0.8).evaluate(-np.abs(x)) == 0.0
+    assert LinfNorm(0.8).evaluate(x) == 0.8 * 2.0
+    assert LinfNorm(0.8).evaluate(np.zeros(0)) == 0.0
+    assert MaxFunction(0.8).evaluate(x) == 0.8 * 1.25
+    assert MaxFunction(0.8).evaluate(-np.abs(x) - 1.0) == 0.8 * -1.0
+
+
+# the feasibility tolerance of the indicators: 1e-8 (1 + scale)
+_TOL = 1e-8
+
+
+def test_simplex_value_at_and_near_the_simplex():
+    h = Simplex(2.0)
+    tol = _TOL * 3.0
+    assert h.evaluate([0.5, 1.5, 0.0]) == 0.0
+    # an entry and the sum just inside the tolerance
+    assert h.evaluate([0.5 + 0.5 * tol, 1.5, -0.5 * tol]) == 0.0
+    assert h.evaluate([0.5, 1.5 + 0.9 * tol, 0.0]) == 0.0
+    # and outside it: below zero, or a sum off the radius
+    assert h.evaluate([0.5 + 2 * tol, 1.5, -2 * tol]) == np.inf
+    assert h.evaluate([0.5, 1.5 + 2 * tol, 0.0]) == np.inf
+    assert h.evaluate([1.0, 1.5, 0.0]) == np.inf
+
+
+def test_l1_ball_value_at_and_near_the_ball():
+    h = L1Ball(2.0)
+    tol = _TOL * 3.0
+    assert h.evaluate([0.5, -1.0, 0.25]) == 0.0
+    assert h.evaluate([0.5, -1.5, 0.0]) == 0.0
+    assert h.evaluate([0.5, -1.5 - 0.9 * tol, 0.0]) == 0.0
+    assert h.evaluate([0.5, -1.5 - 2 * tol, 0.0]) == np.inf
+    assert h.evaluate([3.0, 0.0, 0.0]) == np.inf
+
+
+def test_affine_constraint_value_at_and_near_its_plane():
+    A = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
+    b = np.array([3.0, -4.0])
+    h = AffineConstraint(A, b)
+    tol = _TOL * 5.0
+    x = np.array([1.0, 1.0, 5.0])   # A x = b
+    assert h.evaluate(x) == 0.0
+    assert h.evaluate(x + [0.9 * tol, 0.0, 0.0]) == 0.0
+    assert h.evaluate(x + [0.0, 0.0, 0.9 * tol]) == 0.0
+    assert h.evaluate(x + [2 * tol, 0.0, 0.0]) == np.inf
+    assert h.evaluate(x + [0.0, 0.0, -2 * tol]) == np.inf
+    assert h.evaluate(np.zeros(3)) == np.inf
 
 
 def test_affine_projection_examples(rng):
