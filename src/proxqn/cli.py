@@ -224,6 +224,13 @@ _OPERATORS = {
 }
 
 
+def _parsed(convert, text, message):   # a ValueError names text
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{message} {text!r}") from None
+
+
 def _parse_prox_file(path):
     meta, vectors = {}, {}
     current = None
@@ -244,7 +251,8 @@ def _parse_prox_file(path):
                 continue
             if current is None:
                 raise ValueError(f"line {lineno}: value outside any vector")
-            vectors[current].append(float(line))
+            vectors[current].append(
+                _parsed(float, line, f"line {lineno}: not a number:"))
     return meta, {k: np.asarray(v, dtype=float) for k, v in vectors.items()}
 
 
@@ -256,10 +264,13 @@ def _operator_from_meta(meta, n):
     unread = sorted(set(meta) - {"h", "sign", "kappa", *keys})
     if unread:
         raise ValueError(f"h {h} reads no metadata key {unread[0]!r}")
-    args = [float(meta.get(key, default)) for key, default in keys.items()
-            if key != "blocks"]
+    args = [_parsed(float, meta.get(key, default),
+                    f"{key} must be a number, got")
+            for key, default in keys.items() if key != "blocks"]
     if "blocks" in keys:
-        sizes = [int(s) for s in meta.get("blocks", "").split(",") if s]
+        sizes = _parsed(lambda t: [int(s) for s in t.split(",") if s],
+                        meta.get("blocks", ""),
+                        "blocks must be comma-separated integers, got")
         if sum(sizes) != n:
             raise ValueError("group sizes must sum to the dimension")
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
@@ -284,7 +295,8 @@ def cmd_prox(args):
             raise ValueError(f"sign must be + or -, got {meta['sign']!r}")
         metric = LowRankMetric(d, factors, sign)
         op = _operator_from_meta(meta, x.shape[0])
-        kappa = float(meta.get("kappa", 1.0))
+        kappa = _parsed(float, meta.get("kappa", 1.0),
+                        "kappa must be a number, got")
     except (ValueError, MetricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_ERROR

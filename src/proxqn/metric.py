@@ -85,10 +85,6 @@ def _drop_block(U, r1=0):
     column-major and without its columns of norm under
     ``FACTOR_DROP_TOL``, each norm taken over its contiguous column."""
     U = np.asfortranarray(U)
-    if U.shape[1] == 1:   # no list for one column
-        u = U.ravel()
-        return (U, r1) if math.sqrt(u.dot(u)) >= FACTOR_DROP_TOL else \
-            (U[:, :0], 0)
     keep = [j for j in range(U.shape[1])
             if math.sqrt((u := U[:, j]).dot(u)) >= FACTOR_DROP_TOL]
     return (U, r1) if len(keep) == U.shape[1] else \
@@ -150,9 +146,7 @@ def _minus_pd_test(g):   # g = ||P^-1/2 U||^2 of P - U U^T
 
 
 def _outer_pd_test(M):   # M = U2^T W2: P + Q1 - Q2 > 0 iff I - M > 0
-    r = M.shape[0]
-    lo = 1.0 - M[0, 0] if r == 1 else \
-        np.linalg.eigvalsh(np.eye(r) - 0.5 * (M + M.T))[0]
+    lo = np.linalg.eigvalsh(np.eye(M.shape[0]) - 0.5 * (M + M.T))[0]
     if lo <= 0:
         raise NotPositiveDefiniteError(
             "diag + Q1 - Q2 is not positive definite "

@@ -10,13 +10,14 @@ dimension it is built for), each operator defines the unchecked core
 ``_prox_diag`` and one
 Clarke-Jacobian route: ``_jvp(z, p, d, kappa, M)``, which the base
 ``_bind`` calls with the prox ``p`` it evaluated at the step, or its own
-``_bind``.  The public ``prox_diag`` checks the weights, and the public
-``prox_diag_jvp`` coerces ``M`` to N x r and binds.  Both Newtons of
-:mod:`proxqn.scaled` check the weights once per root problem and bind
-once, ``step = op._bind(d, kappa)``, and get ``p, jac = step(z, out,
-tmp)``: the bits of ``_prox_diag`` and, when called, ``jac(w, out)`` the
-product with a vector ``w`` or an N x r matrix ``w``, as a vector for a
-vector.  The first-order solvers check their unit weights once per solve.
+``_bind``.  The public ``prox_diag`` checks ``kappa`` and the weights,
+and the public ``prox_diag_jvp`` checks ``kappa``, coerces ``M`` to N x r
+and binds.  Every root solver of :mod:`proxqn.scaled` checks the weights
+once per root problem and binds once, ``step = op._bind(d, kappa)``, and
+gets ``p, jac = step(z, out, tmp)``: the bits of ``_prox_diag`` and,
+when called, ``jac(w, out)`` the product with a vector ``w`` or an N x r
+matrix ``w``, as a vector for a vector.  The first-order solvers check
+their unit weights once per solve.
 Every separable operator is one piecewise-linear map with two breakpoints
 ``lo <= hi`` from ``_bounds`` (``_Clip``): the boxes clip, ``Zero`` to
 ``(-inf, inf)``, ``c = clip(z, lo, hi)`` as ``min`` then ``max``, and
@@ -94,6 +95,11 @@ def _check_weights(d, n=None):
     return d
 
 
+def _check_kappa(kappa):
+    if not kappa > 0:   # NaN fails
+        raise ValueError("kappa must be positive")
+
+
 class ProxOperator:
     """Base class: a convex function with a diagonal-metric prox."""
 
@@ -110,6 +116,7 @@ class ProxOperator:
 
     def prox_diag(self, x, d, kappa=1.0):
         """The prox of ``kappa * h`` in ``diag(d)`` at ``x``."""
+        _check_kappa(kappa)
         x = np.asarray(x, dtype=float)
         return self._prox_diag(x, self.check_weights(d, x.shape[0]), kappa)
 
@@ -132,6 +139,7 @@ class ProxOperator:
         """Product of a Clarke Jacobian of ``prox_diag(., d, kappa)`` at
         ``z`` with the columns of ``M`` (a vector is one column), an N x r
         matrix; ``d`` must have passed :meth:`check_weights`."""
+        _check_kappa(kappa)
         M = np.atleast_2d(np.asarray(M, dtype=float).T).T
         return self._bind(d, kappa)(np.asarray(z, dtype=float))[1](M)
 
@@ -186,12 +194,11 @@ class _Clip(ProxOperator):
         return np.subtract(z, c, out=c if out is None else out)
 
     def _prox_diag(self, x, d, kappa):
-        if not kappa > 0:   # NaN fails
-            raise ValueError("kappa must be positive")
         lo, hi = self._bounds(d, kappa)
         return self._kernel(x, lo, hi)
 
     def pa_descriptor(self, d, kappa=1.0):
+        _check_kappa(kappa)
         d = _check_weights(d)
         lo, hi = np.broadcast_arrays(*self._bounds(d, kappa), d)[:2]
         return np.column_stack((lo, hi))
@@ -527,8 +534,9 @@ class MaxFunction(_SupportFunction):
 
     _set = Simplex
 
-    def evaluate(self, x):
-        return self.lam * float(np.max(x))
+    def evaluate(self, x):   # over no entries: lam times -inf, 0 at lam 0
+        low = -math.inf if self.lam else 0.0
+        return self.lam * float(np.max(x, initial=low))
 
 
 # -- block-separable ----------------------------------------------------------

@@ -39,12 +39,13 @@ kappa)``, and ``_route`` is its one entry; where its safeguard needs a
 bracket it takes :func:`root_bound`'s radius from one bound step at
 ``x``.
 
-Both Newtons bind the operator once per root problem (``_bind`` in
-:mod:`proxqn.prox`), with the scalar ``c`` of a trusted ``P = c I`` where
-the operator takes one: every prox step, line-search trials included,
-reuses the thresholds, and a Newton step takes the exact Clarke-Jacobian
-product that every operator supplies from the accepted point's binding;
-the rank-1 Newton's steps write into arrays it allocates once.  The
+Every root solver, the oracles and rank 0 included, binds the operator
+once per root problem (``_bind`` in :mod:`proxqn.prox`), with the scalar
+``c`` of a trusted ``P = c I`` where the operator takes one: every prox
+step, line-search trials included, reuses the thresholds, and a Newton
+step takes the exact Clarke-Jacobian product that every operator supplies
+from the accepted point's binding; the rank-1 Newton's steps write into
+arrays it allocates once.  The
 conjugate route goes through the metric Moreau identity.  A report whose
 residual is not finite is never ``converged``.
 """
@@ -118,8 +119,8 @@ class RootProblem:
     :func:`root_bisection` solves.  Carries the modulus ``c`` (1, or
     ``1 - g`` on a minus side, ``g`` the top eigenvalue of the Gram
     ``U^T W``) and the Lipschitz bound ``1 + g`` of the map.  The weights
-    ``diag(P)`` are checked once, here; the finders then call the
-    unchecked ``_prox_diag``.
+    ``diag(P)`` are checked once, here, and without ``base`` bind the
+    operator once: every prox in ``P`` is a step of ``_step``.
     """
 
     def __init__(self, metric: LowRankMetric, prox, x, kappa=1.0, base=None):
@@ -129,29 +130,18 @@ class RootProblem:
         U, W = (metric.U2, metric.W2) if sign < 0 else (metric.U1, metric.W1)
         g_sq = metric.gram_norm_sq if base is None else \
             float(np.linalg.eigvalsh(U.T @ W)[-1])
-        self.x, self.bind_weights = x, weights
-        self.prox, self.kappa, self.sign = prox, float(kappa), sign
+        self.x, self.prox, self.kappa, self.sign = x, prox, float(kappa), sign
         self.U, self._shift_dirs = U, W
         self.lipschitz_bound = 1.0 + g_sq
         self.monotonicity_modulus = 1.0 if sign > 0 else 1.0 - g_sq
         self.metric = metric
-        self._base = base   # the callable itself: no cycle through self
+        self._step = step = \
+            prox._bind(weights, self.kappa) if base is None else None
+        self.base = base or (lambda z: step(z)[0])   # no cycle through self
 
     @property
     def rank(self):
         return self.U.shape[1]
-
-    @property
-    def diag(self):
-        """``diag(P)``, read by the base prox and the exact finder's
-        breakpoints: a trusted ``c I`` forms it at the first read."""
-        return self.metric.diag
-
-    def base(self, z):
-        """The base prox at ``z``: the given one, or the prox in ``P``."""
-        if self._base is not None:
-            return self._base(z)
-        return self.prox._prox_diag(z, self.diag, self.kappa)
 
     def shifted_point(self, alpha):
         return self.x - self.sign * self._shift_dirs.dot(np.atleast_1d(alpha))
@@ -212,7 +202,7 @@ def _bracket(problem, method):
     return beta, f_lo, f_hi
 
 
-def root_bisection(problem: RootProblem, eps=1e-10, max_iter=None):
+def root_bisection(problem: RootProblem, eps=1e-10):
     """Bisection on ``[-beta, beta]``; terminates once successive midpoints
     are closer than ``eps``, which puts the iterate within ``eps`` of the
     root. Iteration count is the number of midpoint map evaluations."""
@@ -224,8 +214,7 @@ def root_bisection(problem: RootProblem, eps=1e-10, max_iter=None):
     if isinstance(ends, RootSolverReport):
         return ends
     lo, hi = -ends[0], ends[0]
-    if max_iter is None:
-        max_iter = int(np.ceil(np.log2(max(2.0 * hi / eps, 2.0)))) + 8
+    max_iter = int(np.ceil(np.log2(max(2.0 * hi / eps, 2.0)))) + 8
     alpha_prev, alpha, val, count = None, 0.0, np.inf, 0
     for _ in range(max_iter):
         alpha = 0.5 * (lo + hi)
@@ -258,10 +247,10 @@ def root_exact_piecewise_affine(problem: RootProblem):
     prox's, so a problem with a base prox raises ``ValueError``."""
     if problem.rank != 1:
         raise ValueError("the exact finder applies to rank-1 problems")
-    if problem._base is not None:   # its breakpoints are the diagonal prox's
+    if problem._step is None:   # a base prox, whose breakpoints are not P's
         raise ValueError("the exact finder applies to problems without a "
                          "base prox; use bisection")
-    bp = problem.prox.pa_descriptor(problem.diag, problem.kappa)
+    bp = problem.prox.pa_descriptor(problem.metric.diag, problem.kappa)
     if bp is None:
         raise ValueError(
             f"{type(problem.prox).__name__} exposes no piecewise-affine "
@@ -281,7 +270,7 @@ def root_exact_piecewise_affine(problem: RootProblem):
     pts.sort()
     pts = pts[np.searchsorted(pts, -beta, "right") - 1:
               np.searchsorted(pts, beta) + 1]
-    step = problem.prox._bind(problem.bind_weights, problem.kappa)
+    step = problem._step
 
     def value(alpha):   # the map at alpha, and the prox point there
         p = step(x - alpha * w)[0]
@@ -379,8 +368,7 @@ def _route(prox, x, kappa, weights, U, W, r1, g_sq, tol, warm):
     metric's blocks ``U`` and ``W`` (``r1`` plus columns), by the total
     rank: the diagonal prox, the rank-1 Newton on the one column (the Gram
     ``g_sq`` its top eigenvalue), or the joint Newton; ``warm`` of another
-    size is ignored.  ``weights`` bind the operator, and give ``diag(P)``
-    as a vector for the diagonal prox."""
+    size is ignored.  ``weights`` bind the operator."""
     r = U.shape[1]
     if warm is not None and np.atleast_1d(warm).size != r:
         warm = None
@@ -389,9 +377,7 @@ def _route(prox, x, kappa, weights, U, W, r1, g_sq, tol, warm):
                            float(kappa), g_sq, tol, warm)
         return report.point, report
     if r == 0:
-        d = weights if isinstance(weights, np.ndarray) else \
-            np.full(x.size, weights)
-        return prox._prox_diag(x, d, kappa), \
+        return prox._bind(weights, kappa)(x)[0], \
             RootSolverReport(np.zeros(0), 0.0, 0, "diagonal")
     return _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm)
 

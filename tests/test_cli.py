@@ -244,7 +244,18 @@ def _prox_text(meta, x=_PROX_X, d=_PROX_D, u=_PROX_U):
     (_prox_text({"h": "group_l1l2", "lam": -1, "blocks": "3"}), "auto",
      "group sizes must sum to the dimension"),
     (_prox_text({"h": "group_l1l2", "lam": "big", "blocks": "3"}), "auto",
-     "could not convert string to float: 'big'"),
+     "lam must be a number, got 'big'"),
+    (_prox_text({"h": "group_l1l2", "blocks": "2,x"}), "auto",
+     "blocks must be comma-separated integers, got '2,x'"),
+    (_prox_text({"h": "simplex", "radius": "wide"}), "auto",
+     "radius must be a number, got 'wide'"),
+    (_prox_text({"h": "box", "lo": "low"}), "auto",
+     "lo must be a number, got 'low'"),
+    (_prox_text({"h": "box", "hi": "1e"}), "auto",
+     "hi must be a number, got '1e'"),
+    (_prox_text({"kappa": "one"}), "auto", "kappa must be a number, got 'one'"),
+    (_prox_text({"h": "l1"}).replace("\n-0.7\n", "\nabc\n"), "auto",
+     "line 4: not a number: 'abc'"),
     (_prox_text({"h": "group_l1l2", "lam": -1, "blocks": "2,2"}), "auto",
      "group weight must be positive"),
     (_prox_text({"h": "box", "lo": 2.0}), "auto",
@@ -258,7 +269,9 @@ def _prox_text(meta, x=_PROX_X, d=_PROX_D, u=_PROX_U):
         "exact-linf", "exact-group", "nan-lam", "unknown-sign",
         "unknown-sign-small-u", "lam-on-linf-ball", "misspelt-lam",
         "unknown-id", "sizes-short", "no-sizes", "negative-lam-bad-sizes",
-        "unparsed-lam-bad-sizes", "negative-group-lam", "empty-box",
+        "unparsed-lam-bad-sizes", "unparsed-sizes", "unparsed-radius",
+        "unparsed-lo", "unparsed-hi", "unparsed-kappa", "unparsed-value",
+        "negative-group-lam", "empty-box",
         "no-x", "no-d", "unequal-lengths", "value-outside-a-vector"])
 def test_prox_bad_input_exits_2(tmp_path, capsys, text, finder, message):
     # input the prox rejects is a configuration error, not a solver failure

@@ -10,6 +10,7 @@ from proxqn.metric import (
     NotPositiveDefiniteError,
     PlusMinusMetric,
     _drop_block,
+    _outer_pd_test,
 )
 from proxqn.prox import L1Norm
 from proxqn.quasi_newton import QNPair, sr1_metric, zbfgs_metric
@@ -244,8 +245,8 @@ def test_trusted_metrics_match_public_bitwise(rng):
 
 def test_drop_rule_at_its_tolerance():
     # a factor of norm exactly FACTOR_DROP_TOL is kept, one an ulp shorter
-    # is dropped, by the public and the trusted constructors alike, and the
-    # single-column rule agrees with the many-column one
+    # is dropped, by the public and the trusted constructors alike and by
+    # the block rule on one column or two, which keeps a side's width
     c = 1e-14   # keeps the Gram of a kept tiny factor above the rank test
     for norm, rank in ((FACTOR_DROP_TOL, 1),
                        (np.nextafter(FACTOR_DROP_TOL, 0.0), 0),
@@ -262,8 +263,22 @@ def test_drop_rule_at_its_tolerance():
                    PlusMinusMetric._trusted(c, U, U)):
             assert pm.ranks == (rank, rank)
         wide = np.column_stack([np.ones(3), u])
-        assert _drop_block(U)[0].shape[1] == rank
+        for r1 in (0, 1):
+            kept, width = _drop_block(U, r1)
+            assert kept.shape == (3, rank) and kept.flags.f_contiguous
+            assert width == r1 * rank
+            assert (kept is U) == bool(rank)
         assert _drop_block(wide)[0].shape[1] == 1 + rank
+        assert _drop_block(wide[:, ::-1], 1)[1] == rank
+
+
+def test_outer_pd_test_at_its_boundary():
+    # P + Q1 - Q2 > 0 iff 1 - m > 0 for a 1x1 outer Gram m: 1 - m one ulp
+    # above 0 passes, at 0 or below it raises
+    _outer_pd_test(np.array([[np.nextafter(1.0, 0.0)]]))
+    for m in (1.0, np.nextafter(1.0, 2.0)):
+        with pytest.raises(NotPositiveDefiniteError, match="outer Gram"):
+            _outer_pd_test(np.array([[m]]))
 
 
 def test_empty_metric_rejected():

@@ -308,6 +308,29 @@ def test_a_scalar_weight_is_the_equal_vector(op):
             op.prox_diag(x, np.full(3, 2.5), kappa).tobytes()
 
 
+@pytest.mark.parametrize("op", _ALL_OPERATORS,
+                         ids=lambda op: type(op).__name__)
+def test_public_entries_reject_a_nonpositive_kappa(op):
+    # a kappa of -1 expanded the group norm's point ([1, 2, 3] gave [1.447,
+    # 2.894, 4.0]) and NaN zeroed it; the support functions named their
+    # set's radius, and the projections ignored kappa
+    x, d = np.array([1.0, 2.0, 3.0]), np.ones(3)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            op.prox_diag(x, d, bad)
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            op.prox_diag_jvp(x, d, bad, np.eye(3))
+        if isinstance(op, _Clip):   # unsorted rows [1, -1] for l1 at -1
+            with pytest.raises(ValueError, match="kappa must be positive"):
+                op.pa_descriptor(d, bad)
+
+
+def test_the_max_over_no_entries_is_minus_infinity():
+    assert MaxFunction(0.8).evaluate(np.zeros(0)) == -np.inf
+    assert MaxFunction(0.0).evaluate(np.zeros(0)) == 0.0
+    assert MaxFunction(0.0).evaluate(np.array([-3.0])) == 0.0
+
+
 def test_weights_of_another_dimension_are_rejected():
     x = np.array([0.4, -1.2, 0.7])
     for op in (L1Norm(0.5), Box(-1.0, 2.0), Simplex(1.0), LinfNorm(0.5)):

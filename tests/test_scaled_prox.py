@@ -19,6 +19,7 @@ from proxqn.prox import (
     Hinge,
     L1Ball,
     L1Norm,
+    LinfBall,
     LinfNorm,
     MaxFunction,
     NonNeg,
@@ -1522,6 +1523,122 @@ def test_scalar_binding_gives_the_bits_of_the_vector_diagonal(rng,
                     rep_p.alpha_star.tobytes()
                 assert rep_t.iterations == rep_p.iterations
                 assert rep_t.method == rep_p.method
+
+
+def test_every_root_solver_evaluates_the_prox_through_its_binding(
+        rng, monkeypatch):
+    # the oracles, the bound and the map evaluate the prox in P through the
+    # operator's one binding, and rank 0 is one bound step: none of them
+    # calls the unchecked core
+    def core(*args):
+        raise AssertionError("the core _prox_diag was called")
+    n = 12
+    blocks = np.split(np.arange(n), [3, 7])
+    d = np.repeat(rng.uniform(0.5, 2.0, 3), [3, 4, 5])
+    u1, u2 = rng.standard_normal((2, n))
+    u1 *= np.sqrt(0.5 / np.dot(u1, u1 / d))
+    u2 *= np.sqrt(0.2 / np.dot(u2, u2 / d))
+    x = 2.0 * rng.standard_normal(n)
+    for op in (L1Norm(0.6), GroupL2(0.6, blocks)):
+        monkeypatch.setattr(type(op), "_prox_diag", core)
+        exact = ["exact"] if op.pa_descriptor(d, 1.0) is not None else []
+        for sign in (+1, -1):
+            rank1 = (LowRankMetric(d, [u1], sign),
+                     LowRankMetric._trusted(0.9, u1.reshape(n, 1), sign))
+            for metric in rank1:
+                for finder in ["auto", "bisection"] + exact:
+                    scaled_prox(metric, op, x, 1.3, finder)
+                    scaled_prox_conjugate(metric, op, x, 0.7, finder)
+                problem = RootProblem(metric, op, x, 1.3)
+                root_bound(problem)
+                problem.map_L([0.4])
+        for metric in (LowRankMetric(d),
+                       LowRankMetric._trusted(0.9, np.zeros((n, 0)))):
+            scaled_prox(metric, op, x, 1.3)
+        for metric in (PlusMinusMetric(d, [u1], [u2]), PlusMinusMetric._trusted(
+                0.9, u1.reshape(n, 1), u2.reshape(n, 1))):
+            for finder in ["auto", "bisection"] + exact:
+                scaled_prox(metric, op, x, 1.3, finder)
+                scaled_prox_rank2(metric, op, x, 1.3, inner_finder=finder)
+
+
+def _vector_route(metric, op, x, kappa, finder, tol):
+    """The oracles as they evaluated the prox before they bound the
+    operator: the unchecked core at the vector ``diag(P)`` on every map
+    evaluation, and on ``P + Q1 - Q2`` the recursion through this route."""
+    if all(metric.ranks):
+        inner = LowRankMetric(metric.diag, metric.U1.T, +1)
+        problem = RootProblem(metric, op, x, kappa, base=lambda z: _vector_route(
+            inner, op, z, kappa, finder, min(tol, 1e-13))[0])
+        report = root_bisection(problem, eps=tol)
+        return problem.prox_at(report.alpha_star), report
+    problem = RootProblem(metric, op, x, kappa)
+    diag = metric.diag
+    problem._step = lambda z: (op._prox_diag(z, diag, float(kappa)), None)
+    report = root_exact_piecewise_affine(problem) if finder == "exact" else \
+        root_bisection(problem, eps=tol)
+    return report.point if report.point is not None else \
+        problem.prox_at(report.alpha_star), report
+
+
+def _same_route(route, ref):
+    (p, rep), (p_ref, rep_ref) = route, ref
+    return p.tobytes() == p_ref.tobytes() and \
+        rep.alpha_star.tobytes() == rep_ref.alpha_star.tobytes() and \
+        rep.iterations == rep_ref.iterations
+
+
+def test_the_oracles_keep_the_bits_of_the_vector_diagonal(rng):
+    # the bound oracle points, on a trusted c I (which binds the clip family
+    # and the group norm with the scalar c) and on a public diagonal, of
+    # either sign, are those of the core at the vector diag(P)
+    n = 16
+    blocks = np.split(rng.permutation(n), [4, 9, 13])
+    ops = [Zero(), L1Norm(0.6), NonNeg(), Box(-0.4, 0.5), Hinge(0.5),
+           LinfBall(0.8), L1Ball(1.2), Simplex(1.2), LinfNorm(0.6),
+           MaxFunction(0.6), GroupL2(0.6, blocks),
+           AffineConstraint(rng.standard_normal((2, n)),
+                            rng.standard_normal(2))]
+    d = np.empty(n)
+    for b in blocks:   # constant within the group norm's blocks
+        d[b] = rng.uniform(0.5, 2.0)
+    for op in ops:
+        finders = ["bisection"]
+        if op.pa_descriptor(d, 1.0) is not None:
+            finders.append("exact")
+        for trial in range(6):
+            sign = +1 if trial % 2 else -1
+            c, kappa = np.exp(rng.uniform(-1.0, 1.0, 2))
+            u = rng.standard_normal(n)
+            x = 2.0 * rng.standard_normal(n)
+            for metric in (
+                    LowRankMetric._trusted(c, (u * np.sqrt(
+                        c * 0.6 / u.dot(u))).reshape(n, 1), sign),
+                    LowRankMetric(d, [u * np.sqrt(0.6 / u.dot(u / d))], sign)):
+                for finder in finders:
+                    ref = _vector_route(metric, op, x, kappa, finder, 1e-12)
+                    assert _same_route(scaled_prox(metric, op, x, kappa,
+                                                   finder), ref), \
+                        (type(op).__name__, finder)
+
+
+@pytest.mark.parametrize("kind", ["l1", "group"])
+def test_the_rank2_recursion_keeps_the_bits_of_the_vector_diagonal(rng, kind):
+    n = 3000
+    op = L1Norm(0.6) if kind == "l1" else GroupL2(0.6, _group_blocks(rng, n))
+    for trusted in (True, False):
+        u1, u2 = rng.standard_normal((2, n))
+        u1 *= np.sqrt(0.6 * 0.9 / u1.dot(u1))
+        u2 *= np.sqrt(0.2 * 0.9 / u2.dot(u2))
+        metric = PlusMinusMetric._trusted(
+            0.9, u1.reshape(n, 1), u2.reshape(n, 1)) if trusted else \
+            PlusMinusMetric(np.full(n, 0.9), [u1], [u2])
+        x = 2.0 * rng.standard_normal(n)
+        for finder in ["bisection"] + (["exact"] if kind == "l1" else []):
+            ref = _vector_route(metric, op, x, 1.3, finder, 1e-12)
+            route = scaled_prox_rank2(metric, op, x, 1.3, inner_finder=finder)
+            assert route[1].method == "rank2-recursive"
+            assert _same_route(route, ref), (trusted, finder)
 
 
 def _factors(metric):
