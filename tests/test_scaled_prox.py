@@ -1574,7 +1574,8 @@ def _vector_route(metric, op, x, kappa, finder, tol):
         return problem.prox_at(report.alpha_star), report
     problem = RootProblem(metric, op, x, kappa)
     diag = metric.diag
-    problem._step = lambda z: (op._prox_diag(z, diag, float(kappa)), None)
+    problem.base = lambda z: op._prox_diag(z, diag, float(kappa))
+    problem._step = lambda z: (problem.base(z), None)
     report = root_exact_piecewise_affine(problem) if finder == "exact" else \
         root_bisection(problem, eps=tol)
     return report.point if report.point is not None else \
