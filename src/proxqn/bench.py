@@ -97,38 +97,44 @@ def desk_recipes(seed=0):
     ]
 
 
-def diff3d_operator(side):
-    """Concatenated forward-difference stencils along the three axes of an
-    ``side^3`` grid, with zero rows on the far (Neumann) boundaries.
-    Every non-zero row holds exactly one -1 and one +1.  Of the generated
-    families only this one needs scipy, so ``scipy.sparse`` is imported
-    here."""
-    import scipy.sparse as sp
+class GridDifference:
+    """The ``lasso_diff3d`` operator, never formed: forward differences along
+    the axes of a ``side^3`` grid, stacked, with zero far-boundary (Neumann)
+    rows and one -1 and one +1 in every other row.  ``A @ x`` and ``A.T @ r``
+    sum each row's terms in CSR's order, from +0, for its bytes: per axis of
+    flat stride e, whose far rows are [:, -1] of a (-1, side, e) reshape."""
 
-    n = side ** 3
-    idx = np.arange(n).reshape(side, side, side)
-    rows, cols, vals = [], [], []
-    for axis in range(3):
-        shifted = np.roll(idx, -1, axis=axis)
-        interior = np.ones((side, side, side), dtype=bool)
-        sl = [slice(None)] * 3
-        sl[axis] = side - 1
-        interior[tuple(sl)] = False
-        src = idx[interior].ravel()
-        dst = shifted[interior].ravel()
-        rows.append(np.repeat(axis * n + np.nonzero(interior.ravel())[0], 2))
-        cols.append(np.column_stack([src, dst]).ravel())
-        vals.append(np.tile([-1.0, 1.0], src.size))
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                          np.concatenate(cols))), shape=(3 * n, n))
+    def __init__(self, side, T=None):   # A and its adjoint A.T, a pair
+        n = side ** 3
+        self.side, self.shape = side, (3 * n, n) if T is None else (n, 3 * n)
+        self.T = GridDifference(side, self) if T is None else T
+
+    def __matmul__(self, v):
+        s, n = self.side, self.side ** 3
+        if self.shape[0] > n:   # A
+            out = np.empty(3 * n)
+            for blk, e in zip(out.reshape(3, n), (s * s, s, 1)):
+                # (0 - x_src) + x_dst: x_dst - x_src gives -0 for CSR's +0
+                np.subtract(0.0, v[:n - e], out=blk[:n - e])
+                blk[:n - e] += v[e:]
+                blk.reshape(-1, s, e)[:, -1] = 0.0
+            return out
+        # column j of A: + r[j - e], then - r[j].  The +0 of a far row,
+        # absent in CSR, changes no bit, as a sum from +0 is never -0, and
+        # axis 0's terms read none of its far rows, the last e
+        out, buf = np.zeros(n), np.empty(n)
+        for axis, e in enumerate((s * s, s, 1)):
+            src = v[axis * n:(axis + 1) * n]
+            if axis:
+                buf[:] = src
+                src = buf
+                buf.reshape(-1, s, e)[:, -1] = 0.0
+            out[e:] += src[:n - e]
+            out[:n - e] -= src[:n - e]
+        return out
 
 
-def _transpose(A):
-    """``A.T`` to bind once: a sparse ``A.T`` is a new matrix on every
-    call, and its CSC view multiplies slower than the CSR copy, whose
-    products sum each entry's terms in the same ascending order.  A sparse
-    ``A`` is told by its ``tocsr`` method, so a dense one loads no scipy."""
-    return A.T.tocsr() if hasattr(A, "tocsr") else A.T
+diff3d_operator = GridDifference   # the grid family's A for a side
 
 
 def _aligned(*shape):
@@ -150,7 +156,7 @@ def estimate_sq_norm(A, iters=50, tol=1e-8):
     n = A.shape[1]
     v = np.random.default_rng(12345).standard_normal(n)
     v /= np.linalg.norm(v)
-    lam, AT = 0.0, _transpose(A)
+    lam, AT = 0.0, A.T
     for _ in range(iters):
         w = AT @ (A @ v)
         lam_new = float(np.linalg.norm(w))
@@ -183,8 +189,8 @@ def generate(recipe: ProblemRecipe) -> ProblemSpec:
     residual ``A x - b`` per point: the last one computed is kept, keyed on
     the bits of ``x``, so a gradient at the point of the last objective (or
     the reverse) costs one product with A instead of two, with the same
-    values.  ``grad`` multiplies by ``A.T`` bound once, in CSR for a sparse
-    ``A`` (:func:`_transpose`).  A user-built :class:`ProblemSpec` whose
+    values.  ``grad`` multiplies by ``A.T`` bound once, a dense view or the
+    grid operator's adjoint.  A user-built :class:`ProblemSpec` whose
     ``f`` and ``grad`` share a costly part can cache it the same way.
 
     The problem's ``ray`` hook forms ``q = A p`` and keeps ``r + t q`` as
@@ -226,7 +232,7 @@ def generate(recipe: ProblemRecipe) -> ProblemSpec:
     else:  # pragma: no cover - guarded by the recipe constructor
         raise ValueError(recipe.family)
 
-    n, AT = A.shape[1], _transpose(A)
+    n, AT = A.shape[1], A.T
     # the residual at the last point asked for, keyed on its bits (the
     # solvers ask for f and grad at equal points built as distinct arrays),
     # and the array of a ray step, whose residual only that array reads

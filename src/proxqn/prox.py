@@ -10,9 +10,9 @@ dimension it is built for), each operator defines the unchecked core
 ``_prox_diag`` and one
 Clarke-Jacobian route: ``_jvp(z, p, d, kappa, M)``, which the base
 ``_bind`` calls with the prox ``p`` it evaluated at the step, or its own
-``_bind``.  The public ``prox_diag`` checks ``kappa`` and the weights,
-and the public ``prox_diag_jvp`` checks ``kappa``, coerces ``M`` to N x r
-and binds.  Every root solver of :mod:`proxqn.scaled` checks the weights
+``_bind``.  The public ``prox_diag`` and ``prox_diag_jvp`` check ``kappa``
+and the weights, and ``prox_diag_jvp`` coerces ``M`` to N x r and binds.
+Every root solver of :mod:`proxqn.scaled` checks the weights
 once per root problem and binds once, ``step = op._bind(d, kappa)``, and
 gets ``p, jac = step(z, out, tmp)``: the bits of ``_prox_diag`` and,
 when called, ``jac(w, out)`` the product with a vector ``w`` or an N x r
@@ -138,10 +138,11 @@ class ProxOperator:
     def prox_diag_jvp(self, z, d, kappa, M):
         """Product of a Clarke Jacobian of ``prox_diag(., d, kappa)`` at
         ``z`` with the columns of ``M`` (a vector is one column), an N x r
-        matrix; ``d`` must have passed :meth:`check_weights`."""
+        matrix; ``d`` is checked as by :meth:`prox_diag`."""
         _check_kappa(kappa)
+        z = np.asarray(z, dtype=float)
         M = np.atleast_2d(np.asarray(M, dtype=float).T).T
-        return self._bind(d, kappa)(np.asarray(z, dtype=float))[1](M)
+        return self._bind(self.check_weights(d, z.shape[0]), kappa)(z)[1](M)
 
     def _bind(self, d, kappa):
         """The step ``z -> (prox, jac)``; see the module docstring."""

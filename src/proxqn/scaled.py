@@ -208,8 +208,8 @@ def root_bisection(problem: RootProblem, eps=1e-10):
     root. Iteration count is the number of midpoint map evaluations."""
     if problem.rank != 1:
         raise ValueError("bisection applies to rank-1 problems")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:   # NaN fails
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     ends = _bracket(problem, "bisection")
     if isinstance(ends, RootSolverReport):
         return ends

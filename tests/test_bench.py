@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from proxqn import __version__
 from proxqn.bench import (
+    GridDifference,
     ProblemRecipe,
     desk_recipes,
     diff3d_operator,
@@ -116,9 +117,11 @@ def test_dense_data_is_aligned_and_keeps_its_bits(rng, recipe):
             assert _same_bits(problem.grad(x), A.T @ r)
 
 
-def test_sparse_data_stays_sparse():
+def test_the_grid_operator_is_matrix_free_and_b_is_aligned():
     problem = generate(ProblemRecipe("lasso_diff3d", side=4, lam=1.0, seed=3))
-    assert sp.issparse(problem.A) and problem.b.ctypes.data % 64 == 0
+    assert isinstance(problem.A, GridDifference)
+    assert not sp.issparse(problem.A) and not hasattr(problem.A, "__array__")
+    assert problem.b.ctypes.data % 64 == 0
 
 
 @pytest.mark.parametrize("recipe", SHARED_RESIDUAL_RECIPES,
@@ -259,17 +262,31 @@ def _triplet_diff3d_operator(side):
     return sp.csr_matrix((vals, (rows, cols)), shape=(3 * n, n))
 
 
-@pytest.mark.parametrize("side", range(1, 8))
-def test_diff3d_operator_matches_the_triplet_builder_bytewise(side):
+def _planted(rng, size):
+    """Standard normal entries with +0, -0, +1 and -1 planted in a third."""
+    v = rng.standard_normal(size)
+    at = rng.choice(size, size=max(1, size // 3), replace=False)
+    v[at] = np.array([0.0, -0.0, 1.0, -1.0])[rng.integers(0, 4, at.size)]
+    return v
+
+
+@pytest.mark.parametrize("side", [*range(1, 8), 15])
+def test_diff3d_operator_matches_the_triplet_builder_bytewise(rng, side):
+    # the products of the matrix-free operator have the CSR matrix's bytes,
+    # signed zeros included; the adjoint's those of CSR of A^T
     got, want = diff3d_operator(side), _triplet_diff3d_operator(side)
-    assert got.shape == want.shape
-    assert got.has_sorted_indices == want.has_sorted_indices
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
-        # side 1 has no interior: empty arrays, whose dtypes still count
-        assert a.dtype == b.dtype, name
-        assert a.tobytes() == b.tobytes(), name
-    assert got.nnz == 6 * side ** 2 * (side - 1)
+    want_t = want.T.tocsr()
+    n = side ** 3
+    assert got.shape == want.shape and got.T.shape == want_t.shape
+    for _ in range(4):
+        x, r = _planted(rng, n), _planted(rng, 3 * n)
+        assert (got @ x).tobytes() == (want @ x).tobytes()
+        assert (got.T @ r).tobytes() == (want_t @ r).tobytes()
+    for zero in (0.0, -0.0):
+        x, r = np.full(n, zero), np.full(3 * n, zero)
+        assert (got @ x).tobytes() == (want @ x).tobytes()
+        assert (got.T @ r).tobytes() == (want_t @ r).tobytes()
+    assert want.nnz == 6 * side ** 2 * (side - 1)
 
 
 def test_diff3d_structure():
@@ -277,10 +294,10 @@ def test_diff3d_structure():
     assert A.shape == (81, 27)
     prob = generate(ProblemRecipe("lasso_diff3d", side=3, lam=1.0))
     assert prob.dim == 27
-    rows = sp.csr_matrix(A)
-    for i in range(rows.shape[0]):
-        vals = rows.data[rows.indptr[i]:rows.indptr[i + 1]]
-        assert sorted(vals.tolist()) in ([], [-1.0, 1.0])
+    # row i of A is A^T e_i: empty, or one -1 and one +1
+    for i in range(A.shape[0]):
+        row = A.T @ np.eye(1, A.shape[0], i)[0]
+        assert sorted(row[row != 0].tolist()) in ([], [-1.0, 1.0])
     # constant vectors sit in the null space (Neumann rows are zero)
     assert np.max(np.abs(A @ np.ones(27))) == 0.0
 

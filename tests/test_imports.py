@@ -1,8 +1,8 @@
 """Which paths load scipy.  The package, the benchmark module, the CLI and
-all five solvers run on numpy alone for the dense families; the grid
-family, the affine constraint and the manifest import scipy where they use
-it.  Each check runs in a fresh interpreter, since this process has scipy
-loaded already."""
+all five solvers run on numpy alone for every generated family; the affine
+constraint, validate's simplex oracle and the manifest import scipy where
+they use it.  Each check runs in a fresh interpreter, since this process
+has scipy loaded already."""
 
 import json
 import os
@@ -58,16 +58,18 @@ print(json.dumps(sorted(methods)))
     assert loaded == []
 
 
-def test_the_grid_family_loads_scipy_sparse_alone():
+def test_the_grid_family_loads_no_scipy():
+    # its operator is matrix-free; every solver runs on it too
     [loaded] = _fresh(f"""
 import json, sys
 from proxqn.bench import ProblemRecipe, generate
-generate(ProblemRecipe("lasso_diff3d", side=4, lam=1.0, seed=0))
+from proxqn.solver import SOLVERS, SolverOptions
+problem = generate(ProblemRecipe("lasso_diff3d", side=4, lam=1.0, seed=0))
+for solve in SOLVERS.values():
+    solve(problem, SolverOptions(max_iters=50))
 {LOADED}
 """)
-    assert "scipy.sparse" in loaded
-    assert not any(m.startswith(("scipy.linalg", "scipy.optimize"))
-                   for m in loaded)
+    assert loaded == []
 
 
 def test_the_affine_constraint_loads_scipy_linalg_where_it_factors():

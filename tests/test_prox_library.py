@@ -231,6 +231,23 @@ def test_group_l2_rejects_varying_weights():
                           op, np.ones(2))
 
 
+@pytest.mark.parametrize("op", [GroupL2(1.0, [[0, 1], [2]]), L1Norm(1.0)],
+                         ids=lambda op: type(op).__name__)
+def test_prox_diag_jvp_checks_its_weights_as_prox_diag_does(op):
+    # at weights -1 the group norm returned entries 1.36 and -0.18, the
+    # Jacobian of no prox, and L1Norm the identity; with 2 weights for N = 3
+    # the group norm raised IndexError and L1Norm numpy's broadcast error
+    z, M = np.array([1.0, 2.0, 3.0]), np.eye(3)
+    bad = [-np.ones(3), np.array([2.0, 1.0])]
+    if isinstance(op, GroupL2):   # weights that vary inside block [0, 1]
+        bad.append(np.array([1.0, 2.0, 1.0]))
+    for d in bad:
+        with pytest.raises(ValueError):
+            op.prox_diag(z, d)
+        with pytest.raises(ValueError):
+            op.prox_diag_jvp(z, d, 1.0, M)
+
+
 def test_group_l2_rejects_a_point_of_another_dimension():
     # the weights match the blocks; the point does not
     op = GroupL2(0.1, [[0, 1], [2, 3]])

@@ -222,6 +222,17 @@ def test_oracles_bracket_the_root_in_ill_conditioned_minus_metrics():
                 1e-8 * max(1.0, abs(newton))
 
 
+def test_bisection_rejects_an_eps_that_is_not_positive_and_finite(rng):
+    # eps = inf reported converged after 2 midpoints at residual 0.036, and
+    # NaN raised numpy's NaN-to-int error from the iteration budget
+    metric = sample_metric(rng, 3, sign=+1)
+    problem = RootProblem(metric, L1Norm(0.5), rng.standard_normal(3))
+    for eps in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="eps must be positive and "
+                           "finite"):
+            root_bisection(problem, eps=eps)
+
+
 def test_bisection_signals_broken_bracket(rng):
     # corrupt the map so both bracket ends have the same sign
     metric = sample_metric(rng, 4, sign=+1)
