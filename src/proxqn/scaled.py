@@ -34,10 +34,17 @@ side of ``P1 - Q2``, with the rank-1 prox in ``P1 = P + Q1`` as its base.
 The dispatcher checks the query point and the weights (``_checked``) and
 hands the factored form to ``_route``, which takes arrays: the solvers'
 step calls it directly, with the checks that hold for a whole solve made
-once.  The rank-1 Newton takes arrays, ``(x, U, W, sign, weights,
-kappa)``, and ``_route`` is its one entry; where its safeguard needs a
-bracket it takes :func:`root_bound`'s radius from one bound step at
-``x``.
+once.  That step starts the Newton of a separable operator at the last
+step's multipliers, and that of any other operator at the multipliers at
+which the prox would return the current iterate ``x_k``: from the
+displacement ``back = x_k - x``, ``K^{-1} U^T back`` (``K`` the joint
+system's constant part, 1 at rank 1), one ``U^T`` product.  At a fixed
+point of the step that start is the root; from the last step's
+multipliers, which belong to another metric, a group norm's Newton took
+about twice the prox evaluations.  The rank-1 Newton takes arrays, ``(x,
+U, W, sign, weights, kappa)``, and ``_route`` is its one entry; where its
+safeguard needs a bracket it takes :func:`root_bound`'s radius from one
+bound step at ``x``.
 
 Every root solver, the oracles and rank 0 included, binds the operator
 once per root problem (``_bind`` in :mod:`proxqn.prox`), with the scalar
@@ -363,14 +370,19 @@ def _ssnewton(prox, x, U, W, s, weights, kappa, g_sq, tol=1e-12, alpha0=None,
 # -- dispatcher ----------------------------------------------------------------
 
 
-def _route(prox, x, kappa, weights, U, W, r1, g_sq, tol, warm):
+def _route(prox, x, kappa, weights, U, W, r1, g_sq, tol, warm, back=None):
     """The prox in ``P + U1 U1^T - U2 U2^T`` on checked arrays and the
     metric's blocks ``U`` and ``W`` (``r1`` plus columns), by the total
     rank: the diagonal prox, the rank-1 Newton on the one column (the Gram
     ``g_sq`` its top eigenvalue), or the joint Newton; ``warm`` of another
-    size is ignored.  ``weights`` bind the operator."""
+    size is ignored.  ``weights`` bind the operator.  Given ``back``, the
+    displacement ``x_k - x`` from ``x`` to a point ``x_k``, either Newton
+    starts instead at the multipliers at which the prox returns ``x_k``:
+    ``U^T back`` at rank 1, ``K^{-1} U^T back`` in the joint Newton."""
     r = U.shape[1]
-    if warm is not None and np.atleast_1d(warm).size != r:
+    if back is not None and r == 1:   # K = 1
+        warm = U.T.dot(back)
+    elif warm is not None and np.atleast_1d(warm).size != r:
         warm = None
     if r == 1:
         report = _ssnewton(prox, x, U, W, 1 if r1 else -1, weights,
@@ -379,7 +391,7 @@ def _route(prox, x, kappa, weights, U, W, r1, g_sq, tol, warm):
     if r == 0:
         return prox._bind(weights, kappa)(x)[0], \
             RootSolverReport(np.zeros(0), 0.0, 0, "diagonal")
-    return _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm)
+    return _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm, back)
 
 
 def scaled_prox(metric: LowRankMetric, prox, x, kappa=1.0, finder="auto",
@@ -438,7 +450,7 @@ def scaled_prox_rank2(metric: PlusMinusMetric, prox, x, kappa=1.0, tol=1e-12,
     return scaled_prox(metric, prox, x, kappa, inner_finder, tol, warm)
 
 
-def _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm):
+def _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm, back=None):
     """Damped semi-smooth Newton on the stacked system
 
         F1(a, b) = U1^T (x + W2 b - p) + a
@@ -457,10 +469,14 @@ def _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm):
     The r x r Newton system goes to the LAPACK gufunc behind
     ``np.linalg.solve``, with its bits for every ``r``; a singular one
     gives a non-finite direction.
+    It starts at ``warm``, or, given the displacement ``back = x_k - x``,
+    at the root of ``F`` with ``p = x_k``: ``K^{-1} U^T back``, where
+    ``K^{-1} v = v - (K - I) v`` since ``K - I`` is its one off-diagonal
+    block.
     Raises :class:`RootFinderError` when the residual does not reach
     ``tol``: a singular Newton system, no sufficient decrease after 30
-    halvings, or 60 steps; a non-finite residual ends it at once,
-    unconverged.
+    halvings, or 60 steps; a non-finite residual, at the first point or
+    at a trial of the search, ends it at once at that point, unconverged.
     """
     r = U.shape[1]
     Ut = U.T
@@ -474,7 +490,11 @@ def _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm):
         p, jac = step(x + W @ (sgn * ab))
         return Ut.dot(x - p) + K.dot(ab), p, jac
 
-    ab = np.zeros(r) if warm is None else np.array(warm, dtype=float)
+    if back is not None:
+        ab = Ut.dot(back)
+        ab[:r1] -= K[:r1, r1:].dot(ab[r1:])
+    else:
+        ab = np.zeros(r) if warm is None else np.array(warm, dtype=float)
     val, p, jac = system(ab)
     res = math.sqrt(val.dot(val))
     history = [res]
@@ -488,7 +508,9 @@ def _joint_newton(prox, x, kappa, weights, U, W, r1, tol, warm):
         for _ in range(31):
             new_val, new_p, new_jac = system(new)
             new_res = math.sqrt(new_val.dot(new_val))
-            if new_res <= (1.0 - 1e-4 * t) * res:
+            # a non-finite trial ends the call there: halving toward ab
+            # would only repeat the map at more points of no use
+            if new_res <= (1.0 - 1e-4 * t) * res or not new_res < math.inf:
                 break
             t *= 0.5
             new = ab - t * d_ab

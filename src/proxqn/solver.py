@@ -167,12 +167,24 @@ def fb_step(x, grad_x, H, B, h, kappa=1.0, warm_alpha=None, tol=1e-12):
 
     ``H = (c, U1, U2)``, ``c`` a scalar or the diagonal, gives the forward
     point with ``H.apply``'s bits; ``B = (weights, U, W, r1, g)`` goes to
-    ``scaled._route`` as it is (the weights that bind ``h``).  The point
-    and report are those of ``scaled_prox_rank2(B, h, x - kappa H.apply(g),
-    kappa, tol, warm_alpha)`` on the metrics that these factors form.
+    ``scaled._route`` as it is (the weights that bind ``h``).
+
+    Where the Newton of the prox starts depends on ``h``.  A separable
+    ``h`` (the clip family) starts it at ``warm_alpha``, the last step's
+    multipliers: its piecewise-affine Newton ends in a few steps from
+    either start, and the other one cost NNLS more prox evaluations and
+    the dense LASSO time.  Any other ``h`` (group norms, support
+    functions, the simplex, the l1 ball, affine constraints) starts it at
+    the multipliers at which the prox would return ``x`` itself, ``K^{-1}
+    U^T kappa H g`` from the displacement ``x - forward = kappa H g``: the
+    exact root at a fixed point of the step, and close to it as the
+    iterates converge; ``warm_alpha`` is then not read.  The point and report are those of
+    ``scaled_prox_rank2(B, h, forward, kappa, tol, alpha0)`` on the
+    metrics that these factors form, ``alpha0`` that start.
     """
-    forward = x - kappa * _apply(*H, _as_vector(grad_x, H[1].shape[0]))
-    return _route(h, forward, kappa, *B, tol, warm_alpha)
+    back = kappa * _apply(*H, _as_vector(grad_x, H[1].shape[0]))
+    return _route(h, x - back, kappa, *B, tol, warm_alpha,
+                  None if h.separable else back)
 
 
 def line_search(problem, x, p, f_x, kappa, mode="backtracking"):

@@ -872,7 +872,7 @@ def _joint_newton_by_matmul(prox, x, kappa, weights, U, W, r1, tol, warm):
             new = ab - t * d_ab
             new_val, new_p, new_jac = system(new)
             new_res = math.sqrt(new_val.dot(new_val))
-            if new_res <= (1.0 - 1e-4 * t) * res:
+            if new_res <= (1.0 - 1e-4 * t) * res or not new_res < math.inf:
                 break
             t *= 0.5
         else:
